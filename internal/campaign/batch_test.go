@@ -9,6 +9,10 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/classfile"
+	"repro/internal/descriptor"
+	"repro/internal/jimple"
 )
 
 // TestBatchMatrixMatchesGolden is the batching tentpole's acceptance
@@ -228,6 +232,92 @@ func TestBatchBufferOwnership(t *testing.T) {
 			}
 			if !reflect.DeepEqual(summarize(again), want) {
 				t.Errorf("workers=%d batch=%d: rerun after scribbling diverges — a returned buffer aliased engine- or seed-owned memory", w, b)
+			}
+		}
+	}
+}
+
+// scribbleScratch overwrites a worker's reused lowering and parse
+// output: it lowers and parses a class larger than any test mutant
+// through them — so every arena slot a task's File used is rewritten —
+// then scribbles over the poison Files themselves.
+func scribbleScratch(poison *jimple.Class) func(ws *workerScratch) {
+	return func(ws *workerScratch) {
+		f, err := ws.lctx.Lower(poison)
+		if err != nil {
+			panic(err)
+		}
+		data, err := f.AppendBytes(nil)
+		if err != nil {
+			panic(err)
+		}
+		g, err := ws.parser.Parse(data)
+		if err != nil {
+			panic(err)
+		}
+		for _, file := range []*classfile.File{f, g} {
+			for _, c := range file.Pool.Entries {
+				if c != nil {
+					*c = classfile.Constant{Tag: classfile.TagUtf8, Str: "scribbled"}
+				}
+			}
+			for _, m := range append(file.Fields, file.Methods...) {
+				*m = classfile.Member{AccessFlags: 0xFFFF, NameIndex: 0xFFFF, DescIndex: 0xFFFF}
+			}
+		}
+	}
+}
+
+// poisonClass is a class with far more members and constants than any
+// test mutant.
+func poisonClass() *jimple.Class {
+	c := jimple.NewClass("Poison")
+	for i := 0; i < 64; i++ {
+		c.AddField(classfile.AccPublic, fmt.Sprintf("f%d", i), descriptor.Long)
+		m := c.AddMethod(classfile.AccPublic|classfile.AccStatic, fmt.Sprintf("m%d", i), nil, descriptor.Object("java/lang/String"))
+		m.Throws = []string{fmt.Sprintf("p/E%d", i)}
+		m.Body = []jimple.Stmt{&jimple.Return{Value: &jimple.StringConst{V: fmt.Sprintf("s%d", i)}}}
+	}
+	return c
+}
+
+// TestBatchScratchRetention extends the buffer-ownership check to the
+// worker's reused Files: every File that LowerCtx.Lower and
+// Parser.Parse return lives only until the next call on the same
+// context or parser, so overwriting both between tasks must leave every
+// result — summaries and generated bytes — identical to the reference
+// at workers 1/4 × batch 1/8. A task that kept a File past its end
+// would read the scribble.
+func TestBatchScratchRetention(t *testing.T) {
+	base := detConfig(Classfuzz)
+	base.KeepGenBytes = true
+	ref, err := Run(base)
+	if err != nil {
+		t.Fatalf("reference: %v", err)
+	}
+	want := summarize(ref)
+
+	scratchHook = scribbleScratch(poisonClass())
+	defer func() { scratchHook = nil }()
+	for _, w := range []int{1, 4} {
+		for _, b := range []int{1, 8} {
+			cfg := base
+			cfg.Workers = w
+			cfg.Batch = b
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("workers=%d batch=%d: %v", w, b, err)
+			}
+			if !reflect.DeepEqual(summarize(res), want) {
+				t.Errorf("workers=%d batch=%d: summary diverges once the worker scratch is overwritten between tasks", w, b)
+			}
+			if len(res.Gen) != len(ref.Gen) {
+				t.Fatalf("workers=%d batch=%d: %d generated classes, want %d", w, b, len(res.Gen), len(ref.Gen))
+			}
+			for i := range res.Gen {
+				if !bytes.Equal(res.Gen[i].Data, ref.Gen[i].Data) {
+					t.Errorf("workers=%d batch=%d: Gen[%d] bytes differ once the worker scratch is overwritten", w, b, i)
+				}
 			}
 		}
 	}

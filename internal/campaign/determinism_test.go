@@ -292,7 +292,7 @@ func referenceClassfuzz(t *testing.T, cfg Config) []string {
 		pool = append(pool, poolEntry{class: s, iter: -1})
 	}
 	for _, s := range cfg.Source.Corpus() {
-		tr, _, err := runOnRef(vm, rec, s)
+		tr, err := runOnRef(vm, rec, new(jimple.LowerCtx), s)
 		if err != nil {
 			continue
 		}

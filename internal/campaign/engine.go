@@ -1,8 +1,8 @@
 package campaign
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 	"sync"
 	"time"
 
@@ -336,8 +336,9 @@ func (e *engine) initSeedState() {
 	if e.timing {
 		vm.SetTelemetry(e.cfg.Telemetry)
 	}
+	lctx := jimple.NewLowerCtx()
 	for _, s := range e.seeds {
-		tr, _, err := runOnRef(vm, rec, s)
+		tr, err := runOnRef(vm, rec, lctx, s)
 		if err != nil {
 			continue // unlowerable seed: skip its trace
 		}
@@ -428,6 +429,9 @@ func (e *engine) run() (*Result, error) {
 			for b := range blocks {
 				for j := range b.tasks {
 					e.process(&b.tasks[j], ws, b)
+					if scratchHook != nil {
+						scratchHook(ws)
+					}
 				}
 				close(b.done)
 			}
@@ -562,15 +566,25 @@ func (e *engine) redraw(rec DrawRecord, t *task) {
 }
 
 // workerScratch is one worker's long-lived arenas: the instrumented
-// reference VM and its recorder, the reusable lowering context, and
-// the per-task mutation RNG (reseeded, never reallocated). All of it
-// is confined to the owning worker goroutine.
+// reference VM and its recorder, the reusable lowering context and
+// parser, and the per-task mutation RNG (reseeded, never reallocated).
+// All of it is confined to the owning worker goroutine. The Files that
+// lctx and parser return live only until their next call, so nothing
+// a task produces may keep one: the task's outputs are the mutant, its
+// bytes and its trace, never a File.
 type workerScratch struct {
-	vm   *jvm.VM
-	rec  *coverage.Recorder
-	rng  *rand.Rand
-	lctx *jimple.LowerCtx
+	vm     *jvm.VM
+	rec    *coverage.Recorder
+	rng    *rand.Rand
+	lctx   *jimple.LowerCtx
+	parser classfile.Parser
 }
+
+// scratchHook, when set (by tests only, never while a campaign runs),
+// runs on the worker after every task with the worker's scratch — the
+// scratch-retention test overwrites the reused lowering and parse
+// output there to prove no task keeps a File past its end.
+var scratchHook func(ws *workerScratch)
 
 // mutateRNG returns iteration iter's mutation stream on the worker's
 // reused generator — the same stream DeriveRNG builds fresh.
@@ -591,7 +605,7 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) {
 	vm, rec := ws.vm, ws.rec
 	spMutate := telemetry.StartSpan(e.tel.mutate)
 	rng := ws.mutateRNG(e.cfg.Rand, t.iter)
-	mutant := t.parent.Clone()
+	mutant := t.parent.Clone() // copy-on-write: Apply owns what it writes
 	if !e.muts[t.rec.MutatorID].Apply(mutant, rng) {
 		// Soot-style failure: no classfile generated this iteration.
 		spMutate.End()
@@ -624,7 +638,7 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) {
 	if e.pf != nil {
 		spPf := telemetry.StartSpan(e.tel.prefilter)
 		t.checked = true
-		if f, perr := classfile.Parse(data); perr == nil {
+		if f, perr := ws.parser.Parse(data); perr == nil {
 			parsed = f
 			t.parsed = true
 			if d := analysis.LoadReject(f, &e.pf.spec.Policy); d != nil {
@@ -859,7 +873,8 @@ func (e *engine) finalize() {
 
 // mutantName is the deterministic name of iteration iter's mutant.
 func mutantName(iter int) string {
-	return fmt.Sprintf("M%d", 1430000000+iter)
+	var b [16]byte
+	return string(strconv.AppendInt(append(b[:0], 'M'), 1430000000+int64(iter), 10))
 }
 
 // finishMutant applies the deterministic post-mutation fixups: the
@@ -886,14 +901,18 @@ func lower(c *jimple.Class) ([]byte, error) {
 	return f.Bytes()
 }
 
-// runOnRef lowers the class and executes it on the instrumented
-// reference VM, returning the coverage trace and the bytes.
-func runOnRef(vm *jvm.VM, rec *coverage.Recorder, c *jimple.Class) (*coverage.Trace, []byte, error) {
-	data, err := lower(c)
+// runOnRef lowers the class through lctx and executes it on the
+// instrumented reference VM, returning the coverage trace.
+func runOnRef(vm *jvm.VM, rec *coverage.Recorder, lctx *jimple.LowerCtx, c *jimple.Class) (*coverage.Trace, error) {
+	f, err := lctx.Lower(c)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
+	}
+	data, err := f.Bytes()
+	if err != nil {
+		return nil, err
 	}
 	rec.Reset()
 	vm.Run(data)
-	return rec.Trace(), data, nil
+	return rec.Trace(), nil
 }

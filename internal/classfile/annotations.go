@@ -206,7 +206,7 @@ func decodeBootstrapMethods(body []byte) (Attribute, error) {
 		if br.err != nil {
 			return nil, br.err
 		}
-		for j := 0; j < na; j++ {
+		for j := 0; j < na && br.err == nil; j++ {
 			m.Args = append(m.Args, br.u2())
 		}
 		a.Methods = append(a.Methods, m)

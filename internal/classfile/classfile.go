@@ -2,6 +2,8 @@ package classfile
 
 import (
 	"fmt"
+
+	"repro/internal/arena"
 )
 
 // Magic is the classfile magic number.
@@ -35,24 +37,37 @@ type File struct {
 	// memberArena chunk-allocates Members built through the
 	// AddField/AddMethod/Clone/parse paths (one heap object per chunk
 	// instead of per member — member tables dominate the builder's
-	// allocation profile). Chunks are replaced when full, never
-	// regrown, so handed-out pointers stay valid for the life of the
-	// file.
-	memberArena []Member
+	// allocation profile); handed-out pointers stay valid until Reset.
+	memberArena arena.Arena[Member]
 }
 
 // allocMember places m in the file's arena and returns a stable pointer.
-func (f *File) allocMember(m Member) *Member {
-	if len(f.memberArena) == cap(f.memberArena) {
-		// Small first chunk, bigger follow-ups for member-heavy classes.
-		n := 16
-		if cap(f.memberArena) >= 16 {
-			n = 64
-		}
-		f.memberArena = make([]Member, 0, n)
+func (f *File) allocMember(m Member) *Member { return f.memberArena.Put(m) }
+
+// Reset empties f for reuse — zero header, a pool holding only slot 0,
+// no interfaces, members or attributes — while keeping the capacity it
+// has grown: the pool's entry table and constant arena, the interface,
+// member and attribute tables, and the member arena. Reset resets
+// f.Pool in place. Everything obtained from f before — members,
+// constants, attribute lists — is invalid afterwards. Reusing one File
+// this way is what lets a long-lived lowering context or parser build
+// class after class without allocating a fresh pool for each.
+func (f *File) Reset() {
+	pool := f.Pool
+	if pool == nil {
+		pool = NewConstPool()
+	} else {
+		pool.Reset()
 	}
-	f.memberArena = append(f.memberArena, m)
-	return &f.memberArena[len(f.memberArena)-1]
+	f.memberArena.Rewind()
+	*f = File{
+		Pool:        pool,
+		Interfaces:  f.Interfaces[:0],
+		Fields:      f.Fields[:0],
+		Methods:     f.Methods[:0],
+		Attributes:  f.Attributes[:0],
+		memberArena: f.memberArena,
+	}
 }
 
 // Member is a field_info or method_info structure.
@@ -225,6 +240,7 @@ func (f *File) Clone() *File {
 		SuperClass:  f.SuperClass,
 		Interfaces:  append([]uint16(nil), f.Interfaces...),
 	}
+	out.memberArena.Reserve(len(f.Fields) + len(f.Methods))
 	out.Fields = out.cloneMembers(f.Fields)
 	out.Methods = out.cloneMembers(f.Methods)
 	out.Attributes = cloneAttrs(f.Attributes)

@@ -8,6 +8,8 @@ package classfile
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/arena"
 )
 
 // ConstTag identifies a constant pool entry kind (JVMS Table 4.4-A).
@@ -104,24 +106,21 @@ type ConstPool struct {
 	Entries []*Constant
 
 	// arena chunk-allocates entries built through the Add*/parse paths
-	// (one heap object per chunk instead of per constant). Chunks are
-	// replaced when full, never regrown, so handed-out pointers stay
-	// valid for the life of the pool.
-	arena []Constant
+	// (one heap object per chunk instead of per constant); handed-out
+	// pointers stay valid until Reset.
+	arena arena.Arena[Constant]
 }
 
 // alloc places c in the pool's arena and returns a stable pointer.
-func (cp *ConstPool) alloc(c Constant) *Constant {
-	if len(cp.arena) == cap(cp.arena) {
-		// Small first chunk, bigger follow-ups for large pools.
-		n := 16
-		if cap(cp.arena) >= 16 {
-			n = 64
-		}
-		cp.arena = make([]Constant, 0, n)
-	}
-	cp.arena = append(cp.arena, c)
-	return &cp.arena[len(cp.arena)-1]
+func (cp *ConstPool) alloc(c Constant) *Constant { return cp.arena.Put(c) }
+
+// Reset empties the pool to the reserved slot 0 for reuse, keeping the
+// capacity of its entry table and constant arena. Every *Constant the
+// pool handed out before — and so every File built on it — is invalid
+// afterwards.
+func (cp *ConstPool) Reset() {
+	cp.Entries = append(cp.Entries[:0], nil)
+	cp.arena.Rewind()
 }
 
 // NewConstPool returns a pool containing only the reserved slot 0.
@@ -351,6 +350,7 @@ func (cp *ConstPool) Describe(idx uint16) string {
 // Clone returns a deep copy of the pool.
 func (cp *ConstPool) Clone() *ConstPool {
 	out := &ConstPool{Entries: make([]*Constant, len(cp.Entries))}
+	out.arena.Reserve(len(cp.Entries))
 	for i, c := range cp.Entries {
 		if c != nil {
 			out.Entries[i] = out.alloc(*c)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"repro/internal/arena"
 )
 
 // reader is a bounds-checked big-endian cursor over the raw bytes.
@@ -59,6 +61,9 @@ func (r *reader) u4() uint32 {
 	return v
 }
 
+// remaining is the number of unread bytes.
+func (r *reader) remaining() int { return len(r.data) - r.pos }
+
 // bytes returns the next n bytes as a subslice of the input — no copy.
 // Retained outputs (CodeAttr.Code, RawAttr.Data, ...) therefore alias
 // the buffer handed to Parse; see Parse's aliasing contract.
@@ -86,16 +91,52 @@ func (r *reader) bytes(n int) []byte {
 // copies. Callers that mutate or recycle data after parsing must stop
 // using the File first (Clone deep-copies and breaks the aliasing).
 // Pool strings are always independent copies.
+//
+// Parse never allocates out of proportion to len(data): every declared
+// count is clamped, before anything is sized from it, to what the
+// remaining bytes could possibly encode.
 func Parse(data []byte) (*File, error) {
+	return new(Parser).Parse(data)
+}
+
+// Parser parses classfiles into one File it reuses from call to call,
+// together with that File's constant pool, constant arena and member
+// arena and the parser's arenas of attribute lists, Code attributes and
+// line-number tables. A long-lived caller — one campaign worker, say —
+// thus pays for those once rather than per class, and a one-shot parse
+// allocates little more than the File needs (arena chunks start small
+// and double). The File returned by Parse is valid only until the next
+// Parse on the same Parser; nothing may keep it, or anything reached
+// through it, past that. Parsing through a reused Parser yields a File equal to
+// a fresh Parse of the same bytes. A zero Parser is ready to use;
+// Parsers are not safe for concurrent use.
+type Parser struct {
+	f        File
+	attrs    arena.Arena[Attribute]
+	codes    arena.Arena[CodeAttr]
+	lines    arena.Arena[LineNumberTableAttr]
+	lineEnts arena.Arena[LineNumberEntry]
+}
+
+// Parse decodes data into the parser's File; see the package-level
+// Parse for what is checked and for the aliasing of data, and Parser
+// for how long the result lives.
+func (p *Parser) Parse(data []byte) (*File, error) {
 	r := &reader{data: data}
 	if magic := r.u4(); r.err == nil && magic != Magic {
 		return nil, &FormatError{Offset: 0, Reason: fmt.Sprintf("bad magic 0x%08X", magic)}
 	}
-	f := &File{}
+	f := &p.f
+	f.Reset()
+	p.attrs.Rewind()
+	p.codes.Rewind()
+	p.lines.Rewind()
+	p.lineEnts.Rewind()
 	f.Minor = r.u2()
 	f.Major = r.u2()
 
-	// Constant pool.
+	// Constant pool. Every entry takes at least three bytes (tag plus a
+	// u2), so the remaining input bounds how many slots can be real.
 	count := int(r.u2())
 	if r.err != nil {
 		return nil, r.err
@@ -103,7 +144,12 @@ func Parse(data []byte) (*File, error) {
 	if count == 0 {
 		return nil, &FormatError{Offset: r.pos, Reason: "constant_pool_count is zero"}
 	}
-	pool := &ConstPool{Entries: make([]*Constant, 1, count)}
+	pool := f.Pool
+	n := min(count, 1+r.remaining()/3)
+	if cap(pool.Entries) < n {
+		pool.Entries = make([]*Constant, 1, n)
+	}
+	pool.arena.Reserve(n - 1)
 	for len(pool.Entries) < count {
 		tag := ConstTag(r.u1())
 		if r.err != nil {
@@ -156,7 +202,6 @@ func Parse(data []byte) (*File, error) {
 			pool.Entries = append(pool.Entries, nil)
 		}
 	}
-	f.Pool = pool
 
 	f.AccessFlags = Flags(r.u2())
 	f.ThisClass = r.u2()
@@ -166,22 +211,21 @@ func Parse(data []byte) (*File, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	f.Interfaces = make([]uint16, 0, nIfaces)
-	for i := 0; i < nIfaces; i++ {
+	if n := min(nIfaces, r.remaining()/2); f.Interfaces == nil || cap(f.Interfaces) < n {
+		f.Interfaces = make([]uint16, 0, n)
+	}
+	for i := 0; i < nIfaces && r.err == nil; i++ {
 		f.Interfaces = append(f.Interfaces, r.u2())
 	}
 
 	var err error
-	f.Fields, err = parseMembers(r, f, pool)
-	if err != nil {
+	if f.Fields, err = p.members(r, f.Fields); err != nil {
 		return nil, err
 	}
-	f.Methods, err = parseMembers(r, f, pool)
-	if err != nil {
+	if f.Methods, err = p.members(r, f.Methods); err != nil {
 		return nil, err
 	}
-	f.Attributes, err = parseAttributes(r, pool)
-	if err != nil {
+	if f.Attributes, err = p.attributes(r); err != nil {
 		return nil, err
 	}
 	if r.err != nil {
@@ -193,34 +237,42 @@ func Parse(data []byte) (*File, error) {
 	return f, nil
 }
 
-func parseMembers(r *reader, f *File, cp *ConstPool) ([]*Member, error) {
+// members reads a field or method table into out (an emptied table
+// whose capacity is reused). A member takes at least eight bytes.
+func (p *Parser) members(r *reader, out []*Member) ([]*Member, error) {
 	n := int(r.u2())
 	if r.err != nil {
 		return nil, r.err
 	}
-	members := make([]*Member, 0, n)
+	c := min(n, r.remaining()/8)
+	if out == nil || cap(out) < c {
+		out = make([]*Member, 0, c)
+	}
+	p.f.memberArena.Reserve(c)
 	for i := 0; i < n; i++ {
-		m := f.allocMember(Member{
+		m := p.f.allocMember(Member{
 			AccessFlags: Flags(r.u2()),
 			NameIndex:   r.u2(),
 			DescIndex:   r.u2(),
 		})
-		attrs, err := parseAttributes(r, cp)
+		attrs, err := p.attributes(r)
 		if err != nil {
 			return nil, err
 		}
 		m.Attributes = attrs
-		members = append(members, m)
+		out = append(out, m)
 	}
-	return members, r.err
+	return out, r.err
 }
 
-func parseAttributes(r *reader, cp *ConstPool) ([]Attribute, error) {
+// attributes reads an attribute table. An attribute takes at least six
+// bytes (name index and length).
+func (p *Parser) attributes(r *reader) ([]Attribute, error) {
 	n := int(r.u2())
 	if r.err != nil {
 		return nil, r.err
 	}
-	attrs := make([]Attribute, 0, n)
+	attrs := p.attrs.Run(min(n, r.remaining()/6))
 	for i := 0; i < n; i++ {
 		nameIdx := r.u2()
 		length := int(r.u4())
@@ -228,8 +280,8 @@ func parseAttributes(r *reader, cp *ConstPool) ([]Attribute, error) {
 		if r.err != nil {
 			return nil, r.err
 		}
-		name, _ := cp.Utf8(nameIdx)
-		a, err := decodeAttribute(name, body, cp)
+		name, _ := p.f.Pool.Utf8(nameIdx)
+		a, err := p.attribute(name, body)
 		if err != nil {
 			return nil, err
 		}
@@ -238,11 +290,14 @@ func parseAttributes(r *reader, cp *ConstPool) ([]Attribute, error) {
 	return attrs, nil
 }
 
-func decodeAttribute(name string, body []byte, cp *ConstPool) (Attribute, error) {
+// attribute decodes one attribute body. Every table sized from a
+// declared count is clamped to what the body's remaining bytes can
+// hold.
+func (p *Parser) attribute(name string, body []byte) (Attribute, error) {
 	br := &reader{data: body}
 	switch name {
 	case AttrCode:
-		c := &CodeAttr{}
+		c := p.codes.Put(CodeAttr{})
 		c.MaxStack = br.u2()
 		c.MaxLocals = br.u2()
 		codeLen := int(br.u4())
@@ -251,8 +306,8 @@ func decodeAttribute(name string, body []byte, cp *ConstPool) (Attribute, error)
 		if br.err != nil {
 			return nil, br.err
 		}
-		c.Handlers = make([]ExceptionHandler, 0, nh)
-		for i := 0; i < nh; i++ {
+		c.Handlers = make([]ExceptionHandler, 0, min(nh, br.remaining()/8))
+		for i := 0; i < nh && br.err == nil; i++ {
 			c.Handlers = append(c.Handlers, ExceptionHandler{
 				StartPC:   br.u2(),
 				EndPC:     br.u2(),
@@ -260,7 +315,7 @@ func decodeAttribute(name string, body []byte, cp *ConstPool) (Attribute, error)
 				CatchType: br.u2(),
 			})
 		}
-		inner, err := parseAttributes(br, cp)
+		inner, err := p.attributes(br)
 		if err != nil {
 			return nil, err
 		}
@@ -271,8 +326,8 @@ func decodeAttribute(name string, body []byte, cp *ConstPool) (Attribute, error)
 		return c, nil
 	case AttrExceptions:
 		n := int(br.u2())
-		e := &ExceptionsAttr{Classes: make([]uint16, 0, n)}
-		for i := 0; i < n; i++ {
+		e := &ExceptionsAttr{Classes: make([]uint16, 0, min(n, br.remaining()/2))}
+		for i := 0; i < n && br.err == nil; i++ {
 			e.Classes = append(e.Classes, br.u2())
 		}
 		return e, br.err
@@ -287,8 +342,8 @@ func decodeAttribute(name string, body []byte, cp *ConstPool) (Attribute, error)
 		return a, br.err
 	case AttrInnerClasses:
 		n := int(br.u2())
-		a := &InnerClassesAttr{Entries: make([]InnerClassEntry, 0, n)}
-		for i := 0; i < n; i++ {
+		a := &InnerClassesAttr{Entries: make([]InnerClassEntry, 0, min(n, br.remaining()/8))}
+		for i := 0; i < n && br.err == nil; i++ {
 			a.Entries = append(a.Entries, InnerClassEntry{
 				InnerClass: br.u2(),
 				OuterClass: br.u2(),
@@ -299,15 +354,15 @@ func decodeAttribute(name string, body []byte, cp *ConstPool) (Attribute, error)
 		return a, br.err
 	case AttrLineNumberTable:
 		n := int(br.u2())
-		a := &LineNumberTableAttr{Entries: make([]LineNumberEntry, 0, n)}
-		for i := 0; i < n; i++ {
+		a := p.lines.Put(LineNumberTableAttr{Entries: p.lineEnts.Run(min(n, br.remaining()/4))})
+		for i := 0; i < n && br.err == nil; i++ {
 			a.Entries = append(a.Entries, LineNumberEntry{StartPC: br.u2(), Line: br.u2()})
 		}
 		return a, br.err
 	case AttrLocalVariableTable:
 		n := int(br.u2())
-		a := &LocalVariableTableAttr{Entries: make([]LocalVariableEntry, 0, n)}
-		for i := 0; i < n; i++ {
+		a := &LocalVariableTableAttr{Entries: make([]LocalVariableEntry, 0, min(n, br.remaining()/10))}
+		for i := 0; i < n && br.err == nil; i++ {
 			a.Entries = append(a.Entries, LocalVariableEntry{
 				StartPC:   br.u2(),
 				Length:    br.u2(),

@@ -78,8 +78,9 @@ func (t Type) encodedLen() int {
 	return n
 }
 
-// appendTo renders t into b in descriptor syntax.
-func (t Type) appendTo(b []byte) []byte {
+// AppendTo appends t in descriptor syntax to b and returns the extended
+// slice; String is its allocating form.
+func (t Type) AppendTo(b []byte) []byte {
 	for i := 0; i < t.Dims; i++ {
 		b = append(b, '[')
 	}
@@ -95,7 +96,7 @@ func (t Type) appendTo(b []byte) []byte {
 
 // String renders t back into descriptor syntax.
 func (t Type) String() string {
-	return string(t.appendTo(make([]byte, 0, t.encodedLen())))
+	return string(t.AppendTo(make([]byte, 0, t.encodedLen())))
 }
 
 // Java renders t in Java-source style ("java.lang.String[]", "int").
@@ -140,14 +141,18 @@ func (m Method) String() string {
 	for _, p := range m.Params {
 		n += p.encodedLen()
 	}
-	b := make([]byte, 0, n)
+	return string(m.AppendTo(make([]byte, 0, n)))
+}
+
+// AppendTo appends m in descriptor syntax to b and returns the extended
+// slice; String is its allocating form.
+func (m Method) AppendTo(b []byte) []byte {
 	b = append(b, '(')
 	for _, p := range m.Params {
-		b = p.appendTo(b)
+		b = p.AppendTo(b)
 	}
 	b = append(b, ')')
-	b = m.Return.appendTo(b)
-	return string(b)
+	return m.Return.AppendTo(b)
 }
 
 // ParamSlots returns the total argument slot count (not counting the

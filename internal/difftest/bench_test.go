@@ -8,8 +8,7 @@ import (
 
 // BenchmarkDifftestSequentialReparse is the pre-engine baseline: every
 // VM parses every class itself (5 parses per class). Kept runnable so
-// BENCH_difftest.json and the CI compare gate can quantify the engine's
-// win against it.
+// the benchmark tables can quantify the engine's win against it.
 func BenchmarkDifftestSequentialReparse(b *testing.B) {
 	classes := mixedCorpus(b)
 	r := NewStandardRunner()

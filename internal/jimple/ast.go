@@ -30,6 +30,11 @@ type Class struct {
 	// lifted from, if any. Raw statements keep indices into it; lowering
 	// re-interns those constants into the fresh pool.
 	OrigPool *classfile.ConstPool
+
+	// owned lists the methods OwnMethod copied for this class; every
+	// other entry of Methods may be shared with the class it was cloned
+	// from or with its own clones.
+	owned []*Method
 }
 
 // Field is one declared field.
@@ -365,8 +370,17 @@ func (c *Class) MethodIndex(m *Method) int {
 // IsInterface reports whether the class is declared as an interface.
 func (c *Class) IsInterface() bool { return c.Modifiers.Has(classfile.AccInterface) }
 
-// Clone returns a deep copy (locals and statements are re-created so the
-// copy can be mutated independently).
+// Clone returns a copy-on-write copy: the class header, interface list
+// and fields are copied, and so is the method list, but the *Method
+// values are shared with c. A mutator changes at most one or two
+// methods, so deep-copying every method of every mutant would be
+// almost all waste.
+//
+// The rule that keeps sharing safe: write to a method of a clone only
+// through OwnMethod, which swaps in a private deep copy first, and
+// never write to a class once it has been cloned (a class in a seed
+// pool is frozen). Replacing, reordering or deleting entries of the
+// Methods slice itself needs no ownership — the slice is the clone's.
 func (c *Class) Clone() *Class {
 	out := &Class{
 		Name:       c.Name,
@@ -377,15 +391,35 @@ func (c *Class) Clone() *Class {
 		Minor:      c.Minor,
 		SourceFile: c.SourceFile,
 		OrigPool:   c.OrigPool,
+		Methods:    append([]*Method(nil), c.Methods...),
 	}
-	for _, f := range c.Fields {
-		ff := *f
-		out.Fields = append(out.Fields, &ff)
-	}
-	for _, m := range c.Methods {
-		out.Methods = append(out.Methods, m.Clone())
+	if len(c.Fields) > 0 {
+		fs := make([]Field, len(c.Fields))
+		out.Fields = make([]*Field, len(c.Fields))
+		for i, f := range c.Fields {
+			fs[i] = *f
+			out.Fields[i] = &fs[i]
+		}
 	}
 	return out
+}
+
+// OwnMethod makes c.Methods[i] private to c and returns it: a method c
+// still shares with the class it was cloned from is replaced by a deep
+// copy (Method.Clone); one c already owns is returned as is. Every
+// writer of an existing method — the mutators and the reducer's
+// candidate deletions — goes through OwnMethod.
+func (c *Class) OwnMethod(i int) *Method {
+	m := c.Methods[i]
+	for _, o := range c.owned {
+		if o == m {
+			return m
+		}
+	}
+	m = m.Clone()
+	c.Methods[i] = m
+	c.owned = append(c.owned, m)
+	return m
 }
 
 // Clone deep-copies a method, remapping locals.
@@ -400,11 +434,15 @@ func (m *Method) Clone() *Method {
 		RawMaxStack:  m.RawMaxStack,
 		RawMaxLocals: m.RawMaxLocals,
 	}
-	lm := make(map[*Local]*Local, len(m.Locals))
-	for _, l := range m.Locals {
-		nl := &Local{Name: l.Name, Type: l.Type}
-		lm[l] = nl
-		out.Locals = append(out.Locals, nl)
+	lm := &localMap{from: m.Locals}
+	if len(m.Locals) > 0 {
+		locals := make([]Local, len(m.Locals))
+		out.Locals = make([]*Local, len(m.Locals))
+		for i, l := range m.Locals {
+			locals[i] = Local{Name: l.Name, Type: l.Type}
+			out.Locals[i] = &locals[i]
+		}
+		lm.to = out.Locals
 	}
 	if m.Body != nil {
 		out.Body = make([]Stmt, len(m.Body))
@@ -415,21 +453,37 @@ func (m *Method) Clone() *Method {
 	return out
 }
 
-func cloneLocal(l *Local, lm map[*Local]*Local) *Local {
+// localMap remaps a method's locals while it is cloned: declared locals
+// map position-wise onto the copy's (the last declaration wins when one
+// local is declared twice), and a statement referencing a local that is
+// not declared — a mutation may have removed the declaration — gets one
+// fresh copy shared by all its references.
+type localMap struct {
+	from, to           []*Local
+	extraFrom, extraTo []*Local
+}
+
+func cloneLocal(l *Local, lm *localMap) *Local {
 	if l == nil {
 		return nil
 	}
-	if nl, ok := lm[l]; ok {
-		return nl
+	for i := len(lm.from) - 1; i >= 0; i-- {
+		if lm.from[i] == l {
+			return lm.to[i]
+		}
 	}
-	// A statement can reference a local not in the declared list (a
-	// mutation may have removed the declaration); keep the alias.
+	for i, x := range lm.extraFrom {
+		if x == l {
+			return lm.extraTo[i]
+		}
+	}
 	nl := &Local{Name: l.Name, Type: l.Type}
-	lm[l] = nl
+	lm.extraFrom = append(lm.extraFrom, l)
+	lm.extraTo = append(lm.extraTo, nl)
 	return nl
 }
 
-func cloneExpr(e Expr, lm map[*Local]*Local) Expr {
+func cloneExpr(e Expr, lm *localMap) Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
@@ -479,7 +533,7 @@ func cloneExpr(e Expr, lm map[*Local]*Local) Expr {
 	panic(fmt.Sprintf("jimple: cloneExpr of unknown %T", e))
 }
 
-func cloneInvoke(x *Invoke, lm map[*Local]*Local) *Invoke {
+func cloneInvoke(x *Invoke, lm *localMap) *Invoke {
 	ni := &Invoke{Kind: x.Kind, Class: x.Class, Name: x.Name, Sig: x.Sig, Base: cloneLocal(x.Base, lm)}
 	ni.Sig.Params = append([]descriptor.Type(nil), x.Sig.Params...)
 	for _, a := range x.Args {
@@ -488,7 +542,7 @@ func cloneInvoke(x *Invoke, lm map[*Local]*Local) *Invoke {
 	return ni
 }
 
-func cloneStmt(s Stmt, lm map[*Local]*Local) Stmt {
+func cloneStmt(s Stmt, lm *localMap) Stmt {
 	switch x := s.(type) {
 	case *Identity:
 		return &Identity{Target: cloneLocal(x.Target, lm), Param: x.Param}

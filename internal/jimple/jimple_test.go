@@ -228,9 +228,18 @@ func TestLiftFallsBackToRawForHandlers(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	c := hello("JClone")
 	d := c.Clone()
+	// Copy-on-write: until a method is owned, the clone shares it.
+	for i := range c.Methods {
+		if d.Methods[i] != c.Methods[i] {
+			t.Fatalf("method %d copied before any write", i)
+		}
+	}
 	d.Name = "Other"
-	d.Methods[0].Modifiers |= classfile.AccStatic
-	d.Methods[1].Body = append(d.Methods[1].Body, &Nop{})
+	d.OwnMethod(0).Modifiers |= classfile.AccStatic
+	d.OwnMethod(1).Body = append(d.Methods[1].Body, &Nop{})
+	if d.OwnMethod(0) != d.Methods[0] || d.Methods[0] == c.Methods[0] {
+		t.Error("OwnMethod must copy once and then return the owned copy")
+	}
 	if c.Name != "JClone" {
 		t.Error("name shared")
 	}

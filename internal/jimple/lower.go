@@ -3,6 +3,7 @@ package jimple
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 	"repro/internal/descriptor"
@@ -10,15 +11,26 @@ import (
 
 // LowerCtx is a reusable lowering context. The per-method compiler
 // scratch (slot map, instruction and relocation buffers, instruction
-// arena, max-stack worklist) lives here and is recycled across methods
-// and across Lower calls, so a long-lived caller — one campaign worker,
-// say — pays for the buffers once instead of per class. A zero LowerCtx
-// is ready to use; contexts are not safe for concurrent use. Lowering
-// through a reused context produces bytes identical to a fresh one:
-// reuse changes where scratch lives, never what is emitted.
+// arena, max-stack worklist, descriptor intern table) lives here and is
+// recycled across methods and across Lower calls, and so does the
+// output: one classfile.File with its constant pool, constant arena and
+// member arena, plus arenas for the attribute lists, Code,
+// LineNumberTable and Exceptions attributes and their tables. A long-lived caller — one campaign
+// worker, say — thus pays for the buffers once instead of per class. A
+// zero LowerCtx is ready to use; contexts are not safe for concurrent
+// use. Lowering through a reused context produces bytes identical to a
+// fresh one: reuse changes where scratch lives, never what is emitted.
 type LowerCtx struct {
 	lw lowerer
 	ms maxStackScratch
+
+	f        classfile.File
+	attrs    arena.Arena[classfile.Attribute]
+	codes    arena.Arena[classfile.CodeAttr]
+	lines    arena.Arena[classfile.LineNumberTableAttr]
+	lineEnts arena.Arena[classfile.LineNumberEntry]
+	excs     arena.Arena[classfile.ExceptionsAttr]
+	classes  arena.Arena[uint16]
 }
 
 // NewLowerCtx returns an empty reusable lowering context.
@@ -29,20 +41,27 @@ func NewLowerCtx() *LowerCtx { return &LowerCtx{} }
 // (bad flags, type mismatches, dangling references) lowers into exactly
 // the illegal classfile the fuzzer wants to feed the VMs. Errors are
 // returned only when the container format cannot represent the class
-// at all.
+// at all. Each call uses a fresh context, so the File is the caller's
+// to keep.
 func Lower(c *Class) (*classfile.File, error) {
-	var ctx LowerCtx
-	return ctx.Lower(c)
+	return new(LowerCtx).Lower(c)
 }
 
-// Lower compiles the Jimple class into a classfile, reusing the
-// context's scratch buffers. See the package-level Lower for semantics.
+// Lower compiles the Jimple class into the context's reused File; see
+// the package-level Lower for semantics. The returned File is valid
+// only until the next Lower on the same context: nothing may keep it,
+// or anything reached through it, past that.
 func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
-	f := &classfile.File{
-		Minor: c.Minor,
-		Major: c.Major,
-		Pool:  classfile.NewConstPool(),
-	}
+	f := &ctx.f
+	f.Reset()
+	ctx.attrs.Rewind()
+	ctx.codes.Rewind()
+	ctx.lines.Rewind()
+	ctx.lineEnts.Rewind()
+	ctx.excs.Rewind()
+	ctx.classes.Rewind()
+	f.Minor = c.Minor
+	f.Major = c.Major
 	f.AccessFlags = c.Modifiers
 	f.ThisClass = f.Pool.AddClass(c.Name)
 	if c.Super != "" {
@@ -52,12 +71,15 @@ func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 		f.Interfaces = append(f.Interfaces, f.Pool.AddClass(i))
 	}
 	for _, fl := range c.Fields {
-		f.AddField(fl.Modifiers, fl.Name, fl.Type.String())
+		f.AddField(fl.Modifiers, fl.Name, ctx.lw.typeDesc(fl.Type))
 	}
 	for _, m := range c.Methods {
-		mem := f.AddMethod(m.Modifiers, m.Name, m.Descriptor())
+		mem := f.AddMethod(m.Modifiers, m.Name, ctx.lw.methodDesc(descriptor.Method{Params: m.Params, Return: m.Return}))
+		if n := memberAttrs(m); n > 0 {
+			mem.Attributes = ctx.attrs.Run(n)
+		}
 		if len(m.Throws) > 0 {
-			ex := &classfile.ExceptionsAttr{}
+			ex := ctx.excs.Put(classfile.ExceptionsAttr{Classes: ctx.classes.Run(len(m.Throws))})
 			for _, t := range m.Throws {
 				ex.Classes = append(ex.Classes, f.Pool.AddClass(t))
 			}
@@ -78,6 +100,19 @@ func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 	return f, nil
 }
 
+// memberAttrs counts the attributes m's method_info carries: Exceptions
+// when it declares throws, Code when it has a body.
+func memberAttrs(m *Method) int {
+	n := 0
+	if len(m.Throws) > 0 {
+		n++
+	}
+	if m.Body != nil {
+		n++
+	}
+	return n
+}
+
 // lowerer compiles one method body.
 type lowerer struct {
 	f     *classfile.File
@@ -93,15 +128,21 @@ type lowerer struct {
 	// to byte offsets.
 	reloc     []bool
 	stmtFirst []int
-	// arena chunk-allocates the emitted instructions (one heap object
-	// per 64 instead of per instruction). Chunks are replaced, never
-	// regrown, so pointers handed out stay valid.
-	arena []bytecode.Instruction
+	paramSlot []int
+	// origIndex maps a raw block's original pcs to instruction indices.
+	origIndex map[int]int
+	// descBuf and descs render descriptors without allocating once warm:
+	// the text is built in descBuf and interned in descs.
+	descBuf []byte
+	descs   map[string]string
+	// insArena chunk-allocates the emitted instructions, rewound per
+	// body: pointers in ins stay valid while the body is compiled.
+	insArena arena.Arena[bytecode.Instruction]
 }
 
 func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfile.CodeAttr, error) {
-	// Reset the reused lowerer. Truncating ins/reloc/arena keeps their
-	// capacity; nothing retains pointers into them once lowerBody
+	// Reset the reused lowerer. Truncating ins/reloc and rewinding the
+	// instruction arena keeps their capacity; nothing retains pointers into them once lowerBody
 	// returns (the CodeAttr holds assembled bytes and copied entries).
 	lw := &ctx.lw
 	lw.f, lw.c, lw.m = f, c, m
@@ -113,7 +154,7 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	}
 	lw.ins = lw.ins[:0]
 	lw.reloc = lw.reloc[:0]
-	lw.arena = lw.arena[:0]
+	lw.insArena.Rewind()
 
 	// Slot layout: receiver, parameters (by descriptor), then the
 	// remaining declared locals. Identity statements bind locals to the
@@ -121,11 +162,12 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	if !m.IsStatic() {
 		lw.next = 1 // slot 0 = this
 	}
-	paramSlot := make([]int, len(m.Params))
-	for i, p := range m.Params {
-		paramSlot[i] = lw.next
+	paramSlot := lw.paramSlot[:0]
+	for _, p := range m.Params {
+		paramSlot = append(paramSlot, lw.next)
 		lw.next += p.Slots()
 	}
+	lw.paramSlot = paramSlot
 	for _, s := range m.Body {
 		id, ok := s.(*Identity)
 		if !ok || id.Target == nil {
@@ -183,7 +225,7 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 
 	if len(lw.ins) == 0 {
 		// An empty body lowers to an empty (illegal) code array.
-		return &classfile.CodeAttr{MaxStack: 0, MaxLocals: uint16(lw.next), Code: nil}, nil
+		return ctx.codes.Put(classfile.CodeAttr{MaxStack: 0, MaxLocals: uint16(lw.next), Code: nil}), nil
 	}
 
 	code, err := bytecode.Assemble(lw.ins, true)
@@ -201,15 +243,15 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	if int(m.RawMaxLocals) > maxLocals {
 		maxLocals = int(m.RawMaxLocals)
 	}
-	attr := &classfile.CodeAttr{
+	attr := ctx.codes.Put(classfile.CodeAttr{
 		MaxStack:  uint16(maxStack),
 		MaxLocals: uint16(maxLocals),
 		Code:      code,
-	}
+	})
 	// Debug info: map each statement's first instruction to a pseudo
 	// source line (its 1-based statement index), like Soot's Jimple line
 	// tags. Tools and stack traces downstream get meaningful positions.
-	var lnt classfile.LineNumberTableAttr
+	lnt := ctx.lines.Put(classfile.LineNumberTableAttr{Entries: ctx.lineEnts.Run(len(m.Body))})
 	lastPC := -1
 	for si := 0; si < len(m.Body); si++ {
 		ii := lw.stmtFirst[si]
@@ -227,7 +269,7 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 		})
 	}
 	if len(lnt.Entries) > 0 {
-		attr.Attributes = append(attr.Attributes, &lnt)
+		attr.Attributes = append(ctx.attrs.Run(1), lnt)
 	}
 	// Exception handlers of a raw-lifted body carry over; their catch
 	// types are re-interned into the fresh pool.
@@ -294,27 +336,48 @@ func (lw *lowerer) slot(l *Local) int {
 	return s
 }
 
-func (lw *lowerer) alloc(in bytecode.Instruction) *bytecode.Instruction {
-	if len(lw.arena) == cap(lw.arena) {
-		// Small first chunk (most method bodies are short), bigger
-		// follow-ups for the occasional long body.
-		n := 8
-		if cap(lw.arena) >= 8 {
-			n = 64
-		}
-		lw.arena = make([]bytecode.Instruction, 0, n)
+// descInternMax bounds a context's descriptor intern table: descriptors
+// naming a mutant's own class recur in no later class, so a long-lived
+// context would otherwise grow the table without limit. A full table is
+// dropped wholesale (entries are pure functions of their keys).
+const descInternMax = 1 << 12
+
+// intern returns the descriptor text b as a string, allocated only the
+// first time the context sees the text.
+func (lw *lowerer) intern(b []byte) string {
+	if lw.descs == nil {
+		lw.descs = make(map[string]string)
 	}
-	lw.arena = append(lw.arena, in)
-	return &lw.arena[len(lw.arena)-1]
+	if s, ok := lw.descs[string(b)]; ok {
+		return s
+	}
+	if len(lw.descs) >= descInternMax {
+		clear(lw.descs)
+	}
+	s := string(b)
+	lw.descs[s] = s
+	return s
+}
+
+// typeDesc renders a field type in descriptor syntax.
+func (lw *lowerer) typeDesc(t descriptor.Type) string {
+	lw.descBuf = t.AppendTo(lw.descBuf[:0])
+	return lw.intern(lw.descBuf)
+}
+
+// methodDesc renders a method signature in descriptor syntax.
+func (lw *lowerer) methodDesc(m descriptor.Method) string {
+	lw.descBuf = m.AppendTo(lw.descBuf[:0])
+	return lw.intern(lw.descBuf)
 }
 
 func (lw *lowerer) emit(in bytecode.Instruction) {
-	lw.ins = append(lw.ins, lw.alloc(in))
+	lw.ins = append(lw.ins, lw.insArena.Put(in))
 	lw.reloc = append(lw.reloc, false)
 }
 
 func (lw *lowerer) emitBranch(op bytecode.Opcode, stmtTarget int) {
-	lw.ins = append(lw.ins, lw.alloc(bytecode.Instruction{Op: op, Branch: int32(stmtTarget)}))
+	lw.ins = append(lw.ins, lw.insArena.Put(bytecode.Instruction{Op: op, Branch: int32(stmtTarget)}))
 	lw.reloc = append(lw.reloc, true)
 }
 
@@ -504,11 +567,11 @@ func (lw *lowerer) expr(e Expr) byte {
 		lw.loadLocal(lw.slot(x.L), k)
 		return k
 	case *StaticFieldRef:
-		lw.cp(bytecode.Getstatic, lw.f.Pool.AddFieldref(x.Class, x.Name, x.Type.String()))
+		lw.cp(bytecode.Getstatic, lw.f.Pool.AddFieldref(x.Class, x.Name, lw.typeDesc(x.Type)))
 		return typeKind(x.Type)
 	case *InstanceFieldRef:
 		lw.loadLocal(lw.slot(x.Base), 'A')
-		lw.cp(bytecode.Getfield, lw.f.Pool.AddFieldref(x.Class, x.Name, x.Type.String()))
+		lw.cp(bytecode.Getfield, lw.f.Pool.AddFieldref(x.Class, x.Name, lw.typeDesc(x.Type)))
 		return typeKind(x.Type)
 	case *ArrayRef:
 		lw.loadLocal(lw.slot(x.Base), 'A')
@@ -553,7 +616,7 @@ func (lw *lowerer) expr(e Expr) byte {
 		if x.To.IsReference() {
 			name := x.To.ClassName
 			if x.To.Dims > 0 {
-				name = x.To.String()
+				name = lw.typeDesc(x.To)
 			}
 			lw.cp(bytecode.Checkcast, lw.f.Pool.AddClass(name))
 			return 'A'
@@ -572,7 +635,7 @@ func (lw *lowerer) expr(e Expr) byte {
 		if x.Elem.IsReference() {
 			name := x.Elem.ClassName
 			if x.Elem.Dims > 0 {
-				name = x.Elem.String()
+				name = lw.typeDesc(x.Elem)
 			}
 			lw.cp(bytecode.Anewarray, lw.f.Pool.AddClass(name))
 		} else {
@@ -639,7 +702,7 @@ func (lw *lowerer) invoke(x *Invoke) byte {
 	for _, a := range x.Args {
 		lw.expr(a)
 	}
-	desc := x.Sig.String()
+	desc := lw.methodDesc(x.Sig)
 	switch x.Kind {
 	case InvokeStatic:
 		lw.cp(bytecode.Invokestatic, lw.f.Pool.AddMethodref(x.Class, x.Name, desc))
@@ -681,11 +744,11 @@ func (lw *lowerer) stmt(s Stmt) {
 			}
 		case *StaticFieldRef:
 			lw.expr(x.RHS)
-			lw.cp(bytecode.Putstatic, lw.f.Pool.AddFieldref(lhs.Class, lhs.Name, lhs.Type.String()))
+			lw.cp(bytecode.Putstatic, lw.f.Pool.AddFieldref(lhs.Class, lhs.Name, lw.typeDesc(lhs.Type)))
 		case *InstanceFieldRef:
 			lw.loadLocal(lw.slot(lhs.Base), 'A')
 			lw.expr(x.RHS)
-			lw.cp(bytecode.Putfield, lw.f.Pool.AddFieldref(lhs.Class, lhs.Name, lhs.Type.String()))
+			lw.cp(bytecode.Putfield, lw.f.Pool.AddFieldref(lhs.Class, lhs.Name, lw.typeDesc(lhs.Type)))
 		case *ArrayRef:
 			lw.loadLocal(lw.slot(lhs.Base), 'A')
 			lw.expr(lhs.Index)
@@ -825,7 +888,12 @@ func zeroBranch(op CondOp) bytecode.Opcode {
 // instruction (fuzzing noise when a mutation tore the block apart).
 func (lw *lowerer) lowerRaw(x *Raw) {
 	base := len(lw.ins)
-	origIndex := make(map[int]int, len(x.Ins)) // original pc -> new index
+	if lw.origIndex == nil {
+		lw.origIndex = make(map[int]int, len(x.Ins))
+	} else {
+		clear(lw.origIndex)
+	}
+	origIndex := lw.origIndex // original pc -> new index
 	for i, in := range x.Ins {
 		origIndex[in.PC] = base + i
 	}
@@ -867,7 +935,7 @@ func (lw *lowerer) lowerRaw(x *Raw) {
 		// reloc=false: branches now hold instruction indices, which the
 		// assembler converts directly (the statement-index resolver must
 		// not touch them).
-		lw.ins = append(lw.ins, lw.alloc(cp))
+		lw.ins = append(lw.ins, lw.insArena.Put(cp))
 		lw.reloc = append(lw.reloc, false)
 	}
 }

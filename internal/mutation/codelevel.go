@@ -10,7 +10,7 @@ import (
 func registerExceptionMutators() {
 	register(CatException, "exc.add_one", "add one declared exception to a method (Table 5 row 7)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -19,7 +19,7 @@ func registerExceptionMutators() {
 		})
 	register(CatException, "exc.add_list", "add a list of declared exceptions (Table 5 row 2)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -31,7 +31,7 @@ func registerExceptionMutators() {
 		})
 	register(CatException, "exc.add_inaccessible", "declare the package-private sun.java2d.pisces.PiscesRenderingEngine$2 thrown (Problem 3)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -40,7 +40,7 @@ func registerExceptionMutators() {
 		})
 	register(CatException, "exc.add_non_throwable", "declare a non-Throwable (java.util.Map) thrown",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -49,7 +49,7 @@ func registerExceptionMutators() {
 		})
 	register(CatException, "exc.add_missing", "declare a nonexistent class thrown",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -58,7 +58,7 @@ func registerExceptionMutators() {
 		})
 	register(CatException, "exc.add_self", "declare the class itself thrown",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -67,46 +67,29 @@ func registerExceptionMutators() {
 		})
 	register(CatException, "exc.remove_one", "delete one declared exception",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Throws) > 0 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasThrows)
+			if m == nil {
 				return false
 			}
-			m := with[rng.Intn(len(with))]
 			i := rng.Intn(len(m.Throws))
 			m.Throws = append(m.Throws[:i], m.Throws[i+1:]...)
 			return true
 		})
 	register(CatException, "exc.remove_all", "delete every declared exception of a method",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Throws) > 0 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasThrows)
+			if m == nil {
 				return false
 			}
-			with[rng.Intn(len(with))].Throws = nil
+			m.Throws = nil
 			return true
 		})
 	register(CatException, "exc.duplicate", "declare one exception twice",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Throws) > 0 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasThrows)
+			if m == nil {
 				return false
 			}
-			m := with[rng.Intn(len(with))]
 			m.Throws = append(m.Throws, m.Throws[rng.Intn(len(m.Throws))])
 			return true
 		})
@@ -124,7 +107,7 @@ var paramTypePool = []descriptor.Type{
 func registerParameterMutators() {
 	register(CatParameter, "param.insert_object_front", "insert a java.lang.Object parameter at the front (Table 2's main example)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -133,7 +116,7 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.insert_back", "append a pooled-type parameter",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -142,7 +125,7 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.remove_first", "delete the first parameter",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
@@ -151,7 +134,7 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.remove_last", "delete the last parameter",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
@@ -160,7 +143,7 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.remove_all", "delete every parameter",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
@@ -169,7 +152,7 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.change_type", "change one parameter's type (the internalTransform Map→String case)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
@@ -178,7 +161,7 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.change_to_primitive", "change one reference parameter to int",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
@@ -192,23 +175,17 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.swap_two", "swap two parameters' types",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Params) >= 2 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasTwoParams)
+			if m == nil {
 				return false
 			}
-			m := with[rng.Intn(len(with))]
 			i := rng.Intn(len(m.Params) - 1)
 			m.Params[i], m.Params[i+1] = m.Params[i+1], m.Params[i]
 			return true
 		})
 	register(CatParameter, "param.widen_to_long", "widen one parameter to long (shifting every later slot)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
@@ -217,26 +194,13 @@ func registerParameterMutators() {
 		})
 	register(CatParameter, "param.duplicate_first", "duplicate the first parameter",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickParamMethod(c, rng)
+			m := ownWhere(c, rng, hasParams)
 			if m == nil {
 				return false
 			}
 			m.Params = append([]descriptor.Type{m.Params[0]}, m.Params...)
 			return true
 		})
-}
-
-func pickParamMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
-	var with []*jimple.Method
-	for _, m := range c.Methods {
-		if len(m.Params) > 0 {
-			with = append(with, m)
-		}
-	}
-	if len(with) == 0 {
-		return nil
-	}
-	return with[rng.Intn(len(with))]
 }
 
 var localTypePool = []descriptor.Type{
@@ -253,7 +217,7 @@ var localTypePool = []descriptor.Type{
 func registerLocalVarMutators() {
 	register(CatLocalVar, "local.insert_int", "declare an extra int local",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -262,7 +226,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.insert_string", "declare an extra String local",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -271,7 +235,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.insert_long", "declare an extra two-slot long local",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -280,37 +244,26 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.remove_one", "delete one local declaration (its uses become undefined-slot reads)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Locals) > 0 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasLocals)
+			if m == nil {
 				return false
 			}
-			m := with[rng.Intn(len(with))]
 			i := rng.Intn(len(m.Locals))
 			m.Locals = append(m.Locals[:i], m.Locals[i+1:]...)
 			return true
 		})
 	register(CatLocalVar, "local.remove_all", "delete every local declaration of a method",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Locals) > 0 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasLocals)
+			if m == nil {
 				return false
 			}
-			with[rng.Intn(len(with))].Locals = nil
+			m.Locals = nil
 			return true
 		})
 	register(CatLocalVar, "local.retype_to_string", "change a local's type to java.lang.String (Table 2's $i0 example)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(pickBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBodiedMethod(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -319,7 +272,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_int", "change a local's type to int",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(pickBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBodiedMethod(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -328,7 +281,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_map", "change a local's type to java.util.Map",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(pickBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBodiedMethod(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -337,7 +290,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_random", "change a local's type to a pooled type (Table 5 row 9)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(pickBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBodiedMethod(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -346,7 +299,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_self", "change a local's type to the class under mutation",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(pickBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBodiedMethod(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -355,7 +308,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.rename", "rename a local variable",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(pickBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBodiedMethod(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -364,23 +317,17 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.swap_types", "swap the declared types of two locals",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var with []*jimple.Method
-			for _, m := range c.Methods {
-				if len(m.Locals) >= 2 {
-					with = append(with, m)
-				}
-			}
-			if len(with) == 0 {
+			m := ownWhere(c, rng, hasTwoLocals)
+			if m == nil {
 				return false
 			}
-			m := with[rng.Intn(len(with))]
 			i := rng.Intn(len(m.Locals) - 1)
 			m.Locals[i].Type, m.Locals[i+1].Type = m.Locals[i+1].Type, m.Locals[i].Type
 			return true
 		})
 	register(CatLocalVar, "local.rebind_identity", "re-bind an identity statement to a different parameter index",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -394,7 +341,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.drop_identity", "delete an identity statement (the parameter loses its binding)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -409,7 +356,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.insert_unused_wide", "declare an unused double local (padding the frame)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -421,7 +368,7 @@ func registerLocalVarMutators() {
 func registerJimpleMutators() {
 	register(CatJimple, "jimple.insert_stmt", "insert a program statement at a random position",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -446,7 +393,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.delete_stmt", "delete a program statement",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil || len(m.Body) == 0 {
 				return false
 			}
@@ -457,7 +404,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.swap_stmts", "swap two adjacent statements (Table 2's def-use reorder)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil || len(m.Body) < 2 {
 				return false
 			}
@@ -467,13 +414,11 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.duplicate_stmt", "duplicate a program statement in place",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil || len(m.Body) == 0 {
 				return false
 			}
 			i := rng.Intn(len(m.Body))
-			dup := m.Clone() // clone to copy the statement with remapped locals
-			_ = dup
 			st := m.Body[i]
 			jimple.RetargetAfterInsertion(m.Body, i)
 			m.Body = append(m.Body[:i], append([]jimple.Stmt{st}, m.Body[i:]...)...)
@@ -481,7 +426,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.replace_with_return", "replace a statement with a bare return",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil || len(m.Body) == 0 {
 				return false
 			}
@@ -490,7 +435,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.move_to_end", "move a statement to the end of the body",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil || len(m.Body) < 2 {
 				return false
 			}

@@ -165,10 +165,11 @@ func registerFieldMutators() {
 
 func setMethodFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool {
 	return func(c *jimple.Class, rng *rand.Rand) bool {
-		m := pickMethod(c, rng)
-		if m == nil || m.Modifiers.Has(flag) {
+		i := pickMethod(c, rng)
+		if i < 0 || c.Methods[i].Modifiers.Has(flag) {
 			return false
 		}
+		m := c.OwnMethod(i)
 		m.Modifiers = m.Modifiers.With(flag)
 		return true
 	}
@@ -176,10 +177,11 @@ func setMethodFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool {
 
 func clearMethodFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool {
 	return func(c *jimple.Class, rng *rand.Rand) bool {
-		m := pickMethod(c, rng)
-		if m == nil || !m.Modifiers.Has(flag) {
+		i := pickMethod(c, rng)
+		if i < 0 || !c.Methods[i].Modifiers.Has(flag) {
 			return false
 		}
+		m := c.OwnMethod(i)
 		m.Modifiers = m.Modifiers.Without(flag)
 		return true
 	}
@@ -187,11 +189,11 @@ func clearMethodFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool 
 
 func renameMethodTo(name string) func(*jimple.Class, *rand.Rand) bool {
 	return func(c *jimple.Class, rng *rand.Rand) bool {
-		m := pickMethod(c, rng)
-		if m == nil || m.Name == name {
+		i := pickMethod(c, rng)
+		if i < 0 || c.Methods[i].Name == name {
 			return false
 		}
-		m.Name = name
+		c.OwnMethod(i).Name = name
 		return true
 	}
 }
@@ -239,7 +241,7 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.rename", "rename a method declaration only (Table 5 row 4)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -252,7 +254,7 @@ func registerMethodMutators() {
 	register(CatMethod, "method.rename_to_finalize", "rename a method to finalize", renameMethodTo("finalize"))
 	register(CatMethod, "method.change_return_type", "change a method's return type (Table 5 row 6)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -261,11 +263,11 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.return_void", "force a method's return type to void",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
-			if m == nil || m.Return.IsVoid() {
+			i := pickMethod(c, rng)
+			if i < 0 || c.Methods[i].Return.IsVoid() {
 				return false
 			}
-			m.Return = descriptor.Void
+			c.OwnMethod(i).Return = descriptor.Void
 			return true
 		})
 	register(CatMethod, "method.set_public", "set ACC_PUBLIC on a method", setMethodFlag(classfile.AccPublic))
@@ -273,17 +275,18 @@ func registerMethodMutators() {
 	register(CatMethod, "method.set_protected", "set ACC_PROTECTED on a method", setMethodFlag(classfile.AccProtected))
 	register(CatMethod, "method.clear_visibility", "strip all visibility flags from a method",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			i := pickMethod(c, rng)
 			vis := classfile.AccPublic | classfile.AccPrivate | classfile.AccProtected
-			if m == nil || m.Modifiers&vis == 0 {
+			if i < 0 || c.Methods[i].Modifiers&vis == 0 {
 				return false
 			}
+			m := c.OwnMethod(i)
 			m.Modifiers = m.Modifiers.Without(vis)
 			return true
 		})
 	register(CatMethod, "method.conflicting_visibility", "set both public and private on a method",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -295,7 +298,7 @@ func registerMethodMutators() {
 	register(CatMethod, "method.set_final", "set ACC_FINAL on a method", setMethodFlag(classfile.AccFinal))
 	register(CatMethod, "method.set_abstract_keep_code", "set ACC_ABSTRACT but keep the Code attribute",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -304,7 +307,7 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.make_abstract_drop_code", "set ACC_ABSTRACT and delete the opcode (Figure 2 construction)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -315,7 +318,7 @@ func registerMethodMutators() {
 	register(CatMethod, "method.clear_abstract", "clear ACC_ABSTRACT (leaving a code-less concrete method)", clearMethodFlag(classfile.AccAbstract))
 	register(CatMethod, "method.set_native_keep_code", "set ACC_NATIVE but keep the Code attribute",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -324,7 +327,7 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.set_native_drop_code", "turn a method native (deleting its body)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -339,7 +342,7 @@ func registerMethodMutators() {
 	register(CatMethod, "method.set_synthetic", "set ACC_SYNTHETIC on a method", setMethodFlag(classfile.AccSynthetic))
 	register(CatMethod, "method.delete_code", "delete a concrete method's Code attribute without making it abstract",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -348,7 +351,7 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.empty_code", "replace a method's body with an empty code array",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickBodiedMethod(c, rng)
+			m := ownBodiedMethod(c, rng)
 			if m == nil {
 				return false
 			}
@@ -358,16 +361,12 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.give_abstract_code", "attach a body to an abstract method",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			var abs []*jimple.Method
-			for _, m := range c.Methods {
-				if m.Modifiers.Has(classfile.AccAbstract) && m.Body == nil {
-					abs = append(abs, m)
-				}
-			}
-			if len(abs) == 0 {
+			m := ownWhere(c, rng, func(m *jimple.Method) bool {
+				return m.Modifiers.Has(classfile.AccAbstract) && m.Body == nil
+			})
+			if m == nil {
 				return false
 			}
-			m := abs[rng.Intn(len(abs))]
 			m.Body = []jimple.Stmt{&jimple.Return{}}
 			return true
 		})
@@ -382,11 +381,11 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.duplicate", "insert an exact duplicate of a method",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
-			if m == nil {
+			i := pickMethod(c, rng)
+			if i < 0 {
 				return false
 			}
-			c.Methods = append(c.Methods, m.Clone())
+			c.Methods = append(c.Methods, c.Methods[i].Clone())
 			return true
 		})
 	register(CatMethod, "method.swap_bodies", "swap the bodies (and locals) of two methods",
@@ -399,7 +398,7 @@ func registerMethodMutators() {
 			if i == j {
 				j = (j + 1) % len(c.Methods)
 			}
-			a, b := c.Methods[i], c.Methods[j]
+			a, b := c.OwnMethod(i), c.OwnMethod(j)
 			a.Body, b.Body = b.Body, a.Body
 			a.Locals, b.Locals = b.Locals, a.Locals
 			a.RawHandlers, b.RawHandlers = b.RawHandlers, a.RawHandlers
@@ -407,7 +406,7 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.abstract_clinit", "rename an abstract method to <clinit> (Figure 2's exact mutant)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := pickMethod(c, rng)
+			m := ownMethod(c, rng)
 			if m == nil {
 				return false
 			}

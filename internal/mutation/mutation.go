@@ -102,26 +102,68 @@ func init() {
 }
 
 // --- shared random pick helpers ---------------------------------------------
+//
+// Mutants are copy-on-write clones (jimple.Class.Clone): their methods
+// are shared with the parent until OwnMethod swaps in a private copy.
+// The own* pickers return a method the caller may write to; the pick*
+// pickers return an index for callers that only read, or that check
+// applicability before writing and own the method only then.
 
-func pickMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
-	if len(c.Methods) == 0 {
-		return nil
-	}
-	return c.Methods[rng.Intn(len(c.Methods))]
-}
-
-// pickBodiedMethod picks a method that has a body.
-func pickBodiedMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
-	var with []*jimple.Method
+// pickWhere draws uniformly among the methods of c satisfying keep —
+// one rng.Intn over their count — and returns the winner's index, or -1
+// when none qualifies (no draw). It neither allocates nor takes
+// ownership.
+func pickWhere(c *jimple.Class, rng *rand.Rand, keep func(*jimple.Method) bool) int {
+	n := 0
 	for _, m := range c.Methods {
-		if len(m.Body) > 0 {
-			with = append(with, m)
+		if keep(m) {
+			n++
 		}
 	}
-	if len(with) == 0 {
+	if n == 0 {
+		return -1
+	}
+	k := rng.Intn(n)
+	for i, m := range c.Methods {
+		if keep(m) {
+			if k == 0 {
+				return i
+			}
+			k--
+		}
+	}
+	panic("mutation: pickWhere lost its draw")
+}
+
+// ownWhere is pickWhere followed by OwnMethod: the returned method is
+// the caller's to write, or nil when none qualifies.
+func ownWhere(c *jimple.Class, rng *rand.Rand, keep func(*jimple.Method) bool) *jimple.Method {
+	i := pickWhere(c, rng, keep)
+	if i < 0 {
 		return nil
 	}
-	return with[rng.Intn(len(with))]
+	return c.OwnMethod(i)
+}
+
+func anyMethod(*jimple.Method) bool      { return true }
+func hasBody(m *jimple.Method) bool      { return len(m.Body) > 0 }
+func hasParams(m *jimple.Method) bool    { return len(m.Params) > 0 }
+func hasThrows(m *jimple.Method) bool    { return len(m.Throws) > 0 }
+func hasLocals(m *jimple.Method) bool    { return len(m.Locals) > 0 }
+func hasTwoParams(m *jimple.Method) bool { return len(m.Params) >= 2 }
+func hasTwoLocals(m *jimple.Method) bool { return len(m.Locals) >= 2 }
+
+// pickMethod draws any method's index (-1 when there is none).
+func pickMethod(c *jimple.Class, rng *rand.Rand) int { return pickWhere(c, rng, anyMethod) }
+
+// ownMethod draws any method and owns it.
+func ownMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
+	return ownWhere(c, rng, anyMethod)
+}
+
+// ownBodiedMethod draws a method that has a body and owns it.
+func ownBodiedMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
+	return ownWhere(c, rng, hasBody)
 }
 
 func pickField(c *jimple.Class, rng *rand.Rand) *jimple.Field {

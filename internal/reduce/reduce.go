@@ -58,9 +58,11 @@ func vectorOf(r *difftest.Runner, c *jimple.Class) (string, bool) {
 	return r.Run(data).Key(), true
 }
 
-// del is one candidate deletion. It mutates the clone it is handed and
-// reports whether it applied (bounds may have shifted since the
-// candidate was enumerated; a stale candidate is a no-op).
+// del is one candidate deletion. It mutates the clone it is handed —
+// writing to a method only through OwnMethod, since the clone shares
+// its methods with the current base — and reports whether it applied
+// (bounds may have shifted since the candidate was enumerated; a stale
+// candidate is a no-op).
 type del func(*jimple.Class) bool
 
 // shrinker carries one Reduce call's state through its stages.
@@ -196,16 +198,30 @@ func Reduce(c *jimple.Class, runner *difftest.Runner, opts Options) (*Result, er
 
 	for round := 0; round < opts.MaxRounds; round++ {
 		changed := false
+		for _, stage := range stages {
+			if s.runStage(stage(s.cur)) {
+				changed = true
+			}
+		}
+		if !changed {
+			break
+		}
+	}
+	s.res.Reduced = s.cur
+	return s.res, nil
+}
 
-		// Step 1 of §2.3: delete methods (largest units first). Each
-		// stage enumerates its candidates up front against the current
-		// class; within a stage a deletion never grows another
-		// candidate's container, so a stale index is at worst a no-op
-		// (the bounds checks), exactly as in the original interleaved
-		// loops.
+// stages enumerate one round's candidate deletions, largest units first
+// (step 1 of §2.3: methods, then fields, interfaces, throws entries,
+// statements and unused locals). Each stage enumerates its candidates up
+// front against the current class; within a stage a deletion never
+// grows another candidate's container, so a stale index is at worst a
+// no-op (the bounds checks), exactly as in the original interleaved
+// loops.
+var stages = []func(cur *jimple.Class) []del{
+	func(cur *jimple.Class) []del {
 		var cands []del
-		for i := len(s.cur.Methods) - 1; i >= 0; i-- {
-			i := i
+		for i := len(cur.Methods) - 1; i >= 0; i-- {
 			cands = append(cands, func(c *jimple.Class) bool {
 				if i >= len(c.Methods) {
 					return false
@@ -214,14 +230,11 @@ func Reduce(c *jimple.Class, runner *difftest.Runner, opts Options) (*Result, er
 				return true
 			})
 		}
-		if s.runStage(cands) {
-			changed = true
-		}
-
-		// Fields.
-		cands = cands[:0]
-		for i := len(s.cur.Fields) - 1; i >= 0; i-- {
-			i := i
+		return cands
+	},
+	func(cur *jimple.Class) []del {
+		var cands []del
+		for i := len(cur.Fields) - 1; i >= 0; i-- {
 			cands = append(cands, func(c *jimple.Class) bool {
 				if i >= len(c.Fields) {
 					return false
@@ -230,14 +243,11 @@ func Reduce(c *jimple.Class, runner *difftest.Runner, opts Options) (*Result, er
 				return true
 			})
 		}
-		if s.runStage(cands) {
-			changed = true
-		}
-
-		// Interfaces.
-		cands = cands[:0]
-		for i := len(s.cur.Interfaces) - 1; i >= 0; i-- {
-			i := i
+		return cands
+	},
+	func(cur *jimple.Class) []del {
+		var cands []del
+		for i := len(cur.Interfaces) - 1; i >= 0; i-- {
 			cands = append(cands, func(c *jimple.Class) bool {
 				if i >= len(c.Interfaces) {
 					return false
@@ -246,74 +256,58 @@ func Reduce(c *jimple.Class, runner *difftest.Runner, opts Options) (*Result, er
 				return true
 			})
 		}
-		if s.runStage(cands) {
-			changed = true
-		}
-
-		// Throws entries.
-		cands = cands[:0]
-		for mi := range s.cur.Methods {
-			for ti := len(s.cur.Methods[mi].Throws) - 1; ti >= 0; ti-- {
-				mi, ti := mi, ti
+		return cands
+	},
+	func(cur *jimple.Class) []del {
+		var cands []del
+		for mi := range cur.Methods {
+			for ti := len(cur.Methods[mi].Throws) - 1; ti >= 0; ti-- {
 				cands = append(cands, func(c *jimple.Class) bool {
 					if mi >= len(c.Methods) || ti >= len(c.Methods[mi].Throws) {
 						return false
 					}
-					m := c.Methods[mi]
+					m := c.OwnMethod(mi)
 					m.Throws = append(m.Throws[:ti], m.Throws[ti+1:]...)
 					return true
 				})
 			}
 		}
-		if s.runStage(cands) {
-			changed = true
-		}
-
-		// Statements (from the end, preserving branch targets).
-		cands = cands[:0]
-		for mi := range s.cur.Methods {
-			for si := len(s.cur.Methods[mi].Body) - 1; si >= 0; si-- {
-				mi, si := mi, si
+		return cands
+	},
+	// Statements, from the end, preserving branch targets.
+	func(cur *jimple.Class) []del {
+		var cands []del
+		for mi := range cur.Methods {
+			for si := len(cur.Methods[mi].Body) - 1; si >= 0; si-- {
 				cands = append(cands, func(c *jimple.Class) bool {
 					if mi >= len(c.Methods) || si >= len(c.Methods[mi].Body) {
 						return false
 					}
-					m := c.Methods[mi]
+					m := c.OwnMethod(mi)
 					m.Body = append(m.Body[:si], m.Body[si+1:]...)
 					jimple.RetargetAfterRemoval(m.Body, si)
 					return true
 				})
 			}
 		}
-		if s.runStage(cands) {
-			changed = true
-		}
-
-		// Unused locals.
-		cands = cands[:0]
-		for mi := range s.cur.Methods {
-			for li := len(s.cur.Methods[mi].Locals) - 1; li >= 0; li-- {
-				mi, li := mi, li
+		return cands
+	},
+	func(cur *jimple.Class) []del {
+		var cands []del
+		for mi := range cur.Methods {
+			for li := len(cur.Methods[mi].Locals) - 1; li >= 0; li-- {
 				cands = append(cands, func(c *jimple.Class) bool {
 					if mi >= len(c.Methods) || li >= len(c.Methods[mi].Locals) {
 						return false
 					}
-					m := c.Methods[mi]
+					m := c.OwnMethod(mi)
 					m.Locals = append(m.Locals[:li], m.Locals[li+1:]...)
 					return true
 				})
 			}
 		}
-		if s.runStage(cands) {
-			changed = true
-		}
-
-		if !changed {
-			break
-		}
-	}
-	s.res.Reduced = s.cur
-	return s.res, nil
+		return cands
+	},
 }
 
 // Size is the reduction metric: structural element count.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/classfile"
 	"repro/internal/descriptor"
 	"repro/internal/difftest"
@@ -78,29 +79,31 @@ func TestReducePreservesVectorAndShrinks(t *testing.T) {
 	}
 }
 
+// lowered lowers c and serialises it.
+func lowered(t *testing.T, c *jimple.Class) []byte {
+	t.Helper()
+	f, err := jimple.Lower(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := f.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // TestReduceParallelMatchesSequential asserts the worker-block
 // speculative reducer commits exactly the sequential deletion sequence:
 // reduced class (compared by lowered bytes), vector and accepted count
 // are identical at every width; only Tests (discarded speculation) may
 // grow.
 func TestReduceParallelMatchesSequential(t *testing.T) {
-	lowered := func(c *jimple.Class) []byte {
-		f, err := jimple.Lower(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := f.Bytes()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
-	}
-
 	seq, err := Reduce(fig2Mutant(), difftest.NewStandardRunner(), Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seqBytes := lowered(seq.Reduced)
+	seqBytes := lowered(t, seq.Reduced)
 
 	for _, w := range []int{2, 4, 8} {
 		par, err := Reduce(fig2Mutant(), difftest.NewStandardRunner(), Options{Workers: w})
@@ -113,7 +116,7 @@ func TestReduceParallelMatchesSequential(t *testing.T) {
 		if par.Deleted != seq.Deleted {
 			t.Errorf("workers=%d: deleted %d, want %d", w, par.Deleted, seq.Deleted)
 		}
-		if !bytes.Equal(lowered(par.Reduced), seqBytes) {
+		if !bytes.Equal(lowered(t, par.Reduced), seqBytes) {
 			t.Errorf("workers=%d: reduced class differs from sequential", w)
 		}
 		if par.Tests < seq.Tests {
@@ -173,5 +176,39 @@ func TestSizeMetric(t *testing.T) {
 	// 1 class + 1 iface + 1 field + (1 method + 1 throws + 1 stmt + 0 locals)
 	if Size(c) != 6 {
 		t.Errorf("size = %d, want 6", Size(c))
+	}
+}
+
+// TestReduceCandidatesCopyOnWrite applies every candidate deletion of
+// every stage to a copy-on-write clone of the base and checks that the
+// base is left untouched and that the candidate lowers to the same bytes
+// as the deletion applied to a copy owning every method.
+func TestReduceCandidatesCopyOnWrite(t *testing.T) {
+	bases := []*jimple.Class{fig2Mutant()}
+	for _, e := range catalog.Entries() {
+		if e.Build != nil {
+			bases = append(bases, e.Build())
+		}
+	}
+	for _, base := range bases {
+		before := lowered(t, base)
+		for si, stage := range stages {
+			for ci, d := range stage(base) {
+				cand := base.Clone()
+				ref := base.Clone()
+				for i := range ref.Methods {
+					ref.OwnMethod(i)
+				}
+				if d(cand) != d(ref) {
+					t.Fatalf("%s stage %d candidate %d: applicability differs from the owning reference", base.Name, si, ci)
+				}
+				if !bytes.Equal(lowered(t, cand), lowered(t, ref)) {
+					t.Fatalf("%s stage %d candidate %d: bytes differ from the owning reference", base.Name, si, ci)
+				}
+				if !bytes.Equal(lowered(t, base), before) {
+					t.Fatalf("%s stage %d candidate %d changed the base class", base.Name, si, ci)
+				}
+			}
+		}
 	}
 }

@@ -69,9 +69,11 @@ type Scheduler struct {
 	telYield *telemetry.Counter
 	telDem   *telemetry.Counter
 
-	// classification VM, kept for AddSeed (daemon intake).
-	vm  *jvm.VM
-	rec *coverage.Recorder
+	// classification VM and lowering context, kept for AddSeed (daemon
+	// intake).
+	vm   *jvm.VM
+	rec  *coverage.Recorder
+	lctx *jimple.LowerCtx
 }
 
 // New builds a scheduler over the seed corpus: it lowers and executes
@@ -97,6 +99,7 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 		seeds:       seeds,
 		vm:          jvm.New(opts.RefSpec),
 		rec:         coverage.NewRecorder(jvm.ProbeRegistry()),
+		lctx:        jimple.NewLowerCtx(),
 	}
 	s.vm.SetRecorder(s.rec)
 
@@ -124,7 +127,7 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 // classifyInputs lowers one class and records its structural
 // fingerprint and baseline trace (zero values if it does not lower).
 func (s *Scheduler) classifyInputs(c *jimple.Class) seedInfo {
-	f, err := jimple.Lower(c)
+	f, err := s.lctx.Lower(c)
 	if err != nil {
 		return seedInfo{trace: coverage.NewTrace()}
 	}
