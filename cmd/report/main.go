@@ -348,10 +348,9 @@ func main() {
 		final.Counter("campaign.prefilter.verdict.reject"),
 		final.Counter(difftest.MetricMemoLookupHits),
 		final.Counter(difftest.MetricMemoLookupMisses))
-	fmt.Printf("Dataflow verify band: %d definite / %d reject / %d unknown (verify-doomed: %d).\n",
+	fmt.Printf("Dataflow verify band: %d definite / %d reject (verify-doomed: %d).\n",
 		final.Counter("analysis.dataflow.definite"),
 		final.Counter("analysis.dataflow.reject"),
-		final.Counter("analysis.dataflow.unknown"),
 		final.Counter("campaign.prefilter.verify_doomed"))
 	fmt.Printf("Method verify memo: %d hits / %d misses (%d unsafe fallbacks).\n",
 		final.Counter(jvm.MetricVerifyMemoHits),

@@ -32,12 +32,10 @@ func (c VerdictCounters) Observe(rejected bool) {
 // DataflowCounters tallies the dataflow verify band's per-class claims
 // under the canonical analysis.dataflow.* names: Definite is a
 // definite claim that loading and linking (§4.10 verification
-// included) succeed, Reject a definite claim they do not, Unknown a
-// class the band saw but could not analyze (unparseable bytes). Like
+// included) succeed, Reject a definite claim they do not. Like
 // VerdictCounters, the zero value is inert.
 type DataflowCounters struct {
 	Definite *telemetry.Counter // analysis.dataflow.definite
-	Unknown  *telemetry.Counter // analysis.dataflow.unknown
 	Reject   *telemetry.Counter // analysis.dataflow.reject
 }
 
@@ -46,7 +44,6 @@ type DataflowCounters struct {
 func NewDataflowCounters(reg *telemetry.Registry) DataflowCounters {
 	return DataflowCounters{
 		Definite: reg.Counter("analysis.dataflow.definite"),
-		Unknown:  reg.Counter("analysis.dataflow.unknown"),
 		Reject:   reg.Counter("analysis.dataflow.reject"),
 	}
 }

@@ -237,34 +237,44 @@ func TestBatchBufferOwnership(t *testing.T) {
 	}
 }
 
-// scribbleScratch overwrites a worker's reused lowering and parse
-// output: it lowers and parses a class larger than any test mutant
-// through them — so every arena slot a task's File used is rewritten —
-// then scribbles over the poison Files themselves.
-func scribbleScratch(poison *jimple.Class) func(ws *workerScratch) {
-	return func(ws *workerScratch) {
-		f, err := ws.lctx.Lower(poison)
+// scribbleScratch overwrites the File a task lowered, then the
+// worker's reused lowering output: it lowers a class larger than any
+// test mutant through the worker's context — so every arena slot a
+// task's File used is rewritten — and scribbles over that File too.
+func scribbleScratch(poison *jimple.Class) func(ws *workerScratch, f *classfile.File) {
+	return func(ws *workerScratch, f *classfile.File) {
+		if f != nil {
+			scribbleFile(f)
+		}
+		g, err := ws.lctx.Lower(poison)
 		if err != nil {
 			panic(err)
 		}
-		data, err := f.AppendBytes(nil)
-		if err != nil {
+		if _, err := g.AppendBytes(nil); err != nil {
 			panic(err)
 		}
-		g, err := ws.parser.Parse(data)
-		if err != nil {
-			panic(err)
+		scribbleFile(g)
+	}
+}
+
+// scribbleFile overwrites f's pool entries, Code bytes and exception
+// tables, and then its members.
+func scribbleFile(f *classfile.File) {
+	for _, c := range f.Pool.Entries {
+		if c != nil {
+			*c = classfile.Constant{Tag: classfile.TagUtf8, Str: "scribbled"}
 		}
-		for _, file := range []*classfile.File{f, g} {
-			for _, c := range file.Pool.Entries {
-				if c != nil {
-					*c = classfile.Constant{Tag: classfile.TagUtf8, Str: "scribbled"}
-				}
+	}
+	for _, m := range append(f.Fields, f.Methods...) {
+		if code := m.Code(); code != nil {
+			for i := range code.Code {
+				code.Code[i] = 0xFF
 			}
-			for _, m := range append(file.Fields, file.Methods...) {
-				*m = classfile.Member{AccessFlags: 0xFFFF, NameIndex: 0xFFFF, DescIndex: 0xFFFF}
+			for i := range code.Handlers {
+				code.Handlers[i] = classfile.ExceptionHandler{StartPC: 0xFFFF, EndPC: 0xFFFF, HandlerPC: 0xFFFF, CatchType: 0xFFFF}
 			}
 		}
+		*m = classfile.Member{AccessFlags: 0xFFFF, NameIndex: 0xFFFF, DescIndex: 0xFFFF}
 	}
 }
 
@@ -282,12 +292,13 @@ func poisonClass() *jimple.Class {
 }
 
 // TestBatchScratchRetention extends the buffer-ownership check to the
-// worker's reused Files: every File that LowerCtx.Lower and
-// Parser.Parse return lives only until the next call on the same
-// context or parser, so overwriting both between tasks must leave every
-// result — summaries and generated bytes — identical to the reference
-// at workers 1/4 × batch 1/8. A task that kept a File past its end
-// would read the scribble.
+// worker's reused File: the File LowerCtx.Lower returns — the one the
+// prefilter inspects and the reference VM executes — lives only until
+// the next Lower on the same context, so overwriting it between tasks,
+// Code bytes included, must leave every result — summaries and
+// generated bytes — identical to the reference at workers 1/4 × batch
+// 1/8. A task, cache or memo that kept any part of a File past its
+// task would read the scribble.
 func TestBatchScratchRetention(t *testing.T) {
 	base := detConfig(Classfuzz)
 	base.KeepGenBytes = true

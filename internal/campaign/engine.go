@@ -42,7 +42,6 @@ type task struct {
 	data          []byte
 	trace         *coverage.Trace
 	checked       bool   // prefilter inspected the mutant
-	parsed        bool   // bytes parsed as a classfile
 	doomed        bool   // statically certain loading-phase reject
 	verifyChecked bool   // verify band inspected the mutant
 	verifyDoomed  bool   // statically certain linking-phase reject
@@ -114,8 +113,8 @@ type engineTel struct {
 	verdicts analysis.VerdictCounters
 	// dataflow tallies the verify band's claims under the canonical
 	// analysis.dataflow.* names (definite link-accept, definite
-	// reject, unparseable-unknown); load-doomed mutants never reach
-	// the band and are not counted.
+	// reject); load-doomed mutants never reach the band and are not
+	// counted.
 	dataflow analysis.DataflowCounters
 
 	draw      *telemetry.Histogram // campaign.stage.draw_ns
@@ -428,9 +427,9 @@ func (e *engine) run() (*Result, error) {
 			}
 			for b := range blocks {
 				for j := range b.tasks {
-					e.process(&b.tasks[j], ws, b)
+					f := e.process(&b.tasks[j], ws, b)
 					if scratchHook != nil {
-						scratchHook(ws)
+						scratchHook(ws, f)
 					}
 				}
 				close(b.done)
@@ -566,25 +565,25 @@ func (e *engine) redraw(rec DrawRecord, t *task) {
 }
 
 // workerScratch is one worker's long-lived arenas: the instrumented
-// reference VM and its recorder, the reusable lowering context and
-// parser, and the per-task mutation RNG (reseeded, never reallocated).
-// All of it is confined to the owning worker goroutine. The Files that
-// lctx and parser return live only until their next call, so nothing
-// a task produces may keep one: the task's outputs are the mutant, its
-// bytes and its trace, never a File.
+// reference VM and its recorder, the reusable lowering context, and the
+// per-task mutation RNG (reseeded, never reallocated). All of it is
+// confined to the owning worker goroutine. The File lctx returns lives
+// only until its next Lower, so nothing a task produces may keep it:
+// the task's outputs are the mutant, its bytes and its trace, never a
+// File.
 type workerScratch struct {
-	vm     *jvm.VM
-	rec    *coverage.Recorder
-	rng    *rand.Rand
-	lctx   *jimple.LowerCtx
-	parser classfile.Parser
+	vm   *jvm.VM
+	rec  *coverage.Recorder
+	rng  *rand.Rand
+	lctx *jimple.LowerCtx
 }
 
 // scratchHook, when set (by tests only, never while a campaign runs),
-// runs on the worker after every task with the worker's scratch — the
-// scratch-retention test overwrites the reused lowering and parse
-// output there to prove no task keeps a File past its end.
-var scratchHook func(ws *workerScratch)
+// runs on the worker after every task with the worker's scratch and the
+// File the task lowered (nil if it lowered none) — the
+// scratch-retention test overwrites both there to prove no task keeps
+// a File past its end.
+var scratchHook func(ws *workerScratch, f *classfile.File)
 
 // mutateRNG returns iteration iter's mutation stream on the worker's
 // reused generator — the same stream DeriveRNG builds fresh.
@@ -598,18 +597,19 @@ func (ws *workerScratch) mutateRNG(campaignSeed int64, iter int) *rand.Rand {
 }
 
 // process runs the mutate/filter/execute stages for one task on a
-// worker. It touches no engine state except the (versioned, locked)
-// prefilter cache; everything else flows through the task, the
-// worker's scratch, and the enclosing block's buffer pool.
-func (e *engine) process(t *task, ws *workerScratch, b *block) {
-	vm, rec := ws.vm, ws.rec
+// worker and returns the File it lowered, if any, which lives only
+// until the worker's next task. It touches no engine state except the
+// (versioned, locked) prefilter cache; everything else flows through
+// the task, the worker's scratch, and the enclosing block's buffer
+// pool.
+func (e *engine) process(t *task, ws *workerScratch, b *block) *classfile.File {
 	spMutate := telemetry.StartSpan(e.tel.mutate)
 	rng := ws.mutateRNG(e.cfg.Rand, t.iter)
 	mutant := t.parent.Clone() // copy-on-write: Apply owns what it writes
 	if !e.muts[t.rec.MutatorID].Apply(mutant, rng) {
 		// Soot-style failure: no classfile generated this iteration.
 		spMutate.End()
-		return
+		return nil
 	}
 	t.applied = true
 	finishMutant(mutant, t.iter)
@@ -617,75 +617,70 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) {
 
 	// Lower through the worker's reused context and serialise into a
 	// buffer recycled from the block's pool (bytes identical to a fresh
-	// lower() — only where the scratch lives differs).
+	// lower() — only where the scratch lives differs). The bytes are
+	// the test output; once written, f equals Parse of them, so f is
+	// what the prefilter inspects and the reference VM executes.
 	f, err := ws.lctx.Lower(mutant)
 	if err != nil {
 		spMutate.End()
-		return
+		return nil
 	}
 	data, err := f.AppendBytes(b.takeBuf())
 	spMutate.End()
 	if err != nil {
-		return
+		return f
 	}
 	t.lowered = true
 	t.data = data
 
 	if !e.coverageDirected {
-		return // randfuzz never runs the reference VM
+		return f // randfuzz never runs the reference VM
 	}
-	var parsed *classfile.File
-	if e.pf != nil {
-		spPf := telemetry.StartSpan(e.tel.prefilter)
-		t.checked = true
-		if f, perr := ws.parser.Parse(data); perr == nil {
-			parsed = f
-			t.parsed = true
-			if d := analysis.LoadReject(f, &e.pf.spec.Policy); d != nil {
-				t.doomed = true
-				t.fp = analysis.Fingerprint(f)
-				// Only cache entries committed at least Lookahead
-				// iterations ago are visible — see prefilter.
-				if tr, ok := e.pf.lookup(t.fp, t.iter-e.lookahead); ok {
-					t.cacheHit = true
-					t.trace = tr
-					spPf.End()
-					return
-				}
-			} else {
-				// Verify band: a load-clean mutant the oracle still
-				// definitely rejects during linking (hierarchy,
-				// resolution, §4.10 dataflow verification) can reuse a
-				// trace recorded for a masked-byte-equal predecessor —
-				// same visibility window as the load band.
-				t.verifyChecked = true
-				vfp := analysis.VerifyFingerprint(data, f.Name()) ^ verifyBandTag
-				if e.pf.verifyReject(f, vfp) {
-					t.verifyDoomed = true
-					t.fp = vfp
-					if tr, ok := e.pf.lookup(vfp, t.iter-e.lookahead); ok {
-						t.cacheHit = true
-						t.trace = tr
-						spPf.End()
-						return
-					}
-				}
-			}
-		}
-		spPf.End()
+	if e.pf != nil && e.runPrefilter(t, f) {
+		return f // trace served from the prefilter cache
 	}
 	spExec := telemetry.StartSpan(e.tel.exec)
-	rec.Reset()
-	if parsed != nil {
-		// The prefilter already parsed these bytes successfully; reuse
-		// the parse (RunParsed fires the parse probes, so the trace is
-		// identical to vm.Run re-parsing the same data).
-		vm.RunParsed(parsed)
-	} else {
-		vm.Run(data)
-	}
-	t.trace = rec.Trace()
+	ws.rec.Reset()
+	// RunParsed fires the parse probes Run fires on well-formed bytes,
+	// so the trace is identical to vm.Run parsing data.
+	ws.vm.RunParsed(f)
+	t.trace = ws.rec.Trace()
 	spExec.End()
+	return f
+}
+
+// runPrefilter runs the static prefilter's two bands on the task's
+// written File and reports whether the task's trace was served from
+// the prefilter cache, so the reference VM need not run.
+func (e *engine) runPrefilter(t *task, f *classfile.File) bool {
+	sp := telemetry.StartSpan(e.tel.prefilter)
+	defer sp.End()
+	t.checked = true
+	if d := analysis.LoadReject(f, &e.pf.spec.Policy); d != nil {
+		t.doomed = true
+		t.fp = analysis.Fingerprint(f)
+	} else {
+		// Verify band: a load-clean mutant the oracle still definitely
+		// rejects during linking (hierarchy, resolution, §4.10 dataflow
+		// verification) can reuse a trace recorded for a
+		// masked-byte-equal predecessor — same visibility window as the
+		// load band.
+		t.verifyChecked = true
+		vfp := analysis.VerifyFingerprint(t.data, f.Name()) ^ verifyBandTag
+		if !e.pf.verifyReject(f, vfp) {
+			return false
+		}
+		t.verifyDoomed = true
+		t.fp = vfp
+	}
+	// Only cache entries committed at least Lookahead iterations ago
+	// are visible — see prefilter.
+	tr, ok := e.pf.lookup(t.fp, t.iter-e.lookahead)
+	if ok {
+		t.cacheHit = true
+		t.trace = tr
+	}
+	return ok
 }
 
 // commitRef waits for the task's block to finish processing, commits
@@ -729,8 +724,6 @@ func (e *engine) commit(t *task) {
 		e.tel.pfChecked.Inc()
 		e.tel.verdicts.Observe(t.doomed || t.verifyDoomed)
 		switch {
-		case !t.parsed:
-			e.tel.dataflow.Unknown.Inc()
 		case t.verifyChecked && t.verifyDoomed:
 			e.tel.dataflow.Reject.Inc()
 		case t.verifyChecked:
@@ -902,17 +895,18 @@ func lower(c *jimple.Class) ([]byte, error) {
 }
 
 // runOnRef lowers the class through lctx and executes it on the
-// instrumented reference VM, returning the coverage trace.
+// instrumented reference VM, returning the coverage trace. The File is
+// written first — that brings it in step with its bytes — and then
+// run in place of a parse of them.
 func runOnRef(vm *jvm.VM, rec *coverage.Recorder, lctx *jimple.LowerCtx, c *jimple.Class) (*coverage.Trace, error) {
 	f, err := lctx.Lower(c)
 	if err != nil {
 		return nil, err
 	}
-	data, err := f.Bytes()
-	if err != nil {
+	if _, err := f.Bytes(); err != nil {
 		return nil, err
 	}
 	rec.Reset()
-	vm.Run(data)
+	vm.RunParsed(f)
 	return rec.Trace(), nil
 }

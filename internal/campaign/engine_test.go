@@ -84,33 +84,9 @@ func (r *recordingObserver) Event(ev Event) {
 	}
 }
 
-// legacyRecordingObserver is the same recorder written against the old
-// six-method surface, to pin the Legacy adapter's dispatch.
-type legacyRecordingObserver struct{ events []string }
-
-func (r *legacyRecordingObserver) IterationStarted(iter, poolIndex, mutatorID int) {
-	r.events = append(r.events, fmt.Sprintf("start %d %d %d", iter, poolIndex, mutatorID))
-}
-func (r *legacyRecordingObserver) Mutated(iter, mutatorID int, applied bool) {
-	r.events = append(r.events, fmt.Sprintf("mutated %d %d %v", iter, mutatorID, applied))
-}
-func (r *legacyRecordingObserver) Executed(iter int, skipped bool) {
-	r.events = append(r.events, fmt.Sprintf("executed %d %v", iter, skipped))
-}
-func (r *legacyRecordingObserver) PrefilterHit(iter int) {
-	r.events = append(r.events, fmt.Sprintf("hit %d", iter))
-}
-func (r *legacyRecordingObserver) Accepted(iter int, name string, stats coverage.Stats) {
-	r.events = append(r.events, fmt.Sprintf("accepted %d %s %d/%d", iter, name, stats.Stmts, stats.Branches))
-}
-func (r *legacyRecordingObserver) SelectorUpdated(iter, mutatorID int, success bool) {
-	r.events = append(r.events, fmt.Sprintf("selector %d %d %v", iter, mutatorID, success))
-}
-
 // TestObserverEventOrderDeterministic: the full event stream — not just
 // the totals — is identical at any worker count, because every event
-// fires from the sequential draw/commit stages. The Legacy adapter must
-// see the identical stream through the old six-method surface.
+// fires from the sequential draw/commit stages.
 func TestObserverEventOrderDeterministic(t *testing.T) {
 	run := func(workers int) []string {
 		o := &recordingObserver{}
@@ -125,17 +101,6 @@ func TestObserverEventOrderDeterministic(t *testing.T) {
 	one, four := run(1), run(4)
 	if !reflect.DeepEqual(one, four) {
 		t.Error("observer event stream differs between workers=1 and workers=4")
-	}
-
-	legacy := &legacyRecordingObserver{}
-	cfg := detConfig(Uniquefuzz)
-	cfg.Workers = 4
-	cfg.Observer = Legacy{O: legacy}
-	if _, err := Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(one, legacy.events) {
-		t.Error("Legacy adapter's event stream differs from the native Event stream")
 	}
 }
 

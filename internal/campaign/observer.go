@@ -167,45 +167,6 @@ func (m Multi) Event(ev Event) {
 	}
 }
 
-// LegacyObserver is the pre-event-sink observer surface: one method
-// per event class. Wrap implementations in Legacy to keep them
-// working against the Event API.
-type LegacyObserver interface {
-	IterationStarted(iter, poolIndex, mutatorID int)
-	Mutated(iter, mutatorID int, applied bool)
-	Executed(iter int, skipped bool)
-	PrefilterHit(iter int)
-	Accepted(iter int, name string, stats coverage.Stats)
-	SelectorUpdated(iter, mutatorID int, success bool)
-}
-
-// Legacy adapts a LegacyObserver to the Event interface, dispatching
-// each typed event to the corresponding legacy method.
-type Legacy struct {
-	O LegacyObserver
-}
-
-// Event implements Observer.
-func (l Legacy) Event(ev Event) {
-	if l.O == nil {
-		return
-	}
-	switch e := ev.(type) {
-	case IterationStarted:
-		l.O.IterationStarted(e.Iter, e.PoolIndex, e.MutatorID)
-	case Mutated:
-		l.O.Mutated(e.Iter, e.MutatorID, e.Applied)
-	case Executed:
-		l.O.Executed(e.Iter, e.Skipped)
-	case PrefilterHit:
-		l.O.PrefilterHit(e.Iter)
-	case Accepted:
-		l.O.Accepted(e.Iter, e.Name, e.Stats)
-	case SelectorUpdated:
-		l.O.SelectorUpdated(e.Iter, e.MutatorID, e.Success)
-	}
-}
-
 // The engine emits events through this nil-tolerant shim.
 type obs struct{ o Observer }
 

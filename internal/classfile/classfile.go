@@ -2,6 +2,8 @@ package classfile
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 
 	"repro/internal/arena"
 )
@@ -266,6 +268,65 @@ func cloneAttrs(as []Attribute) []Attribute {
 		out[i] = a.CloneAttr()
 	}
 	return out
+}
+
+// Equal reports whether a and b hold the same classfile: header, pool
+// entries, interface and member tables, and attributes, compared by
+// value. Nil and empty slices compare equal, floating-point constants
+// compare by their bits, and arena bookkeeping is ignored, so a File
+// built in memory and the File Parse reads back from its written bytes
+// compare equal exactly when they describe the same class.
+func Equal(a, b *File) bool {
+	return a.Minor == b.Minor && a.Major == b.Major && a.AccessFlags == b.AccessFlags &&
+		a.ThisClass == b.ThisClass && a.SuperClass == b.SuperClass &&
+		equalValue(reflect.ValueOf(a.Pool.Entries), reflect.ValueOf(b.Pool.Entries)) &&
+		equalValue(reflect.ValueOf(a.Interfaces), reflect.ValueOf(b.Interfaces)) &&
+		equalValue(reflect.ValueOf(a.Fields), reflect.ValueOf(b.Fields)) &&
+		equalValue(reflect.ValueOf(a.Methods), reflect.ValueOf(b.Methods)) &&
+		equalValue(reflect.ValueOf(a.Attributes), reflect.ValueOf(b.Attributes))
+}
+
+// equalValue is Equal's structural comparison of two values of one
+// type reachable from a File.
+func equalValue(a, b reflect.Value) bool {
+	switch a.Kind() {
+	case reflect.Slice:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalValue(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		if a.Elem().Type() != b.Elem().Type() {
+			return false
+		}
+		return equalValue(a.Elem(), b.Elem())
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalValue(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.String:
+		return a.String() == b.String()
+	case reflect.Bool:
+		return a.Bool() == b.Bool()
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return a.Int() == b.Int()
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return a.Uint() == b.Uint()
+	}
+	panic("classfile: Equal reached an unsupported " + a.Kind().String())
 }
 
 // FormatError reports a structurally malformed classfile during parsing.

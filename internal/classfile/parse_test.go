@@ -2,6 +2,7 @@ package classfile
 
 import (
 	"encoding/binary"
+	"encoding/hex"
 	"reflect"
 	"runtime"
 	"testing"
@@ -90,6 +91,60 @@ func TestParseAllocationBoundedByInput(t *testing.T) {
 		perParse := (after.TotalAlloc - before.TotalAlloc) / reps
 		if bound := uint64(4096 + 64*len(tc.data)); perParse >= bound {
 			t.Errorf("%s: %d-byte input allocates %d bytes per parse, bound %d", tc.name, len(tc.data), perParse, bound)
+		}
+	}
+}
+
+// TestWrittenFileEqualsParse pins the writer's half of the
+// lower-then-execute contract on the inputs where a built File and its
+// bytes can drift apart: Utf8 constants modified UTF-8 cannot carry
+// verbatim (a rune beyond the BMP, an invalid UTF-8 byte), one with an
+// embedded NUL, and an empty code array left nil. Writing leaves the
+// bytes exactly as before and the File Equal to Parse of them.
+func TestWrittenFileEqualsParse(t *testing.T) {
+	f := New("T")
+	for _, s := range []string{"\U0001F600", "a\xffb", "nul\x00"} {
+		f.Pool.AddString(s)
+	}
+	m := f.AddMethod(AccPublic|AccStatic, "m", "()V")
+	m.Attributes = append(m.Attributes, &CodeAttr{MaxLocals: 1})
+	data, err := f.AppendBytes(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "cafebabe00000033000e010001540700010100106a6176612f6c616e672f4f626a656374070003010006eda0bdedb88008000501000561efbfbd620800070100056e756cc0800800090100016d010003282956010004436f64650021000200040000000000010009000b000c0001000d0000000c0000000100000000000000000000"
+	if got := hex.EncodeToString(data); got != want {
+		t.Fatalf("written bytes changed:\n got %s\nwant %s", got, want)
+	}
+	g, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !Equal(f, g) {
+		t.Fatalf("written File differs from Parse of its bytes:\n%s\nvs\n%s", f.Dump(), g.Dump())
+	}
+	for idx, decoded := range map[uint16]string{5: "\uFFFD\uFFFD", 7: "a\uFFFDb", 9: "nul\x00"} {
+		if s, _ := f.Pool.Utf8(idx); s != decoded {
+			t.Errorf("Utf8 #%d after writing = %q, want the decoded form %q", idx, s, decoded)
+		}
+	}
+}
+
+// TestWriteRejectsUncountableTables: a table longer than its u2 count
+// can express fails the write. A truncated count would write bytes
+// that parse to a shorter table than the File holds.
+func TestWriteRejectsUncountableTables(t *testing.T) {
+	long := make([]LineNumberEntry, 0x10000)
+	for _, a := range []Attribute{
+		&CodeAttr{Handlers: make([]ExceptionHandler, 0x10000)},
+		&CodeAttr{Attributes: []Attribute{&LineNumberTableAttr{Entries: long}}},
+		&ExceptionsAttr{Classes: make([]uint16, 0x10000)},
+	} {
+		f := New("T")
+		m := f.AddMethod(AccPublic|AccStatic, "m", "()V")
+		m.Attributes = []Attribute{a}
+		if _, err := f.AppendBytes(nil); err == nil {
+			t.Errorf("%s with a 65536-entry table written without error", a.AttrName())
 		}
 	}
 }

@@ -16,6 +16,16 @@ func (w *writer) u2(v uint16)  { w.buf = binary.BigEndian.AppendUint16(w.buf, v)
 func (w *writer) u4(v uint32)  { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 func (w *writer) raw(b []byte) { w.buf = append(w.buf, b...) }
 
+// count writes a table length as a u2, failing for a table the format
+// cannot express rather than writing a truncated count.
+func (w *writer) count(n int, what string) error {
+	if n > 0xFFFF {
+		return fmt.Errorf("classfile: too many %s (%d)", what, n)
+	}
+	w.u2(uint16(n))
+	return nil
+}
+
 // Bytes serialises the classfile back into its binary form. Serialising
 // never validates semantics; a File holding illegal constructs produces
 // exactly the illegal classfile the fuzzer wants. Errors are only
@@ -30,6 +40,14 @@ func (f *File) Bytes() ([]byte, error) {
 // The output bytes are identical to Bytes; callers that recycle buffers
 // across serialisations use this form to keep the hot path
 // allocation-free once the buffer has grown to steady state.
+//
+// Writing brings f in step with its bytes: every attribute name is
+// interned into the pool, and a Utf8 constant that modified UTF-8
+// cannot carry verbatim (invalid UTF-8, a rune beyond the BMP) is
+// replaced by the string a reader decodes from its bytes. Once written,
+// f is Equal to Parse of the bytes — provided f holds no RawAttr under
+// a name Parse decodes into a typed attribute — so a caller that built
+// f can execute it in place of a parse.
 func (f *File) AppendBytes(buf []byte) ([]byte, error) {
 	// Intern every attribute name before the pool is serialised, so the
 	// name indices written later point into the written pool.
@@ -74,6 +92,12 @@ func (f *File) AppendBytes(buf []byte) ([]byte, error) {
 			}
 			w.u2(uint16(len(b)))
 			w.raw(b)
+			// The encoder emits well-formed modified UTF-8, so decoding
+			// cannot fail; assign only on change, so writing a parsed
+			// File never stores.
+			if s, _ := decodeModifiedUTF8Slow(b); s != c.Str {
+				c.Str = s
+			}
 		case TagInteger:
 			w.u4(uint32(c.Int))
 		case TagFloat:
@@ -102,10 +126,9 @@ func (f *File) AppendBytes(buf []byte) ([]byte, error) {
 	w.u2(f.ThisClass)
 	w.u2(f.SuperClass)
 
-	if len(f.Interfaces) > 0xFFFF {
-		return nil, fmt.Errorf("classfile: too many interfaces (%d)", len(f.Interfaces))
+	if err := w.count(len(f.Interfaces), "interfaces"); err != nil {
+		return nil, err
 	}
-	w.u2(uint16(len(f.Interfaces)))
 	for _, idx := range f.Interfaces {
 		w.u2(idx)
 	}
@@ -132,10 +155,9 @@ func internAttrNames(cp *ConstPool, attrs []Attribute) {
 }
 
 func writeMembers(w *writer, cp *ConstPool, ms []*Member) error {
-	if len(ms) > 0xFFFF {
-		return fmt.Errorf("classfile: too many members (%d)", len(ms))
+	if err := w.count(len(ms), "members"); err != nil {
+		return err
 	}
-	w.u2(uint16(len(ms)))
 	for _, m := range ms {
 		w.u2(uint16(m.AccessFlags))
 		w.u2(m.NameIndex)
@@ -148,10 +170,9 @@ func writeMembers(w *writer, cp *ConstPool, ms []*Member) error {
 }
 
 func writeAttributes(w *writer, cp *ConstPool, attrs []Attribute) error {
-	if len(attrs) > 0xFFFF {
-		return fmt.Errorf("classfile: too many attributes (%d)", len(attrs))
+	if err := w.count(len(attrs), "attributes"); err != nil {
+		return err
 	}
-	w.u2(uint16(len(attrs)))
 	for _, a := range attrs {
 		// Names were pre-interned before the pool was written, so this
 		// lookup always hits an existing entry.
@@ -177,7 +198,9 @@ func encodeAttribute(w *writer, cp *ConstPool, a Attribute) error {
 		w.u2(at.MaxLocals)
 		w.u4(uint32(len(at.Code)))
 		w.raw(at.Code)
-		w.u2(uint16(len(at.Handlers)))
+		if err := w.count(len(at.Handlers), "exception handlers"); err != nil {
+			return err
+		}
 		for _, h := range at.Handlers {
 			w.u2(h.StartPC)
 			w.u2(h.EndPC)
@@ -188,7 +211,9 @@ func encodeAttribute(w *writer, cp *ConstPool, a Attribute) error {
 			return err
 		}
 	case *ExceptionsAttr:
-		w.u2(uint16(len(at.Classes)))
+		if err := w.count(len(at.Classes), "exception classes"); err != nil {
+			return err
+		}
 		for _, c := range at.Classes {
 			w.u2(c)
 		}
@@ -199,7 +224,9 @@ func encodeAttribute(w *writer, cp *ConstPool, a Attribute) error {
 	case *SignatureAttr:
 		w.u2(at.SigIndex)
 	case *InnerClassesAttr:
-		w.u2(uint16(len(at.Entries)))
+		if err := w.count(len(at.Entries), "inner classes"); err != nil {
+			return err
+		}
 		for _, e := range at.Entries {
 			w.u2(e.InnerClass)
 			w.u2(e.OuterClass)
@@ -207,13 +234,17 @@ func encodeAttribute(w *writer, cp *ConstPool, a Attribute) error {
 			w.u2(uint16(e.Flags))
 		}
 	case *LineNumberTableAttr:
-		w.u2(uint16(len(at.Entries)))
+		if err := w.count(len(at.Entries), "line numbers"); err != nil {
+			return err
+		}
 		for _, e := range at.Entries {
 			w.u2(e.StartPC)
 			w.u2(e.Line)
 		}
 	case *LocalVariableTableAttr:
-		w.u2(uint16(len(at.Entries)))
+		if err := w.count(len(at.Entries), "local variables"); err != nil {
+			return err
+		}
 		for _, e := range at.Entries {
 			w.u2(e.StartPC)
 			w.u2(e.Length)

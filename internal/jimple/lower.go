@@ -50,7 +50,10 @@ func Lower(c *Class) (*classfile.File, error) {
 // Lower compiles the Jimple class into the context's reused File; see
 // the package-level Lower for semantics. The returned File is valid
 // only until the next Lower on the same context: nothing may keep it,
-// or anything reached through it, past that.
+// or anything reached through it, past that. Once written
+// (classfile.File.AppendBytes), the File equals Parse of its bytes, so
+// a caller may execute it in place of parsing them
+// (FuzzLowerRoundTrip checks this).
 func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 	f := &ctx.f
 	f.Reset()

@@ -305,11 +305,12 @@ func ParseReject(err error) Outcome {
 	return reject(PhaseLoading, ErrClassFormat, "%v", err)
 }
 
-// RunParsed executes an already-parsed classfile while firing the same
-// parse probes Run fires on well-formed input, so the coverage trace is
-// bit-identical to a fresh Run over the file's bytes. Callers that have
-// already parsed the bytes successfully (e.g. the campaign prefilter)
-// use this to skip the redundant second parse.
+// RunParsed executes a classfile while firing the same parse probes Run
+// fires on well-formed input, so the outcome and coverage trace are
+// bit-identical to Run over bytes that parse to f. Callers holding such
+// a File need no parse: the difftest engine parses once for a whole
+// lineup, and the campaign runs the File it lowered, which once
+// written equals Parse of its bytes (classfile.File.AppendBytes).
 func (vm *VM) RunParsed(f *classfile.File) Outcome {
 	vm.st(pParseEnter)
 	vm.br(bParseWellformed, false)

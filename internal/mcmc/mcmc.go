@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/telemetry"
 )
@@ -30,6 +29,9 @@ type Sampler struct {
 	// rank maps mutator id -> rank (0-based; the paper's k is rank+1).
 	order []int
 	rank  []int
+	// rates is resort's scratch: each id's success rate, computed once
+	// per re-sort instead of once per comparison.
+	rates []float64
 
 	current int // current sample (mutator id), the chain state mu1
 	total   int // total selections
@@ -54,6 +56,7 @@ func NewSampler(n int, p float64, rng *rand.Rand) *Sampler {
 		succeeded: make([]int, n),
 		order:     make([]int, n),
 		rank:      make([]int, n),
+		rates:     make([]float64, n),
 	}
 	for i := 0; i < n; i++ {
 		s.order[i] = i
@@ -148,19 +151,34 @@ func (s *Sampler) Rank(id int) int { return s.rank[id] }
 func (s *Sampler) Order() []int { return append([]int(nil), s.order...) }
 
 // resort re-sorts mutators by descending success rate; ties keep id
-// order so the sort is deterministic.
+// order so the sort is deterministic. (rate desc, id asc) is a strict
+// total order, so any correct sort yields the same ranks; an insertion
+// pass is the cheap one here, because between two re-sorts only the
+// few mutators drawn or recorded since have moved.
 func (s *Sampler) resort() {
-	sort.SliceStable(s.order, func(a, b int) bool {
-		ra := s.SuccessRate(s.order[a])
-		rb := s.SuccessRate(s.order[b])
-		if ra != rb {
-			return ra > rb
+	for id := range s.rates {
+		s.rates[id] = s.SuccessRate(id)
+	}
+	o := s.order
+	for i := 1; i < len(o); i++ {
+		id, j := o[i], i
+		for ; j > 0 && s.ranksAbove(id, o[j-1]); j-- {
+			o[j] = o[j-1]
 		}
-		return s.order[a] < s.order[b]
-	})
-	for r, id := range s.order {
+		o[j] = id
+	}
+	for r, id := range o {
 		s.rank[id] = r
 	}
+}
+
+// ranksAbove reports whether mutator a sorts before mutator b: a higher
+// success rate, or an equal rate and a lower id.
+func (s *Sampler) ranksAbove(a, b int) bool {
+	if s.rates[a] != s.rates[b] {
+		return s.rates[a] > s.rates[b]
+	}
+	return a < b
 }
 
 // UniformSampler is the ablation baseline used by uniquefuzz: mutators

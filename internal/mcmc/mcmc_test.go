@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/telemetry"
@@ -187,6 +189,43 @@ func TestResortStableAndComplete(t *testing.T) {
 	for r, id := range order {
 		if s.Rank(id) != r {
 			t.Errorf("rank(%d) = %d, want %d", id, s.Rank(id), r)
+		}
+	}
+}
+
+// TestResortMatchesStableSort drives samplers through random Next and
+// Record sequences and checks, after every Record, that the ranks equal
+// what the former sort.SliceStable re-sort produces from the same
+// previous order. Small mutator counts and counts make equal rates
+// (1/2 and 2/4 alike) common, and Records of ids drawn at random give
+// never-selected mutators successes at rate zero.
+func TestResortMatchesStableSort(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(24)
+		s := NewSampler(n, DefaultP(n), rng)
+		ref := s.Order()
+		for step := 0; step < 300; step++ {
+			if rng.Intn(2) == 0 {
+				s.Next(rng)
+				continue
+			}
+			s.Record(rng.Intn(n), rng.Intn(3) == 0)
+			sort.SliceStable(ref, func(a, b int) bool {
+				ra, rb := s.SuccessRate(ref[a]), s.SuccessRate(ref[b])
+				if ra != rb {
+					return ra > rb
+				}
+				return ref[a] < ref[b]
+			})
+			if got := s.Order(); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("seed %d step %d: order %v, stable sort gives %v", seed, step, got, ref)
+			}
+			for r, id := range ref {
+				if s.Rank(id) != r {
+					t.Fatalf("seed %d step %d: rank(%d) = %d, want %d", seed, step, id, s.Rank(id), r)
+				}
+			}
 		}
 	}
 }

@@ -126,17 +126,18 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 
 // classifyInputs lowers one class and records its structural
 // fingerprint and baseline trace (zero values if it does not lower).
+// The File is written first — that brings it in step with its bytes —
+// and then run in place of a parse of them.
 func (s *Scheduler) classifyInputs(c *jimple.Class) seedInfo {
 	f, err := s.lctx.Lower(c)
 	if err != nil {
 		return seedInfo{trace: coverage.NewTrace()}
 	}
-	data, err := f.Bytes()
-	if err != nil {
+	if _, err := f.Bytes(); err != nil {
 		return seedInfo{trace: coverage.NewTrace()}
 	}
 	s.rec.Reset()
-	s.vm.Run(data)
+	s.vm.RunParsed(f)
 	tr := s.rec.Trace()
 	return seedInfo{fp: analysis.Fingerprint(f), key: tr.Key(), trace: tr}
 }
