@@ -19,7 +19,7 @@
 //     five-VM outcome vector.
 //
 // The heavy lifting lives in the internal packages (classfile,
-// bytecode, jimple, jvm, rtlib, coverage, mutation, mcmc, fuzz,
+// bytecode, jimple, jvm, rtlib, coverage, mutation, mcmc, campaign,
 // difftest, reduce, seedgen, experiments); this package re-exports the
 // types a downstream user needs and wires defaults.
 package classfuzz
@@ -27,10 +27,10 @@ package classfuzz
 import (
 	"fmt"
 
+	"repro/internal/campaign"
 	"repro/internal/classfile"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/mutation"
@@ -49,11 +49,11 @@ type (
 	// Criterion selects the coverage-uniqueness discipline.
 	Criterion = coverage.Criterion
 	// Algorithm names a fuzzing campaign strategy.
-	Algorithm = fuzz.Algorithm
+	Algorithm = campaign.Algorithm
 	// CampaignConfig parameterises RunCampaign.
-	CampaignConfig = fuzz.Config
+	CampaignConfig = campaign.Config
 	// CampaignResult summarises a finished campaign.
-	CampaignResult = fuzz.Result
+	CampaignResult = campaign.Result
 	// VM is one simulated JVM implementation.
 	VM = jvm.VM
 	// VMSpec describes a VM preset (name, library release, policy).
@@ -77,10 +77,10 @@ const (
 
 // Campaign algorithms of §3.1.2.
 const (
-	Classfuzz  = fuzz.Classfuzz
-	Randfuzz   = fuzz.Randfuzz
-	Greedyfuzz = fuzz.Greedyfuzz
-	Uniquefuzz = fuzz.Uniquefuzz
+	Classfuzz  = campaign.Classfuzz
+	Randfuzz   = campaign.Randfuzz
+	Greedyfuzz = campaign.Greedyfuzz
+	Uniquefuzz = campaign.Uniquefuzz
 )
 
 // NumMutators is the size of the mutation-operator set.
@@ -107,7 +107,7 @@ func DefaultCampaign(seeds []*Class, iterations int) CampaignConfig {
 	return CampaignConfig{
 		Algorithm:  Classfuzz,
 		Criterion:  STBR,
-		Source:     fuzz.FlatSeeds(seeds),
+		Source:     campaign.FlatSeeds(seeds),
 		Iterations: iterations,
 		Rand:       1,
 		RefSpec:    jvm.HotSpot9(),
@@ -119,7 +119,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.RefSpec.Name == "" {
 		cfg.RefSpec = jvm.HotSpot9()
 	}
-	return fuzz.Run(cfg)
+	return campaign.Run(cfg)
 }
 
 // StandardVMs returns the Table 3 lineup, each VM bound to its own
@@ -159,7 +159,7 @@ func NewSharedEnvRunner(release string) (*Runner, error) {
 // DiffTest runs classfiles across the standard five VMs and aggregates
 // the outcome vectors.
 func DiffTest(classes [][]byte) *Summary {
-	return difftest.NewStandardRunner().Evaluate(classes)
+	return difftest.NewStandardRunner().Evaluate(classes, difftest.Options{})
 }
 
 // Compile lowers a class model to classfile bytes.

@@ -142,7 +142,7 @@ func main() {
 		for _, g := range res.Test {
 			classes = append(classes, g.Data)
 		}
-		sum := difftest.NewStandardRunner().Evaluate(classes)
+		sum := difftest.NewStandardRunner().Evaluate(classes, difftest.Options{})
 		fmt.Printf("differential testing: %d classes, %d all-invoked, %d all-rejected-same-stage, %d discrepancies (%.1f%%), %d distinct\n",
 			sum.Total, sum.AllInvoked, sum.AllRejectedSameStage,
 			sum.Discrepancies, sum.DiffRate()*100, sum.DistinctCount())

@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -28,7 +29,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/reduce"
@@ -61,10 +61,10 @@ func main() {
 	// Telemetry section at the end renders from its snapshot.
 	treg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
-	var source fuzz.SeedSource
+	var source campaign.SeedSource
 	var sched *seedsel.Scheduler
 	if strategy == seedsel.Uniform {
-		source = fuzz.FlatSeeds(seeds)
+		source = campaign.FlatSeeds(seeds)
 	} else {
 		sched, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: treg})
 		if err != nil {
@@ -73,8 +73,8 @@ func main() {
 		}
 		source = sched
 	}
-	cfg := fuzz.Config{
-		Algorithm:       fuzz.Classfuzz,
+	cfg := campaign.Config{
+		Algorithm:       campaign.Classfuzz,
 		Criterion:       coverage.STBR,
 		Source:          source,
 		Iterations:      *iters,
@@ -86,7 +86,7 @@ func main() {
 		Observer:        counters,
 		Telemetry:       treg,
 	}
-	res, err := fuzz.Run(cfg)
+	res, err := campaign.Run(cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "campaign: %v\n", err)
 		os.Exit(1)
@@ -100,7 +100,7 @@ func main() {
 	for _, g := range res.Test {
 		classes = append(classes, g.Data)
 	}
-	sum := runner.EvaluateChecked(classes, 0)
+	sum := runner.Evaluate(classes, difftest.Options{Workers: runtime.GOMAXPROCS(0), Checked: true})
 	diffStats := runner.Stats()
 	tr := triage.New()
 
@@ -242,7 +242,7 @@ func main() {
 	}
 
 	fmt.Printf("\n## Top mutators\n\n")
-	stats := append([]fuzz.MutatorStat(nil), res.MutatorStats...)
+	stats := append([]campaign.MutatorStat(nil), res.MutatorStats...)
 	sort.SliceStable(stats, func(a, b int) bool {
 		if stats[a].Rate() != stats[b].Rate() {
 			return stats[a].Rate() > stats[b].Rate()
@@ -264,7 +264,7 @@ func main() {
 	fmt.Printf("\n## Discrepancy inventory\n\n")
 	fmt.Printf("Vector digits are the phase codes 0–4 per VM, in the order above.\n\n")
 	type finding struct {
-		g   *fuzz.GenClass
+		g   *campaign.GenClass
 		v   difftest.Vector
 		rep *triage.Report
 	}

@@ -1,4 +1,4 @@
-package fuzz
+package campaign
 
 import (
 	"testing"
@@ -164,7 +164,7 @@ func TestGeneratedSuiteTriggersDiscrepancies(t *testing.T) {
 		classes = append(classes, g.Data)
 	}
 	runner := difftest.NewStandardRunner()
-	sum := runner.Evaluate(classes)
+	sum := runner.Evaluate(classes, difftest.Options{})
 	if sum.Discrepancies == 0 {
 		t.Error("representative suite triggered no discrepancies")
 	}

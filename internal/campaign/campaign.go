@@ -113,15 +113,6 @@ type Config struct {
 	// Workers sizes the pool running the mutate/filter/execute stages;
 	// 0 or 1 means single-threaded. Results are identical at any value.
 	Workers int
-	// Batch is the dispatch block size: how many drawn iterations the
-	// coordinator hands a worker per dispatch. Values < 1 select 1;
-	// values above Lookahead are clamped to it (a block never spans
-	// more than the in-flight window). Like Workers it is pure
-	// mechanics — results are bit-identical at any batch size — but
-	// larger blocks amortise channel traffic and let a worker reuse its
-	// scratch (lowering context, byte buffers) across a run of
-	// iterations without crossing a synchronisation point.
-	Batch int
 	// Lookahead overrides DefaultLookahead (values < 1 select the
 	// default). Unlike Workers it is part of the campaign's semantics.
 	Lookahead int
@@ -158,22 +149,6 @@ func (c *Config) lookahead() int {
 		return DefaultLookahead
 	}
 	return c.Lookahead
-}
-
-// batch returns the effective dispatch block size: at least 1, at most
-// the lookahead window. The K ≤ D bound is what keeps batching purely
-// mechanical — commit(i−D) precedes draw(i), and a block is always
-// fully drawn (hence dispatched) before the first commit that waits on
-// it, so the draw/commit interleaving is exactly the unbatched one.
-func (c *Config) batch() int {
-	b := c.Batch
-	if b < 1 {
-		b = 1
-	}
-	if d := c.lookahead(); b > d {
-		b = d
-	}
-	return b
 }
 
 // Run executes a campaign.

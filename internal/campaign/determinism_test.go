@@ -80,17 +80,20 @@ func workerCounts() []int {
 	return ws
 }
 
-// TestEngineDeterministicAcrossWorkers is the tentpole's contract: at a
+// TestEngineDeterministicAcrossWorkers is the engine's contract: at a
 // fixed campaign seed every algorithm produces bit-identical accepted
 // suites, draw logs, mutator statistics and prefilter counters whatever
-// the worker count.
+// the worker count. The sweep adds 8 workers to workerCounts, so an
+// oversubscribed pool is checked even on small machines; TestGoldenResults
+// pins the workers=1 run to the committed goldens.
 func TestEngineDeterministicAcrossWorkers(t *testing.T) {
+	ws := append(workerCounts(), 8)
 	for _, alg := range detAlgorithms {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
 			var want summary
-			for i, w := range workerCounts() {
+			for i, w := range ws {
 				cfg := detConfig(alg)
 				cfg.Workers = w
 				res, err := Run(cfg)
@@ -107,7 +110,7 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 				}
 				if !reflect.DeepEqual(got, want) {
 					t.Errorf("workers=%d diverges from workers=%d:\n got %+v\nwant %+v",
-						w, workerCounts()[0], got, want)
+						w, ws[0], got, want)
 				}
 			}
 		})

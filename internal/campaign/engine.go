@@ -26,14 +26,17 @@ type poolEntry struct {
 
 // task carries one iteration through the pipeline. The draw stage fills
 // the input fields on the coordinator; a worker fills the output fields;
-// the commit stage reads them back on the coordinator (the close of the
-// enclosing block's done channel orders the accesses). Tasks live
-// embedded by value inside their block, so a dispatch allocates one
-// block instead of K tasks plus K channels.
+// the commit stage reads them back on the coordinator (the close of done
+// orders the accesses). Ownership alternates strictly — coordinator
+// while drawing, one worker between the dispatch send and close(done),
+// coordinator again at commit — so no field needs a lock. Tasks are
+// recycled through a coordinator-owned free list together with their
+// class-byte buffer.
 type task struct {
 	iter   int
 	parent *jimple.Class
 	rec    DrawRecord
+	done   chan struct{}
 
 	// outputs of the mutate/filter/execute stages
 	applied       bool // mutator applicable
@@ -49,40 +52,22 @@ type task struct {
 	fp            uint64 // trace-cache key of the band that doomed it
 
 	// dataRetained is set at commit when t.data escaped into the result
-	// (accepted bytes, or KeepClasses/KeepGenBytes); only unretained
-	// buffers return to the block's recycling pool.
+	// (accepted bytes, or KeepClasses/KeepGenBytes); only an unretained
+	// buffer is kept for the task's next iteration.
 	dataRetained bool
+	// buf is the class-byte buffer recycled from an earlier iteration
+	// this task carried (nil when none is free).
+	buf []byte
 }
 
-// block is one dispatch unit: up to Config.Batch tasks embedded by
-// value, a single completion channel, and a pool of class-byte buffers
-// the serialiser reuses. Ownership alternates strictly — coordinator
-// while drawing, one worker between the channel send and close(done),
-// coordinator again after commit — so no field needs a lock. Blocks
-// are recycled through a coordinator-owned free list; the tasks slice
-// is never regrown past its original capacity, so *task pointers in
-// the commit ring stay valid.
-type block struct {
-	tasks []task
-	done  chan struct{}
-	bufs  [][]byte
-}
-
-// takeBuf pops a recycled class-byte buffer (length 0, capacity from a
-// previous serialisation) or hands out a fresh one.
-func (b *block) takeBuf() []byte {
-	if n := len(b.bufs); n > 0 {
-		buf := b.bufs[n-1]
-		b.bufs = b.bufs[:n-1]
+// takeBuf hands the serialiser the task's recycled class-byte buffer
+// (length 0, capacity from a previous serialisation) or a fresh one.
+func (t *task) takeBuf() []byte {
+	if buf := t.buf; buf != nil {
+		t.buf = nil
 		return buf[:0]
 	}
 	return make([]byte, 0, 1024)
-}
-
-// taskRef locates one task inside its block for the commit ring.
-type taskRef struct {
-	b   *block
-	idx int
 }
 
 // engineTel holds the engine's interned telemetry handles. The count
@@ -203,17 +188,15 @@ type engine struct {
 	timing bool // external registry attached: stage + VM timing on
 
 	lookahead int
-	batch     int
 	res       *Result
 
 	// drawR is the coordinator's reused draw-stream generator: reseeded
 	// per iteration (prng.Reseed), byte-for-byte equivalent to a fresh
 	// drawRNG but without reallocating the ~5KB rand source each draw.
 	drawR *rand.Rand
-	// freeBlocks recycles dispatch blocks (and their task storage and
-	// byte buffers) on the coordinator once every task in a block has
-	// committed.
-	freeBlocks []*block
+	// freeTasks recycles tasks (and their byte buffers) on the
+	// coordinator once they have committed.
+	freeTasks []*task
 
 	// Checkpoint/resume state. drawn and committed advance only on the
 	// coordinator; mergedCov is the word-OR of the seed traces and every
@@ -244,7 +227,6 @@ func newEngine(cfg Config) *engine {
 		seeds:            cfg.Source.Corpus(),
 		coverageDirected: cfg.Algorithm != Randfuzz,
 		lookahead:        cfg.lookahead(),
-		batch:            cfg.batch(),
 		timing:           cfg.Telemetry != nil,
 		ctrl:             cfg.Control,
 	}
@@ -366,7 +348,6 @@ func (e *engine) run() (*Result, error) {
 			Draws:      make([]DrawRecord, 0, cfg.Iterations),
 			Workers:    cfg.workers(),
 			Lookahead:  e.lookahead,
-			Batch:      e.batch,
 		}
 	}
 	e.tel.poolSize.Set(int64(len(e.pool)))
@@ -376,19 +357,10 @@ func (e *engine) run() (*Result, error) {
 	// commit(i−D); draw(i) for each subsequent i — so every draw
 	// observes exactly the commits of iterations ≤ i−D regardless of
 	// how the worker pool schedules the stages in between. At most D
-	// tasks are in flight, hence the ring and the channel bound.
-	//
-	// Dispatch is batched: drawn tasks accumulate in a block of up to K
-	// (= Config.Batch, clamped to K ≤ D) and the block is handed to one
-	// worker, which runs mutate/filter/execute for every task against
-	// its long-lived scratch and closes the block's done channel. Only
-	// the dispatch granularity changes — each iteration is still drawn
-	// and committed individually, in the interleaving above, so results
-	// are bit-identical at any (workers, batch). The first commit that
-	// waits on a block can never precede its dispatch: commit(i−D)
-	// waits on the block holding task i−D, whose last task is at most
-	// iteration i−D+K−1 ≤ i−1, so the block was filled — and therefore
-	// sent — before iteration i began.
+	// tasks are in flight, hence the ring and the channel bound. Each
+	// drawn task is sent to the pool at once; a worker runs
+	// mutate/filter/execute against its long-lived scratch and closes
+	// the task's done channel, which commit waits on.
 	//
 	// A resumed engine enters the same loop at base = startIter (the
 	// snapshot's commit frontier): the in-flight window re-enters the
@@ -400,8 +372,8 @@ func (e *engine) run() (*Result, error) {
 	D := e.lookahead
 	N := cfg.Iterations
 	base := e.startIter
-	blocks := make(chan *block, D)
-	ring := make([]taskRef, D)
+	tasks := make(chan *task, D)
+	ring := make([]*task, D)
 
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.workers(); w++ {
@@ -411,7 +383,7 @@ func (e *engine) run() (*Result, error) {
 			// Per-worker arenas: the reference VM and recorder are
 			// stateless across runs; the lowering context and mutation
 			// RNG are reset per task. One set serves the worker's whole
-			// stream of blocks without sharing anything with its peers.
+			// stream of tasks without sharing anything with its peers.
 			ws := &workerScratch{
 				vm:   jvm.New(cfg.RefSpec),
 				rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
@@ -425,58 +397,42 @@ func (e *engine) run() (*Result, error) {
 				// next to the stage spans; observe-only like the rest.
 				ws.vm.SetTelemetry(e.cfg.Telemetry)
 			}
-			for b := range blocks {
-				for j := range b.tasks {
-					f := e.process(&b.tasks[j], ws, b)
-					if scratchHook != nil {
-						scratchHook(ws, f)
-					}
+			for t := range tasks {
+				f := e.process(t, ws)
+				if scratchHook != nil {
+					scratchHook(ws, f)
 				}
-				close(b.done)
+				close(t.done)
 			}
 		}()
 	}
 
-	var cur *block
 	for i := base; i < N; i++ {
 		if e.serviceControl(i) {
 			e.stopped = true
 			break
 		}
 		if i-D >= base {
-			e.commitRef(ring[(i-D)%D])
+			e.commitTask(ring[(i-D)%D])
 		}
-		if cur == nil {
-			cur = e.getBlock()
-		}
-		cur.tasks = cur.tasks[:len(cur.tasks)+1]
-		t := &cur.tasks[len(cur.tasks)-1]
+		t := e.getTask()
 		if j := i - base; j < len(e.resumeDraws) {
 			e.redraw(e.resumeDraws[j], t)
 		} else {
 			e.draw(i, t)
 		}
-		ring[i%D] = taskRef{b: cur, idx: len(cur.tasks) - 1}
-		if len(cur.tasks) == e.batch {
-			blocks <- cur
-			cur = nil
-		}
+		ring[i%D] = t
+		tasks <- t
 	}
-	// Flush the partial block a stop (or a budget not divisible by K)
-	// left behind, then drain the in-flight window (all of it, after a
-	// stop).
-	if cur != nil && len(cur.tasks) > 0 {
-		blocks <- cur
-		cur = nil
-	}
-	close(blocks)
+	// Drain the in-flight window (all of it, after a stop).
+	close(tasks)
 	end := e.drawn
 	tail := end - D
 	if tail < base {
 		tail = base
 	}
 	for i := tail; i < end; i++ {
-		e.commitRef(ring[i%D])
+		e.commitTask(ring[i%D])
 	}
 	wg.Wait()
 
@@ -492,41 +448,36 @@ func (e *engine) run() (*Result, error) {
 	return e.res, nil
 }
 
-// getBlock pops a recycled dispatch block or allocates a fresh one.
-// Coordinator-goroutine only. The tasks slice always has capacity
-// e.batch and is filled in place, never regrown, so pointers into it
-// stay valid for the block's whole flight.
-func (e *engine) getBlock() *block {
-	if n := len(e.freeBlocks); n > 0 {
-		b := e.freeBlocks[n-1]
-		e.freeBlocks = e.freeBlocks[:n-1]
-		b.done = make(chan struct{})
-		return b
+// getTask pops a recycled task or allocates a fresh one, with a new
+// done channel. Coordinator-goroutine only.
+func (e *engine) getTask() *task {
+	var t *task
+	if n := len(e.freeTasks); n > 0 {
+		t = e.freeTasks[n-1]
+		e.freeTasks = e.freeTasks[:n-1]
+	} else {
+		t = new(task)
 	}
-	return &block{tasks: make([]task, 0, e.batch), done: make(chan struct{})}
+	t.done = make(chan struct{})
+	return t
 }
 
-// recycle returns a fully committed block to the free list, reclaiming
-// the class-byte buffers of tasks whose bytes did not escape into the
-// result and dropping every object reference so a parked block pins
-// nothing. Coordinator-goroutine only, after the block's last commit.
-func (e *engine) recycle(b *block) {
-	for j := range b.tasks {
-		t := &b.tasks[j]
-		if t.data != nil && !t.dataRetained {
-			b.bufs = append(b.bufs, t.data[:0])
-		}
-		t.parent, t.mutant, t.trace, t.data = nil, nil, nil, nil
+// recycle returns a committed task to the free list, keeping its
+// class-byte buffer when the bytes did not escape into the result and
+// dropping every other field so a parked task pins nothing.
+// Coordinator-goroutine only.
+func (e *engine) recycle(t *task) {
+	buf := t.buf
+	if t.data != nil && !t.dataRetained {
+		buf = t.data[:0]
 	}
-	b.tasks = b.tasks[:0]
-	b.done = nil
-	e.freeBlocks = append(e.freeBlocks, b)
+	*t = task{buf: buf}
+	e.freeTasks = append(e.freeTasks, t)
 }
 
 // draw runs the sequential draw stage for iteration i: pick a seed from
 // the pool, propose a mutator, log the DrawRecord. State read here
-// (pool, selector chain) was last written by commit(i−D). The task is
-// filled in place inside its dispatch block.
+// (pool, selector chain) was last written by commit(i−D).
 func (e *engine) draw(i int, t *task) {
 	sp := telemetry.StartSpan(e.tel.draw)
 	if e.drawR == nil {
@@ -546,7 +497,7 @@ func (e *engine) draw(i int, t *task) {
 		e.obs.emit(IterationStarted{Iter: i, PoolIndex: idx, MutatorID: muID})
 	}
 	sp.End()
-	*t = task{iter: i, parent: pe.class, rec: rec}
+	t.iter, t.parent, t.rec = i, pe.class, rec
 }
 
 // redraw re-enters a recorded in-flight iteration into the pipeline
@@ -561,7 +512,7 @@ func (e *engine) redraw(rec DrawRecord, t *task) {
 	if e.obs.o != nil {
 		e.obs.emit(IterationStarted{Iter: rec.Iter, PoolIndex: rec.PoolIndex, MutatorID: rec.MutatorID})
 	}
-	*t = task{iter: rec.Iter, parent: e.pool[rec.PoolIndex].class, rec: fresh}
+	t.iter, t.parent, t.rec = rec.Iter, e.pool[rec.PoolIndex].class, fresh
 }
 
 // workerScratch is one worker's long-lived arenas: the instrumented
@@ -600,9 +551,8 @@ func (ws *workerScratch) mutateRNG(campaignSeed int64, iter int) *rand.Rand {
 // worker and returns the File it lowered, if any, which lives only
 // until the worker's next task. It touches no engine state except the
 // (versioned, locked) prefilter cache; everything else flows through
-// the task, the worker's scratch, and the enclosing block's buffer
-// pool.
-func (e *engine) process(t *task, ws *workerScratch, b *block) *classfile.File {
+// the task, its recycled buffer and the worker's scratch.
+func (e *engine) process(t *task, ws *workerScratch) *classfile.File {
 	spMutate := telemetry.StartSpan(e.tel.mutate)
 	rng := ws.mutateRNG(e.cfg.Rand, t.iter)
 	mutant := t.parent.Clone() // copy-on-write: Apply owns what it writes
@@ -615,8 +565,8 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) *classfile.File {
 	finishMutant(mutant, t.iter)
 	t.mutant = mutant
 
-	// Lower through the worker's reused context and serialise into a
-	// buffer recycled from the block's pool (bytes identical to a fresh
+	// Lower through the worker's reused context and serialise into the
+	// task's recycled buffer (bytes identical to a fresh
 	// lower() — only where the scratch lives differs). The bytes are
 	// the test output; once written, f equals Parse of them, so f is
 	// what the prefilter inspects and the reference VM executes.
@@ -625,7 +575,7 @@ func (e *engine) process(t *task, ws *workerScratch, b *block) *classfile.File {
 		spMutate.End()
 		return nil
 	}
-	data, err := f.AppendBytes(b.takeBuf())
+	data, err := f.AppendBytes(t.takeBuf())
 	spMutate.End()
 	if err != nil {
 		return f
@@ -683,16 +633,12 @@ func (e *engine) runPrefilter(t *task, f *classfile.File) bool {
 	return ok
 }
 
-// commitRef waits for the task's block to finish processing, commits
-// the task, and recycles the block after its last task commits. The
-// wait is per block, not per task; tasks inside a block still commit
-// one at a time, in iteration order.
-func (e *engine) commitRef(ref taskRef) {
-	<-ref.b.done
-	e.commit(&ref.b.tasks[ref.idx])
-	if ref.idx == len(ref.b.tasks)-1 {
-		e.recycle(ref.b)
-	}
+// commitTask waits for a worker to finish the task, commits it and
+// recycles it.
+func (e *engine) commitTask(t *task) {
+	<-t.done
+	e.commit(t)
+	e.recycle(t)
 }
 
 // commit runs the sequential commit stage for one task, in iteration

@@ -1,4 +1,4 @@
-package fuzz
+package campaign
 
 import (
 	"encoding/json"
@@ -54,8 +54,8 @@ func TestSaveAndLoadCorpus(t *testing.T) {
 	for _, g := range res.Test {
 		orig = append(orig, g.Data)
 	}
-	s1 := runner.Evaluate(orig)
-	s2 := runner.Evaluate(classes)
+	s1 := runner.Evaluate(orig, difftest.Options{})
+	s2 := runner.Evaluate(classes, difftest.Options{})
 	if s1.Discrepancies != s2.Discrepancies || s1.DistinctCount() != s2.DistinctCount() {
 		t.Error("reloaded corpus behaves differently")
 	}

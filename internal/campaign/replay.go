@@ -38,53 +38,90 @@ func RootSeed(draws []DrawRecord, iter int) int {
 	}
 }
 
-// Rebuild reconstructs iteration iter's mutant from the campaign seed
-// and the draw log alone, with no reference-VM execution. The draw log
-// pins the lineage: the parent is either an original seed
-// (Parent == -1, addressed by PoolIndex) or the mutant another
-// iteration accepted (rebuilt recursively — accepted mutants are the
-// only classes recycled into the pool). The mutator itself re-runs
-// under DeriveRNG(seed, iter), whose stream is independent of the draw
-// stage, so the rebuild consumes exactly the random values the
-// campaign's worker did.
-func Rebuild(cfg Config, draws []DrawRecord, iter int) (*ReplayInfo, error) {
-	if iter < 0 || iter >= len(draws) {
-		return nil, fmt.Errorf("campaign: replay iteration %d outside draw log (0..%d)", iter, len(draws)-1)
-	}
-	rec := draws[iter]
-	if !rec.Generated {
-		return nil, fmt.Errorf("campaign: iteration %d generated no classfile (mutator %d inapplicable or mutant unlowerable)", iter, rec.MutatorID)
-	}
+// regen is the one regeneration step Rebuild and snapshot restore
+// share: it re-derives a generated iteration's mutant from its draw
+// record, without running the reference VM.
+type regen struct {
+	rand  int64
+	seeds []*jimple.Class
+	muts  []*mutation.Mutator
+	// accepted holds the mutants regenerated so far that a later draw
+	// may descend from, by iteration.
+	accepted map[int]*jimple.Class
+}
 
-	seeds := cfg.seedCorpus()
+// step regenerates the mutant of the iteration rec records. Its parent
+// is the corpus seed at rec.PoolIndex (rec.Parent < 0) or an accepted
+// mutant an earlier step regenerated — accepted mutants are the only
+// classes recycled into the pool. The mutator re-runs under
+// DeriveRNG(seed, iter), whose stream is independent of the draw
+// stage, so the step consumes exactly the random values the campaign's
+// worker did, then the mutant is finished and lowered as the worker
+// did.
+func (g *regen) step(rec DrawRecord) (*jimple.Class, []byte, error) {
 	var parent *jimple.Class
 	if rec.Parent < 0 {
-		if rec.PoolIndex >= len(seeds) {
-			return nil, fmt.Errorf("campaign: draw log pool index %d exceeds seed corpus (%d seeds)", rec.PoolIndex, len(seeds))
+		if rec.PoolIndex < 0 || rec.PoolIndex >= len(g.seeds) {
+			return nil, nil, fmt.Errorf("campaign: iteration %d draws seed %d outside the corpus (%d seeds)", rec.Iter, rec.PoolIndex, len(g.seeds))
 		}
-		parent = seeds[rec.PoolIndex]
-	} else {
-		pi, err := Rebuild(cfg, draws, rec.Parent)
-		if err != nil {
-			return nil, fmt.Errorf("campaign: rebuilding parent of iteration %d: %w", iter, err)
-		}
-		parent = pi.Class
+		parent = g.seeds[rec.PoolIndex]
+	} else if parent = g.accepted[rec.Parent]; parent == nil {
+		return nil, nil, fmt.Errorf("campaign: iteration %d has unaccepted parent %d", rec.Iter, rec.Parent)
 	}
-
-	muts := mutation.Registry()
-	if rec.MutatorID < 0 || rec.MutatorID >= len(muts) {
-		return nil, fmt.Errorf("campaign: draw log mutator id %d out of range", rec.MutatorID)
+	if rec.MutatorID < 0 || rec.MutatorID >= len(g.muts) {
+		return nil, nil, fmt.Errorf("campaign: iteration %d mutator id %d out of range", rec.Iter, rec.MutatorID)
 	}
 	mutant := parent.Clone()
-	if !muts[rec.MutatorID].Apply(mutant, DeriveRNG(cfg.Rand, iter)) {
-		return nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — replay config diverges from the campaign", rec.MutatorID, iter)
+	if !g.muts[rec.MutatorID].Apply(mutant, DeriveRNG(g.rand, rec.Iter)) {
+		return nil, nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — the draw log diverges from this config or build", rec.MutatorID, rec.Iter)
 	}
-	finishMutant(mutant, iter)
+	finishMutant(mutant, rec.Iter)
 	data, err := lower(mutant)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", iter, err)
+		return nil, nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", rec.Iter, err)
 	}
-	return &ReplayInfo{Record: rec, Class: mutant, Data: data}, nil
+	return mutant, data, nil
+}
+
+// Rebuild reconstructs iteration iter's mutant from the campaign seed
+// and the draw log alone, with no reference-VM execution. The draw log
+// pins the lineage: Rebuild walks it up to the original seed the
+// iteration descends from, then regenerates each generation forward.
+func Rebuild(cfg Config, draws []DrawRecord, iter int) (*ReplayInfo, error) {
+	var lineage []DrawRecord
+	for it := iter; ; {
+		if it < 0 || it >= len(draws) {
+			return nil, fmt.Errorf("campaign: replay iteration %d outside draw log (0..%d)", it, len(draws)-1)
+		}
+		rec := draws[it]
+		if rec.Iter != it {
+			return nil, fmt.Errorf("campaign: draw log record %d carries iter %d", it, rec.Iter)
+		}
+		if !rec.Generated {
+			return nil, fmt.Errorf("campaign: iteration %d generated no classfile (mutator %d inapplicable or mutant unlowerable)", it, rec.MutatorID)
+		}
+		lineage = append(lineage, rec)
+		if rec.Parent < 0 {
+			break
+		}
+		if rec.Parent >= it {
+			return nil, fmt.Errorf("campaign: draw log iteration %d descends from later iteration %d", it, rec.Parent)
+		}
+		it = rec.Parent
+	}
+
+	g := regen{rand: cfg.Rand, seeds: cfg.seedCorpus(), muts: mutation.Registry(), accepted: make(map[int]*jimple.Class, len(lineage))}
+	var info *ReplayInfo
+	for k := len(lineage) - 1; k >= 0; k-- {
+		rec := lineage[k]
+		mutant, data, err := g.step(rec)
+		if err != nil {
+			return nil, err
+		}
+		g.accepted[rec.Iter] = mutant
+		info = &ReplayInfo{Record: rec, Class: mutant, Data: data}
+	}
+	return info, nil
 }
 
 // Replay reproduces iteration iter of the campaign cfg describes: it

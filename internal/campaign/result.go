@@ -111,12 +111,11 @@ type Result struct {
 	// Draws is the per-iteration draw log (indexed by iteration; empty
 	// for bytefuzz, whose pool holds raw bytes rather than models).
 	Draws []DrawRecord
-	// Workers, Lookahead and Batch record the engine configuration the
-	// result was produced under (Workers and Batch are provenance only —
-	// they cannot change the numbers above).
+	// Workers and Lookahead record the engine configuration the result
+	// was produced under (Workers is provenance only — it cannot change
+	// the numbers above).
 	Workers   int
 	Lookahead int
-	Batch     int
 	Elapsed   time.Duration
 	// Coverage is the word-OR of the seed traces and every accepted
 	// trace — the campaign's merged footprint on the reference VM (nil

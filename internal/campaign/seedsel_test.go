@@ -102,9 +102,9 @@ func TestSchedulerGoldens(t *testing.T) {
 	}
 }
 
-// TestSchedulerDeterministicAcrossWorkers sweeps workers 1, 4,
-// GOMAXPROCS crossed with batch 1 and 8 for both scheduling
-// strategies: identical summaries everywhere, like the flat draw.
+// TestSchedulerDeterministicAcrossWorkers sweeps workers 1, 4 and
+// GOMAXPROCS for both scheduling strategies: identical summaries
+// everywhere, like the flat draw.
 func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 	for _, strategy := range schedStrategies {
 		strategy := strategy
@@ -113,23 +113,20 @@ func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 			var want summary
 			first := true
 			for _, w := range workerCounts() {
-				for _, batch := range []int{1, 8} {
-					cfg := schedConfig(t, strategy)
-					cfg.Workers = w
-					cfg.Batch = batch
-					res, err := Run(cfg)
-					if err != nil {
-						t.Fatalf("workers=%d batch=%d: %v", w, batch, err)
-					}
-					got := summarize(res)
-					if first {
-						want = got
-						first = false
-						continue
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("workers=%d batch=%d diverges from canonical run", w, batch)
-					}
+				cfg := schedConfig(t, strategy)
+				cfg.Workers = w
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", w, err)
+				}
+				got := summarize(res)
+				if first {
+					want = got
+					first = false
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("workers=%d diverges from canonical run", w)
 				}
 			}
 		})

@@ -18,8 +18,8 @@ import "repro/internal/jimple"
 // be a pure function of its construction inputs and the exact sequence
 // of Pick/Observe/Grew calls — no clocks, no shared RNGs, no
 // goroutines — so campaign results stay bit-identical at any worker
-// count and batch size, and so snapshot restore can rebuild the
-// source's state by replaying the recorded interleaving. A stateful
+// count, and so snapshot restore can rebuild the source's state by
+// replaying the recorded interleaving. A stateful
 // source serves exactly one engine run: Resume must be handed a fresh
 // one (the restore replays the committed prefix into it).
 type SeedSource interface {
@@ -67,12 +67,12 @@ type flatUniform struct {
 // snapshot validation compare against it.
 const StrategyUniform = "uniform"
 
-func (f flatUniform) Strategy() string                  { return StrategyUniform }
-func (f flatUniform) Corpus() []*jimple.Class           { return f.seeds }
-func (f flatUniform) Pick(rng *rand.Rand, n int) int    { return rng.Intn(n) }
-func (f flatUniform) Observe(int, bool, bool)           {}
-func (f flatUniform) Grew(int, int)                     {}
-func (f flatUniform) MarshalState() ([]byte, error)     { return nil, nil }
+func (f flatUniform) Strategy() string               { return StrategyUniform }
+func (f flatUniform) Corpus() []*jimple.Class        { return f.seeds }
+func (f flatUniform) Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
+func (f flatUniform) Observe(int, bool, bool)        {}
+func (f flatUniform) Grew(int, int)                  {}
+func (f flatUniform) MarshalState() ([]byte, error)  { return nil, nil }
 
 // seedCorpus returns the configured initial corpus (nil-safe).
 func (c *Config) seedCorpus() []*jimple.Class {

@@ -89,10 +89,10 @@ type Snapshot struct {
 // accepted mutants — the content fingerprint of the classfile bytes,
 // which Resume checks against the rebuilt bytes.
 type GenEntry struct {
-	Iter     int  `json:"iter"`
-	Stmts    int  `json:"stmts,omitempty"`
-	Branches int  `json:"branches,omitempty"`
-	Accepted bool `json:"accepted,omitempty"`
+	Iter     int    `json:"iter"`
+	Stmts    int    `json:"stmts,omitempty"`
+	Branches int    `json:"branches,omitempty"`
+	Accepted bool   `json:"accepted,omitempty"`
 	Fp       uint64 `json:"fp,omitempty"`
 }
 
@@ -394,6 +394,11 @@ func (e *engine) validateSnapshot(snap *Snapshot) error {
 			return fmt.Errorf("campaign: snapshot draw log record %d carries iter %d", i, rec.Iter)
 		}
 	}
+	for k, ge := range snap.Gens {
+		if ge.Iter < 0 || ge.Iter >= len(snap.Draws) {
+			return fmt.Errorf("campaign: snapshot gen log entry %d names iteration %d outside the draw log (%d records)", k, ge.Iter, len(snap.Draws))
+		}
+	}
 	return nil
 }
 
@@ -404,49 +409,28 @@ type rebuiltGen struct {
 }
 
 // rebuildCommitted re-derives the mutant model and bytes for committed
-// generated iterations, walking the draw log in order so each parent
+// generated iterations, walking the gen log in order so each parent
 // (always an accepted earlier iteration, or a seed) is available when
 // its children need it. Accepted iterations are always rebuilt; the
-// rest only when the config keeps their bytes or models. The walk is
-// the batch form of Rebuild — same clone/apply/finish/lower sequence,
-// without re-deriving shared parents once per descendant.
+// rest only when the config keeps their bytes or models. Each iteration
+// takes Rebuild's regeneration step once, so shared parents are not
+// re-derived per descendant.
 func (e *engine) rebuildCommitted(snap *Snapshot) (map[int]*rebuiltGen, error) {
 	cfg := &e.cfg
 	keepAll := cfg.KeepClasses || cfg.KeepGenBytes
 	out := make(map[int]*rebuiltGen, len(snap.Gens))
-	accepted := make(map[int]*jimple.Class, len(snap.Gens))
+	g := regen{rand: cfg.Rand, seeds: e.seeds, muts: e.muts, accepted: make(map[int]*jimple.Class, len(snap.Gens))}
 	for _, ge := range snap.Gens {
-		rec := snap.Draws[ge.Iter]
 		if !ge.Accepted && !keepAll {
 			continue
 		}
-		var parent *jimple.Class
-		if rec.Parent < 0 {
-			if rec.PoolIndex >= len(e.seeds) {
-				return nil, fmt.Errorf("campaign: snapshot iteration %d draws seed %d beyond corpus (%d seeds)", ge.Iter, rec.PoolIndex, len(e.seeds))
-			}
-			parent = e.seeds[rec.PoolIndex]
-		} else {
-			parent = accepted[rec.Parent]
-			if parent == nil {
-				return nil, fmt.Errorf("campaign: snapshot iteration %d has unaccepted parent %d", ge.Iter, rec.Parent)
-			}
-		}
-		if rec.MutatorID < 0 || rec.MutatorID >= len(e.muts) {
-			return nil, fmt.Errorf("campaign: snapshot iteration %d mutator id %d out of range", ge.Iter, rec.MutatorID)
-		}
-		mutant := parent.Clone()
-		if !e.muts[rec.MutatorID].Apply(mutant, DeriveRNG(cfg.Rand, ge.Iter)) {
-			return nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — snapshot diverges from this build", rec.MutatorID, ge.Iter)
-		}
-		finishMutant(mutant, ge.Iter)
-		data, err := lower(mutant)
+		mutant, data, err := g.step(snap.Draws[ge.Iter])
 		if err != nil {
-			return nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", ge.Iter, err)
+			return nil, err
 		}
 		out[ge.Iter] = &rebuiltGen{class: mutant, data: data}
 		if ge.Accepted {
-			accepted[ge.Iter] = mutant
+			g.accepted[ge.Iter] = mutant
 		}
 	}
 	return out, nil

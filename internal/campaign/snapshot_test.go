@@ -53,7 +53,7 @@ func diffSummary(t *testing.T, r *Result) *difftest.Summary {
 	for _, g := range r.Test {
 		classes = append(classes, g.Data)
 	}
-	return difftest.NewStandardRunner().Evaluate(classes)
+	return difftest.NewStandardRunner().Evaluate(classes, difftest.Options{})
 }
 
 // runInterrupted runs cfg up to a deterministic stop boundary, JSON
@@ -284,6 +284,8 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		{"version", func(c *Config, s *Snapshot) { s.Version = SnapshotVersion + 1 }},
 		{"draw log", func(c *Config, s *Snapshot) { s.Draws[10].MutatorID = (s.Draws[10].MutatorID + 1) % 30 }},
 		{"truncated", func(c *Config, s *Snapshot) { s.Draws = s.Draws[:len(s.Draws)-1] }},
+		{"gen iter past draw log", func(c *Config, s *Snapshot) { s.Gens[len(s.Gens)-1].Iter = len(s.Draws) + 5 }},
+		{"negative gen iter", func(c *Config, s *Snapshot) { s.Gens[0].Iter = -1 }},
 	}
 	for _, tc := range bad {
 		c := cfg

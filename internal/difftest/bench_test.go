@@ -29,7 +29,7 @@ func BenchmarkDifftestSequential(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Evaluate(classes)
+		r.Evaluate(classes, Options{})
 	}
 }
 
@@ -40,7 +40,7 @@ func BenchmarkDifftestParallel4(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.EvaluateParallel(classes, 4)
+		r.Evaluate(classes, Options{Workers: 4})
 	}
 }
 
@@ -51,11 +51,11 @@ func BenchmarkDifftestMemoized(b *testing.B) {
 	classes := mixedCorpus(b)
 	r := NewStandardRunner()
 	r.Memo = NewOutcomeMemo()
-	r.Evaluate(classes) // warm
+	r.Evaluate(classes, Options{}) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.Evaluate(classes)
+		r.Evaluate(classes, Options{})
 	}
 }
 

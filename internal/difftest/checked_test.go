@@ -2,37 +2,7 @@ package difftest
 
 import (
 	"testing"
-
-	"repro/internal/seedgen"
 )
-
-// TestEvaluateCheckedMatchesParallel asserts the sanitizer-enabled
-// evaluation produces the same aggregate as the plain parallel one and
-// reports no oracle mismatch on a seed corpus (which exercises both
-// normally-invoked classes and version-skewed rejects).
-func TestEvaluateCheckedMatchesParallel(t *testing.T) {
-	opts := seedgen.DefaultOptions(60, 11)
-	opts.SkewFraction = 0.2 // force plenty of rejecting classes
-	classes, err := seedgen.GenerateFiles(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewStandardRunner()
-	plain := r.EvaluateParallel(classes, 0)
-	checked := r.EvaluateChecked(classes, 0)
-
-	if checked.OracleMismatches != 0 {
-		t.Errorf("static oracle disagreed with the interpreter %d time(s): %v",
-			checked.OracleMismatches, checked.MismatchSamples)
-	}
-	if plain.Total != checked.Total ||
-		plain.AllInvoked != checked.AllInvoked ||
-		plain.AllRejectedSameStage != checked.AllRejectedSameStage ||
-		plain.Discrepancies != checked.Discrepancies ||
-		plain.DistinctCount() != checked.DistinctCount() {
-		t.Errorf("aggregates diverged: plain %+v, checked %+v", plain, checked)
-	}
-}
 
 // TestRunCheckedUnparseable asserts unparseable bytes yield no oracle
 // claims (all VMs still report their own rejection vector).

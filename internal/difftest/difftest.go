@@ -7,11 +7,12 @@
 //
 // The execution core is a parse-once engine: a classfile is parsed
 // once, the parsed form (and one bytecode-decode cache per lineup) is
-// shared by all five VMs via jvm.RunParsed, and evaluations may fan a
-// class set over a worker pool — one five-VM lineup per worker, results
-// committed in class order — and/or consult an OutcomeMemo so a class
-// seen before never re-executes. All paths produce the identical
-// Summary; see engine.go and memo.go.
+// shared by all five VMs via jvm.RunParsed. Evaluate probes an
+// OutcomeMemo once for the whole class set, so a class seen before
+// never re-executes, and may fan the rest over a worker pool — one
+// five-VM lineup per worker, results committed in class order. The
+// Summary is identical at any worker count and memo state; see
+// engine.go and memo.go.
 package difftest
 
 import (
@@ -180,10 +181,12 @@ func (v Vector) keySlow() string {
 	return string(b)
 }
 
-// Run executes one classfile on every VM: one parse fanned out to the
-// lineup (the engine's parse-once discipline; see runLineup).
+// Run executes one classfile on every VM: one memo probe, then at most
+// one parse fanned out to the lineup (the engine's parse-once
+// discipline; see runLineup).
 func (r *Runner) Run(data []byte) Vector {
-	v, _ := r.runLineup(r.VMs, data, false)
+	p := r.probe([][]byte{data})
+	v, _ := r.runLineup(r.VMs, data, &p, 0, false)
 	return v
 }
 
@@ -195,7 +198,8 @@ func (r *Runner) Run(data []byte) Vector {
 // the mismatch list is empty. The single parse serves both the oracle
 // and every VM's execution.
 func (r *Runner) RunChecked(data []byte) (Vector, []analysis.Mismatch) {
-	return r.runLineup(r.VMs, data, true)
+	p := r.probe([][]byte{data})
+	return r.runLineup(r.VMs, data, &p, 0, true)
 }
 
 // runSeparateParses is the pre-engine execution model — every VM parses
@@ -235,7 +239,7 @@ type Summary struct {
 	// VMNames labels the histogram rows.
 	VMNames []string
 	// OracleMismatches counts unwaived static-oracle disagreements seen
-	// by checked evaluation (always 0 under Evaluate/EvaluateParallel).
+	// by a checked evaluation (always 0 unless Options.Checked is set).
 	OracleMismatches int
 	// VerifierMismatches is the subset of OracleMismatches where either
 	// side claims a VerifyError — the static-verdict-vs-VM-verifier
@@ -282,38 +286,16 @@ func (s *Summary) SortedVectors() []struct {
 	return out
 }
 
-// Evaluate runs every classfile through the VMs and aggregates.
-func (r *Runner) Evaluate(classes [][]byte) *Summary {
-	return r.evaluate(classes, 1, false)
-}
-
-// EvaluateParallel distributes the class set over a worker pool, one
-// private five-VM lineup per worker, and commits results in class
-// order, so the Summary — field for field, including MismatchSamples
-// order — is identical to Evaluate's at any worker count. workers ≤ 0
-// selects GOMAXPROCS.
-func (r *Runner) EvaluateParallel(classes [][]byte, workers int) *Summary {
-	return r.evaluate(classes, workers, false)
-}
-
-// EvaluateBatch evaluates a whole suite against the memo in one
-// batched pass: a single locked probe phase partitions the classes
-// into fully-memoized vectors (assembled without parsing or locking
-// again) and misses, and only the misses fan out to the worker pool.
-// Summaries fold in class order, so the result is field-for-field
-// identical to Evaluate and EvaluateParallel at any worker count.
-// Without a memo attached it degenerates to EvaluateParallel. workers
-// ≤ 0 selects GOMAXPROCS.
-func (r *Runner) EvaluateBatch(classes [][]byte, workers int) *Summary {
-	return r.evaluateBatch(classes, workers)
-}
-
-// EvaluateChecked is EvaluateParallel with the static-oracle sanitizer
-// enabled: every class goes through RunChecked and unwaived mismatches
-// are counted (and sampled) in the summary. workers ≤ 0 selects
-// GOMAXPROCS.
-func (r *Runner) EvaluateChecked(classes [][]byte, workers int) *Summary {
-	return r.evaluate(classes, workers, true)
+// Options selects how Evaluate runs a class set. The zero value is a
+// sequential, unchecked evaluation.
+type Options struct {
+	// Workers sizes the pool of private lineups the classes fan out
+	// over; 0 or 1 means sequential. The Summary is identical at any
+	// value.
+	Workers int
+	// Checked enables the static-oracle sanitizer (see RunChecked):
+	// unwaived mismatches are counted and sampled in the Summary.
+	Checked bool
 }
 
 func newSummary(r *Runner) *Summary {

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/classfile"
@@ -88,7 +87,7 @@ func TestEvaluateAggregation(t *testing.T) {
 	discrepant, _ := f.Bytes()
 
 	r := NewStandardRunner()
-	sum := r.Evaluate([][]byte{valid, broken, discrepant, valid})
+	sum := r.Evaluate([][]byte{valid, broken, discrepant, valid}, Options{})
 	if sum.Total != 4 {
 		t.Errorf("Total = %d", sum.Total)
 	}
@@ -158,7 +157,7 @@ func TestDistinctVectorTheoreticalSpace(t *testing.T) {
 
 func TestEmptySummary(t *testing.T) {
 	r := NewStandardRunner()
-	sum := r.Evaluate(nil)
+	sum := r.Evaluate(nil, Options{})
 	if sum.DiffRate() != 0 || sum.Total != 0 || sum.DistinctCount() != 0 {
 		t.Error("empty evaluation should be all zeros")
 	}
@@ -210,51 +209,6 @@ func TestOutputDivergenceIsADiscrepancy(t *testing.T) {
 	}
 	if !short.OutputDivergent() {
 		t.Error("differing line counts are divergent output")
-	}
-}
-
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	var classes [][]byte
-	classes = append(classes, hello("DP1"), []byte{0xCA, 0xFE, 0xBA, 0xBE})
-	f := classfile.New("DP2")
-	classfile.AttachDefaultInit(f)
-	classfile.AttachStandardMain(f, "ok")
-	f.AddMethod(classfile.AccPublic|classfile.AccAbstract, "<clinit>", "()V")
-	d, _ := f.Bytes()
-	classes = append(classes, d)
-	for i := 0; i < 30; i++ {
-		classes = append(classes, hello(fmt.Sprintf("DPX%d", i)))
-	}
-
-	r := NewStandardRunner()
-	seq := r.Evaluate(classes)
-	par := r.EvaluateParallel(classes, 4)
-	if seq.Total != par.Total || seq.AllInvoked != par.AllInvoked ||
-		seq.Discrepancies != par.Discrepancies ||
-		seq.AllRejectedSameStage != par.AllRejectedSameStage {
-		t.Errorf("parallel disagrees: seq %+v par %+v", seq, par)
-	}
-	if len(seq.DistinctVectors) != len(par.DistinctVectors) {
-		t.Error("distinct vectors differ")
-	}
-	for k, n := range seq.DistinctVectors {
-		if par.DistinctVectors[k] != n {
-			t.Errorf("vector %s: %d vs %d", k, n, par.DistinctVectors[k])
-		}
-	}
-	for i := range seq.PhaseHistogram {
-		for p := range seq.PhaseHistogram[i] {
-			if seq.PhaseHistogram[i][p] != par.PhaseHistogram[i][p] {
-				t.Errorf("histogram[%d][%d] differs", i, p)
-			}
-		}
-	}
-	// Degenerate worker counts fall back to sequential.
-	if got := r.EvaluateParallel(classes, 0); got.Total != seq.Total {
-		t.Error("workers=0 should pick a sane default")
-	}
-	if got := r.EvaluateParallel(classes[:1], 8); got.Total != 1 {
-		t.Error("tiny inputs must still evaluate")
 	}
 }
 

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -13,8 +12,8 @@ import (
 
 // Metric names of the Runner's engine counters. The semantic results
 // (Summary, Vector) are deterministic at any worker count; the counters
-// of a memoized parallel evaluation are not quite (two workers may race
-// to execute one duplicated class and both count a miss), so these are
+// are not quite when Runners sharing a memo evaluate concurrently (two
+// may race to execute one class and both count a miss), so these are
 // diagnostics, not oracle inputs.
 const (
 	// MetricClasses counts evaluated classfiles (vectors produced).
@@ -34,9 +33,9 @@ const (
 	MetricOracleMismatches = "difftest.oracle.mismatches"
 	// MetricLineupSize gauges the number of VMs under test.
 	MetricLineupSize = "difftest.lineup_size"
-	// MetricEvaluateNs is the wall-clock histogram over Evaluate /
-	// EvaluateParallel / EvaluateChecked calls (not single-class Runs);
-	// its Sum is the cumulative difftest stage wall clock.
+	// MetricEvaluateNs is the wall-clock histogram over Evaluate calls
+	// (not single-class Runs); its Sum is the cumulative difftest stage
+	// wall clock.
 	MetricEvaluateNs = "difftest.evaluate_ns"
 )
 
@@ -124,30 +123,67 @@ func (r *Runner) Clone() *Runner {
 	return &Runner{VMs: r.cloneLineup(), Memo: r.Memo, VerifyMemo: r.VerifyMemo, reg: r.reg, tel: r.tel, vmTiming: r.vmTiming}
 }
 
-// runLineup executes one classfile on a lineup under the engine's
-// parse-once discipline:
-//
-//  1. probe the memo for every VM — a fully-memoized class skips even
-//     the parse;
-//  2. parse at most once (classfile.Parse is VM-independent); a parse
-//     failure is fanned out as the identical loading-phase rejection;
-//  3. drive each remaining VM through jvm.RunParsed over the shared
-//     parsed file, filling the memo behind it.
-//
-// With checked set, the single parse also feeds the static oracle and
-// each outcome (memoized or fresh — the oracle is a pure function of
-// file, VM and outcome) is cross-checked, mismatches returned in VM
-// order.
-func (r *Runner) runLineup(vms []*jvm.VM, data []byte, checked bool) (Vector, []analysis.Mismatch) {
-	v := Vector{
-		Codes:    make([]int, len(vms)),
-		Outcomes: make([]jvm.Outcome, len(vms)),
-	}
-	r.tel.classes.Inc()
+// probed is one call's view of the memo, taken by a single probe
+// before anything executes. Without a memo, lines and hits are nil and
+// every outcome is missing.
+type probed struct {
+	lines []probeLine
+	// outs[i*n+k] is class i's outcome on VM k of an n-VM lineup —
+	// cached where hits says so, filled in by runLineup otherwise.
+	outs []jvm.Outcome
+	hits []bool
+}
 
-	var cls *memoClass
-	if r.Memo != nil {
-		cls = r.Memo.class(data)
+// probe takes the memo view of classes for the Runner's lineup and
+// counts them.
+func (r *Runner) probe(classes [][]byte) probed {
+	n := len(r.VMs)
+	p := probed{outs: make([]jvm.Outcome, len(classes)*n)}
+	r.tel.classes.Add(int64(len(classes)))
+	if r.Memo == nil {
+		return p
+	}
+	p.lines, p.hits = make([]probeLine, len(classes)), make([]bool, len(p.outs))
+	r.Memo.probe(classes, r.VMs, p.lines, p.outs, p.hits)
+	r.tel.memoProbes.Add(int64(len(p.hits)))
+	for i, l := range p.lines {
+		if l.first != i {
+			r.tel.memoHits.Add(int64(n)) // a repeat is served from class l.first
+			continue
+		}
+		for _, hit := range p.hits[i*n : (i+1)*n] {
+			if hit {
+				r.tel.memoHits.Inc()
+			}
+		}
+	}
+	return p
+}
+
+// origin is the class whose vector serves class i: the earliest class
+// of the call with identical bytes under a memo, i itself otherwise.
+func (p *probed) origin(i int) int {
+	if p.lines == nil {
+		return i
+	}
+	return p.lines[i].first
+}
+
+// runLineup executes class i of a probed set on a lineup under the
+// engine's parse-once discipline: outcomes the probe found cached are
+// kept, the class parses at most once — only when some outcome is
+// missing, or when checked needs the parsed file for the oracle — and
+// each missing VM runs jvm.RunParsed over the shared parsed file (a
+// parse failure fans out as the identical loading-phase rejection).
+// Fresh outcomes are stored in the memo. With checked set, each outcome,
+// cached or fresh (the oracle is a pure function of file, VM and
+// outcome), is cross-checked; mismatches are returned in VM order.
+func (r *Runner) runLineup(vms []*jvm.VM, data []byte, p *probed, i int, checked bool) (Vector, []analysis.Mismatch) {
+	n := len(vms)
+	v := Vector{Codes: make([]int, n), Outcomes: p.outs[i*n : (i+1)*n : (i+1)*n]}
+	var hits []bool
+	if p.hits != nil {
+		hits = p.hits[i*n : (i+1)*n]
 	}
 
 	var f *classfile.File
@@ -162,204 +198,65 @@ func (r *Runner) runLineup(vms []*jvm.VM, data []byte, checked bool) (Vector, []
 		r.tel.parses.Inc()
 	}
 	if checked {
-		parse() // the oracle needs the parsed file even on memo hits
+		parse()
 	}
 
 	var mm []analysis.Mismatch
-	for i, vm := range vms {
-		var o jvm.Outcome
-		hit := false
-		if cls != nil {
-			r.tel.memoProbes.Inc()
-			o, hit = r.Memo.get(cls, memoIdent(vm))
-			if hit {
-				r.tel.memoHits.Inc()
-			}
-		}
-		if !hit {
+	missed := false
+	for k, vm := range vms {
+		if hits == nil || !hits[k] {
+			missed = true
 			parse()
 			if perr != nil {
-				o = jvm.ParseReject(perr)
+				v.Outcomes[k] = jvm.ParseReject(perr)
 			} else {
-				o = vm.RunParsed(f)
+				v.Outcomes[k] = vm.RunParsed(f)
 				r.tel.vmRuns.Inc()
 			}
-			if cls != nil {
-				r.Memo.put(cls, memoIdent(vm), o)
-			}
 		}
-		v.Outcomes[i] = o
-		v.Codes[i] = o.Code()
+		v.Codes[k] = v.Outcomes[k].Code()
 		if checked && perr == nil {
-			if m := analysis.CheckVM(f, vm, o); m != nil {
+			if m := analysis.CheckVM(f, vm, v.Outcomes[k]); m != nil {
 				mm = append(mm, *m)
 			}
 		}
 	}
+	if p.lines != nil && missed {
+		r.Memo.store(p.lines[i].c, vms, v.Outcomes, hits)
+	}
 	return v, mm
 }
 
-// evaluate is the engine behind Evaluate, EvaluateParallel and
-// EvaluateChecked. Workers pull class indices from a shared counter,
-// run them on private lineups, and park vectors in an index-addressed
-// buffer; the fold into the Summary happens afterwards in class order
-// (the same fixed-order commit discipline as the campaign engine), so
-// the aggregate — DistinctVectors, histogram, mismatch samples and
-// all — is bit-identical at any worker count.
-func (r *Runner) evaluate(classes [][]byte, workers int, checked bool) *Summary {
-	sp := telemetry.StartSpan(r.tel.evaluateNs)
-	defer sp.End()
-	return r.evaluateCore(classes, workers, checked)
-}
-
-func (r *Runner) evaluateCore(classes [][]byte, workers int, checked bool) *Summary {
-	s := newSummary(r)
-	if checked {
-		defer func() { r.tel.oracleMM.Add(int64(s.OracleMismatches)) }()
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(classes) {
-		workers = len(classes)
-	}
-	if workers <= 1 {
-		for _, data := range classes {
-			v, mm := r.runLineup(r.VMs, data, checked)
-			s.absorb(v)
-			if checked {
-				s.absorbMismatches(mm)
-			}
-		}
-		return s
-	}
-
-	vecs := make([]Vector, len(classes))
-	var mms [][]analysis.Mismatch
-	if checked {
-		mms = make([][]analysis.Mismatch, len(classes))
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lineup := r.cloneLineup()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(classes) {
-					return
-				}
-				v, mm := r.runLineup(lineup, classes[i], checked)
-				vecs[i] = v
-				if checked {
-					mms[i] = mm
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, v := range vecs {
-		s.absorb(v)
-		if checked {
-			s.absorbMismatches(mms[i])
-		}
-	}
-	return s
-}
-
-// runLineupPrefilled is runLineup for EvaluateBatch's execution phase:
-// the partition pass already probed the memo, so outs/hits carry the
-// cached outcomes and only the missing (class, VM) pairs parse and
-// execute. Outcomes are pure functions of (bytes, spec, release), so
-// the resulting Vector is identical to runLineup's.
-func (r *Runner) runLineupPrefilled(vms []*jvm.VM, data []byte, cls *memoClass, outs []jvm.Outcome, hits []bool) Vector {
-	v := Vector{
-		Codes:    make([]int, len(vms)),
-		Outcomes: make([]jvm.Outcome, len(vms)),
-	}
-	var f *classfile.File
-	var perr error
-	parsed := false
-	for i, vm := range vms {
-		o := outs[i]
-		if !hits[i] {
-			if !parsed {
-				parsed = true
-				f, perr = classfile.Parse(data)
-				r.tel.parses.Inc()
-			}
-			if perr != nil {
-				o = jvm.ParseReject(perr)
-			} else {
-				o = vm.RunParsed(f)
-				r.tel.vmRuns.Inc()
-			}
-			r.Memo.put(cls, memoIdent(vm), o)
-		}
-		v.Outcomes[i] = o
-		v.Codes[i] = o.Code()
-	}
-	return v
-}
-
-// evaluateBatch is the engine behind EvaluateBatch: partition the
-// whole class set against the memo in one locked pass, then fan out
-// only the classes with at least one uncached VM outcome. Vectors park
-// in an index-addressed buffer and fold in class order, so the Summary
-// is bit-identical to Evaluate's.
-func (r *Runner) evaluateBatch(classes [][]byte, workers int) *Summary {
+// Evaluate runs every classfile through the VMs and aggregates. One
+// memo probe covers the whole set, and each class whose bytes did not
+// already occur earlier in the set goes through runLineup — on the
+// Runner's own lineup, or on a pool of opt.Workers private lineups
+// pulling class indices from a shared counter. Vectors park in an
+// index-addressed buffer and fold into the Summary afterwards in class
+// order (the same fixed-order commit discipline as the campaign
+// engine), so the Summary — DistinctVectors, histogram, mismatch
+// samples and all — is identical at any worker count and in any memo
+// state.
+func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 	sp := telemetry.StartSpan(r.tel.evaluateNs)
 	defer sp.End()
 
-	if r.Memo == nil || len(classes) == 0 {
-		// Nothing to partition against: the batch path degenerates to
-		// the ordinary engine.
-		return r.evaluateCore(classes, workers, false)
-	}
-
-	ids := make([]vmIdent, len(r.VMs))
-	for i, vm := range r.VMs {
-		ids[i] = memoIdent(vm)
-	}
-	cls, outs, hits := r.Memo.batchProbe(classes, ids)
-	r.tel.classes.Add(int64(len(classes)))
-	r.tel.memoProbes.Add(int64(len(classes) * len(ids)))
-
-	// Partition: a class is a miss when any VM outcome is uncached.
-	vecs := make([]Vector, len(classes))
-	var misses []int
+	p := r.probe(classes)
+	var todo []int
 	for i := range classes {
-		full := true
-		for k := range ids {
-			if hits[i][k] {
-				r.tel.memoHits.Inc()
-			} else {
-				full = false
-			}
-		}
-		if full {
-			v := Vector{Codes: make([]int, len(ids)), Outcomes: outs[i]}
-			for k, o := range outs[i] {
-				v.Codes[k] = o.Code()
-			}
-			vecs[i] = v
-		} else {
-			misses = append(misses, i)
+		if p.origin(i) == i {
+			todo = append(todo, i)
 		}
 	}
-
-	// Execute only the misses, in parallel when it pays.
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	vecs := make([]Vector, len(classes))
+	mms := make([][]analysis.Mismatch, len(classes))
+	run := func(vms []*jvm.VM, i int) {
+		vecs[i], mms[i] = r.runLineup(vms, classes[i], &p, i, opt.Checked)
 	}
-	if workers > len(misses) {
-		workers = len(misses)
-	}
+	workers := min(opt.Workers, len(todo))
 	if workers <= 1 {
-		for _, i := range misses {
-			vecs[i] = r.runLineupPrefilled(r.VMs, classes[i], cls[i], outs[i], hits[i])
+		for _, i := range todo {
+			run(r.VMs, i)
 		}
 	} else {
 		var next atomic.Int64
@@ -371,11 +268,10 @@ func (r *Runner) evaluateBatch(classes [][]byte, workers int) *Summary {
 				lineup := r.cloneLineup()
 				for {
 					n := int(next.Add(1)) - 1
-					if n >= len(misses) {
+					if n >= len(todo) {
 						return
 					}
-					i := misses[n]
-					vecs[i] = r.runLineupPrefilled(lineup, classes[i], cls[i], outs[i], hits[i])
+					run(lineup, todo[n])
 				}
 			}()
 		}
@@ -383,8 +279,15 @@ func (r *Runner) evaluateBatch(classes [][]byte, workers int) *Summary {
 	}
 
 	s := newSummary(r)
-	for _, v := range vecs {
-		s.absorb(v)
+	for i := range classes {
+		j := p.origin(i)
+		s.absorb(vecs[j])
+		if opt.Checked {
+			s.absorbMismatches(mms[j])
+		}
+	}
+	if opt.Checked {
+		r.tel.oracleMM.Add(int64(s.OracleMismatches))
 	}
 	return s
 }

@@ -53,110 +53,144 @@ func testWorkerCounts() []int {
 	return ws
 }
 
-// TestEngineEquivalence asserts the engine's contract: sequential
-// Evaluate, EvaluateParallel at several worker counts, the memoized
-// path (cold and warm), and the retained pre-engine per-VM-parse
-// reference all produce field-identical Summaries — DistinctVectors,
-// histogram, sample ordering included — on a mixed corpus.
-func TestEngineEquivalence(t *testing.T) {
-	classes := mixedCorpus(t)
+// withoutOracle drops the static-oracle fields, which the per-VM-parse
+// reference cannot produce.
+func withoutOracle(s *Summary) *Summary {
+	c := *s
+	c.OracleMismatches, c.VerifierMismatches, c.MismatchSamples = 0, 0, nil
+	return &c
+}
 
+// perVMParseReference is the retained pre-engine model's Summary: every
+// VM parses the class bytes itself.
+func perVMParseReference(classes [][]byte) *Summary {
 	ref := NewStandardRunner()
 	want := newSummary(ref)
 	for _, data := range classes {
 		want.absorb(ref.runSeparateParses(data))
 	}
-
-	check := func(name string, got *Summary) {
-		t.Helper()
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s summary differs from per-VM-parse reference:\nwant %+v\ngot  %+v", name, want, got)
-		}
-	}
-
-	check("Evaluate", NewStandardRunner().Evaluate(classes))
-	for _, w := range testWorkerCounts() {
-		check(fmt.Sprintf("EvaluateParallel(%d)", w),
-			NewStandardRunner().EvaluateParallel(classes, w))
-	}
-
-	memoRunner := NewStandardRunner()
-	memoRunner.Memo = NewOutcomeMemo()
-	check("memoized cold", memoRunner.EvaluateParallel(classes, 4))
-	check("memoized warm", memoRunner.EvaluateParallel(classes, 4))
-	check("memoized warm sequential", memoRunner.Evaluate(classes))
+	return want
 }
 
-// TestEvaluateBatchEquivalence asserts the batched engine — one locked
-// memo partition, misses-only execution — produces field-identical
-// Summaries in every memo state: no memo at all, cold, partially warm
-// (half the corpus pre-seeded), and fully warm (where no class should
-// execute at all), across the worker sweep.
-func TestEvaluateBatchEquivalence(t *testing.T) {
+// TestEngineEquivalence asserts the engine's contract: sequential
+// Evaluate and Evaluate at every worker count (0 and 1 are sequential)
+// produce Summaries field-identical — DistinctVectors, histogram,
+// sample ordering included — to the retained pre-engine per-VM-parse
+// reference on a mixed corpus.
+func TestEngineEquivalence(t *testing.T) {
 	classes := mixedCorpus(t)
-	want := NewStandardRunner().Evaluate(classes)
-
-	check := func(name string, got *Summary) {
-		t.Helper()
+	want := perVMParseReference(classes)
+	for _, w := range append([]int{0}, testWorkerCounts()...) {
+		got := NewStandardRunner().Evaluate(classes, Options{Workers: w})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s summary differs:\nwant %+v\ngot  %+v", name, want, got)
+			t.Errorf("workers=%d: summary differs from per-VM-parse reference:\nwant %+v\ngot  %+v", w, want, got)
 		}
 	}
+}
 
-	// Degenerate path: no memo attached.
-	for _, w := range testWorkerCounts() {
-		check(fmt.Sprintf("no-memo(%d)", w), NewStandardRunner().EvaluateBatch(classes, w))
-	}
-
-	for _, w := range testWorkerCounts() {
-		r := NewStandardRunner()
-		r.Memo = NewOutcomeMemo()
-		check(fmt.Sprintf("cold(%d)", w), r.EvaluateBatch(classes, w))
-		check(fmt.Sprintf("warm(%d)", w), r.EvaluateBatch(classes, w))
-	}
-
-	// Partially warm: seed the memo with half the corpus, then batch the
-	// whole set — hits assemble from the partition pass, misses execute.
-	partial := NewStandardRunner()
-	partial.Memo = NewOutcomeMemo()
-	partial.Evaluate(classes[:len(classes)/2])
-	check("partial(4)", partial.EvaluateBatch(classes, 4))
-
-	// Fully warm batch runs zero VM pipelines: every vector assembles
-	// from the single probe phase.
-	warm := NewStandardRunner()
-	warm.Memo = NewOutcomeMemo()
-	warm.EvaluateBatch(classes, 4)
-	before := warm.Stats()
-	check("warm-noexec", warm.EvaluateBatch(classes, 4))
-	delta := warm.Stats().Diff(before)
-	if runs := delta.Counter(MetricVMRuns); runs != 0 {
-		t.Errorf("fully-warm batch executed %d VM runs, want 0", runs)
-	}
-	if parses := delta.Counter(MetricParses); parses != 0 {
-		t.Errorf("fully-warm batch parsed %d classes, want 0", parses)
+// TestEvaluateBatchEquivalence asserts a memo-attached evaluation of a
+// whole batch of classes produces field-identical Summaries in every
+// memo state — none, cold, warm, and partially warm (half the corpus
+// pre-seeded) — across the worker sweep, checked or not, and that a
+// fully warm memo executes nothing, and parses nothing unless the
+// static oracle needs the file.
+func TestEvaluateBatchEquivalence(t *testing.T) {
+	classes := mixedCorpus(t)
+	for _, checked := range []bool{false, true} {
+		want := NewStandardRunner().Evaluate(classes, Options{Checked: checked})
+		for _, w := range testWorkerCounts() {
+			for _, state := range []string{"none", "cold", "warm", "partial"} {
+				name := fmt.Sprintf("workers=%d memo=%s checked=%v", w, state, checked)
+				r := NewStandardRunner()
+				switch state {
+				case "cold":
+					r.Memo = NewOutcomeMemo()
+				case "warm":
+					r.Memo = NewOutcomeMemo()
+					r.Evaluate(classes, Options{})
+				case "partial":
+					r.Memo = NewOutcomeMemo()
+					r.Evaluate(classes[:len(classes)/2], Options{})
+				}
+				before := r.Stats()
+				got := r.Evaluate(classes, Options{Workers: w, Checked: checked})
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s: summary differs from sequential Evaluate:\nwant %+v\ngot  %+v", name, want, got)
+				}
+				if state != "warm" {
+					continue
+				}
+				d := r.Stats().Diff(before)
+				if runs := d.Counter(MetricVMRuns); runs != 0 {
+					t.Errorf("%s: warm memo executed %d VM runs, want 0", name, runs)
+				}
+				if parses := d.Counter(MetricParses); !checked && parses != 0 {
+					t.Errorf("%s: warm memo parsed %d classes, want 0", name, parses)
+				}
+			}
+		}
 	}
 }
 
 // TestEvaluateCheckedEquivalence asserts the checked path (static
-// oracle sanitizer) is byte-identical across worker counts and the
-// memoized path, MismatchSamples ordering included.
+// oracle sanitizer) is field-identical across worker counts and the
+// memoized path, MismatchSamples ordering included, and agrees with
+// the per-VM-parse reference once the oracle fields are set aside.
 func TestEvaluateCheckedEquivalence(t *testing.T) {
 	classes := mixedCorpus(t)
-	want := NewStandardRunner().EvaluateChecked(classes, 1)
-	for _, w := range testWorkerCounts() {
-		got := NewStandardRunner().EvaluateChecked(classes, w)
+	want := NewStandardRunner().Evaluate(classes, Options{Checked: true})
+	if ref := perVMParseReference(classes); !reflect.DeepEqual(ref, withoutOracle(want)) {
+		t.Errorf("checked summary differs from per-VM-parse reference:\nwant %+v\ngot  %+v", ref, withoutOracle(want))
+	}
+	for _, w := range append([]int{0}, testWorkerCounts()...) {
+		got := NewStandardRunner().Evaluate(classes, Options{Workers: w, Checked: true})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("EvaluateChecked(%d) differs:\nwant %+v\ngot  %+v", w, want, got)
+			t.Errorf("checked workers=%d differs:\nwant %+v\ngot  %+v", w, want, got)
 		}
 	}
 	memoRunner := NewStandardRunner()
 	memoRunner.Memo = NewOutcomeMemo()
 	for _, pass := range []string{"cold", "warm"} {
-		got := memoRunner.EvaluateChecked(classes, 4)
+		got := memoRunner.Evaluate(classes, Options{Workers: 4, Checked: true})
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("EvaluateChecked memoized %s differs:\nwant %+v\ngot  %+v", pass, want, got)
+			t.Errorf("checked memoized %s differs:\nwant %+v\ngot  %+v", pass, want, got)
 		}
+	}
+}
+
+// TestEvaluateCheckedMatchesParallel asserts the sanitizer-enabled
+// parallel evaluation reports the same aggregate as the plain parallel
+// one and no oracle mismatch on a corpus of normally-invoked classes,
+// version-skewed rejects and the Figure 2 discrepancy.
+func TestEvaluateCheckedMatchesParallel(t *testing.T) {
+	classes := mixedCorpus(t)
+	r := NewStandardRunner()
+	plain := r.Evaluate(classes, Options{Workers: 4})
+	checked := r.Evaluate(classes, Options{Workers: 4, Checked: true})
+	if checked.OracleMismatches != 0 {
+		t.Errorf("static oracle disagreed with the interpreter %d time(s): %v",
+			checked.OracleMismatches, checked.MismatchSamples)
+	}
+	if !reflect.DeepEqual(plain, withoutOracle(checked)) {
+		t.Errorf("aggregates diverged:\nplain   %+v\nchecked %+v", plain, checked)
+	}
+}
+
+// TestEvaluateParallelMatchesSequential asserts parallel evaluation
+// reproduces the sequential Summary, that workers=0 picks a sane
+// default, and that more workers than classes still evaluates every
+// class.
+func TestEvaluateParallelMatchesSequential(t *testing.T) {
+	classes := mixedCorpus(t)
+	r := NewStandardRunner()
+	seq := r.Evaluate(classes, Options{})
+	for _, w := range []int{0, 4} {
+		if got := r.Evaluate(classes, Options{Workers: w}); !reflect.DeepEqual(seq, got) {
+			t.Errorf("workers=%d disagrees with sequential:\nseq %+v\npar %+v", w, seq, got)
+		}
+	}
+	if got := r.Evaluate(classes[:1], Options{Workers: 8}); got.Total != 1 {
+		t.Errorf("one class over 8 workers: Total = %d, want 1", got.Total)
 	}
 }
 
@@ -169,7 +203,7 @@ func TestParseOncePerClass(t *testing.T) {
 	n := int64(len(classes))
 
 	plain := NewStandardRunner()
-	plain.Evaluate(classes)
+	plain.Evaluate(classes, Options{})
 	st := plain.Stats()
 	if got := st.Counter(MetricClasses); got != n {
 		t.Fatalf("classes = %d, want %d", got, n)
@@ -185,7 +219,7 @@ func TestParseOncePerClass(t *testing.T) {
 
 	r := NewStandardRunner()
 	r.Memo = NewOutcomeMemo()
-	r.Evaluate(classes)
+	r.Evaluate(classes, Options{})
 	// Even cold, the memo collapses exact duplicates: one parse per
 	// distinct class, none for repeats.
 	st = r.Stats()
@@ -196,7 +230,7 @@ func TestParseOncePerClass(t *testing.T) {
 	// Counters are cumulative; the warm pass is the delta over a second
 	// evaluation (the bracket-and-Diff idiom Stats documents).
 	before := r.Stats()
-	r.Evaluate(classes)
+	r.Evaluate(classes, Options{})
 	d := r.Stats().Diff(before)
 	if got := d.Counter(MetricParses); got != 0 {
 		t.Errorf("warm-memo parses = %d, want 0", got)
@@ -222,11 +256,11 @@ func TestMemoSharedAcrossRunners(t *testing.T) {
 
 	a := NewStandardRunner()
 	a.Memo = memo
-	first := a.Evaluate(classes)
+	first := a.Evaluate(classes, Options{})
 
 	b := NewStandardRunner()
 	b.Memo = memo
-	second := b.EvaluateParallel(classes, 4)
+	second := b.Evaluate(classes, Options{Workers: 4})
 	if !reflect.DeepEqual(first, second) {
 		t.Error("memo-fed runner produced a different summary")
 	}
@@ -237,7 +271,7 @@ func TestMemoSharedAcrossRunners(t *testing.T) {
 
 	shared := NewSharedEnvRunner(0) // rtlib.JRE7: four VMs rebound off their own release
 	shared.Memo = memo
-	shared.Evaluate(classes[:5])
+	shared.Evaluate(classes[:5], Options{})
 	if st := shared.Stats(); st.Counter(MetricVMRuns) == 0 {
 		t.Error("shared-env lineup must not reuse standard-lineup outcomes for rebound VMs")
 	}
@@ -249,12 +283,12 @@ func TestMemoSharedAcrossRunners(t *testing.T) {
 // on per-VM phase timing — including on worker clones.
 func TestUseTelemetry(t *testing.T) {
 	classes := mixedCorpus(t)
-	want := NewStandardRunner().Evaluate(classes)
+	want := NewStandardRunner().Evaluate(classes, Options{})
 
 	reg := telemetry.New()
 	r := NewStandardRunner()
 	r.UseTelemetry(reg)
-	got := r.EvaluateParallel(classes, 4)
+	got := r.Evaluate(classes, Options{Workers: 4})
 	if !reflect.DeepEqual(want, got) {
 		t.Error("telemetry-attached evaluation changed the Summary")
 	}

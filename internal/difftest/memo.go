@@ -114,14 +114,8 @@ func (m *OutcomeMemo) UseTelemetry(reg *telemetry.Registry) {
 	m.tel.outcomes.Set(int64(outcomes))
 }
 
-// class finds or creates the cache line for exact class bytes.
-func (m *OutcomeMemo) class(data []byte) *memoClass {
-	fp := analysis.ContentFingerprint(data)
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.classLocked(fp, data)
-}
-
+// classLocked finds or creates the cache line for exact class bytes;
+// the caller holds m.mu.
 func (m *OutcomeMemo) classLocked(fp uint64, data []byte) *memoClass {
 	for _, c := range m.buckets[fp] {
 		if bytes.Equal(c.data, data) {
@@ -134,60 +128,72 @@ func (m *OutcomeMemo) classLocked(fp uint64, data []byte) *memoClass {
 	return c
 }
 
-// batchProbe is the memo half of Runner.EvaluateBatch's partition
-// phase: one lock acquisition resolves every class's cache line and
-// copies out whatever outcomes the lineup already has, instead of
-// len(classes)·len(ids) individual lock round-trips. hits[i][k]
-// reports whether outs[i][k] is a valid cached outcome for class i
-// under ids[k]. Fingerprints are computed before taking the lock —
-// they dominate the probe's cost and need no shared state.
-func (m *OutcomeMemo) batchProbe(classes [][]byte, ids []vmIdent) (cls []*memoClass, outs [][]jvm.Outcome, hits [][]bool) {
-	fps := make([]uint64, len(classes))
+// probeLine is one class's memo state as an evaluation's probe found
+// it: its cache line and the earliest class of the call sharing that
+// line (the class itself for a first occurrence).
+type probeLine struct {
+	c     *memoClass
+	first int
+	fp    uint64 // content fingerprint, computed before the lock
+}
+
+// probe is the memo half of every evaluation: one lock acquisition
+// resolves the cache line of each class into lines and copies the
+// outcomes the lineup vms already have into outs, instead of a lock
+// round-trip per (class, VM). outs and hits are indexed i*len(vms)+k
+// for class i on vms[k]. A repeat — a class whose line an earlier class
+// of the call already holds — counts every lookup as a hit, because the
+// evaluation serves it from that earlier class. Fingerprints are
+// computed before taking the lock: they dominate the probe's cost and
+// need no shared state.
+func (m *OutcomeMemo) probe(classes [][]byte, vms []*jvm.VM, lines []probeLine, outs []jvm.Outcome, hits []bool) {
 	for i, data := range classes {
-		fps[i] = analysis.ContentFingerprint(data)
+		lines[i].fp = analysis.ContentFingerprint(data)
 	}
-	cls = make([]*memoClass, len(classes))
-	outs = make([][]jvm.Outcome, len(classes))
-	hits = make([][]bool, len(classes))
+	var seen map[*memoClass]int
+	if len(classes) > 1 {
+		seen = make(map[*memoClass]int, len(classes))
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, data := range classes {
-		c := m.classLocked(fps[i], data)
-		cls[i] = c
-		outs[i] = make([]jvm.Outcome, len(ids))
-		hits[i] = make([]bool, len(ids))
-		for k, id := range ids {
-			o, ok := c.outcomes[id]
+		c := m.classLocked(lines[i].fp, data)
+		lines[i].c, lines[i].first = c, i
+		if j, ok := seen[c]; ok {
+			lines[i].first = j
+			m.tel.hits.Add(int64(len(vms)))
+			continue
+		}
+		if seen != nil {
+			seen[c] = i
+		}
+		for k, vm := range vms {
+			o, ok := c.outcomes[memoIdent(vm)]
 			if ok {
 				m.tel.hits.Inc()
 			} else {
 				m.tel.misses.Inc()
 			}
-			outs[i][k], hits[i][k] = o, ok
+			outs[i*len(vms)+k], hits[i*len(vms)+k] = o, ok
 		}
 	}
-	return cls, outs, hits
 }
 
-// get returns the cached outcome for one VM identity.
-func (m *OutcomeMemo) get(c *memoClass, id vmIdent) (jvm.Outcome, bool) {
+// store records the outcomes of one class's lineup run that the probe
+// did not find cached. Two Runners sharing the memo may race to store
+// the same class; outcomes are pure, so last-write-wins is harmless.
+func (m *OutcomeMemo) store(c *memoClass, vms []*jvm.VM, outs []jvm.Outcome, hits []bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	o, ok := c.outcomes[id]
-	if ok {
-		m.tel.hits.Inc()
-	} else {
-		m.tel.misses.Inc()
+	for k, vm := range vms {
+		if !hits[k] {
+			m.put(c, memoIdent(vm), outs[k])
+		}
 	}
-	return o, ok
 }
 
-// put records an outcome. Duplicate puts (two workers racing on a
-// duplicated class) overwrite with an identical value — outcomes are
-// pure — so last-write-wins is harmless.
+// put records an outcome; the caller holds m.mu.
 func (m *OutcomeMemo) put(c *memoClass, id vmIdent, o jvm.Outcome) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if _, ok := c.outcomes[id]; !ok {
 		m.tel.outcomes.Add(1)
 	}

@@ -5,6 +5,7 @@ import (
 	"hash/fnv"
 	"sort"
 
+	"repro/internal/analysis"
 	"repro/internal/jvm"
 )
 
@@ -117,7 +118,9 @@ func (m *OutcomeMemo) Import(exp *MemoExport, vms []*jvm.VM) (int, error) {
 		if len(ec.Data) == 0 {
 			continue
 		}
-		c := m.class(ec.Data)
+		fp := analysis.ContentFingerprint(ec.Data)
+		m.mu.Lock()
+		c := m.classLocked(fp, ec.Data)
 		for _, eo := range ec.Outcomes {
 			id, ok := known[eo.Sig]
 			if !ok {
@@ -126,6 +129,7 @@ func (m *OutcomeMemo) Import(exp *MemoExport, vms []*jvm.VM) (int, error) {
 			m.put(c, id, eo.Outcome)
 			adopted++
 		}
+		m.mu.Unlock()
 	}
 	return adopted, nil
 }

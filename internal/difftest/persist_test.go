@@ -22,7 +22,7 @@ func TestMemoExportImportRoundTrip(t *testing.T) {
 	cold := NewStandardRunner()
 	memo := NewOutcomeMemo()
 	cold.Memo = memo
-	want := cold.Evaluate(classes)
+	want := cold.Evaluate(classes, Options{})
 
 	blob, err := json.Marshal(memo.Export())
 	if err != nil {
@@ -43,7 +43,7 @@ func TestMemoExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("imported %d outcomes, want %d", n, wantN)
 	}
 	warm.Memo = fresh
-	got := warm.Evaluate(classes)
+	got := warm.Evaluate(classes, Options{})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("summary after memo import diverges from the original evaluation")
 	}
@@ -63,7 +63,7 @@ func TestMemoExportDeterministic(t *testing.T) {
 	r := NewStandardRunner()
 	memo := NewOutcomeMemo()
 	r.Memo = memo
-	r.Evaluate(classes)
+	r.Evaluate(classes, Options{})
 	a, _ := json.Marshal(memo.Export())
 	b, _ := json.Marshal(memo.Export())
 	if !bytes.Equal(a, b) {
@@ -82,7 +82,7 @@ func TestMemoImportDropsUnknownIdents(t *testing.T) {
 	r := NewStandardRunner()
 	memo := NewOutcomeMemo()
 	r.Memo = memo
-	r.Evaluate(classes)
+	r.Evaluate(classes, Options{})
 	exp := memo.Export()
 	for i := range exp.Classes {
 		for j := range exp.Classes[i].Outcomes {

@@ -19,7 +19,7 @@ func TestVerifyMemoSummaryEquivalence(t *testing.T) {
 	off := NewStandardRunner()
 	off.VerifyMemo = nil
 	jvm.ShareVerifyMemo(off.VMs, nil)
-	want := off.Evaluate(classes)
+	want := off.Evaluate(classes, Options{})
 
 	check := func(name string, got *Summary) {
 		t.Helper()
@@ -30,17 +30,16 @@ func TestVerifyMemoSummaryEquivalence(t *testing.T) {
 
 	// Default runner: private memo, cold then warm.
 	r := NewStandardRunner()
-	check("default cold", r.Evaluate(classes))
-	check("default warm", r.Evaluate(classes))
+	check("default cold", r.Evaluate(classes, Options{}))
+	check("default warm", r.Evaluate(classes, Options{}))
 
-	// Warm shared memo across parallel and batched paths.
+	// Warm shared memo across the worker sweep.
 	warm := jvm.NewVerifyMemo()
 	for _, w := range testWorkerCounts() {
 		r := NewStandardRunner()
 		r.VerifyMemo = warm
 		jvm.ShareVerifyMemo(r.VMs, warm)
-		check(fmt.Sprintf("shared parallel(%d)", w), r.EvaluateParallel(classes, w))
-		check(fmt.Sprintf("shared batch(%d)", w), r.EvaluateBatch(classes, w))
+		check(fmt.Sprintf("shared workers=%d", w), r.Evaluate(classes, Options{Workers: w}))
 	}
 	if warm.Len() == 0 {
 		t.Fatal("shared memo stayed empty — the sweep never exercised it")

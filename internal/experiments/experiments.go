@@ -11,13 +11,14 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
+	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/fuzz"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/mcmc"
@@ -98,10 +99,6 @@ type Session struct {
 	*service.Session
 }
 
-// diffRunner builds a standard five-VM runner wired to the session's
-// shared outcome memo and metrics roll-up.
-func (s *Session) diffRunner() *difftest.Runner { return s.Runner() }
-
 // NewSession generates seeds and runs all six campaigns.
 func NewSession(s Scale) (*Session, error) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(s.SeedCount, s.Seed))
@@ -122,7 +119,7 @@ func NewSession(s Scale) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	mk := func(alg fuzz.Algorithm, crit coverage.Criterion, iters int) (*fuzz.Result, *telemetry.Registry, error) {
+	mk := func(alg campaign.Algorithm, crit coverage.Criterion, iters int) (*campaign.Result, *telemetry.Registry, error) {
 		reg := telemetry.New()
 		// Sources are stateful under the scheduling strategies, so each
 		// campaign gets a fresh one.
@@ -130,7 +127,7 @@ func NewSession(s Scale) (*Session, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		res, err := fuzz.Run(fuzz.Config{
+		res, err := campaign.Run(campaign.Config{
 			Algorithm:   alg,
 			Criterion:   crit,
 			Source:      src,
@@ -154,17 +151,17 @@ func NewSession(s Scale) (*Session, error) {
 	}
 	type job struct {
 		key   string
-		alg   fuzz.Algorithm
+		alg   campaign.Algorithm
 		crit  coverage.Criterion
 		iters int
 	}
 	jobs := []job{
-		{KeyClassfuzzSTBR, fuzz.Classfuzz, coverage.STBR, s.Iterations},
-		{KeyClassfuzzST, fuzz.Classfuzz, coverage.ST, s.Iterations},
-		{KeyClassfuzzTR, fuzz.Classfuzz, coverage.TR, s.Iterations},
-		{KeyUniquefuzz, fuzz.Uniquefuzz, coverage.STBR, s.Iterations},
-		{KeyGreedyfuzz, fuzz.Greedyfuzz, coverage.STBR, s.Iterations},
-		{KeyRandfuzz, fuzz.Randfuzz, coverage.STBR, s.Iterations * s.RandfuzzFactor},
+		{KeyClassfuzzSTBR, campaign.Classfuzz, coverage.STBR, s.Iterations},
+		{KeyClassfuzzST, campaign.Classfuzz, coverage.ST, s.Iterations},
+		{KeyClassfuzzTR, campaign.Classfuzz, coverage.TR, s.Iterations},
+		{KeyUniquefuzz, campaign.Uniquefuzz, coverage.STBR, s.Iterations},
+		{KeyGreedyfuzz, campaign.Greedyfuzz, coverage.STBR, s.Iterations},
+		{KeyRandfuzz, campaign.Randfuzz, coverage.STBR, s.Iterations * s.RandfuzzFactor},
 	}
 	// The six campaigns share nothing but the (read-only) seed corpus,
 	// so the session fans them out concurrently; each campaign's own
@@ -264,7 +261,7 @@ type Table5 struct{ Rows []Table5Row }
 func (s *Session) Table5() *Table5 {
 	r := s.Campaigns[KeyClassfuzzSTBR]
 	total := r.Iterations
-	stats := append([]fuzz.MutatorStat(nil), r.MutatorStats...)
+	stats := append([]campaign.MutatorStat(nil), r.MutatorStats...)
 	sort.SliceStable(stats, func(a, b int) bool {
 		ra, rb := stats[a].Rate(), stats[b].Rate()
 		if ra != rb {
@@ -325,10 +322,10 @@ type Table6 struct{ Rows []Table6Row }
 // Table6 evaluates the corpora, generated sets and suites on the five
 // VMs (in parallel; the sets are independent classfiles).
 func (s *Session) Table6() *Table6 {
-	runner := s.diffRunner()
+	runner := s.Runner()
 	t := &Table6{}
 	add := func(name string, classes [][]byte) {
-		sum := runner.EvaluateBatch(classes, 0)
+		sum := runner.Evaluate(classes, difftest.Options{Workers: runtime.GOMAXPROCS(0)})
 		t.Rows = append(t.Rows, Table6Row{
 			Set:                  name,
 			Size:                 sum.Total,
@@ -403,12 +400,12 @@ func (s *Session) Table7() *Table7 {
 	// The classfuzz[stbr] suite was already evaluated inside Table 6's
 	// Test block, so under the session memo this re-derivation costs
 	// map lookups, not VM executions.
-	runner := s.diffRunner()
+	runner := s.Runner()
 	var classes [][]byte
 	for _, g := range s.Campaigns[KeyClassfuzzSTBR].Test {
 		classes = append(classes, g.Data)
 	}
-	sum := runner.Evaluate(classes)
+	sum := runner.Evaluate(classes, difftest.Options{})
 	return &Table7{VMNames: sum.VMNames, Counts: sum.PhaseHistogram, Suite: sum.Total}
 }
 
@@ -534,9 +531,9 @@ func RunMCMCGainStudy(scale Scale, repeats int) (*MCMCGainStudy, error) {
 	study := &MCMCGainStudy{Repeats: repeats, Iterations: scale.Iterations}
 	for r := 0; r < repeats; r++ {
 		seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed+int64(r)))
-		run := func(alg fuzz.Algorithm) (int, error) {
-			res, err := fuzz.Run(fuzz.Config{
-				Algorithm: alg, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+		run := func(alg campaign.Algorithm) (int, error) {
+			res, err := campaign.Run(campaign.Config{
+				Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 				Iterations: scale.Iterations, Rand: scale.Seed + int64(r)*31,
 				RefSpec: jvm.HotSpot9(),
 			})
@@ -545,11 +542,11 @@ func RunMCMCGainStudy(scale Scale, repeats int) (*MCMCGainStudy, error) {
 			}
 			return len(res.Test), nil
 		}
-		c, err := run(fuzz.Classfuzz)
+		c, err := run(campaign.Classfuzz)
 		if err != nil {
 			return nil, err
 		}
-		u, err := run(fuzz.Uniquefuzz)
+		u, err := run(campaign.Uniquefuzz)
 		if err != nil {
 			return nil, err
 		}
@@ -586,9 +583,9 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed))
 	runner := difftest.NewStandardRunner()
 	out := &BlindBaseline{Iterations: scale.Iterations}
-	for _, alg := range []fuzz.Algorithm{fuzz.Bytefuzz, fuzz.Randfuzz} {
-		res, err := fuzz.Run(fuzz.Config{
-			Algorithm: alg, Criterion: coverage.STBR, Source: fuzz.FlatSeeds(seeds),
+	for _, alg := range []campaign.Algorithm{campaign.Bytefuzz, campaign.Randfuzz} {
+		res, err := campaign.Run(campaign.Config{
+			Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
 			Iterations: scale.Iterations, Rand: scale.Seed + 3, RefSpec: jvm.HotSpot9(),
 		})
 		if err != nil {
@@ -624,7 +621,7 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 			rate = float64(loadRejected) / float64(n)
 			diff = float64(discrepant) / float64(n)
 		}
-		if alg == fuzz.Bytefuzz {
+		if alg == campaign.Bytefuzz {
 			out.ByteLoadReject = rate
 			out.ByteDiff = diff
 		} else {
@@ -653,7 +650,7 @@ func RunPreliminary(corpusSize int, seed int64) (*Preliminary, error) {
 	if err != nil {
 		return nil, err
 	}
-	sum := difftest.NewStandardRunner().Evaluate(files)
+	sum := difftest.NewStandardRunner().Evaluate(files, difftest.Options{})
 	return &Preliminary{
 		Corpus:        sum.Total,
 		Discrepancies: sum.Discrepancies,

@@ -124,7 +124,7 @@ func TestSkewedSeedsReproduceBaselineDiscrepancyRate(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := difftest.NewStandardRunner()
-	sum := runner.Evaluate(files)
+	sum := runner.Evaluate(files, difftest.Options{})
 	rate := sum.DiffRate()
 	if rate < 0.005 || rate > 0.06 {
 		t.Errorf("baseline discrepancy rate = %.2f%%, want ≈1.7%%", rate*100)
@@ -139,7 +139,7 @@ func TestZeroSkewCorpusHasNoEarlyDiscrepancies(t *testing.T) {
 		t.Fatal(err)
 	}
 	runner := difftest.NewStandardRunner()
-	sum := runner.Evaluate(files)
+	sum := runner.Evaluate(files, difftest.Options{})
 	if sum.Discrepancies != 0 {
 		t.Errorf("unskewed corpus triggered %d discrepancies", sum.Discrepancies)
 	}
