@@ -352,7 +352,7 @@ func main() {
 		final.Counter("analysis.dataflow.definite"),
 		final.Counter("analysis.dataflow.reject"),
 		final.Counter("campaign.prefilter.verify_doomed"))
-	fmt.Printf("Method verify memo: %d hits / %d misses (%d unsafe fallbacks).\n",
+	fmt.Printf("Method verify memo (difftest lineup only; the campaign runs unmemoised): %d hits / %d misses (%d unsafe fallbacks).\n",
 		final.Counter(jvm.MetricVerifyMemoHits),
 		final.Counter(jvm.MetricVerifyMemoMisses),
 		final.Counter(jvm.MetricVerifyMemoUnsafe))

@@ -100,16 +100,14 @@ type Config struct {
 	// coverage-driven acceptance decisions — and the accepted suite —
 	// are bit-identical to an unfiltered campaign.
 	StaticPrefilter bool
-	// VerifyMemo optionally injects a shared method-verification memo
-	// (warm lineages across campaigns: a daemon shard or benchmark may
-	// carry one memo through many epochs). Nil means the engine creates
-	// a private memo per campaign. The memo is observe-equivalent:
-	// verdicts are content-addressed and pure, so results are
-	// bit-identical with a cold, warm or absent memo.
+	// VerifyMemo optionally injects a method-verification memo the
+	// caller carries warm across campaigns (a lineage of epochs reusing
+	// its parents' per-method verdicts). Nil runs verification
+	// unmemoised: a memo created cold for one campaign costs more
+	// memory than it saves. The memo is observe-equivalent: verdicts
+	// are content-addressed and pure, so results are bit-identical with
+	// a cold, warm or absent memo.
 	VerifyMemo *jvm.VerifyMemo
-	// DisableVerifyMemo runs verification unmemoised (the equivalence
-	// tests' cold baseline).
-	DisableVerifyMemo bool
 	// Workers sizes the pool running the mutate/filter/execute stages;
 	// 0 or 1 means single-threaded. Results are identical at any value.
 	Workers int

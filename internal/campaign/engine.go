@@ -179,10 +179,6 @@ type engine struct {
 	genStats         *coverage.Suite
 	pool             []poolEntry
 	pf               *prefilter
-	// vmemo is the campaign's method-verification memo, shared by every
-	// worker VM (runtime-verifier oracle) and the prefilter's verify
-	// band (dataflow oracle). Nil when Config.DisableVerifyMemo is set.
-	vmemo *jvm.VerifyMemo
 
 	tel    engineTel
 	timing bool // external registry attached: stage + VM timing on
@@ -272,24 +268,19 @@ func newEngine(cfg Config) *engine {
 	e.greedyUnion = coverage.NewTrace()
 	e.genStats = coverage.NewSuite(coverage.STBR) // counts unique stats over Gen
 
-	// The verify memo carries per-method verdicts across the mutant
-	// stream: a mutant's untouched methods (the generated main, <init>,
-	// unmutated seed methods) reuse lineage verdicts instead of
-	// re-running the dataflow fixpoint on every generation. Injected
-	// memos (Config.VerifyMemo) stay warm across campaigns.
-	if !cfg.DisableVerifyMemo {
-		e.vmemo = cfg.VerifyMemo
-		if e.vmemo == nil {
-			e.vmemo = jvm.NewVerifyMemo()
-		}
-		if cfg.Telemetry != nil {
-			e.vmemo.UseTelemetry(cfg.Telemetry)
-		}
+	// An injected verify memo carries per-method verdicts across the
+	// caller's campaigns: a mutant's untouched methods (the generated
+	// main, <init>, unmutated seed methods) reuse lineage verdicts
+	// instead of re-running the dataflow fixpoint on every generation.
+	// The seed VM, every worker VM (runtime-verifier oracle) and the
+	// prefilter's verify band (dataflow oracle) share it.
+	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
+		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
 	}
 
 	if cfg.StaticPrefilter && e.coverageDirected {
 		e.pf = newPrefilter(cfg.RefSpec)
-		e.pf.vmemo = e.vmemo
+		e.pf.vmemo = cfg.VerifyMemo
 	}
 	return e
 }
@@ -311,9 +302,9 @@ func (e *engine) initSeedState() {
 	vm := jvm.New(cfg.RefSpec)
 	rec := coverage.NewRecorder(jvm.ProbeRegistry())
 	vm.SetRecorder(rec)
-	// Seed runs warm the verify memo before any worker starts: seed
-	// methods survive into most of the lineage unmutated.
-	vm.SetVerifyMemo(e.vmemo)
+	// Seed runs warm an injected verify memo before any worker starts:
+	// seed methods survive into most of the lineage unmutated.
+	vm.SetVerifyMemo(cfg.VerifyMemo)
 	if e.timing {
 		vm.SetTelemetry(e.cfg.Telemetry)
 	}
@@ -390,7 +381,7 @@ func (e *engine) run() (*Result, error) {
 				lctx: jimple.NewLowerCtx(),
 			}
 			ws.vm.SetRecorder(ws.rec)
-			ws.vm.SetVerifyMemo(e.vmemo)
+			ws.vm.SetVerifyMemo(cfg.VerifyMemo)
 			if e.timing {
 				// Per-phase reference-VM histograms
 				// (jvm.<spec>.phase.*_ns) land in the shared registry

@@ -61,12 +61,13 @@ type prefilter struct {
 	vmu      sync.Mutex
 	verdicts map[uint64]bool
 
-	// vmemo, when attached by the engine, memoises the band's per-method
-	// dataflow fixpoints below the whole-class verdicts map: a class
-	// that misses on its masked fingerprint (every generation renames
-	// the mutant) still reuses the lineage's verdicts for untouched
-	// methods. Like verdicts it is a pure-function cache — content-
-	// addressed keys, no versioning needed.
+	// vmemo, the injected Config.VerifyMemo (may be nil), memoises the
+	// band's per-method dataflow fixpoints below the whole-class
+	// verdicts map: a class that misses on its masked fingerprint
+	// (every generation renames the mutant) still reuses the lineage's
+	// verdicts for untouched methods. Like verdicts it is a
+	// pure-function cache — content-addressed keys, no versioning
+	// needed.
 	vmemo *jvm.VerifyMemo
 }
 

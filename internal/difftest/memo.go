@@ -186,18 +186,15 @@ func (m *OutcomeMemo) store(c *memoClass, vms []*jvm.VM, outs []jvm.Outcome, hit
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, vm := range vms {
-		if !hits[k] {
-			m.put(c, memoIdent(vm), outs[k])
+		if hits[k] {
+			continue
 		}
+		id := memoIdent(vm)
+		if _, ok := c.outcomes[id]; !ok {
+			m.tel.outcomes.Add(1)
+		}
+		c.outcomes[id] = outs[k]
 	}
-}
-
-// put records an outcome; the caller holds m.mu.
-func (m *OutcomeMemo) put(c *memoClass, id vmIdent, o jvm.Outcome) {
-	if _, ok := c.outcomes[id]; !ok {
-		m.tel.outcomes.Add(1)
-	}
-	c.outcomes[id] = o
 }
 
 // Stats snapshots the memo's difftest.memo.* metrics: lookup_hits /

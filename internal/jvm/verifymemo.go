@@ -1,9 +1,6 @@
 package jvm
 
 import (
-	"fmt"
-	"hash/fnv"
-	"sort"
 	"strings"
 	"sync"
 
@@ -36,14 +33,6 @@ type VerifyIdent struct {
 	Spec   Spec
 	Env    rtlib.Release
 	Oracle VerifyOracle
-}
-
-// sig is the ident's stable on-disk signature, mirroring the difftest
-// memo's identSig discipline (FNV-64a over the printed spec).
-func (id VerifyIdent) sig() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%+v|%d|%d", id.Spec, int(id.Env), int(id.Oracle))
-	return h.Sum64()
 }
 
 // Metric names of the method-verification memo. Like the difftest
@@ -97,8 +86,8 @@ type verifyEntry struct {
 // verifier's probe footprint (as hit sets), so a hit replays the exact
 // statement/branch sets a live run would have recorded and campaign
 // traces stay byte-identical. Recorder-attached VMs only accept entries
-// that carry probes; probe IDs are process-local interning order, so
-// imported (persisted) entries serve recorder-less lineups only.
+// that carry probes; entries a recorder-less VM stored (a difftest
+// lineup) read as misses there and are upgraded on the re-run.
 type VerifyMemo struct {
 	mu  sync.Mutex
 	m   map[verifyMemoKey]*verifyEntry
@@ -259,87 +248,6 @@ func (vm *VM) verifyMethodMemo(ex *execState, m *classfile.Member) *Outcome {
 	vm.cov.ReplayHits(stmts, edges)
 	memo.store(id, key, ex.name, out, stmts, edges, true)
 	return out
-}
-
-// VerifyMemoExportEntry is one persisted verdict: the ident signature,
-// the 128-bit method key, and the outcome. Probe footprints are
-// process-local interning order and deliberately absent (the snapshot
-// discipline traces follow); imported entries therefore serve
-// recorder-less lineups and read as misses under a recorder.
-type VerifyMemoExportEntry struct {
-	Sig     uint64   `json:"sig"`
-	KeyLo   uint64   `json:"key_lo"`
-	KeyHi   uint64   `json:"key_hi"`
-	OK      bool     `json:"ok"`
-	Outcome *Outcome `json:"outcome,omitempty"`
-}
-
-// Export snapshots every verdict in a deterministic order (sorted by
-// signature, then key), so persisting an equal memo always produces
-// identical bytes.
-func (m *VerifyMemo) Export() []VerifyMemoExportEntry {
-	m.mu.Lock()
-	out := make([]VerifyMemoExportEntry, 0, len(m.m))
-	for k, e := range m.m { //detlint:ok entries sorted before emission
-		ent := VerifyMemoExportEntry{
-			Sig:   k.id.sig(),
-			KeyLo: k.key.Lo,
-			KeyHi: k.key.Hi,
-			OK:    e.ok,
-		}
-		if !e.ok {
-			o := e.out
-			ent.Outcome = &o
-		}
-		out = append(out, ent)
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Sig != out[j].Sig {
-			return out[i].Sig < out[j].Sig
-		}
-		if out[i].KeyLo != out[j].KeyLo {
-			return out[i].KeyLo < out[j].KeyLo
-		}
-		return out[i].KeyHi < out[j].KeyHi
-	})
-	return out
-}
-
-// Import adopts exported verdicts whose signature matches one of the
-// given VMs' identities (runtime-verifier oracle only — the importer
-// has no dataflow callers today, and unknown signatures are dropped
-// exactly like the difftest memo drops retired lineups). Returns how
-// many verdicts were adopted.
-func (m *VerifyMemo) Import(entries []VerifyMemoExportEntry, vms []*VM) int {
-	bySig := make(map[uint64]VerifyIdent, len(vms))
-	for _, vm := range vms {
-		id := VerifyIdent{Spec: vm.Spec, Env: vm.Env.Release, Oracle: OracleVM}
-		bySig[id.sig()] = id
-	}
-	n := 0
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, ent := range entries {
-		id, ok := bySig[ent.Sig]
-		if !ok {
-			continue
-		}
-		if !ent.OK && ent.Outcome == nil {
-			continue
-		}
-		k := verifyMemoKey{id: id, key: MethodKey{Lo: ent.KeyLo, Hi: ent.KeyHi}}
-		if _, exists := m.m[k]; exists {
-			continue
-		}
-		e := &verifyEntry{ok: ent.OK}
-		if !ent.OK {
-			e.out = *ent.Outcome
-		}
-		m.m[k] = e
-		n++
-	}
-	return n
 }
 
 // ShareVerifyMemo attaches one memo to every VM of a lineup.

@@ -125,44 +125,6 @@ func TestVerifyMemoRecorderlessEquivalence(t *testing.T) {
 	}
 }
 
-// TestVerifyMemoExportImportRoundTrip pins persistence: exporting a
-// populated memo, importing into a fresh one against the same lineup,
-// and re-exporting must reproduce the identical entry list, and the
-// imported memo must serve recorder-less runs with identical outcomes.
-func TestVerifyMemoExportImportRoundTrip(t *testing.T) {
-	corpus := memoCorpus(t)
-	memo := jvm.NewVerifyMemo()
-	var vms []*jvm.VM
-	for _, spec := range jvm.StandardFive() {
-		vm := jvm.New(spec)
-		vm.SetVerifyMemo(memo)
-		vms = append(vms, vm)
-	}
-	for _, vm := range vms {
-		for _, data := range corpus[:40] {
-			vm.Run(data)
-		}
-	}
-	exp := memo.Export()
-	if len(exp) == 0 {
-		t.Fatal("export produced no entries")
-	}
-	fresh := jvm.NewVerifyMemo()
-	if n := fresh.Import(exp, vms); n != len(exp) {
-		t.Fatalf("import adopted %d of %d entries", n, len(exp))
-	}
-	if again := fresh.Export(); !reflect.DeepEqual(exp, again) {
-		t.Fatalf("round-trip changed the export: %d vs %d entries", len(exp), len(again))
-	}
-	// Unknown signatures (a drifted lineup) are dropped, not adopted.
-	drifted := jvm.New(jvm.HotSpot9())
-	drifted.Spec.Policy.EagerVerify = !drifted.Spec.Policy.EagerVerify
-	none := jvm.NewVerifyMemo()
-	if n := none.Import(exp, []*jvm.VM{drifted}); n != 0 {
-		t.Fatalf("drifted lineup adopted %d entries, want 0", n)
-	}
-}
-
 // memoKeyClass builds a class whose single method body is fixed while
 // the class name and one method name vary — the MethodKey unit probe.
 func memoKeyClass(t *testing.T, clsName, methName string) (*classfile.File, *classfile.Member) {

@@ -16,7 +16,10 @@ import (
 //	                          epoch frontiers, discrepancy log
 //	corpus/subNNNNN.class   — submitted seed classfiles, arrival order
 //	checkpoints/shard-N.json — ShardCheckpoint per shard (mid-epoch)
-//	memo.json               — difftest.MemoExport of the session memo
+//
+// The session memos (difftest outcomes, method verdicts) live in memory
+// only and start cold after a restart; results never depend on them. A
+// memo.json left by an older build is never read.
 //
 // Write ordering is the consistency argument: a corpus file and the
 // state.json that names it are persisted BEFORE the seed becomes
@@ -127,10 +130,9 @@ func readJSON(path string, v any) error {
 	return json.Unmarshal(blob, v)
 }
 
-func (m *Manager) statePath() string      { return filepath.Join(m.cfg.DataDir, "state.json") }
-func (m *Manager) memoPath() string       { return filepath.Join(m.cfg.DataDir, "memo.json") }
-func (m *Manager) corpusDir() string      { return filepath.Join(m.cfg.DataDir, "corpus") }
-func (m *Manager) checkpointDir() string  { return filepath.Join(m.cfg.DataDir, "checkpoints") }
+func (m *Manager) statePath() string     { return filepath.Join(m.cfg.DataDir, "state.json") }
+func (m *Manager) corpusDir() string     { return filepath.Join(m.cfg.DataDir, "corpus") }
+func (m *Manager) checkpointDir() string { return filepath.Join(m.cfg.DataDir, "checkpoints") }
 func (m *Manager) checkpointPath(shard int) string {
 	return filepath.Join(m.checkpointDir(), fmt.Sprintf("shard-%d.json", shard))
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/classfile"
 	"repro/internal/coverage"
-	"repro/internal/difftest"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/prng"
@@ -33,7 +32,7 @@ const campaignStream = 0x5ec1a55f
 // Config parameterises a daemon.
 type Config struct {
 	// DataDir is the persistent root (created if missing): corpus,
-	// state, shard checkpoints, memo. Required.
+	// state, shard checkpoints. Required.
 	DataDir string
 	// Addr is the HTTP listen address (e.g. "127.0.0.1:8317"; use
 	// ":0" for an ephemeral port — Manager.Addr reports the bound
@@ -238,10 +237,6 @@ func (m *Manager) Start() error {
 		m.seedIndex = idx
 		m.clusterAgg = make([]clusterTallies, idx.Clusters())
 	}
-	if err := m.loadMemo(); err != nil {
-		return err
-	}
-
 	checkpoints := make([]*ShardCheckpoint, m.cfg.Shards)
 	if resuming {
 		for i := 0; i < m.cfg.Shards; i++ {
@@ -307,7 +302,7 @@ func (m *Manager) Wait() { m.wg.Wait() }
 // Stop drains the daemon: intake answers 503, the HTTP listener shuts
 // down, every running shard epoch is stopped at a coordinator boundary
 // and checkpointed, queued-but-unprocessed seeds are adopted into the
-// corpus, and the memo and state persist. A subsequent Start on the
+// corpus, and state.json persists. A subsequent Start on the
 // same data directory resumes with byte-identical results.
 func (m *Manager) Stop(ctx context.Context) error {
 	var firstErr error
@@ -348,9 +343,6 @@ func (m *Manager) Stop(ctx context.Context) error {
 			}
 		}
 	drained:
-		if err := m.persistMemo(); err != nil && firstErr == nil {
-			firstErr = err
-		}
 		m.mu.Lock()
 		st := m.stateLocked()
 		m.mu.Unlock()
@@ -396,32 +388,6 @@ func (m *Manager) loadState() (bool, error) {
 		m.submitted = append(m.submitted, submittedSeed{name: name, class: c})
 	}
 	return true, nil
-}
-
-// loadMemo imports memo.json into the session memos (the whole-class
-// outcome memo and the method-granular verify memo), if present.
-func (m *Manager) loadMemo() error {
-	var exp difftest.MemoExport
-	if err := readJSON(m.memoPath(), &exp); err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	vms := difftest.NewStandardRunner().VMs
-	n, err := m.session.Memo.Import(&exp, vms)
-	if err != nil {
-		return err
-	}
-	nv := m.session.VerifyMemo.Import(exp.Verify, vms)
-	m.logf("memo: adopted %d cached outcomes, %d method verdicts from %s", n, nv, m.memoPath())
-	return nil
-}
-
-func (m *Manager) persistMemo() error {
-	exp := m.session.Memo.Export()
-	exp.Verify = m.session.VerifyMemo.Export()
-	return writeJSONAtomic(m.memoPath(), exp)
 }
 
 // liftSeed validates submission bytes all the way to the class model
@@ -754,17 +720,13 @@ func (m *Manager) checkpointShard(sh *shard, stop bool) bool {
 }
 
 // CheckpointNow snapshots every running shard epoch without stopping
-// anything, plus the memo. Returns how many shard checkpoints were
-// written.
+// anything. Returns how many shard checkpoints were written.
 func (m *Manager) CheckpointNow() int {
 	n := 0
 	for _, sh := range m.shards {
 		if m.checkpointShard(sh, false) {
 			n++
 		}
-	}
-	if err := m.persistMemo(); err != nil {
-		m.logf("checkpoint: memo write: %v", err)
 	}
 	return n
 }

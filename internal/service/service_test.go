@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/coverage"
-	"repro/internal/difftest"
 	"repro/internal/jimple"
 	"repro/internal/seedgen"
 )
@@ -531,47 +530,33 @@ func TestDataDirLock(t *testing.T) {
 	}
 }
 
-// TestMemoPersistsMethodVerdicts pins the daemon's memo.json contract
-// for the method-verification memo: a completed run persists
-// verify_outcomes alongside the whole-class outcomes, and a restart on
-// the same data directory adopts every verdict and re-persists the
-// file byte-identically (export order is canonical, import is
-// lossless).
-func TestMemoPersistsMethodVerdicts(t *testing.T) {
-	cfg := testConfig(t, 2)
-	runToCompletion(t, cfg)
+// TestLeftoverMemoFileIgnored: the daemon keeps its memos in memory
+// only, so a memo.json in the data directory — torn by a kill, or
+// written by an older build whose simulator this one no longer matches
+// — is neither read nor rewritten. The daemon starts on it and runs to
+// the folds and discrepancy log of a clean directory, which itself
+// never gains a memo.json.
+func TestLeftoverMemoFileIgnored(t *testing.T) {
+	clean := testConfig(t, 1)
+	want, wm := runToCompletion(t, clean)
+	if _, err := os.Stat(filepath.Join(clean.DataDir, "memo.json")); !os.IsNotExist(err) {
+		t.Fatalf("clean data dir gained a memo.json (stat: %v)", err)
+	}
 
+	cfg := testConfig(t, 1)
+	torn := []byte(`{"version":1,"classes":[{"da`)
 	memoPath := filepath.Join(cfg.DataDir, "memo.json")
-	first, err := os.ReadFile(memoPath)
-	if err != nil {
-		t.Fatalf("memo.json missing after run: %v", err)
-	}
-	var exp difftest.MemoExport
-	if err := json.Unmarshal(first, &exp); err != nil {
+	if err := os.WriteFile(memoPath, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if len(exp.Verify) == 0 {
-		t.Fatal("memo.json carries no method verdicts")
+	got, gm := runToCompletion(t, cfg)
+	if !reflect.DeepEqual(summarize(got), summarize(want)) {
+		t.Fatal("folds diverge from a clean data dir")
 	}
-
-	// Restart on the exhausted directory: loadMemo adopts, no epochs
-	// run, Stop re-persists.
-	m2 := New(cfg)
-	if err := m2.Start(); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(discSet(gm.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
+		t.Fatal("discrepancy log diverges from a clean data dir")
 	}
-	m2.Wait()
-	if got := m2.Session().VerifyMemo.Len(); got != len(exp.Verify) {
-		t.Fatalf("restart adopted %d method verdicts, persisted %d", got, len(exp.Verify))
-	}
-	if err := m2.Stop(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	second, err := os.ReadFile(memoPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("memo.json not byte-identical across an idle restart")
+	if after, err := os.ReadFile(memoPath); err != nil || !bytes.Equal(after, torn) {
+		t.Fatalf("leftover memo.json was touched (err %v)", err)
 	}
 }

@@ -62,8 +62,8 @@ type Session struct {
 	Memo *difftest.OutcomeMemo
 	// VerifyMemo is the method-granular verification memo shared by
 	// every session Runner (below Memo: renamed-but-identical lineage
-	// methods hit it even when the whole-class memo misses). It
-	// persists into memo.json next to the outcome memo.
+	// methods hit it even when the whole-class memo misses). Both memos
+	// live for the session only; nothing persists them.
 	VerifyMemo *jvm.VerifyMemo
 	// Telemetry is the session-wide metrics roll-up. Campaigns run
 	// against private registries which Fold merges in as they finish,
