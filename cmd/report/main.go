@@ -392,6 +392,13 @@ func reportService(treg *telemetry.Registry, path string) error {
 	fmt.Printf("| seeds throttled (429) | %d |\n", snap.Counter(service.MetricSeedsThrottled))
 	fmt.Printf("| intake queue high-water | %d |\n", snap.Gauge(service.MetricQueueHighWater))
 	fmt.Printf("| discrepancy log length | %d |\n", snap.Gauge(service.MetricDiscrepancies))
+	for _, l := range []struct{ label, name string }{
+		{"manager lock wait, fold + intake", service.MetricLockWait},
+		{"manager lock hold, fold + intake", service.MetricLockHold},
+	} {
+		h := snap.Hist(l.name)
+		fmt.Printf("| %s (mean over %d; total) | %v; %v |\n", l.label, h.Count, h.MeanDuration().Round(time.Microsecond), time.Duration(h.Sum).Round(time.Microsecond))
+	}
 	fmt.Printf("| campaign iterations across shards | %d |\n", snap.Counter("campaign.iterations"))
 	fmt.Printf("| reference-VM executions across shards | %d |\n", snap.Counter("campaign.executions"))
 	return nil

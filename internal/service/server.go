@@ -115,11 +115,7 @@ func (m *Manager) handleDiscrepancies(w http.ResponseWriter, r *http.Request) {
 	wait := r.URL.Query().Get("wait") != ""
 	deadline := time.After(25 * time.Second)
 	for {
-		m.mu.Lock()
-		next := m.nextDisc
-		wake := m.discWake
-		m.mu.Unlock()
-		ds := m.Discrepancies(since)
+		ds, next, wake := m.discrepancyPage(since)
 		if len(ds) > 0 || !wait {
 			respondJSON(w, http.StatusOK, map[string]any{"next": next, "discrepancies": ds})
 			return

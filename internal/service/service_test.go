@@ -158,8 +158,8 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 			if !reflect.DeepEqual(got, summarize(want)) {
 				t.Fatal("interrupted+resumed folds diverge from the uninterrupted run")
 			}
-			// The discrepancy log persists in state.json, so the final
-			// daemon's view covers both lifetimes.
+			// The discrepancy log persists in discrepancies.jsonl, so the
+			// final daemon's view covers both lifetimes.
 			if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
 				t.Fatal("resumed daemon discrepancy set diverges from uninterrupted run")
 			}
@@ -495,6 +495,28 @@ func TestStateValidation(t *testing.T) {
 	if err := m.Start(); err == nil {
 		m.Stop(context.Background())
 		t.Fatal("mismatched iteration budget accepted against existing data dir")
+	}
+
+	// A version-1 state.json, which carried the discrepancy log inline,
+	// is refused: there is no migration path.
+	statePath := filepath.Join(cfg.DataDir, "state.json")
+	var st map[string]any
+	if err := readJSON(statePath, &st); err != nil {
+		t.Fatal(err)
+	}
+	st["version"] = 1
+	st["discrepancies"] = []any{}
+	if err := writeJSONAtomic(statePath, st); err != nil {
+		t.Fatal(err)
+	}
+	m = New(cfg)
+	err := m.Start()
+	if err == nil {
+		m.Stop(context.Background())
+		t.Fatal("version-1 state.json accepted")
+	}
+	if !strings.Contains(err.Error(), "state version 1") {
+		t.Fatalf("version-1 state.json refused with %q, want the version error", err)
 	}
 }
 

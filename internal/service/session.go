@@ -42,6 +42,12 @@ const (
 	MetricEpochsCompleted = "service.epochs.completed"
 	// MetricDiscrepancies gauges the discrepancy log's length.
 	MetricDiscrepancies = "service.discrepancies"
+	// MetricLockWait and MetricLockHold are histograms (ns) over the
+	// fold and intake critical sections of the manager lock: how long
+	// each waited to acquire it and how long it then held it. Status
+	// and discrepancy reads queue behind both.
+	MetricLockWait = "service.lock.wait_ns"
+	MetricLockHold = "service.lock.hold_ns"
 )
 
 // Session aggregates campaign results produced by independent runs —
