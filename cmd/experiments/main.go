@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/difftest"
 	"repro/internal/experiments"
 	"repro/internal/seedsel"
 	"repro/internal/telemetry"
@@ -137,15 +136,6 @@ func main() {
 	if *runFlag == "all" {
 		for _, what := range []string{"prelim", "table4", "table5", "table6", "table7", "figure4", "mcmcgain", "blind", "seedsel", "pestimate"} {
 			show(what)
-		}
-		if sess != nil && sess.Memo != nil {
-			st := sess.Memo.Stats()
-			fmt.Fprintf(os.Stderr, "difftest memo: %d distinct classes, %d cached outcomes, %.1f%% hit rate (%d hits / %d misses)\n",
-				st.Gauge(difftest.MetricMemoDistinctClasses),
-				st.Gauge(difftest.MetricMemoCachedOutcomes),
-				difftest.MemoHitRate(st)*100,
-				st.Counter(difftest.MetricMemoLookupHits),
-				st.Counter(difftest.MetricMemoLookupMisses))
 		}
 		return
 	}

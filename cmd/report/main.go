@@ -93,9 +93,7 @@ func main() {
 	}
 
 	runner := difftest.NewStandardRunner()
-	runner.Memo = difftest.NewOutcomeMemo()
 	runner.UseTelemetry(treg)
-	runner.Memo.UseTelemetry(treg)
 	var classes [][]byte
 	for _, g := range res.Test {
 		classes = append(classes, g.Data)
@@ -158,23 +156,15 @@ func main() {
 
 	fmt.Printf("## Differential engine\n\n")
 	fmt.Printf("The five-VM stage parses each class once and fans the parsed form\n")
-	fmt.Printf("out to the lineup; an outcome memo keyed by exact class content and\n")
-	fmt.Printf("VM identity absorbs repeats. Counters cover the checked suite\n")
-	fmt.Printf("evaluation above.\n\n")
+	fmt.Printf("out to the lineup. Counters cover the checked suite evaluation\n")
+	fmt.Printf("above.\n\n")
 	diffClasses := diffStats.Counter(difftest.MetricClasses)
 	diffParses := diffStats.Counter(difftest.MetricParses)
-	memoProbes := diffStats.Counter(difftest.MetricMemoProbes)
-	memoHits := diffStats.Counter(difftest.MetricMemoHits)
-	hitRate := 0.0
-	if memoProbes > 0 {
-		hitRate = float64(memoHits) / float64(memoProbes)
-	}
 	fmt.Printf("| metric | value |\n|---|---|\n")
 	fmt.Printf("| classes evaluated | %d |\n", diffClasses)
 	fmt.Printf("| classfile parses | %d |\n", diffParses)
 	fmt.Printf("| parses avoided (vs per-VM reparse) | %d |\n", diffClasses*int64(len(runner.VMs))-diffParses)
 	fmt.Printf("| VM pipeline executions | %d |\n", diffStats.Counter(difftest.MetricVMRuns))
-	fmt.Printf("| memo hits | %d / %d probes (%.1f%%) |\n", memoHits, memoProbes, hitRate*100)
 	fmt.Printf("| difftest stage wall clock | %s |\n\n",
 		time.Duration(diffStats.Hist(difftest.MetricEvaluateNs).Sum).Round(1000000))
 
@@ -343,11 +333,9 @@ func main() {
 		fmt.Printf("| %s | %d | %s | %s |\n",
 			vm.Name(), final.Counter(prefix+".runs"), load.MeanDuration(), run.MeanDuration())
 	}
-	fmt.Printf("\nPrefilter verdict counters: %d accept / %d reject; memo: %d hits / %d misses.\n",
+	fmt.Printf("\nPrefilter verdict counters: %d accept / %d reject.\n",
 		final.Counter("campaign.prefilter.verdict.accept"),
-		final.Counter("campaign.prefilter.verdict.reject"),
-		final.Counter(difftest.MetricMemoLookupHits),
-		final.Counter(difftest.MetricMemoLookupMisses))
+		final.Counter("campaign.prefilter.verdict.reject"))
 	fmt.Printf("Dataflow verify band: %d definite / %d reject (verify-doomed: %d).\n",
 		final.Counter("analysis.dataflow.definite"),
 		final.Counter("analysis.dataflow.reject"),

@@ -117,11 +117,10 @@ func Fingerprint(f *classfile.File) uint64 {
 // ContentFingerprint hashes raw classfile bytes (the same inlined
 // FNV-1a as Fingerprint, zero allocations). Unlike Fingerprint, which
 // abstracts a file to its load-phase skeleton, this is an exact-content
-// hash: a differential outcome is a function of the full class
-// semantics (code payloads included), so the difftest outcome memo
-// buckets classes by this value and confirms candidates with byte
-// equality — a collision can cost a redundant compare, never a reused
-// wrong outcome.
+// hash: the campaign's gen log records it per accepted class so that a
+// snapshot restore can check it rebuilt the same bytes, and the daemon
+// labels each discrepancy's class with it. It identifies content for
+// checks and reports only; nothing reuses a result on its equality.
 func ContentFingerprint(data []byte) uint64 {
 	const (
 		fnvOffset64 = 14695981039346656037

@@ -44,21 +44,6 @@ func BenchmarkDifftestParallel4(b *testing.B) {
 	}
 }
 
-// BenchmarkDifftestMemoized is a warm-memo re-evaluation — the steady
-// state of a session whose campaigns share classes (Table 7 after
-// Table 6).
-func BenchmarkDifftestMemoized(b *testing.B) {
-	classes := mixedCorpus(b)
-	r := NewStandardRunner()
-	r.Memo = NewOutcomeMemo()
-	r.Evaluate(classes, Options{}) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Evaluate(classes, Options{})
-	}
-}
-
 // keyViaFprintf is the historical Vector.Key implementation, kept as
 // the micro-benchmark reference for the byte-append rewrite.
 func keyViaFprintf(v Vector) string {

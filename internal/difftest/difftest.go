@@ -7,12 +7,10 @@
 //
 // The execution core is a parse-once engine: a classfile is parsed
 // once, the parsed form (and one bytecode-decode cache per lineup) is
-// shared by all five VMs via jvm.RunParsed. Evaluate probes an
-// OutcomeMemo once for the whole class set, so a class seen before
-// never re-executes, and may fan the rest over a worker pool — one
-// five-VM lineup per worker, results committed in class order. The
-// Summary is identical at any worker count and memo state; see
-// engine.go and memo.go.
+// shared by all five VMs via jvm.RunParsed. Evaluate runs every class
+// of a set once, sequentially or over a worker pool — one five-VM
+// lineup per worker, results committed in class order. The Summary is
+// identical at any worker count; see engine.go.
 package difftest
 
 import (
@@ -29,21 +27,12 @@ import (
 type Runner struct {
 	VMs []*jvm.VM
 
-	// Memo, when non-nil, caches per-VM outcomes across evaluations (and
-	// across Runners sharing the memo) keyed by exact class content and
-	// VM identity. Correct because the simulators are deterministic and
-	// side-effect free: an outcome is a pure function of (class bytes,
-	// VM policy, library release), which TestRunParsedSharedFilePurity
-	// pins down under the race detector.
-	Memo *OutcomeMemo
-
-	// VerifyMemo memoises method-granular verification verdicts below
-	// the whole-class Memo: a class that misses on exact content (every
-	// mutant generation differs somewhere) still reuses the lineage's
-	// verdicts for untouched methods, across all five VMs and across
-	// evaluations. Like Memo it is a pure-function cache shared by
-	// worker clones; unlike Memo it keys by the name-masked method
-	// content (jvm.MethodKey), so renamed-but-identical lineages hit.
+	// VerifyMemo memoises method-granular verification verdicts: a
+	// mutant differs from its parent somewhere, yet still reuses the
+	// lineage's verdicts for untouched methods, across all five VMs and
+	// across evaluations. It is a pure-function cache shared by worker
+	// clones, keyed by the name-masked method content (jvm.MethodKey),
+	// so renamed-but-identical lineages hit.
 	VerifyMemo *jvm.VerifyMemo
 
 	// reg receives the engine's difftest.* metrics — a private registry
@@ -181,12 +170,10 @@ func (v Vector) keySlow() string {
 	return string(b)
 }
 
-// Run executes one classfile on every VM: one memo probe, then at most
-// one parse fanned out to the lineup (the engine's parse-once
-// discipline; see runLineup).
+// Run executes one classfile on every VM: one parse fanned out to the
+// lineup (the engine's parse-once discipline; see runLineup).
 func (r *Runner) Run(data []byte) Vector {
-	p := r.probe([][]byte{data})
-	v, _ := r.runLineup(r.VMs, data, &p, 0, false)
+	v, _ := r.runLineup(r.VMs, data, false)
 	return v
 }
 
@@ -198,8 +185,7 @@ func (r *Runner) Run(data []byte) Vector {
 // the mismatch list is empty. The single parse serves both the oracle
 // and every VM's execution.
 func (r *Runner) RunChecked(data []byte) (Vector, []analysis.Mismatch) {
-	p := r.probe([][]byte{data})
-	return r.runLineup(r.VMs, data, &p, 0, true)
+	return r.runLineup(r.VMs, data, true)
 }
 
 // runSeparateParses is the pre-engine execution model — every VM parses

@@ -18,7 +18,7 @@ import (
 // mixedCorpus builds a deterministic corpus exercising every outcome
 // class: normally-invoked hellos, version-skewed rejects (via seedgen's
 // skew fraction), the Figure 2 discrepancy, unparseable bytes, and
-// exact duplicates (memo fodder).
+// exact duplicates.
 func mixedCorpus(t testing.TB) [][]byte {
 	opts := seedgen.DefaultOptions(40, 11)
 	opts.SkewFraction = 0.25
@@ -88,54 +88,10 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestEvaluateBatchEquivalence asserts a memo-attached evaluation of a
-// whole batch of classes produces field-identical Summaries in every
-// memo state — none, cold, warm, and partially warm (half the corpus
-// pre-seeded) — across the worker sweep, checked or not, and that a
-// fully warm memo executes nothing, and parses nothing unless the
-// static oracle needs the file.
-func TestEvaluateBatchEquivalence(t *testing.T) {
-	classes := mixedCorpus(t)
-	for _, checked := range []bool{false, true} {
-		want := NewStandardRunner().Evaluate(classes, Options{Checked: checked})
-		for _, w := range testWorkerCounts() {
-			for _, state := range []string{"none", "cold", "warm", "partial"} {
-				name := fmt.Sprintf("workers=%d memo=%s checked=%v", w, state, checked)
-				r := NewStandardRunner()
-				switch state {
-				case "cold":
-					r.Memo = NewOutcomeMemo()
-				case "warm":
-					r.Memo = NewOutcomeMemo()
-					r.Evaluate(classes, Options{})
-				case "partial":
-					r.Memo = NewOutcomeMemo()
-					r.Evaluate(classes[:len(classes)/2], Options{})
-				}
-				before := r.Stats()
-				got := r.Evaluate(classes, Options{Workers: w, Checked: checked})
-				if !reflect.DeepEqual(want, got) {
-					t.Errorf("%s: summary differs from sequential Evaluate:\nwant %+v\ngot  %+v", name, want, got)
-				}
-				if state != "warm" {
-					continue
-				}
-				d := r.Stats().Diff(before)
-				if runs := d.Counter(MetricVMRuns); runs != 0 {
-					t.Errorf("%s: warm memo executed %d VM runs, want 0", name, runs)
-				}
-				if parses := d.Counter(MetricParses); !checked && parses != 0 {
-					t.Errorf("%s: warm memo parsed %d classes, want 0", name, parses)
-				}
-			}
-		}
-	}
-}
-
 // TestEvaluateCheckedEquivalence asserts the checked path (static
-// oracle sanitizer) is field-identical across worker counts and the
-// memoized path, MismatchSamples ordering included, and agrees with
-// the per-VM-parse reference once the oracle fields are set aside.
+// oracle sanitizer) is field-identical across worker counts,
+// MismatchSamples ordering included, and agrees with the per-VM-parse
+// reference once the oracle fields are set aside.
 func TestEvaluateCheckedEquivalence(t *testing.T) {
 	classes := mixedCorpus(t)
 	want := NewStandardRunner().Evaluate(classes, Options{Checked: true})
@@ -146,14 +102,6 @@ func TestEvaluateCheckedEquivalence(t *testing.T) {
 		got := NewStandardRunner().Evaluate(classes, Options{Workers: w, Checked: true})
 		if !reflect.DeepEqual(want, got) {
 			t.Errorf("checked workers=%d differs:\nwant %+v\ngot  %+v", w, want, got)
-		}
-	}
-	memoRunner := NewStandardRunner()
-	memoRunner.Memo = NewOutcomeMemo()
-	for _, pass := range []string{"cold", "warm"} {
-		got := memoRunner.Evaluate(classes, Options{Workers: 4, Checked: true})
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("checked memoized %s differs:\nwant %+v\ngot  %+v", pass, want, got)
 		}
 	}
 }
@@ -196,8 +144,7 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 
 // TestParseOncePerClass asserts the headline accounting: the engine
 // parses each evaluated class exactly once (the pre-engine model parsed
-// once per VM, 5×), and a warm memo skips both the parses and the VM
-// runs entirely.
+// once per VM, 5×).
 func TestParseOncePerClass(t *testing.T) {
 	classes := mixedCorpus(t)
 	n := int64(len(classes))
@@ -215,65 +162,6 @@ func TestParseOncePerClass(t *testing.T) {
 	avoided := st.Counter(MetricClasses)*int64(len(plain.VMs)) - parses
 	if want := n * int64(len(plain.VMs)-1); avoided != want {
 		t.Errorf("parses avoided = %d, want %d", avoided, want)
-	}
-
-	r := NewStandardRunner()
-	r.Memo = NewOutcomeMemo()
-	r.Evaluate(classes, Options{})
-	// Even cold, the memo collapses exact duplicates: one parse per
-	// distinct class, none for repeats.
-	st = r.Stats()
-	if distinct := r.Memo.Stats().Gauge(MetricMemoDistinctClasses); st.Counter(MetricParses) != distinct {
-		t.Errorf("cold-memo parses = %d, want one per distinct class (%d)", st.Counter(MetricParses), distinct)
-	}
-
-	// Counters are cumulative; the warm pass is the delta over a second
-	// evaluation (the bracket-and-Diff idiom Stats documents).
-	before := r.Stats()
-	r.Evaluate(classes, Options{})
-	d := r.Stats().Diff(before)
-	if got := d.Counter(MetricParses); got != 0 {
-		t.Errorf("warm-memo parses = %d, want 0", got)
-	}
-	if got := d.Counter(MetricVMRuns); got != 0 {
-		t.Errorf("warm-memo vm_runs = %d, want 0", got)
-	}
-	hits, probes := d.Counter(MetricMemoHits), d.Counter(MetricMemoProbes)
-	if hits != probes || hits != n*int64(len(r.VMs)) {
-		t.Errorf("warm-memo hits = %d / probes = %d, want all %d",
-			hits, probes, n*int64(len(r.VMs)))
-	}
-}
-
-// TestMemoSharedAcrossRunners asserts the session pattern: a second
-// Runner attached to the same memo executes nothing for classes the
-// first already evaluated (the VM identities match), while a
-// shared-environment lineup — different library binding — does not
-// reuse the standard lineup's outcomes for the release-bound VMs.
-func TestMemoSharedAcrossRunners(t *testing.T) {
-	classes := mixedCorpus(t)
-	memo := NewOutcomeMemo()
-
-	a := NewStandardRunner()
-	a.Memo = memo
-	first := a.Evaluate(classes, Options{})
-
-	b := NewStandardRunner()
-	b.Memo = memo
-	second := b.Evaluate(classes, Options{Workers: 4})
-	if !reflect.DeepEqual(first, second) {
-		t.Error("memo-fed runner produced a different summary")
-	}
-	if st := b.Stats(); st.Counter(MetricVMRuns) != 0 || st.Counter(MetricParses) != 0 {
-		t.Errorf("second runner executed work: %d runs, %d parses",
-			st.Counter(MetricVMRuns), st.Counter(MetricParses))
-	}
-
-	shared := NewSharedEnvRunner(0) // rtlib.JRE7: four VMs rebound off their own release
-	shared.Memo = memo
-	shared.Evaluate(classes[:5], Options{})
-	if st := shared.Stats(); st.Counter(MetricVMRuns) == 0 {
-		t.Error("shared-env lineup must not reuse standard-lineup outcomes for rebound VMs")
 	}
 }
 
@@ -320,11 +208,12 @@ func TestUseTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunParsedSharedFilePurity is the memo-soundness caveat as a race
-// test: outcomes must be pure, i.e. no VM may mutate the shared parsed
-// classfile.File. Many VMs of every policy run the same parsed files
-// concurrently; under -race any write to shared parsed state is a
-// report, and each run must keep producing its spec's outcome.
+// TestRunParsedSharedFilePurity is parse-once sharing's soundness
+// condition as a race test: outcomes must be pure, i.e. no VM may
+// mutate the shared parsed classfile.File. Many VMs of every policy run
+// the same parsed files concurrently; under -race any write to shared
+// parsed state is a report, and each run must keep producing its spec's
+// outcome.
 func TestRunParsedSharedFilePurity(t *testing.T) {
 	var files []*classfile.File
 	for _, data := range mixedCorpus(t) {

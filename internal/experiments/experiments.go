@@ -89,9 +89,8 @@ var CampaignOrder = []string{
 // Session holds the shared campaign results. It is a service.Session
 // — the same folding aggregate the classfuzzd daemon uses for its
 // shard epochs — plus the experiment-specific seed corpus: Campaigns,
-// the shared outcome Memo (Tables 6 and 7 overlap heavily, so a class
-// executes once per VM across the whole session) and the Telemetry
-// roll-up promote from the embedded session.
+// the shared VerifyMemo and the Telemetry roll-up promote from the
+// embedded session.
 type Session struct {
 	Scale     Scale
 	Seeds     []*jimple.Class
@@ -398,8 +397,8 @@ type Table7 struct {
 // Table7 evaluates the classfuzz[stbr] suite per VM.
 func (s *Session) Table7() *Table7 {
 	// The classfuzz[stbr] suite was already evaluated inside Table 6's
-	// Test block, so under the session memo this re-derivation costs
-	// map lookups, not VM executions.
+	// Test block; it runs again here on a fresh lineup, which the
+	// session's verify memo finds warm.
 	runner := s.Runner()
 	var classes [][]byte
 	for _, g := range s.Campaigns[KeyClassfuzzSTBR].Test {

@@ -20,9 +20,9 @@ import (
 //	corpus/subNNNNN.class   — submitted seed classfiles, arrival order
 //	checkpoints/shard-N.json — ShardCheckpoint per shard (mid-epoch)
 //
-// The session memos (difftest outcomes, method verdicts) live in memory
-// only and start cold after a restart; results never depend on them. A
-// memo.json left by an older build is never read.
+// The session's verify memo (method verdicts) lives in memory only and
+// starts cold after a restart; results never depend on it. A memo.json
+// left by an older build is never read.
 //
 // Write ordering is the consistency argument: a corpus file and the
 // state.json that names it are persisted BEFORE the seed becomes
@@ -153,6 +153,9 @@ func (m *Manager) checkpointDir() string { return filepath.Join(m.cfg.DataDir, "
 func (m *Manager) checkpointPath(shard int) string {
 	return filepath.Join(m.checkpointDir(), fmt.Sprintf("shard-%d.json", shard))
 }
+
+// submittedName is the corpus file name of the i-th submitted seed.
+func submittedName(i int) string { return fmt.Sprintf("sub%05d.class", i) }
 
 // stateLocked builds the current State. Caller holds m.mu.
 func (m *Manager) stateLocked() *State {
@@ -295,6 +298,19 @@ func (m *Manager) validateState(st *State) error {
 	}
 	if len(st.ShardEpochs) != m.cfg.Shards {
 		return fmt.Errorf("service: state has %d shard frontiers for %d shards", len(st.ShardEpochs), m.cfg.Shards)
+	}
+	for i, e := range st.ShardEpochs {
+		if e < 0 {
+			return fmt.Errorf("service: state names a negative epoch frontier %d for shard %d", e, i)
+		}
+	}
+	// Position is identity: the i-th submission is always
+	// submittedName(i). Any other name could reach outside corpus/ or
+	// let the next intake overwrite a file an earlier position names.
+	for i, name := range st.Submitted {
+		if want := submittedName(i); name != want {
+			return fmt.Errorf("service: state names corpus file %q at position %d, want %q", name, i, want)
+		}
 	}
 	diskStrategy := st.SeedStrategy
 	if diskStrategy == "" {

@@ -451,7 +451,7 @@ func (m *Manager) acceptSeed(data []byte) {
 	}
 	unlock := m.lockTimed()
 	defer unlock()
-	name := fmt.Sprintf("sub%05d.class", len(m.submitted))
+	name := submittedName(len(m.submitted))
 	if err := os.WriteFile(filepath.Join(m.corpusDir(), name), data, 0o644); err != nil {
 		m.logf("intake: persisting %s: %v", name, err)
 		return
@@ -645,7 +645,7 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 }
 
 // foldEpoch absorbs one completed epoch: session fold, differential
-// testing of the accepted suite against the shared memo, discrepancy
+// testing of the accepted suite on a session Runner, discrepancy
 // log append (each discrepancy credited to the seed cluster its
 // lineage's root seed belongs to), per-cluster scheduling tallies,
 // state-frontier advance and persist.

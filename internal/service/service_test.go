@@ -497,27 +497,64 @@ func TestStateValidation(t *testing.T) {
 		t.Fatal("mismatched iteration budget accepted against existing data dir")
 	}
 
+	// Each case edits one field of the good state.json, and Start must
+	// refuse it with the named error.
+	statePath := filepath.Join(cfg.DataDir, "state.json")
+	good, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedBytes, err := seedgen.GenerateFiles(seedgen.DefaultOptions(1, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corpus := filepath.Join(cfg.DataDir, "corpus")
+	if err := os.MkdirAll(corpus, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(corpus, "sub00001.class"), seedBytes[0], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	refuse := func(what string, edit func(st map[string]any), want string) {
+		t.Helper()
+		var st map[string]any
+		if err := json.Unmarshal(good, &st); err != nil {
+			t.Fatal(err)
+		}
+		edit(st)
+		if err := writeJSONAtomic(statePath, st); err != nil {
+			t.Fatal(err)
+		}
+		m := New(cfg)
+		err := m.Start()
+		if err == nil {
+			m.Stop(context.Background())
+			t.Errorf("%s accepted", what)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s refused with %q, want %q", what, err, want)
+		}
+	}
 	// A version-1 state.json, which carried the discrepancy log inline,
 	// is refused: there is no migration path.
-	statePath := filepath.Join(cfg.DataDir, "state.json")
-	var st map[string]any
-	if err := readJSON(statePath, &st); err != nil {
-		t.Fatal(err)
-	}
-	st["version"] = 1
-	st["discrepancies"] = []any{}
-	if err := writeJSONAtomic(statePath, st); err != nil {
-		t.Fatal(err)
-	}
-	m = New(cfg)
-	err := m.Start()
-	if err == nil {
-		m.Stop(context.Background())
-		t.Fatal("version-1 state.json accepted")
-	}
-	if !strings.Contains(err.Error(), "state version 1") {
-		t.Fatalf("version-1 state.json refused with %q, want the version error", err)
-	}
+	refuse("version-1 state.json", func(st map[string]any) {
+		st["version"] = 1
+		st["discrepancies"] = []any{}
+	}, "state version 1")
+	// A negative frontier would resume the shard at an epoch no run
+	// ever reached: a silently different campaign.
+	refuse("a negative shard frontier", func(st map[string]any) {
+		st["shard_epochs"] = []any{-3}
+	}, "negative epoch frontier -3")
+	// Corpus names are not paths: one that leaves corpus/ is refused
+	// before anything is read.
+	refuse("a corpus name outside corpus/", func(st map[string]any) {
+		st["submitted"] = []any{"../state.json"}
+	}, `"../state.json" at position 0`)
+	// A real class file at the wrong position is refused too: the next
+	// intake, named by position, would overwrite it.
+	refuse("an out-of-position corpus name", func(st map[string]any) {
+		st["submitted"] = []any{"sub00001.class"}
+	}, `"sub00001.class" at position 0`)
 }
 
 // Two daemons must never share a data directory: each rewrites

@@ -52,10 +52,9 @@ const (
 
 // Session aggregates campaign results produced by independent runs —
 // the daemon's shard epochs, or the experiment driver's six campaigns
-// — into one view: the folded results map, a shared difftest outcome
-// memo (a class executes once per VM across the whole session), a
-// telemetry roll-up, and the word-OR of every folded campaign's
-// coverage trace. Fold is safe for concurrent use; the exported fields
+// — into one view: the folded results map, a shared method-granular
+// verify memo, a telemetry roll-up, and the word-OR of every folded
+// campaign's coverage trace. Fold is safe for concurrent use; the exported fields
 // are for direct reading once the producing goroutines have finished.
 type Session struct {
 	mu sync.Mutex
@@ -63,18 +62,15 @@ type Session struct {
 	// Campaigns maps a fold key (e.g. "shard0/epoch2" or
 	// "classfuzz[stbr]") to that campaign's result.
 	Campaigns map[string]*campaign.Result
-	// Memo is the outcome memo shared by every differential evaluation
-	// the session performs.
-	Memo *difftest.OutcomeMemo
 	// VerifyMemo is the method-granular verification memo shared by
-	// every session Runner (below Memo: renamed-but-identical lineage
-	// methods hit it even when the whole-class memo misses). Both memos
-	// live for the session only; nothing persists them.
+	// every session Runner: renamed-but-identical lineage methods hit
+	// it even though every mutant is new bytes. It lives for the
+	// session only; nothing persists it.
 	VerifyMemo *jvm.VerifyMemo
 	// Telemetry is the session-wide metrics roll-up. Campaigns run
 	// against private registries which Fold merges in as they finish,
 	// so campaign.* counters here are totals across all folds; the
-	// shared memo and every session Runner report here directly.
+	// verify memo and every session Runner report here directly.
 	Telemetry *telemetry.Registry
 
 	cov    *coverage.Trace
@@ -90,12 +86,10 @@ func NewSession(reg *telemetry.Registry) *Session {
 	}
 	s := &Session{
 		Campaigns:  map[string]*campaign.Result{},
-		Memo:       difftest.NewOutcomeMemo(),
 		VerifyMemo: jvm.NewVerifyMemo(),
 		Telemetry:  reg,
 		cov:        coverage.NewTrace(),
 	}
-	s.Memo.UseTelemetry(reg)
 	s.VerifyMemo.UseTelemetry(reg)
 	return s
 }
@@ -120,10 +114,9 @@ func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry
 }
 
 // Runner builds a standard five-VM differential runner wired to the
-// session's shared outcome memo and metrics roll-up.
+// session's shared verify memo and metrics roll-up.
 func (s *Session) Runner() *difftest.Runner {
 	r := difftest.NewStandardRunner()
-	r.Memo = s.Memo
 	r.VerifyMemo = s.VerifyMemo
 	jvm.ShareVerifyMemo(r.VMs, s.VerifyMemo)
 	r.UseTelemetry(s.Telemetry)
