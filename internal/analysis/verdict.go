@@ -96,7 +96,7 @@ func VerifyRejectMemo(f *classfile.File, spec jvm.Spec, env *rtlib.Env, memo *jv
 		return VerifyReject(f, spec, env)
 	}
 	var ctx *jvm.VerifyKeyCtx
-	id := jvm.VerifyIdent{Spec: spec, Env: env.Release, Oracle: jvm.OracleDataflow}
+	id := memo.Intern(jvm.VerifyIdent{Spec: spec, Env: env.Release, Oracle: jvm.OracleDataflow})
 	verify := func(m *classfile.Member) *jvm.Outcome {
 		if ctx == nil {
 			ctx = jvm.NewVerifyKeyCtx(f, env)

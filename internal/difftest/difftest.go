@@ -45,9 +45,9 @@ type Runner struct {
 	vmTiming bool
 }
 
-// newRunner wires a private metrics registry around a lineup.
-func newRunner(vms []*jvm.VM) *Runner {
-	r := &Runner{VMs: vms, reg: telemetry.New(), VerifyMemo: jvm.NewVerifyMemo()}
+// newRunner wires a private metrics registry and memo around a lineup.
+func newRunner(vms []*jvm.VM, memo *jvm.VerifyMemo) *Runner {
+	r := &Runner{VMs: vms, reg: telemetry.New(), VerifyMemo: memo}
 	r.tel = newRunnerTel(r.reg, len(vms))
 	jvm.ShareDecodeCache(r.VMs)
 	jvm.ShareVerifyMemo(r.VMs, r.VerifyMemo)
@@ -56,13 +56,20 @@ func newRunner(vms []*jvm.VM) *Runner {
 
 // NewStandardRunner builds the Table 3 lineup — HotSpot 7/8/9, J9,
 // GIJ — each bound to its own library release (the configuration of the
-// paper's evaluation, where compatibility discrepancies are visible).
+// paper's evaluation, where compatibility discrepancies are visible),
+// with a fresh verify memo of its own.
 func NewStandardRunner() *Runner {
+	return NewStandardRunnerWithMemo(jvm.NewVerifyMemo())
+}
+
+// NewStandardRunnerWithMemo is NewStandardRunner around a caller's
+// verify memo, such as one a session shares among its runners.
+func NewStandardRunnerWithMemo(memo *jvm.VerifyMemo) *Runner {
 	var vms []*jvm.VM
 	for _, spec := range jvm.StandardFive() {
 		vms = append(vms, jvm.New(spec))
 	}
-	return newRunner(vms)
+	return newRunner(vms, memo)
 }
 
 // NewSharedEnvRunner binds all five VMs to one library release —
@@ -74,7 +81,7 @@ func NewSharedEnvRunner(release rtlib.Release) *Runner {
 	for _, spec := range jvm.StandardFive() {
 		vms = append(vms, jvm.NewWithEnv(spec, env))
 	}
-	return newRunner(vms)
+	return newRunner(vms, jvm.NewVerifyMemo())
 }
 
 // Names returns the VM display names in order.

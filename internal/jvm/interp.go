@@ -875,13 +875,13 @@ func (ex *execState) interpField(op bytecode.Opcode, in *bytecode.Instruction, s
 			stackPush(stack, refVal(&object{class: "java/io/PrintStream", str: name}))
 			return nil
 		}
-		if v, ok := ex.statics[cls+"."+name+":"+desc]; ok {
+		if v, ok := ex.statics[staticKey{cls, name, desc}]; ok {
 			stackPush(stack, v)
 		} else {
 			stackPush(stack, zeroOf(desc))
 		}
 	case bytecode.Putstatic:
-		ex.statics[cls+"."+name+":"+desc] = stackPop(stack)
+		ex.statics[staticKey{cls, name, desc}] = stackPop(stack)
 	case bytecode.Getfield:
 		recv := stackPop(stack)
 		if recv.ref == nil {

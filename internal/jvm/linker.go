@@ -6,31 +6,45 @@ import (
 )
 
 // execState is the per-run mutable state: the class under test, its
-// static fields, captured output and the interpreter budget.
+// static fields, captured output and the interpreter budget. A VM keeps
+// one and resets it per run (VM.execFor), so its maps are cleared, not
+// reallocated; nothing a run returns points into them.
 type execState struct {
 	vm      *VM
 	f       *classfile.File
 	name    string
-	statics map[string]value
+	statics map[staticKey]value
 	output  []string
 	steps   int
 	depth   int
 	// verified memoises per-method lazy verification results keyed by
-	// name+descriptor.
-	verified map[string]*Outcome
+	// name and descriptor.
+	verified map[memberKey]*Outcome
 	// vkey lazily caches the class's verification-key context for the
 	// cross-run memo (built on the first verifyMethod call).
 	vkey *VerifyKeyCtx
 }
 
-func newExecState(vm *VM, f *classfile.File) *execState {
-	return &execState{
-		vm:       vm,
-		f:        f,
-		name:     f.Name(),
-		statics:  make(map[string]value),
-		verified: make(map[string]*Outcome),
+// memberKey identifies a member of the class under test by name and
+// descriptor. Keying on the parts rather than their concatenation keeps
+// m(I)V and "m(" + "I)V" apart.
+type memberKey struct{ name, desc string }
+
+// staticKey identifies a static field by owner, name and descriptor.
+type staticKey struct{ cls, name, desc string }
+
+// reset readies ex for a run of f on vm. Output starts nil, so the
+// slice a run's Outcome carries is never appended to again.
+func (ex *execState) reset(vm *VM, f *classfile.File) {
+	statics, verified := ex.statics, ex.verified
+	if statics == nil {
+		statics = make(map[staticKey]value)
+		verified = make(map[memberKey]*Outcome)
+	} else {
+		clear(statics)
+		clear(verified)
 	}
+	*ex = execState{vm: vm, f: f, name: f.Name(), statics: statics, verified: verified}
 }
 
 // classKind says where a resolved class lives.
@@ -291,7 +305,7 @@ func (ex *execState) platformMethodExists(cls, name, desc string) bool {
 // re-phase it). With a VerifyMemo attached the verdict is additionally
 // shared across runs at method granularity (verifyMethodMemo).
 func (vm *VM) verifyMethod(ex *execState, m *classfile.Member) *Outcome {
-	key := m.Name(ex.f.Pool) + m.Descriptor(ex.f.Pool)
+	key := memberKey{m.Name(ex.f.Pool), m.Descriptor(ex.f.Pool)}
 	if out, ok := ex.verified[key]; ok {
 		return out
 	}

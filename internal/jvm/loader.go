@@ -87,7 +87,12 @@ func (vm *VM) load(f *classfile.File) (Outcome, bool) {
 	}
 
 	// ---- fields ------------------------------------------------------------
-	seenFields := make(map[string]bool, len(f.Fields))
+	if vm.seenFields == nil {
+		vm.seenFields = make(map[memberKey]struct{}, len(f.Fields))
+		vm.seenMethods = make(map[memberKey]struct{}, len(f.Methods))
+	}
+	seenFields := vm.seenFields
+	clear(seenFields)
 	for _, fl := range f.Fields {
 		vm.st(pLoadFieldEntry)
 		fname := fl.Name(f.Pool)
@@ -98,11 +103,13 @@ func (vm *VM) load(f *classfile.File) (Outcome, bool) {
 		if p.CheckNameValidity && vm.br(bLoadFieldDesc, !descriptor.ValidField(fdesc)) {
 			return reject(PhaseLoading, ErrClassFormat, "field %s has malformed descriptor %q", fname, fdesc), true
 		}
-		key := fname + ":" + fdesc
-		if p.CheckDuplicateFields && vm.br(bLoadFieldDup, seenFields[key]) {
-			return reject(PhaseLoading, ErrClassFormat, "duplicate field %s", key), true
+		if p.CheckDuplicateFields {
+			key := memberKey{fname, fdesc}
+			if _, dup := seenFields[key]; vm.br(bLoadFieldDup, dup) {
+				return reject(PhaseLoading, ErrClassFormat, "duplicate field %s:%s", fname, fdesc), true
+			}
+			seenFields[key] = struct{}{}
 		}
-		seenFields[key] = true
 		if p.CheckMemberFlags {
 			if vm.br(bLoadFieldVis, fl.AccessFlags.VisibilityCount() > 1) {
 				return reject(PhaseLoading, ErrClassFormat, "field %s has conflicting visibility flags", fname), true
@@ -120,7 +127,8 @@ func (vm *VM) load(f *classfile.File) (Outcome, bool) {
 	}
 
 	// ---- methods -------------------------------------------------------------
-	seenMethods := make(map[string]bool, len(f.Methods))
+	seenMethods := vm.seenMethods
+	clear(seenMethods)
 	for _, m := range f.Methods {
 		vm.st(pLoadMethodEntry)
 		mname := m.Name(f.Pool)
@@ -131,11 +139,13 @@ func (vm *VM) load(f *classfile.File) (Outcome, bool) {
 		if p.CheckNameValidity && vm.br(bLoadMethodDesc, !descriptor.ValidMethod(mdesc)) {
 			return reject(PhaseLoading, ErrClassFormat, "method %s has malformed descriptor %q", mname, mdesc), true
 		}
-		key := mname + mdesc
-		if p.CheckDuplicateMethods && vm.br(bLoadMethodDup, seenMethods[key]) {
-			return reject(PhaseLoading, ErrClassFormat, "duplicate method %s", key), true
+		if p.CheckDuplicateMethods {
+			key := memberKey{mname, mdesc}
+			if _, dup := seenMethods[key]; vm.br(bLoadMethodDup, dup) {
+				return reject(PhaseLoading, ErrClassFormat, "duplicate method %s%s", mname, mdesc), true
+			}
+			seenMethods[key] = struct{}{}
 		}
-		seenMethods[key] = true
 
 		if out, bad := vm.checkMethodShape(f, m, mname, mdesc); bad {
 			return out, true

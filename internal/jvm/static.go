@@ -17,6 +17,5 @@ import (
 // rejection (callers re-phase it for lazy verification points).
 func VerifyMethodStatic(spec Spec, env *rtlib.Env, f *classfile.File, m *classfile.Member) *Outcome {
 	vm := NewWithEnv(spec, env)
-	ex := newExecState(vm, f)
-	return vm.verifyMethod(ex, m)
+	return vm.verifyMethod(vm.execFor(f), m)
 }

@@ -3,6 +3,7 @@ package jvm
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/classfile"
 	"repro/internal/coverage"
@@ -35,6 +36,12 @@ type VerifyIdent struct {
 	Oracle VerifyOracle
 }
 
+// VerifyID is a VerifyIdent interned by one VerifyMemo (Intern): equal
+// idents get equal IDs, so an entry keys on a small integer instead of
+// a copy of the whole Spec. An ID means nothing to any other memo. The
+// zero ID is never issued.
+type VerifyID uint32
+
 // Metric names of the method-verification memo. Like the difftest
 // engine's counters these are diagnostics, not oracle inputs: under
 // parallel evaluation the hit/miss split depends on scheduling (two
@@ -46,14 +53,18 @@ const (
 	MetricVerifyMemoUnsafe = "jvm.verify.method_memo.unsafe_fallback"
 )
 
+// verifyMemoTel is the registry the memo reports into and its interned
+// counters, swapped as one value by UseTelemetry.
 type verifyMemoTel struct {
+	reg    *telemetry.Registry
 	hits   *telemetry.Counter
 	misses *telemetry.Counter
 	unsafe *telemetry.Counter
 }
 
-func newVerifyMemoTel(reg *telemetry.Registry) verifyMemoTel {
-	return verifyMemoTel{
+func newVerifyMemoTel(reg *telemetry.Registry) *verifyMemoTel {
+	return &verifyMemoTel{
+		reg:    reg,
 		hits:   reg.Counter(MetricVerifyMemoHits),
 		misses: reg.Counter(MetricVerifyMemoMisses),
 		unsafe: reg.Counter(MetricVerifyMemoUnsafe),
@@ -61,7 +72,7 @@ func newVerifyMemoTel(reg *telemetry.Registry) verifyMemoTel {
 }
 
 type verifyMemoKey struct {
-	id  VerifyIdent
+	id  VerifyID
 	key MethodKey
 }
 
@@ -78,9 +89,11 @@ type verifyEntry struct {
 }
 
 // VerifyMemo memoises per-method verification verdicts across mutant
-// generations, keyed by MethodKey × VerifyIdent. One memo may be shared
-// by any number of VMs and goroutines (a single mutex guards the map;
-// lookups are trivial next to a dataflow fixpoint).
+// generations, keyed by MethodKey × VerifyIdent. Each ident is interned
+// once to a VerifyID, so an entry's key is that ID plus the method key
+// rather than a copy of the whole Spec. One memo may be shared by any
+// number of VMs and goroutines: a single mutex guards the maps, and the
+// hit/miss counters sit outside it.
 //
 // Entries computed under an attached coverage recorder also carry the
 // verifier's probe footprint (as hit sets), so a hit replays the exact
@@ -89,17 +102,18 @@ type verifyEntry struct {
 // that carry probes; entries a recorder-less VM stored (a difftest
 // lineup) read as misses there and are upgraded on the re-run.
 type VerifyMemo struct {
+	tel atomic.Pointer[verifyMemoTel]
+
 	mu  sync.Mutex
+	ids map[VerifyIdent]VerifyID
 	m   map[verifyMemoKey]*verifyEntry
-	reg *telemetry.Registry
-	tel verifyMemoTel
 }
 
 // NewVerifyMemo returns an empty memo reporting into a private registry
 // (read via Stats; redirect with UseTelemetry).
 func NewVerifyMemo() *VerifyMemo {
-	m := &VerifyMemo{m: make(map[verifyMemoKey]*verifyEntry, 256), reg: telemetry.New()}
-	m.tel = newVerifyMemoTel(m.reg)
+	m := &VerifyMemo{ids: make(map[VerifyIdent]VerifyID), m: make(map[verifyMemoKey]*verifyEntry, 256)}
+	m.tel.Store(newVerifyMemoTel(telemetry.New()))
 	return m
 }
 
@@ -109,18 +123,12 @@ func (m *VerifyMemo) UseTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.reg = reg
-	m.tel = newVerifyMemoTel(reg)
+	m.tel.Store(newVerifyMemoTel(reg))
 }
 
 // Stats snapshots the memo's counters.
 func (m *VerifyMemo) Stats() telemetry.Snapshot {
-	m.mu.Lock()
-	reg := m.reg
-	m.mu.Unlock()
-	return reg.Snapshot()
+	return m.tel.Load().reg.Snapshot()
 }
 
 // Len returns the number of memoised verdicts.
@@ -130,10 +138,22 @@ func (m *VerifyMemo) Len() int {
 	return len(m.m)
 }
 
+// Intern returns the memo's ID for id, issuing one on first sight.
+func (m *VerifyMemo) Intern(id VerifyIdent) VerifyID {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	v, ok := m.ids[id]
+	if !ok {
+		v = VerifyID(len(m.ids) + 1)
+		m.ids[id] = v
+	}
+	return v
+}
+
 // Lookup returns the memoised verdict for (id, key): (nil, true) for a
 // remembered pass, a private copy of the rejection for a remembered
 // failure, or (nil, false) on a miss.
-func (m *VerifyMemo) Lookup(id VerifyIdent, key MethodKey) (*Outcome, bool) {
+func (m *VerifyMemo) Lookup(id VerifyID, key MethodKey) (*Outcome, bool) {
 	e, ok := m.probe(id, key, false)
 	if !ok {
 		return nil, false
@@ -150,43 +170,35 @@ func (m *VerifyMemo) Lookup(id VerifyIdent, key MethodKey) (*Outcome, bool) {
 // rejection whose message embeds it is lineage-specific text that must
 // not resurface under a different class name, so it is not stored and
 // the unsafe_fallback counter ticks instead.
-func (m *VerifyMemo) Store(id VerifyIdent, key MethodKey, selfName string, out *Outcome) {
+func (m *VerifyMemo) Store(id VerifyID, key MethodKey, selfName string, out *Outcome) {
 	m.store(id, key, selfName, out, nil, nil, false)
 }
 
 // probe is the locked lookup. needProbes demands an entry carrying a
 // probe footprint (recorder-attached VMs); entries without one read as
 // misses there so the caller re-verifies and upgrades the entry.
-func (m *VerifyMemo) probe(id VerifyIdent, key MethodKey, needProbes bool) (verifyEntry, bool) {
-	k := verifyMemoKey{id: id, key: key}
+func (m *VerifyMemo) probe(id VerifyID, key MethodKey, needProbes bool) (verifyEntry, bool) {
 	m.mu.Lock()
-	e, ok := m.m[k]
-	if ok && needProbes && !e.hasProbes {
-		ok = false
-	}
-	if ok {
-		m.tel.hits.Inc()
-	} else {
-		m.tel.misses.Inc()
-	}
+	e := m.m[verifyMemoKey{id: id, key: key}]
 	m.mu.Unlock()
-	if !ok {
+	tel := m.tel.Load()
+	if e == nil || (needProbes && !e.hasProbes) {
+		tel.misses.Inc()
 		return verifyEntry{}, false
 	}
+	tel.hits.Inc()
 	return *e, true
 }
 
 // store inserts a verdict. Duplicate stores from racing workers carry
 // identical content (keys are content-addressed and verifiers pure);
 // an entry with probes is never downgraded to one without.
-func (m *VerifyMemo) store(id VerifyIdent, key MethodKey, selfName string, out *Outcome, stmts, edges []uint32, hasProbes bool) {
+func (m *VerifyMemo) store(id VerifyID, key MethodKey, selfName string, out *Outcome, stmts, edges []uint32, hasProbes bool) {
 	if out != nil && selfName != "" && strings.Contains(out.Message, selfName) {
 		// The rejection text names the class under test; memoising it
 		// would replay the parent's name into a child's outcome. Skip —
 		// the key stays correct, only this message is lineage-bound.
-		m.mu.Lock()
-		m.tel.unsafe.Inc()
-		m.mu.Unlock()
+		m.tel.Load().unsafe.Inc()
 		return
 	}
 	e := &verifyEntry{ok: out == nil, hasProbes: hasProbes, stmts: stmts, edges: edges}
@@ -217,7 +229,10 @@ func (vm *VM) verifyMethodMemo(ex *execState, m *classfile.Member) *Outcome {
 	if !ok {
 		return vm.runVerifier(ex, m)
 	}
-	id := VerifyIdent{Spec: vm.Spec, Env: vm.Env.Release, Oracle: OracleVM}
+	if vm.verifyID == 0 {
+		vm.verifyID = memo.Intern(VerifyIdent{Spec: vm.Spec, Env: vm.Env.Release, Oracle: OracleVM})
+	}
+	id := vm.verifyID
 	if e, hit := memo.probe(id, key, vm.cov != nil); hit {
 		vm.cov.ReplayHits(e.stmts, e.edges)
 		if e.ok {

@@ -9,8 +9,10 @@ import (
 )
 
 // VM is one simulated JVM implementation bound to a runtime library
-// environment. A VM is stateless across runs; Run creates fresh
-// per-execution state, so one VM may be reused for many classfiles.
+// environment. No outcome depends on an earlier run: Run resets the
+// VM's reusable per-run state, so one VM may be reused for many
+// classfiles (from one goroutine at a time). Spec and Env must not
+// change once the VM has run with a verify memo attached.
 type VM struct {
 	Spec Spec
 	Env  *rtlib.Env
@@ -48,11 +50,19 @@ type VM struct {
 
 	// verifyMemo, when attached via SetVerifyMemo, memoises per-method
 	// verification verdicts across runs (and across VMs sharing the
-	// memo) keyed by MethodKey. vcap is the lazily-created scratch
-	// recorder verifyMethodMemo swaps in to capture the verifier's
-	// probe footprint on a miss.
+	// memo) keyed by MethodKey. verifyID is this VM's ident interned in
+	// that memo (0 until the first memoised verification). vcap is the
+	// lazily-created scratch recorder verifyMethodMemo swaps in to
+	// capture the verifier's probe footprint on a miss.
 	verifyMemo *VerifyMemo
+	verifyID   VerifyID
 	vcap       *coverage.Recorder
+
+	// ex, seenFields and seenMethods are the per-run state, reset by
+	// each run instead of reallocated (execFor, load).
+	ex          execState
+	seenFields  map[memberKey]struct{}
+	seenMethods map[memberKey]struct{}
 }
 
 type platformProbeKey struct{ cls, name string }
@@ -191,7 +201,7 @@ func (vm *VM) SetRecorder(r *coverage.Recorder) { vm.cov = r }
 
 // SetVerifyMemo attaches a method-verification memo (pass nil to
 // detach; verification then always runs the verifier).
-func (vm *VM) SetVerifyMemo(m *VerifyMemo) { vm.verifyMemo = m }
+func (vm *VM) SetVerifyMemo(m *VerifyMemo) { vm.verifyMemo, vm.verifyID = m, 0 }
 
 // vmTel holds a VM's interned telemetry handles: a run counter, parse
 // timing, and one histogram per startup-pipeline stage. Stage indices
@@ -326,7 +336,7 @@ func (vm *VM) RunFile(f *classfile.File) Outcome {
 	if out, bad := vm.load(f); bad {
 		return out
 	}
-	ex := newExecState(vm, f)
+	ex := vm.execFor(f)
 	if out, bad := vm.link(ex); bad {
 		return out
 	}
@@ -334,6 +344,12 @@ func (vm *VM) RunFile(f *classfile.File) Outcome {
 		return out
 	}
 	return vm.invoke(ex)
+}
+
+// execFor resets the VM's exec state for a run of f and returns it.
+func (vm *VM) execFor(f *classfile.File) *execState {
+	vm.ex.reset(vm, f)
+	return &vm.ex
 }
 
 // runFileTimed is RunFile with a span around each pipeline stage. Kept
@@ -346,7 +362,7 @@ func (vm *VM) runFileTimed(f *classfile.File) Outcome {
 	if bad {
 		return out
 	}
-	ex := newExecState(vm, f)
+	ex := vm.execFor(f)
 	sp = telemetry.StartSpan(vm.tel.phases[PhaseLinking])
 	out, bad = vm.link(ex)
 	sp.End()

@@ -13,6 +13,9 @@ package seedgen
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
@@ -74,21 +77,53 @@ func GenerateOne(opts Options, i int) *jimple.Class {
 }
 
 // GenerateFiles lowers a generated corpus straight to classfile bytes.
+// Class i is GenerateOne(opts, i), lowered and written, so the corpus is
+// built on GOMAXPROCS goroutines into index-addressed slots and comes
+// out identical at any GOMAXPROCS. On failure the error of the lowest
+// failing index is returned, as a serial build would.
 func GenerateFiles(opts Options) ([][]byte, error) {
-	classes := Generate(opts)
-	out := make([][]byte, 0, len(classes))
-	for _, c := range classes {
-		f, err := jimple.Lower(c)
+	out := make([][]byte, opts.Count)
+	errs := make([]error, opts.Count)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), opts.Count); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lc := jimple.NewLowerCtx()
+			var buf []byte
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= opts.Count {
+					return
+				}
+				buf, errs[i] = lowerOne(lc, GenerateOne(opts, i), buf[:0])
+				if errs[i] == nil {
+					out[i] = append([]byte(nil), buf...)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("seedgen: lowering %s: %w", c.Name, err)
+			return nil, err
 		}
-		data, err := f.Bytes()
-		if err != nil {
-			return nil, fmt.Errorf("seedgen: serialising %s: %w", c.Name, err)
-		}
-		out = append(out, data)
 	}
 	return out, nil
+}
+
+// lowerOne lowers c with lc and appends its bytes to buf.
+func lowerOne(lc *jimple.LowerCtx, c *jimple.Class, buf []byte) ([]byte, error) {
+	f, err := lc.Lower(c)
+	if err != nil {
+		return buf, fmt.Errorf("seedgen: lowering %s: %w", c.Name, err)
+	}
+	buf, err = f.AppendBytes(buf)
+	if err != nil {
+		return buf, fmt.Errorf("seedgen: serialising %s: %w", c.Name, err)
+	}
+	return buf, nil
 }
 
 type shapeFn func(name string, rng *rand.Rand) *jimple.Class

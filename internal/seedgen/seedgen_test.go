@@ -2,6 +2,7 @@ package seedgen
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/difftest"
@@ -142,5 +143,38 @@ func TestZeroSkewCorpusHasNoEarlyDiscrepancies(t *testing.T) {
 	sum := runner.Evaluate(files, difftest.Options{})
 	if sum.Discrepancies != 0 {
 		t.Errorf("unskewed corpus triggered %d discrepancies", sum.Discrepancies)
+	}
+}
+
+// TestGenerateFilesMatchesGenerateOne pins the parallel corpus build to
+// the serial definition: at any GOMAXPROCS, file i is GenerateOne(opts,
+// i) lowered by jimple.Lower and written by Bytes, byte for byte.
+func TestGenerateFilesMatchesGenerateOne(t *testing.T) {
+	opts := DefaultOptions(400, 5)
+	want := make([][]byte, opts.Count)
+	for i := range want {
+		f, err := jimple.Lower(GenerateOne(opts, i))
+		if err != nil {
+			t.Fatalf("lower %d: %v", i, err)
+		}
+		if want[i], err = f.Bytes(); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, err := GenerateFiles(opts)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: %d files, want %d", procs, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("GOMAXPROCS %d: file %d differs from GenerateOne's", procs, i)
+			}
+		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/coverage"
+	"repro/internal/difftest"
 	"repro/internal/jimple"
 	"repro/internal/seedgen"
 )
@@ -617,5 +618,24 @@ func TestLeftoverMemoFileIgnored(t *testing.T) {
 	}
 	if after, err := os.ReadFile(memoPath); err != nil || !bytes.Equal(after, torn) {
 		t.Fatalf("leftover memo.json was touched (err %v)", err)
+	}
+}
+
+// TestSessionRunnerUsesSessionMemo pins that a session Runner verifies
+// through the session's memo itself: the runner holds it, and what the
+// runner verifies lands in it.
+func TestSessionRunnerUsesSessionMemo(t *testing.T) {
+	s := NewSession(nil)
+	r := s.Runner()
+	if r.VerifyMemo != s.VerifyMemo {
+		t.Fatal("runner carries a verify memo of its own")
+	}
+	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(4, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Evaluate(files, difftest.Options{})
+	if s.VerifyMemo.Len() == 0 {
+		t.Fatal("evaluation left the session memo empty")
 	}
 }

@@ -116,9 +116,7 @@ func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry
 // Runner builds a standard five-VM differential runner wired to the
 // session's shared verify memo and metrics roll-up.
 func (s *Session) Runner() *difftest.Runner {
-	r := difftest.NewStandardRunner()
-	r.VerifyMemo = s.VerifyMemo
-	jvm.ShareVerifyMemo(r.VMs, s.VerifyMemo)
+	r := difftest.NewStandardRunnerWithMemo(s.VerifyMemo)
 	r.UseTelemetry(s.Telemetry)
 	return r
 }
