@@ -143,13 +143,15 @@ func main() {
 	fmt.Printf("| accepted tests | %d |\n\n", counters.Accepts)
 
 	if pf := res.Prefilter; pf != nil {
-		fmt.Printf("## Static prefilter savings\n\n")
-		fmt.Printf("Statically-doomed mutants whose load-phase coverage trace was\n")
-		fmt.Printf("already cached skip reference-VM execution; the accepted suite is\n")
-		fmt.Printf("identical either way.\n\n")
+		fmt.Printf("## Prefilter savings\n\n")
+		fmt.Printf("A mutant the reference VM rejects during loading or linking is\n")
+		fmt.Printf("doomed: its run's coverage trace is cached under a fingerprint, and\n")
+		fmt.Printf("a fingerprint-equal repeat reuses it instead of running the\n")
+		fmt.Printf("reference VM. The accepted suite is identical either way.\n\n")
 		fmt.Printf("| metric (%s%s) | value |\n|---|---|\n", res.Algorithm, res.Criterion)
 		fmt.Printf("| mutants checked | %d |\n", pf.Checked)
-		fmt.Printf("| statically doomed | %d |\n", pf.Doomed)
+		fmt.Printf("| doomed (rejected in loading or linking) | %d |\n", pf.Doomed)
+		fmt.Printf("| of which rejected in linking | %d |\n", pf.VerifyDoomed)
 		fmt.Printf("| executions skipped | %d |\n", pf.Skipped)
 		fmt.Printf("| doomed but executed (cache miss) | %d |\n\n", pf.Executed)
 	}
@@ -336,7 +338,7 @@ func main() {
 	fmt.Printf("\nPrefilter verdict counters: %d accept / %d reject.\n",
 		final.Counter("campaign.prefilter.verdict.accept"),
 		final.Counter("campaign.prefilter.verdict.reject"))
-	fmt.Printf("Dataflow verify band: %d definite / %d reject (verify-doomed: %d).\n",
+	fmt.Printf("Verify band (reference-VM link step): %d definite / %d reject (verify-doomed: %d).\n",
 		final.Counter("analysis.dataflow.definite"),
 		final.Counter("analysis.dataflow.reject"),
 		final.Counter("campaign.prefilter.verify_doomed"))

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"strings"
-
 	"repro/internal/classfile"
 	"repro/internal/descriptor"
 	"repro/internal/jvm"
@@ -65,10 +63,13 @@ func Fingerprint(f *classfile.File) uint64 {
 	}
 
 	cp := f.Pool
+	// utf8s holds the earlier Utf8 slots, the only candidates for a
+	// content-equal predecessor; pools rarely outgrow the stack buffer.
+	var utf8Buf [128]uint16
+	utf8s := utf8Buf[:0]
 	u16(uint16(cp.Count()))
-	for i := 0; i < cp.Count(); i++ {
-		c := cp.Get(uint16(i))
-		if c == nil {
+	for i, c := range cp.Entries {
+		if i == 0 || c == nil { // slot 0 is reserved, as in ConstPool.Get
 			u8(0)
 			continue
 		}
@@ -76,14 +77,15 @@ func Fingerprint(f *classfile.File) uint64 {
 		if c.Tag == classfile.TagUtf8 {
 			// First pool index with equal content: the equality classes
 			// that drive duplicate-member detection.
-			firstEq := i
-			for j := 1; j < i; j++ {
-				if o := cp.Get(uint16(j)); o != nil && o.Tag == classfile.TagUtf8 && o.Str == c.Str {
+			firstEq := uint16(i)
+			for _, j := range utf8s {
+				if cp.Entries[j].Str == c.Str {
 					firstEq = j
 					break
 				}
 			}
-			u16(uint16(firstEq))
+			utf8s = append(utf8s, uint16(i))
+			u16(firstEq)
 			u8(utf8Bits(c.Str))
 			u8(specialNameID(c.Str))
 		} else {
@@ -236,23 +238,40 @@ func VerifyFingerprint(data []byte, selfName string) uint64 {
 	return h
 }
 
-// utf8Bits packs the validity properties the loader branches on.
+// utf8Bits packs the validity properties the loader branches on:
+// bit 1 a valid field descriptor, 2 a valid method descriptor, 4 a
+// valid class name, 8 the "[" prefix, 16 a valid void-returning method
+// descriptor. The first byte decides which scans can succeed, so each
+// string is scanned once per property that can hold.
 func utf8Bits(s string) byte {
-	var b byte
-	if descriptor.ValidField(s) {
-		b |= 1
+	if s == "" {
+		return 0
 	}
-	if descriptor.ValidMethod(s) {
-		b |= 2
+	var b byte
+	switch s[0] {
+	case '[':
+		// An array name is a valid class name exactly when it is a
+		// valid field descriptor; no method descriptor starts with '['.
+		if descriptor.ValidField(s) {
+			return 8 | 4 | 1
+		}
+		return 8
+	case '(':
+		// Only method descriptors start with '('; a field descriptor
+		// never does.
+		if void, ok := descriptor.ScanMethod(s); ok {
+			b |= 2
+			if void {
+				b |= 16
+			}
+		}
+	default:
+		if descriptor.ValidField(s) {
+			b |= 1
+		}
 	}
 	if descriptor.ValidClassName(s) {
 		b |= 4
-	}
-	if strings.HasPrefix(s, "[") {
-		b |= 8
-	}
-	if descriptor.ValidMethodReturnsVoid(s) {
-		b |= 16
 	}
 	return b
 }

@@ -8,8 +8,9 @@
 //
 //	draw    — seed pick + mutator selection (sequential, iteration order)
 //	mutate  — clone seed, apply mutator, lower to classfile bytes
-//	filter  — static prefilter: doomed-mutant detection + trace cache
-//	execute — run the mutant on an instrumented reference VM
+//	filter  — prefilter: fingerprint lookup in the doomed-mutant trace cache
+//	execute — run the mutant on an instrumented reference VM, whose
+//	          reject step classifies it for the prefilter
 //	commit  — coverage uniqueness, suite/pool update, selector feedback
 //	          (sequential, iteration order)
 //
@@ -90,19 +91,22 @@ type Config struct {
 	// only accepted mutants keep their bytes, which is what bounds
 	// campaign RSS at paper scale.
 	KeepGenBytes bool
-	// StaticPrefilter short-circuits reference-VM execution of mutants
-	// the static oracle proves the reference VM rejects — during
-	// loading (format checks, keyed by structural fingerprint) or
-	// during linking (hierarchy, resolution and §4.10 dataflow
-	// verification, keyed by a name-masked content fingerprint). The
-	// first mutant of each fingerprint still executes (its trace seeds
-	// a cache); fingerprint-equal repeats reuse that trace, so the
+	// StaticPrefilter short-circuits reference-VM execution of doomed
+	// mutants: those the reference VM rejects during loading (keyed by
+	// structural fingerprint) or during linking (hierarchy, resolution
+	// and §4.10 verification, keyed by a name-masked content
+	// fingerprint). The reference run itself decides which band a
+	// mutant belongs to; no static analysis runs per mutant. The first
+	// mutant of each fingerprint executes and seeds a trace cache;
+	// fingerprint-equal repeats reuse that trace, so the
 	// coverage-driven acceptance decisions — and the accepted suite —
 	// are bit-identical to an unfiltered campaign.
 	StaticPrefilter bool
 	// VerifyMemo optionally injects a method-verification memo the
 	// caller carries warm across campaigns (a lineage of epochs reusing
-	// its parents' per-method verdicts). Nil runs verification
+	// its parents' per-method verdicts). The seed VM and the worker
+	// VMs share it; it holds runtime-verifier verdicts only, since the
+	// prefilter runs no verifier of its own. Nil runs verification
 	// unmemoised: a memo created cold for one campaign costs more
 	// memory than it saves. The memo is observe-equivalent: verdicts
 	// are content-addressed and pure, so results are bit-identical with

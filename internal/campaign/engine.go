@@ -39,17 +39,14 @@ type task struct {
 	done   chan struct{}
 
 	// outputs of the mutate/filter/execute stages
-	applied       bool // mutator applicable
-	lowered       bool // classfile bytes produced
-	mutant        *jimple.Class
-	data          []byte
-	trace         *coverage.Trace
-	checked       bool   // prefilter inspected the mutant
-	doomed        bool   // statically certain loading-phase reject
-	verifyChecked bool   // verify band inspected the mutant
-	verifyDoomed  bool   // statically certain linking-phase reject
-	cacheHit      bool   // trace served from the prefilter cache
-	fp            uint64 // trace-cache key of the band that doomed it
+	applied  bool // mutator applicable
+	lowered  bool // classfile bytes produced
+	mutant   *jimple.Class
+	data     []byte
+	trace    *coverage.Trace
+	band     band   // prefilter class of the mutant
+	cacheHit bool   // trace served from the prefilter cache
+	fp       uint64 // trace-cache key of the band that doomed it
 
 	// dataRetained is set at commit when t.data escaped into the result
 	// (accepted bytes, or KeepClasses/KeepGenBytes); only an unretained
@@ -92,11 +89,11 @@ type engineTel struct {
 	pfExecuted *telemetry.Counter // campaign.prefilter.executed
 	poolSize   *telemetry.Gauge   // campaign.pool_size
 
-	// verdicts tallies the prefilter's static accept/reject stream
-	// (campaign.prefilter.verdict.accept / .reject) — the analysis
-	// package's own view of the same commit-path decisions.
+	// verdicts tallies the prefilter's accept/reject stream
+	// (campaign.prefilter.verdict.accept / .reject) under the analysis
+	// package's verdict names.
 	verdicts analysis.VerdictCounters
-	// dataflow tallies the verify band's claims under the canonical
+	// dataflow tallies the verify band's verdicts under the canonical
 	// analysis.dataflow.* names (definite link-accept, definite
 	// reject); load-doomed mutants never reach the band and are not
 	// counted.
@@ -271,16 +268,14 @@ func newEngine(cfg Config) *engine {
 	// An injected verify memo carries per-method verdicts across the
 	// caller's campaigns: a mutant's untouched methods (the generated
 	// main, <init>, unmutated seed methods) reuse lineage verdicts
-	// instead of re-running the dataflow fixpoint on every generation.
-	// The seed VM, every worker VM (runtime-verifier oracle) and the
-	// prefilter's verify band (dataflow oracle) share it.
+	// instead of re-running the verifier on every generation. The seed
+	// VM and every worker VM share it.
 	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
 		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
 	}
 
 	if cfg.StaticPrefilter && e.coverageDirected {
-		e.pf = newPrefilter(cfg.RefSpec)
-		e.pf.vmemo = cfg.VerifyMemo
+		e.pf = newPrefilter()
 	}
 	return e
 }
@@ -577,8 +572,12 @@ func (e *engine) process(t *task, ws *workerScratch) *classfile.File {
 	if !e.coverageDirected {
 		return f // randfuzz never runs the reference VM
 	}
-	if e.pf != nil && e.runPrefilter(t, f) {
-		return f // trace served from the prefilter cache
+	var lfp, vfp uint64
+	if e.pf != nil {
+		var hit bool
+		if lfp, vfp, hit = e.prefilterLookup(t, f); hit {
+			return f // trace served from the prefilter cache
+		}
 	}
 	spExec := telemetry.StartSpan(e.tel.exec)
 	ws.rec.Reset()
@@ -587,41 +586,41 @@ func (e *engine) process(t *task, ws *workerScratch) *classfile.File {
 	ws.vm.RunParsed(f)
 	t.trace = ws.rec.Trace()
 	spExec.End()
+	if e.pf != nil {
+		// The reference run classifies the mutant by the step that
+		// rejected it; commit seeds that band's cache entry.
+		switch ws.vm.RejectStep() {
+		case jvm.StepLoad:
+			t.band, t.fp = bandLoad, lfp
+		case jvm.StepLink:
+			t.band, t.fp = bandVerify, vfp
+		default:
+			t.band = bandClean
+		}
+	}
 	return f
 }
 
-// runPrefilter runs the static prefilter's two bands on the task's
-// written File and reports whether the task's trace was served from
-// the prefilter cache, so the reference VM need not run.
-func (e *engine) runPrefilter(t *task, f *classfile.File) bool {
+// prefilterLookup looks the task's written File up in the prefilter
+// cache, load band first, and returns both bands' keys. On a hit the
+// task takes the cached trace and its band, and the reference VM need
+// not run. Only entries committed at least Lookahead iterations ago
+// are visible — see prefilter.
+func (e *engine) prefilterLookup(t *task, f *classfile.File) (lfp, vfp uint64, hit bool) {
 	sp := telemetry.StartSpan(e.tel.prefilter)
 	defer sp.End()
-	t.checked = true
-	if d := analysis.LoadReject(f, &e.pf.spec.Policy); d != nil {
-		t.doomed = true
-		t.fp = analysis.Fingerprint(f)
-	} else {
-		// Verify band: a load-clean mutant the oracle still definitely
-		// rejects during linking (hierarchy, resolution, §4.10 dataflow
-		// verification) can reuse a trace recorded for a
-		// masked-byte-equal predecessor — same visibility window as the
-		// load band.
-		t.verifyChecked = true
-		vfp := analysis.VerifyFingerprint(t.data, f.Name()) ^ verifyBandTag
-		if !e.pf.verifyReject(f, vfp) {
-			return false
-		}
-		t.verifyDoomed = true
-		t.fp = vfp
+	maxIter := t.iter - e.lookahead
+	lfp = analysis.Fingerprint(f)
+	if tr, ok := e.pf.lookup(lfp, maxIter); ok {
+		t.band, t.fp, t.trace, t.cacheHit = bandLoad, lfp, tr, true
+		return lfp, 0, true
 	}
-	// Only cache entries committed at least Lookahead iterations ago
-	// are visible — see prefilter.
-	tr, ok := e.pf.lookup(t.fp, t.iter-e.lookahead)
-	if ok {
-		t.cacheHit = true
-		t.trace = tr
+	vfp = analysis.VerifyFingerprint(t.data, f.Name()) ^ verifyBandTag
+	if tr, ok := e.pf.lookup(vfp, maxIter); ok {
+		t.band, t.fp, t.trace, t.cacheHit = bandVerify, vfp, tr, true
+		return lfp, vfp, true
 	}
-	return ok
+	return lfp, vfp, false
 }
 
 // commitTask waits for a worker to finish the task, commits it and
@@ -657,18 +656,19 @@ func (e *engine) commit(t *task) {
 	e.res.Draws[t.iter].Generated = true
 	e.tel.generated.Inc()
 
-	if t.checked {
+	if t.band != bandNone {
+		doomed := t.band != bandClean
 		e.tel.pfChecked.Inc()
-		e.tel.verdicts.Observe(t.doomed || t.verifyDoomed)
-		switch {
-		case t.verifyChecked && t.verifyDoomed:
+		e.tel.verdicts.Observe(doomed)
+		switch t.band {
+		case bandVerify:
 			e.tel.dataflow.Reject.Inc()
-		case t.verifyChecked:
+		case bandClean:
 			e.tel.dataflow.Definite.Inc()
 		}
-		if t.doomed || t.verifyDoomed {
+		if doomed {
 			e.tel.pfDoomed.Inc()
-			if t.verifyDoomed {
+			if t.band == bandVerify {
 				e.tel.pfVerify.Inc()
 			}
 			if t.cacheHit {
@@ -694,7 +694,7 @@ func (e *engine) commit(t *task) {
 	gc := &GenClass{Iter: t.iter, Name: t.mutant.Name, MutatorID: t.rec.MutatorID}
 	if e.coverageDirected {
 		gc.Stats = t.trace.Stats()
-		e.genStats.Add(t.trace)
+		e.genStats.AddStats(gc.Stats)
 	}
 	if e.cfg.KeepClasses {
 		gc.Class = t.mutant

@@ -46,7 +46,7 @@ type Executed struct {
 	Skipped bool
 }
 
-// PrefilterHit fires at commit when the static prefilter's cache
+// PrefilterHit fires at commit when the prefilter's trace cache
 // avoided a reference-VM execution.
 type PrefilterHit struct {
 	Iter int

@@ -3,11 +3,7 @@ package campaign
 import (
 	"sync"
 
-	"repro/internal/analysis"
-	"repro/internal/classfile"
 	"repro/internal/coverage"
-	"repro/internal/jvm"
-	"repro/internal/rtlib"
 )
 
 // verifyBandTag separates the verify band's trace-cache keyspace from
@@ -18,22 +14,38 @@ import (
 // entries in the shared cache.
 const verifyBandTag = 0x9e3779b97f4a7c15
 
-// prefilter caches reference-VM coverage traces for statically doomed
-// mutants, keyed per band by a fingerprint whose equality implies
-// trace equality:
+// band is a generated mutant's prefilter class.
+type band uint8
+
+const (
+	bandNone   band = iota // unclassified: no prefilter
+	bandClean              // linked: a definite link-accept
+	bandLoad               // rejected in the load step
+	bandVerify             // rejected in the link step
+)
+
+// prefilter caches reference-VM coverage traces for doomed mutants —
+// those the reference VM rejects during loading or linking — keyed per
+// band by a fingerprint whose equality implies trace equality:
 //
 //   - load band: a structural-skeleton hash (analysis.Fingerprint).
 //     Loading reads only the skeleton and never consults the library
 //     environment, the RNG or interpreter state, so skeleton-equal
 //     files produce byte-identical load traces.
 //   - verify band: a masked raw-byte hash (analysis.VerifyFingerprint)
-//     for mutants the oracle definitely rejects during linking. The
-//     whole run is a pure function of the bytes, the (fixed) policy
-//     and the (fixed) environment; masking only the self-name — which
-//     the VM reads solely through intra-file equality and the validity
-//     bits hashed into the key — keeps that function constant across
+//     for mutants the reference VM rejects during linking. The whole
+//     run is a pure function of the bytes, the (fixed) policy and the
+//     (fixed) environment; masking only the self-name — which the VM
+//     reads solely through intra-file equality and the validity bits
+//     hashed into the key — keeps that function constant across
 //     key-equal files. Mutants recur modulo the iteration-derived
 //     class name far more often than byte-identically, hence the mask.
+//
+// A mutant's band is the reference run's own verdict: the VM step that
+// rejected it (jvm.VM.RejectStep). No static analysis runs per mutant.
+// A fingerprint hit implies the band, since a fingerprint-equal file
+// takes the same path to the same rejection; a miss runs the VM, which
+// classifies the mutant and, at commit, seeds the cache.
 //
 // The cache is *versioned* so its behaviour is deterministic under the
 // worker pool: an entry inserted by iteration j's commit is visible
@@ -43,32 +55,11 @@ const verifyBandTag = 0x9e3779b97f4a7c15
 // doomed mutant whose fingerprint was seeded inside the window executes
 // redundantly (exactly as it would at workers=1), which costs a little
 // throughput but keeps the Skipped/Executed counters bit-identical at
-// any worker count.
-// Savings tallies (the old stats field) live in the engine's telemetry
+// any worker count. Savings tallies live in the engine's telemetry
 // counters — campaign.prefilter.* — and surface as Result.Prefilter.
 type prefilter struct {
-	spec jvm.Spec
-	env  *rtlib.Env
-
 	mu    sync.RWMutex
 	cache map[uint64]prefilterEntry
-
-	// verdicts memoizes the verify band's link-reject predicate by the
-	// band-tagged VerifyFingerprint. The predicate is a pure function
-	// of the masked bytes, so entries computed by any worker in any
-	// order are interchangeable — the memo affects cost, never
-	// outcomes, and needs no versioning.
-	vmu      sync.Mutex
-	verdicts map[uint64]bool
-
-	// vmemo, the injected Config.VerifyMemo (may be nil), memoises the
-	// band's per-method dataflow fixpoints below the whole-class
-	// verdicts map: a class that misses on its masked fingerprint
-	// (every generation renames the mutant) still reuses the lineage's
-	// verdicts for untouched methods. Like verdicts it is a
-	// pure-function cache — content-addressed keys, no versioning
-	// needed.
-	vmemo *jvm.VerifyMemo
 }
 
 type prefilterEntry struct {
@@ -76,13 +67,8 @@ type prefilterEntry struct {
 	iter  int // iteration whose commit inserted the entry
 }
 
-func newPrefilter(spec jvm.Spec) *prefilter {
-	return &prefilter{
-		spec:     spec,
-		env:      rtlib.NewEnv(spec.Release),
-		cache:    make(map[uint64]prefilterEntry),
-		verdicts: make(map[uint64]bool),
-	}
+func newPrefilter() *prefilter {
+	return &prefilter{cache: make(map[uint64]prefilterEntry)}
 }
 
 // lookup returns the cached trace for fp if it was committed by an
@@ -106,21 +92,4 @@ func (pf *prefilter) insert(fp uint64, tr *coverage.Trace, iter int) {
 	if _, ok := pf.cache[fp]; !ok {
 		pf.cache[fp] = prefilterEntry{trace: tr, iter: iter}
 	}
-}
-
-// verifyReject reports whether the oracle definitely rejects f during
-// linking (hierarchy, resolution, §4.10 verification), memoized by the
-// band-tagged VerifyFingerprint vfp. Called from workers.
-func (pf *prefilter) verifyReject(f *classfile.File, vfp uint64) bool {
-	pf.vmu.Lock()
-	v, ok := pf.verdicts[vfp]
-	pf.vmu.Unlock()
-	if ok {
-		return v
-	}
-	v = analysis.VerifyRejectMemo(f, pf.spec, pf.env, pf.vmemo) != nil
-	pf.vmu.Lock()
-	pf.verdicts[vfp] = v
-	pf.vmu.Unlock()
-	return v
 }

@@ -7,17 +7,17 @@ import (
 	"repro/internal/jimple"
 )
 
-// PrefilterStats counts the static prefilter's work in one campaign.
+// PrefilterStats counts the prefilter's work in one campaign.
 type PrefilterStats struct {
 	// Checked is the number of mutants the prefilter inspected.
 	Checked int
-	// Doomed is how many were statically certain rejects — a
-	// loading-phase format reject (the load band) or a linking-phase
-	// reject from the dataflow oracle (the verify band).
+	// Doomed is how many the reference VM rejects before
+	// initialisation — in its load step (the load band) or its link
+	// step (the verify band).
 	Doomed int
-	// VerifyDoomed is the verify-band subset of Doomed: load-clean
-	// mutants the oracle definitely rejects during linking (hierarchy,
-	// resolution, §4.10 verification).
+	// VerifyDoomed is the verify-band subset of Doomed: mutants that
+	// load but fail linking (hierarchy, resolution, §4.10
+	// verification).
 	VerifyDoomed int
 	// Skipped is how many reference-VM executions the trace cache
 	// avoided.

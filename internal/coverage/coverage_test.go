@@ -285,6 +285,40 @@ func TestSuiteSizeAndUniqueStats(t *testing.T) {
 	}
 }
 
+// TestAddStatsMatchesAdd pins that a statistics-census suite ([st] or
+// [stbr]) fed only statistic pairs is indistinguishable from one fed
+// the traces themselves: same Size, same UniqueStatsCount, same Unique
+// verdicts. The campaign's GenClasses census relies on this to keep no
+// trace alive.
+func TestAddStatsMatchesAdd(t *testing.T) {
+	for _, c := range []Criterion{ST, STBR} {
+		reg := NewRegistry()
+		rng := rand.New(rand.NewSource(11))
+		byTrace, byStats := NewSuite(c), NewSuite(c)
+		for i := 0; i < 300; i++ {
+			var stmts, brs []string
+			for j := 0; j < 1+rng.Intn(6); j++ {
+				stmts = append(stmts, fmt.Sprintf("s%d", rng.Intn(8)))
+			}
+			for j := 0; j < rng.Intn(5); j++ {
+				brs = append(brs, fmt.Sprintf("b%d:T", rng.Intn(6)))
+			}
+			tr := mkTrace(reg, stmts, brs)
+			if byTrace.Unique(tr) != byStats.Unique(tr) {
+				t.Fatalf("%v: trace %d: Unique disagrees", c, i)
+			}
+			byTrace.Add(tr)
+			byStats.AddStats(tr.Stats())
+		}
+		if byTrace.Size() != byStats.Size() {
+			t.Errorf("%v: Size %d via Add, %d via AddStats", c, byTrace.Size(), byStats.Size())
+		}
+		if byTrace.UniqueStatsCount() != byStats.UniqueStatsCount() {
+			t.Errorf("%v: UniqueStatsCount %d via Add, %d via AddStats", c, byTrace.UniqueStatsCount(), byStats.UniqueStatsCount())
+		}
+	}
+}
+
 func TestKeyCanonical(t *testing.T) {
 	reg := NewRegistry()
 	a := mkTrace(reg, []string{"s1", "s2"}, []string{"b:T"})

@@ -288,10 +288,10 @@ func ValidField(s string) bool {
 	return ok && !isVoid && next == len(s)
 }
 
-// scanMethod validates a method descriptor like (ILjava/lang/String;)V
+// ScanMethod validates a method descriptor like (ILjava/lang/String;)V
 // without allocating, reporting validity and whether the return type
 // is void. Accepts exactly what ParseMethod accepts.
-func scanMethod(s string) (voidReturn, valid bool) {
+func ScanMethod(s string) (voidReturn, valid bool) {
 	if len(s) == 0 || s[0] != '(' {
 		return false, false
 	}
@@ -316,15 +316,8 @@ func scanMethod(s string) (voidReturn, valid bool) {
 
 // ValidMethod reports whether s is a syntactically legal method descriptor.
 func ValidMethod(s string) bool {
-	_, ok := scanMethod(s)
+	_, ok := ScanMethod(s)
 	return ok
-}
-
-// ValidMethodReturnsVoid reports whether s is a legal method
-// descriptor whose return type is void, in one allocation-free scan.
-func ValidMethodReturnsVoid(s string) bool {
-	v, ok := scanMethod(s)
-	return ok && v
 }
 
 // ValidClassName reports whether s is a plausible internal class name:

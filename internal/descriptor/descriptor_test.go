@@ -237,8 +237,8 @@ func TestValidScannersMatchParsers(t *testing.T) {
 			t.Errorf("ValidMethod(%q) = %v, ParseMethod err = %v", s, got, merr)
 		}
 		wantVoid := merr == nil && md.Return.IsVoid()
-		if got := ValidMethodReturnsVoid(s); got != wantVoid {
-			t.Errorf("ValidMethodReturnsVoid(%q) = %v, want %v", s, got, wantVoid)
+		if void, ok := ScanMethod(s); ok != (merr == nil) || (ok && void != wantVoid) {
+			t.Errorf("ScanMethod(%q) = %v, %v, want void %v", s, void, ok, wantVoid)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
+	"repro/internal/telemetry"
 )
 
 // withCode gives m a body of the given bytes.
@@ -113,5 +114,49 @@ func TestOutputSurvivesReuse(t *testing.T) {
 	}
 	if len(second.Output) != 1 || second.Output[0] != "second" {
 		t.Errorf("second output %q", second.Output)
+	}
+}
+
+// TestRejectStep pins RejectStep on the timed and untimed paths: the
+// step that rejected the last run, whatever phase the outcome reports,
+// reset by every run of a reused VM.
+func TestRejectStep(t *testing.T) {
+	build := func(name string, edit func(*classfile.File)) []byte {
+		f := helloClass(name)
+		if edit != nil {
+			edit(f)
+		}
+		data, err := f.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cases := []struct {
+		name  string
+		data  []byte
+		step  Step
+		phase Phase
+	}{
+		{"garbage", []byte{0xca, 0xfe}, StepLoad, PhaseLoading},
+		{"old-version", build("RsOld", func(f *classfile.File) { f.Major = 40 }), StepLoad, PhaseLoading},
+		{"missing-super", build("RsMissing", func(f *classfile.File) { f.SuperClass = f.Pool.AddClass("no/such/Super") }), StepLink, PhaseLoading},
+		{"final-super", build("RsFinal", func(f *classfile.File) { f.SuperClass = f.Pool.AddClass("java/lang/String") }), StepLink, PhaseLinking},
+		{"clean", build("RsOK", nil), StepNone, PhaseInvoked},
+	}
+	for _, timed := range []bool{false, true} {
+		vm := New(HotSpot9())
+		if timed {
+			vm.SetTelemetry(telemetry.New())
+		}
+		// Every case twice, in order, so each run follows a different
+		// verdict on the same VM.
+		for i := 0; i < 2*len(cases); i++ {
+			c := cases[i%len(cases)]
+			out := vm.Run(c.data)
+			if got := vm.RejectStep(); got != c.step || out.Phase != c.phase {
+				t.Errorf("timed=%v %s: step %d phase %s, want step %d phase %s", timed, c.name, got, out.Phase, c.step, c.phase)
+			}
+		}
 	}
 }

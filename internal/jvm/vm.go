@@ -63,7 +63,28 @@ type VM struct {
 	ex          execState
 	seenFields  map[memberKey]struct{}
 	seenMethods map[memberKey]struct{}
+
+	// rejectStep is the pipeline step that rejected the last run.
+	rejectStep Step
 }
+
+// Step names the pipeline step that rejected a run: loading (parse and
+// format checks) or linking (hierarchy, resolution, verification).
+// It is where the VM stopped, not Outcome.Phase: a linking-step
+// rejection can report PhaseLoading (an unloadable superclass, a
+// circular hierarchy).
+type Step uint8
+
+// Reject steps.
+const (
+	StepNone Step = iota // neither loading nor linking rejected the class
+	StepLoad
+	StepLink
+)
+
+// RejectStep reports which step rejected the VM's last run, or
+// StepNone when the class was linked.
+func (vm *VM) RejectStep() Step { return vm.rejectStep }
 
 type platformProbeKey struct{ cls, name string }
 
@@ -295,6 +316,7 @@ func (vm *VM) Run(data []byte) Outcome {
 		sp.End()
 		if vm.br(bParseWellformed, err != nil) {
 			vm.tel.runs.Inc()
+			vm.rejectStep = StepLoad
 			return ParseReject(err)
 		}
 		return vm.RunFile(f)
@@ -302,6 +324,7 @@ func (vm *VM) Run(data []byte) Outcome {
 	vm.st(pParseEnter)
 	f, err := classfile.Parse(data)
 	if vm.br(bParseWellformed, err != nil) {
+		vm.rejectStep = StepLoad
 		return ParseReject(err)
 	}
 	return vm.RunFile(f)
@@ -334,12 +357,15 @@ func (vm *VM) RunFile(f *classfile.File) Outcome {
 		return vm.runFileTimed(f)
 	}
 	if out, bad := vm.load(f); bad {
+		vm.rejectStep = StepLoad
 		return out
 	}
 	ex := vm.execFor(f)
 	if out, bad := vm.link(ex); bad {
+		vm.rejectStep = StepLink
 		return out
 	}
+	vm.rejectStep = StepNone
 	if out, bad := vm.initialize(ex); bad {
 		return out
 	}
@@ -360,6 +386,7 @@ func (vm *VM) runFileTimed(f *classfile.File) Outcome {
 	out, bad := vm.load(f)
 	sp.End()
 	if bad {
+		vm.rejectStep = StepLoad
 		return out
 	}
 	ex := vm.execFor(f)
@@ -367,8 +394,10 @@ func (vm *VM) runFileTimed(f *classfile.File) Outcome {
 	out, bad = vm.link(ex)
 	sp.End()
 	if bad {
+		vm.rejectStep = StepLink
 		return out
 	}
+	vm.rejectStep = StepNone
 	sp = telemetry.StartSpan(vm.tel.phases[PhaseInit])
 	out, bad = vm.initialize(ex)
 	sp.End()
