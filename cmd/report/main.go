@@ -315,9 +315,13 @@ func main() {
 	fmt.Printf("\n## Telemetry\n\n")
 	fmt.Printf("Session metrics snapshot (observe-only; results are identical with\n")
 	fmt.Printf("telemetry detached). Stage timings are per-iteration means over the\n")
-	fmt.Printf("campaign engine's pipeline spans.\n\n")
+	fmt.Printf("campaign engine's pipeline spans; the seed pass is timed once per\n")
+	fmt.Printf("engine run and once per scheduler build.\n\n")
 	fmt.Printf("| stage | samples | mean |\n|---|---|---|\n")
-	for _, stage := range []string{"draw", "mutate", "prefilter", "exec", "commit"} {
+	if h := final.Hist("seedsel.baselines_ns"); h.Count > 0 {
+		fmt.Printf("| seedsel baselines | %d | %s |\n", h.Count, h.MeanDuration())
+	}
+	for _, stage := range []string{"seeds", "draw", "mutate", "prefilter", "exec", "commit"} {
 		h := final.Hist("campaign.stage." + stage + "_ns")
 		if h.Count == 0 {
 			continue

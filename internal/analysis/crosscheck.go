@@ -104,7 +104,7 @@ func CrossCheck(f *classfile.File, specs []jvm.Spec) []Mismatch {
 		if !pred.Definite {
 			continue
 		}
-		act := jvm.NewWithEnv(spec, envFor(spec.Release)).RunFile(f)
+		act := jvm.New(spec).RunFile(f)
 		if agrees(pred.Outcome, act) {
 			continue
 		}

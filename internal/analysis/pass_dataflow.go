@@ -48,7 +48,7 @@ func entryMethod(f *classfile.File, m *classfile.Member) bool {
 }
 
 func runDataflow(p *Pass) {
-	env := envFor(rtlib.JRE8)
+	env := rtlib.Shared(rtlib.JRE8)
 	// The baseline policy runs only the rules every verifier dialect
 	// shares: no dialect knobs, no eager resolution (missing catch
 	// types are a resolution finding, not a verification one), and no

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sync"
-
 	"repro/internal/analysis/dataflow"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
@@ -19,28 +17,10 @@ type Prediction struct {
 	Outcome  jvm.Outcome
 }
 
-// envCache shares one runtime-library environment per release across
-// oracle calls; environments are immutable after construction.
-var envCache = struct {
-	sync.Mutex
-	m map[rtlib.Release]*rtlib.Env
-}{m: make(map[rtlib.Release]*rtlib.Env)}
-
-func envFor(r rtlib.Release) *rtlib.Env {
-	envCache.Lock()
-	defer envCache.Unlock()
-	if e, ok := envCache.m[r]; ok {
-		return e
-	}
-	e := rtlib.NewEnv(r)
-	envCache.m[r] = e
-	return e
-}
-
 // StaticVerdict predicts how the VM described by spec treats f,
 // resolving platform references against spec's own library release.
 func StaticVerdict(f *classfile.File, spec jvm.Spec) Prediction {
-	return StaticVerdictEnv(f, spec, envFor(spec.Release))
+	return StaticVerdictEnv(f, spec, rtlib.Shared(spec.Release))
 }
 
 // StaticVerdictEnv is StaticVerdict against an explicit environment

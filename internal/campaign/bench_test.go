@@ -104,3 +104,31 @@ func BenchmarkCampaign1WorkerTelemetry(b *testing.B) {
 	cfg.Telemetry = telemetry.New()
 	benchCampaignCfg(b, cfg)
 }
+
+// BenchmarkLineageEpoch is one epoch of a daemon shard's lineage (the
+// bench's lineage-epochs shape): a fresh yield scheduler over the
+// corpus, then a 400-iteration campaign at two workers with a verify
+// memo carried warm across epochs. The scheduler's seed pass is the
+// engine's too, so each loop runs the seeds once. The bench-compare CI
+// gate watches this per-epoch fixed cost.
+func BenchmarkLineageEpoch(b *testing.B) {
+	cfg := benchConfig(2)
+	seeds := cfg.Source.Corpus()
+	cfg.VerifyMemo = jvm.NewVerifyMemo()
+	epoch := func() {
+		sched, err := seedsel.New(seeds, seedsel.Options{Strategy: seedsel.Yield, RefSpec: cfg.RefSpec})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg.Source = sched
+		if _, err := Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	epoch() // warm the memo, as every epoch after a lineage's first finds it
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		epoch()
+	}
+}

@@ -104,6 +104,7 @@ type engineTel struct {
 	prefilter *telemetry.Histogram // campaign.stage.prefilter_ns
 	exec      *telemetry.Histogram // campaign.stage.exec_ns
 	commit    *telemetry.Histogram // campaign.stage.commit_ns
+	seeds     *telemetry.Histogram // campaign.stage.seeds_ns
 
 	// prefilter counter values at campaign start, so a reused external
 	// registry still yields this campaign's own PrefilterStats.
@@ -143,6 +144,7 @@ func newEngineTel(reg *telemetry.Registry, timing bool) engineTel {
 		t.prefilter = reg.Histogram("campaign.stage.prefilter_ns")
 		t.exec = reg.Histogram("campaign.stage.exec_ns")
 		t.commit = reg.Histogram("campaign.stage.commit_ns")
+		t.seeds = reg.Histogram("campaign.stage.seeds_ns")
 	}
 	t.pfBase = [5]int64{t.pfChecked.Load(), t.pfDoomed.Load(), t.pfSkipped.Load(), t.pfExecuted.Load(), t.pfVerify.Load()}
 	return t
@@ -268,8 +270,9 @@ func newEngine(cfg Config) *engine {
 	// An injected verify memo carries per-method verdicts across the
 	// caller's campaigns: a mutant's untouched methods (the generated
 	// main, <init>, unmutated seed methods) reuse lineage verdicts
-	// instead of re-running the verifier on every generation. The seed
-	// VM and every worker VM share it.
+	// instead of re-running the verifier on every generation. Every
+	// worker VM, and the engine's own seed pass when it runs one,
+	// shares it.
 	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
 		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
 	}
@@ -283,9 +286,12 @@ func newEngine(cfg Config) *engine {
 // initSeedState builds the seed pool and folds the seed traces into
 // the acceptance state (Algorithm 1 line 1 initialises TestClasses
 // with the seeds, so seed traces participate in uniqueness checks).
-// Shared verbatim by fresh runs and snapshot restores.
+// The traces are the source's baselines when it recorded them on the
+// reference spec, else the engine's own seed pass. Shared verbatim by
+// fresh runs and snapshot restores.
 func (e *engine) initSeedState() {
-	cfg := &e.cfg
+	sp := telemetry.StartSpan(e.tel.seeds)
+	defer sp.End()
 	e.pool = make([]poolEntry, 0, len(e.seeds))
 	for _, s := range e.seeds {
 		e.pool = append(e.pool, poolEntry{class: s, iter: -1})
@@ -293,24 +299,50 @@ func (e *engine) initSeedState() {
 	if !e.coverageDirected {
 		return
 	}
-	e.mergedCov = coverage.NewTrace()
+	traces := e.src.Baselines(e.cfg.RefSpec)
+	if len(traces) != len(e.seeds) {
+		traces = e.runSeeds()
+	}
+	e.foldSeeds(traces)
+}
+
+// runSeeds is the seed pass for a source without baselines: each seed
+// runs once on an instrumented reference VM, in corpus order. A nil
+// trace marks a seed that does not lower.
+func (e *engine) runSeeds() []*coverage.Trace {
+	cfg := &e.cfg
 	vm := jvm.New(cfg.RefSpec)
 	rec := coverage.NewRecorder(jvm.ProbeRegistry())
 	vm.SetRecorder(rec)
-	// Seed runs warm an injected verify memo before any worker starts:
-	// seed methods survive into most of the lineage unmutated.
+	// The injected verify memo serves the seed runs like any worker's.
+	// A memo hit replays the verifier's probes, so the traces are the
+	// same with or without it — and the same as a source's baselines,
+	// which run without it.
 	vm.SetVerifyMemo(cfg.VerifyMemo)
 	if e.timing {
 		vm.SetTelemetry(e.cfg.Telemetry)
 	}
 	lctx := jimple.NewLowerCtx()
-	for _, s := range e.seeds {
-		tr, err := runOnRef(vm, rec, lctx, s)
-		if err != nil {
-			continue // unlowerable seed: skip its trace
+	traces := make([]*coverage.Trace, len(e.seeds))
+	for i, s := range e.seeds {
+		if tr, err := runOnRef(vm, rec, lctx, s); err == nil {
+			traces[i] = tr
+		}
+	}
+	return traces
+}
+
+// foldSeeds folds the seed traces, in seed order, into the merged
+// coverage and the algorithm's acceptance state. Nil traces (seeds
+// that do not lower) are skipped.
+func (e *engine) foldSeeds(traces []*coverage.Trace) {
+	e.mergedCov = coverage.NewTrace()
+	for _, tr := range traces {
+		if tr == nil {
+			continue
 		}
 		e.mergedCov = coverage.Merge(e.mergedCov, tr)
-		switch cfg.Algorithm {
+		switch e.cfg.Algorithm {
 		case Greedyfuzz:
 			e.greedyUnion = coverage.Merge(e.greedyUnion, tr)
 		default:

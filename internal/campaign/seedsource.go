@@ -1,8 +1,12 @@
 package campaign
 
-import "math/rand"
+import (
+	"math/rand"
 
-import "repro/internal/jimple"
+	"repro/internal/coverage"
+	"repro/internal/jimple"
+	"repro/internal/jvm"
+)
 
 // SeedSource is the engine's seed-corpus abstraction: it owns the
 // initial corpus and decides, per iteration, which pool entry the draw
@@ -11,6 +15,13 @@ import "repro/internal/jimple"
 // scheduling, exploration floors) implement the same five methods and
 // plug into the draw stage unchanged (internal/seedsel provides the
 // second implementation).
+//
+// Seed pass. Algorithm 1 runs each seed once on the reference VM to
+// seed the test suite. A source that already ran the corpus on that
+// VM (seedsel clusters by those runs) hands the engine its traces
+// through Baselines, so each engine run makes exactly one seed pass;
+// a source that ran nothing returns nil, and the engine runs the seeds
+// itself.
 //
 // Determinism contract. Pick runs on the sequential draw stage with
 // iteration i's private draw stream; Observe and Grew run on the
@@ -48,6 +59,12 @@ type SeedSource interface {
 	// prefix into a fresh source and cross-checks the result against
 	// the snapshot's copy, so the encoding must be deterministic.
 	MarshalState() ([]byte, error)
+	// Baselines returns the coverage trace of every Corpus entry run
+	// once on the instrumented ref VM, index for index, with nil for a
+	// seed that does not lower or write. It returns nil when the
+	// source has not recorded on ref. The engine only reads the
+	// traces; they must be exactly what its own seed pass would record.
+	Baselines(ref jvm.Spec) []*coverage.Trace
 }
 
 // FlatSeeds adapts a flat seed slice to SeedSource with the engine's
@@ -67,12 +84,13 @@ type flatUniform struct {
 // snapshot validation compare against it.
 const StrategyUniform = "uniform"
 
-func (f flatUniform) Strategy() string               { return StrategyUniform }
-func (f flatUniform) Corpus() []*jimple.Class        { return f.seeds }
-func (f flatUniform) Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
-func (f flatUniform) Observe(int, bool, bool)        {}
-func (f flatUniform) Grew(int, int)                  {}
-func (f flatUniform) MarshalState() ([]byte, error)  { return nil, nil }
+func (f flatUniform) Strategy() string                     { return StrategyUniform }
+func (f flatUniform) Corpus() []*jimple.Class              { return f.seeds }
+func (f flatUniform) Pick(rng *rand.Rand, n int) int       { return rng.Intn(n) }
+func (f flatUniform) Observe(int, bool, bool)              {}
+func (f flatUniform) Grew(int, int)                        {}
+func (f flatUniform) MarshalState() ([]byte, error)        { return nil, nil }
+func (f flatUniform) Baselines(jvm.Spec) []*coverage.Trace { return nil }
 
 // seedCorpus returns the configured initial corpus (nil-safe).
 func (c *Config) seedCorpus() []*jimple.Class {

@@ -76,7 +76,7 @@ func NewStandardRunnerWithMemo(memo *jvm.VerifyMemo) *Runner {
 // Definition 2's e1 = e2 setting, which filters out compatibility
 // discrepancies and leaves defect-indicative ones.
 func NewSharedEnvRunner(release rtlib.Release) *Runner {
-	env := rtlib.NewEnv(release)
+	env := rtlib.Shared(release)
 	var vms []*jvm.VM
 	for _, spec := range jvm.StandardFive() {
 		vms = append(vms, jvm.NewWithEnv(spec, env))

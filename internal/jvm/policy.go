@@ -146,7 +146,7 @@ type Spec struct {
 // hotspotBase is the shared HotSpot policy; release presets adjust it.
 func hotspotBase() Policy {
 	return Policy{
-		MaxMajorVersion:           MajorOf("hotspot"),
+		MaxMajorVersion:           52,
 		MinMajorVersion:           45,
 		StrictConstantPool:        true,
 		ClinitRule:                ClinitOrdinaryIfNonStatic,
@@ -175,9 +175,6 @@ func hotspotBase() Policy {
 		StepBudget:                100000,
 	}
 }
-
-// MajorOf returns a large default ceiling; overridden per preset.
-func MajorOf(string) uint16 { return 52 }
 
 // HotSpot7 returns the simulator spec for HotSpot for Java 7.
 func HotSpot7() Spec {

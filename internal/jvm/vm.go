@@ -200,10 +200,11 @@ func (vm *VM) decodeCode(code []byte) *decodedCode {
 	return d
 }
 
-// New builds a VM from a spec, constructing the matching library
-// environment (the e of jvm(e, c, i)).
+// New builds a VM from a spec, bound to the matching library
+// environment (the e of jvm(e, c, i)): the release's shared, immutable
+// rtlib.Env.
 func New(spec Spec) *VM {
-	return &VM{Spec: spec, Env: rtlib.NewEnv(spec.Release)}
+	return &VM{Spec: spec, Env: rtlib.Shared(spec.Release)}
 }
 
 // NewWithEnv builds a VM bound to an explicit environment. Running two

@@ -8,7 +8,10 @@
 // inaccessible under the Java 9 module system.
 package rtlib
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // Release identifies a runtime library version.
 type Release int
@@ -99,6 +102,21 @@ func NewEnv(r Release) *Env {
 	e.populate()
 	return e
 }
+
+// shared holds one lazily built environment per release.
+var shared = [...]func() *Env{
+	JRE7:      sync.OnceValue(func() *Env { return NewEnv(JRE7) }),
+	JRE8:      sync.OnceValue(func() *Env { return NewEnv(JRE8) }),
+	JRE9:      sync.OnceValue(func() *Env { return NewEnv(JRE9) }),
+	Classpath: sync.OnceValue(func() *Env { return NewEnv(Classpath) }),
+}
+
+// Shared returns the process-wide environment for a release, built on
+// first use. An Env is immutable once populated (nothing outside this
+// package writes a ClassInfo, and add runs only inside populate), so
+// every VM, runner and oracle of a release can read the same one
+// concurrently.
+func Shared(r Release) *Env { return shared[r]() }
 
 // Lookup finds a platform class by internal name. Array types resolve
 // to a pseudo-class that subclasses Object.

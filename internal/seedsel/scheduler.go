@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/analysis"
 	"repro/internal/coverage"
@@ -15,10 +18,12 @@ import (
 // seedInfo is one corpus entry's classification inputs: the structural
 // fingerprint of its lowered classfile and its baseline coverage trace
 // on the reference VM (both zero/empty for an unlowerable seed).
+// lowered says the seed lowered and wrote, so trace is a real run.
 type seedInfo struct {
-	fp    uint64
-	key   coverage.Key
-	trace *coverage.Trace
+	fp      uint64
+	key     coverage.Key
+	trace   *coverage.Trace
+	lowered bool
 }
 
 // cluster is one scheduling unit: a distilled representative coverage
@@ -58,6 +63,8 @@ type Scheduler struct {
 	eps         float64
 	demoteAfter int
 
+	// ref is the spec every baseline in infos was recorded on.
+	ref      jvm.Spec
 	seeds    []*jimple.Class
 	infos    []seedInfo
 	clusters []*cluster
@@ -69,18 +76,19 @@ type Scheduler struct {
 	telYield *telemetry.Counter
 	telDem   *telemetry.Counter
 
-	// classification VM and lowering context, kept for AddSeed (daemon
-	// intake).
-	vm   *jvm.VM
-	rec  *coverage.Recorder
-	lctx *jimple.LowerCtx
+	// cls is the classification VM, kept for AddSeed and Classify
+	// (daemon intake).
+	cls *classifier
 }
 
 // New builds a scheduler over the seed corpus: it lowers and executes
 // every seed once on opts.RefSpec to record fingerprints and baseline
 // traces, distils the corpus into clusters, and readies the draw
-// policy. Construction is deterministic — same corpus and options,
-// same clustering.
+// policy. The seed runs are spread over GOMAXPROCS goroutines, each
+// with its own VM, and are the campaign's seed pass too: the engine
+// takes their traces through Baselines instead of running the seeds
+// again. Construction is deterministic — same corpus and options,
+// same clustering, at any GOMAXPROCS.
 func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	if opts.Strategy != Clustered && opts.Strategy != Yield {
 		return nil, fmt.Errorf("seedsel: strategy %q has no scheduler (uniform is campaign.FlatSeeds)", opts.Strategy)
@@ -96,17 +104,12 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 		strategy:    opts.Strategy,
 		eps:         opts.epsilon(),
 		demoteAfter: opts.demoteAfter(),
+		ref:         opts.RefSpec,
 		seeds:       seeds,
-		vm:          jvm.New(opts.RefSpec),
-		rec:         coverage.NewRecorder(jvm.ProbeRegistry()),
-		lctx:        jimple.NewLowerCtx(),
 	}
-	s.vm.SetRecorder(s.rec)
-
-	s.infos = make([]seedInfo, len(seeds))
-	for i, sd := range seeds {
-		s.infos[i] = s.classifyInputs(sd)
-	}
+	sp := telemetry.StartSpan(opts.Telemetry.Histogram("seedsel.baselines_ns"))
+	s.infos = s.classifyAll(seeds)
+	sp.End()
 	s.cluster(base)
 
 	if opts.Telemetry != nil {
@@ -124,22 +127,69 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	return s, nil
 }
 
+// classifier is one goroutine's instrumented reference VM and
+// lowering context.
+type classifier struct {
+	vm   *jvm.VM
+	rec  *coverage.Recorder
+	lctx *jimple.LowerCtx
+}
+
+func newClassifier(ref jvm.Spec) *classifier {
+	c := &classifier{
+		vm:   jvm.New(ref),
+		rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
+		lctx: jimple.NewLowerCtx(),
+	}
+	c.vm.SetRecorder(c.rec)
+	return c
+}
+
+// classifyAll classifies seed i into slot i on GOMAXPROCS goroutines,
+// each with its own classifier. Every slot depends only on its seed,
+// so the result is the serial one at any GOMAXPROCS. The first
+// classifier stays on as the scheduler's own.
+func (s *Scheduler) classifyAll(seeds []*jimple.Class) []seedInfo {
+	infos := make([]seedInfo, len(seeds))
+	workers := min(runtime.GOMAXPROCS(0), len(seeds))
+	cls := make([]*classifier, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range cls {
+		cls[w] = newClassifier(s.ref)
+		wg.Add(1)
+		go func(c *classifier) {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(seeds) {
+					return
+				}
+				infos[i] = c.classifyInputs(seeds[i])
+			}
+		}(cls[w])
+	}
+	wg.Wait()
+	s.cls = cls[0]
+	return infos
+}
+
 // classifyInputs lowers one class and records its structural
 // fingerprint and baseline trace (zero values if it does not lower).
 // The File is written first — that brings it in step with its bytes —
 // and then run in place of a parse of them.
-func (s *Scheduler) classifyInputs(c *jimple.Class) seedInfo {
-	f, err := s.lctx.Lower(c)
+func (c *classifier) classifyInputs(cl *jimple.Class) seedInfo {
+	f, err := c.lctx.Lower(cl)
 	if err != nil {
 		return seedInfo{trace: coverage.NewTrace()}
 	}
 	if _, err := f.Bytes(); err != nil {
 		return seedInfo{trace: coverage.NewTrace()}
 	}
-	s.rec.Reset()
-	s.vm.RunParsed(f)
-	tr := s.rec.Trace()
-	return seedInfo{fp: analysis.Fingerprint(f), key: tr.Key(), trace: tr}
+	c.rec.Reset()
+	c.vm.RunParsed(f)
+	tr := c.rec.Trace()
+	return seedInfo{fp: analysis.Fingerprint(f), key: tr.Key(), trace: tr, lowered: true}
 }
 
 // cluster distils seeds[:base] into representative coverage sets and
@@ -226,6 +276,24 @@ func (s *Scheduler) Strategy() string { return string(s.strategy) }
 
 // Corpus implements campaign.SeedSource.
 func (s *Scheduler) Corpus() []*jimple.Class { return s.seeds }
+
+// Baselines implements campaign.SeedSource: the baseline trace of
+// every corpus entry as New (or AddSeed) recorded it, nil for a seed
+// that did not lower. It returns nil when ref is not the spec the
+// traces were recorded on. The traces are shared, not copied; traces
+// are immutable and their keys were computed at classification.
+func (s *Scheduler) Baselines(ref jvm.Spec) []*coverage.Trace {
+	if ref != s.ref {
+		return nil
+	}
+	out := make([]*coverage.Trace, len(s.infos))
+	for i, in := range s.infos {
+		if in.lowered {
+			out[i] = in.trace
+		}
+	}
+	return out
+}
 
 // weight is a cluster's unnormalised draw mass.
 func (s *Scheduler) weight(c *cluster) float64 {
@@ -376,7 +444,7 @@ type SeedClass struct {
 // existing cluster. Not for use mid-engine-run (the engine's pool
 // indexes the corpus it started with).
 func (s *Scheduler) AddSeed(c *jimple.Class) SeedClass {
-	in := s.classifyInputs(c)
+	in := s.cls.classifyInputs(c)
 	ci := s.classify(in)
 	idx := len(s.seeds)
 	s.seeds = append(s.seeds, c)
@@ -391,7 +459,7 @@ func (s *Scheduler) AddSeed(c *jimple.Class) SeedClass {
 // Classify reports where AddSeed would place the class, without
 // mutating the scheduler.
 func (s *Scheduler) Classify(c *jimple.Class) SeedClass {
-	in := s.classifyInputs(c)
+	in := s.cls.classifyInputs(c)
 	ci := s.classify(in)
 	return SeedClass{Fingerprint: in.fp, TraceKeyHi: in.key.Hi, TraceKeyLo: in.key.Lo, Cluster: ci}
 }

@@ -87,7 +87,8 @@ type Options struct {
 	Base int
 	// Telemetry, when non-nil, receives per-cluster draw/yield/demotion
 	// counters (campaign.seeds.cluster<i>.*) plus corpus-wide totals
-	// (campaign.seeds.{draws,yield,demotions}). Observe-only.
+	// (campaign.seeds.{draws,yield,demotions}), and times New's seed
+	// pass as seedsel.baselines_ns. Observe-only.
 	Telemetry *telemetry.Registry
 }
 

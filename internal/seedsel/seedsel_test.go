@@ -3,6 +3,8 @@ package seedsel
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/jvm"
@@ -61,6 +63,76 @@ func TestConstructionDeterministic(t *testing.T) {
 	}
 	if a.Clusters() < 1 {
 		t.Fatal("no clusters")
+	}
+}
+
+// TestNewIdenticalAcrossGOMAXPROCS: the seed runs are spread over
+// GOMAXPROCS goroutines, but each lands in its own slot and clustering
+// runs after all of them, so a scheduler built on one core equals one
+// built on four: serialized state, cluster table, the classification
+// of every seed, and the recorded baselines.
+func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
+	seeds := seedgen.Generate(seedgen.DefaultOptions(60, 2))
+	build := func(procs int) *Scheduler {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	one, four := build(1), build(4)
+	sa, err := one.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := four.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sa, sb) {
+		t.Fatalf("serialized state differs:\n%s\n%s", sa, sb)
+	}
+	if !reflect.DeepEqual(one.ClusterStats(), four.ClusterStats()) {
+		t.Fatalf("cluster stats differ:\n%+v\n%+v", one.ClusterStats(), four.ClusterStats())
+	}
+	for i, c := range seeds {
+		if a, b := one.Classify(c), four.Classify(c); a != b {
+			t.Fatalf("seed %d: Classify %+v at GOMAXPROCS 1, %+v at 4", i, a, b)
+		}
+	}
+	ba, bb := one.Baselines(jvm.HotSpot9()), four.Baselines(jvm.HotSpot9())
+	if len(ba) != len(seeds) || len(bb) != len(seeds) {
+		t.Fatalf("baselines %d and %d for %d seeds", len(ba), len(bb), len(seeds))
+	}
+	for i := range ba {
+		if (ba[i] == nil) != (bb[i] == nil) || (ba[i] != nil && !ba[i].EqualSets(bb[i])) {
+			t.Fatalf("seed %d: baseline differs between GOMAXPROCS 1 and 4", i)
+		}
+	}
+}
+
+// TestBaselinesFollowRefSpec: baselines are handed out only for the
+// spec they were recorded on, and AddSeed extends them with the corpus.
+func TestBaselinesFollowRefSpec(t *testing.T) {
+	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 3))
+	s, err := New(seeds[:8], Options{Strategy: Clustered, RefSpec: jvm.HotSpot9()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Baselines(jvm.HotSpot8()); got != nil {
+		t.Fatalf("Baselines(HotSpot8) of a HotSpot9 scheduler = %d traces, want nil", len(got))
+	}
+	s.AddSeed(seeds[8])
+	s.AddSeed(seeds[9])
+	got := s.Baselines(jvm.HotSpot9())
+	if len(got) != len(s.Corpus()) {
+		t.Fatalf("%d baselines for a %d-seed corpus", len(got), len(s.Corpus()))
+	}
+	for i, tr := range got {
+		if tr == nil || tr.Key() != s.infos[i].key {
+			t.Fatalf("seed %d: baseline is not the recorded trace", i)
+		}
 	}
 }
 
