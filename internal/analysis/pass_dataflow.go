@@ -1,19 +1,18 @@
 package analysis
 
 import (
-	"repro/internal/analysis/dataflow"
 	"repro/internal/classfile"
 	"repro/internal/jvm"
 	"repro/internal/rtlib"
 )
 
-// DataflowAnalyzer surfaces the abstract-interpretation verifier's
-// findings as diagnostics: each method body is run through the §4.10
-// type-state dataflow under a dialect-free baseline policy, then under
+// DataflowAnalyzer surfaces the VM verifier's findings as diagnostics:
+// each method body is run through jvm.VM.VerifyMethod, the §4.10
+// type-state dataflow, under a dialect-free baseline policy, then under
 // each verifier-dialect knob in isolation, so a finding's Gate names
 // exactly the dialect that makes a preset reject it. The pass is for
 // classlint's diagnostic surface; the definite accept/reject oracle
-// (verdict.go) runs the dataflow directly under each preset's real
+// (verdict.go) runs the verifier directly under each preset's real
 // policy and does not consult these diagnostics. It is therefore not
 // part of DefaultAnalyzers — cmd/classlint appends it explicitly.
 //
@@ -49,23 +48,26 @@ func entryMethod(f *classfile.File, m *classfile.Member) bool {
 
 func runDataflow(p *Pass) {
 	env := rtlib.Shared(rtlib.JRE8)
+	verifier := func(pl jvm.Policy) *jvm.VM {
+		return jvm.NewWithEnv(jvm.Spec{Release: rtlib.JRE8, Policy: pl}, env)
+	}
 	// The baseline policy runs only the rules every verifier dialect
 	// shares: no dialect knobs, no eager resolution (missing catch
 	// types are a resolution finding, not a verification one), and no
 	// jsr/ret ban (the code pass reports that with its own gate).
-	base := jvm.Policy{}
+	base := verifier(jvm.Policy{})
 	dialects := []struct {
 		sub     int
 		rule    string
 		dialect VerifyDialect
-		set     func(*jvm.Policy)
+		vm      *jvm.VM
 	}{
 		{subDataflowUninit, "verify-uninit-merge", DialectUninitMerge,
-			func(pl *jvm.Policy) { pl.VerifyUninitMerge = true }},
+			verifier(jvm.Policy{VerifyUninitMerge: true})},
 		{subDataflowRefAssign, "verify-ref-assignability", DialectRefAssign,
-			func(pl *jvm.Policy) { pl.VerifyRefAssignability = true }},
+			verifier(jvm.Policy{VerifyRefAssignability: true})},
 		{subDataflowShape, "verify-stack-shape", DialectStrictShape,
-			func(pl *jvm.Policy) { pl.VerifyStrictStackShape = true }},
+			verifier(jvm.Policy{VerifyStrictStackShape: true})},
 	}
 
 	for i, m := range p.File.Methods {
@@ -83,14 +85,12 @@ func runDataflow(p *Pass) {
 				Seq:  seqOf(stagePost, i, sub),
 			})
 		}
-		if out := dataflow.VerifyMethod(p.File, m, &base, env); out != nil {
+		if out := base.VerifyMethod(p.File, m); out != nil {
 			diag(subDataflowBase, "verify-reject", out, DialectInference)
 			continue
 		}
 		for _, d := range dialects {
-			pl := base
-			d.set(&pl)
-			if out := dataflow.VerifyMethod(p.File, m, &pl, env); out != nil {
+			if out := d.vm.VerifyMethod(p.File, m); out != nil {
 				diag(d.sub, d.rule, out, d.dialect)
 			}
 		}

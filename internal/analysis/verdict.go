@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"repro/internal/analysis/dataflow"
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
 	"repro/internal/jvm"
@@ -36,63 +35,42 @@ func StaticVerdictEnv(f *classfile.File, spec jvm.Spec, env *rtlib.Env) Predicti
 	}
 
 	// ---- linking ----
-	if out, bad := linkVerdict(f, spec, env); bad {
+	vm := jvm.NewWithEnv(spec, env)
+	if out, bad := linkVerdict(f, vm); bad {
 		return Prediction{Definite: true, Outcome: out}
 	}
 
 	// ---- initialization ----
-	pred, clinitOut, done := initVerdict(f, spec, env)
+	pred, clinitOut, done := initVerdict(f, vm)
 	if done {
 		return pred
 	}
 
 	// ---- invocation ----
-	return invokeVerdict(f, spec, env, clinitOut)
+	return invokeVerdict(f, vm, clinitOut)
 }
 
 // VerifyReject returns the oracle's definite loading/linking rejection
 // for f on spec, or nil when the class definitely survives both phases.
-// It is the campaign verify band's predicate: the link mirror covers
-// hierarchy well-formedness, throws clauses, eager resolution and
-// §4.10 dataflow verification, inheriting the crosscheck harness's
-// zero-waiver exactness. Callers must have cleared the loading-phase
-// format checks first (LoadReject), matching StaticVerdict's order.
+// It covers hierarchy well-formedness, throws clauses, eager resolution
+// and, under eager verification, the VM's own §4.10 verifier. Callers
+// must have cleared the loading-phase format checks first (LoadReject),
+// matching StaticVerdict's order.
 func VerifyReject(f *classfile.File, spec jvm.Spec, env *rtlib.Env) *jvm.Outcome {
-	if out, bad := linkVerdict(f, spec, env); bad {
-		return &out
-	}
-	return nil
+	return VerifyRejectMemo(f, spec, env, nil)
 }
 
-// VerifyRejectMemo is VerifyReject with the §4.10 dataflow pass
-// memoised per method in a jvm.VerifyMemo (nil memo falls back to the
-// plain path). Every class-level mirror check still runs in full —
-// only the per-method fixpoint, the dominant cost, is skipped on a hit.
-// Verdicts are keyed under the dataflow oracle identity, disjoint from
-// the runtime verifier's entries, so the static-vs-dynamic crosscheck
-// keeps its differential power.
+// VerifyRejectMemo is VerifyReject with per-method verification
+// verdicts served from and stored into memo (nil for none). The class
+// checks always run in full; a hit skips only the verifier's fixpoint,
+// the dominant cost. The verdicts come from a recorder-less VM, so they
+// share the memo's key space with every VM of the same spec: their
+// entries carry no probe footprint, which a recorder-attached VM reads
+// as a miss and upgrades, so sharing cannot change a coverage trace.
 func VerifyRejectMemo(f *classfile.File, spec jvm.Spec, env *rtlib.Env, memo *jvm.VerifyMemo) *jvm.Outcome {
-	if memo == nil {
-		return VerifyReject(f, spec, env)
-	}
-	var ctx *jvm.VerifyKeyCtx
-	id := memo.Intern(jvm.VerifyIdent{Spec: spec, Env: env.Release, Oracle: jvm.OracleDataflow})
-	verify := func(m *classfile.Member) *jvm.Outcome {
-		if ctx == nil {
-			ctx = jvm.NewVerifyKeyCtx(f, env)
-		}
-		key, ok := ctx.Key(m)
-		if !ok {
-			return dataflow.VerifyMethod(f, m, &spec.Policy, env)
-		}
-		if out, hit := memo.Lookup(id, key); hit {
-			return out
-		}
-		out := dataflow.VerifyMethod(f, m, &spec.Policy, env)
-		memo.Store(id, key, ctx.SelfName(), out)
-		return out
-	}
-	if out, bad := linkVerdictVerify(f, spec, env, verify); bad {
+	vm := jvm.NewWithEnv(spec, env)
+	vm.SetVerifyMemo(memo)
+	if out, bad := linkVerdict(f, vm); bad {
 		return &out
 	}
 	return nil
@@ -110,18 +88,12 @@ func firstLoadReject(diags []Diagnostic, p *jvm.Policy) *Diagnostic {
 	return nil
 }
 
-// linkVerdict mirrors the linking phase read-only: hierarchy
-// well-formedness, throws clauses, optional eager resolution of every
-// symbolic reference, and eager verification via the real verifier.
-func linkVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env) (jvm.Outcome, bool) {
-	return linkVerdictVerify(f, spec, env, nil)
-}
-
-// linkVerdictVerify is linkVerdict with a pluggable per-method verify
-// function for the eager-verification pass (nil means plain
-// dataflow.VerifyMethod).
-func linkVerdictVerify(f *classfile.File, spec jvm.Spec, env *rtlib.Env, verify func(*classfile.Member) *jvm.Outcome) (jvm.Outcome, bool) {
-	p := &spec.Policy
+// linkVerdict mirrors the linking phase read-only on vm's spec and
+// environment: hierarchy well-formedness, throws clauses, optional
+// eager resolution of every symbolic reference, and eager verification
+// through vm's own verifier.
+func linkVerdict(f *classfile.File, vm *jvm.VM) (jvm.Outcome, bool) {
+	p, env := &vm.Spec.Policy, vm.Env
 	self := f.Name()
 	rej := func(phase jvm.Phase, err string) (jvm.Outcome, bool) {
 		return jvm.Outcome{Phase: phase, Error: err}, true
@@ -198,16 +170,11 @@ func linkVerdictVerify(f *classfile.File, spec jvm.Spec, env *rtlib.Env, verify 
 	}
 
 	if p.EagerVerify {
-		if verify == nil {
-			verify = func(m *classfile.Member) *jvm.Outcome {
-				return dataflow.VerifyMethod(f, m, &spec.Policy, env)
-			}
-		}
 		for _, m := range f.Methods {
 			if m.Code() == nil {
 				continue
 			}
-			if out := verify(m); out != nil {
+			if out := vm.VerifyMethod(f, m); out != nil {
 				return *out, true
 			}
 		}
@@ -319,8 +286,8 @@ func staticMethodExists(f *classfile.File, env *rtlib.Env, cls, name, desc strin
 // prediction is final (a rejection, or an opaque initializer that
 // blocks any further static claim); lines carries the output of a
 // safe straight-line initializer.
-func initVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env) (pred Prediction, lines []string, done bool) {
-	p := &spec.Policy
+func initVerdict(f *classfile.File, vm *jvm.VM) (pred Prediction, lines []string, done bool) {
+	p, env := &vm.Spec.Policy, vm.Env
 	if p.InitStrictAccess {
 		for i := 1; i < f.Pool.Count(); i++ {
 			c := f.Pool.Get(uint16(i))
@@ -342,7 +309,7 @@ func initVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env) (pred Predict
 		return Prediction{}, nil, false
 	}
 	if !p.EagerVerify {
-		if out := dataflow.VerifyMethod(f, clinit, &spec.Policy, env); out != nil {
+		if out := vm.VerifyMethod(f, clinit); out != nil {
 			return Prediction{Definite: true, Outcome: jvm.Outcome{
 				Phase: jvm.PhaseInit, Error: out.Error, Message: out.Message}}, nil, true
 		}
@@ -381,8 +348,8 @@ func staticClassInitializer(f *classfile.File, p *jvm.Policy) *classfile.Member 
 // invokeVerdict mirrors the invocation phase: main lookup and shape
 // checks are fully static; the body itself is only predicted when it
 // matches the safe straight-line print idiom the generators emit.
-func invokeVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env, clinitOut []string) Prediction {
-	p := &spec.Policy
+func invokeVerdict(f *classfile.File, vm *jvm.VM, clinitOut []string) Prediction {
+	p := &vm.Spec.Policy
 	rej := func(err string) Prediction {
 		return Prediction{Definite: true, Outcome: jvm.Outcome{Phase: jvm.PhaseRuntime, Error: err}}
 	}
@@ -405,7 +372,7 @@ func invokeVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env, clinitOut [
 		return rej(jvm.ErrUnsatisfiedLink)
 	}
 	if !p.EagerVerify {
-		if out := dataflow.VerifyMethod(f, main, &spec.Policy, env); out != nil {
+		if out := vm.VerifyMethod(f, main); out != nil {
 			return Prediction{Definite: true, Outcome: jvm.Outcome{
 				Phase: jvm.PhaseRuntime, Error: out.Error, Message: out.Message}}
 		}

@@ -95,6 +95,26 @@ func TestParseAllocationBoundedByInput(t *testing.T) {
 	}
 }
 
+// TestDecodeStackMapAllocationBoundedByInput holds DecodeStackMap to
+// Parse's rule: a table declaring 65,535 frames in two bytes must not
+// size anything from the declaration.
+func TestDecodeStackMapAllocationBoundedByInput(t *testing.T) {
+	a := &StackMapTableAttr{Raw: []byte{0xff, 0xff}}
+	if _, err := DecodeStackMap(a); err == nil {
+		t.Fatal("truncated StackMapTable decoded without error")
+	}
+	const reps = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < reps; i++ {
+		DecodeStackMap(a)
+	}
+	runtime.ReadMemStats(&after)
+	if perDecode := (after.TotalAlloc - before.TotalAlloc) / reps; perDecode >= 4096 {
+		t.Errorf("2-byte table allocates %d bytes per decode, bound 4096", perDecode)
+	}
+}
+
 // TestWrittenFileEqualsParse pins the writer's half of the
 // lower-then-execute contract on the inputs where a built File and its
 // bytes can drift apart: Utf8 constants modified UTF-8 cannot carry

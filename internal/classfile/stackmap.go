@@ -64,7 +64,9 @@ type StackMapFrame struct {
 func DecodeStackMap(a *StackMapTableAttr) ([]StackMapFrame, error) {
 	br := &reader{data: a.Raw}
 	n := int(br.u2())
-	frames := make([]StackMapFrame, 0, n)
+	// Every frame takes at least one byte, so the declared count cannot
+	// size the slice past what the remaining bytes encode.
+	frames := make([]StackMapFrame, 0, min(n, br.remaining()))
 	for i := 0; i < n; i++ {
 		if br.err != nil {
 			return nil, br.err

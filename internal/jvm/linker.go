@@ -299,6 +299,24 @@ func (ex *execState) platformMethodExists(cls, name, desc string) bool {
 	return walk(cls)
 }
 
+// VerifyMethod runs the VM's JVMS §4.10 verifier over one method of f
+// without loading, linking or executing anything. It returns nil when
+// the method verifies, or the linking-phase rejection (callers re-phase
+// it for lazy verification points). Consecutive calls for the same f
+// share one exec state, so a VM built per class verdict keys and
+// decodes that class once; f must therefore not change in place (a
+// reused classfile.Parser refills the same File) between such calls.
+// With no recorder attached no probe fires, so a static verdict cannot
+// perturb a campaign's coverage; an attached VerifyMemo serves and
+// stores the verdicts.
+func (vm *VM) VerifyMethod(f *classfile.File, m *classfile.Member) *Outcome {
+	ex := &vm.ex
+	if ex.f != f {
+		ex = vm.execFor(f)
+	}
+	return vm.verifyMethodMemo(ex, m)
+}
+
 // verifyMethod runs the dataflow verifier over one method, memoising
 // the result for lazy-verification VMs. It returns nil when the method
 // verifies, or the rejection outcome (linking phase; lazy callers

@@ -10,9 +10,8 @@ import (
 
 // Method-granular verification keys for the lineage-delta memo.
 //
-// A MethodKey is a 128-bit content hash of everything the verifier (the
-// runtime dataflow verifier in this package and the static mirror in
-// internal/analysis/dataflow) can read while verifying one method body:
+// A MethodKey is a 128-bit content hash of everything the verifier in
+// this package can read while verifying one method body:
 //
 //   - per-class context, hashed once per class into a VerifyKeyCtx:
 //     major version, class access flags, the super/interface indices,
@@ -109,8 +108,6 @@ func (h *vkHash) bytes(b []byte) {
 // once per (class, environment) and reused for every method. It is
 // read-only after construction.
 type VerifyKeyCtx struct {
-	f    *classfile.File
-	self string
 	base vkHash
 }
 
@@ -172,7 +169,7 @@ func NewVerifyKeyCtx(f *classfile.File, env *rtlib.Env) *VerifyKeyCtx {
 	} else {
 		h.word(0)
 	}
-	return &VerifyKeyCtx{f: f, self: self, base: h}
+	return &VerifyKeyCtx{base: h}
 }
 
 // Key derives the method's verification key. ok is false when the
@@ -202,6 +199,3 @@ func (ctx *VerifyKeyCtx) Key(m *classfile.Member) (MethodKey, bool) {
 	h.bytes(sm)
 	return MethodKey{Lo: h.lo, Hi: h.hi}, true
 }
-
-// SelfName returns the class name the context masks.
-func (ctx *VerifyKeyCtx) SelfName() string { return ctx.self }

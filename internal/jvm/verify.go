@@ -1336,3 +1336,18 @@ func (v *verifier) simInvokeDynamic(s *simFrame, in *bytecode.Instruction) {
 		}
 	}
 }
+
+// VerifyFootprint is the number of abstract slots the verifier may keep
+// live for f: the sum over its methods of len(code) × (max_locals +
+// max_stack), one entry frame per instruction. The verifier allocates
+// in proportion to it rather than to f's size, which is why intake
+// bounds it (a 1 KB class can declare 65,535 locals).
+func VerifyFootprint(f *classfile.File) int {
+	n := 0
+	for _, m := range f.Methods {
+		if c := m.Code(); c != nil {
+			n += len(c.Code) * (int(c.MaxLocals) + int(c.MaxStack))
+		}
+	}
+	return n
+}

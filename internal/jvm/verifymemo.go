@@ -11,29 +11,15 @@ import (
 	"repro/internal/telemetry"
 )
 
-// VerifyOracle names which verifier implementation produced a memoised
-// verdict. The runtime verifier (this package) and the static dataflow
-// mirror (internal/analysis/dataflow) are kept in distinct key spaces
-// even though the crosscheck harness holds them outcome-identical:
-// sharing entries across them would let a memo hit mask exactly the
-// implementation divergence the differential oracle exists to catch.
-type VerifyOracle uint8
-
-const (
-	// OracleVM marks verdicts of the runtime verifier (VM.runVerifier).
-	OracleVM VerifyOracle = iota
-	// OracleDataflow marks verdicts of analysis/dataflow.VerifyMethod.
-	OracleDataflow
-)
-
 // VerifyIdent identifies one verification context: the full spec (every
-// policy knob), the library release actually bound, and the oracle.
-// Verify verdicts are pure functions of (method key, ident), so equal
-// idents may share verdicts across classes, lineups and sessions.
+// policy knob) and the library release actually bound. Verify verdicts
+// are pure functions of (method key, ident), so equal idents may share
+// verdicts across classes, lineups, sessions and callers: a campaign's
+// reference VM and the static oracle (analysis.VerifyRejectMemo) run the
+// same verifier, so they share one key space.
 type VerifyIdent struct {
-	Spec   Spec
-	Env    rtlib.Release
-	Oracle VerifyOracle
+	Spec Spec
+	Env  rtlib.Release
 }
 
 // VerifyID is a VerifyIdent interned by one VerifyMemo (Intern): equal
@@ -150,30 +136,6 @@ func (m *VerifyMemo) Intern(id VerifyIdent) VerifyID {
 	return v
 }
 
-// Lookup returns the memoised verdict for (id, key): (nil, true) for a
-// remembered pass, a private copy of the rejection for a remembered
-// failure, or (nil, false) on a miss.
-func (m *VerifyMemo) Lookup(id VerifyID, key MethodKey) (*Outcome, bool) {
-	e, ok := m.probe(id, key, false)
-	if !ok {
-		return nil, false
-	}
-	if e.ok {
-		return nil, true
-	}
-	out := e.out
-	return &out, true
-}
-
-// Store records a verdict computed without probe capture (out nil =
-// pass). selfName is the class-under-test name the key masked: a
-// rejection whose message embeds it is lineage-specific text that must
-// not resurface under a different class name, so it is not stored and
-// the unsafe_fallback counter ticks instead.
-func (m *VerifyMemo) Store(id VerifyID, key MethodKey, selfName string, out *Outcome) {
-	m.store(id, key, selfName, out, nil, nil, false)
-}
-
 // probe is the locked lookup. needProbes demands an entry carrying a
 // probe footprint (recorder-attached VMs); entries without one read as
 // misses there so the caller re-verifies and upgrades the entry.
@@ -230,7 +192,7 @@ func (vm *VM) verifyMethodMemo(ex *execState, m *classfile.Member) *Outcome {
 		return vm.runVerifier(ex, m)
 	}
 	if vm.verifyID == 0 {
-		vm.verifyID = memo.Intern(VerifyIdent{Spec: vm.Spec, Env: vm.Env.Release, Oracle: OracleVM})
+		vm.verifyID = memo.Intern(VerifyIdent{Spec: vm.Spec, Env: vm.Env.Release})
 	}
 	id := vm.verifyID
 	if e, hit := memo.probe(id, key, vm.cov != nil); hit {

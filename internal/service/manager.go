@@ -428,11 +428,17 @@ func (m *Manager) loadState() (bool, error) {
 }
 
 // liftSeed validates submission bytes all the way to the class model
-// the engine mutates.
+// the engine mutates. It refuses a class whose verifier footprint
+// exceeds maxSeedFootprint before lifting it, so neither intake nor a
+// restart's corpus reload hands the engine a seed whose every run
+// would allocate out of proportion to its size.
 func liftSeed(data []byte) (*jimple.Class, error) {
 	f, err := classfile.Parse(data)
 	if err != nil {
 		return nil, err
+	}
+	if n := jvm.VerifyFootprint(f); n > maxSeedFootprint {
+		return nil, fmt.Errorf("verifier footprint %d slots exceeds the cap of %d", n, maxSeedFootprint)
 	}
 	return jimple.Lift(f)
 }

@@ -14,10 +14,21 @@ import (
 // maxSeedBytes bounds one submission body.
 const maxSeedBytes = 1 << 20
 
+// maxSeedFootprint bounds one submission's jvm.VerifyFootprint, the
+// verifier slots its methods declare (Σ len(code) × (max_locals +
+// max_stack)). Body size alone does not bound the verifier's
+// allocation: it keeps a 32-byte slot per local per instruction, so a
+// 975-byte class with max_locals 65535 on 801 instructions costs the
+// reference VM about 801 × 65,536 × 32 B ≈ 1.7 GB per run. The largest
+// footprint in five 1,216-seed generated corpora and the catalog is
+// 262.
+const maxSeedFootprint = 1 << 20
+
 // handler builds the daemon's HTTP surface:
 //
 //	POST /api/seeds          — submit a classfile for the corpus
-//	                           (202 queued, 400 malformed, 413 too
+//	                           (202 queued, 400 malformed or over
+//	                           the verifier-footprint cap, 413 too
 //	                           large, 429 queue full, 503 draining)
 //	GET  /api/status         — shard/corpus/queue/discrepancy counts
 //	GET  /api/discrepancies  — ?since=N lists entries with ID >= N;
