@@ -55,7 +55,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	counters := &campaign.Counters{}
 	// One registry for the whole session: campaign stage timing, per-VM
 	// phase timing and the difftest engine all report here, and the
 	// Telemetry section at the end renders from its snapshot.
@@ -83,7 +82,6 @@ func main() {
 		KeepClasses:     true,
 		StaticPrefilter: true,
 		Workers:         *workers,
-		Observer:        counters,
 		Telemetry:       treg,
 	}
 	res, err := campaign.Run(cfg)
@@ -130,17 +128,18 @@ func main() {
 		fmt.Printf("\n")
 	}
 
+	ev := treg.Snapshot()
 	fmt.Printf("## Engine events\n\n")
-	fmt.Printf("Tallied by the campaign engine's observer; the event stream fires\n")
-	fmt.Printf("from the sequential draw/commit stages, so these counts are\n")
-	fmt.Printf("deterministic at any worker count.\n\n")
+	fmt.Printf("The campaign engine's campaign.* counters; they move only on the\n")
+	fmt.Printf("sequential draw/commit stages, so these counts are deterministic\n")
+	fmt.Printf("at any worker count.\n\n")
 	fmt.Printf("| event | count |\n|---|---|\n")
-	fmt.Printf("| iterations drawn | %d |\n", counters.Iterations)
-	fmt.Printf("| mutants generated | %d |\n", counters.Applied)
-	fmt.Printf("| mutator failures | %d |\n", counters.Failed)
-	fmt.Printf("| reference-VM executions | %d |\n", counters.Executions)
-	fmt.Printf("| prefilter cache hits | %d |\n", counters.PrefilterHits)
-	fmt.Printf("| accepted tests | %d |\n\n", counters.Accepts)
+	fmt.Printf("| iterations drawn | %d |\n", ev.Counter("campaign.iterations"))
+	fmt.Printf("| mutants generated | %d |\n", ev.Counter("campaign.generated"))
+	fmt.Printf("| mutator failures | %d |\n", ev.Counter("campaign.mutator_failures"))
+	fmt.Printf("| reference-VM executions | %d |\n", ev.Counter("campaign.executions"))
+	fmt.Printf("| prefilter cache hits | %d |\n", ev.Counter("campaign.prefilter.skipped"))
+	fmt.Printf("| accepted tests | %d |\n\n", ev.Counter("campaign.accepts"))
 
 	if pf := res.Prefilter; pf != nil {
 		fmt.Printf("## Prefilter savings\n\n")
@@ -339,13 +338,9 @@ func main() {
 		fmt.Printf("| %s | %d | %s | %s |\n",
 			vm.Name(), final.Counter(prefix+".runs"), load.MeanDuration(), run.MeanDuration())
 	}
-	fmt.Printf("\nPrefilter verdict counters: %d accept / %d reject.\n",
-		final.Counter("campaign.prefilter.verdict.accept"),
-		final.Counter("campaign.prefilter.verdict.reject"))
-	fmt.Printf("Verify band (reference-VM link step): %d definite / %d reject (verify-doomed: %d).\n",
-		final.Counter("analysis.dataflow.definite"),
-		final.Counter("analysis.dataflow.reject"),
-		final.Counter("campaign.prefilter.verify_doomed"))
+	checked, doomed := final.Counter("campaign.prefilter.checked"), final.Counter("campaign.prefilter.doomed")
+	fmt.Printf("\nPrefilter verdicts: %d accept / %d reject (rejected in linking: %d).\n",
+		checked-doomed, doomed, final.Counter("campaign.prefilter.verify_doomed"))
 	fmt.Printf("Method verify memo (difftest lineup only; the campaign runs unmemoised): %d hits / %d misses (%d unsafe fallbacks).\n",
 		final.Counter(jvm.MetricVerifyMemoHits),
 		final.Counter(jvm.MetricVerifyMemoMisses),

@@ -12,7 +12,7 @@ const (
 	GateAlways GateKind = iota
 	// GateNever: no simulated VM enforces the rule (advisory lint).
 	GateNever
-	// GateVersionMin fires when Gate.Major < Policy.MinMajorVersion.
+	// GateVersionMin fires when Gate.Major < jvm.MinMajorVersion.
 	GateVersionMin
 	// GateVersionMax fires when Gate.Major > Policy.MaxMajorVersion and
 	// the VM does not tolerate newer versions.
@@ -30,8 +30,6 @@ const (
 	GateInterfaceSuperObject
 	// GateDuplicateFields requires Policy.CheckDuplicateFields.
 	GateDuplicateFields
-	// GateDuplicateMethods requires Policy.CheckDuplicateMethods.
-	GateDuplicateMethods
 	// GateMemberFlags requires Policy.CheckMemberFlags.
 	GateMemberFlags
 	// GateInterfaceMemberRules requires Policy.CheckInterfaceMemberRules.
@@ -133,7 +131,7 @@ func (g Gate) Enabled(p *jvm.Policy) bool {
 	case GateNever:
 		return false
 	case GateVersionMin:
-		return g.Major < p.MinMajorVersion
+		return g.Major < jvm.MinMajorVersion
 	case GateVersionMax:
 		return g.Major > p.MaxMajorVersion && !p.AcceptNewerVersions
 	case GateStrictPool:
@@ -148,8 +146,6 @@ func (g Gate) Enabled(p *jvm.Policy) bool {
 		return p.CheckInterfaceSuperObject
 	case GateDuplicateFields:
 		return p.CheckDuplicateFields
-	case GateDuplicateMethods:
-		return p.CheckDuplicateMethods
 	case GateMemberFlags:
 		return p.CheckMemberFlags
 	case GateInterfaceMemberRules:

@@ -77,7 +77,7 @@ func runStructure(p *Pass) {
 				Phase: jvm.PhaseLoading, Err: jvm.ErrClassFormat, JVMS: "§4.6",
 				Message: fmt.Sprintf("duplicate method %s", key),
 				Method:  key,
-				Gate:    Gate{Kind: GateDuplicateMethods}, Seq: seqOf(stageMethods, i, subMemberDup),
+				Gate:    Gate{Kind: GateAlways}, Seq: seqOf(stageMethods, i, subMemberDup),
 			})
 		}
 		seenMethods[key] = true

@@ -89,16 +89,6 @@ type engineTel struct {
 	pfExecuted *telemetry.Counter // campaign.prefilter.executed
 	poolSize   *telemetry.Gauge   // campaign.pool_size
 
-	// verdicts tallies the prefilter's accept/reject stream
-	// (campaign.prefilter.verdict.accept / .reject) under the analysis
-	// package's verdict names.
-	verdicts analysis.VerdictCounters
-	// dataflow tallies the verify band's verdicts under the canonical
-	// analysis.dataflow.* names (definite link-accept, definite
-	// reject); load-doomed mutants never reach the band and are not
-	// counted.
-	dataflow analysis.DataflowCounters
-
 	draw      *telemetry.Histogram // campaign.stage.draw_ns
 	mutate    *telemetry.Histogram // campaign.stage.mutate_ns
 	prefilter *telemetry.Histogram // campaign.stage.prefilter_ns
@@ -135,8 +125,6 @@ func newEngineTel(reg *telemetry.Registry, timing bool) engineTel {
 		pfSkipped:  reg.Counter("campaign.prefilter.skipped"),
 		pfExecuted: reg.Counter("campaign.prefilter.executed"),
 		poolSize:   reg.Gauge("campaign.pool_size"),
-		verdicts:   analysis.NewVerdictCounters(reg, "campaign.prefilter.verdict"),
-		dataflow:   analysis.NewDataflowCounters(reg),
 	}
 	if timing {
 		t.draw = reg.Histogram("campaign.stage.draw_ns")
@@ -691,13 +679,6 @@ func (e *engine) commit(t *task) {
 	if t.band != bandNone {
 		doomed := t.band != bandClean
 		e.tel.pfChecked.Inc()
-		e.tel.verdicts.Observe(doomed)
-		switch t.band {
-		case bandVerify:
-			e.tel.dataflow.Reject.Inc()
-		case bandClean:
-			e.tel.dataflow.Definite.Inc()
-		}
 		if doomed {
 			e.tel.pfDoomed.Inc()
 			if t.band == bandVerify {
@@ -705,9 +686,6 @@ func (e *engine) commit(t *task) {
 			}
 			if t.cacheHit {
 				e.tel.pfSkipped.Inc()
-				if e.obs.o != nil {
-					e.obs.emit(PrefilterHit{Iter: t.iter})
-				}
 			} else {
 				e.tel.pfExecuted.Inc()
 				e.pf.insert(t.fp, t.trace, t.iter)

@@ -9,6 +9,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
+	"repro/internal/telemetry"
 )
 
 func TestRunValidation(t *testing.T) {
@@ -24,39 +25,54 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
-// TestObserverCountersConsistent checks the Counters observer against
-// the result it watched: every tally must be derivable from the Result.
+// skipLog records the iterations whose Executed event reports that the
+// prefilter's trace cache stood in for the reference-VM run.
+type skipLog []int
+
+func (h *skipLog) Event(ev Event) {
+	if e, ok := ev.(Executed); ok && e.Skipped {
+		*h = append(*h, e.Iter)
+	}
+}
+
+// TestObserverCountersConsistent checks the engine's campaign.*
+// counters against the result and the event stream they describe:
+// every count must be derivable from the Result.
 func TestObserverCountersConsistent(t *testing.T) {
-	c := &Counters{}
+	var skips skipLog
+	reg := telemetry.New()
 	cfg := detConfig(Classfuzz)
 	cfg.Workers = 4
-	cfg.Observer = c
+	cfg.Observer = &skips
+	cfg.Telemetry = reg
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Iterations != cfg.Iterations || c.Committed != cfg.Iterations {
-		t.Errorf("observer saw %d draws / %d commits, want %d", c.Iterations, c.Committed, cfg.Iterations)
+	c := reg.Snapshot().Counter
+	n := int64(cfg.Iterations)
+	if c("campaign.iterations") != n || c("campaign.committed") != n {
+		t.Errorf("counted %d draws / %d commits, want %d", c("campaign.iterations"), c("campaign.committed"), n)
 	}
-	if c.Applied+c.Failed != cfg.Iterations {
-		t.Errorf("applied %d + failed %d != iterations %d", c.Applied, c.Failed, cfg.Iterations)
+	if c("campaign.generated")+c("campaign.mutator_failures") != n {
+		t.Errorf("generated %d + failed %d != iterations %d", c("campaign.generated"), c("campaign.mutator_failures"), n)
 	}
-	if c.Applied != len(res.Gen) {
-		t.Errorf("observer applied %d, result generated %d", c.Applied, len(res.Gen))
+	if c("campaign.generated") != int64(len(res.Gen)) {
+		t.Errorf("counted %d generated, result has %d", c("campaign.generated"), len(res.Gen))
 	}
-	if c.Accepts != len(res.Test) {
-		t.Errorf("observer accepts %d, result tests %d", c.Accepts, len(res.Test))
+	if c("campaign.accepts") != int64(len(res.Test)) {
+		t.Errorf("counted %d accepts, result tests %d", c("campaign.accepts"), len(res.Test))
 	}
 	pf := res.Prefilter
 	if pf == nil {
 		t.Fatal("prefilter stats missing")
 	}
-	if c.PrefilterHits != pf.Skipped {
-		t.Errorf("observer prefilter hits %d, stats skipped %d", c.PrefilterHits, pf.Skipped)
+	if len(skips) != pf.Skipped || c("campaign.prefilter.skipped") != int64(pf.Skipped) {
+		t.Errorf("skipped executions: %d events, counter %d, stats %d", len(skips), c("campaign.prefilter.skipped"), pf.Skipped)
 	}
 	// Every generated mutant is either executed or served from the cache.
-	if c.Executions+c.PrefilterHits != len(res.Gen) {
-		t.Errorf("executions %d + cache hits %d != generated %d", c.Executions, c.PrefilterHits, len(res.Gen))
+	if c("campaign.executions")+int64(pf.Skipped) != int64(len(res.Gen)) {
+		t.Errorf("executions %d + cache hits %d != generated %d", c("campaign.executions"), pf.Skipped, len(res.Gen))
 	}
 	if pf.Doomed != pf.Skipped+pf.Executed {
 		t.Errorf("doomed %d != skipped %d + executed %d", pf.Doomed, pf.Skipped, pf.Executed)
@@ -75,8 +91,6 @@ func (r *recordingObserver) Event(ev Event) {
 		r.events = append(r.events, fmt.Sprintf("mutated %d %d %v", e.Iter, e.MutatorID, e.Applied))
 	case Executed:
 		r.events = append(r.events, fmt.Sprintf("executed %d %v", e.Iter, e.Skipped))
-	case PrefilterHit:
-		r.events = append(r.events, fmt.Sprintf("hit %d", e.Iter))
 	case Accepted:
 		r.events = append(r.events, fmt.Sprintf("accepted %d %s %d/%d", e.Iter, e.Name, e.Stats.Stmts, e.Stats.Branches))
 	case SelectorUpdated:

@@ -15,7 +15,8 @@ import (
 // concurrent campaigns must synchronise itself.
 //
 // The concrete event types are IterationStarted, Mutated, Executed,
-// PrefilterHit, Accepted and SelectorUpdated.
+// Accepted and SelectorUpdated. Counts of them live in the engine's
+// campaign.* telemetry counters; observers are for per-event work.
 type Event interface {
 	// campaignEvent marks the closed set of event types.
 	campaignEvent()
@@ -46,12 +47,6 @@ type Executed struct {
 	Skipped bool
 }
 
-// PrefilterHit fires at commit when the prefilter's trace cache
-// avoided a reference-VM execution.
-type PrefilterHit struct {
-	Iter int
-}
-
 // Accepted fires at commit when the mutant joined TestClasses.
 type Accepted struct {
 	Iter  int
@@ -70,7 +65,6 @@ type SelectorUpdated struct {
 func (IterationStarted) campaignEvent() {}
 func (Mutated) campaignEvent()          {}
 func (Executed) campaignEvent()         {}
-func (PrefilterHit) campaignEvent()     {}
 func (Accepted) campaignEvent()         {}
 func (SelectorUpdated) campaignEvent()  {}
 
@@ -81,56 +75,14 @@ type Observer interface {
 	Event(ev Event)
 }
 
-// Counters is an Observer tallying every event class; cmd/report and
-// the cmd progress lines read campaigns off it.
-type Counters struct {
-	Iterations    int // draws performed
-	Applied       int // mutants that produced a classfile
-	Failed        int // inapplicable mutators / unlowerable mutants
-	Executions    int // reference-VM runs
-	PrefilterHits int // executions the trace cache absorbed
-	Accepts       int // mutants accepted into TestClasses
-	Committed     int // iterations fully committed
-}
-
-// Event implements Observer.
-func (c *Counters) Event(ev Event) {
-	switch e := ev.(type) {
-	case IterationStarted:
-		c.Iterations++
-	case Mutated:
-		if e.Applied {
-			c.Applied++
-		} else {
-			c.Failed++
-		}
-	case Executed:
-		if !e.Skipped {
-			c.Executions++
-		}
-	case PrefilterHit:
-		c.PrefilterHits++
-	case Accepted:
-		c.Accepts++
-	case SelectorUpdated:
-		c.Committed++
-	}
-}
-
-// String renders the tallies on one line.
-func (c *Counters) String() string {
-	return fmt.Sprintf("iterations=%d applied=%d failed=%d executions=%d prefilter-hits=%d accepted=%d",
-		c.Iterations, c.Applied, c.Failed, c.Executions, c.PrefilterHits, c.Accepts)
-}
-
 // Progress is an Observer printing a live line every Every committed
-// iterations — the -progress flag of cmd/classfuzz and
-// cmd/experiments.
+// iterations — the -progress flag of cmd/classfuzz.
 type Progress struct {
 	W     io.Writer
 	Total int // campaign budget, for the x/N prefix
 	Every int // commit interval between lines (≤0 → Total/20)
-	Counters
+
+	committed, generated, accepted, hits int
 }
 
 // NewProgress builds a progress printer over w.
@@ -147,23 +99,23 @@ func NewProgress(w io.Writer, total, every int) *Progress {
 // Event implements Observer, emitting the periodic line on each
 // committed iteration.
 func (p *Progress) Event(ev Event) {
-	p.Counters.Event(ev)
-	if _, ok := ev.(SelectorUpdated); !ok {
-		return
-	}
-	if p.Committed%p.Every == 0 || p.Committed == p.Total {
-		fmt.Fprintf(p.W, "[campaign] %d/%d committed: %d generated, %d accepted, %d prefilter hits\n",
-			p.Committed, p.Total, p.Applied, p.Accepts, p.PrefilterHits)
-	}
-}
-
-// Multi fans events out to several observers in order.
-type Multi []Observer
-
-// Event implements Observer.
-func (m Multi) Event(ev Event) {
-	for _, o := range m {
-		o.Event(ev)
+	switch e := ev.(type) {
+	case Mutated:
+		if e.Applied {
+			p.generated++
+		}
+	case Executed:
+		if e.Skipped {
+			p.hits++
+		}
+	case Accepted:
+		p.accepted++
+	case SelectorUpdated:
+		p.committed++
+		if p.committed%p.Every == 0 || p.committed == p.Total {
+			fmt.Fprintf(p.W, "[campaign] %d/%d committed: %d generated, %d accepted, %d prefilter hits\n",
+				p.committed, p.Total, p.generated, p.accepted, p.hits)
+		}
 	}
 }
 

@@ -37,7 +37,8 @@ const SnapshotVersion = 2
 // Committed == Drawn == Iterations (finished): the engine never lets a
 // draw observe commits newer than its lookahead window, so a "fully
 // drained" state mid-campaign does not exist and is not a valid resume
-// point.
+// point. Resume refuses a snapshot that satisfies neither, or whose
+// in-flight window holds a draw marked Generated.
 //
 // The one non-invariant across a kill/resume pair is the static
 // prefilter's trace cache, which restarts cold: PrefilterStats.Skipped
@@ -389,9 +390,16 @@ func (e *engine) validateSnapshot(snap *Snapshot) error {
 	if len(snap.Draws) != snap.Drawn {
 		return fmt.Errorf("campaign: snapshot draw log has %d records, drawn %d", len(snap.Draws), snap.Drawn)
 	}
+	finished := snap.Committed == snap.Drawn && snap.Drawn == snap.Iterations
+	if want := max(0, snap.Drawn-e.lookahead); snap.Committed != want && !finished {
+		return fmt.Errorf("campaign: snapshot committed %d of %d drawn is no coordinator boundary (want %d, or a finished run)", snap.Committed, snap.Drawn, want)
+	}
 	for i, rec := range snap.Draws {
 		if rec.Iter != i {
 			return fmt.Errorf("campaign: snapshot draw log record %d carries iter %d", i, rec.Iter)
+		}
+		if i >= snap.Committed && rec.Generated {
+			return fmt.Errorf("campaign: snapshot in-flight draw %d is marked generated", i)
 		}
 	}
 	for k, ge := range snap.Gens {
@@ -472,12 +480,15 @@ func (e *engine) restore(snap *Snapshot) error {
 		vm.SetRecorder(rec)
 	}
 
+	// The committed prefix's counts are tallied here and added to the
+	// registry only once every check below has passed, so a rejected
+	// snapshot leaves an attached registry as it found it.
+	var failures, generated, accepts int64
 	genCursor := 0
 	commitSim := func(j int) error {
 		dr := snap.Draws[j]
-		e.tel.committed.Inc()
 		if !dr.Generated {
-			e.tel.failures.Inc()
+			failures++
 			e.src.Observe(dr.PoolIndex, false, false)
 			e.selector.Record(dr.MutatorID, false)
 			return nil
@@ -487,7 +498,7 @@ func (e *engine) restore(snap *Snapshot) error {
 		}
 		ge := snap.Gens[genCursor]
 		genCursor++
-		e.tel.generated.Inc()
+		generated++
 		stats := coverage.Stats{Stmts: ge.Stmts, Branches: ge.Branches}
 		gc := &GenClass{Iter: j, Name: mutantName(j), MutatorID: dr.MutatorID, Stats: stats, Accepted: ge.Accepted}
 		if e.coverageDirected {
@@ -527,7 +538,7 @@ func (e *engine) restore(snap *Snapshot) error {
 				e.pool = append(e.pool, poolEntry{class: rebuilt[j].class, iter: j})
 				e.src.Grew(len(e.pool)-1, dr.PoolIndex)
 			}
-			e.tel.accepts.Inc()
+			accepts++
 		}
 		e.src.Observe(dr.PoolIndex, true, ge.Accepted)
 		e.selector.Record(dr.MutatorID, ge.Accepted)
@@ -558,7 +569,6 @@ func (e *engine) restore(snap *Snapshot) error {
 		if mu := e.selector.Next(rng); mu != dr.MutatorID {
 			return fmt.Errorf("campaign: replayed draw %d proposes mutator %d, snapshot recorded %d", i, mu, dr.MutatorID)
 		}
-		e.tel.iterations.Inc()
 	}
 	// Tail commits (only a finished snapshot has any).
 	for j := snap.Drawn - D; j < snap.Committed; j++ {
@@ -593,9 +603,30 @@ func (e *engine) restore(snap *Snapshot) error {
 		}
 	}
 
-	// Carry the prefilter counters forward so post-resume PrefilterStats
-	// remain cumulative (the trace cache itself restarts cold — see the
-	// Snapshot doc comment).
+	// Every generated mutant of the prefix ran on the reference VM
+	// unless the prefilter's trace cache served it.
+	var executions int64
+	if e.coverageDirected {
+		executions = generated
+		if snap.Prefilter != nil {
+			executions -= int64(snap.Prefilter.Skipped)
+		}
+		if executions < 0 {
+			return fmt.Errorf("campaign: snapshot prefilter skipped %d of %d generated mutants", snap.Prefilter.Skipped, generated)
+		}
+	}
+
+	// Count the committed prefix: the counters then run on from where
+	// the snapshotted engine left them, and the in-flight window counts
+	// as run re-draws it. Carry the prefilter counters forward too, so
+	// post-resume PrefilterStats remain cumulative (the trace cache
+	// itself restarts cold — see the Snapshot doc comment).
+	e.tel.iterations.Add(int64(snap.Committed))
+	e.tel.committed.Add(int64(snap.Committed))
+	e.tel.failures.Add(failures)
+	e.tel.generated.Add(generated)
+	e.tel.executions.Add(executions)
+	e.tel.accepts.Add(accepts)
 	if snap.Prefilter != nil && e.pf != nil {
 		e.tel.pfChecked.Add(int64(snap.Prefilter.Checked))
 		e.tel.pfDoomed.Add(int64(snap.Prefilter.Doomed))

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/difftest"
 	"repro/internal/seedgen"
+	"repro/internal/telemetry"
 )
 
 // resumeSummary is the projection the kill-and-resume contract covers:
@@ -62,6 +64,24 @@ func diffSummary(t *testing.T, r *Result) *difftest.Summary {
 // resumed run's final result.
 func runInterrupted(t *testing.T, cfg Config, stopAt int) *Result {
 	t.Helper()
+	eng2, err := Resume(cfg, stopSnapshot(t, cfg, stopAt))
+	if err != nil {
+		t.Fatalf("Resume: %v", err)
+	}
+	res, err := eng2.Run()
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !res.Resumed {
+		t.Fatal("resumed result not marked Resumed")
+	}
+	return res
+}
+
+// stopSnapshot runs cfg up to a deterministic stop boundary and returns
+// the JSON round-tripped snapshot taken there.
+func stopSnapshot(t *testing.T, cfg Config, stopAt int) *Snapshot {
+	t.Helper()
 	ctrl := NewControl()
 	ctrl.StopAt(stopAt)
 	run1 := cfg
@@ -89,18 +109,7 @@ func runInterrupted(t *testing.T, cfg Config, stopAt int) *Result {
 	if err := json.Unmarshal(blob, &loaded); err != nil {
 		t.Fatalf("unmarshal snapshot: %v", err)
 	}
-	eng2, err := Resume(cfg, &loaded)
-	if err != nil {
-		t.Fatalf("Resume: %v", err)
-	}
-	res, err := eng2.Run()
-	if err != nil {
-		t.Fatalf("resumed run: %v", err)
-	}
-	if !res.Resumed {
-		t.Fatal("resumed result not marked Resumed")
-	}
-	return res
+	return &loaded
 }
 
 // TestKillAndResumeDeterminism is the service layer's core contract: a
@@ -256,7 +265,8 @@ func TestControlSnapshotMidRun(t *testing.T) {
 }
 
 // TestResumeRejectsMismatchedConfig ensures a snapshot cannot silently
-// resume under a diverged configuration or corpus.
+// resume under a diverged configuration or corpus, nor from a corrupt
+// draw log or a point off the coordinator boundary.
 func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	cfg := detConfig(Classfuzz)
 	ctrl := NewControl()
@@ -286,6 +296,13 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		{"truncated", func(c *Config, s *Snapshot) { s.Draws = s.Draws[:len(s.Draws)-1] }},
 		{"gen iter past draw log", func(c *Config, s *Snapshot) { s.Gens[len(s.Gens)-1].Iter = len(s.Draws) + 5 }},
 		{"negative gen iter", func(c *Config, s *Snapshot) { s.Gens[0].Iter = -1 }},
+		// A resume point is a coordinator boundary: Committed ==
+		// max(0, Drawn−Lookahead), or a finished run, with nothing in
+		// the in-flight window committed.
+		{"committed raised to drawn", func(c *Config, s *Snapshot) { s.Committed = s.Drawn }},
+		{"committed lowered", func(c *Config, s *Snapshot) { s.Committed-- }},
+		{"truncated to committed", func(c *Config, s *Snapshot) { s.Drawn, s.Draws = s.Committed, s.Draws[:s.Committed] }},
+		{"in-flight draw generated", func(c *Config, s *Snapshot) { s.Draws[s.Committed+1].Generated = true }},
 	}
 	for _, tc := range bad {
 		c := cfg
@@ -301,6 +318,106 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	// The untouched snapshot still resumes.
 	if _, err := Resume(cfg, snap); err != nil {
 		t.Errorf("pristine snapshot rejected: %v", err)
+	}
+}
+
+// campaignCounts is the projection of a registry onto the engine's
+// campaign facts that must not depend on where a campaign was killed.
+func campaignCounts(reg *telemetry.Registry) map[string]int64 {
+	c := reg.Snapshot().Counter
+	out := map[string]int64{}
+	for _, name := range []string{"iterations", "committed", "generated", "accepts", "mutator_failures"} {
+		out[name] = c("campaign." + name)
+	}
+	return out
+}
+
+// TestKillResumeCounters: the engine's counters are campaign facts, so
+// a campaign killed at any boundary and resumed onto a fresh registry
+// reports the uninterrupted run's iterations, commits, mutants,
+// accepts and mutator failures; and every generated mutant of a
+// coverage-directed campaign is either executed on the reference VM or
+// served from the prefilter's trace cache, across both lifetimes.
+func TestKillResumeCounters(t *testing.T) {
+	for _, alg := range []Algorithm{Classfuzz, Randfuzz} {
+		cfg := detConfig(alg)
+		ref := telemetry.New()
+		rcfg := cfg
+		rcfg.Telemetry = ref
+		if _, err := Run(rcfg); err != nil {
+			t.Fatalf("%s reference: %v", alg, err)
+		}
+		want := campaignCounts(ref)
+		for _, workers := range []int{1, 4} {
+			for _, stopAt := range []int{0, 70, cfg.Iterations} {
+				wcfg := cfg
+				wcfg.Workers = workers
+				snap := stopSnapshot(t, wcfg, stopAt)
+				reg := telemetry.New()
+				wcfg.Telemetry = reg
+				eng, err := Resume(wcfg, snap)
+				if err != nil {
+					t.Fatalf("%s workers=%d stop=%d: Resume: %v", alg, workers, stopAt, err)
+				}
+				if _, err := eng.Run(); err != nil {
+					t.Fatalf("%s workers=%d stop=%d: resumed run: %v", alg, workers, stopAt, err)
+				}
+				if got := campaignCounts(reg); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s workers=%d stop=%d: resumed counters %v, uninterrupted %v", alg, workers, stopAt, got, want)
+				}
+				c := reg.Snapshot().Counter
+				exec, skipped, gen := c("campaign.executions"), c("campaign.prefilter.skipped"), c("campaign.generated")
+				switch {
+				case alg == Classfuzz && exec+skipped != gen:
+					t.Errorf("%s workers=%d stop=%d: executions %d + skipped %d != generated %d", alg, workers, stopAt, exec, skipped, gen)
+				case alg == Randfuzz && exec != 0:
+					t.Errorf("%s workers=%d stop=%d: randfuzz counted %d reference-VM executions", alg, workers, stopAt, exec)
+				}
+			}
+		}
+	}
+}
+
+// TestFailedResumeLeavesRegistry: a snapshot that fails its replay
+// midway (an edited draw record) is refused without leaving any of the
+// campaign counts it had replayed so far in the attached registry — a
+// caller that falls back to a fresh engine on that registry must not
+// count the rejected prefix.
+func TestFailedResumeLeavesRegistry(t *testing.T) {
+	cfg := detConfig(Classfuzz)
+	snap := stopSnapshot(t, cfg, 70)
+	snap.Draws[20].MutatorID = (snap.Draws[20].MutatorID + 1) % 30
+
+	reg := telemetry.New()
+	earlier := cfg
+	earlier.Telemetry = reg
+	earlier.Iterations = 30
+	if _, err := Run(earlier); err != nil {
+		t.Fatalf("earlier campaign: %v", err)
+	}
+	campaignMetrics := func() map[string]int64 {
+		s := reg.Snapshot()
+		out := map[string]int64{}
+		for name, v := range s.Counters {
+			if strings.HasPrefix(name, "campaign.") {
+				out["counter "+name] = v
+			}
+		}
+		for name, v := range s.Gauges {
+			if strings.HasPrefix(name, "campaign.") {
+				out["gauge "+name] = v
+			}
+		}
+		return out
+	}
+	before := campaignMetrics()
+
+	cfg.Telemetry = reg
+	if _, err := Resume(cfg, snap); err == nil {
+		t.Fatal("Resume accepted an edited draw log")
+	}
+	if after := campaignMetrics(); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed Resume moved the registry: before %v, after %v", before, after)
 	}
 }
 

@@ -252,7 +252,7 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 	idx := 0
 	for {
 		ex.steps++
-		if ex.steps > vm.Spec.Policy.StepBudget {
+		if ex.steps > StepBudget {
 			return value{}, &javaThrow{class: "budget", msg: "step budget exhausted"}
 		}
 		if idx < 0 || idx >= len(ins) {

@@ -17,7 +17,7 @@ func (vm *VM) load(f *classfile.File) (Outcome, bool) {
 	vm.st(pLoadEnter)
 
 	// ---- version gate ---------------------------------------------------
-	if vm.br(bLoadVersionMin, f.Major < p.MinMajorVersion) {
+	if vm.br(bLoadVersionMin, f.Major < MinMajorVersion) {
 		return reject(PhaseLoading, ErrClassFormat, "major version %d below minimum", f.Major), true
 	}
 	tooNew := f.Major > p.MaxMajorVersion
@@ -139,13 +139,11 @@ func (vm *VM) load(f *classfile.File) (Outcome, bool) {
 		if p.CheckNameValidity && vm.br(bLoadMethodDesc, !descriptor.ValidMethod(mdesc)) {
 			return reject(PhaseLoading, ErrClassFormat, "method %s has malformed descriptor %q", mname, mdesc), true
 		}
-		if p.CheckDuplicateMethods {
-			key := memberKey{mname, mdesc}
-			if _, dup := seenMethods[key]; vm.br(bLoadMethodDup, dup) {
-				return reject(PhaseLoading, ErrClassFormat, "duplicate method %s%s", mname, mdesc), true
-			}
-			seenMethods[key] = struct{}{}
+		key := memberKey{mname, mdesc}
+		if _, dup := seenMethods[key]; vm.br(bLoadMethodDup, dup) {
+			return reject(PhaseLoading, ErrClassFormat, "duplicate method %s%s", mname, mdesc), true
 		}
+		seenMethods[key] = struct{}{}
 
 		if out, bad := vm.checkMethodShape(f, m, mname, mdesc); bad {
 			return out, true

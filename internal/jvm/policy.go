@@ -2,6 +2,14 @@ package jvm
 
 import "repro/internal/rtlib"
 
+// Limits every simulated VM applies alike.
+const (
+	// MinMajorVersion guards against pre-1.0 files.
+	MinMajorVersion = 45
+	// StepBudget bounds interpreted bytecode steps per run.
+	StepBudget = 100000
+)
+
 // Policy is the set of checking-and-verification knobs that
 // differentiate the five VM simulators. Every knob corresponds to a
 // behavioural difference documented in the paper (§1 preliminary study,
@@ -12,8 +20,6 @@ type Policy struct {
 
 	// MaxMajorVersion is the newest classfile version the VM accepts.
 	MaxMajorVersion uint16
-	// MinMajorVersion guards against pre-1.0 files.
-	MinMajorVersion uint16
 	// AcceptNewerVersions makes the VM process classfiles beyond its
 	// nominal platform version (GIJ conforms to 1.5 yet runs version-51
 	// classes — Problem 4).
@@ -41,9 +47,6 @@ type Policy struct {
 	// CheckDuplicateFields rejects two fields with the same
 	// name+descriptor (GIJ accepts them — Problem 4).
 	CheckDuplicateFields bool
-	// CheckDuplicateMethods rejects two methods with the same
-	// name+descriptor.
-	CheckDuplicateMethods bool
 	// CheckInterfaceMemberRules enforces that interface methods are
 	// public abstract and interface fields are public static final
 	// (all VMs but GIJ — Problem 4).
@@ -113,8 +116,6 @@ type Policy struct {
 	// AllowInterfaceMain lets an interface's main method run (GIJ —
 	// Problem 4).
 	AllowInterfaceMain bool
-	// StepBudget bounds interpreted bytecode steps per run.
-	StepBudget int
 }
 
 // ClinitRule is the classification rule for methods named <clinit>
@@ -147,14 +148,12 @@ type Spec struct {
 func hotspotBase() Policy {
 	return Policy{
 		MaxMajorVersion:           52,
-		MinMajorVersion:           45,
 		StrictConstantPool:        true,
 		ClinitRule:                ClinitOrdinaryIfNonStatic,
 		CheckInitSignature:        true,
 		CheckMemberFlags:          true,
 		CheckCodePresence:         true,
 		CheckDuplicateFields:      true,
-		CheckDuplicateMethods:     true,
 		CheckInterfaceMemberRules: true,
 		CheckInterfaceSuperObject: true,
 		CheckClassFlags:           true,
@@ -172,7 +171,6 @@ func hotspotBase() Policy {
 		InitStrictAccess:          false,
 		RequireStaticMain:         true,
 		AllowInterfaceMain:        false,
-		StepBudget:                100000,
 	}
 }
 
@@ -215,8 +213,7 @@ func J9() Spec {
 // the five VMs (Problem 4).
 func GIJ() Spec {
 	return Spec{Name: "GIJ-5.1.0", Release: rtlib.Classpath, Policy: Policy{
-		MaxMajorVersion:           49, // nominally Java 1.5
-		MinMajorVersion:           45,
+		MaxMajorVersion:           49,   // nominally Java 1.5
 		AcceptNewerVersions:       true, // yet it processes version 51 files
 		StrictConstantPool:        false,
 		ClinitRule:                ClinitIgnored,
@@ -224,7 +221,6 @@ func GIJ() Spec {
 		CheckMemberFlags:          false,
 		CheckCodePresence:         false, // a body is only needed when a method is invoked
 		CheckDuplicateFields:      false, // accepts duplicate fields
-		CheckDuplicateMethods:     true,
 		CheckInterfaceMemberRules: false, // interface main, non-public members
 		CheckInterfaceSuperObject: false, // interface extending Exception loads
 		CheckClassFlags:           false,
@@ -242,7 +238,6 @@ func GIJ() Spec {
 		InitStrictAccess:          false,
 		RequireStaticMain:         false,
 		AllowInterfaceMain:        true,
-		StepBudget:                100000,
 	}}
 }
 

@@ -576,7 +576,6 @@ func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, 
 		RefSpec:         m.cfg.RefSpec,
 		StaticPrefilter: true,
 		Workers:         m.cfg.Workers,
-		Observer:        sh,
 		Control:         ctrl,
 		Telemetry:       reg,
 	}
@@ -607,6 +606,9 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 			if err != nil {
 				m.logf("shard %d: checkpoint rejected (%v); restarting epoch %d fresh", sh.id, err, epoch)
 				eng = nil
+				// The rejected attempt may have moved the seed
+				// scheduler's and the seed pass's metrics.
+				reg = telemetry.New()
 			} else {
 				sched = sc
 				m.tel.Counter(MetricCheckpointsRestored).Inc()
@@ -657,7 +659,6 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 // state-frontier advance and persist.
 func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched *seedsel.Scheduler) {
 	m.session.Fold(shardKey(sh.id, epoch), res, reg)
-	m.tel.Counter(MetricShardMerges).Inc()
 	m.tel.Counter(MetricEpochsCompleted).Inc()
 
 	runner := m.session.Runner()
@@ -842,7 +843,7 @@ func (m *Manager) Status() Status {
 		BaseSeeds:    len(m.baseSeeds),
 		QueueDepth:   len(m.queue),
 		QueueCap:     m.cfg.QueueCap,
-		Merges:       m.session.Merges(),
+		Merges:       int(m.tel.Counter(MetricEpochsCompleted).Load()),
 		Coverage:     m.session.Coverage(),
 		Stopping:     m.stopping.Load(),
 	}

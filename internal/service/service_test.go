@@ -639,3 +639,90 @@ func TestSessionRunnerUsesSessionMemo(t *testing.T) {
 		t.Fatal("evaluation left the session memo empty")
 	}
 }
+
+// TestShardStatusCounts pins the status API's per-shard counts to the
+// epoch's own campaign counters: drawn is campaign.iterations, executed
+// is campaign.executions — reference-VM runs, so mutants the prefilter's
+// trace cache served are not in it — and accepted is campaign.accepts.
+// Between epochs status keeps reporting the last one, while
+// /metrics.json counts a folded epoch once. A shard resumed from a
+// checkpoint counts the restored prefix too.
+func TestShardStatusCounts(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.Shards = 1
+	cfg.Epochs = 1
+	cfg.Iterations = 3000
+
+	check := func(m *Manager, wantResumed bool) {
+		t.Helper()
+		st := m.Status()
+		if len(st.Shards) != 1 {
+			t.Fatalf("status lists %d shards, want 1", len(st.Shards))
+		}
+		sh := st.Shards[0]
+		res := m.Session().Campaigns[shardKey(0, 0)]
+		if res == nil {
+			t.Fatal("epoch 0 never folded")
+		}
+		tel := m.Session().Telemetry.Snapshot()
+		live := m.liveSnapshot()
+		if sh.Resumed != wantResumed {
+			t.Errorf("shard resumed %v, want %v", sh.Resumed, wantResumed)
+		}
+		if sh.Drawn != int64(cfg.Iterations) || live.Counter("campaign.iterations") != int64(cfg.Iterations) {
+			t.Errorf("drawn %d, /metrics.json iterations %d, want %d", sh.Drawn, live.Counter("campaign.iterations"), cfg.Iterations)
+		}
+		if exec := tel.Counter("campaign.executions"); sh.Executed != exec {
+			t.Errorf("executed %d, epoch's campaign.executions %d", sh.Executed, exec)
+		}
+		skipped := int64(res.Prefilter.Skipped)
+		if sh.Executed+skipped != int64(len(res.Gen)) {
+			t.Errorf("executed %d + cache-served %d != generated %d", sh.Executed, skipped, len(res.Gen))
+		}
+		if sh.Accepted != int64(len(res.Test)) {
+			t.Errorf("accepted %d, epoch accepted %d tests", sh.Accepted, len(res.Test))
+		}
+		if st.Merges != 1 {
+			t.Errorf("status merges %d, want 1", st.Merges)
+		}
+	}
+
+	_, fresh := runToCompletion(t, cfg)
+	check(fresh, false)
+	if skipped := fresh.Session().Campaigns[shardKey(0, 0)].Prefilter.Skipped; skipped == 0 {
+		t.Fatal("epoch too small: the prefilter's trace cache served no mutant")
+	}
+
+	// Drain mid-epoch, then resume the checkpoint in a second lifetime.
+	cfg.DataDir = t.TempDir()
+	m1 := New(cfg)
+	if err := m1.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if m1.Status().Shards[0].Drawn >= 100 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard never drew 100 iterations")
+		}
+	}
+	if err := m1.Stop(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if len(m1.Session().Campaigns) != 0 {
+		t.Fatal("epoch folded before the drain; no checkpoint to resume")
+	}
+	m2 := New(cfg)
+	if err := m2.Start(); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	m2.Wait()
+	if err := m2.Stop(context.Background()); err != nil {
+		t.Fatalf("final stop: %v", err)
+	}
+	if r := m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != 1 {
+		t.Fatalf("restart restored %d checkpoints, want 1", r)
+	}
+	check(m2, true)
+}

@@ -35,10 +35,8 @@ const (
 	MetricSeedsAccepted  = "service.seeds.accepted"
 	MetricSeedsRejected  = "service.seeds.rejected"
 	MetricSeedsThrottled = "service.seeds.throttled"
-	// MetricShardMerges counts shard epoch results folded into the
-	// session; MetricEpochsCompleted is its alias-by-intent (merges
-	// happen exactly once per completed epoch).
-	MetricShardMerges     = "service.shard.merges"
+	// MetricEpochsCompleted counts shard epoch results folded into the
+	// session; Status.Merges reports it.
 	MetricEpochsCompleted = "service.epochs.completed"
 	// MetricDiscrepancies gauges the discrepancy log's length.
 	MetricDiscrepancies = "service.discrepancies"
@@ -73,8 +71,7 @@ type Session struct {
 	// verify memo and every session Runner report here directly.
 	Telemetry *telemetry.Registry
 
-	cov    *coverage.Trace
-	merges int
+	cov *coverage.Trace
 }
 
 // NewSession builds an empty session. A nil reg gets a fresh registry;
@@ -110,7 +107,6 @@ func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry
 	if res.Coverage != nil {
 		s.cov = coverage.Merge(s.cov, res.Coverage)
 	}
-	s.merges++
 }
 
 // Runner builds a standard five-VM differential runner wired to the
@@ -126,11 +122,4 @@ func (s *Session) Coverage() coverage.Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.cov.Stats()
-}
-
-// Merges returns how many campaign results have been folded in.
-func (s *Session) Merges() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.merges
 }

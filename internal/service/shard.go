@@ -2,7 +2,6 @@ package service
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/campaign"
 	"repro/internal/telemetry"
@@ -12,31 +11,32 @@ import (
 // engine back to back, each epoch a full campaign over the corpus as
 // pinned at that epoch's start, under a per-shard-per-epoch derived
 // seed. The manager talks to a running epoch through its Control
-// (snapshot/stop at coordinator boundaries) and reads live counters
-// the shard's observer maintains.
+// (snapshot/stop at coordinator boundaries) and reads the epoch's
+// counters from its private registry.
 type shard struct {
 	id int
 	m  *Manager
 
 	mu sync.Mutex
-	// ctrl/reg are non-nil exactly while an epoch's engine is running;
+	// ctrl is non-nil exactly while an epoch's engine is running;
 	// epoch and submittedUsed describe that epoch (epoch advances only
 	// after ctrl is cleared, so a consistent triple is read under mu).
 	ctrl          *campaign.Control
-	reg           *telemetry.Registry
 	epoch         int
 	submittedUsed int
 	state         string
 	resumed       bool
-
-	// Live counters, written from the engine's sequential draw/commit
-	// stages via Event; reset at each epoch start.
-	drawn    atomic.Int64
-	executed atomic.Int64
-	accepted atomic.Int64
+	// reg is the running epoch's private registry or, between epochs,
+	// the last one's; status reads the shard's counts from it.
+	reg *telemetry.Registry
 }
 
-// ShardStatus is one shard's row in the status API.
+// ShardStatus is one shard's row in the status API. Drawn, Executed
+// and Accepted are the current (or, between epochs, the last) epoch's
+// campaign.iterations, campaign.executions and campaign.accepts — a
+// resumed epoch's counts include its restored prefix, and Executed
+// counts reference-VM runs, not mutants the prefilter's trace cache
+// served.
 type ShardStatus struct {
 	ID            int    `json:"id"`
 	State         string `json:"state"`
@@ -48,29 +48,15 @@ type ShardStatus struct {
 	Accepted      int64  `json:"accepted"`
 }
 
-// Event implements campaign.Observer: iteration/execution/acceptance
-// tallies for the status API. Events fire from the engine's sequential
-// stages, so no further ordering is needed.
-func (sh *shard) Event(ev campaign.Event) {
-	switch ev.(type) {
-	case campaign.IterationStarted:
-		sh.drawn.Add(1)
-	case campaign.Executed:
-		sh.executed.Add(1)
-	case campaign.Accepted:
-		sh.accepted.Add(1)
-	}
-}
-
 func (sh *shard) setState(s string) {
 	sh.mu.Lock()
 	sh.state = s
 	sh.mu.Unlock()
 }
 
-// beginEpoch installs a running epoch's handles and resets the live
-// counters. Returns false — without installing — when the manager is
-// draining, so no engine starts after Stop began collecting shards.
+// beginEpoch installs a running epoch's handles. Returns false —
+// without installing — when the manager is draining, so no engine
+// starts after Stop began collecting shards.
 func (sh *shard) beginEpoch(epoch, used int, ctrl *campaign.Control, reg *telemetry.Registry, resumed bool) bool {
 	sh.m.drainMu.Lock()
 	defer sh.m.drainMu.Unlock()
@@ -81,17 +67,15 @@ func (sh *shard) beginEpoch(epoch, used int, ctrl *campaign.Control, reg *teleme
 	sh.ctrl, sh.reg = ctrl, reg
 	sh.epoch, sh.submittedUsed = epoch, used
 	sh.state, sh.resumed = "running", resumed
-	sh.drawn.Store(0)
-	sh.executed.Store(0)
-	sh.accepted.Store(0)
 	sh.mu.Unlock()
 	return true
 }
 
-// endEpoch clears the running handles (the epoch's engine returned).
+// endEpoch clears the running handle (the epoch's engine returned).
+// The registry stays for status; liveReg stops returning it.
 func (sh *shard) endEpoch() {
 	sh.mu.Lock()
-	sh.ctrl, sh.reg = nil, nil
+	sh.ctrl = nil
 	sh.mu.Unlock()
 }
 
@@ -105,10 +89,13 @@ func (sh *shard) status() ShardStatus {
 		SubmittedUsed: sh.submittedUsed,
 		Resumed:       sh.resumed,
 	}
+	reg := sh.reg
 	sh.mu.Unlock()
-	st.Drawn = sh.drawn.Load()
-	st.Executed = sh.executed.Load()
-	st.Accepted = sh.accepted.Load()
+	if reg != nil {
+		st.Drawn = reg.Counter("campaign.iterations").Load()
+		st.Executed = reg.Counter("campaign.executions").Load()
+		st.Accepted = reg.Counter("campaign.accepts").Load()
+	}
 	return st
 }
 
@@ -120,10 +107,15 @@ func (sh *shard) handles() (*campaign.Control, int, int) {
 	return sh.ctrl, sh.epoch, sh.submittedUsed
 }
 
-// liveReg returns the running epoch's private registry, if any.
+// liveReg returns the running epoch's private registry, or nil between
+// epochs: a finished epoch's counts reach the session through its fold
+// and must not be merged a second time.
 func (sh *shard) liveReg() *telemetry.Registry {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if sh.ctrl == nil {
+		return nil
+	}
 	return sh.reg
 }
 
