@@ -119,8 +119,8 @@ func Fingerprint(f *classfile.File) uint64 {
 // ContentFingerprint hashes raw classfile bytes (the same inlined
 // FNV-1a as Fingerprint, zero allocations). Unlike Fingerprint, which
 // abstracts a file to its load-phase skeleton, this is an exact-content
-// hash: the campaign's gen log records it per accepted class so that a
-// snapshot restore can check it rebuilt the same bytes, and the daemon
+// hash: the campaign's gen log records it per accepted class so that
+// Resume can check its replay produced the same bytes, and the daemon
 // labels each discrepancy's class with it. It identifies content for
 // checks and reports only; nothing reuses a result on its equality.
 func ContentFingerprint(data []byte) uint64 {

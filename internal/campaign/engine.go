@@ -76,6 +76,7 @@ func (t *task) takeBuf() []byte {
 // time.Now on the worker hot path, and a campaign nobody is observing
 // should not pay for it.
 type engineTel struct {
+	reg        *telemetry.Registry
 	iterations *telemetry.Counter // campaign.iterations
 	generated  *telemetry.Counter // campaign.generated
 	failures   *telemetry.Counter // campaign.mutator_failures
@@ -113,6 +114,7 @@ func nonNilRegistry(reg *telemetry.Registry) *telemetry.Registry {
 
 func newEngineTel(reg *telemetry.Registry, timing bool) engineTel {
 	t := engineTel{
+		reg:        reg,
 		iterations: reg.Counter("campaign.iterations"),
 		generated:  reg.Counter("campaign.generated"),
 		failures:   reg.Counter("campaign.mutator_failures"),
@@ -186,40 +188,37 @@ type engine struct {
 	// accepted trace (Result.Coverage); genLog mirrors commits of
 	// generated iterations for Snapshot. ctrl, when attached, is
 	// serviced at the top of each coordinator iteration. On a resumed
-	// engine, startIter is the first iteration this process commits and
-	// resumeDraws holds the in-flight window to re-process.
-	ctrl        *Control
-	startIter   int
-	resumeDraws []DrawRecord
-	drawn       int
-	committed   int
-	stopped     bool
-	stopSnap    *Snapshot
-	genLog      []GenEntry
-	mergedCov   *coverage.Trace
-	seedDigest  uint64
-	resumed     bool
+	// engine, pending holds the in-flight window the replay drew, in
+	// iteration order, for run to dispatch first.
+	ctrl       *Control
+	pending    []*task
+	drawn      int
+	committed  int
+	stopped    bool
+	stopSnap   *Snapshot
+	genLog     []GenEntry
+	mergedCov  *coverage.Trace
+	seedDigest uint64
+	resumed    bool
 }
 
 func newEngine(cfg Config) *engine {
 	e := &engine{
 		cfg:              cfg,
-		obs:              obs{cfg.Observer},
 		muts:             mutation.Registry(),
 		src:              cfg.Source,
 		seeds:            cfg.Source.Corpus(),
 		coverageDirected: cfg.Algorithm != Randfuzz,
 		lookahead:        cfg.lookahead(),
-		timing:           cfg.Telemetry != nil,
-		ctrl:             cfg.Control,
+		res: &Result{
+			Algorithm:  cfg.Algorithm,
+			Criterion:  cfg.Criterion,
+			Iterations: cfg.Iterations,
+			Draws:      make([]DrawRecord, 0, cfg.Iterations),
+			Workers:    cfg.workers(),
+			Lookahead:  cfg.lookahead(),
+		},
 	}
-
-	// Counts always flow into a registry — the caller's, or a private
-	// one Result.Prefilter is derived from. Counts move only on the
-	// sequential draw/commit path, so they are deterministic at any
-	// worker count; stage timing (the only telemetry touching workers)
-	// stays off unless someone attached a registry to observe it.
-	e.tel = newEngineTel(nonNilRegistry(cfg.Telemetry), e.timing)
 
 	// Mutator selector: classfuzz uses the MCMC chain; everything else
 	// selects uniformly. The chain's initial state comes from the
@@ -229,20 +228,7 @@ func newEngine(cfg Config) *engine {
 		if p == 0 {
 			p = mcmc.DefaultP(len(e.muts))
 		}
-		sel := mcmc.NewSampler(len(e.muts), p, initRNG(cfg.Rand))
-		if e.timing {
-			// Live per-mutator gauges (same names finalize Sets for the
-			// non-MCMC selectors), maintained as the chain draws and
-			// records on the sequential coordinator.
-			selG := make([]*telemetry.Gauge, len(e.muts))
-			succG := make([]*telemetry.Gauge, len(e.muts))
-			for i, m := range e.muts {
-				selG[i] = cfg.Telemetry.Gauge("campaign.mutator." + m.Name + ".selected")
-				succG[i] = cfg.Telemetry.Gauge("campaign.mutator." + m.Name + ".success")
-			}
-			sel.Instrument(selG, succG)
-		}
-		e.selector = sel
+		e.selector = mcmc.NewSampler(len(e.muts), p, initRNG(cfg.Rand))
 	} else {
 		e.selector = mcmc.NewUniformSampler(len(e.muts))
 	}
@@ -255,6 +241,39 @@ func newEngine(cfg Config) *engine {
 	e.greedyUnion = coverage.NewTrace()
 	e.genStats = coverage.NewSuite(coverage.STBR) // counts unique stats over Gen
 
+	if cfg.StaticPrefilter && e.coverageDirected {
+		e.pf = newPrefilter()
+	}
+	e.bind(cfg)
+	return e
+}
+
+// bind attaches cfg's observation hooks — telemetry registry, observer
+// and control — to the engine. Counts always flow into a registry: the
+// caller's, or a private one Result.Prefilter is derived from. Counts
+// move only on the sequential draw/commit path, so they are
+// deterministic at any worker count; stage timing (the only telemetry
+// touching workers) stays off unless someone attached a registry to
+// observe it. Resume binds twice: detached for its replay, then to
+// the caller's hooks once the replay has matched the snapshot.
+func (e *engine) bind(cfg Config) {
+	e.cfg.Telemetry, e.cfg.Observer, e.cfg.Control = cfg.Telemetry, cfg.Observer, cfg.Control
+	e.obs, e.ctrl, e.timing = obs{cfg.Observer}, cfg.Control, cfg.Telemetry != nil
+	e.tel = newEngineTel(nonNilRegistry(cfg.Telemetry), e.timing)
+	if sel, ok := e.selector.(*mcmc.Sampler); ok && e.timing {
+		// Live per-mutator gauges (same names finalize Sets for the
+		// non-MCMC selectors), maintained as the chain draws and
+		// records on the sequential coordinator.
+		selG := make([]*telemetry.Gauge, len(e.muts))
+		succG := make([]*telemetry.Gauge, len(e.muts))
+		for i, m := range e.muts {
+			selG[i] = cfg.Telemetry.Gauge("campaign.mutator." + m.Name + ".selected")
+			succG[i] = cfg.Telemetry.Gauge("campaign.mutator." + m.Name + ".success")
+			selG[i].Set(int64(sel.Selected(i)))
+			succG[i].Set(int64(sel.Succeeded(i)))
+		}
+		sel.Instrument(selG, succG)
+	}
 	// An injected verify memo carries per-method verdicts across the
 	// caller's campaigns: a mutant's untouched methods (the generated
 	// main, <init>, unmutated seed methods) reuse lineage verdicts
@@ -264,11 +283,6 @@ func newEngine(cfg Config) *engine {
 	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
 		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
 	}
-
-	if cfg.StaticPrefilter && e.coverageDirected {
-		e.pf = newPrefilter()
-	}
-	return e
 }
 
 // initSeedState builds the seed pool and folds the seed traces into
@@ -276,7 +290,7 @@ func newEngine(cfg Config) *engine {
 // with the seeds, so seed traces participate in uniqueness checks).
 // The traces are the source's baselines when it recorded them on the
 // reference spec, else the engine's own seed pass. Shared verbatim by
-// fresh runs and snapshot restores.
+// fresh runs and Resume's replay.
 func (e *engine) initSeedState() {
 	sp := telemetry.StartSpan(e.tel.seeds)
 	defer sp.End()
@@ -347,14 +361,6 @@ func (e *engine) run() (*Result, error) {
 
 	if !e.resumed {
 		e.initSeedState()
-		e.res = &Result{
-			Algorithm:  cfg.Algorithm,
-			Criterion:  cfg.Criterion,
-			Iterations: cfg.Iterations,
-			Draws:      make([]DrawRecord, 0, cfg.Iterations),
-			Workers:    cfg.workers(),
-			Lookahead:  e.lookahead,
-		}
 	}
 	e.tel.poolSize.Set(int64(len(e.pool)))
 
@@ -368,16 +374,12 @@ func (e *engine) run() (*Result, error) {
 	// mutate/filter/execute against its long-lived scratch and closes
 	// the task's done channel, which commit waits on.
 	//
-	// A resumed engine enters the same loop at base = startIter (the
-	// snapshot's commit frontier): the in-flight window re-enters the
-	// pipeline from its recorded draw records (redraw — the selector
-	// chain already consumed those proposals during restore), and fresh
-	// draws take over beyond it. Since draw(i) only observes commits
-	// ≤ i−D, which the restore fully reconstructed, the continuation is
-	// bit-identical to the uninterrupted run.
+	// A resumed engine enters the same loop at its snapshot's boundary,
+	// with the replay's in-flight window dispatched first: the replay
+	// left the engine exactly as the snapshotted run was there, so the
+	// continuation is bit-identical to the uninterrupted run.
 	D := e.lookahead
 	N := cfg.Iterations
-	base := e.startIter
 	tasks := make(chan *task, D)
 	ring := make([]*task, D)
 
@@ -386,23 +388,7 @@ func (e *engine) run() (*Result, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker arenas: the reference VM and recorder are
-			// stateless across runs; the lowering context and mutation
-			// RNG are reset per task. One set serves the worker's whole
-			// stream of tasks without sharing anything with its peers.
-			ws := &workerScratch{
-				vm:   jvm.New(cfg.RefSpec),
-				rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
-				lctx: jimple.NewLowerCtx(),
-			}
-			ws.vm.SetRecorder(ws.rec)
-			ws.vm.SetVerifyMemo(cfg.VerifyMemo)
-			if e.timing {
-				// Per-phase reference-VM histograms
-				// (jvm.<spec>.phase.*_ns) land in the shared registry
-				// next to the stage spans; observe-only like the rest.
-				ws.vm.SetTelemetry(e.cfg.Telemetry)
-			}
+			ws := e.newScratch()
 			for t := range tasks {
 				f := e.process(t, ws)
 				if scratchHook != nil {
@@ -413,32 +399,31 @@ func (e *engine) run() (*Result, error) {
 		}()
 	}
 
-	for i := base; i < N; i++ {
+	for _, t := range e.pending {
+		if e.obs.o != nil {
+			e.obs.emit(IterationStarted{Iter: t.iter, PoolIndex: t.rec.PoolIndex, MutatorID: t.rec.MutatorID})
+		}
+		ring[t.iter%D] = t
+		tasks <- t
+	}
+	e.pending = nil
+	for i := e.drawn; i < N; i++ {
 		if e.serviceControl(i) {
 			e.stopped = true
 			break
 		}
-		if i-D >= base {
+		if i >= D {
 			e.commitTask(ring[(i-D)%D])
 		}
 		t := e.getTask()
-		if j := i - base; j < len(e.resumeDraws) {
-			e.redraw(e.resumeDraws[j], t)
-		} else {
-			e.draw(i, t)
-		}
+		e.draw(i, t)
 		ring[i%D] = t
 		tasks <- t
 	}
 	// Drain the in-flight window (all of it, after a stop).
 	close(tasks)
-	end := e.drawn
-	tail := end - D
-	if tail < base {
-		tail = base
-	}
-	for i := tail; i < end; i++ {
-		e.commitTask(ring[i%D])
+	for e.committed < e.drawn {
+		e.commitTask(ring[e.committed%D])
 	}
 	wg.Wait()
 
@@ -506,21 +491,6 @@ func (e *engine) draw(i int, t *task) {
 	t.iter, t.parent, t.rec = i, pe.class, rec
 }
 
-// redraw re-enters a recorded in-flight iteration into the pipeline
-// after a resume. Unlike draw it consults neither the RNG nor the
-// selector — the restore already replayed this iteration's proposal
-// into the chain — it only re-materialises the task from the record.
-func (e *engine) redraw(rec DrawRecord, t *task) {
-	fresh := DrawRecord{Iter: rec.Iter, PoolIndex: rec.PoolIndex, Parent: rec.Parent, MutatorID: rec.MutatorID}
-	e.res.Draws = append(e.res.Draws, fresh)
-	e.drawn++
-	e.tel.iterations.Inc()
-	if e.obs.o != nil {
-		e.obs.emit(IterationStarted{Iter: rec.Iter, PoolIndex: rec.PoolIndex, MutatorID: rec.MutatorID})
-	}
-	t.iter, t.parent, t.rec = rec.Iter, e.pool[rec.PoolIndex].class, fresh
-}
-
 // workerScratch is one worker's long-lived arenas: the instrumented
 // reference VM and its recorder, the reusable lowering context, and the
 // per-task mutation RNG (reseeded, never reallocated). All of it is
@@ -533,6 +503,27 @@ type workerScratch struct {
 	rec  *coverage.Recorder
 	rng  *rand.Rand
 	lctx *jimple.LowerCtx
+}
+
+// newScratch builds one worker's arenas: the reference VM and recorder
+// are stateless across runs; the lowering context and mutation RNG are
+// reset per task. One set serves the worker's whole stream of tasks
+// without sharing anything with its peers.
+func (e *engine) newScratch() *workerScratch {
+	ws := &workerScratch{
+		vm:   jvm.New(e.cfg.RefSpec),
+		rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
+		lctx: jimple.NewLowerCtx(),
+	}
+	ws.vm.SetRecorder(ws.rec)
+	ws.vm.SetVerifyMemo(e.cfg.VerifyMemo)
+	if e.timing {
+		// Per-phase reference-VM histograms (jvm.<spec>.phase.*_ns)
+		// land in the shared registry next to the stage spans;
+		// observe-only like the rest.
+		ws.vm.SetTelemetry(e.cfg.Telemetry)
+	}
+	return ws
 }
 
 // scratchHook, when set (by tests only, never while a campaign runs),

@@ -38,51 +38,6 @@ func RootSeed(draws []DrawRecord, iter int) int {
 	}
 }
 
-// regen is the one regeneration step Rebuild and snapshot restore
-// share: it re-derives a generated iteration's mutant from its draw
-// record, without running the reference VM.
-type regen struct {
-	rand  int64
-	seeds []*jimple.Class
-	muts  []*mutation.Mutator
-	// accepted holds the mutants regenerated so far that a later draw
-	// may descend from, by iteration.
-	accepted map[int]*jimple.Class
-}
-
-// step regenerates the mutant of the iteration rec records. Its parent
-// is the corpus seed at rec.PoolIndex (rec.Parent < 0) or an accepted
-// mutant an earlier step regenerated — accepted mutants are the only
-// classes recycled into the pool. The mutator re-runs under
-// DeriveRNG(seed, iter), whose stream is independent of the draw
-// stage, so the step consumes exactly the random values the campaign's
-// worker did, then the mutant is finished and lowered as the worker
-// did.
-func (g *regen) step(rec DrawRecord) (*jimple.Class, []byte, error) {
-	var parent *jimple.Class
-	if rec.Parent < 0 {
-		if rec.PoolIndex < 0 || rec.PoolIndex >= len(g.seeds) {
-			return nil, nil, fmt.Errorf("campaign: iteration %d draws seed %d outside the corpus (%d seeds)", rec.Iter, rec.PoolIndex, len(g.seeds))
-		}
-		parent = g.seeds[rec.PoolIndex]
-	} else if parent = g.accepted[rec.Parent]; parent == nil {
-		return nil, nil, fmt.Errorf("campaign: iteration %d has unaccepted parent %d", rec.Iter, rec.Parent)
-	}
-	if rec.MutatorID < 0 || rec.MutatorID >= len(g.muts) {
-		return nil, nil, fmt.Errorf("campaign: iteration %d mutator id %d out of range", rec.Iter, rec.MutatorID)
-	}
-	mutant := parent.Clone()
-	if !g.muts[rec.MutatorID].Apply(mutant, DeriveRNG(g.rand, rec.Iter)) {
-		return nil, nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — the draw log diverges from this config or build", rec.MutatorID, rec.Iter)
-	}
-	finishMutant(mutant, rec.Iter)
-	data, err := lower(mutant)
-	if err != nil {
-		return nil, nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", rec.Iter, err)
-	}
-	return mutant, data, nil
-}
-
 // Rebuild reconstructs iteration iter's mutant from the campaign seed
 // and the draw log alone, with no reference-VM execution. The draw log
 // pins the lineage: Rebuild walks it up to the original seed the
@@ -110,16 +65,34 @@ func Rebuild(cfg Config, draws []DrawRecord, iter int) (*ReplayInfo, error) {
 		it = rec.Parent
 	}
 
-	g := regen{rand: cfg.Rand, seeds: cfg.seedCorpus(), muts: mutation.Registry(), accepted: make(map[int]*jimple.Class, len(lineage))}
+	// Regenerate forward from the seed. Each generation's parent is the
+	// one before it, and the mutator re-runs under DeriveRNG(seed, iter),
+	// whose stream is independent of the draw stage, so each step
+	// consumes exactly the random values the campaign's worker did; the
+	// mutant is then finished and lowered as the worker did.
+	seeds, muts := cfg.seedCorpus(), mutation.Registry()
+	root := lineage[len(lineage)-1]
+	if root.PoolIndex < 0 || root.PoolIndex >= len(seeds) {
+		return nil, fmt.Errorf("campaign: iteration %d draws seed %d outside the corpus (%d seeds)", root.Iter, root.PoolIndex, len(seeds))
+	}
+	parent := seeds[root.PoolIndex]
 	var info *ReplayInfo
 	for k := len(lineage) - 1; k >= 0; k-- {
 		rec := lineage[k]
-		mutant, data, err := g.step(rec)
-		if err != nil {
-			return nil, err
+		if rec.MutatorID < 0 || rec.MutatorID >= len(muts) {
+			return nil, fmt.Errorf("campaign: iteration %d mutator id %d out of range", rec.Iter, rec.MutatorID)
 		}
-		g.accepted[rec.Iter] = mutant
+		mutant := parent.Clone()
+		if !muts[rec.MutatorID].Apply(mutant, DeriveRNG(cfg.Rand, rec.Iter)) {
+			return nil, fmt.Errorf("campaign: mutator %d no longer applies at iteration %d — the draw log diverges from this config or build", rec.MutatorID, rec.Iter)
+		}
+		finishMutant(mutant, rec.Iter)
+		data, err := lower(mutant)
+		if err != nil {
+			return nil, fmt.Errorf("campaign: rebuilt mutant of iteration %d fails to lower: %w", rec.Iter, err)
+		}
 		info = &ReplayInfo{Record: rec, Class: mutant, Data: data}
+		parent = mutant
 	}
 	return info, nil
 }

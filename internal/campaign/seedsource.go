@@ -29,10 +29,10 @@ import (
 // be a pure function of its construction inputs and the exact sequence
 // of Pick/Observe/Grew calls — no clocks, no shared RNGs, no
 // goroutines — so campaign results stay bit-identical at any worker
-// count, and so snapshot restore can rebuild the source's state by
-// replaying the recorded interleaving. A stateful
-// source serves exactly one engine run: Resume must be handed a fresh
-// one (the restore replays the committed prefix into it).
+// count, and so Resume can rebuild the source's state by replaying the
+// campaign's prefix. A stateful source serves exactly one engine run:
+// Resume must be handed a fresh one (its replay drives the prefix
+// through it).
 type SeedSource interface {
 	// Strategy names the selection policy ("uniform", "clustered",
 	// "yield"); snapshots record it and Resume refuses a mismatch.
@@ -55,9 +55,9 @@ type SeedSource interface {
 	// commit order, immediately after the append.
 	Grew(poolIndex, parent int)
 	// MarshalState serialises the source's evolving state for
-	// checkpoints (nil means stateless). Restore replays the committed
-	// prefix into a fresh source and cross-checks the result against
-	// the snapshot's copy, so the encoding must be deterministic.
+	// checkpoints (nil means stateless). Resume replays the prefix into
+	// a fresh source and cross-checks the result against the
+	// snapshot's copy, so the encoding must be deterministic.
 	MarshalState() ([]byte, error)
 	// Baselines returns the coverage trace of every Corpus entry run
 	// once on the instrumented ref VM, index for index, with nil for a

@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sync"
 
-	"repro/internal/analysis"
 	"repro/internal/coverage"
 	"repro/internal/jimple"
-	"repro/internal/jvm"
 	"repro/internal/mcmc"
 )
 
@@ -25,12 +24,12 @@ const SnapshotVersion = 2
 // draw log records all of them) and Committed ≤ Drawn of those have
 // committed. It deliberately contains no mutant bytes, no coverage
 // traces and no MCMC chain state — all of that is a deterministic
-// function of (config, seed corpus, draw log, per-iteration outcomes),
-// so Resume re-derives it: committed mutants are rebuilt via the
-// Rebuild lineage walk, accepted ones re-execute on the reference VM to
-// recover their traces, and the selector chain replays the recorded
-// draw/commit interleaving. The in-flight window (Committed..Drawn-1)
-// simply re-enters the pipeline from its recorded draw records.
+// function of (config, seed corpus, boundary), so Resume recomputes it
+// by running the campaign's prefix again through the engine's own
+// stages, and keeps the rest of the snapshot — draw log, gen log,
+// scheduler state, prefilter counts — as the witness that replay must
+// match. The in-flight window (Committed..Drawn-1) is drawn by the
+// replay and processed by the resumed run's workers.
 //
 // A snapshot captured at a coordinator boundary always satisfies
 // Committed == max(0, Drawn−Lookahead) (mid-pipeline) or
@@ -39,12 +38,6 @@ const SnapshotVersion = 2
 // drained" state mid-campaign does not exist and is not a valid resume
 // point. Resume refuses a snapshot that satisfies neither, or whose
 // in-flight window holds a draw marked Generated.
-//
-// The one non-invariant across a kill/resume pair is the static
-// prefilter's trace cache, which restarts cold: PrefilterStats.Skipped
-// vs .Executed may split differently after a resume (their sum, and
-// every acceptance decision, stay identical). The Prefilter field
-// carries the counters as of the snapshot so totals remain meaningful.
 type Snapshot struct {
 	Version   int       `json:"version"`
 	Algorithm Algorithm `json:"algorithm"`
@@ -67,9 +60,9 @@ type Snapshot struct {
 	// "yield"); Resume refuses a config whose source names another.
 	SeedStrategy string `json:"seed_strategy"`
 	// SeedSched carries the source's serialized scheduler state as of
-	// the snapshot (absent for stateless sources). Restore re-derives
-	// the state by replaying the committed prefix into the fresh source
-	// and cross-checks it against this copy.
+	// the snapshot (absent for stateless sources). Resume re-derives
+	// the state by replaying the prefix into the fresh source and
+	// cross-checks it against this copy.
 	SeedSched json.RawMessage `json:"seed_sched,omitempty"`
 
 	Drawn     int `json:"drawn"`
@@ -88,7 +81,7 @@ type Snapshot struct {
 // GenEntry is one committed, generated iteration's outcome in a
 // Snapshot: its coverage statistic, the acceptance decision, and — for
 // accepted mutants — the content fingerprint of the classfile bytes,
-// which Resume checks against the rebuilt bytes.
+// which Resume checks against the replayed bytes.
 type GenEntry struct {
 	Iter     int    `json:"iter"`
 	Stmts    int    `json:"stmts,omitempty"`
@@ -194,19 +187,8 @@ func (e *engine) serviceControl(i int) bool {
 
 // snapshot captures the engine's state at the current coordinator
 // boundary. Coordinator-goroutine only.
-//
-// On a resumed engine that is still re-filling its in-flight window,
-// the recorded-but-not-yet-redrawn remainder of that window is
-// appended to the draw log: those iterations' proposals were consumed
-// from the selector chain during restore, so omitting them would leave
-// a snapshot whose fresh re-draws diverge. With them included, a
-// mid-refill snapshot is exactly the boundary the engine resumed from.
 func (e *engine) snapshot() *Snapshot {
 	cfg := &e.cfg
-	draws := append([]DrawRecord(nil), e.res.Draws...)
-	if consumed := e.drawn - e.startIter; consumed < len(e.resumeDraws) {
-		draws = append(draws, e.resumeDraws[consumed:]...)
-	}
 	s := &Snapshot{
 		Version:         SnapshotVersion,
 		Algorithm:       cfg.Algorithm,
@@ -220,9 +202,9 @@ func (e *engine) snapshot() *Snapshot {
 		SeedCount:       len(e.seeds),
 		SeedDigest:      e.seedCorpusDigest(),
 		SeedStrategy:    e.src.Strategy(),
-		Drawn:           len(draws),
+		Drawn:           e.drawn,
 		Committed:       e.committed,
-		Draws:           draws,
+		Draws:           append([]DrawRecord(nil), e.res.Draws...),
 		Gens:            append([]GenEntry(nil), e.genLog...),
 	}
 	if e.pf != nil {
@@ -320,26 +302,44 @@ func validateStaged(cfg Config) error {
 // Resume reconstructs a running campaign from a Snapshot and returns
 // an Engine whose Run completes it. cfg must describe the same
 // campaign the snapshot was taken from (same algorithm, criterion,
-// seed, budget, lookahead, reference spec and seed corpus); the
-// restore re-derives every piece of engine state and fails loudly on
-// any divergence, so a corrupt or mismatched snapshot cannot silently
-// fork the run. The resumed campaign's accepted suite, draw log and
-// difftest behaviour are byte-identical to the uninterrupted run's at
-// any worker count.
+// seed, budget, lookahead, reference spec and seed corpus). In
+// Algorithm 1 an iteration's acceptance depends only on the reference
+// run and the suite earlier iterations built, so the snapshot's prefix
+// is a function of the config: Resume runs it again through the
+// engine's own stages and refuses the snapshot unless the replay's
+// boundary snapshot equals it, so a corrupt or mismatched snapshot
+// cannot silently fork the run. The replay counts into a private
+// registry, added to cfg.Telemetry only once it has matched. The
+// resumed campaign — accepted suite, draw log, prefilter counts,
+// difftest behaviour — is identical to the uninterrupted run's at any
+// worker count.
 func Resume(cfg Config, snap *Snapshot) (*Engine, error) {
 	if err := validateStaged(cfg); err != nil {
 		return nil, err
 	}
-	e := newEngine(cfg)
+	detached := cfg
+	detached.Telemetry, detached.Observer, detached.Control = nil, nil, nil
+	e := newEngine(detached)
 	if err := e.validateSnapshot(snap); err != nil {
 		return nil, err
 	}
-	if err := e.restore(snap); err != nil {
+	// The replay holds this engine run's seed pass; time it where a
+	// fresh run's would land.
+	e.tel.seeds = cfg.Telemetry.Histogram("campaign.stage.seeds_ns")
+	e.replay(snap.Drawn, snap.Committed)
+	if err := e.snapshot().match(snap); err != nil {
 		return nil, err
 	}
+	replayed := e.tel.reg
+	e.bind(cfg)
+	e.tel.reg.Merge(replayed)
+	e.resumed = true
 	return &Engine{e: e}, nil
 }
 
+// validateSnapshot runs the checks that need no replay: format
+// version, the config echo, the seed corpus, the coordinator boundary
+// and the draw log's shape.
 func (e *engine) validateSnapshot(snap *Snapshot) error {
 	cfg := &e.cfg
 	fail := func(field string, snapV, cfgV any) error {
@@ -402,244 +402,84 @@ func (e *engine) validateSnapshot(snap *Snapshot) error {
 			return fmt.Errorf("campaign: snapshot in-flight draw %d is marked generated", i)
 		}
 	}
-	for k, ge := range snap.Gens {
-		if ge.Iter < 0 || ge.Iter >= len(snap.Draws) {
-			return fmt.Errorf("campaign: snapshot gen log entry %d names iteration %d outside the draw log (%d records)", k, ge.Iter, len(snap.Draws))
-		}
-	}
 	return nil
 }
 
-// rebuiltGen is one committed iteration's re-derived mutant.
-type rebuiltGen struct {
-	class *jimple.Class
-	data  []byte
-}
-
-// rebuildCommitted re-derives the mutant model and bytes for committed
-// generated iterations, walking the gen log in order so each parent
-// (always an accepted earlier iteration, or a seed) is available when
-// its children need it. Accepted iterations are always rebuilt; the
-// rest only when the config keeps their bytes or models. Each iteration
-// takes Rebuild's regeneration step once, so shared parents are not
-// re-derived per descendant.
-func (e *engine) rebuildCommitted(snap *Snapshot) (map[int]*rebuiltGen, error) {
-	cfg := &e.cfg
-	keepAll := cfg.KeepClasses || cfg.KeepGenBytes
-	out := make(map[int]*rebuiltGen, len(snap.Gens))
-	g := regen{rand: cfg.Rand, seeds: e.seeds, muts: e.muts, accepted: make(map[int]*jimple.Class, len(snap.Gens))}
-	for _, ge := range snap.Gens {
-		if !ge.Accepted && !keepAll {
-			continue
-		}
-		mutant, data, err := g.step(snap.Draws[ge.Iter])
-		if err != nil {
-			return nil, err
-		}
-		out[ge.Iter] = &rebuiltGen{class: mutant, data: data}
-		if ge.Accepted {
-			g.accepted[ge.Iter] = mutant
-		}
-	}
-	return out, nil
-}
-
-// restore rebuilds the full engine state the snapshot summarises:
-// seed pool and seed traces, the committed prefix's suite/pool/selector
-// evolution (replaying the exact draw/commit interleaving the
-// coordinator used, so the MCMC chain state matches bit-for-bit), and
-// the in-flight window, which run() will re-process from its recorded
-// draw records.
-func (e *engine) restore(snap *Snapshot) error {
-	cfg := &e.cfg
+// replay runs the campaign's first drawn draws and committed commits
+// through the engine's own stages, sequentially on one worker scratch,
+// in the coordinator's order: commit(i−D) before draw(i). A committed
+// iteration is processed at its commit. The trace cache then holds
+// entries up to the previous iteration, but a lookup sees only those
+// committed Lookahead iterations earlier (prefilterLookup), which is
+// exactly what the worker saw; so the replayed cache, and every count,
+// is the snapshotted run's. The in-flight window is drawn but not
+// processed: it waits in pending for run's workers.
+func (e *engine) replay(drawn, committed int) {
 	e.initSeedState()
-	e.res = &Result{
-		Algorithm:  cfg.Algorithm,
-		Criterion:  cfg.Criterion,
-		Iterations: cfg.Iterations,
-		Draws:      make([]DrawRecord, 0, cfg.Iterations),
-		Workers:    cfg.workers(),
-		Lookahead:  e.lookahead,
+	ws := e.newScratch()
+	commit := func() {
+		t := e.pending[0]
+		e.pending = e.pending[1:]
+		e.process(t, ws)
+		e.commit(t)
+		e.recycle(t)
 	}
-	e.res.Draws = append(e.res.Draws, snap.Draws[:snap.Committed]...)
+	for i := 0; i < drawn; i++ {
+		if i >= e.lookahead {
+			commit()
+		}
+		t := e.getTask()
+		e.draw(i, t)
+		e.pending = append(e.pending, t)
+	}
+	for e.committed < committed {
+		commit()
+	}
+}
 
-	rebuilt, err := e.rebuildCommitted(snap)
-	if err != nil {
-		return err
+// match compares a replay's boundary snapshot with the stored one it
+// replayed, whose config echo and boundary validateSnapshot already
+// checked, and names the first field and iteration that differ.
+func (got *Snapshot) match(want *Snapshot) error {
+	fail := func(where string, w, g any) error {
+		return fmt.Errorf("campaign: snapshot diverges from its replay at %s: snapshot %+v, replay %+v", where, w, g)
 	}
-
-	// Reference VM for recovering accepted mutants' traces. Trace keys
-	// are probe-interning-order dependent and deliberately absent from
-	// the snapshot; re-execution yields traces identical (as sets) to
-	// the original process's, which is all the suite compares.
-	var vm *jvm.VM
-	var rec *coverage.Recorder
-	if e.coverageDirected {
-		vm = jvm.New(cfg.RefSpec)
-		rec = coverage.NewRecorder(jvm.ProbeRegistry())
-		vm.SetRecorder(rec)
-	}
-
-	// The committed prefix's counts are tallied here and added to the
-	// registry only once every check below has passed, so a rejected
-	// snapshot leaves an attached registry as it found it.
-	var failures, generated, accepts int64
-	genCursor := 0
-	commitSim := func(j int) error {
-		dr := snap.Draws[j]
-		if !dr.Generated {
-			failures++
-			e.src.Observe(dr.PoolIndex, false, false)
-			e.selector.Record(dr.MutatorID, false)
-			return nil
-		}
-		if genCursor >= len(snap.Gens) || snap.Gens[genCursor].Iter != j {
-			return fmt.Errorf("campaign: snapshot gen log out of step at iteration %d", j)
-		}
-		ge := snap.Gens[genCursor]
-		genCursor++
-		generated++
-		stats := coverage.Stats{Stmts: ge.Stmts, Branches: ge.Branches}
-		gc := &GenClass{Iter: j, Name: mutantName(j), MutatorID: dr.MutatorID, Stats: stats, Accepted: ge.Accepted}
-		if e.coverageDirected {
-			e.genStats.AddStats(stats)
-		}
-		if rg := rebuilt[j]; rg != nil {
-			if cfg.KeepClasses {
-				gc.Class = rg.class
-			}
-			if cfg.KeepClasses || cfg.KeepGenBytes || ge.Accepted {
-				gc.Data = rg.data
-			}
-		}
-		e.res.Gen = append(e.res.Gen, gc)
-		if ge.Accepted {
-			rg := rebuilt[j]
-			if fp := analysis.ContentFingerprint(rg.data); fp != ge.Fp {
-				return fmt.Errorf("campaign: rebuilt bytes of iteration %d fingerprint %x, snapshot recorded %x", j, fp, ge.Fp)
-			}
-			if e.coverageDirected {
-				rec.Reset()
-				vm.Run(rg.data)
-				tr := rec.Trace()
-				if tr.Stats() != stats {
-					return fmt.Errorf("campaign: re-executed iteration %d covers %+v, snapshot recorded %+v", j, tr.Stats(), stats)
-				}
-				e.mergedCov = coverage.Merge(e.mergedCov, tr)
-				switch cfg.Algorithm {
-				case Greedyfuzz:
-					e.greedyUnion = coverage.Merge(e.greedyUnion, tr)
-				default:
-					e.suite.Add(tr)
-				}
-			}
-			e.res.Test = append(e.res.Test, gc)
-			if !cfg.NoSeedRecycling {
-				e.pool = append(e.pool, poolEntry{class: rebuilt[j].class, iter: j})
-				e.src.Grew(len(e.pool)-1, dr.PoolIndex)
-			}
-			accepts++
-		}
-		e.src.Observe(dr.PoolIndex, true, ge.Accepted)
-		e.selector.Record(dr.MutatorID, ge.Accepted)
-		return nil
-	}
-
-	// Replay the coordinator's exact interleaving — commit(i−D) before
-	// draw(i) — so the selector chain sees Next/Record in the order the
-	// original process issued them. Draw replay verifies each recorded
-	// pool index and mutator proposal; any divergence means the
-	// snapshot does not describe this campaign.
-	D := e.lookahead
-	for i := 0; i < snap.Drawn; i++ {
-		if j := i - D; j >= 0 && j < snap.Committed {
-			if err := commitSim(j); err != nil {
-				return err
-			}
-		}
-		dr := snap.Draws[i]
-		rng := drawRNG(cfg.Rand, i)
-		idx := e.src.Pick(rng, len(e.pool))
-		if idx != dr.PoolIndex {
-			return fmt.Errorf("campaign: replayed draw %d picks pool index %d, snapshot recorded %d", i, idx, dr.PoolIndex)
-		}
-		if e.pool[idx].iter != dr.Parent {
-			return fmt.Errorf("campaign: replayed draw %d pool entry from iteration %d, snapshot recorded parent %d", i, e.pool[idx].iter, dr.Parent)
-		}
-		if mu := e.selector.Next(rng); mu != dr.MutatorID {
-			return fmt.Errorf("campaign: replayed draw %d proposes mutator %d, snapshot recorded %d", i, mu, dr.MutatorID)
+	for i, w := range want.Draws {
+		if g := got.Draws[i]; g != w {
+			return fail(fmt.Sprintf("draws[%d]", i), w, g)
 		}
 	}
-	// Tail commits (only a finished snapshot has any).
-	for j := snap.Drawn - D; j < snap.Committed; j++ {
-		if j < 0 {
-			continue
+	for k := 0; k < len(got.Gens) || k < len(want.Gens); k++ {
+		var w, g *GenEntry
+		iter := -1
+		if k < len(got.Gens) {
+			g = &got.Gens[k]
+			iter = g.Iter
 		}
-		if err := commitSim(j); err != nil {
-			return err
+		if k < len(want.Gens) {
+			w = &want.Gens[k]
+			iter = w.Iter
 		}
-	}
-	if genCursor != len(snap.Gens) {
-		return fmt.Errorf("campaign: snapshot gen log has %d unconsumed entries", len(snap.Gens)-genCursor)
-	}
-
-	// The replayed source must land exactly on the snapshot's scheduler
-	// state. Compare compacted: checkpoint writers may re-indent the
-	// nested raw message, which must not fail a faithful replay.
-	if len(snap.SeedSched) > 0 {
-		st, err := e.src.MarshalState()
-		if err != nil {
-			return fmt.Errorf("campaign: serializing replayed seed-scheduler state: %w", err)
-		}
-		var got, want bytes.Buffer
-		if err := json.Compact(&got, st); err != nil {
-			return fmt.Errorf("campaign: replayed seed-scheduler state: %w", err)
-		}
-		if err := json.Compact(&want, snap.SeedSched); err != nil {
-			return fmt.Errorf("campaign: snapshot seed-scheduler state: %w", err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			return fmt.Errorf("campaign: replayed seed-scheduler state diverges from snapshot")
+		if w == nil || g == nil || *w != *g {
+			return fail(fmt.Sprintf("gens[%d] (iteration %d)", k, iter), w, g)
 		}
 	}
-
-	// Every generated mutant of the prefix ran on the reference VM
-	// unless the prefilter's trace cache served it.
-	var executions int64
-	if e.coverageDirected {
-		executions = generated
-		if snap.Prefilter != nil {
-			executions -= int64(snap.Prefilter.Skipped)
-		}
-		if executions < 0 {
-			return fmt.Errorf("campaign: snapshot prefilter skipped %d of %d generated mutants", snap.Prefilter.Skipped, generated)
-		}
+	if w, g := compactJSON(want.SeedSched), compactJSON(got.SeedSched); !bytes.Equal(w, g) {
+		return fail("seed_sched", string(w), string(g))
 	}
-
-	// Count the committed prefix: the counters then run on from where
-	// the snapshotted engine left them, and the in-flight window counts
-	// as run re-draws it. Carry the prefilter counters forward too, so
-	// post-resume PrefilterStats remain cumulative (the trace cache
-	// itself restarts cold — see the Snapshot doc comment).
-	e.tel.iterations.Add(int64(snap.Committed))
-	e.tel.committed.Add(int64(snap.Committed))
-	e.tel.failures.Add(failures)
-	e.tel.generated.Add(generated)
-	e.tel.executions.Add(executions)
-	e.tel.accepts.Add(accepts)
-	if snap.Prefilter != nil && e.pf != nil {
-		e.tel.pfChecked.Add(int64(snap.Prefilter.Checked))
-		e.tel.pfDoomed.Add(int64(snap.Prefilter.Doomed))
-		e.tel.pfVerify.Add(int64(snap.Prefilter.VerifyDoomed))
-		e.tel.pfSkipped.Add(int64(snap.Prefilter.Skipped))
-		e.tel.pfExecuted.Add(int64(snap.Prefilter.Executed))
+	if !reflect.DeepEqual(want.Prefilter, got.Prefilter) {
+		return fail("prefilter", want.Prefilter, got.Prefilter)
 	}
-
-	e.genLog = append([]GenEntry(nil), snap.Gens...)
-	e.resumeDraws = append([]DrawRecord(nil), snap.Draws[snap.Committed:]...)
-	e.startIter = snap.Committed
-	e.drawn = snap.Committed
-	e.committed = snap.Committed
-	e.resumed = true
 	return nil
+}
+
+// compactJSON strips insignificant whitespace, so a checkpoint writer
+// that re-indents the nested raw scheduler state still matches; bytes
+// that do not parse come back as they are.
+func compactJSON(b []byte) []byte {
+	var buf bytes.Buffer
+	if json.Compact(&buf, b) != nil {
+		return b
+	}
+	return buf.Bytes()
 }

@@ -7,17 +7,18 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/difftest"
+	"repro/internal/jvm"
 	"repro/internal/seedgen"
+	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
 
 // resumeSummary is the projection the kill-and-resume contract covers:
 // the accepted suite (names AND bytes), the draw log, the generated
 // classes' metadata, and the selector statistics. Prefilter stats are
-// deliberately absent — the trace cache restarts cold after a resume,
-// so only Skipped+Executed (not their split) is invariant; that sum is
-// checked separately.
+// compared separately (Result.Prefilter).
 type resumeSummary struct {
 	TestNames    []string
 	TestBytes    [][]byte
@@ -80,7 +81,7 @@ func runInterrupted(t *testing.T, cfg Config, stopAt int) *Result {
 
 // stopSnapshot runs cfg up to a deterministic stop boundary and returns
 // the JSON round-tripped snapshot taken there.
-func stopSnapshot(t *testing.T, cfg Config, stopAt int) *Snapshot {
+func stopSnapshot(t testing.TB, cfg Config, stopAt int) *Snapshot {
 	t.Helper()
 	ctrl := NewControl()
 	ctrl.StopAt(stopAt)
@@ -140,29 +141,21 @@ func TestKillAndResumeDeterminism(t *testing.T) {
 				if gotDiff := diffSummary(t, res); !reflect.DeepEqual(gotDiff, refDiff) {
 					t.Errorf("%s workers=%d stop=%d: difftest Summary diverges", alg, workers, stopAt)
 				}
-				// The only tolerated drift: the prefilter cache restarts
-				// cold, so Skipped/Executed may split differently — but
-				// their sum and all other counters must hold.
-				if refRes.Prefilter != nil {
-					pf, rpf := res.Prefilter, refRes.Prefilter
-					if pf == nil {
-						t.Fatalf("%s workers=%d stop=%d: resumed run lost prefilter stats", alg, workers, stopAt)
-					}
-					if pf.Checked != rpf.Checked || pf.Doomed != rpf.Doomed || pf.VerifyDoomed != rpf.VerifyDoomed ||
-						pf.Skipped+pf.Executed != rpf.Skipped+rpf.Executed {
-						t.Errorf("%s workers=%d stop=%d: prefilter stats drift beyond the cache split: %+v vs %+v",
-							alg, workers, stopAt, pf, rpf)
-					}
+				// The replay leaves the trace cache as warm as it was at
+				// the snapshot, so even the Skipped/Executed split holds.
+				if !reflect.DeepEqual(res.Prefilter, refRes.Prefilter) {
+					t.Errorf("%s workers=%d stop=%d: prefilter stats %+v, uninterrupted %+v",
+						alg, workers, stopAt, res.Prefilter, refRes.Prefilter)
 				}
 			}
 		}
 	}
 }
 
-// TestKillResumeKillResume interrupts a campaign twice — the second
-// snapshot lands while the first resume is still re-filling its
-// in-flight window at one of the stop points — and still converges to
-// the uninterrupted result.
+// TestKillResumeKillResume interrupts a campaign twice — at two of the
+// stop pairs the second snapshot lands while tasks the first resume's
+// replay drew are still in flight — and still converges to the
+// uninterrupted result.
 func TestKillResumeKillResume(t *testing.T) {
 	cfg := detConfig(Classfuzz)
 	refRes, err := Run(cfg)
@@ -303,6 +296,16 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		{"committed lowered", func(c *Config, s *Snapshot) { s.Committed-- }},
 		{"truncated to committed", func(c *Config, s *Snapshot) { s.Drawn, s.Draws = s.Committed, s.Draws[:s.Committed] }},
 		{"in-flight draw generated", func(c *Config, s *Snapshot) { s.Draws[s.Committed+1].Generated = true }},
+		// The outcome log and counters are checked against the replay.
+		{"rejected mutant stats", func(c *Config, s *Snapshot) {
+			ge := &s.Gens[lastRejected(t, s)]
+			ge.Stmts += 7
+			ge.Branches += 3
+		}},
+		{"prefilter counts", func(c *Config, s *Snapshot) { s.Prefilter.Skipped++; s.Prefilter.Executed-- }},
+		{"prefilter dropped", func(c *Config, s *Snapshot) { s.Prefilter = nil }},
+		{"gen entry dropped", func(c *Config, s *Snapshot) { s.Gens = s.Gens[:len(s.Gens)-1] }},
+		{"scheduler state", func(c *Config, s *Snapshot) { s.SeedSched = json.RawMessage(`{}`) }},
 	}
 	for _, tc := range bad {
 		c := cfg
@@ -321,12 +324,25 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	}
 }
 
+// lastRejected returns the index of the snapshot's last gen log entry
+// that was not accepted.
+func lastRejected(t *testing.T, s *Snapshot) int {
+	t.Helper()
+	for k := len(s.Gens) - 1; k >= 0; k-- {
+		if !s.Gens[k].Accepted {
+			return k
+		}
+	}
+	t.Fatal("snapshot has no rejected mutant")
+	return -1
+}
+
 // campaignCounts is the projection of a registry onto the engine's
 // campaign facts that must not depend on where a campaign was killed.
 func campaignCounts(reg *telemetry.Registry) map[string]int64 {
 	c := reg.Snapshot().Counter
 	out := map[string]int64{}
-	for _, name := range []string{"iterations", "committed", "generated", "accepts", "mutator_failures"} {
+	for _, name := range []string{"iterations", "committed", "generated", "executions", "accepts", "mutator_failures", "prefilter.skipped"} {
 		out[name] = c("campaign." + name)
 	}
 	return out
@@ -335,9 +351,10 @@ func campaignCounts(reg *telemetry.Registry) map[string]int64 {
 // TestKillResumeCounters: the engine's counters are campaign facts, so
 // a campaign killed at any boundary and resumed onto a fresh registry
 // reports the uninterrupted run's iterations, commits, mutants,
-// accepts and mutator failures; and every generated mutant of a
-// coverage-directed campaign is either executed on the reference VM or
-// served from the prefilter's trace cache, across both lifetimes.
+// reference-VM executions, accepts, mutator failures and cache-served
+// mutants; and every generated mutant of a coverage-directed campaign
+// is either executed on the reference VM or served from the
+// prefilter's trace cache, across both lifetimes.
 func TestKillResumeCounters(t *testing.T) {
 	for _, alg := range []Algorithm{Classfuzz, Randfuzz} {
 		cfg := detConfig(alg)
@@ -471,4 +488,67 @@ func TestSnapshotBytesStable(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatal("snapshot serialization is not deterministic")
 	}
+}
+
+// fuzzResumeConfig is FuzzResume's fixed campaign: small enough that a
+// replay costs a few milliseconds, on a yield scheduler so snapshots
+// carry seed-scheduler state. Each call builds a fresh scheduler, as
+// every engine run needs.
+func fuzzResumeConfig(t testing.TB) Config {
+	t.Helper()
+	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 5))
+	sched, err := seedsel.New(seeds, seedsel.Options{Strategy: seedsel.Yield, RefSpec: jvm.HotSpot9()})
+	if err != nil {
+		t.Fatalf("seedsel.New: %v", err)
+	}
+	return Config{
+		Algorithm:       Classfuzz,
+		Criterion:       coverage.STBR,
+		Source:          sched,
+		Iterations:      48,
+		Rand:            17,
+		RefSpec:         jvm.HotSpot9(),
+		StaticPrefilter: true,
+	}
+}
+
+// FuzzResume decodes arbitrary bytes as snapshot JSON and resumes
+// fuzzResumeConfig's campaign from it. Resume must never panic, and a
+// snapshot it accepts must run to the uninterrupted result: the same
+// accepted suite, draw log, generated classes, selector statistics and
+// prefilter counts. The committed corpus in testdata/fuzz/FuzzResume
+// holds pristine snapshots at several stop points and tampered ones.
+func FuzzResume(f *testing.F) {
+	ref, err := Run(fuzzResumeConfig(f))
+	if err != nil {
+		f.Fatalf("reference: %v", err)
+	}
+	want := resumeSummarize(ref)
+	for _, stopAt := range []int{0, 5, 30, 48} {
+		blob, err := json.Marshal(stopSnapshot(f, fuzzResumeConfig(f), stopAt))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var snap Snapshot
+		if json.Unmarshal(blob, &snap) != nil {
+			return
+		}
+		eng, err := Resume(fuzzResumeConfig(t), &snap)
+		if err != nil {
+			return
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatalf("accepted snapshot fails to run: %v", err)
+		}
+		if got := resumeSummarize(res); !reflect.DeepEqual(got, want) {
+			t.Fatal("accepted snapshot resumes into a different campaign")
+		}
+		if !reflect.DeepEqual(res.Prefilter, ref.Prefilter) {
+			t.Fatalf("accepted snapshot resumes to prefilter stats %+v, uninterrupted %+v", res.Prefilter, ref.Prefilter)
+		}
+	})
 }

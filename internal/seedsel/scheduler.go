@@ -57,11 +57,9 @@ type cluster struct {
 // cluster structure, and the per-cluster yield statistics the draw
 // policy feeds on. One Scheduler serves exactly one engine run (or, in
 // the daemon, one manager's intake index); construct a fresh one per
-// Resume so restore can replay the committed prefix into it.
+// Resume so its replay can drive the campaign's prefix through it.
 type Scheduler struct {
-	strategy    Strategy
-	eps         float64
-	demoteAfter int
+	strategy Strategy
 
 	// ref is the spec every baseline in infos was recorded on.
 	ref      jvm.Spec
@@ -101,11 +99,9 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 		base = len(seeds)
 	}
 	s := &Scheduler{
-		strategy:    opts.Strategy,
-		eps:         opts.epsilon(),
-		demoteAfter: opts.demoteAfter(),
-		ref:         opts.RefSpec,
-		seeds:       seeds,
+		strategy: opts.Strategy,
+		ref:      opts.RefSpec,
+		seeds:    seeds,
 	}
 	sp := telemetry.StartSpan(opts.Telemetry.Histogram("seedsel.baselines_ns"))
 	s.infos = s.classifyAll(seeds)
@@ -320,7 +316,7 @@ func (s *Scheduler) Pick(rng *rand.Rand, n int) int {
 	if n != len(s.assign) {
 		panic(fmt.Sprintf("seedsel: pool size %d, scheduler tracks %d (Grew not mirrored?)", n, len(s.assign)))
 	}
-	if s.eps > 0 && rng.Float64() < s.eps {
+	if rng.Float64() < DefaultEpsilon {
 		return rng.Intn(n)
 	}
 	total := 0.0
@@ -363,7 +359,7 @@ func (s *Scheduler) Observe(poolIndex int, generated, accepted bool) {
 		return
 	}
 	c.since++
-	if !c.demoted && s.demoteAfter > 0 && c.since >= s.demoteAfter {
+	if !c.demoted && c.since >= DefaultDemoteAfter {
 		c.demoted = true
 		c.demotions++
 		c.telDem.Inc()
@@ -408,8 +404,8 @@ type clusterState struct {
 func (s *Scheduler) MarshalState() ([]byte, error) {
 	st := schedState{
 		Strategy:    string(s.strategy),
-		Epsilon:     s.eps,
-		DemoteAfter: s.demoteAfter,
+		Epsilon:     DefaultEpsilon,
+		DemoteAfter: DefaultDemoteAfter,
 		Clusters:    make([]clusterState, len(s.clusters)),
 		Assign:      s.assign,
 	}

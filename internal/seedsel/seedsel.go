@@ -16,7 +16,7 @@
 // tie breaks toward the lowest index. Campaign results are therefore
 // bit-identical at any worker count, and a kill/resume replay
 // rebuilds the exact scheduler state (the snapshot carries a
-// serialized copy which restore cross-checks).
+// serialized copy which Resume cross-checks).
 package seedsel
 
 import (
@@ -59,7 +59,7 @@ func ParseStrategy(s string) (Strategy, error) {
 // pool entry reachable on ~1 draw in 10; a cluster that goes 48
 // consecutive observed draws without an accepted mutant is demoted
 // (its weight quartered under the yield strategy) until it yields
-// again. Both are overridable per Options.
+// again.
 const (
 	DefaultEpsilon     = 0.1
 	DefaultDemoteAfter = 48
@@ -73,12 +73,6 @@ type Options struct {
 	// use the campaign's reference spec so cluster structure reflects
 	// the coverage domain the campaign accepts against.
 	RefSpec jvm.Spec
-	// Epsilon overrides the exploration floor (0 selects the default;
-	// negative disables the floor entirely).
-	Epsilon float64
-	// DemoteAfter overrides the stagnation threshold (0 selects the
-	// default; negative disables demotion).
-	DemoteAfter int
 	// Base restricts cluster representatives to the corpus prefix
 	// seeds[:Base] (0 means the whole corpus). The daemon pins Base to
 	// its generated corpus so cluster identities stay stable as
@@ -90,24 +84,4 @@ type Options struct {
 	// (campaign.seeds.{draws,yield,demotions}), and times New's seed
 	// pass as seedsel.baselines_ns. Observe-only.
 	Telemetry *telemetry.Registry
-}
-
-func (o *Options) epsilon() float64 {
-	switch {
-	case o.Epsilon == 0:
-		return DefaultEpsilon
-	case o.Epsilon < 0:
-		return 0
-	}
-	return o.Epsilon
-}
-
-func (o *Options) demoteAfter() int {
-	switch {
-	case o.DemoteAfter == 0:
-		return DefaultDemoteAfter
-	case o.DemoteAfter < 0:
-		return 0
-	}
-	return o.DemoteAfter
 }

@@ -165,12 +165,13 @@ func TestPickBounds(t *testing.T) {
 	}
 }
 
-// TestEpsilonFloorKeepsAllReachable: with demotion active and one
-// cluster never yielding, the floor still reaches every pool index
+// TestEpsilonFloorKeepsAllReachable: with every cluster demoted (no
+// draw ever yields, and each cluster sees far more than
+// DefaultDemoteAfter draws), the floor still reaches every pool index
 // eventually.
 func TestEpsilonFloorKeepsAllReachable(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(12, 9))
-	s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9(), DemoteAfter: 5})
+	s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,28 +190,29 @@ func TestEpsilonFloorKeepsAllReachable(t *testing.T) {
 }
 
 // TestDemotionAndRepromotion: a stagnant cluster demotes after
-// DemoteAfter observed failures and re-promotes on the next accept.
+// DefaultDemoteAfter observed failures and re-promotes on the next
+// accept.
 func TestDemotionAndRepromotion(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(8, 11))
-	s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9(), DemoteAfter: 3})
+	s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < DefaultDemoteAfter; i++ {
 		s.Observe(0, true, false)
 	}
 	ci := s.ClusterOf(0)
 	st := s.ClusterStats()[ci]
 	if !st.Demoted || st.Demotions != 1 {
-		t.Fatalf("cluster %d after 3 stagnant draws: %+v, want demoted once", ci, st)
+		t.Fatalf("cluster %d after %d stagnant draws: %+v, want demoted once", ci, DefaultDemoteAfter, st)
 	}
 	s.Observe(0, true, true)
 	st = s.ClusterStats()[ci]
 	if st.Demoted {
 		t.Fatalf("cluster %d still demoted after an accept: %+v", ci, st)
 	}
-	if st.Yield != 1 || st.Draws != 4 {
-		t.Fatalf("cluster %d counters: %+v, want draws=4 yield=1", ci, st)
+	if st.Yield != 1 || st.Draws != DefaultDemoteAfter+1 {
+		t.Fatalf("cluster %d counters: %+v, want draws=%d yield=1", ci, st, DefaultDemoteAfter+1)
 	}
 }
 
@@ -263,16 +265,17 @@ func TestClusterOfBounds(t *testing.T) {
 func TestTelemetryCounters(t *testing.T) {
 	reg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 3))
-	s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9(), DemoteAfter: 2, Telemetry: reg})
+	s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9(), Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Observe(0, true, false)
-	s.Observe(0, true, false) // demotes
-	s.Observe(0, true, true)  // re-promotes
+	for i := 0; i < DefaultDemoteAfter; i++ {
+		s.Observe(0, true, false) // the last one demotes
+	}
+	s.Observe(0, true, true) // re-promotes
 	snap := reg.Snapshot()
-	if got := snap.Counter("campaign.seeds.draws"); got != 3 {
-		t.Errorf("campaign.seeds.draws = %d, want 3", got)
+	if got := snap.Counter("campaign.seeds.draws"); got != DefaultDemoteAfter+1 {
+		t.Errorf("campaign.seeds.draws = %d, want %d", got, DefaultDemoteAfter+1)
 	}
 	if got := snap.Counter("campaign.seeds.yield"); got != 1 {
 		t.Errorf("campaign.seeds.yield = %d, want 1", got)

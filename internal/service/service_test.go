@@ -726,3 +726,69 @@ func TestShardStatusCounts(t *testing.T) {
 	}
 	check(m2, true)
 }
+
+// TestDaemonTamperedCheckpointRefused: a drained shard checkpoint whose
+// campaign snapshot carries edited coverage stats for a rejected mutant
+// does not resume — the restart replays the checkpointed prefix, sees
+// the difference, and runs the epoch fresh — so the folds equal the
+// uninterrupted daemon's instead of a silently different campaign's.
+func TestDaemonTamperedCheckpointRefused(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.Shards = 1
+	cfg.Epochs = 1
+	cfg.Iterations = 3000
+	want, _ := runToCompletion(t, cfg)
+
+	cfg.DataDir = t.TempDir()
+	m1 := New(cfg)
+	if err := m1.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if m1.Status().Shards[0].Drawn >= 100 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("shard never drew 100 iterations")
+		}
+	}
+	if err := m1.Stop(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if len(m1.Session().Campaigns) != 0 {
+		t.Fatal("epoch folded before the drain; no checkpoint to tamper with")
+	}
+	var cp ShardCheckpoint
+	if err := readJSON(m1.checkpointPath(0), &cp); err != nil {
+		t.Fatalf("read checkpoint: %v", err)
+	}
+	tampered := false
+	for k := len(cp.Campaign.Gens) - 1; k >= 0 && !tampered; k-- {
+		if ge := &cp.Campaign.Gens[k]; !ge.Accepted {
+			ge.Stmts += 7
+			ge.Branches += 3
+			tampered = true
+		}
+	}
+	if !tampered {
+		t.Fatal("checkpoint holds no rejected mutant")
+	}
+	if err := writeJSONAtomic(m1.checkpointPath(0), &cp); err != nil {
+		t.Fatalf("write checkpoint: %v", err)
+	}
+
+	got, _ := runToCompletion(t, cfg)
+	if r := got.Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != 0 {
+		t.Fatalf("restart restored %d checkpoints from a tampered one", r)
+	}
+	if !reflect.DeepEqual(summarize(got), summarize(want)) {
+		t.Fatal("folds after the refused checkpoint diverge from the uninterrupted run")
+	}
+	for key, w := range want.Campaigns {
+		g := got.Campaigns[key]
+		if g.GenUniqueStats != w.GenUniqueStats || !reflect.DeepEqual(g.Prefilter, w.Prefilter) {
+			t.Errorf("%s: gen unique stats %d, prefilter %+v; uninterrupted %d, %+v",
+				key, g.GenUniqueStats, g.Prefilter, w.GenUniqueStats, w.Prefilter)
+		}
+	}
+}
