@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/experiments"
@@ -61,83 +63,100 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serving metrics on http://%s/metrics.json\n", srv.Addr)
 	}
 
-	needSession := map[string]bool{
-		"all": true, "table4": true, "table5": true, "table6": true,
-		"table7": true, "figure4": true,
-	}
-
-	var sess *experiments.Session
-	if needSession[*runFlag] {
+	if needsSession(*runFlag) {
 		fmt.Fprintf(os.Stderr, "running campaigns (%d seeds, %d iterations per directed algorithm, %d workers each)...\n",
 			scale.SeedCount, scale.Iterations, scale.Workers)
+	}
+	if err := write(os.Stdout, scale, *runFlag); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		if errors.Is(err, errUnknown) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+var errUnknown = errors.New("unknown experiment")
+
+// allExperiments is the order -run all prints in.
+var allExperiments = []string{"prelim", "table4", "table5", "table6", "table7", "figure4", "mcmcgain", "blind", "seedsel", "pestimate"}
+
+func needsSession(run string) bool {
+	switch run {
+	case "all", "table4", "table5", "table6", "table7", "figure4":
+		return true
+	}
+	return false
+}
+
+// write prints experiment run (or every experiment, for "all") at
+// scale to w.
+func write(w io.Writer, scale experiments.Scale, run string) error {
+	var sess *experiments.Session
+	if needsSession(run) {
 		var err error
-		sess, err = experiments.NewSession(scale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "session failed: %v\n", err)
-			os.Exit(1)
+		if sess, err = experiments.NewSession(scale); err != nil {
+			return fmt.Errorf("session failed: %w", err)
 		}
 	}
 
-	show := func(what string) {
+	show := func(what string) error {
 		switch what {
 		case "prelim":
 			p, err := experiments.RunPreliminary(scale.CorpusCount, scale.Seed+7)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "preliminary study failed: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("preliminary study failed: %w", err)
 			}
-			fmt.Println(p)
+			fmt.Fprintln(w, p)
 		case "table4":
-			fmt.Println(sess.Table4())
+			fmt.Fprintln(w, sess.Table4())
 		case "table5":
-			fmt.Println(sess.Table5())
+			fmt.Fprintln(w, sess.Table5())
 		case "table6":
-			fmt.Println(sess.Table6())
+			fmt.Fprintln(w, sess.Table6())
 		case "table7":
-			fmt.Println(sess.Table7())
+			fmt.Fprintln(w, sess.Table7())
 		case "figure4":
-			fmt.Println(sess.Figure4())
+			fmt.Fprintln(w, sess.Figure4())
 		case "mcmcgain":
 			study, err := experiments.RunMCMCGainStudy(scale, 5)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "mcmc gain study failed: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("mcmc gain study failed: %w", err)
 			}
-			fmt.Println(study)
-			fmt.Println()
+			fmt.Fprintln(w, study)
+			fmt.Fprintln(w)
 		case "blind":
 			b, err := experiments.RunBlindBaseline(scale)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "blind baseline failed: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("blind baseline failed: %w", err)
 			}
-			fmt.Println(b)
-			fmt.Println()
+			fmt.Fprintln(w, b)
+			fmt.Fprintln(w)
 		case "seedsel":
 			study, err := experiments.RunSeedStrategyStudy(scale)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "seed-strategy study failed: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("seed-strategy study failed: %w", err)
 			}
-			fmt.Println(study)
+			fmt.Fprintln(w, study)
 		case "pestimate":
 			p, err := experiments.RunPEstimate()
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "parameter estimation failed: %v\n", err)
-				os.Exit(1)
+				return fmt.Errorf("parameter estimation failed: %w", err)
 			}
-			fmt.Println(p)
+			fmt.Fprintln(w, p)
 		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", what)
-			os.Exit(2)
+			return fmt.Errorf("%w %q", errUnknown, what)
 		}
+		return nil
 	}
 
-	if *runFlag == "all" {
-		for _, what := range []string{"prelim", "table4", "table5", "table6", "table7", "figure4", "mcmcgain", "blind", "seedsel", "pestimate"} {
-			show(what)
-		}
-		return
+	if run != "all" {
+		return show(run)
 	}
-	show(*runFlag)
+	for _, what := range allExperiments {
+		if err := show(what); err != nil {
+			return err
+		}
+	}
+	return nil
 }
