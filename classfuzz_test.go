@@ -96,23 +96,24 @@ func TestReduceClassThroughFacade(t *testing.T) {
 	}
 	runner := NewRunner()
 	for _, g := range res.Test {
-		if g.Class == nil {
-			continue
-		}
 		v := runner.Run(g.Data)
 		if !v.Discrepant() {
 			continue
 		}
-		reduced, vec, err := ReduceClass(g.Class)
+		c, err := Decompile(g.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reduced == nil || vec == "" {
-			t.Fatal("empty reduction result")
+		reduced, vec, err := ReduceClass(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reduced == nil || vec != v.Key() {
+			t.Fatalf("reduction: %v %q, want vector %q", reduced, vec, v.Key())
 		}
 		return
 	}
-	// Campaigns without KeepClasses have no models; craft one directly.
+	// No discrepant test in this campaign; reduce a seed instead.
 	c := GenerateSeeds(1, 1)[0]
 	reduced, vec, err := ReduceClass(c)
 	if err != nil {

@@ -79,7 +79,6 @@ func main() {
 		Iterations:      *iters,
 		Rand:            *seed,
 		RefSpec:         jvm.HotSpot9(),
-		KeepClasses:     true,
 		StaticPrefilter: true,
 		Workers:         *workers,
 		Telemetry:       treg,
@@ -290,10 +289,11 @@ func main() {
 			break
 		}
 		f := byVector[k][0]
-		if f.g.Class == nil {
+		w, err := campaign.Rebuild(cfg, res.Draws, f.g.Iter)
+		if err != nil {
 			continue
 		}
-		rres, err := reduce.Reduce(f.g.Class, runner, reduce.Options{MaxRounds: 4})
+		rres, err := reduce.Reduce(w.Class, runner, reduce.Options{MaxRounds: 4})
 		if err != nil {
 			continue
 		}

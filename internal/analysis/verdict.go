@@ -50,19 +50,16 @@ func StaticVerdictEnv(f *classfile.File, spec jvm.Spec, env *rtlib.Env) Predicti
 	return invokeVerdict(f, vm, clinitOut)
 }
 
-// VerifyReject returns the oracle's definite loading/linking rejection
-// for f on spec, or nil when the class definitely survives both phases.
-// It covers hierarchy well-formedness, throws clauses, eager resolution
-// and, under eager verification, the VM's own §4.10 verifier. Callers
-// must have cleared the loading-phase format checks first (LoadReject),
-// matching StaticVerdict's order.
-func VerifyReject(f *classfile.File, spec jvm.Spec, env *rtlib.Env) *jvm.Outcome {
-	return VerifyRejectMemo(f, spec, env, nil)
-}
-
-// VerifyRejectMemo is VerifyReject with per-method verification
-// verdicts served from and stored into memo (nil for none). The class
-// checks always run in full; a hit skips only the verifier's fixpoint,
+// VerifyRejectMemo returns the oracle's definite loading/linking
+// rejection for f on spec, or nil when the class definitely survives
+// both phases. It covers hierarchy well-formedness, throws clauses,
+// eager resolution and, under eager verification, the VM's own §4.10
+// verifier. Callers must have cleared the loading-phase format checks
+// first (LoadReject), matching StaticVerdict's order.
+//
+// Per-method verification verdicts are served from and stored into
+// memo (nil for none). The class checks always run in full; a hit
+// skips only the verifier's fixpoint,
 // the dominant cost. The verdicts come from a recorder-less VM, so they
 // share the memo's key space with every VM of the same spec: their
 // entries carry no probe footprint, which a recorder-attached VM reads

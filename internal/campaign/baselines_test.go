@@ -173,7 +173,7 @@ func runStopResume(t *testing.T, mk func() Config, stopAt int) *Result {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	blob, err := json.Marshal(ctrl.Final())
+	blob, err := json.Marshal(ctrl.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func runBytefuzz(cfg Config) (*Result, error) {
 		Criterion:  cfg.Criterion,
 		Iterations: cfg.Iterations,
 		Workers:    1,
-		Lookahead:  cfg.lookahead(),
+		Lookahead:  DefaultLookahead,
 	}
 	for it := 0; it < cfg.Iterations; it++ {
 		idx := drawRNG(cfg.Rand, it).Intn(len(pool))

@@ -48,13 +48,13 @@ const (
 	Bytefuzz   Algorithm = "bytefuzz"
 )
 
-// DefaultLookahead is the pipeline window: how many iterations may be
-// drawn ahead of the oldest uncommitted one. The window is a *semantic*
-// parameter — mutator-selection feedback and pool growth reach a draw
-// only after the commit that is Lookahead iterations behind it — so two
-// campaigns compare bit-identically iff their seeds, budgets and
-// lookaheads are equal. Worker count never affects results; it only
-// decides how much of the window executes concurrently.
+// DefaultLookahead is the pipeline window D: how many iterations may
+// be drawn ahead of the oldest uncommitted one. The window is part of
+// the campaign's semantics — mutator-selection feedback and pool growth
+// reach a draw only after the commit D iterations behind it — so it is
+// a constant, recorded in Result.Lookahead and checked on Resume.
+// Worker count never affects results; it only decides how much of the
+// window executes concurrently.
 const DefaultLookahead = 16
 
 // Config parameterises a campaign.
@@ -82,14 +82,11 @@ type Config struct {
 	// NoSeedRecycling disables adding accepted mutants back into the
 	// seed pool (ablation of Algorithm 1 lines 5/14).
 	NoSeedRecycling bool
-	// KeepClasses retains every generated mutant's model and bytes in
-	// the result (needed for reduction of arbitrary GenClasses).
-	KeepClasses bool
-	// KeepGenBytes retains classfile bytes (but not models) for every
-	// generated mutant, accepted or not — what differential testing of
-	// the GenClasses block needs. Without it (and without KeepClasses)
-	// only accepted mutants keep their bytes, which is what bounds
-	// campaign RSS at paper scale.
+	// KeepGenBytes retains classfile bytes for every generated mutant,
+	// accepted or not — what differential testing of the GenClasses
+	// block needs. Without it only accepted mutants keep their bytes,
+	// which is what bounds campaign RSS at paper scale. No mutant keeps
+	// its model: Rebuild regenerates any iteration's from the draw log.
 	KeepGenBytes bool
 	// StaticPrefilter short-circuits reference-VM execution of doomed
 	// mutants: those the reference VM rejects during loading (keyed by
@@ -116,9 +113,6 @@ type Config struct {
 	// Workers sizes the pool running the mutate/filter/execute stages;
 	// 0 or 1 means single-threaded. Results are identical at any value.
 	Workers int
-	// Lookahead overrides DefaultLookahead (values < 1 select the
-	// default). Unlike Workers it is part of the campaign's semantics.
-	Lookahead int
 	// Observer receives engine events (may be nil). Events fire from the
 	// sequential draw/commit stages, so their order is deterministic.
 	Observer Observer
@@ -144,14 +138,6 @@ func (c *Config) workers() int {
 		return 1
 	}
 	return c.Workers
-}
-
-// lookahead returns the effective pipeline window.
-func (c *Config) lookahead() int {
-	if c.Lookahead < 1 {
-		return DefaultLookahead
-	}
-	return c.Lookahead
 }
 
 // Run executes a campaign.

@@ -310,7 +310,7 @@ func referenceClassfuzz(t *testing.T, cfg Config) []string {
 		mutant *jimple.Class
 		trace  *coverage.Trace
 	}
-	D := cfg.lookahead()
+	D := DefaultLookahead
 	window := make([]pending, 0, D)
 	var accepted []string
 

@@ -49,7 +49,7 @@ type task struct {
 	fp       uint64 // trace-cache key of the band that doomed it
 
 	// dataRetained is set at commit when t.data escaped into the result
-	// (accepted bytes, or KeepClasses/KeepGenBytes); only an unretained
+	// (accepted bytes, or KeepGenBytes); only an unretained
 	// buffer is kept for the task's next iteration.
 	dataRetained bool
 	// buf is the class-byte buffer recycled from an earlier iteration
@@ -172,8 +172,7 @@ type engine struct {
 	tel    engineTel
 	timing bool // external registry attached: stage + VM timing on
 
-	lookahead int
-	res       *Result
+	res *Result
 
 	// drawR is the coordinator's reused draw-stream generator: reseeded
 	// per iteration (prng.Reseed), byte-for-byte equivalent to a fresh
@@ -209,14 +208,13 @@ func newEngine(cfg Config) *engine {
 		src:              cfg.Source,
 		seeds:            cfg.Source.Corpus(),
 		coverageDirected: cfg.Algorithm != Randfuzz,
-		lookahead:        cfg.lookahead(),
 		res: &Result{
 			Algorithm:  cfg.Algorithm,
 			Criterion:  cfg.Criterion,
 			Iterations: cfg.Iterations,
 			Draws:      make([]DrawRecord, 0, cfg.Iterations),
 			Workers:    cfg.workers(),
-			Lookahead:  cfg.lookahead(),
+			Lookahead:  DefaultLookahead,
 		},
 	}
 
@@ -378,7 +376,7 @@ func (e *engine) run() (*Result, error) {
 	// with the replay's in-flight window dispatched first: the replay
 	// left the engine exactly as the snapshotted run was there, so the
 	// continuation is bit-identical to the uninterrupted run.
-	D := e.lookahead
+	D := DefaultLookahead
 	N := cfg.Iterations
 	tasks := make(chan *task, D)
 	ring := make([]*task, D)
@@ -620,7 +618,7 @@ func (e *engine) process(t *task, ws *workerScratch) *classfile.File {
 func (e *engine) prefilterLookup(t *task, f *classfile.File) (lfp, vfp uint64, hit bool) {
 	sp := telemetry.StartSpan(e.tel.prefilter)
 	defer sp.End()
-	maxIter := t.iter - e.lookahead
+	maxIter := t.iter - DefaultLookahead
 	lfp = analysis.Fingerprint(f)
 	if tr, ok := e.pf.lookup(lfp, maxIter); ok {
 		t.band, t.fp, t.trace, t.cacheHit = bandLoad, lfp, tr, true
@@ -697,9 +695,6 @@ func (e *engine) commit(t *task) {
 		gc.Stats = t.trace.Stats()
 		e.genStats.AddStats(gc.Stats)
 	}
-	if e.cfg.KeepClasses {
-		gc.Class = t.mutant
-	}
 	e.res.Gen = append(e.res.Gen, gc)
 
 	// Acceptance decision.
@@ -736,7 +731,7 @@ func (e *engine) commit(t *task) {
 		if e.obs.o != nil {
 			e.obs.emit(Accepted{Iter: t.iter, Name: gc.Name, Stats: gc.Stats})
 		}
-	} else if e.cfg.KeepClasses || e.cfg.KeepGenBytes {
+	} else if e.cfg.KeepGenBytes {
 		// Unaccepted mutants keep their bytes only on request: dropping
 		// them is what bounds campaign RSS at paper scale.
 		gc.Data = t.data

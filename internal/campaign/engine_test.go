@@ -119,8 +119,8 @@ func TestObserverEventOrderDeterministic(t *testing.T) {
 }
 
 // TestGenBytesDroppedByDefault is the memory fix's contract: without
-// KeepClasses/KeepGenBytes, only accepted mutants retain classfile
-// bytes; with KeepGenBytes every generated mutant does.
+// KeepGenBytes, only accepted mutants retain classfile bytes; with it
+// every generated mutant does.
 func TestGenBytesDroppedByDefault(t *testing.T) {
 	cfg := detConfig(Classfuzz)
 	res, err := Run(cfg)
@@ -138,9 +138,6 @@ func TestGenBytesDroppedByDefault(t *testing.T) {
 			if g.Data != nil {
 				t.Errorf("unaccepted %s kept %d bytes without KeepGenBytes", g.Name, len(g.Data))
 			}
-			if g.Class != nil {
-				t.Errorf("unaccepted %s kept its model without KeepClasses", g.Name)
-			}
 		}
 	}
 	if rejected == 0 {
@@ -155,9 +152,6 @@ func TestGenBytesDroppedByDefault(t *testing.T) {
 	for _, g := range res.Gen {
 		if len(g.Data) == 0 {
 			t.Errorf("KeepGenBytes: %s has no bytes", g.Name)
-		}
-		if !g.Accepted && g.Class != nil {
-			t.Errorf("KeepGenBytes must not retain models, %s has one", g.Name)
 		}
 	}
 }
@@ -227,29 +221,8 @@ func TestReplayRoundTrip(t *testing.T) {
 }
 
 // TestLookaheadIsSemantic: the pipeline window is part of the campaign's
-// semantics — it is recorded in the result, honoured exactly, and
-// results stay worker-count-independent at non-default windows too.
+// semantics, so every result records the constant window it ran under.
 func TestLookaheadIsSemantic(t *testing.T) {
-	mk := func(lookahead, workers int) summary {
-		cfg := detConfig(Classfuzz)
-		cfg.Lookahead = lookahead
-		cfg.Workers = workers
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Lookahead != lookahead {
-			t.Errorf("result records lookahead %d, want %d", res.Lookahead, lookahead)
-		}
-		return summarize(res)
-	}
-	if !reflect.DeepEqual(mk(4, 1), mk(4, 6)) {
-		t.Error("lookahead=4 results depend on worker count")
-	}
-	if !reflect.DeepEqual(mk(1, 1), mk(1, 3)) {
-		t.Error("lookahead=1 results depend on worker count")
-	}
-	// Default config must resolve to DefaultLookahead.
 	cfg := detConfig(Classfuzz)
 	res, err := Run(cfg)
 	if err != nil {
@@ -287,7 +260,6 @@ func TestWorkerPoolOverprovisioned(t *testing.T) {
 	cfg := detConfig(Greedyfuzz)
 	cfg.Iterations = 8
 	cfg.Workers = 32
-	cfg.Lookahead = 64
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -97,12 +97,12 @@ func TestStaticPrefilterPreservesSuite(t *testing.T) {
 
 // staticBand is the static oracle's band for a mutant: the load-phase
 // lint passes (analysis.LoadReject), then the static link verdict
-// (analysis.VerifyReject).
+// (analysis.VerifyRejectMemo, unmemoised).
 func staticBand(f *classfile.File, spec jvm.Spec, env *rtlib.Env) band {
 	if analysis.LoadReject(f, &spec.Policy) != nil {
 		return bandLoad
 	}
-	if analysis.VerifyReject(f, spec, env) != nil {
+	if analysis.VerifyRejectMemo(f, spec, env, nil) != nil {
 		return bandVerify
 	}
 	return bandClean

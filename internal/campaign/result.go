@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/coverage"
-	"repro/internal/jimple"
 )
 
 // PrefilterStats counts the prefilter's work in one campaign.
@@ -33,11 +32,9 @@ type GenClass struct {
 	Iter      int
 	Name      string
 	MutatorID int
-	// Class is populated when Config.KeepClasses is set. Data is
-	// populated for accepted classes, and for every generated class
-	// when Config.KeepClasses or Config.KeepGenBytes is set.
-	Class *jimple.Class
-	Data  []byte
+	// Data is populated for accepted classes, and for every generated
+	// class when Config.KeepGenBytes is set.
+	Data []byte
 	// Stats is the mutant's coverage statistic on the reference VM
 	// (zero for randfuzz, which never runs the reference VM).
 	Stats coverage.Stats
@@ -113,7 +110,7 @@ type Result struct {
 	Draws []DrawRecord
 	// Workers and Lookahead record the engine configuration the result
 	// was produced under (Workers is provenance only — it cannot change
-	// the numbers above).
+	// the numbers above; Lookahead is always DefaultLookahead).
 	Workers   int
 	Lookahead int
 	Elapsed   time.Duration

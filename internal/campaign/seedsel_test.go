@@ -162,7 +162,7 @@ func TestSchedulerKillResume(t *testing.T) {
 				if _, err := eng.Run(); err != nil {
 					t.Fatalf("stopAt=%d: interrupted run: %v", stopAt, err)
 				}
-				snap := ctrl.Final()
+				snap := ctrl.Snapshot()
 				if snap == nil {
 					t.Fatalf("stopAt=%d: no final snapshot", stopAt)
 				}
@@ -213,7 +213,7 @@ func TestResumeRejectsWrongStrategy(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	snap := ctrl.Final()
+	snap := ctrl.Snapshot()
 	if _, err := Resume(schedConfig(t, seedsel.Yield), snap); err == nil {
 		t.Error("Resume accepted a snapshot from a different seed strategy")
 	}

@@ -129,16 +129,6 @@ func (c *Control) Snapshot() *Snapshot { return c.request(false) }
 // in-flight window and Run returns a partial Result (Stopped = true).
 func (c *Control) Stop() *Snapshot { return c.request(true) }
 
-// Final blocks until the run finishes and returns its last resume-safe
-// snapshot: the Stop boundary for a stopped run, the completed state
-// otherwise.
-func (c *Control) Final() *Snapshot {
-	<-c.done
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.final
-}
-
 func (c *Control) request(stop bool) *Snapshot {
 	req := ctrlReq{stop: stop, reply: make(chan *Snapshot, 1)}
 	select {
@@ -195,7 +185,7 @@ func (e *engine) snapshot() *Snapshot {
 		Criterion:       cfg.Criterion,
 		Iterations:      cfg.Iterations,
 		Rand:            cfg.Rand,
-		Lookahead:       e.lookahead,
+		Lookahead:       DefaultLookahead,
 		P:               e.effectiveP(),
 		NoSeedRecycling: cfg.NoSeedRecycling,
 		RefSpec:         cfg.RefSpec.Name,
@@ -360,8 +350,8 @@ func (e *engine) validateSnapshot(snap *Snapshot) error {
 	if snap.Rand != cfg.Rand {
 		return fail("rand", snap.Rand, cfg.Rand)
 	}
-	if snap.Lookahead != e.lookahead {
-		return fail("lookahead", snap.Lookahead, e.lookahead)
+	if snap.Lookahead != DefaultLookahead {
+		return fail("lookahead", snap.Lookahead, DefaultLookahead)
 	}
 	if snap.P != e.effectiveP() {
 		return fail("p", snap.P, e.effectiveP())
@@ -391,7 +381,7 @@ func (e *engine) validateSnapshot(snap *Snapshot) error {
 		return fmt.Errorf("campaign: snapshot draw log has %d records, drawn %d", len(snap.Draws), snap.Drawn)
 	}
 	finished := snap.Committed == snap.Drawn && snap.Drawn == snap.Iterations
-	if want := max(0, snap.Drawn-e.lookahead); snap.Committed != want && !finished {
+	if want := max(0, snap.Drawn-DefaultLookahead); snap.Committed != want && !finished {
 		return fmt.Errorf("campaign: snapshot committed %d of %d drawn is no coordinator boundary (want %d, or a finished run)", snap.Committed, snap.Drawn, want)
 	}
 	for i, rec := range snap.Draws {
@@ -425,7 +415,7 @@ func (e *engine) replay(drawn, committed int) {
 		e.recycle(t)
 	}
 	for i := 0; i < drawn; i++ {
-		if i >= e.lookahead {
+		if i >= DefaultLookahead {
 			commit()
 		}
 		t := e.getTask()

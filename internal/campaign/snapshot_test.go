@@ -98,7 +98,7 @@ func stopSnapshot(t testing.TB, cfg Config, stopAt int) *Snapshot {
 	if stopAt < cfg.Iterations && !partial.Stopped {
 		t.Fatalf("run did not stop at %d", stopAt)
 	}
-	snap := ctrl.Final()
+	snap := ctrl.Snapshot()
 	if snap == nil {
 		t.Fatal("no final snapshot")
 	}
@@ -175,7 +175,7 @@ func TestKillResumeKillResume(t *testing.T) {
 		if _, err := eng.Run(); err != nil {
 			t.Fatalf("first run: %v", err)
 		}
-		snap1 := ctrl.Final()
+		snap1 := ctrl.Snapshot()
 
 		ctrl2 := NewControl()
 		ctrl2.StopAt(stops[1])
@@ -188,7 +188,7 @@ func TestKillResumeKillResume(t *testing.T) {
 		if _, err := eng2.Run(); err != nil {
 			t.Fatalf("second run: %v", err)
 		}
-		snap2 := ctrl2.Final()
+		snap2 := ctrl2.Snapshot()
 
 		eng3, err := Resume(cfg, snap2)
 		if err != nil {
@@ -273,7 +273,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	snap := ctrl.Final()
+	snap := ctrl.Snapshot()
 
 	bad := []struct {
 		name   string
@@ -282,7 +282,7 @@ func TestResumeRejectsMismatchedConfig(t *testing.T) {
 		{"rand", func(c *Config, s *Snapshot) { c.Rand++ }},
 		{"iterations", func(c *Config, s *Snapshot) { c.Iterations++ }},
 		{"algorithm", func(c *Config, s *Snapshot) { c.Algorithm = Greedyfuzz }},
-		{"lookahead", func(c *Config, s *Snapshot) { c.Lookahead = 8 }},
+		{"lookahead", func(c *Config, s *Snapshot) { s.Lookahead = 8 }},
 		{"seeds", func(c *Config, s *Snapshot) { c.Source = FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(20, 6))) }},
 		{"version", func(c *Config, s *Snapshot) { s.Version = SnapshotVersion + 1 }},
 		{"draw log", func(c *Config, s *Snapshot) { s.Draws[10].MutatorID = (s.Draws[10].MutatorID + 1) % 30 }},
@@ -478,7 +478,7 @@ func TestSnapshotBytesStable(t *testing.T) {
 		if _, err := eng.Run(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		blob, err := json.MarshalIndent(ctrl.Final(), "", "  ")
+		blob, err := json.MarshalIndent(ctrl.Snapshot(), "", "  ")
 		if err != nil {
 			t.Fatalf("marshal: %v", err)
 		}

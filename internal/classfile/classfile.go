@@ -52,8 +52,8 @@ func (f *File) allocMember(m Member) *Member { return f.memberArena.Put(m) }
 // member and attribute tables, and the member arena. Reset resets
 // f.Pool in place. Everything obtained from f before — members,
 // constants, attribute lists — is invalid afterwards. Reusing one File
-// this way is what lets a long-lived lowering context or parser build
-// class after class without allocating a fresh pool for each.
+// this way is what lets a long-lived lowering context build class after
+// class without allocating a fresh pool for each.
 func (f *File) Reset() {
 	pool := f.Pool
 	if pool == nil {

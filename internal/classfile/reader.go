@@ -80,6 +80,18 @@ func (r *reader) bytes(n int) []byte {
 	return v
 }
 
+// parser holds one Parse call's File together with the arenas its
+// attribute lists, Code attributes and line-number tables are carved
+// from, so a parse costs a few chunk allocations rather than one per
+// attribute (arena chunks start small and double).
+type parser struct {
+	f        File
+	attrs    arena.Arena[Attribute]
+	codes    arena.Arena[CodeAttr]
+	lines    arena.Arena[LineNumberTableAttr]
+	lineEnts arena.Arena[LineNumberEntry]
+}
+
 // Parse decodes a classfile from raw bytes. It enforces structural
 // well-formedness (magic, pool shape, table lengths) but deliberately
 // not semantic constraints — invalid flag combinations, dangling
@@ -96,42 +108,13 @@ func (r *reader) bytes(n int) []byte {
 // count is clamped, before anything is sized from it, to what the
 // remaining bytes could possibly encode.
 func Parse(data []byte) (*File, error) {
-	return new(Parser).Parse(data)
-}
-
-// Parser parses classfiles into one File it reuses from call to call,
-// together with that File's constant pool, constant arena and member
-// arena and the parser's arenas of attribute lists, Code attributes and
-// line-number tables. A long-lived caller — one campaign worker, say —
-// thus pays for those once rather than per class, and a one-shot parse
-// allocates little more than the File needs (arena chunks start small
-// and double). The File returned by Parse is valid only until the next
-// Parse on the same Parser; nothing may keep it, or anything reached
-// through it, past that. Parsing through a reused Parser yields a File equal to
-// a fresh Parse of the same bytes. A zero Parser is ready to use;
-// Parsers are not safe for concurrent use.
-type Parser struct {
-	f        File
-	attrs    arena.Arena[Attribute]
-	codes    arena.Arena[CodeAttr]
-	lines    arena.Arena[LineNumberTableAttr]
-	lineEnts arena.Arena[LineNumberEntry]
-}
-
-// Parse decodes data into the parser's File; see the package-level
-// Parse for what is checked and for the aliasing of data, and Parser
-// for how long the result lives.
-func (p *Parser) Parse(data []byte) (*File, error) {
 	r := &reader{data: data}
 	if magic := r.u4(); r.err == nil && magic != Magic {
 		return nil, &FormatError{Offset: 0, Reason: fmt.Sprintf("bad magic 0x%08X", magic)}
 	}
+	p := new(parser)
 	f := &p.f
-	f.Reset()
-	p.attrs.Rewind()
-	p.codes.Rewind()
-	p.lines.Rewind()
-	p.lineEnts.Rewind()
+	f.Pool = new(ConstPool)
 	f.Minor = r.u2()
 	f.Major = r.u2()
 
@@ -146,9 +129,7 @@ func (p *Parser) Parse(data []byte) (*File, error) {
 	}
 	pool := f.Pool
 	n := min(count, 1+r.remaining()/3)
-	if cap(pool.Entries) < n {
-		pool.Entries = make([]*Constant, 1, n)
-	}
+	pool.Entries = make([]*Constant, 1, n)
 	pool.arena.Reserve(n - 1)
 	for len(pool.Entries) < count {
 		tag := ConstTag(r.u1())
@@ -211,18 +192,16 @@ func (p *Parser) Parse(data []byte) (*File, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if n := min(nIfaces, r.remaining()/2); f.Interfaces == nil || cap(f.Interfaces) < n {
-		f.Interfaces = make([]uint16, 0, n)
-	}
+	f.Interfaces = make([]uint16, 0, min(nIfaces, r.remaining()/2))
 	for i := 0; i < nIfaces && r.err == nil; i++ {
 		f.Interfaces = append(f.Interfaces, r.u2())
 	}
 
 	var err error
-	if f.Fields, err = p.members(r, f.Fields); err != nil {
+	if f.Fields, err = p.members(r); err != nil {
 		return nil, err
 	}
-	if f.Methods, err = p.members(r, f.Methods); err != nil {
+	if f.Methods, err = p.members(r); err != nil {
 		return nil, err
 	}
 	if f.Attributes, err = p.attributes(r); err != nil {
@@ -237,17 +216,15 @@ func (p *Parser) Parse(data []byte) (*File, error) {
 	return f, nil
 }
 
-// members reads a field or method table into out (an emptied table
-// whose capacity is reused). A member takes at least eight bytes.
-func (p *Parser) members(r *reader, out []*Member) ([]*Member, error) {
+// members reads a field or method table. A member takes at least eight
+// bytes.
+func (p *parser) members(r *reader) ([]*Member, error) {
 	n := int(r.u2())
 	if r.err != nil {
 		return nil, r.err
 	}
 	c := min(n, r.remaining()/8)
-	if out == nil || cap(out) < c {
-		out = make([]*Member, 0, c)
-	}
+	out := make([]*Member, 0, c)
 	p.f.memberArena.Reserve(c)
 	for i := 0; i < n; i++ {
 		m := p.f.allocMember(Member{
@@ -267,7 +244,7 @@ func (p *Parser) members(r *reader, out []*Member) ([]*Member, error) {
 
 // attributes reads an attribute table. An attribute takes at least six
 // bytes (name index and length).
-func (p *Parser) attributes(r *reader) ([]Attribute, error) {
+func (p *parser) attributes(r *reader) ([]Attribute, error) {
 	n := int(r.u2())
 	if r.err != nil {
 		return nil, r.err
@@ -293,7 +270,7 @@ func (p *Parser) attributes(r *reader) ([]Attribute, error) {
 // attribute decodes one attribute body. Every table sized from a
 // declared count is clamped to what the body's remaining bytes can
 // hold.
-func (p *Parser) attribute(name string, body []byte) (Attribute, error) {
+func (p *parser) attribute(name string, body []byte) (Attribute, error) {
 	br := &reader{data: body}
 	switch name {
 	case AttrCode:

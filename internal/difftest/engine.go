@@ -105,16 +105,6 @@ func (r *Runner) cloneLineup() []*jvm.VM {
 	return vms
 }
 
-// Clone returns a Runner driving a private copy of r's lineup (same
-// specs and read-only environments, one fresh decode cache shared
-// across the clone) while sharing r's verify memo and metrics registry.
-// Use one clone per goroutine: a single Runner's VMs carry per-run
-// scratch state and must not execute concurrently. The parallel delta
-// debugger (internal/reduce) builds its worker pool this way.
-func (r *Runner) Clone() *Runner {
-	return &Runner{VMs: r.cloneLineup(), VerifyMemo: r.VerifyMemo, reg: r.reg, tel: r.tel, vmTiming: r.vmTiming}
-}
-
 // runLineup executes one class on a lineup under the engine's
 // parse-once discipline: the class parses once, and every VM runs
 // jvm.RunParsed over the shared parsed file (a parse failure fans out as

@@ -127,13 +127,12 @@ func NewSession(s Scale) (*Session, error) {
 			return nil, nil, err
 		}
 		res, err := campaign.Run(campaign.Config{
-			Algorithm:   alg,
-			Criterion:   crit,
-			Source:      src,
-			Iterations:  iters,
-			Rand:        s.Seed + 100,
-			RefSpec:     jvm.HotSpot9(),
-			KeepClasses: false,
+			Algorithm:  alg,
+			Criterion:  crit,
+			Source:     src,
+			Iterations: iters,
+			Rand:       s.Seed + 100,
+			RefSpec:    jvm.HotSpot9(),
 			// Table 6's GenClasses block differential-tests every
 			// generated mutant, so the session keeps bytes the engine
 			// would otherwise drop for unaccepted mutants.

@@ -305,7 +305,7 @@ func (ex *execState) platformMethodExists(cls, name, desc string) bool {
 // it for lazy verification points). Consecutive calls for the same f
 // share one exec state, so a VM built per class verdict keys and
 // decodes that class once; f must therefore not change in place (a
-// reused classfile.Parser refills the same File) between such calls.
+// reused jimple.LowerCtx refills the same File) between such calls.
 // With no recorder attached no probe fires, so a static verdict cannot
 // perturb a campaign's coverage; an attached VerifyMemo serves and
 // stores the verdicts.

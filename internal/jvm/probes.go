@@ -165,7 +165,6 @@ var (
 	bLoadThisclassValid          = probes.Probe("load.thisclass.valid")
 	bLoadVersionMax              = probes.Probe("load.version.max")
 	bLoadVersionMin              = probes.Probe("load.version.min")
-	bLoadX                       = probes.Probe("load.x")
 	bParseWellformed             = probes.Probe("parse.wellformed")
 	bVerifyAnewarrayCp           = probes.Probe("verify.anewarray.cp")
 	bVerifyAssignable            = probes.Probe("verify.assignable")

@@ -27,9 +27,9 @@ type VM struct {
 
 	// tel, when attached via SetTelemetry, times the startup pipeline:
 	// one histogram per stage (named by the Phase constants) plus parse
-	// timing and a run counter, all keyed by the VM's spec name. Nil by
-	// default so the untimed path pays a single pointer check.
-	tel *vmTel
+	// timing and a run counter, all keyed by the VM's spec name. Its
+	// handles are nil by default, and nil handles record nothing.
+	tel vmTel
 
 	// decodeCache memoises bytecode decoding by code bytes. Mutants
 	// overwhelmingly share method bodies (the generated main, <init>,
@@ -194,7 +194,7 @@ func (vm *VM) decodeCode(code []byte) *decodedCode {
 			d.targets[i] = in.Targets()
 		}
 	}
-	if vm.decodeCache.put(code, d) && vm.tel != nil {
+	if vm.decodeCache.put(code, d) {
 		vm.tel.decodeEvict.Inc()
 	}
 	return d
@@ -228,7 +228,8 @@ func (vm *VM) SetVerifyMemo(m *VerifyMemo) { vm.verifyMemo, vm.verifyID = m, 0 }
 // vmTel holds a VM's interned telemetry handles: a run counter, parse
 // timing, and one histogram per startup-pipeline stage. Stage indices
 // follow the Phase constants (PhaseLoading..PhaseRuntime; PhaseInvoked
-// has no stage of its own — it is the absence of a rejection).
+// has no stage of its own — it is the absence of a rejection). The zero
+// value is the detached state.
 type vmTel struct {
 	runs        *telemetry.Counter
 	parse       *telemetry.Histogram
@@ -240,15 +241,15 @@ type vmTel struct {
 // then records per-stage wall time into histograms named
 // "jvm.<spec>.phase.<phase>_ns" (plus "jvm.<spec>.parse_ns" and the
 // counter "jvm.<spec>.runs"). Telemetry is observe-only — outcomes and
-// coverage traces are unaffected. Pass nil to detach and return to the
-// untimed path.
+// coverage traces are unaffected. Pass nil to detach: the handles go
+// back to nil, and the spans over them read no clock.
 func (vm *VM) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
-		vm.tel = nil
+		vm.tel = vmTel{}
 		return
 	}
 	prefix := "jvm." + vm.Spec.Name
-	t := &vmTel{
+	t := vmTel{
 		runs:        reg.Counter(prefix + ".runs"),
 		parse:       reg.Histogram(prefix + ".parse_ns"),
 		decodeEvict: reg.Counter(prefix + ".decode_cache.evictions"),
@@ -263,7 +264,7 @@ func (vm *VM) SetTelemetry(reg *telemetry.Registry) {
 func (vm *VM) st(id coverage.StmtID) { vm.cov.Stmt(id) }
 
 // br fires a statement probe plus a branch probe for cond, and returns
-// cond so checks read naturally: if vm.br(bLoadX, bad) { ... }.
+// cond so checks read naturally: if vm.br(bLoadSuperValid, bad) { ... }.
 func (vm *VM) br(p coverage.BranchProbe, cond bool) bool {
 	vm.cov.Stmt(p.Stmt)
 	vm.cov.Branch(p.Branch, cond)
@@ -310,21 +311,12 @@ func (vm *VM) stVerifyErr(errName string) {
 // Run parses and executes raw classfile bytes through the full startup
 // pipeline, returning the observable outcome.
 func (vm *VM) Run(data []byte) Outcome {
-	if vm.tel != nil {
-		vm.st(pParseEnter)
-		sp := telemetry.StartSpan(vm.tel.parse)
-		f, err := classfile.Parse(data)
-		sp.End()
-		if vm.br(bParseWellformed, err != nil) {
-			vm.tel.runs.Inc()
-			vm.rejectStep = StepLoad
-			return ParseReject(err)
-		}
-		return vm.RunFile(f)
-	}
 	vm.st(pParseEnter)
+	sp := telemetry.StartSpan(vm.tel.parse)
 	f, err := classfile.Parse(data)
+	sp.End()
 	if vm.br(bParseWellformed, err != nil) {
+		vm.tel.runs.Inc()
 		vm.rejectStep = StepLoad
 		return ParseReject(err)
 	}
@@ -352,36 +344,9 @@ func (vm *VM) RunParsed(f *classfile.File) Outcome {
 }
 
 // RunFile executes an already-parsed classfile. The file is not
-// modified.
+// modified. Each pipeline stage runs under a span; with no telemetry
+// attached the spans' histograms are nil and no clock is read.
 func (vm *VM) RunFile(f *classfile.File) Outcome {
-	if vm.tel != nil {
-		return vm.runFileTimed(f)
-	}
-	if out, bad := vm.load(f); bad {
-		vm.rejectStep = StepLoad
-		return out
-	}
-	ex := vm.execFor(f)
-	if out, bad := vm.link(ex); bad {
-		vm.rejectStep = StepLink
-		return out
-	}
-	vm.rejectStep = StepNone
-	if out, bad := vm.initialize(ex); bad {
-		return out
-	}
-	return vm.invoke(ex)
-}
-
-// execFor resets the VM's exec state for a run of f and returns it.
-func (vm *VM) execFor(f *classfile.File) *execState {
-	vm.ex.reset(vm, f)
-	return &vm.ex
-}
-
-// runFileTimed is RunFile with a span around each pipeline stage. Kept
-// separate so the untimed hot path never touches the clock.
-func (vm *VM) runFileTimed(f *classfile.File) Outcome {
 	vm.tel.runs.Inc()
 	sp := telemetry.StartSpan(vm.tel.phases[PhaseLoading])
 	out, bad := vm.load(f)
@@ -409,4 +374,10 @@ func (vm *VM) runFileTimed(f *classfile.File) Outcome {
 	out = vm.invoke(ex)
 	sp.End()
 	return out
+}
+
+// execFor resets the VM's exec state for a run of f and returns it.
+func (vm *VM) execFor(f *classfile.File) *execState {
+	vm.ex.reset(vm, f)
+	return &vm.ex
 }

@@ -9,7 +9,6 @@ package reduce
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/difftest"
 	"repro/internal/jimple"
@@ -19,17 +18,6 @@ import (
 type Options struct {
 	// MaxRounds caps full passes over the hierarchy (default 8).
 	MaxRounds int
-	// Workers sets the speculative-evaluation width: blocks of up to
-	// Workers candidate deletions are evaluated in parallel against the
-	// current base (each on a private VM lineup), then committed in
-	// candidate order — the campaign engine's worker-block pattern.
-	// Because the first accepted deletion in a block invalidates the
-	// speculations behind it (the base moved), those are discarded and
-	// re-evaluated, so the reduced class, its vector and the accepted
-	// deletion sequence are identical to the sequential algorithm at
-	// any width; only Tests (executions spent) varies. ≤ 1 runs the
-	// plain sequential loop.
-	Workers int
 }
 
 // Result reports the reduction.
@@ -37,9 +25,7 @@ type Result struct {
 	Reduced *jimple.Class
 	// Vector is the preserved outcome vector key.
 	Vector string
-	// Tests counts differential executions spent, including parallel
-	// speculations discarded because an earlier candidate in the same
-	// block committed first.
+	// Tests counts differential executions spent.
 	Tests int
 	// Deleted counts accepted deletions.
 	Deleted int
@@ -67,19 +53,14 @@ type del func(*jimple.Class) bool
 
 // shrinker carries one Reduce call's state through its stages.
 type shrinker struct {
-	cur     *jimple.Class
-	want    string
-	res     *Result
-	runner  *difftest.Runner
-	workers int
-	// pool holds one private-lineup runner per speculative slot,
-	// created on first use and reused across blocks so decode caches
-	// stay warm.
-	pool []*difftest.Runner
+	cur    *jimple.Class
+	want   string
+	res    *Result
+	runner *difftest.Runner
 }
 
 // try applies del to a clone of the base; on vector preservation it
-// commits. The sequential inner step.
+// commits.
 func (s *shrinker) try(d del) bool {
 	cand := s.cur.Clone()
 	if !d(cand) {
@@ -95,83 +76,13 @@ func (s *shrinker) try(d del) bool {
 	return false
 }
 
-// runStage processes one stage's ordered candidate list. Sequentially
-// that is a plain in-order walk; with workers > 1 it evaluates blocks
-// of candidates speculatively against the fixed current base and
-// commits in order: candidates before the block's first success saw
-// exactly the base the sequential walk would have used, the first
-// success commits, and everything after it is discarded (its base
-// moved) and re-enumerated in the next block. The accept/reject
-// sequence is therefore identical to the sequential walk.
+// runStage walks one stage's ordered candidate list, committing each
+// deletion that preserves the vector.
 func (s *shrinker) runStage(cands []del) bool {
 	changed := false
-	if s.workers <= 1 || len(cands) < 2 {
-		for _, d := range cands {
-			if s.try(d) {
-				changed = true
-			}
-		}
-		return changed
-	}
-
-	if s.pool == nil {
-		s.pool = make([]*difftest.Runner, s.workers)
-		for i := range s.pool {
-			s.pool[i] = s.runner.Clone()
-		}
-	}
-
-	type spec struct {
-		cand    *jimple.Class
-		applied bool
-		ok      bool
-		got     string
-	}
-	pos := 0
-	for pos < len(cands) {
-		n := len(cands) - pos
-		if n > s.workers {
-			n = s.workers
-		}
-		specs := make([]spec, n)
-		var wg sync.WaitGroup
-		for j := 0; j < n; j++ {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				cand := s.cur.Clone()
-				if !cands[pos+j](cand) {
-					return
-				}
-				specs[j].cand = cand
-				specs[j].applied = true
-				specs[j].got, specs[j].ok = vectorOf(s.pool[j], cand)
-			}(j)
-		}
-		wg.Wait()
-		for j := 0; j < n; j++ {
-			if specs[j].applied {
-				s.res.Tests++
-			}
-		}
-
-		// In-order commit: the first preserved vector wins the block.
-		committed := false
-		for j := 0; j < n; j++ {
-			if !specs[j].applied {
-				continue
-			}
-			if specs[j].ok && specs[j].got == s.want {
-				s.cur = specs[j].cand
-				s.res.Deleted++
-				changed = true
-				pos += j + 1
-				committed = true
-				break
-			}
-		}
-		if !committed {
-			pos += n
+	for _, d := range cands {
+		if s.try(d) {
+			changed = true
 		}
 	}
 	return changed
@@ -189,11 +100,10 @@ func Reduce(c *jimple.Class, runner *difftest.Runner, opts Options) (*Result, er
 		return nil, fmt.Errorf("reduce: class does not lower to a classfile")
 	}
 	s := &shrinker{
-		cur:     cur,
-		want:    want,
-		res:     &Result{Vector: want, Tests: 1},
-		runner:  runner,
-		workers: opts.Workers,
+		cur:    cur,
+		want:   want,
+		res:    &Result{Vector: want, Tests: 1},
+		runner: runner,
 	}
 
 	for round := 0; round < opts.MaxRounds; round++ {

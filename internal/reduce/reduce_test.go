@@ -93,38 +93,6 @@ func lowered(t *testing.T, c *jimple.Class) []byte {
 	return data
 }
 
-// TestReduceParallelMatchesSequential asserts the worker-block
-// speculative reducer commits exactly the sequential deletion sequence:
-// reduced class (compared by lowered bytes), vector and accepted count
-// are identical at every width; only Tests (discarded speculation) may
-// grow.
-func TestReduceParallelMatchesSequential(t *testing.T) {
-	seq, err := Reduce(fig2Mutant(), difftest.NewStandardRunner(), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqBytes := lowered(t, seq.Reduced)
-
-	for _, w := range []int{2, 4, 8} {
-		par, err := Reduce(fig2Mutant(), difftest.NewStandardRunner(), Options{Workers: w})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if par.Vector != seq.Vector {
-			t.Errorf("workers=%d: vector %s, want %s", w, par.Vector, seq.Vector)
-		}
-		if par.Deleted != seq.Deleted {
-			t.Errorf("workers=%d: deleted %d, want %d", w, par.Deleted, seq.Deleted)
-		}
-		if !bytes.Equal(lowered(t, par.Reduced), seqBytes) {
-			t.Errorf("workers=%d: reduced class differs from sequential", w)
-		}
-		if par.Tests < seq.Tests {
-			t.Errorf("workers=%d: tests %d below sequential %d — speculation cannot save executions", w, par.Tests, seq.Tests)
-		}
-	}
-}
-
 func TestReduceInputNotMutated(t *testing.T) {
 	c := fig2Mutant()
 	before := Size(c)

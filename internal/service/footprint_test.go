@@ -49,7 +49,7 @@ func TestSeedFootprintCap(t *testing.T) {
 	// The intake index Start would build, without starting the epochs
 	// whose allocations would blur the measurement.
 	idx, err := seedsel.New(seedgen.Generate(seedgen.DefaultOptions(cfg.SeedCount, cfg.Seed)),
-		seedsel.Options{Strategy: seedsel.Clustered, RefSpec: m.cfg.RefSpec})
+		seedsel.Options{Strategy: seedsel.Clustered, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}

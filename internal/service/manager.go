@@ -64,9 +64,6 @@ type Config struct {
 	// CheckpointEvery enables periodic checkpoints (0 disables; the
 	// API trigger and drain-on-shutdown always work).
 	CheckpointEvery time.Duration
-	// RefSpec is the instrumented reference VM (zero value selects
-	// HotSpot 9).
-	RefSpec jvm.Spec
 	// Logf receives daemon progress lines (nil for silent).
 	Logf func(format string, args ...any)
 }
@@ -93,9 +90,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if d.QueueCap < 1 {
 		d.QueueCap = 64
-	}
-	if d.RefSpec.Name == "" {
-		d.RefSpec = jvm.HotSpot9()
 	}
 	return d
 }
@@ -255,7 +249,7 @@ func (m *Manager) Start() error {
 		// corpus, with every reloaded submission classified back into
 		// it in arrival order (identical to how it was classified when
 		// first accepted — classification is deterministic).
-		idx, err := seedsel.New(m.baseSeeds, seedsel.Options{Strategy: m.strategy, RefSpec: m.cfg.RefSpec})
+		idx, err := seedsel.New(m.baseSeeds, seedsel.Options{Strategy: m.strategy, RefSpec: jvm.HotSpot9()})
 		if err != nil {
 			return err
 		}
@@ -555,7 +549,7 @@ func (m *Manager) epochSource(used int, reg *telemetry.Registry) (campaign.SeedS
 	}
 	sched, err := seedsel.New(corpus, seedsel.Options{
 		Strategy:  m.strategy,
-		RefSpec:   m.cfg.RefSpec,
+		RefSpec:   jvm.HotSpot9(),
 		Base:      len(m.baseSeeds),
 		Telemetry: reg,
 	})
@@ -573,7 +567,7 @@ func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, 
 		Source:          src,
 		Iterations:      m.cfg.Iterations,
 		Rand:            m.epochSeed(sh.id, epoch),
-		RefSpec:         m.cfg.RefSpec,
+		RefSpec:         jvm.HotSpot9(),
 		StaticPrefilter: true,
 		Workers:         m.cfg.Workers,
 		Control:         ctrl,

@@ -33,11 +33,3 @@ func (s Span) End() {
 		s.h.Observe(int64(time.Since(s.start)))
 	}
 }
-
-// EndIf records the elapsed time only when keep is true — for stages
-// that may be skipped mid-flight (a memo hit aborting an execution).
-func (s Span) EndIf(keep bool) {
-	if keep {
-		s.End()
-	}
-}
