@@ -281,7 +281,8 @@ func loopClassBytes(t *testing.T) []byte {
 // (HotSpot 7, 8, 9, J9, GIJ), "" for a method that verifies, and every
 // rejection must be at linking and mention frag. The rows cover the
 // verifier-dialect knobs (Problem 2), the structural rejections that
-// stop before the dataflow, and the handler and two-slot rules.
+// stop before the dataflow, the handler and two-slot rules, and the
+// operand checks of anewarray, multianewarray and invokedynamic.
 func TestVerifyMethodPresets(t *testing.T) {
 	const v, cf = ErrVerify, ErrClassFormat
 	// main builds a class "DF" whose static main has the given code.
@@ -307,6 +308,27 @@ func TestVerifyMethodPresets(t *testing.T) {
 			return f, m
 		}
 	}
+	// withPool builds main from code that refers to constants it adds
+	// to the class's pool.
+	withPool := func(code func(cp *classfile.ConstPool) []byte, maxStack uint16) func() (*classfile.File, *classfile.Member) {
+		return func() (*classfile.File, *classfile.Member) {
+			f := classfile.New("DF")
+			classfile.AttachDefaultInit(f)
+			m := f.AddMethod(classfile.AccPublic|classfile.AccStatic, "main", "([Ljava/lang/String;)V")
+			m.Attributes = append(m.Attributes, &classfile.CodeAttr{MaxStack: maxStack, MaxLocals: 1, Code: code(f.Pool)})
+			return f, m
+		}
+	}
+	// indy appends a CONSTANT_InvokeDynamic whose NameAndType slot is
+	// nat and returns main's code: invokedynamic of it, then return.
+	indy := func(nat func(cp *classfile.ConstPool) uint16) func(cp *classfile.ConstPool) []byte {
+		return func(cp *classfile.ConstPool) []byte {
+			cp.Entries = append(cp.Entries, &classfile.Constant{Tag: classfile.TagInvokeDynamic, Ref2: nat(cp)})
+			i := len(cp.Entries) - 1
+			return []byte{byte(bytecode.Invokedynamic), byte(i >> 8), byte(i), 0, 0, byte(bytecode.Return)}
+		}
+	}
+	u2 := func(i uint16) (byte, byte) { return byte(i >> 8), byte(i) }
 	cases := []struct {
 		name  string
 		class func() (*classfile.File, *classfile.Member)
@@ -431,6 +453,33 @@ func TestVerifyMethodPresets(t *testing.T) {
 			m.Attributes = append(m.Attributes, cb.Build())
 			return f, m
 		}, [5]string{v, v, v, v, v}, "super constructor"},
+		// anewarray naming a String constant instead of a class.
+		{"anewarray_non_class", withPool(func(cp *classfile.ConstPool) []byte {
+			hi, lo := u2(cp.AddString("x"))
+			return []byte{byte(bytecode.Iconst1), byte(bytecode.Anewarray), hi, lo, byte(bytecode.Pop), byte(bytecode.Return)}
+		}, 1), [5]string{cf, cf, cf, cf, cf}, "anewarray"},
+		{"multianewarray_zero_dims", withPool(func(cp *classfile.ConstPool) []byte {
+			hi, lo := u2(cp.AddClass("[[I"))
+			return []byte{byte(bytecode.Multianewarray), hi, lo, 0, byte(bytecode.Pop), byte(bytecode.Return)}
+		}, 1), [5]string{v, v, v, v, v}, "zero dimensions"},
+		// A catch type naming a class no release has: the presets that
+		// resolve eagerly reject it at verification, the lazy ones
+		// defer it to a throw that never happens.
+		{"handler_catch_missing", main(func(cb *classfile.CodeBuilder) {
+			cb.Op(bytecode.Iconst0).Op(bytecode.Pop).Op(bytecode.Return).
+				Op(bytecode.Pop).Op(bytecode.Return).
+				Handler(0, 2, 3, "no/such/Missing")
+		}, 1, 1), [5]string{ErrNoClassDef, ErrNoClassDef, ErrNoClassDef, ErrNoClassDef, ""}, "no/such/Missing"},
+		{"indy_non_indy_constant", withPool(func(cp *classfile.ConstPool) []byte {
+			hi, lo := u2(cp.AddString("x"))
+			return []byte{byte(bytecode.Invokedynamic), hi, lo, 0, 0, byte(bytecode.Return)}
+		}, 1), [5]string{cf, cf, cf, cf, cf}, "invokedynamic references invalid constant"},
+		{"indy_bad_name_and_type", withPool(indy(func(cp *classfile.ConstPool) uint16 {
+			return cp.AddUtf8("notANameAndType")
+		}), 1), [5]string{cf, cf, cf, cf, cf}, "NameAndType"},
+		{"indy_bad_descriptor", withPool(indy(func(cp *classfile.ConstPool) uint16 {
+			return cp.AddNameAndType("run", "(")
+		}), 1), [5]string{cf, cf, cf, cf, cf}, "malformed"},
 		// A method call on a `new` result before its <init> runs.
 		{"uninitialized_receiver", main(func(cb *classfile.CodeBuilder) {
 			cb.New("java/lang/Object").
