@@ -18,7 +18,7 @@ vet:
 # (seed, config).
 lint:
 	$(GO) run ./cmd/classlint -gen 500 -q
-	$(GO) run ./cmd/detlint internal/campaign internal/prng internal/coverage internal/difftest internal/mcmc internal/seedsel
+	$(GO) run ./cmd/detlint internal/campaign internal/prng internal/coverage internal/difftest internal/mcmc internal/seedsel internal/reduce internal/jvm
 
 test:
 	$(GO) test ./...

@@ -56,9 +56,12 @@ type jsonDiag struct {
 
 // jsonEntry is one linted input in -json output.
 type jsonEntry struct {
-	Input    string     `json:"input"`
-	Clean    bool       `json:"clean"`
-	ParseErr string     `json:"parse_error,omitempty"`
+	Input    string `json:"input"`
+	Clean    bool   `json:"clean"`
+	ParseErr string `json:"parse_error,omitempty"`
+	// Refused is set for a class over jvm.MaxVerifyFootprint, which
+	// is not linted.
+	Refused  string     `json:"refused,omitempty"`
 	Live     []jsonDiag `json:"live,omitempty"`
 	Advisory []jsonDiag `json:"advisory,omitempty"`
 }
@@ -147,6 +150,15 @@ func main() {
 					entries = append(entries, jsonEntry{Input: path, ParseErr: err.Error()})
 				} else {
 					fmt.Printf("%s: unparseable: %v\n", path, err)
+				}
+				continue
+			}
+			if err := jvm.CheckFootprint(f); err != nil {
+				dirty++
+				if *jsonOut {
+					entries = append(entries, jsonEntry{Input: path, Refused: err.Error()})
+				} else {
+					fmt.Printf("%s: refused: %v\n", path, err)
 				}
 				continue
 			}

@@ -15,6 +15,7 @@ import (
 	"repro/internal/classfile"
 	"repro/internal/difftest"
 	"repro/internal/jimple"
+	"repro/internal/jvm"
 	"repro/internal/reduce"
 )
 
@@ -34,6 +35,10 @@ func main() {
 	f, err := classfile.Parse(data)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "parse: %v\n", err)
+		os.Exit(1)
+	}
+	if err := jvm.CheckFootprint(f); err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
 		os.Exit(1)
 	}
 	model, err := jimple.Lift(f)

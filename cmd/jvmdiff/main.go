@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/classfile"
 	"repro/internal/difftest"
+	"repro/internal/jvm"
 	"repro/internal/rtlib"
 	"repro/internal/triage"
 )
@@ -56,6 +58,15 @@ func main() {
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
 			os.Exit(1)
+		}
+		// Bytes that do not parse are a loading-phase rejection on
+		// every VM; a class that parses must clear the footprint cap
+		// before any verifier sees it.
+		if f, err := classfile.Parse(data); err == nil {
+			if err := jvm.CheckFootprint(f); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
+				os.Exit(1)
+			}
 		}
 		v := runner.Run(data)
 		verdict := "consistent"

@@ -9,11 +9,6 @@ import (
 	"repro/internal/seedgen"
 )
 
-// fuzzFootprintCap is the daemon's intake cap on jvm.VerifyFootprint
-// (service.maxSeedFootprint): no VM ever runs a submission above it, so
-// FuzzVerify skips such inputs instead of allocating for them.
-const fuzzFootprintCap = 1 << 20
-
 // Allocation bound of one FuzzVerify input, per preset: a fixed cost
 // for the VM and its scratch, plus a share per input byte (decoding,
 // descriptors, messages) and per footprint slot (one entry frame of
@@ -45,10 +40,12 @@ func FuzzVerify(f *testing.F) {
 		if err != nil {
 			return // not a parseable classfile; verification never runs
 		}
-		footprint := jvm.VerifyFootprint(cf)
-		if footprint > fuzzFootprintCap {
-			t.Skipf("verifier footprint %d exceeds the intake cap", footprint)
+		// No VM runs a file over the footprint cap, so neither does
+		// the fuzzer.
+		if err := jvm.CheckFootprint(cf); err != nil {
+			t.Skip(err)
 		}
+		footprint := jvm.VerifyFootprint(cf)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, spec := range specs {

@@ -1,6 +1,7 @@
 package jvm
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/bytecode"
@@ -1340,8 +1341,8 @@ func (v *verifier) simInvokeDynamic(s *simFrame, in *bytecode.Instruction) {
 // VerifyFootprint is the number of abstract slots the verifier may keep
 // live for f: the sum over its methods of len(code) × (max_locals +
 // max_stack), one entry frame per instruction. The verifier allocates
-// in proportion to it rather than to f's size, which is why intake
-// bounds it (a 1 KB class can declare 65,535 locals).
+// in proportion to it rather than to f's size, which is why every file
+// boundary bounds it (a 1 KB class can declare 65,535 locals).
 func VerifyFootprint(f *classfile.File) int {
 	n := 0
 	for _, m := range f.Methods {
@@ -1350,4 +1351,26 @@ func VerifyFootprint(f *classfile.File) int {
 		}
 	}
 	return n
+}
+
+// MaxVerifyFootprint bounds the VerifyFootprint of a class read from
+// outside the process: a daemon submission, a reloaded corpus file, or
+// a file handed to jvmdiff, classlint or classreduce. The verifier
+// keeps a 32-byte slot per local per instruction, so a 978-byte class
+// with max_locals 65535 on 801 instructions costs about 801 × 65,536 ×
+// 32 B ≈ 1.7 GB per run. The largest footprint in five 1,216-seed
+// generated corpora and the catalog is 262.
+const MaxVerifyFootprint = 1 << 20
+
+// ErrFootprint is what CheckFootprint refuses an over-cap class with.
+var ErrFootprint = errors.New("verifier footprint exceeds the cap")
+
+// CheckFootprint refuses f, with an error wrapping ErrFootprint, when
+// its VerifyFootprint exceeds MaxVerifyFootprint. Callers check before
+// any VM or the static oracle verifies f.
+func CheckFootprint(f *classfile.File) error {
+	if n := VerifyFootprint(f); n > MaxVerifyFootprint {
+		return fmt.Errorf("%w: %d slots, cap %d", ErrFootprint, n, MaxVerifyFootprint)
+	}
+	return nil
 }

@@ -208,6 +208,7 @@ func f() []int {
 func TestEnginePackagesClean(t *testing.T) {
 	for _, dir := range []string{
 		"../campaign", "../prng", "../coverage", "../difftest", "../mcmc",
+		"../seedsel", "../reduce", "../jvm",
 	} {
 		findings, err := Dir(dir)
 		if err != nil {

@@ -14,7 +14,7 @@ import (
 	"repro/internal/seedsel"
 )
 
-// wideLocalsClass is a liftable 975-byte class whose main declares
+// wideLocalsClass is a liftable 978-byte class whose main declares
 // max_locals 65535 over 801 instructions: a verifier footprint of about
 // 52 million slots, which costs the reference VM 1.7 GB per run.
 func wideLocalsClass(t *testing.T) []byte {
@@ -37,7 +37,7 @@ func wideLocalsClass(t *testing.T) []byte {
 }
 
 // TestSeedFootprintCap pins intake's footprint bound: a small class
-// whose verifier footprint exceeds maxSeedFootprint gets a 400 before
+// whose verifier footprint exceeds jvm.MaxVerifyFootprint gets a 400 before
 // it is queued or classified, and the request allocates a small,
 // stated amount rather than the verifier's gigabytes. Without the cap
 // the submission is liftable and would be classified (run on the
@@ -60,8 +60,8 @@ func TestSeedFootprintCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := jvm.VerifyFootprint(f); n <= maxSeedFootprint {
-		t.Fatalf("fixture footprint %d does not exceed the cap %d", n, maxSeedFootprint)
+	if n := jvm.VerifyFootprint(f); n <= jvm.MaxVerifyFootprint {
+		t.Fatalf("fixture footprint %d does not exceed the cap %d", n, jvm.MaxVerifyFootprint)
 	}
 
 	// One request stays well under 1 MiB, the size of the largest body

@@ -422,17 +422,18 @@ func (m *Manager) loadState() (bool, error) {
 }
 
 // liftSeed validates submission bytes all the way to the class model
-// the engine mutates. It refuses a class whose verifier footprint
-// exceeds maxSeedFootprint before lifting it, so neither intake nor a
-// restart's corpus reload hands the engine a seed whose every run
-// would allocate out of proportion to its size.
+// the engine mutates. It refuses a class over jvm.MaxVerifyFootprint
+// before lifting it (body size alone does not bound the verifier's
+// allocation), so neither intake nor a restart's corpus reload hands
+// the engine a seed whose every run would allocate out of proportion
+// to its size.
 func liftSeed(data []byte) (*jimple.Class, error) {
 	f, err := classfile.Parse(data)
 	if err != nil {
 		return nil, err
 	}
-	if n := jvm.VerifyFootprint(f); n > maxSeedFootprint {
-		return nil, fmt.Errorf("verifier footprint %d slots exceeds the cap of %d", n, maxSeedFootprint)
+	if err := jvm.CheckFootprint(f); err != nil {
+		return nil, err
 	}
 	return jimple.Lift(f)
 }
