@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-scale default|paper] [-run all|prelim|table4|table5|table6|table7|figure4|pestimate|mcmcgain|seedsel]
+//	experiments [-scale default|paper] [-run all|prelim|table4|table5|table6|table7|figure4|pestimate|mcmcgain|seedsel|blind]
 //	            [-seed-strategy uniform|clustered|yield] [-metrics-addr HOST:PORT]
 package main
 
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	scaleFlag := flag.String("scale", "default", "campaign scale: default or paper")
-	runFlag := flag.String("run", "all", "experiment to run: all, prelim, table4, table5, table6, table7, figure4, pestimate, mcmcgain, seedsel")
+	runFlag := flag.String("run", "all", "experiment to run: all, prelim, table4, table5, table6, table7, figure4, pestimate, mcmcgain, seedsel, blind")
 	seed := flag.Int64("seed", 1, "random seed")
 	workers := flag.Int("workers", 1, "per-campaign worker pool size (results are identical at any value)")
 	seedStrategy := flag.String("seed-strategy", "uniform", "seed-selection policy for the session campaigns: "+seedsel.Strategies())

@@ -4,7 +4,10 @@
 //
 // Usage:
 //
-//	jvmdiff [-shared-env jre7|jre8|jre9|classpath] [-v] file.class...
+//	jvmdiff [-shared-env jre7|jre8|jre9|classpath | -triage] [-v] file.class...
+//
+// -triage classifies each discrepancy against the standard lineup, so
+// it cannot be combined with -shared-env.
 package main
 
 import (
@@ -24,8 +27,8 @@ func main() {
 	verbose := flag.Bool("v", false, "print the per-VM error details")
 	doTriage := flag.Bool("triage", false, "classify each discrepancy (defect-indicative / policy-difference / compatibility)")
 	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: jvmdiff [-shared-env rel] [-v] file.class...")
+	if flag.NArg() == 0 || (*doTriage && *sharedEnv != "") {
+		fmt.Fprintln(os.Stderr, "usage: jvmdiff [-shared-env rel | -triage] [-v] file.class...")
 		os.Exit(2)
 	}
 
@@ -46,14 +49,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	var triager *triage.Triager
-	if *doTriage {
-		triager = triage.New()
-	}
-
-	fmt.Printf("%-40s %-7s  %s\n", "classfile", "vector", "verdict")
-	discrepancies := 0
-	for _, path := range flag.Args() {
+	classes := make([][]byte, flag.NArg())
+	for i, path := range flag.Args() {
 		data, err := os.ReadFile(path)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", path, err)
@@ -68,27 +65,39 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		v := runner.Run(data)
+		classes[i] = data
+	}
+	sum := runner.Evaluate(classes, difftest.Options{Checked: *doTriage})
+
+	var triager *triage.Triager
+	if *doTriage {
+		triager = triage.New()
+	}
+	fmt.Printf("%-40s %-7s  %s\n", "classfile", "vector", "verdict")
+	discrepancies := 0
+	for i, path := range flag.Args() {
+		v := sum.Vectors[i]
 		verdict := "consistent"
+		var rep *triage.Report
 		if v.Discrepant() {
 			verdict = "DISCREPANCY"
 			discrepancies++
 			if triager != nil {
-				rep := triager.Triage(data)
+				rep = triager.Triage(classes[i], v, sum.Mismatches[i])
 				verdict = fmt.Sprintf("DISCREPANCY (%s)", rep.Verdict)
 			}
 		}
 		fmt.Printf("%-40s %-7s  %s\n", path, v.Key(), verdict)
 		if *verbose {
-			for i, name := range runner.Names() {
-				fmt.Printf("    %-14s %s\n", name, v.Outcomes[i])
+			for k, name := range sum.VMNames {
+				fmt.Printf("    %-14s %s\n", name, v.Outcomes[k])
 			}
-			if triager != nil && v.Discrepant() {
-				for _, n := range triager.Triage(data).Notes {
+			if rep != nil {
+				for _, n := range rep.Notes {
 					fmt.Printf("    note: %s\n", n)
 				}
 			}
 		}
 	}
-	fmt.Printf("%d of %d classfiles trigger discrepancies\n", discrepancies, flag.NArg())
+	fmt.Printf("%d of %d classfiles trigger discrepancies\n", discrepancies, len(classes))
 }

@@ -259,12 +259,13 @@ func main() {
 		rep *triage.Report
 	}
 	byVector := map[string][]finding{}
-	for _, g := range res.Test {
-		v := runner.Run(g.Data)
+	for i, g := range res.Test {
+		v := sum.Vectors[i]
 		if !v.Discrepant() {
 			continue
 		}
-		byVector[v.Key()] = append(byVector[v.Key()], finding{g: g, v: v, rep: tr.Triage(g.Data)})
+		rep := tr.Triage(g.Data, v, sum.Mismatches[i])
+		byVector[v.Key()] = append(byVector[v.Key()], finding{g: g, v: v, rep: rep})
 	}
 	keys := make([]string, 0, len(byVector))
 	for k := range byVector {

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	classfuzz "repro"
+	"repro/internal/difftest"
 	"repro/internal/triage"
 )
 
@@ -22,16 +23,26 @@ func main() {
 	}
 	fmt.Printf("campaign: %d representative tests\n", len(res.Test))
 
-	runner := classfuzz.NewRunner()
+	// One checked evaluation of the suite; triage reads each class's
+	// vector and oracle mismatches from it.
+	var classes [][]byte
+	for _, g := range res.Test {
+		classes = append(classes, g.Data)
+	}
+	sum := classfuzz.NewRunner().Evaluate(classes, difftest.Options{Checked: true})
 	tr := triage.New()
 	byVerdict := map[triage.Verdict][]string{}
-	for _, g := range res.Test {
-		v := runner.Run(g.Data)
+	first, firstName := (*triage.Report)(nil), ""
+	for i, g := range res.Test {
+		v := sum.Vectors[i]
 		if !v.Discrepant() {
 			continue
 		}
-		rep := tr.Triage(g.Data)
+		rep := tr.Triage(g.Data, v, sum.Mismatches[i])
 		byVerdict[rep.Verdict] = append(byVerdict[rep.Verdict], g.Name+" "+v.Key())
+		if first == nil {
+			first, firstName = rep, g.Name
+		}
 	}
 
 	order := []triage.Verdict{triage.DefectIndicative, triage.PolicyDifference, triage.CompatibilityIssue}
@@ -52,18 +63,13 @@ func main() {
 	}
 
 	// One detailed report, end to end.
-	for _, g := range res.Test {
-		if !runner.Run(g.Data).Discrepant() {
-			continue
-		}
-		rep := tr.Triage(g.Data)
-		fmt.Printf("\ndetailed report for %s:\n  verdict: %s\n  standard vector: %s\n", g.Name, rep.Verdict, rep.Key())
-		for rel, v := range rep.Shared {
+	if first != nil {
+		fmt.Printf("\ndetailed report for %s:\n  verdict: %s\n  standard vector: %s\n", firstName, first.Verdict, first.Key())
+		for rel, v := range first.Shared {
 			fmt.Printf("  shared %s vector: %s\n", rel, v.Key())
 		}
-		for _, n := range rep.Notes {
+		for _, n := range first.Notes {
 			fmt.Printf("  note: %s\n", n)
 		}
-		break
 	}
 }

@@ -9,8 +9,9 @@
 // once, the parsed form (and one bytecode-decode cache per lineup) is
 // shared by all five VMs via jvm.RunParsed. Evaluate runs every class
 // of a set once, sequentially or over a worker pool — one five-VM
-// lineup per worker, results committed in class order. The Summary is
-// identical at any worker count; see engine.go.
+// lineup per worker, results committed in class order — and its
+// Summary, identical at any worker count, keeps each class's vector;
+// see engine.go. Run is for callers holding a single class.
 package difftest
 
 import (
@@ -184,17 +185,6 @@ func (r *Runner) Run(data []byte) Vector {
 	return v
 }
 
-// RunChecked executes one classfile on every VM like Run, and
-// additionally cross-checks each observed outcome against the static
-// oracle's prediction for that VM (a self-differential sanitizer:
-// oracle-vs-interpreter disagreement is a bug in this reproduction, not
-// a VM discrepancy). When the bytes do not parse, no oracle applies and
-// the mismatch list is empty. The single parse serves both the oracle
-// and every VM's execution.
-func (r *Runner) RunChecked(data []byte) (Vector, []analysis.Mismatch) {
-	return r.runLineup(r.VMs, data, true)
-}
-
 // runSeparateParses is the pre-engine execution model — every VM parses
 // the bytes itself via vm.Run — retained verbatim as the reference
 // implementation for the parse-once engine's equivalence test and as
@@ -242,6 +232,11 @@ type Summary struct {
 	// reporting, in class order then VM order (deterministic at any
 	// worker count).
 	MismatchSamples []string
+	// Vectors holds each class's outcome vector, in class order.
+	Vectors []Vector
+	// Mismatches holds each class's oracle mismatches, waived ones
+	// included, in VM order; nil unless Options.Checked is set.
+	Mismatches [][]analysis.Mismatch
 }
 
 // DistinctCount returns |Distinct_Discrepancies|.
@@ -286,8 +281,10 @@ type Options struct {
 	// over; 0 or 1 means sequential. The Summary is identical at any
 	// value.
 	Workers int
-	// Checked enables the static-oracle sanitizer (see RunChecked):
-	// unwaived mismatches are counted and sampled in the Summary.
+	// Checked cross-checks each outcome against the static oracle's
+	// prediction for that VM (a disagreement is a bug in this
+	// reproduction, not a VM discrepancy); unwaived mismatches are
+	// counted and sampled in the Summary.
 	Checked bool
 }
 

@@ -140,8 +140,9 @@ func (r *Runner) runLineup(vms []*jvm.VM, data []byte, checked bool) (Vector, []
 // indices from a shared counter — and aggregates. Vectors park in an
 // index-addressed buffer and fold into the Summary afterwards in class
 // order (the same fixed-order commit discipline as the campaign
-// engine), so the Summary — DistinctVectors, histogram, mismatch
-// samples and all — is identical at any worker count.
+// engine), so the Summary — per-class vectors and mismatches,
+// DistinctVectors, histogram, samples and all — is identical at any
+// worker count.
 func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 	sp := telemetry.StartSpan(r.tel.evaluateNs)
 	defer sp.End()
@@ -177,6 +178,7 @@ func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 	}
 
 	s := newSummary(r)
+	s.Vectors = vecs
 	for i := range classes {
 		s.absorb(vecs[i])
 		if opt.Checked {
@@ -184,6 +186,7 @@ func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 		}
 	}
 	if opt.Checked {
+		s.Mismatches = mms
 		r.tel.oracleMM.Add(int64(s.OracleMismatches))
 	}
 	return s

@@ -9,8 +9,12 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/classfile"
+	"repro/internal/jimple"
 	"repro/internal/jvm"
+	"repro/internal/mutation"
+	"repro/internal/prng"
 	"repro/internal/seedgen"
 	"repro/internal/telemetry"
 )
@@ -41,6 +45,49 @@ func mixedCorpus(t testing.TB) [][]byte {
 	return classes
 }
 
+// catalogAndMutants is the per-class equivalence corpus: every curated
+// catalog discrepancy plus one lowered mutant per mutation family
+// (Table 2's categories), each the first operator of its family that
+// applies to some seed of a small deterministic pool.
+func catalogAndMutants(t testing.TB) [][]byte {
+	var classes [][]byte
+	for _, e := range catalog.Entries() {
+		data, err := e.Data()
+		if err != nil {
+			t.Fatalf("catalog %s: %v", e.ID, err)
+		}
+		classes = append(classes, data)
+	}
+	seeds := seedgen.Generate(seedgen.DefaultOptions(8, 3))
+	done := map[mutation.Category]bool{}
+	for _, m := range mutation.Registry() {
+		if done[m.Category] {
+			continue
+		}
+		for si, s := range seeds {
+			mutant := s.Clone()
+			if !m.Apply(mutant, prng.Derive(11, uint64(m.ID), uint64(si))) {
+				continue
+			}
+			f, err := jimple.Lower(mutant)
+			if err != nil {
+				continue
+			}
+			data, err := f.Bytes()
+			if err != nil {
+				continue
+			}
+			classes = append(classes, data)
+			done[m.Category] = true
+			break
+		}
+	}
+	if len(done) != 8 {
+		t.Fatalf("mutants cover %d of 8 families", len(done))
+	}
+	return classes
+}
+
 // testWorkerCounts is the sweep the equivalence tests run; the CI race
 // matrix widens it via DIFFTEST_TEST_WORKERS.
 func testWorkerCounts() []int {
@@ -57,7 +104,7 @@ func testWorkerCounts() []int {
 // reference cannot produce.
 func withoutOracle(s *Summary) *Summary {
 	c := *s
-	c.OracleMismatches, c.VerifierMismatches, c.MismatchSamples = 0, 0, nil
+	c.OracleMismatches, c.VerifierMismatches, c.MismatchSamples, c.Mismatches = 0, 0, nil, nil
 	return &c
 }
 
@@ -66,8 +113,10 @@ func withoutOracle(s *Summary) *Summary {
 func perVMParseReference(classes [][]byte) *Summary {
 	ref := NewStandardRunner()
 	want := newSummary(ref)
-	for _, data := range classes {
-		want.absorb(ref.runSeparateParses(data))
+	want.Vectors = make([]Vector, len(classes))
+	for i, data := range classes {
+		want.Vectors[i] = ref.runSeparateParses(data)
+		want.absorb(want.Vectors[i])
 	}
 	return want
 }
@@ -91,12 +140,20 @@ func TestEngineEquivalence(t *testing.T) {
 // TestEvaluateCheckedEquivalence asserts the checked path (static
 // oracle sanitizer) is field-identical across worker counts,
 // MismatchSamples ordering included, and agrees with the per-VM-parse
-// reference once the oracle fields are set aside.
+// reference once the oracle fields are set aside. Class by class, the
+// kept mismatches equal a checked single-class lineup run's.
 func TestEvaluateCheckedEquivalence(t *testing.T) {
-	classes := mixedCorpus(t)
+	classes := append(mixedCorpus(t), catalogAndMutants(t)...)
 	want := NewStandardRunner().Evaluate(classes, Options{Checked: true})
 	if ref := perVMParseReference(classes); !reflect.DeepEqual(ref, withoutOracle(want)) {
 		t.Errorf("checked summary differs from per-VM-parse reference:\nwant %+v\ngot  %+v", ref, withoutOracle(want))
+	}
+	single := NewStandardRunner()
+	for i, data := range classes {
+		_, mm := single.runLineup(single.VMs, data, true)
+		if !reflect.DeepEqual(mm, want.Mismatches[i]) {
+			t.Errorf("class %d: kept mismatches %v, single-class run %v", i, want.Mismatches[i], mm)
+		}
 	}
 	for _, w := range append([]int{0}, testWorkerCounts()...) {
 		got := NewStandardRunner().Evaluate(classes, Options{Workers: w, Checked: true})
@@ -125,14 +182,23 @@ func TestEvaluateCheckedMatchesParallel(t *testing.T) {
 }
 
 // TestEvaluateParallelMatchesSequential asserts parallel evaluation
-// reproduces the sequential Summary, that workers=0 picks a sane
-// default, and that more workers than classes still evaluates every
-// class.
+// reproduces the sequential Summary, that its kept vectors equal Run
+// class by class, that workers=0 picks a sane default, and that more
+// workers than classes still evaluates every class.
 func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	classes := mixedCorpus(t)
+	classes := append(mixedCorpus(t), catalogAndMutants(t)...)
 	r := NewStandardRunner()
 	seq := r.Evaluate(classes, Options{})
-	for _, w := range []int{0, 4} {
+	if len(seq.Vectors) != len(classes) || seq.Mismatches != nil {
+		t.Fatalf("unchecked summary keeps %d vectors (want %d) and mismatches %v", len(seq.Vectors), len(classes), seq.Mismatches)
+	}
+	single := NewStandardRunner()
+	for i, data := range classes {
+		if v := single.Run(data); !reflect.DeepEqual(v, seq.Vectors[i]) {
+			t.Errorf("class %d: kept vector %s, Run %s", i, seq.Vectors[i].Key(), v.Key())
+		}
+	}
+	for _, w := range append([]int{0}, testWorkerCounts()...) {
 		if got := r.Evaluate(classes, Options{Workers: w}); !reflect.DeepEqual(seq, got) {
 			t.Errorf("workers=%d disagrees with sequential:\nseq %+v\npar %+v", w, seq, got)
 		}

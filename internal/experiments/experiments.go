@@ -595,11 +595,11 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 				classes = append(classes, g.Data)
 			}
 		}
-		// One pass: count discrepancies and all-rejected-at-loading
-		// ("invalid") mutants.
+		// One evaluation: count discrepancies and all-rejected-at-loading
+		// ("invalid") mutants from its kept vectors.
+		sum := runner.Evaluate(classes, difftest.Options{})
 		loadRejected, discrepant := 0, 0
-		for _, data := range classes {
-			v := runner.Run(data)
+		for _, v := range sum.Vectors {
 			if v.Discrepant() {
 				discrepant++
 			}

@@ -1,9 +1,11 @@
 package jvm
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/classfile"
+	"repro/internal/rtlib"
 )
 
 // loadOn runs f's bytes on a VM built from spec.
@@ -65,10 +67,17 @@ func TestLoadClassFlagRules(t *testing.T) {
 	f2.AccessFlags = classfile.AccPublic | classfile.AccInterface
 	wantLoadCFE(t, loadOn(t, HotSpot8(), f2), "interface not abstract")
 
-	// final interface
+	// final interface (the final+abstract rule fires first)
 	f3 := classfile.New("LFlags3")
 	f3.AccessFlags = classfile.AccPublic | classfile.AccInterface | classfile.AccAbstract | classfile.AccFinal
 	wantLoadCFE(t, loadOn(t, HotSpot8(), f3), "final interface")
+
+	// a well-formed interface clears every class-flag rule
+	f5 := classfile.New("LFlags5")
+	f5.AccessFlags = classfile.AccPublic | classfile.AccInterface | classfile.AccAbstract
+	if o := loadOn(t, HotSpot8(), f5); o.Phase == PhaseLoading && o.Error == ErrClassFormat {
+		t.Errorf("well-formed interface: want past the flag rules, got %s", o)
+	}
 
 	// annotation without interface
 	f4 := helloClass("LFlags4")
@@ -98,6 +107,63 @@ func TestLoadFieldRules(t *testing.T) {
 	f3 := helloClass("LField3")
 	f3.AddField(classfile.AccPublic, "z", "Q")
 	wantLoadCFE(t, loadOn(t, HotSpot8(), f3), "bad descriptor")
+
+	// interface fields must be public static final; GIJ does not check
+	iface := func(name string, flags classfile.Flags) *classfile.File {
+		f := classfile.New(name)
+		f.AccessFlags = classfile.AccPublic | classfile.AccInterface | classfile.AccAbstract
+		f.AddField(flags, "c", "I")
+		return f
+	}
+	f4 := iface("LField4", classfile.AccPublic)
+	wantLoadCFE(t, loadOn(t, HotSpot8(), f4), "non-static interface field")
+	if o := loadOn(t, GIJ(), f4); o.Phase == PhaseLoading {
+		t.Errorf("GIJ should not check interface field flags, got %s", o)
+	}
+	f5 := iface("LField5", classfile.AccPublic|classfile.AccStatic|classfile.AccFinal)
+	if o := loadOn(t, HotSpot8(), f5); o.Phase == PhaseLoading && o.Error == ErrClassFormat {
+		t.Errorf("public static final interface field: want loaded, got %s", o)
+	}
+}
+
+// TestLinkInterfaceRules pins the linker's implemented-interface
+// checks: a missing interface is a loading-time NoClassDefFoundError
+// only on the eagerly resolving presets, and an inaccessible platform
+// interface is an IllegalAccessError only where resolved access is
+// checked (HotSpot 9's modules).
+func TestLinkInterfaceRules(t *testing.T) {
+	implementing := func(name, iface string) *classfile.File {
+		f := helloClass(name)
+		f.Interfaces = append(f.Interfaces, f.Pool.AddClass(iface))
+		return f
+	}
+
+	missing := implementing("LIfaceMissing", "no/such/Iface")
+	if o := loadOn(t, HotSpot8(), missing); o.Phase != PhaseLoading || o.Error != ErrNoClassDef || !strings.Contains(o.Message, "no/such/Iface") {
+		t.Errorf("HotSpot8, missing interface: want NoClassDefFoundError at loading, got %s", o)
+	}
+	if o := loadOn(t, GIJ(), missing); !o.OK() {
+		t.Errorf("GIJ resolves lazily and never looks the interface up: got %s", o)
+	}
+
+	// A private JRE9 environment in which Runnable is encapsulated.
+	hidden := rtlib.NewEnv(rtlib.JRE9)
+	ci, _ := hidden.Lookup("java/lang/Runnable")
+	ci.Accessible = false
+	runnable := implementing("LIfaceAccess", "java/lang/Runnable")
+	data, err := runnable.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o := NewWithEnv(HotSpot9(), hidden).Run(data); o.Phase != PhaseLinking || o.Error != ErrIllegalAccess {
+		t.Errorf("HotSpot9, inaccessible interface: want IllegalAccessError at linking, got %s", o)
+	}
+	if o := NewWithEnv(HotSpot8(), hidden).Run(data); !o.OK() {
+		t.Errorf("HotSpot8 does not check resolved access: got %s", o)
+	}
+	if o := New(HotSpot9()).Run(data); !o.OK() {
+		t.Errorf("HotSpot9, accessible interface: got %s", o)
+	}
 }
 
 func TestLoadMethodRules(t *testing.T) {

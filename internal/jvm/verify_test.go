@@ -487,6 +487,16 @@ func TestVerifyMethodPresets(t *testing.T) {
 				Op(bytecode.Pop).
 				Op(bytecode.Return)
 		}, 2, 1), [5]string{v, v, v, v, v}, "uninitialized"},
+		// A second <init> on an object its first <init> already
+		// initialized: GIJ's strict dialect rejects it, the others let
+		// it through.
+		{"init_on_initialized", main(func(cb *classfile.CodeBuilder) {
+			cb.New("java/lang/Object").
+				Op(bytecode.Dup).
+				Invokespecial("java/lang/Object", "<init>", "()V").
+				Invokespecial("java/lang/Object", "<init>", "()V").
+				Op(bytecode.Return)
+		}, 2, 1), [5]string{"", "", "", "", v}, "initialized reference"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/classfile"
 	"repro/internal/coverage"
+	"repro/internal/difftest"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/prng"
@@ -648,19 +649,22 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 }
 
 // foldEpoch absorbs one completed epoch: session fold, differential
-// testing of the accepted suite on a session Runner, discrepancy
-// log append (each discrepancy credited to the seed cluster its
-// lineage's root seed belongs to), per-cluster scheduling tallies,
-// state-frontier advance and persist.
+// testing of the accepted suite (one sequential Evaluate on a session
+// Runner), discrepancy log append (each discrepancy credited to the
+// seed cluster its lineage's root seed belongs to), per-cluster
+// scheduling tallies, state-frontier advance and persist.
 func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched *seedsel.Scheduler) {
 	m.session.Fold(shardKey(sh.id, epoch), res, reg)
 	m.tel.Counter(MetricEpochsCompleted).Inc()
 
-	runner := m.session.Runner()
-	names := runner.Names()
+	classes := make([][]byte, len(res.Test))
+	for i, g := range res.Test {
+		classes[i] = g.Data
+	}
+	sum := m.session.Runner().Evaluate(classes, difftest.Options{})
 	var found []Discrepancy
-	for _, g := range res.Test {
-		v := runner.Run(g.Data)
+	for i, g := range res.Test {
+		v := sum.Vectors[i]
 		if !v.Discrepant() {
 			continue
 		}
@@ -673,8 +677,8 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 			Vector:      v.Key(),
 			Cluster:     -1,
 		}
-		for i, o := range v.Outcomes {
-			d.Outcomes = append(d.Outcomes, fmt.Sprintf("%s: %s", names[i], o))
+		for k, o := range v.Outcomes {
+			d.Outcomes = append(d.Outcomes, fmt.Sprintf("%s: %s", sum.VMNames[k], o))
 		}
 		found = append(found, d)
 	}

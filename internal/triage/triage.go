@@ -69,17 +69,18 @@ func (r *Report) OracleClean() bool {
 // Key returns the standard-environment vector key.
 func (r *Report) Key() string { return r.Standard.Key() }
 
-// Triager owns the runners needed for repeated triage.
+// Triager owns the shared-environment lineups Definition 2 re-runs a
+// discrepancy on. The standard-lineup run is the caller's: one
+// difftest Evaluate already produced each class's vector and oracle
+// mismatches, so triage never runs a class on that lineup again.
 type Triager struct {
-	standard *difftest.Runner
-	shared   map[string]*difftest.Runner
+	shared map[string]*difftest.Runner
 }
 
-// New builds a triager with the standard lineup plus shared-environment
-// lineups for every release.
+// New builds a triager with a shared-environment lineup for every
+// release.
 func New() *Triager {
 	return &Triager{
-		standard: difftest.NewStandardRunner(),
 		shared: map[string]*difftest.Runner{
 			"JRE7": difftest.NewSharedEnvRunner(rtlib.JRE7),
 			"JRE8": difftest.NewSharedEnvRunner(rtlib.JRE8),
@@ -87,19 +88,18 @@ func New() *Triager {
 	}
 }
 
-// Triage classifies one classfile.
-func (t *Triager) Triage(data []byte) *Report {
-	rep := &Report{Shared: map[string]difftest.Vector{}}
-	rep.Standard, rep.Oracle = t.standard.RunChecked(data)
-	if !rep.OracleClean() {
-		for _, m := range rep.Oracle {
-			if m.Hard() {
-				label := "oracle mismatch"
-				if m.VerifierSplit() {
-					label = "oracle verifier split"
-				}
-				rep.Notes = append(rep.Notes, label+": "+m.String())
+// Triage classifies one classfile, given its standard-lineup vector and
+// the static-oracle mismatches of that run (a difftest Summary's
+// Vectors[i] and, when checked, Mismatches[i]).
+func (t *Triager) Triage(data []byte, std difftest.Vector, oracle []analysis.Mismatch) *Report {
+	rep := &Report{Standard: std, Oracle: oracle, Shared: map[string]difftest.Vector{}}
+	for _, m := range oracle {
+		if m.Hard() {
+			label := "oracle mismatch"
+			if m.VerifierSplit() {
+				label = "oracle verifier split"
 			}
+			rep.Notes = append(rep.Notes, label+": "+m.String())
 		}
 	}
 	if !rep.Standard.Discrepant() {
@@ -135,7 +135,7 @@ func (t *Triager) Triage(data []byte) *Report {
 	rep.Notes = append(rep.Notes, "discrepancy persists under every shared library release (Definition 2: implementation-caused)")
 
 	// Heuristic refinement on the persisting vector.
-	rep.Verdict = classifyImplementation(rep, t.standard.Names())
+	rep.Verdict = classifyImplementation(rep, t.shared[releases[0]].Names())
 	return rep
 }
 
@@ -216,30 +216,4 @@ func classifyImplementation(rep *Report, names []string) Verdict {
 		return DefectIndicative
 	}
 	return PolicyDifference
-}
-
-// Summary aggregates triage over a class set.
-type Summary struct {
-	Total   int
-	Counts  map[Verdict]int
-	Reports []*Report
-}
-
-// TriageAll triages every classfile and aggregates.
-func (t *Triager) TriageAll(classes [][]byte) *Summary {
-	s := &Summary{Counts: map[Verdict]int{}}
-	for _, data := range classes {
-		r := t.Triage(data)
-		s.Total++
-		s.Counts[r.Verdict]++
-		s.Reports = append(s.Reports, r)
-	}
-	return s
-}
-
-// String renders the aggregate in the paper's §3.3 style.
-func (s *Summary) String() string {
-	return fmt.Sprintf("triage: %d classes -> %d defect-indicative, %d policy-difference, %d compatibility, %d not discrepant",
-		s.Total, s.Counts[DefectIndicative], s.Counts[PolicyDifference],
-		s.Counts[CompatibilityIssue], s.Counts[NotDiscrepant])
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/difftest"
 	"repro/internal/jimple"
 )
 
@@ -20,11 +21,23 @@ func bytesOf(t *testing.T, c *jimple.Class) []byte {
 	return data
 }
 
+// triageEach evaluates classes once on the standard lineup, checked,
+// and triages each from its kept vector and mismatches.
+func triageEach(classes ...[]byte) []*Report {
+	sum := difftest.NewStandardRunner().Evaluate(classes, difftest.Options{Checked: true})
+	tr := New()
+	reps := make([]*Report, len(classes))
+	for i, data := range classes {
+		reps[i] = tr.Triage(data, sum.Vectors[i], sum.Mismatches[i])
+	}
+	return reps
+}
+
 func TestNotDiscrepant(t *testing.T) {
 	c := jimple.NewClass("TOk")
 	c.AddDefaultInit()
 	c.AddStandardMain("ok")
-	r := New().Triage(bytesOf(t, c))
+	r := triageEach(bytesOf(t, c))[0]
 	if r.Verdict != NotDiscrepant {
 		t.Errorf("verdict = %s, want not-discrepant (%s)", r.Verdict, r.Key())
 	}
@@ -34,7 +47,7 @@ func TestCompatibilityVerdictForEnumEditor(t *testing.T) {
 	c := jimple.NewClass("TEnumEd")
 	c.Super = "com/sun/beans/editors/EnumEditor"
 	c.AddStandardMain("ok")
-	r := New().Triage(bytesOf(t, c))
+	r := triageEach(bytesOf(t, c))[0]
 	if r.Verdict != CompatibilityIssue {
 		t.Errorf("verdict = %s (%s), want compatibility", r.Verdict, r.Key())
 	}
@@ -50,7 +63,7 @@ func TestDefectVerdictForFigure2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New().Triage(data)
+	r := triageEach(data)[0]
 	if r.Verdict != DefectIndicative {
 		t.Errorf("verdict = %s (%s), want defect-indicative; notes: %v", r.Verdict, r.Key(), r.Notes)
 	}
@@ -61,16 +74,21 @@ func TestCatalogTriageAgreement(t *testing.T) {
 	// automatic verdicts with the curated classifications. Heuristics
 	// cannot match the paper's manual analysis perfectly; require strong
 	// agreement on compatibility detection and a solid majority overall.
-	tr := New()
-	agree, total := 0, 0
-	compatRight, compatTotal := 0, 0
-	implAsCompat := 0
-	for _, e := range catalog.Entries() {
+	entries := catalog.Entries()
+	var classes [][]byte
+	for _, e := range entries {
 		data, err := e.Data()
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := tr.Triage(data)
+		classes = append(classes, data)
+	}
+	reps := triageEach(classes...)
+	agree, total := 0, 0
+	compatRight, compatTotal := 0, 0
+	implAsCompat := 0
+	for i, e := range entries {
+		r := reps[i]
 		total++
 		want := map[catalog.Classification]Verdict{
 			catalog.DefectIndicative: DefectIndicative,
@@ -104,31 +122,5 @@ func TestCatalogTriageAgreement(t *testing.T) {
 	}
 	if agree*100 < total*55 {
 		t.Errorf("overall agreement %d/%d below 55%%", agree, total)
-	}
-}
-
-func TestTriageAllSummary(t *testing.T) {
-	tr := New()
-	var classes [][]byte
-	for _, e := range catalog.Entries()[:10] {
-		data, err := e.Data()
-		if err != nil {
-			t.Fatal(err)
-		}
-		classes = append(classes, data)
-	}
-	sum := tr.TriageAll(classes)
-	if sum.Total != 10 || len(sum.Reports) != 10 {
-		t.Fatalf("summary covers %d", sum.Total)
-	}
-	n := 0
-	for _, c := range sum.Counts {
-		n += c
-	}
-	if n != 10 {
-		t.Error("verdict counts do not partition the set")
-	}
-	if sum.String() == "" {
-		t.Error("empty rendering")
 	}
 }
