@@ -48,15 +48,8 @@ func main() {
 	metricsDump := flag.String("metrics-dump", "", "write the final telemetry snapshot to this file as JSON")
 	flag.Parse()
 
-	var crit coverage.Criterion
-	switch *criterion {
-	case "st":
-		crit = coverage.ST
-	case "stbr":
-		crit = coverage.STBR
-	case "tr":
-		crit = coverage.TR
-	default:
+	crit, err := coverage.ParseCriterion(*criterion)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown criterion %q\n", *criterion)
 		os.Exit(2)
 	}
@@ -75,15 +68,10 @@ func main() {
 	}
 
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
-	var source campaign.SeedSource
-	if strategy == seedsel.Uniform {
-		source = campaign.FlatSeeds(seeds)
-	} else {
-		source, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed scheduler: %v\n", err)
-			os.Exit(1)
-		}
+	source, _, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seed scheduler: %v\n", err)
+		os.Exit(1)
 	}
 
 	cfg := campaign.Config{

@@ -60,15 +60,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "classfuzzd: -data DIR is required")
 		os.Exit(2)
 	}
-	var crit coverage.Criterion
-	switch *criterion {
-	case "st":
-		crit = coverage.ST
-	case "stbr":
-		crit = coverage.STBR
-	case "tr":
-		crit = coverage.TR
-	default:
+	crit, err := coverage.ParseCriterion(*criterion)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "unknown criterion %q\n", *criterion)
 		os.Exit(2)
 	}

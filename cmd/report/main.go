@@ -60,17 +60,10 @@ func main() {
 	// Telemetry section at the end renders from its snapshot.
 	treg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
-	var source campaign.SeedSource
-	var sched *seedsel.Scheduler
-	if strategy == seedsel.Uniform {
-		source = campaign.FlatSeeds(seeds)
-	} else {
-		sched, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: treg})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed scheduler: %v\n", err)
-			os.Exit(1)
-		}
-		source = sched
+	source, sched, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: treg})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "seed scheduler: %v\n", err)
+		os.Exit(1)
 	}
 	cfg := campaign.Config{
 		Algorithm:       campaign.Classfuzz,

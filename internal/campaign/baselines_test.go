@@ -17,7 +17,7 @@ import (
 
 // fixedBaselines hands the engine the given traces as a source's
 // baselines. With none it hides the source's recorded traces, so the
-// engine runs its own seed pass: the oracle for the reused one.
+// engine runs the seed pass itself: the oracle for the reused one.
 type fixedBaselines struct {
 	SeedSource
 	traces []*coverage.Trace
@@ -49,15 +49,6 @@ func verifyRejectSeed() *jimple.Class {
 	return c
 }
 
-// ownSeedPass is the engine's own seed pass over seeds on ref.
-func ownSeedPass(seeds []*jimple.Class, ref jvm.Spec, memo *jvm.VerifyMemo) []*coverage.Trace {
-	cfg := detConfig(Classfuzz)
-	cfg.Source = FlatSeeds(seeds)
-	cfg.RefSpec = ref
-	cfg.VerifyMemo = memo
-	return newEngine(cfg).runSeeds()
-}
-
 // sameTraces reports the first index where two seed passes disagree,
 // trace key by trace key, or -1.
 func sameTraces(a, b []*coverage.Trace) int {
@@ -75,34 +66,54 @@ func sameTraces(a, b []*coverage.Trace) int {
 	return -1
 }
 
-// TestSchedulerBaselinesMatchSeedPass: the traces a scheduler records
-// while clustering are exactly what the engine's own seed pass
-// records, seed by seed, with no memo, a cold memo and a warm one. The
-// corpora are the default ones of seeds 1-3 plus a seed that does not
-// lower (nil on both sides) and one the verifier rejects.
+// TestSchedulerBaselinesMatchSeedPass: the seed pass records the same
+// traces and fingerprints, seed by seed, with no memo, a cold memo and
+// a warm one, each with and without a registry, and the scheduler's
+// baselines (the pass with neither) are those traces. The corpora are
+// the default ones of seeds 1-3 plus a seed that does not lower (nil
+// everywhere) and one the verifier rejects.
 func TestSchedulerBaselinesMatchSeedPass(t *testing.T) {
+	ref := jvm.HotSpot9()
 	for k := int64(1); k <= 3; k++ {
 		seeds := append(seedgen.Generate(seedgen.DefaultOptions(60, k)), unlowerableSeed(), verifyRejectSeed())
-		sched, err := seedsel.New(seeds, seedsel.Options{Strategy: seedsel.Yield, RefSpec: jvm.HotSpot9()})
+		sched, err := seedsel.New(seeds, seedsel.Options{Strategy: seedsel.Yield, RefSpec: ref})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := sched.Baselines(jvm.HotSpot9())
+		got := sched.Baselines(ref)
 		if n := len(seeds); got[n-2] != nil || got[n-1] == nil {
 			t.Fatalf("corpus %d: unlowerable baseline %v, verify-reject baseline %v", k, got[n-2], got[n-1])
 		}
-		memo := jvm.NewVerifyMemo()
-		for _, pass := range []struct {
-			name string
-			memo *jvm.VerifyMemo
-		}{{"no memo", nil}, {"cold memo", memo}, {"warm memo", memo}} {
-			want := ownSeedPass(seeds, jvm.HotSpot9(), pass.memo)
-			if i := sameTraces(got, want); i >= 0 {
-				t.Fatalf("corpus %d, %s: seed %d baseline differs from the engine's seed pass", k, pass.name, i)
+		want := seedsel.RunSeeds(seeds, ref, nil, nil)
+		for _, withReg := range []bool{false, true} {
+			memo := jvm.NewVerifyMemo()
+			for _, pass := range []struct {
+				name string
+				memo *jvm.VerifyMemo
+			}{{"no memo", nil}, {"cold memo", memo}, {"warm memo", memo}} {
+				var reg *telemetry.Registry
+				if withReg {
+					reg = telemetry.New()
+				}
+				runs := seedsel.RunSeeds(seeds, ref, pass.memo, reg)
+				if i := sameTraces(got, seedsel.Traces(runs)); i >= 0 {
+					t.Fatalf("corpus %d, %s, registry %v: seed %d trace differs from the scheduler's baseline", k, pass.name, withReg, i)
+				}
+				for i := range runs {
+					if runs[i].Fingerprint != want[i].Fingerprint {
+						t.Fatalf("corpus %d, %s, registry %v: seed %d fingerprint differs", k, pass.name, withReg, i)
+					}
+				}
+				if !withReg {
+					continue
+				}
+				if got := reg.Snapshot().Counter("jvm." + ref.Name + ".runs"); got != int64(len(seeds)-1) {
+					t.Fatalf("corpus %d, %s: the registry counted %d seed runs, want %d", k, pass.name, got, len(seeds)-1)
+				}
 			}
-		}
-		if memo.Len() == 0 {
-			t.Fatalf("corpus %d: the memo stayed empty, so the warm pass hit nothing", k)
+			if memo.Len() == 0 {
+				t.Fatalf("corpus %d: the memo stayed empty, so the warm pass hit nothing", k)
+			}
 		}
 	}
 }
@@ -113,7 +124,7 @@ func TestSchedulerBaselinesMatchSeedPass(t *testing.T) {
 func TestEngineFoldsSourceBaselines(t *testing.T) {
 	cfg := schedConfig(t, seedsel.Clustered)
 	seeds := cfg.Source.Corpus()
-	own := ownSeedPass(seeds, cfg.RefSpec, nil)
+	own := seedsel.Traces(seedsel.RunSeeds(seeds, cfg.RefSpec, nil, nil))
 	for _, tc := range []struct {
 		name   string
 		traces []*coverage.Trace
@@ -253,7 +264,7 @@ func TestBaselinesOtherRefSpecNotReused(t *testing.T) {
 		t.Fatalf("a HotSpot9 scheduler handed out %d baselines for GIJ", len(got))
 	}
 	seeds := cfg.Source.Corpus()
-	if sameTraces(cfg.Source.Baselines(jvm.HotSpot9()), ownSeedPass(seeds, jvm.GIJ(), nil)) < 0 {
+	if sameTraces(cfg.Source.Baselines(jvm.HotSpot9()), seedsel.Traces(seedsel.RunSeeds(seeds, jvm.GIJ(), nil, nil))) < 0 {
 		t.Fatal("GIJ and HotSpot 9 record the same seed traces; the test cannot tell reuse from a seed pass")
 	}
 	a, err := Run(cfg)

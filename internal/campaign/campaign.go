@@ -101,14 +101,14 @@ type Config struct {
 	StaticPrefilter bool
 	// VerifyMemo optionally injects a method-verification memo the
 	// caller carries warm across campaigns (a lineage of epochs reusing
-	// its parents' per-method verdicts). The worker VMs and the
-	// engine's own seed pass (run only when the Source has no
-	// Baselines) share it; it holds runtime-verifier verdicts only,
-	// since the prefilter runs no verifier of its own. Nil runs
-	// verification unmemoised: a memo created cold for one campaign
-	// costs more memory than it saves. The memo is observe-equivalent: verdicts
-	// are content-addressed and pure, so results are bit-identical with
-	// a cold, warm or absent memo.
+	// its parents' per-method verdicts). The worker VMs and the seed
+	// pass's VMs (seedsel.RunSeeds, run only when the Source has no
+	// Baselines) share it concurrently; it holds runtime-verifier
+	// verdicts only, since the prefilter runs no verifier of its own.
+	// Nil runs verification unmemoised: a memo created cold for one
+	// campaign costs more memory than it saves. The memo is
+	// observe-equivalent: verdicts are content-addressed and pure, so
+	// results are bit-identical with a cold, warm or absent memo.
 	VerifyMemo *jvm.VerifyMemo
 	// Workers sizes the pool running the mutate/filter/execute stages;
 	// 0 or 1 means single-threaded. Results are identical at any value.

@@ -295,11 +295,16 @@ func referenceClassfuzz(t *testing.T, cfg Config) []string {
 		pool = append(pool, poolEntry{class: s, iter: -1})
 	}
 	for _, s := range cfg.Source.Corpus() {
-		tr, err := runOnRef(vm, rec, new(jimple.LowerCtx), s)
+		f, err := jimple.Lower(s)
 		if err != nil {
 			continue
 		}
-		if suite.Unique(tr) {
+		if _, err := f.Bytes(); err != nil {
+			continue
+		}
+		rec.Reset()
+		vm.RunParsed(f)
+		if tr := rec.Trace(); suite.Unique(tr) {
 			suite.Add(tr)
 		}
 	}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/mutation"
 	"repro/internal/prng"
+	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
 
@@ -276,7 +277,7 @@ func (e *engine) bind(cfg Config) {
 	// caller's campaigns: a mutant's untouched methods (the generated
 	// main, <init>, unmutated seed methods) reuse lineage verdicts
 	// instead of re-running the verifier on every generation. Every
-	// worker VM, and the engine's own seed pass when it runs one,
+	// worker VM, and every seed-pass VM when the engine runs the pass,
 	// shares it.
 	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
 		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
@@ -287,8 +288,8 @@ func (e *engine) bind(cfg Config) {
 // the acceptance state (Algorithm 1 line 1 initialises TestClasses
 // with the seeds, so seed traces participate in uniqueness checks).
 // The traces are the source's baselines when it recorded them on the
-// reference spec, else the engine's own seed pass. Shared verbatim by
-// fresh runs and Resume's replay.
+// reference spec, else the seed pass's (seedsel.RunSeeds). Shared
+// verbatim by fresh runs and Resume's replay.
 func (e *engine) initSeedState() {
 	sp := telemetry.StartSpan(e.tel.seeds)
 	defer sp.End()
@@ -301,35 +302,12 @@ func (e *engine) initSeedState() {
 	}
 	traces := e.src.Baselines(e.cfg.RefSpec)
 	if len(traces) != len(e.seeds) {
-		traces = e.runSeeds()
+		// The injected verify memo serves the seed runs like any
+		// worker's, and the registry counts them in the per-VM tables
+		// (it is nil during Resume's detached replay).
+		traces = seedsel.Traces(seedsel.RunSeeds(e.seeds, e.cfg.RefSpec, e.cfg.VerifyMemo, e.cfg.Telemetry))
 	}
 	e.foldSeeds(traces)
-}
-
-// runSeeds is the seed pass for a source without baselines: each seed
-// runs once on an instrumented reference VM, in corpus order. A nil
-// trace marks a seed that does not lower.
-func (e *engine) runSeeds() []*coverage.Trace {
-	cfg := &e.cfg
-	vm := jvm.New(cfg.RefSpec)
-	rec := coverage.NewRecorder(jvm.ProbeRegistry())
-	vm.SetRecorder(rec)
-	// The injected verify memo serves the seed runs like any worker's.
-	// A memo hit replays the verifier's probes, so the traces are the
-	// same with or without it — and the same as a source's baselines,
-	// which run without it.
-	vm.SetVerifyMemo(cfg.VerifyMemo)
-	if e.timing {
-		vm.SetTelemetry(e.cfg.Telemetry)
-	}
-	lctx := jimple.NewLowerCtx()
-	traces := make([]*coverage.Trace, len(e.seeds))
-	for i, s := range e.seeds {
-		if tr, err := runOnRef(vm, rec, lctx, s); err == nil {
-			traces[i] = tr
-		}
-	}
-	return traces
 }
 
 // foldSeeds folds the seed traces, in seed order, into the merged
@@ -825,21 +803,4 @@ func lower(c *jimple.Class) ([]byte, error) {
 		return nil, err
 	}
 	return f.Bytes()
-}
-
-// runOnRef lowers the class through lctx and executes it on the
-// instrumented reference VM, returning the coverage trace. The File is
-// written first — that brings it in step with its bytes — and then
-// run in place of a parse of them.
-func runOnRef(vm *jvm.VM, rec *coverage.Recorder, lctx *jimple.LowerCtx, c *jimple.Class) (*coverage.Trace, error) {
-	f, err := lctx.Lower(c)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Bytes(); err != nil {
-		return nil, err
-	}
-	rec.Reset()
-	vm.RunParsed(f)
-	return rec.Trace(), nil
 }

@@ -45,8 +45,8 @@ func schedConfig(t *testing.T, strategy seedsel.Strategy) Config {
 // valid. (referenceClassfuzz pins the same thing end-to-end.)
 func TestFlatUniformAdapterPinsIntn(t *testing.T) {
 	src := FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(3, 1)))
-	if src.Strategy() != StrategyUniform {
-		t.Fatalf("adapter strategy %q, want %q", src.Strategy(), StrategyUniform)
+	if src.Strategy() != string(seedsel.Uniform) {
+		t.Fatalf("adapter strategy %q, want %q", src.Strategy(), seedsel.Uniform)
 	}
 	r1 := rand.New(rand.NewSource(99))
 	r2 := rand.New(rand.NewSource(99))

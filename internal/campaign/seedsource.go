@@ -6,22 +6,23 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/jimple"
 	"repro/internal/jvm"
+	"repro/internal/seedsel"
 )
 
 // SeedSource is the engine's seed-corpus abstraction: it owns the
 // initial corpus and decides, per iteration, which pool entry the draw
 // stage mutates. The historical behaviour — a flat slice drawn
 // uniformly — is FlatSeeds; richer policies (clustering, yield-aware
-// scheduling, exploration floors) implement the same five methods and
-// plug into the draw stage unchanged (internal/seedsel provides the
-// second implementation).
+// scheduling, exploration floors) implement the same methods and plug
+// into the draw stage unchanged (internal/seedsel provides the second
+// implementation). NewSeedSource picks between the two by strategy.
 //
 // Seed pass. Algorithm 1 runs each seed once on the reference VM to
-// seed the test suite. A source that already ran the corpus on that
-// VM (seedsel clusters by those runs) hands the engine its traces
-// through Baselines, so each engine run makes exactly one seed pass;
-// a source that ran nothing returns nil, and the engine runs the seeds
-// itself.
+// seed the test suite; seedsel.RunSeeds is that pass. A source that
+// already ran it on that VM (seedsel clusters by those runs) hands the
+// engine its traces through Baselines, so each engine run makes
+// exactly one seed pass; a source that ran nothing returns nil, and
+// the engine runs the pass itself.
 //
 // Determinism contract. Pick runs on the sequential draw stage with
 // iteration i's private draw stream; Observe and Grew run on the
@@ -76,15 +77,26 @@ func FlatSeeds(seeds []*jimple.Class) SeedSource {
 	return flatUniform{seeds: seeds}
 }
 
+// NewSeedSource builds one engine run's SeedSource from opts: FlatSeeds
+// and a nil scheduler under the uniform strategy, else a fresh
+// seedsel scheduler, returned twice so the caller can read its cluster
+// table after the run. A scheduler is stateful: build one per run.
+func NewSeedSource(seeds []*jimple.Class, opts seedsel.Options) (SeedSource, *seedsel.Scheduler, error) {
+	if opts.Strategy == seedsel.Uniform {
+		return FlatSeeds(seeds), nil, nil
+	}
+	sched, err := seedsel.New(seeds, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return sched, sched, nil
+}
+
 type flatUniform struct {
 	seeds []*jimple.Class
 }
 
-// StrategyUniform names the flat-uniform policy; cmd flag parsing and
-// snapshot validation compare against it.
-const StrategyUniform = "uniform"
-
-func (f flatUniform) Strategy() string                     { return StrategyUniform }
+func (f flatUniform) Strategy() string                     { return string(seedsel.Uniform) }
 func (f flatUniform) Corpus() []*jimple.Class              { return f.seeds }
 func (f flatUniform) Pick(rng *rand.Rand, n int) int       { return rng.Intn(n) }
 func (f flatUniform) Observe(int, bool, bool)              {}

@@ -387,6 +387,19 @@ func (c Criterion) String() string {
 	return "[?]"
 }
 
+// ParseCriterion maps a flag value — st, stbr or tr — to its criterion.
+func ParseCriterion(s string) (Criterion, error) {
+	switch s {
+	case "st":
+		return ST, nil
+	case "stbr":
+		return STBR, nil
+	case "tr":
+		return TR, nil
+	}
+	return 0, fmt.Errorf("coverage: unknown criterion %q (want st|stbr|tr)", s)
+}
+
 // Suite tracks the coverage identities of an accepted test suite and
 // answers the representativeness question for candidates.
 type Suite struct {

@@ -431,3 +431,19 @@ func TestPropertyMergeAlgebra(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestParseCriterion: every criterion's flag value — its String
+// without the brackets — parses back to it; anything else is an error.
+func TestParseCriterion(t *testing.T) {
+	for _, c := range []Criterion{ST, STBR, TR} {
+		name := strings.Trim(c.String(), "[]")
+		if got, err := ParseCriterion(name); err != nil || got != c {
+			t.Errorf("ParseCriterion(%q) = %v, %v, want %v", name, got, err, c)
+		}
+	}
+	for _, bad := range []string{"", "STBR", "br", "[stbr]"} {
+		if _, err := ParseCriterion(bad); err == nil {
+			t.Errorf("ParseCriterion(%q) accepted", bad)
+		}
+	}
+}

@@ -24,6 +24,7 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/mutation"
 	"repro/internal/seedgen"
+	"repro/internal/seedsel"
 	"repro/internal/service"
 	"repro/internal/telemetry"
 )
@@ -114,7 +115,7 @@ func NewSession(s Scale) (*Session, error) {
 		seedFiles = append(seedFiles, data)
 	}
 
-	strategy, err := parseScaleStrategy(s.SeedStrategy)
+	strategy, err := seedsel.ParseStrategy(s.SeedStrategy)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +123,7 @@ func NewSession(s Scale) (*Session, error) {
 		reg := telemetry.New()
 		// Sources are stateful under the scheduling strategies, so each
 		// campaign gets a fresh one.
-		src, _, err := seedSourceFor(strategy, seeds, reg)
+		src, _, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -7,36 +7,11 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
 	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
-
-// parseScaleStrategy maps Scale.SeedStrategy to a policy ("" is the
-// uniform default; anything else must parse).
-func parseScaleStrategy(s string) (seedsel.Strategy, error) {
-	if s == "" {
-		return seedsel.Uniform, nil
-	}
-	return seedsel.ParseStrategy(s)
-}
-
-// seedSourceFor builds one campaign's SeedSource: the flat-uniform
-// adapter, or a fresh scheduler (stateful — one per campaign run). The
-// scheduler is also returned directly so callers can read its cluster
-// table after the run.
-func seedSourceFor(strategy seedsel.Strategy, seeds []*jimple.Class, reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, error) {
-	if strategy == seedsel.Uniform {
-		return campaign.FlatSeeds(seeds), nil, nil
-	}
-	sched, err := seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sched, sched, nil
-}
 
 // SeedStrategyRow is one strategy's outcome at the shared budget.
 type SeedStrategyRow struct {
@@ -68,36 +43,26 @@ type SeedStrategyStudy struct {
 	SeedCount  int
 	Iterations int
 	Rows       []SeedStrategyRow
-	// UniformMatchesBaseline reports that the uniform row's campaign —
-	// run through the SeedSource API — reproduced an independent
-	// baseline run draw-for-draw, pinning the adapter to the paper's
-	// flat-draw behaviour.
-	UniformMatchesBaseline bool
 }
 
 // RunSeedStrategyStudy runs classfuzz[stbr] once per strategy at an
-// equal budget, differentially tests each suite, and cross-checks the
-// uniform row against a fresh baseline campaign.
+// equal budget and differentially tests each suite.
 func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed))
 	runner := difftest.NewStandardRunner()
 	study := &SeedStrategyStudy{SeedCount: scale.SeedCount, Iterations: scale.Iterations}
 
-	run := func(strategy seedsel.Strategy, reg *telemetry.Registry) (*campaign.Result, *seedsel.Scheduler, error) {
-		src, sched, err := seedSourceFor(strategy, seeds, reg)
+	for _, strategy := range []seedsel.Strategy{seedsel.Uniform, seedsel.Clustered, seedsel.Yield} {
+		reg := telemetry.New()
+		src, sched, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("experiments: seed-strategy %s: %w", strategy, err)
 		}
 		res, err := campaign.Run(campaign.Config{
 			Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: src,
 			Iterations: scale.Iterations, Rand: scale.Seed + 100,
 			RefSpec: jvm.HotSpot9(), Workers: scale.Workers, Telemetry: reg,
 		})
-		return res, sched, err
-	}
-
-	for _, strategy := range []seedsel.Strategy{seedsel.Uniform, seedsel.Clustered, seedsel.Yield} {
-		res, sched, err := run(strategy, telemetry.New())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: seed-strategy %s: %w", strategy, err)
 		}
@@ -126,29 +91,8 @@ func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 		row.Distinct = sum.DistinctCount()
 		row.DiffRate = sum.DiffRate()
 		study.Rows = append(study.Rows, row)
-
-		if strategy == seedsel.Uniform {
-			base, _, err := run(seedsel.Uniform, nil)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: uniform baseline: %w", err)
-			}
-			study.UniformMatchesBaseline = drawsEqual(res.Draws, base.Draws) &&
-				len(res.Test) == len(base.Test) && len(res.Gen) == len(base.Gen)
-		}
 	}
 	return study, nil
-}
-
-func drawsEqual(a, b []campaign.DrawRecord) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the study as the committed experiments table.
@@ -171,6 +115,5 @@ func (s *SeedStrategyStudy) String() string {
 				r.Strategy, cs.Cluster, cs.Seeds, cs.Pool, cs.Draws, cs.Yield, cs.Demotions, cs.Demoted)
 		}
 	}
-	fmt.Fprintf(&b, "uniform row matches flat-draw baseline: %v\n", s.UniformMatchesBaseline)
 	return b.String()
 }

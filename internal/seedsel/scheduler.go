@@ -15,15 +15,77 @@ import (
 	"repro/internal/telemetry"
 )
 
-// seedInfo is one corpus entry's classification inputs: the structural
-// fingerprint of its lowered classfile and its baseline coverage trace
-// on the reference VM (both zero/empty for an unlowerable seed).
-// lowered says the seed lowered and wrote, so trace is a real run.
-type seedInfo struct {
-	fp      uint64
-	key     coverage.Key
-	trace   *coverage.Trace
-	lowered bool
+// SeedRun is one seed's record from RunSeeds.
+type SeedRun struct {
+	// Trace is the seed's coverage trace on the instrumented reference
+	// VM, nil if the seed does not lower or write (so a seed lowered
+	// exactly when Trace is non-nil). Its key is already computed.
+	Trace *coverage.Trace
+	// Fingerprint is the structural fingerprint of the lowered
+	// classfile, 0 if the seed does not lower or write.
+	Fingerprint uint64
+}
+
+// Traces returns every run's trace, index for index.
+func Traces(runs []SeedRun) []*coverage.Trace {
+	out := make([]*coverage.Trace, len(runs))
+	for i, r := range runs {
+		out[i] = r.Trace
+	}
+	return out
+}
+
+// RunSeeds is the seed pass of Algorithm 1 line 1: it lowers, writes
+// and runs every seed once on an instrumented ref VM, seed i into
+// slot i. The runs are spread over GOMAXPROCS goroutines, each with
+// its own VM, recorder and lowering context; every slot depends only
+// on its seed, so the result is the serial one at any GOMAXPROCS.
+// memo, when non-nil, serves every VM's verification: a memo hit
+// replays the verifier's probes, so the traces are the same with or
+// without it. reg, when non-nil, receives every VM's phase timing.
+func RunSeeds(seeds []*jimple.Class, ref jvm.Spec, memo *jvm.VerifyMemo, reg *telemetry.Registry) []SeedRun {
+	runs := make([]SeedRun, len(seeds))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(seeds)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			vm := jvm.New(ref)
+			rec := coverage.NewRecorder(jvm.ProbeRegistry())
+			vm.SetRecorder(rec)
+			vm.SetVerifyMemo(memo)
+			vm.SetTelemetry(reg)
+			lctx := jimple.NewLowerCtx()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(seeds) {
+					return
+				}
+				runs[i] = runSeed(vm, rec, lctx, seeds[i])
+			}
+		}()
+	}
+	wg.Wait()
+	return runs
+}
+
+// runSeed lowers one seed through lctx and runs it on vm. The File is
+// written first — that brings it in step with its bytes — and then
+// run in place of a parse of them.
+func runSeed(vm *jvm.VM, rec *coverage.Recorder, lctx *jimple.LowerCtx, c *jimple.Class) SeedRun {
+	f, err := lctx.Lower(c)
+	if err != nil {
+		return SeedRun{}
+	}
+	if _, err := f.Bytes(); err != nil {
+		return SeedRun{}
+	}
+	rec.Reset()
+	vm.RunParsed(f)
+	tr := rec.Trace()
+	tr.Key() // cached now, so readers of the shared trace never write it
+	return SeedRun{Trace: tr, Fingerprint: analysis.Fingerprint(f)}
 }
 
 // cluster is one scheduling unit: a distilled representative coverage
@@ -61,10 +123,10 @@ type cluster struct {
 type Scheduler struct {
 	strategy Strategy
 
-	// ref is the spec every baseline in infos was recorded on.
+	// ref is the spec every baseline in runs was recorded on.
 	ref      jvm.Spec
 	seeds    []*jimple.Class
-	infos    []seedInfo
+	runs     []SeedRun
 	clusters []*cluster
 	// assign maps every pool index (initial seed or recycled mutant) to
 	// its cluster. Grew extends it in commit order.
@@ -73,19 +135,14 @@ type Scheduler struct {
 	telDraws *telemetry.Counter
 	telYield *telemetry.Counter
 	telDem   *telemetry.Counter
-
-	// cls is the classification VM, kept for AddSeed and Classify
-	// (daemon intake).
-	cls *classifier
 }
 
 // New builds a scheduler over the seed corpus: it lowers and executes
 // every seed once on opts.RefSpec to record fingerprints and baseline
 // traces, distils the corpus into clusters, and readies the draw
-// policy. The seed runs are spread over GOMAXPROCS goroutines, each
-// with its own VM, and are the campaign's seed pass too: the engine
-// takes their traces through Baselines instead of running the seeds
-// again. Construction is deterministic — same corpus and options,
+// policy. The seed runs are RunSeeds, the campaign's seed pass: the
+// engine takes their traces through Baselines instead of running the
+// seeds again. Construction is deterministic — same corpus and options,
 // same clustering, at any GOMAXPROCS.
 func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	if opts.Strategy != Clustered && opts.Strategy != Yield {
@@ -104,7 +161,7 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 		seeds:    seeds,
 	}
 	sp := telemetry.StartSpan(opts.Telemetry.Histogram("seedsel.baselines_ns"))
-	s.infos = s.classifyAll(seeds)
+	s.runs = RunSeeds(seeds, s.ref, nil, nil)
 	sp.End()
 	s.cluster(base)
 
@@ -121,71 +178,6 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 		}
 	}
 	return s, nil
-}
-
-// classifier is one goroutine's instrumented reference VM and
-// lowering context.
-type classifier struct {
-	vm   *jvm.VM
-	rec  *coverage.Recorder
-	lctx *jimple.LowerCtx
-}
-
-func newClassifier(ref jvm.Spec) *classifier {
-	c := &classifier{
-		vm:   jvm.New(ref),
-		rec:  coverage.NewRecorder(jvm.ProbeRegistry()),
-		lctx: jimple.NewLowerCtx(),
-	}
-	c.vm.SetRecorder(c.rec)
-	return c
-}
-
-// classifyAll classifies seed i into slot i on GOMAXPROCS goroutines,
-// each with its own classifier. Every slot depends only on its seed,
-// so the result is the serial one at any GOMAXPROCS. The first
-// classifier stays on as the scheduler's own.
-func (s *Scheduler) classifyAll(seeds []*jimple.Class) []seedInfo {
-	infos := make([]seedInfo, len(seeds))
-	workers := min(runtime.GOMAXPROCS(0), len(seeds))
-	cls := make([]*classifier, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := range cls {
-		cls[w] = newClassifier(s.ref)
-		wg.Add(1)
-		go func(c *classifier) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(seeds) {
-					return
-				}
-				infos[i] = c.classifyInputs(seeds[i])
-			}
-		}(cls[w])
-	}
-	wg.Wait()
-	s.cls = cls[0]
-	return infos
-}
-
-// classifyInputs lowers one class and records its structural
-// fingerprint and baseline trace (zero values if it does not lower).
-// The File is written first — that brings it in step with its bytes —
-// and then run in place of a parse of them.
-func (c *classifier) classifyInputs(cl *jimple.Class) seedInfo {
-	f, err := c.lctx.Lower(cl)
-	if err != nil {
-		return seedInfo{trace: coverage.NewTrace()}
-	}
-	if _, err := f.Bytes(); err != nil {
-		return seedInfo{trace: coverage.NewTrace()}
-	}
-	c.rec.Reset()
-	c.vm.RunParsed(f)
-	tr := c.rec.Trace()
-	return seedInfo{fp: analysis.Fingerprint(f), key: tr.Key(), trace: tr, lowered: true}
 }
 
 // cluster distils seeds[:base] into representative coverage sets and
@@ -208,14 +200,16 @@ func (s *Scheduler) cluster(base int) {
 	var groups []group
 	groupIdx := map[uint64]int{}
 	for i := 0; i < base; i++ {
-		in := s.infos[i]
-		gi, ok := groupIdx[in.fp]
+		in := s.runs[i]
+		gi, ok := groupIdx[in.Fingerprint]
 		if !ok {
 			gi = len(groups)
-			groupIdx[in.fp] = gi
-			groups = append(groups, group{fp: in.fp, trace: coverage.NewTrace()})
+			groupIdx[in.Fingerprint] = gi
+			groups = append(groups, group{fp: in.Fingerprint, trace: coverage.NewTrace()})
 		}
-		groups[gi].trace = coverage.Merge(groups[gi].trace, in.trace)
+		if in.Trace != nil {
+			groups[gi].trace = coverage.Merge(groups[gi].trace, in.Trace)
+		}
 	}
 
 	union := coverage.NewTrace()
@@ -245,7 +239,7 @@ func (s *Scheduler) cluster(base int) {
 
 	s.assign = make([]int, 0, len(s.seeds))
 	for i := range s.seeds {
-		ci := s.classify(s.infos[i])
+		ci := s.classify(s.runs[i])
 		s.assign = append(s.assign, ci)
 		c := s.clusters[ci]
 		c.members = append(c.members, i)
@@ -253,14 +247,18 @@ func (s *Scheduler) cluster(base int) {
 	}
 }
 
-// classify maps classification inputs to a cluster index.
-func (s *Scheduler) classify(in seedInfo) int {
+// classify maps a seed's run to a cluster index. A seed that did not
+// lower overlaps nothing, so it joins the first cluster.
+func (s *Scheduler) classify(in SeedRun) int {
+	if in.Trace == nil {
+		return 0
+	}
 	best, bestOverlap := 0, -1
 	for ci, c := range s.clusters {
-		if in.fp != 0 && in.fp == c.fp {
+		if in.Fingerprint != 0 && in.Fingerprint == c.fp {
 			return ci
 		}
-		if ov := in.trace.OverlapCount(c.trace); ov > bestOverlap {
+		if ov := in.Trace.OverlapCount(c.trace); ov > bestOverlap {
 			best, bestOverlap = ci, ov
 		}
 	}
@@ -277,18 +275,12 @@ func (s *Scheduler) Corpus() []*jimple.Class { return s.seeds }
 // every corpus entry as New (or AddSeed) recorded it, nil for a seed
 // that did not lower. It returns nil when ref is not the spec the
 // traces were recorded on. The traces are shared, not copied; traces
-// are immutable and their keys were computed at classification.
+// are immutable and their keys were computed by the seed pass.
 func (s *Scheduler) Baselines(ref jvm.Spec) []*coverage.Trace {
 	if ref != s.ref {
 		return nil
 	}
-	out := make([]*coverage.Trace, len(s.infos))
-	for i, in := range s.infos {
-		if in.lowered {
-			out[i] = in.trace
-		}
-	}
-	return out
+	return Traces(s.runs)
 }
 
 // weight is a cluster's unnormalised draw mass.
@@ -440,24 +432,31 @@ type SeedClass struct {
 // existing cluster. Not for use mid-engine-run (the engine's pool
 // indexes the corpus it started with).
 func (s *Scheduler) AddSeed(c *jimple.Class) SeedClass {
-	in := s.cls.classifyInputs(c)
-	ci := s.classify(in)
-	idx := len(s.seeds)
+	in, sc := s.place(c)
 	s.seeds = append(s.seeds, c)
-	s.infos = append(s.infos, in)
-	s.assign = append(s.assign, ci)
-	cl := s.clusters[ci]
-	cl.members = append(cl.members, idx)
+	s.runs = append(s.runs, in)
+	s.assign = append(s.assign, sc.Cluster)
+	cl := s.clusters[sc.Cluster]
+	cl.members = append(cl.members, len(s.seeds)-1)
 	cl.seedCount++
-	return SeedClass{Fingerprint: in.fp, TraceKeyHi: in.key.Hi, TraceKeyLo: in.key.Lo, Cluster: ci}
+	return sc
 }
 
 // Classify reports where AddSeed would place the class, without
 // mutating the scheduler.
 func (s *Scheduler) Classify(c *jimple.Class) SeedClass {
-	in := s.cls.classifyInputs(c)
-	ci := s.classify(in)
-	return SeedClass{Fingerprint: in.fp, TraceKeyHi: in.key.Hi, TraceKeyLo: in.key.Lo, Cluster: ci}
+	_, sc := s.place(c)
+	return sc
+}
+
+// place runs one class through the seed pass and picks its cluster.
+func (s *Scheduler) place(c *jimple.Class) (SeedRun, SeedClass) {
+	in := RunSeeds([]*jimple.Class{c}, s.ref, nil, nil)[0]
+	var key coverage.Key // zero for a seed that did not lower
+	if in.Trace != nil {
+		key = in.Trace.Key()
+	}
+	return in, SeedClass{Fingerprint: in.Fingerprint, TraceKeyHi: key.Hi, TraceKeyLo: key.Lo, Cluster: s.classify(in)}
 }
 
 // ClusterStat is one cluster's reporting row.

@@ -5,9 +5,9 @@
 // ("clustered", a diversity rebalance of the paper's flat draw) or
 // weighted by observed mutant yield with stagnant clusters demoted
 // ("yield"), always with an epsilon exploration floor so no seed
-// starves. Scheduler satisfies campaign.SeedSource structurally (this
-// package deliberately does not import campaign, so the engine's tests
-// can drive a Scheduler without an import cycle).
+// starves. Scheduler satisfies campaign.SeedSource structurally: this
+// package does not import campaign, whose engine runs its own seed
+// pass through RunSeeds and whose NewSeedSource builds a Scheduler.
 //
 // Determinism. A Scheduler is a pure function of (seed corpus, options)
 // and the sequence of Pick/Observe/Grew calls the engine's sequential
@@ -45,10 +45,13 @@ const (
 // Strategies lists the accepted -seed-strategy flag values.
 func Strategies() string { return "uniform|clustered|yield" }
 
-// ParseStrategy validates a flag value. Unknown values are an error —
-// callers must reject them with a usage error, never fall back.
+// ParseStrategy validates a flag value; "" is Uniform. Unknown values
+// are an error — callers must reject them with a usage error, never
+// fall back.
 func ParseStrategy(s string) (Strategy, error) {
 	switch Strategy(s) {
+	case "":
+		return Uniform, nil
 	case Uniform, Clustered, Yield:
 		return Strategy(s), nil
 	}

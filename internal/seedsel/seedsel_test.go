@@ -18,7 +18,10 @@ func TestParseStrategy(t *testing.T) {
 			t.Errorf("ParseStrategy(%q) = %q, %v", ok, s, err)
 		}
 	}
-	for _, bad := range []string{"", "Uniform", "random", "flat", "yield "} {
+	if s, err := ParseStrategy(""); err != nil || s != Uniform {
+		t.Errorf("ParseStrategy(\"\") = %q, %v, want uniform", s, err)
+	}
+	for _, bad := range []string{"Uniform", "random", "flat", "yield "} {
 		if _, err := ParseStrategy(bad); err == nil {
 			t.Errorf("ParseStrategy(%q) accepted", bad)
 		}
@@ -70,18 +73,25 @@ func TestConstructionDeterministic(t *testing.T) {
 // GOMAXPROCS goroutines, but each lands in its own slot and clustering
 // runs after all of them, so a scheduler built on one core equals one
 // built on four: serialized state, cluster table, the classification
-// of every seed, and the recorded baselines.
+// of every seed, and the recorded baselines. The seed pass with an
+// injected memo (cold on one core, warm on four) and a registry
+// records those baselines too.
 func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(60, 2))
-	build := func(procs int) *Scheduler {
+	memo := jvm.NewVerifyMemo()
+	build := func(procs int) (*Scheduler, []SeedRun) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s
+		return s, RunSeeds(seeds, jvm.HotSpot9(), memo, telemetry.New())
 	}
-	one, four := build(1), build(4)
+	one, runsOne := build(1)
+	four, runsFour := build(4)
+	if memo.Len() == 0 {
+		t.Fatal("the injected memo stayed empty")
+	}
 	sa, err := one.MarshalState()
 	if err != nil {
 		t.Fatal(err)
@@ -109,6 +119,12 @@ func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		if (ba[i] == nil) != (bb[i] == nil) || (ba[i] != nil && !ba[i].EqualSets(bb[i])) {
 			t.Fatalf("seed %d: baseline differs between GOMAXPROCS 1 and 4", i)
 		}
+		for _, r := range []SeedRun{runsOne[i], runsFour[i]} {
+			if r.Fingerprint != one.runs[i].Fingerprint || (r.Trace == nil) != (ba[i] == nil) ||
+				(r.Trace != nil && (r.Trace.Key() != ba[i].Key() || !r.Trace.EqualSets(ba[i]))) {
+				t.Fatalf("seed %d: the memoised seed pass differs from the baseline", i)
+			}
+		}
 	}
 }
 
@@ -130,7 +146,7 @@ func TestBaselinesFollowRefSpec(t *testing.T) {
 		t.Fatalf("%d baselines for a %d-seed corpus", len(got), len(s.Corpus()))
 	}
 	for i, tr := range got {
-		if tr == nil || tr.Key() != s.infos[i].key {
+		if tr == nil || tr != s.runs[i].Trace {
 			t.Fatalf("seed %d: baseline is not the recorded trace", i)
 		}
 	}

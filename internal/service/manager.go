@@ -80,9 +80,6 @@ func (c *Config) withDefaults() Config {
 	if d.Algorithm == "" {
 		d.Algorithm = campaign.Classfuzz
 	}
-	if d.SeedStrategy == "" {
-		d.SeedStrategy = string(seedsel.Uniform)
-	}
 	if d.SeedCount < 1 {
 		d.SeedCount = 60
 	}
@@ -545,20 +542,12 @@ func (m *Manager) epochSeed(shard, epoch int) int64 {
 // index's: representatives are restricted to the generated base
 // corpus, so submitted seeds join existing clusters.
 func (m *Manager) epochSource(used int, reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, error) {
-	corpus := m.corpusFor(used)
-	if m.strategy == seedsel.Uniform {
-		return campaign.FlatSeeds(corpus), nil, nil
-	}
-	sched, err := seedsel.New(corpus, seedsel.Options{
+	return campaign.NewSeedSource(m.corpusFor(used), seedsel.Options{
 		Strategy:  m.strategy,
 		RefSpec:   jvm.HotSpot9(),
 		Base:      len(m.baseSeeds),
 		Telemetry: reg,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sched, sched, nil
 }
 
 // campaignConfig shapes one epoch's engine run.
