@@ -201,16 +201,27 @@ func main() {
 		fmt.Printf("\n")
 	}
 
+	// An all-invoked class whose VMs print different lines is discrepant
+	// under Definition 1, yet the Summary files it as invoked; counting
+	// it here reconciles the table with the inventory below.
+	outputDivergent := 0
+	for _, v := range sum.Vectors {
+		if v.AllInvoked() && v.OutputDivergent() {
+			outputDivergent++
+		}
+	}
 	fmt.Printf("## Differential testing\n\n")
 	fmt.Printf("| metric | value |\n|---|---|\n")
 	fmt.Printf("| suite size | %d |\n", sum.Total)
 	fmt.Printf("| invoked by all five VMs | %d |\n", sum.AllInvoked)
+	fmt.Printf("| of which the VMs print different output (discrepant; in the inventory) | %d |\n", outputDivergent)
 	fmt.Printf("| rejected by all at the same stage | %d |\n", sum.AllRejectedSameStage)
 	fmt.Printf("| discrepancy-triggering | %d (%.1f%%) |\n", sum.Discrepancies, sum.DiffRate()*100)
 	fmt.Printf("| distinct discrepancies | %d |\n", sum.DistinctCount())
-	fmt.Printf("| static-oracle mismatches (sanitizer) | %d |\n\n", sum.OracleMismatches)
-	for _, s := range sum.MismatchSamples {
-		fmt.Printf("- oracle mismatch: %s\n", s)
+	hard := sum.HardMismatches()
+	fmt.Printf("| static-oracle mismatches (sanitizer) | %d |\n\n", len(hard))
+	for _, m := range hard[:min(10, len(hard))] {
+		fmt.Printf("- oracle mismatch: %s\n", m)
 	}
 
 	fmt.Printf("### Per-VM phase histogram\n\n")

@@ -472,13 +472,6 @@ func (op Opcode) Mnemonic() string {
 	return fmt.Sprintf("op_0x%02x", byte(op))
 }
 
-// Defined reports whether op is part of the JVM instruction set
-// (including the reserved breakpoint/impdep opcodes).
-func (op Opcode) Defined() bool {
-	_, ok := Lookup(op)
-	return ok
-}
-
 // IsBranch reports whether op transfers control to an explicit offset
 // operand (conditional branches, goto, jsr and the wide forms).
 func (op Opcode) IsBranch() bool {

@@ -1,6 +1,8 @@
 package campaign
 
 import (
+	"errors"
+	"strconv"
 	"time"
 
 	"repro/internal/jimple"
@@ -80,26 +82,8 @@ func runBytefuzz(cfg Config) (*Result, error) {
 }
 
 func nameOf(it int) string {
-	return "B" + itoa(1430000000+it)
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return "B" + strconv.Itoa(1430000000+it)
 }
 
 // errNoSerializableSeeds is returned when no seed lowers to bytes.
-var errNoSerializableSeeds = errString("campaign: no serializable seeds for bytefuzz")
-
-type errString string
-
-func (e errString) Error() string { return string(e) }
+var errNoSerializableSeeds = errors.New("campaign: no serializable seeds for bytefuzz")

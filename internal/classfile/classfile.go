@@ -188,16 +188,6 @@ func (f *File) FindMethodExact(name, desc string) *Member {
 	return nil
 }
 
-// FindField returns the first field with the given name, or nil.
-func (f *File) FindField(name string) *Member {
-	for _, fl := range f.Fields {
-		if fl.Name(f.Pool) == name {
-			return fl
-		}
-	}
-	return nil
-}
-
 // SetSuper rewrites the superclass to the named class.
 func (f *File) SetSuper(internalName string) {
 	f.SuperClass = f.Pool.AddClass(internalName)

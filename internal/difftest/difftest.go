@@ -31,9 +31,10 @@ type Runner struct {
 	// VerifyMemo memoises method-granular verification verdicts: a
 	// mutant differs from its parent somewhere, yet still reuses the
 	// lineage's verdicts for untouched methods, across all five VMs and
-	// across evaluations. It is a pure-function cache shared by worker
-	// clones, keyed by the name-masked method content (jvm.MethodKey),
-	// so renamed-but-identical lineages hit.
+	// across this runner's evaluations. It is a pure-function cache
+	// shared by worker clones, keyed by the name-masked method content
+	// (jvm.MethodKey), so renamed-but-identical lineages hit. Each
+	// runner owns its memo; nothing outlives the runner.
 	VerifyMemo *jvm.VerifyMemo
 
 	// reg receives the engine's difftest.* metrics — a private registry
@@ -46,9 +47,11 @@ type Runner struct {
 	vmTiming bool
 }
 
-// newRunner wires a private metrics registry and memo around a lineup.
-func newRunner(vms []*jvm.VM, memo *jvm.VerifyMemo) *Runner {
-	r := &Runner{VMs: vms, reg: telemetry.New(), VerifyMemo: memo}
+// newRunner wires a private metrics registry and a verify memo of the
+// runner's own around a lineup. The memo is shared by the lineup and
+// every Evaluate worker clone, and dropped together with the runner.
+func newRunner(vms []*jvm.VM) *Runner {
+	r := &Runner{VMs: vms, reg: telemetry.New(), VerifyMemo: jvm.NewVerifyMemo()}
 	r.tel = newRunnerTel(r.reg, len(vms))
 	jvm.ShareDecodeCache(r.VMs)
 	jvm.ShareVerifyMemo(r.VMs, r.VerifyMemo)
@@ -57,20 +60,13 @@ func newRunner(vms []*jvm.VM, memo *jvm.VerifyMemo) *Runner {
 
 // NewStandardRunner builds the Table 3 lineup — HotSpot 7/8/9, J9,
 // GIJ — each bound to its own library release (the configuration of the
-// paper's evaluation, where compatibility discrepancies are visible),
-// with a fresh verify memo of its own.
+// paper's evaluation, where compatibility discrepancies are visible).
 func NewStandardRunner() *Runner {
-	return NewStandardRunnerWithMemo(jvm.NewVerifyMemo())
-}
-
-// NewStandardRunnerWithMemo is NewStandardRunner around a caller's
-// verify memo, such as one a session shares among its runners.
-func NewStandardRunnerWithMemo(memo *jvm.VerifyMemo) *Runner {
 	var vms []*jvm.VM
 	for _, spec := range jvm.StandardFive() {
 		vms = append(vms, jvm.New(spec))
 	}
-	return newRunner(vms, memo)
+	return newRunner(vms)
 }
 
 // NewSharedEnvRunner binds all five VMs to one library release —
@@ -82,7 +78,7 @@ func NewSharedEnvRunner(release rtlib.Release) *Runner {
 	for _, spec := range jvm.StandardFive() {
 		vms = append(vms, jvm.NewWithEnv(spec, env))
 	}
-	return newRunner(vms, jvm.NewVerifyMemo())
+	return newRunner(vms)
 }
 
 // Names returns the VM display names in order.
@@ -221,22 +217,26 @@ type Summary struct {
 	PhaseHistogram [][]int
 	// VMNames labels the histogram rows.
 	VMNames []string
-	// OracleMismatches counts unwaived static-oracle disagreements seen
-	// by a checked evaluation (always 0 unless Options.Checked is set).
-	OracleMismatches int
-	// VerifierMismatches is the subset of OracleMismatches where either
-	// side claims a VerifyError — the static-verdict-vs-VM-verifier
-	// discrepancy class the dataflow oracle introduced.
-	VerifierMismatches int
-	// MismatchSamples holds the first few rendered mismatches for
-	// reporting, in class order then VM order (deterministic at any
-	// worker count).
-	MismatchSamples []string
 	// Vectors holds each class's outcome vector, in class order.
 	Vectors []Vector
 	// Mismatches holds each class's oracle mismatches, waived ones
 	// included, in VM order; nil unless Options.Checked is set.
 	Mismatches [][]analysis.Mismatch
+}
+
+// HardMismatches returns the unwaived oracle mismatches of every class,
+// in class order then VM order (deterministic at any worker count).
+// Waived ones are tolerated by design and left out.
+func (s *Summary) HardMismatches() []analysis.Mismatch {
+	var hard []analysis.Mismatch
+	for _, mm := range s.Mismatches {
+		for _, m := range mm {
+			if m.Hard() {
+				hard = append(hard, m)
+			}
+		}
+	}
+	return hard
 }
 
 // DistinctCount returns |Distinct_Discrepancies|.
@@ -283,8 +283,8 @@ type Options struct {
 	Workers int
 	// Checked cross-checks each outcome against the static oracle's
 	// prediction for that VM (a disagreement is a bug in this
-	// reproduction, not a VM discrepancy); unwaived mismatches are
-	// counted and sampled in the Summary.
+	// reproduction, not a VM discrepancy); each class's mismatches are
+	// kept in the Summary.
 	Checked bool
 }
 
@@ -314,22 +314,5 @@ func (s *Summary) absorb(v Vector) {
 		s.DistinctVectors[v.Key()]++
 	default:
 		s.AllRejectedSameStage++
-	}
-}
-
-// absorbMismatches folds oracle disagreements into the summary; waived
-// ones are tolerated by design and not counted.
-func (s *Summary) absorbMismatches(mm []analysis.Mismatch) {
-	for _, m := range mm {
-		if !m.Hard() {
-			continue
-		}
-		s.OracleMismatches++
-		if m.VerifierSplit() {
-			s.VerifierMismatches++
-		}
-		if len(s.MismatchSamples) < 10 {
-			s.MismatchSamples = append(s.MismatchSamples, m.String())
-		}
 	}
 }

@@ -141,7 +141,7 @@ func (r *Runner) runLineup(vms []*jvm.VM, data []byte, checked bool) (Vector, []
 // index-addressed buffer and fold into the Summary afterwards in class
 // order (the same fixed-order commit discipline as the campaign
 // engine), so the Summary — per-class vectors and mismatches,
-// DistinctVectors, histogram, samples and all — is identical at any
+// DistinctVectors and histogram included — is identical at any
 // worker count.
 func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 	sp := telemetry.StartSpan(r.tel.evaluateNs)
@@ -179,15 +179,12 @@ func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 
 	s := newSummary(r)
 	s.Vectors = vecs
-	for i := range classes {
-		s.absorb(vecs[i])
-		if opt.Checked {
-			s.absorbMismatches(mms[i])
-		}
+	for _, v := range vecs {
+		s.absorb(v)
 	}
 	if opt.Checked {
 		s.Mismatches = mms
-		r.tel.oracleMM.Add(int64(s.OracleMismatches))
+		r.tel.oracleMM.Add(int64(len(s.HardMismatches())))
 	}
 	return s
 }

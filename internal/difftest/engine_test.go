@@ -100,11 +100,11 @@ func testWorkerCounts() []int {
 	return ws
 }
 
-// withoutOracle drops the static-oracle fields, which the per-VM-parse
+// withoutOracle drops the static-oracle field, which the per-VM-parse
 // reference cannot produce.
 func withoutOracle(s *Summary) *Summary {
 	c := *s
-	c.OracleMismatches, c.VerifierMismatches, c.MismatchSamples, c.Mismatches = 0, 0, nil, nil
+	c.Mismatches = nil
 	return &c
 }
 
@@ -124,7 +124,7 @@ func perVMParseReference(classes [][]byte) *Summary {
 // TestEngineEquivalence asserts the engine's contract: sequential
 // Evaluate and Evaluate at every worker count (0 and 1 are sequential)
 // produce Summaries field-identical — DistinctVectors, histogram,
-// sample ordering included — to the retained pre-engine per-VM-parse
+// vector ordering included — to the retained pre-engine per-VM-parse
 // reference on a mixed corpus.
 func TestEngineEquivalence(t *testing.T) {
 	classes := mixedCorpus(t)
@@ -139,8 +139,8 @@ func TestEngineEquivalence(t *testing.T) {
 
 // TestEvaluateCheckedEquivalence asserts the checked path (static
 // oracle sanitizer) is field-identical across worker counts,
-// MismatchSamples ordering included, and agrees with the per-VM-parse
-// reference once the oracle fields are set aside. Class by class, the
+// per-class mismatch ordering included, and agrees with the per-VM-parse
+// reference once the oracle field is set aside. Class by class, the
 // kept mismatches equal a checked single-class lineup run's.
 func TestEvaluateCheckedEquivalence(t *testing.T) {
 	classes := append(mixedCorpus(t), catalogAndMutants(t)...)
@@ -172,9 +172,8 @@ func TestEvaluateCheckedMatchesParallel(t *testing.T) {
 	r := NewStandardRunner()
 	plain := r.Evaluate(classes, Options{Workers: 4})
 	checked := r.Evaluate(classes, Options{Workers: 4, Checked: true})
-	if checked.OracleMismatches != 0 {
-		t.Errorf("static oracle disagreed with the interpreter %d time(s): %v",
-			checked.OracleMismatches, checked.MismatchSamples)
+	if hard := checked.HardMismatches(); len(hard) != 0 {
+		t.Errorf("static oracle disagreed with the interpreter %d time(s): %v", len(hard), hard)
 	}
 	if !reflect.DeepEqual(plain, withoutOracle(checked)) {
 		t.Errorf("aggregates diverged:\nplain   %+v\nchecked %+v", plain, checked)

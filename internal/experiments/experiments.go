@@ -89,9 +89,8 @@ var CampaignOrder = []string{
 
 // Session holds the shared campaign results. It is a service.Session
 // — the same folding aggregate the classfuzzd daemon uses for its
-// shard epochs — plus the experiment-specific seed corpus: Campaigns,
-// the shared VerifyMemo and the Telemetry roll-up promote from the
-// embedded session.
+// shard epochs — plus the experiment-specific seed corpus: Campaigns
+// and the Telemetry roll-up promote from the embedded session.
 type Session struct {
 	Scale     Scale
 	Seeds     []*jimple.Class
@@ -397,8 +396,8 @@ type Table7 struct {
 // Table7 evaluates the classfuzz[stbr] suite per VM.
 func (s *Session) Table7() *Table7 {
 	// The classfuzz[stbr] suite was already evaluated inside Table 6's
-	// Test block; it runs again here on a fresh lineup, which the
-	// session's verify memo finds warm.
+	// Test block; it runs again here on a fresh lineup with a verify
+	// memo of its own.
 	runner := s.Runner()
 	var classes [][]byte
 	for _, g := range s.Campaigns[KeyClassfuzzSTBR].Test {

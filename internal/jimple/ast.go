@@ -357,16 +357,6 @@ func (c *Class) FindMethod(name string) *Method {
 	return nil
 }
 
-// MethodIndex returns the index of m in c.Methods, or -1.
-func (c *Class) MethodIndex(m *Method) int {
-	for i, x := range c.Methods {
-		if x == m {
-			return i
-		}
-	}
-	return -1
-}
-
 // IsInterface reports whether the class is declared as an interface.
 func (c *Class) IsInterface() bool { return c.Modifiers.Has(classfile.AccInterface) }
 

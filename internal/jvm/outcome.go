@@ -55,16 +55,6 @@ func AllPhases() []Phase {
 	return []Phase{PhaseInvoked, PhaseLoading, PhaseLinking, PhaseInit, PhaseRuntime}
 }
 
-// ParsePhase maps a phase name back to its constant.
-func ParsePhase(s string) (Phase, bool) {
-	for i, n := range phaseNames {
-		if n == s {
-			return Phase(i), true
-		}
-	}
-	return 0, false
-}
-
 // JVM error and exception class names thrown by the pipeline.
 const (
 	ErrClassFormat            = "java.lang.ClassFormatError"

@@ -2,7 +2,6 @@ package jvm_test
 
 import (
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -49,10 +48,7 @@ func TestSharedEnvConcurrentPresets(t *testing.T) {
 	for _, r := range []rtlib.Release{rtlib.JRE7, rtlib.JRE8, rtlib.JRE9, rtlib.Classpath} {
 		shared, fresh := rtlib.Shared(r), rtlib.NewEnv(r)
 		names := shared.ClassNames()
-		sort.Strings(names)
-		freshNames := fresh.ClassNames()
-		sort.Strings(freshNames)
-		if !reflect.DeepEqual(names, freshNames) {
+		if !reflect.DeepEqual(names, fresh.ClassNames()) {
 			t.Fatalf("%s: the shared Env's classes changed", r)
 		}
 		for _, n := range names {

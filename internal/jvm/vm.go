@@ -118,16 +118,12 @@ const decodeCacheMax = 4096
 // methods) therefore survive rotation indefinitely, instead of the old
 // wholesale reset cold-starting every decode on long daemon runs.
 type DecodeCache struct {
-	m         map[string]*decodedCode
-	prev      map[string]*decodedCode
-	evictions uint64
+	m    map[string]*decodedCode
+	prev map[string]*decodedCode
 }
 
 // NewDecodeCache returns an empty cache.
 func NewDecodeCache() *DecodeCache { return &DecodeCache{} }
-
-// Evictions returns how many generation rotations the cache has done.
-func (c *DecodeCache) Evictions() uint64 { return c.evictions }
 
 func (c *DecodeCache) get(code []byte) (*decodedCode, bool) {
 	if d, ok := c.m[string(code)]; ok {
@@ -153,7 +149,6 @@ func (c *DecodeCache) put(code []byte, d *decodedCode) (rotated bool) {
 	} else if len(c.m) >= decodeCacheMax {
 		c.prev = c.m
 		c.m = make(map[string]*decodedCode, 64)
-		c.evictions++
 		rotated = true
 	}
 	c.m[string(code)] = d

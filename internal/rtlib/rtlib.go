@@ -9,6 +9,7 @@
 package rtlib
 
 import (
+	"sort"
 	"strings"
 	"sync"
 )
@@ -141,12 +142,13 @@ func (e *Env) Contains(name string) bool {
 	return ok
 }
 
-// ClassNames returns all registered class names (unordered).
+// ClassNames returns all registered class names, sorted.
 func (e *Env) ClassNames() []string {
 	out := make([]string, 0, len(e.classes))
 	for n := range e.classes {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -19,6 +19,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/difftest"
 	"repro/internal/jimple"
+	"repro/internal/jvm"
 	"repro/internal/seedgen"
 )
 
@@ -621,22 +622,32 @@ func TestLeftoverMemoFileIgnored(t *testing.T) {
 	}
 }
 
-// TestSessionRunnerUsesSessionMemo pins that a session Runner verifies
-// through the session's memo itself: the runner holds it, and what the
-// runner verifies lands in it.
-func TestSessionRunnerUsesSessionMemo(t *testing.T) {
+// TestSessionRunnersOwnTheirMemos pins that the session retains no
+// verify verdicts: each session Runner holds a memo of its own, and a
+// runner built after another has evaluated classes starts empty. The
+// memo's counters still reach the session roll-up.
+func TestSessionRunnersOwnTheirMemos(t *testing.T) {
 	s := NewSession(nil)
-	r := s.Runner()
-	if r.VerifyMemo != s.VerifyMemo {
-		t.Fatal("runner carries a verify memo of its own")
+	first, second := s.Runner(), s.Runner()
+	if first.VerifyMemo == nil || first.VerifyMemo == second.VerifyMemo {
+		t.Fatal("two session runners share a verify memo")
 	}
 	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(4, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Evaluate(files, difftest.Options{})
-	if s.VerifyMemo.Len() == 0 {
-		t.Fatal("evaluation left the session memo empty")
+	first.Evaluate(files, difftest.Options{})
+	if first.VerifyMemo.Len() == 0 {
+		t.Fatal("evaluation left the runner's memo empty")
+	}
+	if n := s.Runner().VerifyMemo.Len(); n != 0 {
+		t.Fatalf("a fresh session runner starts with %d memoised verdicts", n)
+	}
+	if second.VerifyMemo.Len() != 0 {
+		t.Fatal("another runner's evaluation filled this runner's memo")
+	}
+	if s.Telemetry.Snapshot().Counter(jvm.MetricVerifyMemoMisses) == 0 {
+		t.Fatal("the runner's memo misses did not reach the session roll-up")
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/jvm"
 	"repro/internal/telemetry"
 )
 
@@ -50,9 +49,8 @@ const (
 
 // Session aggregates campaign results produced by independent runs —
 // the daemon's shard epochs, or the experiment driver's six campaigns
-// — into one view: the folded results map, a shared method-granular
-// verify memo, a telemetry roll-up, and the word-OR of every folded
-// campaign's coverage trace. Fold is safe for concurrent use; the exported fields
+// — into one view: the folded results map, a telemetry roll-up, and the
+// word-OR of every folded campaign's coverage trace. Fold is safe for concurrent use; the exported fields
 // are for direct reading once the producing goroutines have finished.
 type Session struct {
 	mu sync.Mutex
@@ -60,15 +58,10 @@ type Session struct {
 	// Campaigns maps a fold key (e.g. "shard0/epoch2" or
 	// "classfuzz[stbr]") to that campaign's result.
 	Campaigns map[string]*campaign.Result
-	// VerifyMemo is the method-granular verification memo shared by
-	// every session Runner: renamed-but-identical lineage methods hit
-	// it even though every mutant is new bytes. It lives for the
-	// session only; nothing persists it.
-	VerifyMemo *jvm.VerifyMemo
 	// Telemetry is the session-wide metrics roll-up. Campaigns run
 	// against private registries which Fold merges in as they finish,
-	// so campaign.* counters here are totals across all folds; the
-	// verify memo and every session Runner report here directly.
+	// so campaign.* counters here are totals across all folds; every
+	// session Runner, its verify memo included, reports here directly.
 	Telemetry *telemetry.Registry
 
 	cov *coverage.Trace
@@ -81,14 +74,11 @@ func NewSession(reg *telemetry.Registry) *Session {
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	s := &Session{
-		Campaigns:  map[string]*campaign.Result{},
-		VerifyMemo: jvm.NewVerifyMemo(),
-		Telemetry:  reg,
-		cov:        coverage.NewTrace(),
+	return &Session{
+		Campaigns: map[string]*campaign.Result{},
+		Telemetry: reg,
+		cov:       coverage.NewTrace(),
 	}
-	s.VerifyMemo.UseTelemetry(reg)
-	return s
 }
 
 // Fold absorbs one finished campaign: the result is recorded under
@@ -109,10 +99,11 @@ func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry
 	}
 }
 
-// Runner builds a standard five-VM differential runner wired to the
-// session's shared verify memo and metrics roll-up.
+// Runner builds a standard five-VM differential runner reporting into
+// the session's metrics roll-up. The runner owns its verify memo, so no
+// verdict outlives the runner.
 func (s *Session) Runner() *difftest.Runner {
-	r := difftest.NewStandardRunnerWithMemo(s.VerifyMemo)
+	r := difftest.NewStandardRunner()
 	r.UseTelemetry(s.Telemetry)
 	return r
 }

@@ -56,16 +56,6 @@ type Report struct {
 	Oracle []analysis.Mismatch
 }
 
-// OracleClean reports whether no unwaived oracle mismatch was seen.
-func (r *Report) OracleClean() bool {
-	for _, m := range r.Oracle {
-		if m.Hard() {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns the standard-environment vector key.
 func (r *Report) Key() string { return r.Standard.Key() }
 
@@ -174,9 +164,11 @@ func classifyImplementation(rep *Report, names []string) Verdict {
 	// Signal 2: same error class, different phases — the timing latitude
 	// the specification grants (lazy vs eager verification/resolution).
 	errs := map[string]bool{}
+	var rejectErr string
 	for _, o := range v.Outcomes {
 		if !o.OK() {
 			errs[o.Error] = true
+			rejectErr = o.Error
 		}
 	}
 	phases := map[int]bool{}
@@ -184,10 +176,8 @@ func classifyImplementation(rep *Report, names []string) Verdict {
 		phases[c] = true
 	}
 	if len(errs) == 1 && len(phases) > 1 {
-		for e := range errs {
-			rep.Notes = append(rep.Notes,
-				fmt.Sprintf("every rejecting VM throws %s, only the phase differs (verification/resolution timing)", e))
-		}
+		rep.Notes = append(rep.Notes,
+			fmt.Sprintf("every rejecting VM throws %s, only the phase differs (verification/resolution timing)", rejectErr))
 		return PolicyDifference
 	}
 
