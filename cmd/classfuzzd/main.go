@@ -1,8 +1,9 @@
 // Command classfuzzd is the fuzzing daemon: a long-running service
-// hosting N sharded campaigns over the staged engine, with a
-// checkpoint/resume protocol (kill it — even kill -9 — and a restart
-// on the same data directory continues with byte-identical results),
-// an HTTP corpus/work API with backpressure, and a live dashboard.
+// hosting N sharded campaigns over the staged engine, with epoch-level
+// durability (kill it — even kill -9 — and a restart on the same data
+// directory runs each cut-short epoch again from iteration 0, so the
+// folds are byte-identical to an uninterrupted run's), an HTTP
+// corpus/work API with backpressure, and a live dashboard.
 //
 // Usage:
 //
@@ -10,18 +11,19 @@
 //	           [-alg classfuzz|randfuzz|greedyfuzz|uniquefuzz]
 //	           [-criterion stbr|st|tr] [-seeds N] [-iters N] [-seed N]
 //	           [-seed-strategy uniform|clustered|yield]
-//	           [-epochs N] [-queue N] [-checkpoint-every DUR]
+//	           [-epochs N] [-queue N]
 //
 // API quick reference (see DESIGN.md "Service layer"):
 //
 //	curl -s localhost:8317/api/status
 //	curl -s --data-binary @T.class -X POST localhost:8317/api/seeds
 //	curl -s 'localhost:8317/api/discrepancies?since=0'
-//	curl -s -X POST localhost:8317/api/checkpoint
+//	curl -s -X POST localhost:8317/api/checkpoint   # rewrite state.json
 //	curl -s localhost:8317/metrics.json
 //
 // SIGTERM/SIGINT drain gracefully: intake answers 503, running epochs
-// stop at a coordinator boundary and checkpoint, queued seeds persist.
+// stop at a coordinator boundary without folding (the restart runs
+// them again), queued seeds persist.
 package main
 
 import (
@@ -53,7 +55,6 @@ func main() {
 	seedStrategy := flag.String("seed-strategy", "uniform", "seed selection: uniform, clustered, yield")
 	epochs := flag.Int("epochs", 0, "epochs per shard (0 = run until stopped)")
 	queueCap := flag.Int("queue", 64, "seed-intake queue capacity (full queue answers 429)")
-	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "periodic checkpoint interval (0 disables)")
 	flag.Parse()
 
 	if *dataDir == "" {
@@ -72,20 +73,19 @@ func main() {
 
 	logger := log.New(os.Stderr, "classfuzzd: ", log.LstdFlags)
 	m := service.New(service.Config{
-		DataDir:         *dataDir,
-		Addr:            *addr,
-		Shards:          *shards,
-		Workers:         *workers,
-		Algorithm:       campaign.Algorithm(*alg),
-		Criterion:       crit,
-		SeedCount:       *seedCount,
-		Seed:            *seed,
-		SeedStrategy:    *seedStrategy,
-		Iterations:      *iters,
-		Epochs:          *epochs,
-		QueueCap:        *queueCap,
-		CheckpointEvery: *ckptEvery,
-		Logf:            logger.Printf,
+		DataDir:      *dataDir,
+		Addr:         *addr,
+		Shards:       *shards,
+		Workers:      *workers,
+		Algorithm:    campaign.Algorithm(*alg),
+		Criterion:    crit,
+		SeedCount:    *seedCount,
+		Seed:         *seed,
+		SeedStrategy: *seedStrategy,
+		Iterations:   *iters,
+		Epochs:       *epochs,
+		QueueCap:     *queueCap,
+		Logf:         logger.Printf,
 	})
 	if err := m.Start(); err != nil {
 		fmt.Fprintf(os.Stderr, "classfuzzd: %v\n", err)
@@ -105,7 +105,7 @@ func main() {
 	}()
 	select {
 	case sig := <-sigCh:
-		logger.Printf("caught %s; draining (checkpointing running epochs)", sig)
+		logger.Printf("caught %s; draining (running epochs stop and run again after a restart)", sig)
 	case <-done:
 		logger.Printf("epoch budget complete; shutting down")
 	}

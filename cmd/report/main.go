@@ -12,8 +12,8 @@
 //
 // -service-metrics folds a telemetry snapshot dumped by a classfuzzd
 // daemon (curl .../metrics.json > FILE) into the session registry and
-// appends a Service section covering the daemon's checkpoint, corpus
-// and shard-fold activity.
+// appends a Service section covering the daemon's shard folds,
+// API-requested state checkpoints and corpus intake.
 package main
 
 import (
@@ -375,12 +375,11 @@ func reportService(treg *telemetry.Registry, path string) error {
 
 	fmt.Printf("\n## Service\n\n")
 	fmt.Printf("classfuzzd daemon activity from `%s`: shard epochs folded into\n", path)
-	fmt.Printf("the session, checkpoint/resume traffic, and corpus-intake\n")
+	fmt.Printf("the session, state.json checkpoints asked for over the API, and corpus-intake\n")
 	fmt.Printf("backpressure (429s mean submitters outpaced the intake queue).\n\n")
 	fmt.Printf("| metric | value |\n|---|---|\n")
 	fmt.Printf("| shard epochs folded | %d |\n", snap.Counter(service.MetricEpochsCompleted))
 	fmt.Printf("| checkpoints written | %d |\n", snap.Counter(service.MetricCheckpointsWritten))
-	fmt.Printf("| checkpoints restored | %d |\n", snap.Counter(service.MetricCheckpointsRestored))
 	fmt.Printf("| seeds accepted | %d |\n", snap.Counter(service.MetricSeedsAccepted))
 	fmt.Printf("| seeds rejected (malformed) | %d |\n", snap.Counter(service.MetricSeedsRejected))
 	fmt.Printf("| seeds throttled (429) | %d |\n", snap.Counter(service.MetricSeedsThrottled))

@@ -119,10 +119,9 @@ func Fingerprint(f *classfile.File) uint64 {
 // ContentFingerprint hashes raw classfile bytes (the same inlined
 // FNV-1a as Fingerprint, zero allocations). Unlike Fingerprint, which
 // abstracts a file to its load-phase skeleton, this is an exact-content
-// hash: the campaign's gen log records it per accepted class so that
-// Resume can check its replay produced the same bytes, and the daemon
-// labels each discrepancy's class with it. It identifies content for
-// checks and reports only; nothing reuses a result on its equality.
+// hash: the daemon labels each discrepancy's class with it. It
+// identifies content for reports only; nothing reuses a result on its
+// equality.
 func ContentFingerprint(data []byte) uint64 {
 	const (
 		fnvOffset64 = 14695981039346656037

@@ -1,7 +1,6 @@
 package campaign
 
 import (
-	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -160,53 +159,18 @@ func TestEngineFoldsSourceBaselines(t *testing.T) {
 // merged coverage.
 type fullSummary struct {
 	Summary  summary
-	Resume   resumeSummary
+	Suite    suiteSummary
 	Coverage coverage.Key
 }
 
 func summarizeFull(r *Result) fullSummary {
-	return fullSummary{summarize(r), resumeSummarize(r), r.Coverage.Key()}
-}
-
-// runStopResume stops a run at stopAt and resumes it from the JSON
-// round-tripped snapshot. mk supplies a fresh config (and source) for
-// each engine run.
-func runStopResume(t *testing.T, mk func() Config, stopAt int) *Result {
-	t.Helper()
-	ctrl := NewControl()
-	ctrl.StopAt(stopAt)
-	cfg := mk()
-	cfg.Control = ctrl
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := json.Marshal(ctrl.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap Snapshot
-	if err := json.Unmarshal(blob, &snap); err != nil {
-		t.Fatal(err)
-	}
-	eng2, err := Resume(mk(), &snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return fullSummary{summarize(r), suiteSummarize(r), r.Coverage.Key()}
 }
 
 // TestBaselinesReuseEquivalence: a campaign that takes its seed traces
 // from the scheduler equals one that runs its own seed pass — same
 // Result, draw log and test bytes — for both strategies at 1 and 4
-// workers, and across a resume from a mid-run snapshot.
+// workers, and when both are stopped at the same boundary.
 func TestBaselinesReuseEquivalence(t *testing.T) {
 	for _, strategy := range schedStrategies {
 		strategy := strategy
@@ -234,13 +198,10 @@ func TestBaselinesReuseEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(summarizeFull(reuse), summarizeFull(own)) {
 					t.Errorf("workers=%d: reusing the scheduler's baselines changes the result", w)
 				}
-				resumed := runStopResume(t, mk(w, false), 60)
-				resumedOwn := runStopResume(t, mk(w, true), 60)
-				if !reflect.DeepEqual(summarizeFull(resumed), summarizeFull(resumedOwn)) {
-					t.Errorf("workers=%d: a resume reusing the baselines diverges from one running its own seed pass", w)
-				}
-				if !reflect.DeepEqual(resumeSummarize(resumed), resumeSummarize(reuse)) {
-					t.Errorf("workers=%d: the resumed run diverges from the uninterrupted one", w)
+				stopped := runStopped(t, mk(w, false)(), 60)
+				stoppedOwn := runStopped(t, mk(w, true)(), 60)
+				if !reflect.DeepEqual(summarizeFull(stopped), summarizeFull(stoppedOwn)) {
+					t.Errorf("workers=%d: a stopped run reusing the baselines diverges from one running its own seed pass", w)
 				}
 			}
 		})
@@ -281,7 +242,7 @@ func TestBaselinesOtherRefSpecNotReused(t *testing.T) {
 }
 
 // TestSeedStageTelemetry: campaign.stage.seeds_ns takes one sample per
-// engine run, fresh or resumed, whether the seed traces were reused or
+// engine run, stopped or not, whether the seed traces were reused or
 // run; seedsel.baselines_ns one per scheduler built with a registry.
 func TestSeedStageTelemetry(t *testing.T) {
 	reg := telemetry.New()
@@ -299,17 +260,17 @@ func TestSeedStageTelemetry(t *testing.T) {
 	if _, err := Run(mk()); err != nil {
 		t.Fatal(err)
 	}
-	runStopResume(t, mk, 60)
+	runStopped(t, mk(), 60)
 	flat := detConfig(Classfuzz)
 	flat.Telemetry = reg
 	if _, err := Run(flat); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
-	if got := s.Hist("seedsel.baselines_ns").Count; got != 3 {
-		t.Errorf("seedsel.baselines_ns has %d samples, want 3 (one per scheduler)", got)
+	if got := s.Hist("seedsel.baselines_ns").Count; got != 2 {
+		t.Errorf("seedsel.baselines_ns has %d samples, want 2 (one per scheduler)", got)
 	}
-	if got := s.Hist("campaign.stage.seeds_ns").Count; got != 4 {
-		t.Errorf("campaign.stage.seeds_ns has %d samples, want 4 (one per engine run)", got)
+	if got := s.Hist("campaign.stage.seeds_ns").Count; got != 3 {
+		t.Errorf("campaign.stage.seeds_ns has %d samples, want 3 (one per engine run)", got)
 	}
 }

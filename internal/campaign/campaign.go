@@ -52,9 +52,10 @@ const (
 // be drawn ahead of the oldest uncommitted one. The window is part of
 // the campaign's semantics — mutator-selection feedback and pool growth
 // reach a draw only after the commit D iterations behind it — so it is
-// a constant, recorded in Result.Lookahead and checked on Resume.
-// Worker count never affects results; it only decides how much of the
-// window executes concurrently.
+// a constant, recorded in Result.Lookahead, which Replay reads to
+// rebuild the pool an iteration drew from. Worker count never affects
+// results; it only decides how much of the window executes
+// concurrently.
 const DefaultLookahead = 16
 
 // Config parameterises a campaign.
@@ -116,12 +117,14 @@ type Config struct {
 	// Observer receives engine events (may be nil). Events fire from the
 	// sequential draw/commit stages, so their order is deterministic.
 	Observer Observer
-	// Control, when non-nil, lets another goroutine snapshot or stop
-	// the running campaign at coordinator boundaries (see Control).
-	// Like Observer and Telemetry it is observe-only with respect to
-	// results: a campaign run with a Control that is never asked to
-	// stop is bit-identical to one without.
-	Control *Control
+	// Stop, when closed, ends the campaign at the next coordinator
+	// boundary: no further iteration is drawn, the in-flight window
+	// commits, and Run returns a partial Result (Stopped, Drawn <
+	// Iterations) whose draw log and suite are a prefix of the
+	// uninterrupted run's. A nil or never-closed Stop changes nothing.
+	// A stopped campaign cannot be continued; it is run again from
+	// iteration 0, which reproduces it exactly.
+	Stop <-chan struct{}
 	// Telemetry, when non-nil, receives the campaign's metrics
 	// (campaign.* counters/gauges) and switches on stage + reference-VM
 	// timing histograms. Telemetry is observe-only: results are

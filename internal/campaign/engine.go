@@ -158,7 +158,7 @@ type engine struct {
 	obs  obs
 	muts []*mutation.Mutator
 	// src is the seed-selection policy; seeds caches its corpus (the
-	// pool's prefix, the digest's input, every lineage's bottom).
+	// pool's prefix and every lineage's bottom).
 	src   SeedSource
 	seeds []*jimple.Class
 
@@ -183,23 +183,14 @@ type engine struct {
 	// coordinator once they have committed.
 	freeTasks []*task
 
-	// Checkpoint/resume state. drawn and committed advance only on the
-	// coordinator; mergedCov is the word-OR of the seed traces and every
-	// accepted trace (Result.Coverage); genLog mirrors commits of
-	// generated iterations for Snapshot. ctrl, when attached, is
-	// serviced at the top of each coordinator iteration. On a resumed
-	// engine, pending holds the in-flight window the replay drew, in
-	// iteration order, for run to dispatch first.
-	ctrl       *Control
-	pending    []*task
-	drawn      int
-	committed  int
-	stopped    bool
-	stopSnap   *Snapshot
-	genLog     []GenEntry
-	mergedCov  *coverage.Trace
-	seedDigest uint64
-	resumed    bool
+	// drawn and committed count the iterations that entered the
+	// pipeline and those that committed; they advance only on the
+	// coordinator. mergedCov is the word-OR of the seed traces and every
+	// accepted trace (Result.Coverage).
+	drawn     int
+	committed int
+	stopped   bool
+	mergedCov *coverage.Trace
 }
 
 func newEngine(cfg Config) *engine {
@@ -243,21 +234,12 @@ func newEngine(cfg Config) *engine {
 	if cfg.StaticPrefilter && e.coverageDirected {
 		e.pf = newPrefilter()
 	}
-	e.bind(cfg)
-	return e
-}
-
-// bind attaches cfg's observation hooks — telemetry registry, observer
-// and control — to the engine. Counts always flow into a registry: the
-// caller's, or a private one Result.Prefilter is derived from. Counts
-// move only on the sequential draw/commit path, so they are
-// deterministic at any worker count; stage timing (the only telemetry
-// touching workers) stays off unless someone attached a registry to
-// observe it. Resume binds twice: detached for its replay, then to
-// the caller's hooks once the replay has matched the snapshot.
-func (e *engine) bind(cfg Config) {
-	e.cfg.Telemetry, e.cfg.Observer, e.cfg.Control = cfg.Telemetry, cfg.Observer, cfg.Control
-	e.obs, e.ctrl, e.timing = obs{cfg.Observer}, cfg.Control, cfg.Telemetry != nil
+	// Counts always flow into a registry: the caller's, or a private
+	// one Result.Prefilter is derived from. Counts move only on the
+	// sequential draw/commit path, so they are deterministic at any
+	// worker count; stage timing (the only telemetry touching workers)
+	// stays off unless someone attached a registry to observe it.
+	e.obs, e.timing = obs{cfg.Observer}, cfg.Telemetry != nil
 	e.tel = newEngineTel(nonNilRegistry(cfg.Telemetry), e.timing)
 	if sel, ok := e.selector.(*mcmc.Sampler); ok && e.timing {
 		// Live per-mutator gauges (same names finalize Sets for the
@@ -282,14 +264,14 @@ func (e *engine) bind(cfg Config) {
 	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
 		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
 	}
+	return e
 }
 
 // initSeedState builds the seed pool and folds the seed traces into
 // the acceptance state (Algorithm 1 line 1 initialises TestClasses
 // with the seeds, so seed traces participate in uniqueness checks).
 // The traces are the source's baselines when it recorded them on the
-// reference spec, else the seed pass's (seedsel.RunSeeds). Shared
-// verbatim by fresh runs and Resume's replay.
+// reference spec, else the seed pass's (seedsel.RunSeeds).
 func (e *engine) initSeedState() {
 	sp := telemetry.StartSpan(e.tel.seeds)
 	defer sp.End()
@@ -303,8 +285,7 @@ func (e *engine) initSeedState() {
 	traces := e.src.Baselines(e.cfg.RefSpec)
 	if len(traces) != len(e.seeds) {
 		// The injected verify memo serves the seed runs like any
-		// worker's, and the registry counts them in the per-VM tables
-		// (it is nil during Resume's detached replay).
+		// worker's, and the registry counts them in the per-VM tables.
 		traces = seedsel.Traces(seedsel.RunSeeds(e.seeds, e.cfg.RefSpec, e.cfg.VerifyMemo, e.cfg.Telemetry))
 	}
 	e.foldSeeds(traces)
@@ -335,9 +316,7 @@ func (e *engine) run() (*Result, error) {
 	cfg := &e.cfg
 	start := time.Now() //detlint:ok Result.Elapsed is reporting-only
 
-	if !e.resumed {
-		e.initSeedState()
-	}
+	e.initSeedState()
 	e.tel.poolSize.Set(int64(len(e.pool)))
 
 	// The pipeline. The coordinator (this goroutine) performs draws and
@@ -350,10 +329,9 @@ func (e *engine) run() (*Result, error) {
 	// mutate/filter/execute against its long-lived scratch and closes
 	// the task's done channel, which commit waits on.
 	//
-	// A resumed engine enters the same loop at its snapshot's boundary,
-	// with the replay's in-flight window dispatched first: the replay
-	// left the engine exactly as the snapshotted run was there, so the
-	// continuation is bit-identical to the uninterrupted run.
+	// A closed Config.Stop ends the drawing at the next coordinator
+	// boundary; the drawn window still commits, so a stopped run's draw
+	// log and suite are a prefix of the uninterrupted run's.
 	D := DefaultLookahead
 	N := cfg.Iterations
 	tasks := make(chan *task, D)
@@ -375,16 +353,8 @@ func (e *engine) run() (*Result, error) {
 		}()
 	}
 
-	for _, t := range e.pending {
-		if e.obs.o != nil {
-			e.obs.emit(IterationStarted{Iter: t.iter, PoolIndex: t.rec.PoolIndex, MutatorID: t.rec.MutatorID})
-		}
-		ring[t.iter%D] = t
-		tasks <- t
-	}
-	e.pending = nil
-	for i := e.drawn; i < N; i++ {
-		if e.serviceControl(i) {
+	for i := 0; i < N; i++ {
+		if stopRequested(cfg.Stop) {
 			e.stopped = true
 			break
 		}
@@ -405,14 +375,17 @@ func (e *engine) run() (*Result, error) {
 
 	e.finalize()
 	e.res.Elapsed = time.Since(start) //detlint:ok Result.Elapsed is reporting-only
-	if e.ctrl != nil {
-		fin := e.stopSnap
-		if fin == nil {
-			fin = e.snapshot()
-		}
-		e.ctrl.finish(fin)
-	}
 	return e.res, nil
+}
+
+// stopRequested reports whether stop has closed (never, for nil).
+func stopRequested(stop <-chan struct{}) bool {
+	select {
+	case <-stop:
+		return true
+	default:
+		return false
+	}
 }
 
 // getTask pops a recycled task or allocates a fresh one, with a new
@@ -715,11 +688,6 @@ func (e *engine) commit(t *task) {
 		gc.Data = t.data
 		t.dataRetained = true
 	}
-	ge := GenEntry{Iter: t.iter, Stmts: gc.Stats.Stmts, Branches: gc.Stats.Branches, Accepted: accepted}
-	if accepted {
-		ge.Fp = analysis.ContentFingerprint(t.data)
-	}
-	e.genLog = append(e.genLog, ge)
 	e.src.Observe(t.rec.PoolIndex, true, accepted)
 	e.selector.Record(t.rec.MutatorID, accepted)
 	if e.obs.o != nil {
@@ -733,7 +701,6 @@ func (e *engine) finalize() {
 	res.GenUniqueStats = e.genStats.UniqueStatsCount()
 	res.Drawn = e.drawn
 	res.Stopped = e.stopped
-	res.Resumed = e.resumed
 	switch {
 	case e.cfg.Algorithm == Greedyfuzz:
 		res.Coverage = e.greedyUnion

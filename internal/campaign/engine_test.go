@@ -9,6 +9,7 @@ import (
 	"repro/internal/coverage"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
+	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
 
@@ -291,5 +292,174 @@ func TestConcurrentCampaignsShareSeeds(t *testing.T) {
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// suiteSummary is a Result's suite-level projection: the accepted
+// suite (names and bytes), the draw log, the generated classes'
+// metadata and the selector statistics.
+type suiteSummary struct {
+	TestNames    []string
+	TestBytes    [][]byte
+	GenCount     int
+	GenUnique    int
+	Draws        []DrawRecord
+	MutatorStats []MutatorStat
+	GenMeta      []GenClass
+}
+
+func suiteSummarize(r *Result) suiteSummary {
+	s := suiteSummary{
+		TestNames:    []string{},
+		TestBytes:    [][]byte{},
+		GenCount:     len(r.Gen),
+		GenUnique:    r.GenUniqueStats,
+		Draws:        r.Draws,
+		MutatorStats: r.MutatorStats,
+	}
+	for _, g := range r.Test {
+		s.TestNames = append(s.TestNames, g.Name)
+		s.TestBytes = append(s.TestBytes, g.Data)
+	}
+	for _, g := range r.Gen {
+		s.GenMeta = append(s.GenMeta, GenClass{Iter: g.Iter, Name: g.Name, MutatorID: g.MutatorID, Stats: g.Stats, Accepted: g.Accepted})
+	}
+	return s
+}
+
+// stopAfter closes stop once iteration iter has been drawn, so the
+// engine stops at the boundary before iter+1 — a deterministic stop
+// point for tests; a negative iter closes it before the run starts.
+type stopAfter struct {
+	iter int
+	stop chan struct{}
+}
+
+func newStopAfter(iter int) *stopAfter {
+	s := &stopAfter{iter: iter, stop: make(chan struct{})}
+	if iter < 0 {
+		close(s.stop)
+	}
+	return s
+}
+
+func (s *stopAfter) Event(ev Event) {
+	if e, ok := ev.(IterationStarted); ok && e.Iter == s.iter {
+		close(s.stop)
+	}
+}
+
+// runStopped runs cfg with a Stop that closes once iteration iter has
+// been drawn.
+func runStopped(t *testing.T, cfg Config, iter int) *Result {
+	t.Helper()
+	s := newStopAfter(iter)
+	cfg.Observer, cfg.Stop = s, s.stop
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestStopAtBoundary pins Config.Stop: a campaign stopped at a
+// coordinator boundary returns Stopped with Drawn < Iterations, every
+// drawn iteration commits, and its draw log, generated classes and
+// accepted suite are a prefix of the uninterrupted run's — at one and
+// four workers, for the flat draw and both schedulers. Running the
+// configuration again from iteration 0, as a restarted daemon epoch
+// does, reproduces the uninterrupted run.
+func TestStopAtBoundary(t *testing.T) {
+	sources := map[string]func() Config{
+		"uniform":   func() Config { return detConfig(Classfuzz) },
+		"clustered": func() Config { return schedConfig(t, seedsel.Clustered) },
+		"yield":     func() Config { return schedConfig(t, seedsel.Yield) },
+	}
+	for name, mk := range sources {
+		full, err := Run(mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Stopped || full.Drawn != full.Iterations {
+			t.Fatalf("%s: uninterrupted run reports Stopped=%v Drawn=%d", name, full.Stopped, full.Drawn)
+		}
+		for _, workers := range []int{1, 4} {
+			for _, iter := range []int{-1, 0, 15, 60} {
+				cfg := mk()
+				cfg.Workers = workers
+				res := runStopped(t, cfg, iter)
+				drawn := iter + 1
+				if !res.Stopped || res.Drawn != drawn || len(res.Draws) != drawn {
+					t.Errorf("%s workers=%d stop after %d: Stopped=%v Drawn=%d with %d draws, want a stop at %d",
+						name, workers, iter, res.Stopped, res.Drawn, len(res.Draws), drawn)
+					continue
+				}
+				want := *full
+				want.Draws = full.Draws[:drawn]
+				want.Gen, want.Test = nil, nil
+				for _, g := range full.Gen {
+					if g.Iter < drawn {
+						want.Gen = append(want.Gen, g)
+					}
+				}
+				for _, g := range full.Test {
+					if g.Iter < drawn {
+						want.Test = append(want.Test, g)
+					}
+				}
+				got := suiteSummarize(res)
+				got.GenUnique, got.MutatorStats = 0, nil
+				exp := suiteSummarize(&want)
+				exp.GenUnique, exp.MutatorStats = 0, nil
+				if !reflect.DeepEqual(got, exp) {
+					t.Errorf("%s workers=%d stop after %d: the stopped run is no prefix of the uninterrupted one", name, workers, iter)
+				}
+			}
+			cfg := mk()
+			cfg.Workers = workers
+			again, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(suiteSummarize(again), suiteSummarize(full)) {
+				t.Errorf("%s workers=%d: the run from iteration 0 diverges from the uninterrupted run", name, workers)
+			}
+		}
+	}
+}
+
+// TestResultCoverageMerged checks Result.Coverage is the word-OR of
+// seed and accepted traces (the coordinator's shard-merge input): the
+// seed pass's traces and each accepted class run again on the
+// reference VM must fold to exactly the campaign's merged trace.
+func TestResultCoverageMerged(t *testing.T) {
+	cfg := detConfig(Classfuzz)
+	cfg.StaticPrefilter = false // every accepted trace comes from its own run
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if res.Coverage == nil {
+		t.Fatal("no merged coverage on a coverage-directed campaign")
+	}
+	if res.Coverage.Stats().Stmts == 0 {
+		t.Fatal("merged coverage is empty")
+	}
+	want := coverage.NewTrace()
+	for _, tr := range seedsel.Traces(seedsel.RunSeeds(cfg.Source.Corpus(), cfg.RefSpec, nil, nil)) {
+		if tr != nil {
+			want = coverage.Merge(want, tr)
+		}
+	}
+	vm := jvm.New(cfg.RefSpec)
+	rec := coverage.NewRecorder(jvm.ProbeRegistry())
+	vm.SetRecorder(rec)
+	for _, g := range res.Test {
+		rec.Reset()
+		vm.Run(g.Data)
+		want = coverage.Merge(want, rec.Trace())
+	}
+	if !res.Coverage.EqualSets(want) {
+		t.Fatalf("merged coverage %+v is not the fold of the seed and accepted traces %+v", res.Coverage.Stats(), want.Stats())
 	}
 }

@@ -120,11 +120,10 @@ type Result struct {
 	// service coordinator folds shard results by merging these.
 	Coverage *coverage.Trace
 	// Drawn counts iterations that entered the pipeline; it equals
-	// Iterations unless the run was stopped early via Control.Stop
-	// (Stopped). Resumed marks a run reconstructed from a Snapshot.
+	// Iterations unless the run was stopped early through Config.Stop
+	// (Stopped).
 	Drawn   int
 	Stopped bool
-	Resumed bool
 }
 
 // Succ returns the campaign success rate |TestClasses| / #iterations.

@@ -45,9 +45,6 @@ func schedConfig(t *testing.T, strategy seedsel.Strategy) Config {
 // valid. (referenceClassfuzz pins the same thing end-to-end.)
 func TestFlatUniformAdapterPinsIntn(t *testing.T) {
 	src := FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(3, 1)))
-	if src.Strategy() != string(seedsel.Uniform) {
-		t.Fatalf("adapter strategy %q, want %q", src.Strategy(), seedsel.Uniform)
-	}
 	r1 := rand.New(rand.NewSource(99))
 	r2 := rand.New(rand.NewSource(99))
 	for i := 0; i < 1000; i++ {
@@ -59,9 +56,6 @@ func TestFlatUniformAdapterPinsIntn(t *testing.T) {
 	// Observe/Grew must consume no randomness and no state.
 	src.Observe(0, true, true)
 	src.Grew(3, 0)
-	if st, err := src.MarshalState(); err != nil || len(st) != 0 {
-		t.Fatalf("flat adapter carries state: %q, %v", st, err)
-	}
 	if got, want := src.Pick(r1, 11), r2.Intn(11); got != want {
 		t.Fatalf("post-Observe Pick=%d, Intn=%d", got, want)
 	}
@@ -130,96 +124,5 @@ func TestSchedulerDeterministicAcrossWorkers(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestSchedulerKillResume: interrupting a scheduled campaign and
-// resuming from the JSON round-tripped snapshot — with a FRESH
-// scheduler, as the SeedSource contract requires — must reproduce the
-// uninterrupted run bit-for-bit, prefilter counts included. This
-// exercises the snapshot's seed_sched cross-check: Resume replays the
-// prefix into the new scheduler and verifies its serialized state
-// against the checkpoint.
-func TestSchedulerKillResume(t *testing.T) {
-	for _, strategy := range schedStrategies {
-		strategy := strategy
-		t.Run(string(strategy), func(t *testing.T) {
-			t.Parallel()
-			full, err := Run(schedConfig(t, strategy))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := resumeSummarize(full)
-			for _, stopAt := range []int{1, 40, 159} {
-				ctrl := NewControl()
-				ctrl.StopAt(stopAt)
-				run1 := schedConfig(t, strategy)
-				run1.Control = ctrl
-				eng, err := NewEngine(run1)
-				if err != nil {
-					t.Fatalf("stopAt=%d: NewEngine: %v", stopAt, err)
-				}
-				if _, err := eng.Run(); err != nil {
-					t.Fatalf("stopAt=%d: interrupted run: %v", stopAt, err)
-				}
-				snap := ctrl.Snapshot()
-				if snap == nil {
-					t.Fatalf("stopAt=%d: no final snapshot", stopAt)
-				}
-				if snap.SeedStrategy != string(strategy) {
-					t.Fatalf("stopAt=%d: snapshot strategy %q, want %q", stopAt, snap.SeedStrategy, strategy)
-				}
-				if len(snap.SeedSched) == 0 {
-					t.Fatalf("stopAt=%d: snapshot carries no scheduler state", stopAt)
-				}
-				blob, err := json.Marshal(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var loaded Snapshot
-				if err := json.Unmarshal(blob, &loaded); err != nil {
-					t.Fatal(err)
-				}
-				eng2, err := Resume(schedConfig(t, strategy), &loaded)
-				if err != nil {
-					t.Fatalf("stopAt=%d: Resume: %v", stopAt, err)
-				}
-				res, err := eng2.Run()
-				if err != nil {
-					t.Fatalf("stopAt=%d: resumed run: %v", stopAt, err)
-				}
-				if got := resumeSummarize(res); !reflect.DeepEqual(got, want) {
-					t.Errorf("stopAt=%d: resumed summary diverges from uninterrupted run", stopAt)
-				}
-				if pf, rpf := res.Prefilter, full.Prefilter; pf == nil || rpf == nil || *pf != *rpf {
-					t.Errorf("stopAt=%d: prefilter stats %+v, uninterrupted %+v", stopAt, pf, rpf)
-				}
-			}
-		})
-	}
-}
-
-// TestResumeRejectsWrongStrategy: a snapshot recorded under one
-// strategy must not resume under another.
-func TestResumeRejectsWrongStrategy(t *testing.T) {
-	ctrl := NewControl()
-	ctrl.StopAt(40)
-	cfg := schedConfig(t, seedsel.Clustered)
-	cfg.Control = ctrl
-	eng, err := NewEngine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	snap := ctrl.Snapshot()
-	if _, err := Resume(schedConfig(t, seedsel.Yield), snap); err == nil {
-		t.Error("Resume accepted a snapshot from a different seed strategy")
-	}
-	uniform := schedConfig(t, seedsel.Clustered)
-	uniform.Source = FlatSeeds(uniform.Source.Corpus())
-	if _, err := Resume(uniform, snap); err == nil {
-		t.Error("Resume accepted a clustered snapshot under the uniform adapter")
 	}
 }

@@ -30,14 +30,9 @@ import (
 // be a pure function of its construction inputs and the exact sequence
 // of Pick/Observe/Grew calls — no clocks, no shared RNGs, no
 // goroutines — so campaign results stay bit-identical at any worker
-// count, and so Resume can rebuild the source's state by replaying the
-// campaign's prefix. A stateful source serves exactly one engine run:
-// Resume must be handed a fresh one (its replay drives the prefix
-// through it).
+// count. A stateful source serves exactly one engine run: a campaign
+// run again (a daemon epoch restarted after a kill) gets a fresh one.
 type SeedSource interface {
-	// Strategy names the selection policy ("uniform", "clustered",
-	// "yield"); snapshots record it and Resume refuses a mismatch.
-	Strategy() string
 	// Corpus returns the initial seed corpus. The engine clones entries
 	// before mutation; the slice must not change after construction.
 	Corpus() []*jimple.Class
@@ -55,11 +50,6 @@ type SeedSource interface {
 	// poolIndex, mutated from the entry at index parent. Called in
 	// commit order, immediately after the append.
 	Grew(poolIndex, parent int)
-	// MarshalState serialises the source's evolving state for
-	// checkpoints (nil means stateless). Resume replays the prefix into
-	// a fresh source and cross-checks the result against the
-	// snapshot's copy, so the encoding must be deterministic.
-	MarshalState() ([]byte, error)
 	// Baselines returns the coverage trace of every Corpus entry run
 	// once on the instrumented ref VM, index for index, with nil for a
 	// seed that does not lower or write. It returns nil when the
@@ -96,12 +86,10 @@ type flatUniform struct {
 	seeds []*jimple.Class
 }
 
-func (f flatUniform) Strategy() string                     { return string(seedsel.Uniform) }
 func (f flatUniform) Corpus() []*jimple.Class              { return f.seeds }
 func (f flatUniform) Pick(rng *rand.Rand, n int) int       { return rng.Intn(n) }
 func (f flatUniform) Observe(int, bool, bool)              {}
 func (f flatUniform) Grew(int, int)                        {}
-func (f flatUniform) MarshalState() ([]byte, error)        { return nil, nil }
 func (f flatUniform) Baselines(jvm.Spec) []*coverage.Trace { return nil }
 
 // seedCorpus returns the configured initial corpus (nil-safe).

@@ -466,11 +466,10 @@ func (s *Suite) Add(tr *Trace) {
 	s.size++
 }
 
-// AddStats commits a statistic pair without its trace. Restoring a
-// checkpointed campaign uses this for the statistics-census suites
-// ([st]/[stbr] decisions and UniqueStatsCount depend only on the
-// pair); a [tr]-criterion suite must be restored with full traces via
-// Add, since its Unique compares trace sets.
+// AddStats commits a statistic pair without its trace. The campaign's
+// census of generated classes uses this ([st]/[stbr] decisions and
+// UniqueStatsCount depend only on the pair); a [tr]-criterion suite
+// needs full traces via Add, since its Unique compares trace sets.
 func (s *Suite) AddStats(st Stats) {
 	s.stmtSeen[st.Stmts] = true
 	s.pairSeen[st] = true

@@ -1,7 +1,6 @@
 package seedsel
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -265,9 +264,6 @@ func (s *Scheduler) classify(in SeedRun) int {
 	return best
 }
 
-// Strategy implements campaign.SeedSource.
-func (s *Scheduler) Strategy() string { return string(s.strategy) }
-
 // Corpus implements campaign.SeedSource.
 func (s *Scheduler) Corpus() []*jimple.Class { return s.seeds }
 
@@ -368,50 +364,6 @@ func (s *Scheduler) Grew(poolIndex, parent int) {
 	ci := s.assign[parent]
 	s.assign = append(s.assign, ci)
 	s.clusters[ci].members = append(s.clusters[ci].members, poolIndex)
-}
-
-// schedState is the deterministic checkpoint encoding of a scheduler's
-// evolving state. Cluster structure and membership are re-derivable
-// (construction is deterministic, Grew replays from the draw log), so
-// the encoding carries the counters plus the assignment vector as an
-// integrity cross-check.
-type schedState struct {
-	Strategy    string         `json:"strategy"`
-	Epsilon     float64        `json:"epsilon"`
-	DemoteAfter int            `json:"demote_after"`
-	Clusters    []clusterState `json:"clusters"`
-	Assign      []int          `json:"assign"`
-}
-
-type clusterState struct {
-	Members   int   `json:"members"`
-	Draws     int64 `json:"draws"`
-	Yield     int64 `json:"yield,omitempty"`
-	Demotions int64 `json:"demotions,omitempty"`
-	Since     int   `json:"since,omitempty"`
-	Demoted   bool  `json:"demoted,omitempty"`
-}
-
-// MarshalState implements campaign.SeedSource.
-func (s *Scheduler) MarshalState() ([]byte, error) {
-	st := schedState{
-		Strategy:    string(s.strategy),
-		Epsilon:     DefaultEpsilon,
-		DemoteAfter: DefaultDemoteAfter,
-		Clusters:    make([]clusterState, len(s.clusters)),
-		Assign:      s.assign,
-	}
-	for i, c := range s.clusters {
-		st.Clusters[i] = clusterState{
-			Members:   len(c.members),
-			Draws:     c.draws,
-			Yield:     c.yield,
-			Demotions: c.demotions,
-			Since:     c.since,
-			Demoted:   c.demoted,
-		}
-	}
-	return json.Marshal(st)
 }
 
 // SeedClass describes one classified seed for intake reporting.

@@ -14,9 +14,8 @@
 // draw/commit stages issue: Pick consumes only the per-iteration draw
 // stream it is handed, cluster iteration follows slice order, and every
 // tie breaks toward the lowest index. Campaign results are therefore
-// bit-identical at any worker count, and a kill/resume replay
-// rebuilds the exact scheduler state (the snapshot carries a
-// serialized copy which Resume cross-checks).
+// bit-identical at any worker count, and a campaign run again on a
+// fresh scheduler (a restarted daemon epoch) reproduces it exactly.
 package seedsel
 
 import (

@@ -26,7 +26,7 @@ const dashboardHTML = `<!doctype html>
 <div id="summary">loading…</div>
 <h2>Shards</h2>
 <table id="shards"><thead>
-<tr><th>shard</th><th class="l">state</th><th>epoch</th><th>drawn</th><th>executed</th><th>accepted</th><th>corpus+</th><th>resumed</th></tr>
+<tr><th>shard</th><th class="l">state</th><th>epoch</th><th>drawn</th><th>executed</th><th>accepted</th><th>corpus+</th></tr>
 </thead><tbody></tbody></table>
 <h2>Service metrics</h2>
 <div id="metrics"></div>
@@ -49,7 +49,7 @@ async function tick() {
     tb.innerHTML = st.shards.map(s =>
       '<tr><td>' + s.id + '</td><td class="l">' + esc(s.state) + '</td><td>' + s.epoch +
       '</td><td>' + s.drawn + '</td><td>' + s.executed + '</td><td>' + s.accepted +
-      '</td><td>' + s.submitted_used + '</td><td>' + (s.resumed ? 'yes' : '') + '</td></tr>').join('');
+      '</td><td>' + s.submitted_used + '</td></tr>').join('');
     const m = await j('/metrics.json');
     const c = m.counters || {}, g = m.gauges || {};
     const rows = Object.keys(c).filter(k => k.startsWith('service.')).sort()

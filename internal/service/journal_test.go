@@ -17,7 +17,7 @@ import (
 )
 
 // copyDataDir copies a stopped daemon's data directory (state.json,
-// journal, corpus, checkpoints) into a fresh temp directory.
+// journal, corpus) into a fresh temp directory.
 func copyDataDir(t *testing.T, src string) string {
 	t.Helper()
 	dst := t.TempDir()

@@ -32,8 +32,8 @@ const campaignStream = 0x5ec1a55f
 
 // Config parameterises a daemon.
 type Config struct {
-	// DataDir is the persistent root (created if missing): corpus,
-	// state, shard checkpoints. Required.
+	// DataDir is the persistent root (created if missing): state,
+	// corpus and discrepancy journal. Required.
 	DataDir string
 	// Addr is the HTTP listen address (e.g. "127.0.0.1:8317"; use
 	// ":0" for an ephemeral port — Manager.Addr reports the bound
@@ -62,9 +62,6 @@ type Config struct {
 	// QueueCap bounds the seed-intake queue (default 64); a full
 	// queue answers 429.
 	QueueCap int
-	// CheckpointEvery enables periodic checkpoints (0 disables; the
-	// API trigger and drain-on-shutdown always work).
-	CheckpointEvery time.Duration
 	// Logf receives daemon progress lines (nil for silent).
 	Logf func(format string, args ...any)
 }
@@ -98,8 +95,15 @@ type submittedSeed struct {
 	class *jimple.Class
 }
 
+// submission is one validated intake request: its bytes, which intake
+// persists, and the class they lifted to, which epochs mutate.
+type submission struct {
+	data  []byte
+	class *jimple.Class
+}
+
 // Manager is the daemon: N shards, the folding session, the corpus
-// intake, the checkpoint protocol and the HTTP API.
+// intake, the persisted state and the HTTP API.
 type Manager struct {
 	cfg       Config
 	session   *Session
@@ -132,22 +136,23 @@ type Manager struct {
 	// of mu (MetricLockWait, MetricLockHold).
 	lockWait, lockHold *telemetry.Histogram
 
-	// drainMu serialises "may an epoch still start?" against Stop:
-	// Stop flips stopping under it, shards install their Control under
-	// it, so after Stop returns from that critical section every shard
-	// either has a visible Control (drained via Stop+checkpoint) or
-	// will refuse to start its next epoch.
-	drainMu  sync.Mutex
+	// stopping flips when Stop begins: intake answers 503 from then on.
 	stopping atomic.Bool
 
-	queue chan []byte
+	queue chan submission
 	// intakeGate, when non-nil, blocks the intake worker until the
 	// gate closes (test hook for exercising queue backpressure).
 	intakeGate chan struct{}
+	// foldHook, when non-nil, sees every folded epoch's result (test
+	// hook: the session keeps only each shard's latest).
+	foldHook func(key string, res *campaign.Result)
 
-	shards   []*shard
-	wg       sync.WaitGroup // shard loops
-	bgWG     sync.WaitGroup // intake + checkpoint timer + http serve
+	shards []*shard
+	wg     sync.WaitGroup // shard loops
+	bgWG   sync.WaitGroup // intake + http serve
+	// stopCh closes when Stop begins; it is every epoch's
+	// campaign.Config.Stop, so running epochs end at their next
+	// coordinator boundary.
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
@@ -165,7 +170,7 @@ func New(cfg Config) *Manager {
 		cfg:      c,
 		session:  NewSession(nil),
 		discWake: make(chan struct{}),
-		queue:    make(chan []byte, c.QueueCap),
+		queue:    make(chan submission, c.QueueCap),
 		stopCh:   make(chan struct{}),
 	}
 	m.tel = m.session.Telemetry
@@ -197,9 +202,9 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// Start loads (or initialises) the data directory, resumes any shard
-// checkpoints, and launches the shards, the intake worker, the
-// checkpoint timer and the HTTP server.
+// Start loads (or initialises) the data directory and launches the
+// shards, each at its state.json frontier epoch, the intake worker and
+// the HTTP server.
 func (m *Manager) Start() error {
 	if m.started {
 		return fmt.Errorf("service: manager already started")
@@ -208,7 +213,7 @@ func (m *Manager) Start() error {
 	if m.cfg.DataDir == "" {
 		return fmt.Errorf("service: DataDir is required")
 	}
-	for _, dir := range []string{m.cfg.DataDir, m.corpusDir(), m.checkpointDir()} {
+	for _, dir := range []string{m.cfg.DataDir, m.corpusDir()} {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
 		}
@@ -237,8 +242,7 @@ func (m *Manager) Start() error {
 	}
 	m.strategy = strategy
 
-	resuming, err := m.loadState()
-	if err != nil {
+	if err := m.loadState(); err != nil {
 		return err
 	}
 	m.baseSeeds = seedgen.Generate(seedgen.DefaultOptions(m.cfg.SeedCount, m.cfg.Seed))
@@ -257,13 +261,6 @@ func (m *Manager) Start() error {
 		m.seedIndex = idx
 		m.clusterAgg = make([]clusterTallies, idx.Clusters())
 	}
-	checkpoints := make([]*ShardCheckpoint, m.cfg.Shards)
-	if resuming {
-		for i := 0; i < m.cfg.Shards; i++ {
-			checkpoints[i] = m.loadShardCheckpoint(i)
-		}
-	}
-
 	// Persist the initial state before anything runs, so a fresh data
 	// directory is stamped with the configuration it will forever
 	// require.
@@ -291,17 +288,13 @@ func (m *Manager) Start() error {
 
 	m.bgWG.Add(1)
 	go m.intake()
-	if m.cfg.CheckpointEvery > 0 {
-		m.bgWG.Add(1)
-		go m.checkpointTimer()
-	}
 
 	m.shards = make([]*shard, m.cfg.Shards)
 	for i := 0; i < m.cfg.Shards; i++ {
 		sh := &shard{id: i, m: m, epoch: m.shardEpochs[i], state: "starting"}
 		m.shards[i] = sh
 		m.wg.Add(1)
-		go m.runShard(sh, checkpoints[i])
+		go m.runShard(sh)
 	}
 	startOK = true
 	return nil
@@ -320,35 +313,22 @@ func (m *Manager) Addr() string {
 func (m *Manager) Wait() { m.wg.Wait() }
 
 // Stop drains the daemon: intake answers 503, the HTTP listener shuts
-// down, every running shard epoch is stopped at a coordinator boundary
-// and checkpointed, queued-but-unprocessed seeds are adopted into the
-// corpus, and state.json persists. A subsequent Start on the
-// same data directory resumes with byte-identical results.
+// down, every running shard epoch stops at a coordinator boundary
+// without folding, queued-but-unprocessed seeds are adopted into the
+// corpus, and state.json persists. A subsequent Start on the same data
+// directory runs the stopped epochs again from iteration 0, so the
+// folds across both lifetimes are byte-identical to an uninterrupted
+// daemon's.
 func (m *Manager) Stop(ctx context.Context) error {
 	var firstErr error
 	m.stopOnce.Do(func() {
-		m.drainMu.Lock()
 		m.stopping.Store(true)
-		m.drainMu.Unlock()
-
 		if m.httpSrv != nil {
 			if err := m.httpSrv.Shutdown(ctx); err != nil && firstErr == nil {
 				firstErr = err
 			}
 		}
 		close(m.stopCh)
-
-		// Stop + checkpoint every running epoch, in parallel (each
-		// Stop blocks until its engine reaches a boundary).
-		var wg sync.WaitGroup
-		for _, sh := range m.shards {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				m.checkpointShard(sh, true)
-			}(sh)
-		}
-		wg.Wait()
 		m.wg.Wait()
 		m.bgWG.Wait()
 
@@ -356,8 +336,8 @@ func (m *Manager) Stop(ctx context.Context) error {
 		// they persist now and enter epochs after the restart.
 		for {
 			select {
-			case data := <-m.queue:
-				m.acceptSeed(data)
+			case sub := <-m.queue:
+				m.acceptSeed(sub)
 			default:
 				goto drained
 			}
@@ -387,36 +367,35 @@ func (m *Manager) Stop(ctx context.Context) error {
 
 // --- corpus -----------------------------------------------------------------
 
-// loadState reads state.json (returns false when the directory is
-// fresh), validates it against the configuration, lifts the corpus and
-// loads the discrepancy journal up to the state's frontier.
-func (m *Manager) loadState() (bool, error) {
+// loadState reads state.json (absent in a fresh directory), validates
+// it against the configuration, lifts the corpus and loads the
+// discrepancy journal up to the state's frontier.
+func (m *Manager) loadState() error {
 	var st State
 	err := readJSON(m.statePath(), &st)
-	resuming := err == nil
 	switch {
 	case os.IsNotExist(err):
 		// A fresh directory: no corpus, every frontier at 0.
 	case err != nil:
-		return false, err
+		return err
 	default:
 		if err := m.validateState(&st); err != nil {
-			return false, err
+			return err
 		}
 	}
 	copy(m.shardEpochs, st.ShardEpochs)
 	for _, name := range st.Submitted {
 		data, err := os.ReadFile(filepath.Join(m.corpusDir(), name))
 		if err != nil {
-			return false, fmt.Errorf("service: corpus file %s named by state.json: %w", name, err)
+			return fmt.Errorf("service: corpus file %s named by state.json: %w", name, err)
 		}
 		c, err := liftSeed(data)
 		if err != nil {
-			return false, fmt.Errorf("service: corpus file %s: %w", name, err)
+			return fmt.Errorf("service: corpus file %s: %w", name, err)
 		}
 		m.submitted = append(m.submitted, submittedSeed{name: name, class: c})
 	}
-	return resuming, m.loadJournal(st.NextDiscrepancy)
+	return m.loadJournal(st.NextDiscrepancy)
 }
 
 // liftSeed validates submission bytes all the way to the class model
@@ -436,31 +415,26 @@ func liftSeed(data []byte) (*jimple.Class, error) {
 	return jimple.Lift(f)
 }
 
-// acceptSeed persists one queued submission and makes it visible to
-// future epochs. Persist-before-visibility: the corpus file and the
-// state.json naming it hit disk inside the same critical section that
-// appends to the in-memory corpus, so no epoch can start on a seed a
-// restart would not reload.
-func (m *Manager) acceptSeed(data []byte) {
-	c, err := liftSeed(data)
-	if err != nil {
-		m.tel.Counter(MetricSeedsRejected).Inc()
-		m.logf("intake: dropped malformed submission: %v", err)
-		return
-	}
+// acceptSeed persists one queued submission, which handleSeeds has
+// already lifted, and makes it visible to future epochs.
+// Persist-before-visibility: the corpus file and the state.json naming
+// it hit disk inside the same critical section that appends to the
+// in-memory corpus, so no epoch can start on a seed a restart would not
+// reload.
+func (m *Manager) acceptSeed(sub submission) {
 	unlock := m.lockTimed()
 	defer unlock()
 	name := submittedName(len(m.submitted))
-	if err := os.WriteFile(filepath.Join(m.corpusDir(), name), data, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(m.corpusDir(), name), sub.data, 0o644); err != nil {
 		m.logf("intake: persisting %s: %v", name, err)
 		return
 	}
-	m.submitted = append(m.submitted, submittedSeed{name: name, class: c})
+	m.submitted = append(m.submitted, submittedSeed{name: name, class: sub.class})
 	if err := m.persistLocked(); err != nil {
 		m.logf("intake: %v", err)
 	}
 	if m.seedIndex != nil {
-		sc := m.seedIndex.AddSeed(c)
+		sc := m.seedIndex.AddSeed(sub.class)
 		m.logf("intake: %s classified into cluster %d (fp %016x)", name, sc.Cluster, sc.Fingerprint)
 	}
 	m.tel.Counter(MetricSeedsAccepted).Inc()
@@ -486,17 +460,17 @@ func (m *Manager) intake() {
 		select {
 		case <-m.stopCh:
 			return
-		case data := <-m.queue:
+		case sub := <-m.queue:
 			if m.intakeGate != nil {
 				select {
 				case <-m.intakeGate:
 				case <-m.stopCh:
 					// Put it back for Stop's drain to adopt.
-					m.queue <- data
+					m.queue <- sub
 					return
 				}
 			}
-			m.acceptSeed(data)
+			m.acceptSeed(sub)
 			m.tel.Gauge(MetricQueueDepth).Set(int64(len(m.queue)))
 		}
 	}
@@ -537,8 +511,8 @@ func (m *Manager) epochSeed(shard, epoch int) int64 {
 
 // epochSource builds one epoch's SeedSource over the corpus prefix:
 // the flat-uniform adapter, or a fresh scheduler (stateful sources
-// serve exactly one engine run — a Resume replays the committed prefix
-// into it). The scheduler's cluster identities match the intake
+// serve exactly one engine run). The scheduler's cluster identities
+// match the intake
 // index's: representatives are restricted to the generated base
 // corpus, so submitted seeds join existing clusters.
 func (m *Manager) epochSource(used int, reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, error) {
@@ -550,8 +524,10 @@ func (m *Manager) epochSource(used int, reg *telemetry.Registry) (campaign.SeedS
 	})
 }
 
-// campaignConfig shapes one epoch's engine run.
-func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, ctrl *campaign.Control, reg *telemetry.Registry) campaign.Config {
+// campaignConfig shapes one epoch's engine run. Its Stop is the
+// manager's stopCh, so a drain ends the epoch at a coordinator
+// boundary.
+func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, reg *telemetry.Registry) campaign.Config {
 	return campaign.Config{
 		Algorithm:       m.cfg.Algorithm,
 		Criterion:       m.cfg.Criterion,
@@ -561,80 +537,45 @@ func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, 
 		RefSpec:         jvm.HotSpot9(),
 		StaticPrefilter: true,
 		Workers:         m.cfg.Workers,
-		Control:         ctrl,
+		Stop:            m.stopCh,
 		Telemetry:       reg,
 	}
 }
 
-// runShard is a shard's epoch loop. cp, when non-nil, resumes the
-// first epoch from its checkpoint.
-func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
+// runShard is a shard's epoch loop, from the shard's state.json
+// frontier. Each epoch is a fresh campaign over the corpus as of its
+// start; one a drain stops is not folded, and the restart runs it again
+// from iteration 0.
+func (m *Manager) runShard(sh *shard) {
 	defer m.wg.Done()
-	for {
-		_, epoch, _ := sh.handles()
-		if m.cfg.Epochs > 0 && epoch >= m.cfg.Epochs {
-			sh.setState("done")
-			return
-		}
-		ctrl := campaign.NewControl()
-		reg := telemetry.New()
-		var eng *campaign.Engine
-		var sched *seedsel.Scheduler
-		var used int
-		resumed := false
-		if cp != nil {
-			used = cp.SubmittedUsed
-			src, sc, err := m.epochSource(used, reg)
-			if err == nil {
-				eng, err = campaign.Resume(m.campaignConfig(sh, epoch, src, ctrl, reg), cp.Campaign)
-			}
-			if err != nil {
-				m.logf("shard %d: checkpoint rejected (%v); restarting epoch %d fresh", sh.id, err, epoch)
-				eng = nil
-				// The rejected attempt may have moved the seed
-				// scheduler's and the seed pass's metrics.
-				reg = telemetry.New()
-			} else {
-				sched = sc
-				m.tel.Counter(MetricCheckpointsRestored).Inc()
-				resumed = true
-				m.logf("shard %d: resumed epoch %d at iteration %d/%d", sh.id, epoch, cp.Campaign.Committed, m.cfg.Iterations)
-			}
-			cp = nil
-		}
-		if eng == nil {
-			used = m.submittedCount()
-			src, sc, err := m.epochSource(used, reg)
-			if err == nil {
-				eng, err = campaign.NewEngine(m.campaignConfig(sh, epoch, src, ctrl, reg))
-			}
-			if err != nil {
-				m.logf("shard %d: engine: %v", sh.id, err)
-				sh.setState("failed")
-				return
-			}
-			sched = sc
-		}
-		if !sh.beginEpoch(epoch, used, ctrl, reg, resumed) {
+	for epoch := sh.epoch; m.cfg.Epochs <= 0 || epoch < m.cfg.Epochs; epoch++ {
+		if m.stopping.Load() {
 			sh.setState("stopped")
 			return
 		}
-		res, err := eng.Run()
-		sh.endEpoch()
+		reg := telemetry.New()
+		used := m.submittedCount()
+		src, sched, err := m.epochSource(used, reg)
+		var res *campaign.Result
+		if err == nil {
+			sh.beginEpoch(epoch, used, reg)
+			res, err = campaign.Run(m.campaignConfig(sh, epoch, src, reg))
+			sh.endEpoch()
+		}
 		if err != nil {
 			m.logf("shard %d epoch %d: %v", sh.id, epoch, err)
 			sh.setState("failed")
 			return
 		}
 		if res.Stopped {
-			// The drain path that asked for the stop wrote the
-			// checkpoint; the partial epoch folds after the restart.
+			m.logf("shard %d: epoch %d stopped at iteration %d/%d; it runs again after a restart", sh.id, epoch, res.Drawn, m.cfg.Iterations)
 			sh.setState("stopped")
 			return
 		}
 		m.foldEpoch(sh, epoch, res, reg, sched)
 		sh.advance()
 	}
+	sh.setState("done")
 }
 
 // foldEpoch absorbs one completed epoch: session fold, differential
@@ -643,7 +584,11 @@ func (m *Manager) runShard(sh *shard, cp *ShardCheckpoint) {
 // seed cluster its lineage's root seed belongs to), per-cluster
 // scheduling tallies, state-frontier advance and persist.
 func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched *seedsel.Scheduler) {
-	m.session.Fold(shardKey(sh.id, epoch), res, reg)
+	key := shardKey(sh.id, epoch)
+	m.session.foldReplacing(key, shardKey(sh.id, epoch-1), res, reg)
+	if m.foldHook != nil {
+		m.foldHook(key, res)
+	}
 	m.tel.Counter(MetricEpochsCompleted).Inc()
 
 	classes := make([][]byte, len(res.Test))
@@ -701,8 +646,6 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 		m.logf("fold: %v", err)
 	}
 	unlock()
-	// The epoch is folded; its checkpoint (if any) is now stale.
-	os.Remove(m.checkpointPath(sh.id))
 	m.logf("shard %d: epoch %d folded (%d tests, %d discrepancies, session coverage %s)",
 		sh.id, epoch, len(res.Test), len(found), m.session.Coverage())
 }
@@ -724,62 +667,21 @@ func (m *Manager) commitLocked(found []Discrepancy) {
 
 // --- checkpointing ----------------------------------------------------------
 
-// checkpointShard snapshots a shard's running epoch (stopping it when
-// stop is set) and persists the checkpoint. Reports whether a
-// checkpoint was written.
-func (m *Manager) checkpointShard(sh *shard, stop bool) bool {
-	ctrl, epoch, used := sh.handles()
-	if ctrl == nil {
-		return false
+// Checkpoint rewrites state.json under the lock and returns the shard
+// frontiers it recorded. Running epochs are not saved: an epoch is
+// durable once it folds, and one cut short runs again after a restart.
+func (m *Manager) Checkpoint() ([]int, error) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.journal == nil {
+		// Not started, or stopped: the data directory is not ours.
+		return nil, fmt.Errorf("service: checkpoint: daemon not running")
 	}
-	var snap *campaign.Snapshot
-	if stop {
-		snap = ctrl.Stop()
-	} else {
-		snap = ctrl.Snapshot()
-	}
-	if snap == nil {
-		return false
-	}
-	cp := &ShardCheckpoint{
-		Version:       ShardCheckpointVersion,
-		Shard:         sh.id,
-		Epoch:         epoch,
-		SubmittedUsed: used,
-		Campaign:      snap,
-	}
-	if err := writeJSONAtomic(m.checkpointPath(sh.id), cp); err != nil {
-		m.logf("shard %d: checkpoint write: %v", sh.id, err)
-		return false
+	if err := m.persistLocked(); err != nil {
+		return nil, fmt.Errorf("service: %w", err)
 	}
 	m.tel.Counter(MetricCheckpointsWritten).Inc()
-	return true
-}
-
-// CheckpointNow snapshots every running shard epoch without stopping
-// anything. Returns how many shard checkpoints were written.
-func (m *Manager) CheckpointNow() int {
-	n := 0
-	for _, sh := range m.shards {
-		if m.checkpointShard(sh, false) {
-			n++
-		}
-	}
-	return n
-}
-
-func (m *Manager) checkpointTimer() {
-	defer m.bgWG.Done()
-	t := time.NewTicker(m.cfg.CheckpointEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-m.stopCh:
-			return
-		case <-t.C:
-			m.CheckpointNow()
-		}
-	}
+	return append([]int(nil), m.shardEpochs...), nil
 }
 
 // --- status -----------------------------------------------------------------

@@ -23,7 +23,8 @@ const maxSeedBytes = 1 << 20
 //	GET  /api/status         — shard/corpus/queue/discrepancy counts
 //	GET  /api/discrepancies  — ?since=N lists entries with ID >= N;
 //	                           &wait=1 long-polls for new ones
-//	POST /api/checkpoint     — snapshot every running shard
+//	POST /api/checkpoint     — rewrite state.json, answer the shard
+//	                           epoch frontiers it holds
 //	GET  /metrics.json       — live telemetry (session + running epochs)
 //	GET  /healthz            — liveness
 //	GET  /                   — dashboard
@@ -70,7 +71,7 @@ func (m *Manager) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	select {
-	case m.queue <- data:
+	case m.queue <- submission{data: data, class: c}:
 		depth := int64(len(m.queue))
 		m.tel.Gauge(MetricQueueDepth).Set(depth)
 		m.mu.Lock()
@@ -136,8 +137,12 @@ func (m *Manager) handleDiscrepancies(w http.ResponseWriter, r *http.Request) {
 }
 
 func (m *Manager) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	n := m.CheckpointNow()
-	respondJSON(w, http.StatusOK, map[string]int{"written": n})
+	epochs, err := m.Checkpoint()
+	if err != nil {
+		respondJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
+		return
+	}
+	respondJSON(w, http.StatusOK, map[string][]int{"shard_epochs": epochs})
 }
 
 func (m *Manager) handleDashboard(w http.ResponseWriter, r *http.Request) {

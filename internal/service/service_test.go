@@ -12,6 +12,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -41,10 +42,11 @@ func testConfig(t *testing.T, workers int) Config {
 }
 
 // runToCompletion starts a manager, waits for the epoch budget and
-// stops it, returning the folded session.
-func runToCompletion(t *testing.T, cfg Config) (*Session, *Manager) {
+// stops it, returning every fold it made.
+func runToCompletion(t *testing.T, cfg Config) (map[string]foldSummary, *Manager) {
 	t.Helper()
 	m := New(cfg)
+	folds := recordFolds(m)
 	if err := m.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -52,29 +54,59 @@ func runToCompletion(t *testing.T, cfg Config) (*Session, *Manager) {
 	if err := m.Stop(context.Background()); err != nil {
 		t.Fatalf("stop: %v", err)
 	}
-	return m.Session(), m
+	return folds.get(), m
 }
 
-// sessionSummary reduces a session to comparable facts: per fold key,
-// the accepted test names and bytes plus the draw log length.
+// foldSummary reduces a folded epoch to comparable facts: the accepted
+// test names and bytes, the draw log length, the generated count and
+// whether the epoch ran its whole budget.
 type foldSummary struct {
 	TestNames []string
 	TestBytes [][]byte
 	Draws     int
 	GenCount  int
+	Drawn     int
+	Stopped   bool
 }
 
-func summarize(s *Session) map[string]foldSummary {
-	out := map[string]foldSummary{}
-	for key, res := range s.Campaigns {
-		var fs foldSummary
-		for _, g := range res.Test {
-			fs.TestNames = append(fs.TestNames, g.Name)
-			fs.TestBytes = append(fs.TestBytes, g.Data)
+func summarize(res *campaign.Result) foldSummary {
+	fs := foldSummary{Draws: len(res.Draws), GenCount: len(res.Gen), Drawn: res.Drawn, Stopped: res.Stopped}
+	for _, g := range res.Test {
+		fs.TestNames = append(fs.TestNames, g.Name)
+		fs.TestBytes = append(fs.TestBytes, g.Data)
+	}
+	return fs
+}
+
+// foldLog records every epoch a manager folds, keyed like the session;
+// the session itself keeps only each shard's latest. first closes at
+// the first fold.
+type foldLog struct {
+	mu    sync.Mutex
+	folds map[string]foldSummary
+	first chan struct{}
+}
+
+// recordFolds hooks a foldLog into m; call it before Start.
+func recordFolds(m *Manager) *foldLog {
+	l := &foldLog{folds: map[string]foldSummary{}, first: make(chan struct{})}
+	m.foldHook = func(key string, res *campaign.Result) {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if len(l.folds) == 0 {
+			close(l.first)
 		}
-		fs.Draws = len(res.Draws)
-		fs.GenCount = len(res.Gen)
-		out[key] = fs
+		l.folds[key] = summarize(res)
+	}
+	return l
+}
+
+func (l *foldLog) get() map[string]foldSummary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make(map[string]foldSummary, len(l.folds))
+	for k, v := range l.folds {
+		out[k] = v
 	}
 	return out
 }
@@ -108,11 +140,12 @@ func unionSummaries(t *testing.T, runs ...map[string]foldSummary) map[string]fol
 }
 
 // TestDaemonKillResumeDeterminism is the service-level acceptance
-// test: a daemon stopped mid-flight (graceful drain writes shard
-// checkpoints) and restarted on the same data directory must produce,
-// across both lifetimes, the exact folds an uninterrupted daemon
-// produces — per-epoch accepted suites byte-identical, discrepancy
-// sets equal — at worker counts 1 and 4.
+// test: a daemon stopped mid-flight (the drain stops running epochs
+// without folding them) and restarted on the same data directory must
+// produce, across both lifetimes, the exact folds an uninterrupted
+// daemon produces — per-epoch accepted suites byte-identical,
+// discrepancy sets equal — at worker counts 1 and 4. Every epoch the
+// first lifetime did not fold, the second runs whole from iteration 0.
 func TestDaemonKillResumeDeterminism(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		workers := workers
@@ -120,34 +153,26 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 			t.Parallel()
 			want, wm := runToCompletion(t, testConfig(t, workers))
 
-			// Interrupted run: start, let some work happen, drain with
-			// checkpoints, then restart the same data directory and run
-			// to completion.
+			// Interrupted run: start, drain as the first epoch folds, then
+			// restart the same data directory and run to completion. The
+			// folding shard's next epoch cannot start before the drain,
+			// so the restart always has an epoch to run.
 			cfg := testConfig(t, workers)
 			m1 := New(cfg)
+			life1 := recordFolds(m1)
 			if err := m1.Start(); err != nil {
 				t.Fatalf("start: %v", err)
 			}
-			time.Sleep(30 * time.Millisecond)
+			<-life1.first
 			if err := m1.Stop(context.Background()); err != nil {
 				t.Fatalf("drain: %v", err)
 			}
-			// A drain that races its epoch's fold checkpoints an epoch
-			// that folds anyway: the fold deletes that checkpoint, or the
-			// restart drops it as stale. Every other checkpoint must
-			// resume. Count them from the files themselves, before the
-			// restart touches them.
-			current := int64(0)
-			m1.mu.Lock()
-			for i := range m1.shards {
-				var cp ShardCheckpoint
-				if readJSON(m1.checkpointPath(i), &cp) == nil && cp.Epoch >= m1.shardEpochs[i] {
-					current++
-				}
+			if _, err := os.Stat(filepath.Join(cfg.DataDir, "checkpoints")); !os.IsNotExist(err) {
+				t.Fatalf("the drain left a checkpoints/ directory (stat: %v)", err)
 			}
-			m1.mu.Unlock()
 
 			m2 := New(cfg)
+			life2 := recordFolds(m2)
 			if err := m2.Start(); err != nil {
 				t.Fatalf("restart: %v", err)
 			}
@@ -156,57 +181,25 @@ func TestDaemonKillResumeDeterminism(t *testing.T) {
 				t.Fatalf("final stop: %v", err)
 			}
 
-			got := unionSummaries(t, summarize(m1.Session()), summarize(m2.Session()))
-			if !reflect.DeepEqual(got, summarize(want)) {
-				t.Fatal("interrupted+resumed folds diverge from the uninterrupted run")
+			got := unionSummaries(t, life1.get(), life2.get())
+			if !reflect.DeepEqual(got, want) {
+				t.Fatal("interrupted+restarted folds diverge from the uninterrupted run")
 			}
 			// The discrepancy log persists in discrepancies.jsonl, so the
 			// final daemon's view covers both lifetimes.
 			if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
-				t.Fatal("resumed daemon discrepancy set diverges from uninterrupted run")
+				t.Fatal("restarted daemon discrepancy set diverges from uninterrupted run")
 			}
-			w := m1.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten)
-			if r := m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != current {
-				t.Fatalf("drain wrote %d checkpoints, %d for unfolded epochs, but restart restored %d", w, current, r)
+			// Every epoch life 1 did not fold, life 2 ran whole.
+			if len(life2.get()) == 0 {
+				t.Fatal("the drain cut no epoch short")
+			}
+			for key, fs := range life2.get() {
+				if fs.Drawn != cfg.Iterations || fs.Stopped {
+					t.Errorf("%s folded after the restart with Drawn %d of %d, Stopped %v", key, fs.Drawn, cfg.Iterations, fs.Stopped)
+				}
 			}
 		})
-	}
-}
-
-// TestDaemonStaleCheckpointIgnored: checkpoints whose epoch already
-// folded (CheckpointNow raced the fold, or a kill landed between the
-// fold's state write and the checkpoint cleanup) must be ignored on
-// restart, not re-folded — the union across lifetimes still equals
-// the uninterrupted run.
-func TestDaemonStaleCheckpointIgnored(t *testing.T) {
-	want, _ := runToCompletion(t, testConfig(t, 2))
-
-	cfg := testConfig(t, 2)
-	m1 := New(cfg)
-	if err := m1.Start(); err != nil {
-		t.Fatalf("start: %v", err)
-	}
-	time.Sleep(20 * time.Millisecond)
-	m1.CheckpointNow() // mid-flight snapshots that will go stale
-	m1.Wait()          // every epoch folds; the snapshots are now relics
-	if err := m1.Stop(context.Background()); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-
-	m2 := New(cfg)
-	if err := m2.Start(); err != nil {
-		t.Fatalf("restart: %v", err)
-	}
-	m2.Wait()
-	if err := m2.Stop(context.Background()); err != nil {
-		t.Fatalf("final stop: %v", err)
-	}
-	if n := len(m2.Session().Campaigns); n != 0 {
-		t.Fatalf("restart re-folded %d epochs of a completed daemon", n)
-	}
-	got := unionSummaries(t, summarize(m1.Session()), summarize(m2.Session()))
-	if !reflect.DeepEqual(got, summarize(want)) {
-		t.Fatal("completed run's folds diverge from the uninterrupted run")
 	}
 }
 
@@ -280,26 +273,26 @@ func TestSeedSubmissionAPI(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	// The API-triggered checkpoint writes shard snapshots once it lands
-	// mid-epoch. Epochs cycle quickly at this scale, so a request can
-	// catch every shard between epochs (nothing running to snapshot) —
-	// retry until one lands.
-	ckptDeadline := time.After(10 * time.Second)
-	for {
-		cresp, err := http.Post(base+"/api/checkpoint", "", nil)
-		if err != nil || cresp.StatusCode != http.StatusOK {
-			t.Fatalf("checkpoint: %v (%v)", err, cresp)
-		}
-		io.Copy(io.Discard, cresp.Body)
-		cresp.Body.Close()
-		if m.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten) > 0 {
-			break
-		}
-		select {
-		case <-ckptDeadline:
-			t.Fatal("API checkpoint never wrote a shard snapshot")
-		case <-time.After(20 * time.Millisecond):
-		}
+	// The API checkpoint rewrites state.json and answers the shard
+	// frontiers it holds; no checkpoints/ directory appears.
+	cresp, err := http.Post(base+"/api/checkpoint", "", nil)
+	if err != nil || cresp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint: %v (%v)", err, cresp)
+	}
+	var ckpt struct {
+		ShardEpochs []int `json:"shard_epochs"`
+	}
+	err = json.NewDecoder(cresp.Body).Decode(&ckpt)
+	cresp.Body.Close()
+	if err != nil || len(ckpt.ShardEpochs) != cfg.Shards {
+		t.Fatalf("checkpoint answered %+v (%v), want %d shard frontiers", ckpt, err, cfg.Shards)
+	}
+	if n := m.Session().Telemetry.Snapshot().Counter(MetricCheckpointsWritten); n != 1 {
+		t.Fatalf("%s = %d after one checkpoint request", MetricCheckpointsWritten, n)
+	}
+	var st State
+	if err := readJSON(m.statePath(), &st); err != nil || len(st.Submitted) == 0 {
+		t.Fatalf("state.json after the checkpoint lists %d submissions (%v), want the adopted ones", len(st.Submitted), err)
 	}
 
 	// Graceful drain: intake 503s, the listener closes, restart lifts
@@ -310,14 +303,8 @@ func TestSeedSubmissionAPI(t *testing.T) {
 	if _, err := http.Get(base + "/healthz"); err == nil {
 		t.Fatal("listener still answering after Stop")
 	}
-	// Drain checkpoints every mid-epoch shard; a shard caught between
-	// epochs leaves nothing to restore, so pin restore against what the
-	// drain actually left on disk.
-	surviving := 0
-	for i := 0; i < cfg.Shards; i++ {
-		if _, err := os.Stat(m.checkpointPath(i)); err == nil {
-			surviving++
-		}
+	if _, err := os.Stat(filepath.Join(cfg.DataDir, "checkpoints")); !os.IsNotExist(err) {
+		t.Fatalf("the daemon made a checkpoints/ directory (stat: %v)", err)
 	}
 
 	m2 := New(cfg)
@@ -328,16 +315,23 @@ func TestSeedSubmissionAPI(t *testing.T) {
 	if got := m2.submittedCount(); got < 1 {
 		t.Fatalf("restart lifted %d submitted seeds, want >= 1", got)
 	}
-	// Resume happens asynchronously in the shard loops; wait for the
-	// restored counter rather than racing it.
-	if surviving > 0 {
-		restoreDeadline := time.After(10 * time.Second)
-		for m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored) == 0 {
-			select {
-			case <-restoreDeadline:
-				t.Fatal("restart restored no checkpoints despite drain-time snapshots")
-			case <-time.After(10 * time.Millisecond):
+	// Each shard runs the epoch at its state.json frontier.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		m2.mu.Lock()
+		frontiers := append([]int(nil), m2.shardEpochs...)
+		m2.mu.Unlock()
+		st := m2.Status()
+		running := 0
+		for i, sh := range st.Shards {
+			if sh.State == "running" && sh.Epoch == frontiers[i] {
+				running++
 			}
+		}
+		if running == cfg.Shards {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("restarted shards %+v never all ran their frontier epochs %v", st.Shards, frontiers)
 		}
 	}
 }
@@ -446,7 +440,11 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.queue <- files[0]
+	c, err := liftSeed(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.queue <- submission{data: files[0], class: c}
 	m.Wait()
 	if err := m.Stop(context.Background()); err != nil {
 		t.Fatalf("stop: %v", err)
@@ -592,33 +590,45 @@ func TestDataDirLock(t *testing.T) {
 }
 
 // TestLeftoverMemoFileIgnored: the daemon keeps its memos in memory
-// only, so a memo.json in the data directory — torn by a kill, or
-// written by an older build whose simulator this one no longer matches
-// — is neither read nor rewritten. The daemon starts on it and runs to
-// the folds and discrepancy log of a clean directory, which itself
-// never gains a memo.json.
+// only and saves no running epoch, so a memo.json or a
+// checkpoints/shard-0.json in the data directory — torn by a kill, or
+// written by an older build — is neither read nor rewritten. The
+// daemon starts on them and runs to the folds and discrepancy log of a
+// clean directory, which itself never gains either file.
 func TestLeftoverMemoFileIgnored(t *testing.T) {
 	clean := testConfig(t, 1)
 	want, wm := runToCompletion(t, clean)
-	if _, err := os.Stat(filepath.Join(clean.DataDir, "memo.json")); !os.IsNotExist(err) {
-		t.Fatalf("clean data dir gained a memo.json (stat: %v)", err)
+	for _, name := range []string{"memo.json", "checkpoints"} {
+		if _, err := os.Stat(filepath.Join(clean.DataDir, name)); !os.IsNotExist(err) {
+			t.Fatalf("clean data dir gained %s (stat: %v)", name, err)
+		}
 	}
 
 	cfg := testConfig(t, 1)
-	torn := []byte(`{"version":1,"classes":[{"da`)
-	memoPath := filepath.Join(cfg.DataDir, "memo.json")
-	if err := os.WriteFile(memoPath, torn, 0o644); err != nil {
-		t.Fatal(err)
+	leftovers := map[string][]byte{
+		"memo.json":                []byte(`{"version":1,"classes":[{"da`),
+		"checkpoints/shard-0.json": []byte(`{"version":1,"shard":0,"epoch":0,"submitted_used":0,"campaign":{"version":2,"drawn":`),
+	}
+	for name, data := range leftovers {
+		path := filepath.Join(cfg.DataDir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	got, gm := runToCompletion(t, cfg)
-	if !reflect.DeepEqual(summarize(got), summarize(want)) {
+	if !reflect.DeepEqual(got, want) {
 		t.Fatal("folds diverge from a clean data dir")
 	}
 	if !reflect.DeepEqual(discSet(gm.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
 		t.Fatal("discrepancy log diverges from a clean data dir")
 	}
-	if after, err := os.ReadFile(memoPath); err != nil || !bytes.Equal(after, torn) {
-		t.Fatalf("leftover memo.json was touched (err %v)", err)
+	for name, data := range leftovers {
+		if after, err := os.ReadFile(filepath.Join(cfg.DataDir, name)); err != nil || !bytes.Equal(after, data) {
+			t.Fatalf("leftover %s was touched (err %v)", name, err)
+		}
 	}
 }
 
@@ -656,15 +666,15 @@ func TestSessionRunnersOwnTheirMemos(t *testing.T) {
 // is campaign.executions — reference-VM runs, so mutants the prefilter's
 // trace cache served are not in it — and accepted is campaign.accepts.
 // Between epochs status keeps reporting the last one, while
-// /metrics.json counts a folded epoch once. A shard resumed from a
-// checkpoint counts the restored prefix too.
+// /metrics.json counts a folded epoch once. An epoch a drain cut short
+// counts again from zero after the restart.
 func TestShardStatusCounts(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.Shards = 1
 	cfg.Epochs = 1
 	cfg.Iterations = 3000
 
-	check := func(m *Manager, wantResumed bool) {
+	check := func(m *Manager) {
 		t.Helper()
 		st := m.Status()
 		if len(st.Shards) != 1 {
@@ -677,9 +687,6 @@ func TestShardStatusCounts(t *testing.T) {
 		}
 		tel := m.Session().Telemetry.Snapshot()
 		live := m.liveSnapshot()
-		if sh.Resumed != wantResumed {
-			t.Errorf("shard resumed %v, want %v", sh.Resumed, wantResumed)
-		}
 		if sh.Drawn != int64(cfg.Iterations) || live.Counter("campaign.iterations") != int64(cfg.Iterations) {
 			t.Errorf("drawn %d, /metrics.json iterations %d, want %d", sh.Drawn, live.Counter("campaign.iterations"), cfg.Iterations)
 		}
@@ -699,12 +706,12 @@ func TestShardStatusCounts(t *testing.T) {
 	}
 
 	_, fresh := runToCompletion(t, cfg)
-	check(fresh, false)
+	check(fresh)
 	if skipped := fresh.Session().Campaigns[shardKey(0, 0)].Prefilter.Skipped; skipped == 0 {
 		t.Fatal("epoch too small: the prefilter's trace cache served no mutant")
 	}
 
-	// Drain mid-epoch, then resume the checkpoint in a second lifetime.
+	// Drain mid-epoch, then run the epoch again in a second lifetime.
 	cfg.DataDir = t.TempDir()
 	m1 := New(cfg)
 	if err := m1.Start(); err != nil {
@@ -722,84 +729,40 @@ func TestShardStatusCounts(t *testing.T) {
 		t.Fatalf("drain: %v", err)
 	}
 	if len(m1.Session().Campaigns) != 0 {
-		t.Fatal("epoch folded before the drain; no checkpoint to resume")
+		t.Fatal("epoch folded before the drain; nothing was cut short")
 	}
-	m2 := New(cfg)
-	if err := m2.Start(); err != nil {
-		t.Fatalf("restart: %v", err)
+	if sh := m1.Status().Shards[0]; sh.State != "stopped" || sh.Drawn >= int64(cfg.Iterations) {
+		t.Fatalf("drained shard is %q after drawing %d of %d", sh.State, sh.Drawn, cfg.Iterations)
 	}
-	m2.Wait()
-	if err := m2.Stop(context.Background()); err != nil {
-		t.Fatalf("final stop: %v", err)
-	}
-	if r := m2.Session().Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != 1 {
-		t.Fatalf("restart restored %d checkpoints, want 1", r)
-	}
-	check(m2, true)
+	_, m2 := runToCompletion(t, cfg)
+	check(m2)
 }
 
-// TestDaemonTamperedCheckpointRefused: a drained shard checkpoint whose
-// campaign snapshot carries edited coverage stats for a rejected mutant
-// does not resume — the restart replays the checkpointed prefix, sees
-// the difference, and runs the epoch fresh — so the folds equal the
-// uninterrupted daemon's instead of a silently different campaign's.
-func TestDaemonTamperedCheckpointRefused(t *testing.T) {
+// TestSessionKeepsLatestFoldPerShard: the daemon's session holds one
+// result per shard, its latest epoch's, under that epoch's key, however
+// many epochs have folded; telemetry still counts every fold.
+func TestSessionKeepsLatestFoldPerShard(t *testing.T) {
 	cfg := testConfig(t, 1)
-	cfg.Shards = 1
-	cfg.Epochs = 1
-	cfg.Iterations = 3000
-	want, _ := runToCompletion(t, cfg)
-
-	cfg.DataDir = t.TempDir()
-	m1 := New(cfg)
-	if err := m1.Start(); err != nil {
-		t.Fatalf("start: %v", err)
+	cfg.Epochs = 4
+	cfg.Iterations = 20
+	folds, m := runToCompletion(t, cfg)
+	if len(folds) != cfg.Shards*cfg.Epochs {
+		t.Fatalf("%d epochs folded, want %d", len(folds), cfg.Shards*cfg.Epochs)
 	}
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if m1.Status().Shards[0].Drawn >= 100 {
-			break
+	got := m.Session().Campaigns
+	if len(got) != cfg.Shards {
+		t.Fatalf("the session holds %d results after %d folds, want %d", len(got), len(folds), cfg.Shards)
+	}
+	for shard := 0; shard < cfg.Shards; shard++ {
+		res := got[shardKey(shard, cfg.Epochs-1)]
+		if res == nil {
+			t.Fatalf("the session lacks shard %d's last epoch", shard)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("shard never drew 100 iterations")
-		}
-	}
-	if err := m1.Stop(context.Background()); err != nil {
-		t.Fatalf("drain: %v", err)
-	}
-	if len(m1.Session().Campaigns) != 0 {
-		t.Fatal("epoch folded before the drain; no checkpoint to tamper with")
-	}
-	var cp ShardCheckpoint
-	if err := readJSON(m1.checkpointPath(0), &cp); err != nil {
-		t.Fatalf("read checkpoint: %v", err)
-	}
-	tampered := false
-	for k := len(cp.Campaign.Gens) - 1; k >= 0 && !tampered; k-- {
-		if ge := &cp.Campaign.Gens[k]; !ge.Accepted {
-			ge.Stmts += 7
-			ge.Branches += 3
-			tampered = true
+		if !reflect.DeepEqual(summarize(res), folds[shardKey(shard, cfg.Epochs-1)]) {
+			t.Errorf("shard %d: the kept result is not its last fold", shard)
 		}
 	}
-	if !tampered {
-		t.Fatal("checkpoint holds no rejected mutant")
-	}
-	if err := writeJSONAtomic(m1.checkpointPath(0), &cp); err != nil {
-		t.Fatalf("write checkpoint: %v", err)
-	}
-
-	got, _ := runToCompletion(t, cfg)
-	if r := got.Telemetry.Snapshot().Counter(MetricCheckpointsRestored); r != 0 {
-		t.Fatalf("restart restored %d checkpoints from a tampered one", r)
-	}
-	if !reflect.DeepEqual(summarize(got), summarize(want)) {
-		t.Fatal("folds after the refused checkpoint diverge from the uninterrupted run")
-	}
-	for key, w := range want.Campaigns {
-		g := got.Campaigns[key]
-		if g.GenUniqueStats != w.GenUniqueStats || !reflect.DeepEqual(g.Prefilter, w.Prefilter) {
-			t.Errorf("%s: gen unique stats %d, prefilter %+v; uninterrupted %d, %+v",
-				key, g.GenUniqueStats, g.Prefilter, w.GenUniqueStats, w.Prefilter)
-		}
+	if n := m.Session().Telemetry.Snapshot().Counter(MetricEpochsCompleted); n != int64(cfg.Shards*cfg.Epochs) {
+		t.Errorf("%s = %d, want %d", MetricEpochsCompleted, n, cfg.Shards*cfg.Epochs)
 	}
 }

@@ -1,9 +1,10 @@
 // Package service is the campaign-as-a-service layer: a long-running
 // daemon (cmd/classfuzzd) hosting N sharded fuzzing campaigns over the
 // staged engine, a coordinator folding shard results into one session
-// view, a versioned checkpoint/resume protocol that survives kill -9
-// with byte-identical results, and an HTTP corpus/work API with
-// backpressure and graceful drain. See DESIGN.md ("Service layer").
+// view, epoch-granular persistence that survives kill -9 with
+// byte-identical results (a cut-short epoch runs again from iteration
+// 0), and an HTTP corpus/work API with backpressure and graceful drain.
+// See DESIGN.md ("Service layer").
 package service
 
 import (
@@ -18,12 +19,9 @@ import (
 // Metric names the service layer reports into the session registry.
 // cmd/report's Service section and the dashboard render these.
 const (
-	// MetricCheckpointsWritten counts shard checkpoints persisted to
-	// disk (periodic timer, API trigger, or drain-on-shutdown).
+	// MetricCheckpointsWritten counts state.json rewrites asked for
+	// through POST /api/checkpoint.
 	MetricCheckpointsWritten = "service.checkpoints.written"
-	// MetricCheckpointsRestored counts shard campaigns resumed from a
-	// checkpoint at daemon startup.
-	MetricCheckpointsRestored = "service.checkpoints.restored"
 	// MetricQueueDepth gauges the seed-intake queue's current depth.
 	MetricQueueDepth = "service.queue.depth"
 	// MetricQueueHighWater gauges the deepest the intake queue has been.
@@ -56,7 +54,9 @@ type Session struct {
 	mu sync.Mutex
 
 	// Campaigns maps a fold key (e.g. "shard0/epoch2" or
-	// "classfuzz[stbr]") to that campaign's result.
+	// "classfuzz[stbr]") to that campaign's result. The daemon keeps
+	// only each shard's latest epoch here, so the map does not grow
+	// with the epochs a long-running daemon folds.
 	Campaigns map[string]*campaign.Result
 	// Telemetry is the session-wide metrics roll-up. Campaigns run
 	// against private registries which Fold merges in as they finish,
@@ -88,8 +88,15 @@ func NewSession(reg *telemetry.Registry) *Session {
 // share the process-global probe registry, so trace words are
 // index-compatible across folds.
 func (s *Session) Fold(key string, res *campaign.Result, reg *telemetry.Registry) {
+	s.foldReplacing(key, "", res, reg)
+}
+
+// foldReplacing is Fold that also drops the result folded under prev:
+// a shard's epoch replaces its previous one.
+func (s *Session) foldReplacing(key, prev string, res *campaign.Result, reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	delete(s.Campaigns, prev)
 	s.Campaigns[key] = res
 	if reg != nil {
 		s.Telemetry.Merge(reg)
