@@ -66,7 +66,8 @@ func NewCFG(code *classfile.CodeAttr) (*CFG, error) {
 				g.FallsOff = append(g.FallsOff, i)
 			}
 		}
-		for _, t := range in.Targets() {
+		for k := range in.NumTargets() {
+			t := in.Target(k)
 			if idx, ok := g.PCIndex[t]; ok {
 				g.Succs[i] = append(g.Succs[i], idx)
 			} else {

@@ -258,9 +258,9 @@ func utf8Bits(s string) byte {
 	case '(':
 		// Only method descriptors start with '('; a field descriptor
 		// never does.
-		if void, ok := descriptor.ScanMethod(s); ok {
+		if _, ret, ok := descriptor.MethodSlots(s); ok {
 			b |= 2
-			if void {
+			if ret == 0 { // void return
 				b |= 16
 			}
 		}

@@ -176,7 +176,7 @@ func referenceFingerprint(f *classfile.File) uint64 {
 		if strings.HasPrefix(s, "[") {
 			b |= 8
 		}
-		if void, ok := descriptor.ScanMethod(s); ok && void {
+		if md, err := descriptor.ParseMethod(s); err == nil && md.Return.IsVoid() {
 			b |= 16
 		}
 		return b

@@ -36,21 +36,30 @@ type Instruction struct {
 // code array (including the opcode byte and switch padding).
 func (in *Instruction) Size() int { return in.size }
 
-// Targets returns the absolute PCs this instruction may branch to,
-// excluding fall-through. Nil for non-branching instructions.
-func (in *Instruction) Targets() []int {
+// NumTargets returns how many PCs this instruction may branch to,
+// excluding fall-through: 1 for a branch, 1 + the case count for a
+// switch, 0 otherwise.
+func (in *Instruction) NumTargets() int {
 	switch {
 	case in.Op.IsBranch():
-		return []int{in.PC + int(in.Branch)}
+		return 1
 	case in.Op == Tableswitch, in.Op == Lookupswitch:
-		ts := make([]int, 0, len(in.SwitchOffsets)+1)
-		ts = append(ts, in.PC+int(in.SwitchDefault))
-		for _, off := range in.SwitchOffsets {
-			ts = append(ts, in.PC+int(off))
-		}
-		return ts
+		return 1 + len(in.SwitchOffsets)
 	}
-	return nil
+	return 0
+}
+
+// Target returns the k-th absolute PC this instruction may branch to,
+// 0 <= k < NumTargets(): a branch's one target, or a switch's default
+// (k = 0) and then its cases.
+func (in *Instruction) Target(k int) int {
+	if in.Op.IsBranch() {
+		return in.PC + int(in.Branch)
+	}
+	if k == 0 {
+		return in.PC + int(in.SwitchDefault)
+	}
+	return in.PC + int(in.SwitchOffsets[k-1])
 }
 
 // String renders the instruction in a javap-like form.
@@ -104,17 +113,20 @@ func (e *DecodeError) Error() string {
 		e.PC, byte(e.Op), e.Op.Mnemonic(), e.Reason)
 }
 
-// DecodeOne decodes the single instruction starting at code[pc].
-func DecodeOne(code []byte, pc int) (*Instruction, error) {
+// decodeAt decodes the instruction starting at code[pc] into *in,
+// overwriting all of it. With tables false a switch is checked and
+// sized but its offset and key tables are left nil, so sizing a code
+// array allocates nothing.
+func decodeAt(code []byte, pc int, in *Instruction, tables bool) error {
 	if pc < 0 || pc >= len(code) {
-		return nil, &DecodeError{PC: pc, Reason: "pc out of range"}
+		return &DecodeError{PC: pc, Reason: "pc out of range"}
 	}
 	op := Opcode(code[pc])
 	info, ok := Lookup(op)
 	if !ok {
-		return nil, &DecodeError{PC: pc, Op: op, Reason: "undefined opcode"}
+		return &DecodeError{PC: pc, Op: op, Reason: "undefined opcode"}
 	}
-	in := &Instruction{PC: pc, Op: op}
+	*in = Instruction{PC: pc, Op: op}
 	need := func(n int) error {
 		if pc+1+n > len(code) {
 			return &DecodeError{PC: pc, Op: op, Reason: "truncated operands"}
@@ -126,7 +138,7 @@ func DecodeOne(code []byte, pc int) (*Instruction, error) {
 		in.size = 1
 	case OpByte:
 		if err := need(1); err != nil {
-			return nil, err
+			return err
 		}
 		if op == Newarray {
 			in.ArrayTyp = ArrayTypeCode(code[pc+1])
@@ -136,112 +148,114 @@ func DecodeOne(code []byte, pc int) (*Instruction, error) {
 		in.size = 2
 	case OpShort:
 		if err := need(2); err != nil {
-			return nil, err
+			return err
 		}
 		in.Imm = int32(int16(binary.BigEndian.Uint16(code[pc+1:])))
 		in.size = 3
 	case OpCPByte:
 		if err := need(1); err != nil {
-			return nil, err
+			return err
 		}
 		in.CPIndex = uint16(code[pc+1])
 		in.size = 2
 	case OpCPShort:
 		if err := need(2); err != nil {
-			return nil, err
+			return err
 		}
 		in.CPIndex = binary.BigEndian.Uint16(code[pc+1:])
 		in.size = 3
 	case OpLocalByte:
 		if err := need(1); err != nil {
-			return nil, err
+			return err
 		}
 		in.Local = uint16(code[pc+1])
 		in.size = 2
 	case OpBranch2:
 		if err := need(2); err != nil {
-			return nil, err
+			return err
 		}
 		in.Branch = int32(int16(binary.BigEndian.Uint16(code[pc+1:])))
 		in.size = 3
 	case OpBranch4:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		in.Branch = int32(binary.BigEndian.Uint32(code[pc+1:]))
 		in.size = 5
 	case OpIinc:
 		if err := need(2); err != nil {
-			return nil, err
+			return err
 		}
 		in.Local = uint16(code[pc+1])
 		in.Imm = int32(int8(code[pc+2]))
 		in.size = 3
 	case OpInvokeInterface:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		in.CPIndex = binary.BigEndian.Uint16(code[pc+1:])
 		in.Count = code[pc+3]
 		in.size = 5
 	case OpInvokeDynamic:
 		if err := need(4); err != nil {
-			return nil, err
+			return err
 		}
 		in.CPIndex = binary.BigEndian.Uint16(code[pc+1:])
 		in.size = 5
 	case OpMultianewarray:
 		if err := need(3); err != nil {
-			return nil, err
+			return err
 		}
 		in.CPIndex = binary.BigEndian.Uint16(code[pc+1:])
 		in.Count = code[pc+3]
 		in.size = 4
 	case OpWide:
 		if err := need(1); err != nil {
-			return nil, err
+			return err
 		}
 		in.WideOp = Opcode(code[pc+1])
 		switch in.WideOp {
 		case Iload, Lload, Fload, Dload, Aload, Istore, Lstore, Fstore, Dstore, Astore, Ret:
 			if err := need(3); err != nil {
-				return nil, err
+				return err
 			}
 			in.Local = binary.BigEndian.Uint16(code[pc+2:])
 			in.size = 4
 		case Iinc:
 			if err := need(5); err != nil {
-				return nil, err
+				return err
 			}
 			in.Local = binary.BigEndian.Uint16(code[pc+2:])
 			in.Imm = int32(int16(binary.BigEndian.Uint16(code[pc+4:])))
 			in.size = 6
 		default:
-			return nil, &DecodeError{PC: pc, Op: op, Reason: fmt.Sprintf("invalid wide target %s", in.WideOp.Mnemonic())}
+			return &DecodeError{PC: pc, Op: op, Reason: fmt.Sprintf("invalid wide target %s", in.WideOp.Mnemonic())}
 		}
 	case OpTableswitch:
 		base := pc + 1
 		pad := (4 - base%4) % 4
 		base += pad
 		if base+12 > len(code) {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "truncated tableswitch header"}
+			return &DecodeError{PC: pc, Op: op, Reason: "truncated tableswitch header"}
 		}
 		in.SwitchDefault = int32(binary.BigEndian.Uint32(code[base:]))
 		in.SwitchLow = int32(binary.BigEndian.Uint32(code[base+4:]))
 		in.SwitchHigh = int32(binary.BigEndian.Uint32(code[base+8:]))
 		if in.SwitchLow > in.SwitchHigh {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "tableswitch low > high"}
+			return &DecodeError{PC: pc, Op: op, Reason: "tableswitch low > high"}
 		}
 		n := int64(in.SwitchHigh) - int64(in.SwitchLow) + 1
 		if n > int64(len(code)) {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "tableswitch entry count exceeds code size"}
+			return &DecodeError{PC: pc, Op: op, Reason: "tableswitch entry count exceeds code size"}
 		}
 		if base+12+int(n)*4 > len(code) {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "truncated tableswitch entries"}
+			return &DecodeError{PC: pc, Op: op, Reason: "truncated tableswitch entries"}
 		}
-		in.SwitchOffsets = make([]int32, n)
-		for i := int64(0); i < n; i++ {
-			in.SwitchOffsets[i] = int32(binary.BigEndian.Uint32(code[base+12+int(i)*4:]))
+		if tables {
+			in.SwitchOffsets = make([]int32, n)
+			for i := int64(0); i < n; i++ {
+				in.SwitchOffsets[i] = int32(binary.BigEndian.Uint32(code[base+12+int(i)*4:]))
+			}
 		}
 		in.size = base + 12 + int(n)*4 - pc
 	case OpLookupswitch:
@@ -249,62 +263,89 @@ func DecodeOne(code []byte, pc int) (*Instruction, error) {
 		pad := (4 - base%4) % 4
 		base += pad
 		if base+8 > len(code) {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "truncated lookupswitch header"}
+			return &DecodeError{PC: pc, Op: op, Reason: "truncated lookupswitch header"}
 		}
 		in.SwitchDefault = int32(binary.BigEndian.Uint32(code[base:]))
 		npairs := int32(binary.BigEndian.Uint32(code[base+4:]))
 		if npairs < 0 || int64(npairs) > int64(len(code)) {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "lookupswitch pair count out of range"}
+			return &DecodeError{PC: pc, Op: op, Reason: "lookupswitch pair count out of range"}
 		}
 		if base+8+int(npairs)*8 > len(code) {
-			return nil, &DecodeError{PC: pc, Op: op, Reason: "truncated lookupswitch pairs"}
+			return &DecodeError{PC: pc, Op: op, Reason: "truncated lookupswitch pairs"}
 		}
-		in.SwitchKeys = make([]int32, npairs)
-		in.SwitchOffsets = make([]int32, npairs)
+		if tables {
+			in.SwitchKeys = make([]int32, npairs)
+			in.SwitchOffsets = make([]int32, npairs)
+		}
 		prev := int64(-1) << 40
 		for i := int32(0); i < npairs; i++ {
 			k := int32(binary.BigEndian.Uint32(code[base+8+int(i)*8:]))
 			if int64(k) <= prev {
-				return nil, &DecodeError{PC: pc, Op: op, Reason: "lookupswitch keys not sorted"}
+				return &DecodeError{PC: pc, Op: op, Reason: "lookupswitch keys not sorted"}
 			}
 			prev = int64(k)
-			in.SwitchKeys[i] = k
-			in.SwitchOffsets[i] = int32(binary.BigEndian.Uint32(code[base+8+int(i)*8+4:]))
+			if tables {
+				in.SwitchKeys[i] = k
+				in.SwitchOffsets[i] = int32(binary.BigEndian.Uint32(code[base+8+int(i)*8+4:]))
+			}
 		}
 		in.size = base + 8 + int(npairs)*8 - pc
 	default:
-		return nil, &DecodeError{PC: pc, Op: op, Reason: "unhandled operand kind"}
+		return &DecodeError{PC: pc, Op: op, Reason: "unhandled operand kind"}
 	}
-	return in, nil
+	return nil
 }
 
 // Decode decodes an entire code array into an instruction list.
 // The instructions are returned in PC order; offsets between them are
-// contiguous (no gaps, no overlaps) or an error is returned.
+// contiguous (no gaps, no overlaps) or an error is returned. A first
+// pass only sizes them, allocating nothing, so the instructions share
+// one array, the list is one more allocation however long the code,
+// and each switch table is built once.
 func Decode(code []byte) ([]*Instruction, error) {
-	var out []*Instruction
-	pc := 0
-	for pc < len(code) {
-		in, err := DecodeOne(code, pc)
-		if err != nil {
+	n := 0
+	var probe Instruction
+	for pc := 0; pc < len(code); pc += probe.size {
+		if err := decodeAt(code, pc, &probe, false); err != nil {
 			return nil, err
 		}
-		out = append(out, in)
-		pc += in.Size()
+		n++
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	ins := make([]Instruction, n)
+	out := make([]*Instruction, n)
+	pc := 0
+	for i := range ins {
+		_ = decodeAt(code, pc, &ins[i], true) // the first pass checked these bytes
+		out[i] = &ins[i]
+		pc += ins[i].size
 	}
 	return out, nil
 }
 
-// Encode re-serialises instructions into a code array. Instructions are
-// laid out at their recorded PCs; Encode verifies that sizes and PCs are
-// consistent (as produced by Decode or by Assemble).
-func Encode(ins []*Instruction) ([]byte, error) {
+// Encode re-serialises instructions into a code array, appended to dst,
+// and returns the extended slice. Instructions are laid out at their
+// recorded PCs; Encode verifies that sizes and PCs are consistent (as
+// produced by Decode or by Assemble). A dst without room for the code
+// array is grown to exactly the length needed, so a nil dst allocates
+// one array of the code's size.
+func Encode(dst []byte, ins []*Instruction) ([]byte, error) {
 	if len(ins) == 0 {
-		return nil, nil
+		return dst, nil
 	}
 	last := ins[len(ins)-1]
 	total := last.PC + last.Size()
-	buf := make([]byte, total)
+	start := len(dst)
+	if cap(dst)-start < total {
+		grown := make([]byte, start, start+total)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:start+total]
+	buf := dst[start:]
+	clear(buf) // bytes a reused dst held must not show through
 	pc := 0
 	for _, in := range ins {
 		if in.PC != pc {
@@ -315,7 +356,7 @@ func Encode(ins []*Instruction) ([]byte, error) {
 		}
 		pc += in.Size()
 	}
-	return buf, nil
+	return dst, nil
 }
 
 func encodeOne(buf []byte, in *Instruction) error {
@@ -446,12 +487,13 @@ func sizeAt(in *Instruction, pc int) int {
 // Assemble assigns PCs to a logical instruction list (ignoring existing
 // PC values) and resolves Branch fields from the Target* convention:
 // callers set Branch to the *index* of the target instruction within ins
-// when Relocate is true. It returns the encoded code array.
+// when Relocate is true. It appends the encoded code array to dst, as
+// Encode does, and returns the extended slice.
 //
 // This is the primitive the Jimple lowering uses: it builds instructions
 // with index-based branches, then Assemble lays them out and converts
 // indices to byte offsets (switch offsets likewise).
-func Assemble(ins []*Instruction, relocate bool) ([]byte, error) {
+func Assemble(dst []byte, ins []*Instruction, relocate bool) ([]byte, error) {
 	// First pass: assign PCs iteratively until stable (switch padding
 	// depends on PC; sizes here are otherwise fixed).
 	for pass := 0; pass < 4; pass++ {
@@ -505,5 +547,5 @@ func Assemble(ins []*Instruction, relocate bool) ([]byte, error) {
 			}
 		}
 	}
-	return Encode(ins)
+	return Encode(dst, ins)
 }

@@ -37,6 +37,16 @@ func TestDecodeSimpleSequence(t *testing.T) {
 	}
 }
 
+// targets lists in's branch targets through NumTargets and Target;
+// nil when it has none.
+func targets(in *Instruction) []int {
+	var ts []int
+	for k := range in.NumTargets() {
+		ts = append(ts, in.Target(k))
+	}
+	return ts
+}
+
 func TestDecodeBranchTargets(t *testing.T) {
 	// 0: iload_1; 1: ifeq +5 (-> 6); 4: iconst_0; 5: ireturn; 6: iconst_1; 7: ireturn
 	code := []byte{0x1b, 0x99, 0x00, 0x05, 0x03, 0xac, 0x04, 0xac}
@@ -44,10 +54,10 @@ func TestDecodeBranchTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ins[1].Targets(); !reflect.DeepEqual(got, []int{6}) {
+	if got := targets(ins[1]); !reflect.DeepEqual(got, []int{6}) {
 		t.Errorf("ifeq targets = %v, want [6]", got)
 	}
-	if ins[0].Targets() != nil {
+	if targets(ins[0]) != nil {
 		t.Error("iload_1 must have no targets")
 	}
 }
@@ -111,10 +121,11 @@ func TestDecodeTableswitch(t *testing.T) {
 		0x00, 0x00, 0x00, 0x1e,
 	}
 	// Append filler so targets are in-range conceptually (decode doesn't check).
-	ins, err := DecodeOne(code, 0)
+	dec, err := Decode(code)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ins := dec[0]
 	if ins.SwitchLow != 1 || ins.SwitchHigh != 3 || len(ins.SwitchOffsets) != 3 {
 		t.Fatalf("tableswitch decoded wrong: %+v", ins)
 	}
@@ -122,7 +133,7 @@ func TestDecodeTableswitch(t *testing.T) {
 		t.Errorf("tableswitch size = %d, want 28", ins.Size())
 	}
 	wantTargets := []int{28, 28, 29, 30}
-	if got := ins.Targets(); !reflect.DeepEqual(got, wantTargets) {
+	if got := targets(ins); !reflect.DeepEqual(got, wantTargets) {
 		t.Errorf("targets = %v, want %v", got, wantTargets)
 	}
 }
@@ -141,13 +152,15 @@ func TestDecodeLookupswitchSortedKeys(t *testing.T) {
 		}
 		return b
 	}
-	if _, err := DecodeOne(mk(1, 5), 0); err != nil {
+	if dec, err := Decode(mk(1, 5)); err != nil {
 		t.Errorf("sorted keys should decode: %v", err)
+	} else if !reflect.DeepEqual(dec[0].SwitchKeys, []int32{1, 5}) || !reflect.DeepEqual(targets(dec[0]), []int{24, 24, 24}) {
+		t.Errorf("lookupswitch decoded wrong: %+v", dec[0])
 	}
-	if _, err := DecodeOne(mk(5, 1), 0); err == nil {
+	if _, err := Decode(mk(5, 1)); err == nil {
 		t.Error("unsorted lookupswitch keys must be rejected")
 	}
-	if _, err := DecodeOne(mk(3, 3), 0); err == nil {
+	if _, err := Decode(mk(3, 3)); err == nil {
 		t.Error("duplicate lookupswitch keys must be rejected")
 	}
 }
@@ -185,7 +198,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Encode(ins)
+	out, err := Encode(nil, ins)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +240,7 @@ func TestPropertyDecodeEncodeRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, err := Encode(ins)
+		out, err := Encode(nil, ins)
 		if err != nil {
 			return false
 		}
@@ -246,7 +259,7 @@ func TestAssembleRelocation(t *testing.T) {
 		{Op: Nop},
 		{Op: Return},
 	}
-	code, err := Assemble(ins, true)
+	code, err := Assemble(nil, ins, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +267,7 @@ func TestAssembleRelocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := dec[1].Targets()[0]; got != dec[3].PC {
+	if got := dec[1].Target(0); got != dec[3].PC {
 		t.Errorf("branch resolves to %d, want %d", got, dec[3].PC)
 	}
 }
@@ -267,7 +280,7 @@ func TestAssembleTableswitchPadding(t *testing.T) {
 		{Op: Nop},
 		{Op: Return},
 	}
-	code, err := Assemble(ins, true)
+	code, err := Assemble(nil, ins, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +305,7 @@ func TestAssembleTableswitchPadding(t *testing.T) {
 
 func TestAssembleBranchIndexOutOfRange(t *testing.T) {
 	ins := []*Instruction{{Op: Goto, Branch: 99}}
-	if _, err := Assemble(ins, true); err == nil {
+	if _, err := Assemble(nil, ins, true); err == nil {
 		t.Error("out-of-range branch index must fail")
 	}
 }

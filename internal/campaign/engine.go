@@ -27,17 +27,21 @@ type poolEntry struct {
 
 // task carries one iteration through the pipeline. The draw stage fills
 // the input fields on the coordinator; a worker fills the output fields;
-// the commit stage reads them back on the coordinator (the close of done
-// orders the accesses). Ownership alternates strictly — coordinator
-// while drawing, one worker between the dispatch send and close(done),
-// coordinator again at commit — so no field needs a lock. Tasks are
-// recycled through a coordinator-owned free list together with their
-// class-byte buffer.
+// the commit stage reads them back on the coordinator (the worker's send
+// on done and the coordinator's receive order the accesses). Ownership
+// alternates strictly — coordinator while drawing, one worker between
+// the dispatch send and its send on done, coordinator again at commit —
+// so no field needs a lock. Tasks are recycled through a
+// coordinator-owned free list together with their class-byte buffer and
+// their done channel.
 type task struct {
 	iter   int
 	parent *jimple.Class
 	rec    DrawRecord
-	done   chan struct{}
+	// done carries one signal per iteration the task serves: buffered,
+	// so the worker's send never waits, and empty again once commit has
+	// received it, ready for the task's next iteration.
+	done chan struct{}
 
 	// outputs of the mutate/filter/execute stages
 	applied  bool // mutator applicable
@@ -326,8 +330,8 @@ func (e *engine) run() (*Result, error) {
 	// how the worker pool schedules the stages in between. At most D
 	// tasks are in flight, hence the ring and the channel bound. Each
 	// drawn task is sent to the pool at once; a worker runs
-	// mutate/filter/execute against its long-lived scratch and closes
-	// the task's done channel, which commit waits on.
+	// mutate/filter/execute against its long-lived scratch and signals
+	// the task's done channel, which commit receives from.
 	//
 	// A closed Config.Stop ends the drawing at the next coordinator
 	// boundary; the drawn window still commits, so a stopped run's draw
@@ -348,7 +352,7 @@ func (e *engine) run() (*Result, error) {
 				if scratchHook != nil {
 					scratchHook(ws, f)
 				}
-				close(t.done)
+				t.done <- struct{}{}
 			}
 		}()
 	}
@@ -388,30 +392,27 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// getTask pops a recycled task or allocates a fresh one, with a new
-// done channel. Coordinator-goroutine only.
+// getTask pops a recycled task or allocates a fresh one with its done
+// channel. Coordinator-goroutine only.
 func (e *engine) getTask() *task {
-	var t *task
 	if n := len(e.freeTasks); n > 0 {
-		t = e.freeTasks[n-1]
+		t := e.freeTasks[n-1]
 		e.freeTasks = e.freeTasks[:n-1]
-	} else {
-		t = new(task)
+		return t
 	}
-	t.done = make(chan struct{})
-	return t
+	return &task{done: make(chan struct{}, 1)}
 }
 
-// recycle returns a committed task to the free list, keeping its
-// class-byte buffer when the bytes did not escape into the result and
-// dropping every other field so a parked task pins nothing.
-// Coordinator-goroutine only.
+// recycle returns a committed task to the free list, keeping its done
+// channel and its class-byte buffer when the bytes did not escape into
+// the result, and dropping every other field so a parked task pins
+// nothing. Coordinator-goroutine only.
 func (e *engine) recycle(t *task) {
 	buf := t.buf
 	if t.data != nil && !t.dataRetained {
 		buf = t.data[:0]
 	}
-	*t = task{buf: buf}
+	*t = task{buf: buf, done: t.done}
 	e.freeTasks = append(e.freeTasks, t)
 }
 
@@ -748,6 +749,12 @@ func mutantName(iter int) string {
 	return string(strconv.AppendInt(append(b[:0], 'M'), 1430000000+int64(iter), 10))
 }
 
+// standardMain is the main every mutant lacking one receives. It is
+// never written: every mutant shares it under copy-on-write, so a
+// mutator that edits it in a later generation (through OwnMethod)
+// edits a private copy.
+var standardMain = jimple.StandardMain("Completed!")
+
 // finishMutant applies the deterministic post-mutation fixups: the
 // iteration-derived name, the version pin, and the observable main.
 func finishMutant(c *jimple.Class, iter int) {
@@ -759,7 +766,7 @@ func finishMutant(c *jimple.Class, iter int) {
 	// left alone; a main inside an interface is itself a mutation the
 	// interface-member mutators produce deliberately.)
 	if !c.IsInterface() && c.FindMethod("main") == nil {
-		c.AddStandardMain("Completed!")
+		c.Methods = append(c.Methods, standardMain)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/coverage"
+	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
 	"repro/internal/seedsel"
@@ -461,5 +463,34 @@ func TestResultCoverageMerged(t *testing.T) {
 	}
 	if !res.Coverage.EqualSets(want) {
 		t.Fatalf("merged coverage %+v is not the fold of the seed and accepted traces %+v", res.Coverage.Stats(), want.Stats())
+	}
+}
+
+// TestStandardMainShared pins the shared standard main: a mutant that
+// lacks a main holds the one package-level method rather than a copy,
+// and a campaign on four workers leaves it deep-equal to a fresh one.
+func TestStandardMainShared(t *testing.T) {
+	fresh := jimple.StandardMain("Completed!")
+	cfg := detConfig(Classfuzz)
+	cfg.Workers = 4
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	shared := 0
+	for _, g := range res.Gen {
+		info, err := Rebuild(cfg, res.Draws, g.Iter)
+		if err != nil {
+			t.Fatalf("rebuild %d: %v", g.Iter, err)
+		}
+		if slices.Contains(info.Class.Methods, standardMain) {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no mutant holds the shared standard main; the test checks nothing")
+	}
+	if !reflect.DeepEqual(standardMain, fresh) {
+		t.Fatal("a campaign wrote to the shared standard main")
 	}
 }

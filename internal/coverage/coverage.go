@@ -120,16 +120,44 @@ func (r *Recorder) ReplayHits(stmts, edges []uint32) {
 	}
 }
 
-// Trace snapshots the recorder into an immutable tracefile.
+// Trace snapshots the recorder into an immutable tracefile. Both
+// bitsets are sized from the largest dirty index — each as long as
+// setting its bits one at a time would have made it — and carved from
+// one backing array, capacity-limited so neither can grow into the
+// other.
 func (r *Recorder) Trace() *Trace {
+	ns, ne := wordsFor(r.dirtyStmt), wordsFor(r.dirtyEdge)
 	t := &Trace{}
-	for _, i := range r.dirtyStmt {
-		t.setStmt(StmtID(i))
+	if ns+ne == 0 {
+		return t
 	}
-	for _, e := range r.dirtyEdge {
-		t.setEdge(e)
+	w := make([]uint64, ns+ne)
+	if ns > 0 {
+		t.stmts = w[:ns:ns]
+		for _, i := range r.dirtyStmt {
+			t.stmts[i>>6] |= 1 << (i & 63)
+		}
+	}
+	if ne > 0 {
+		t.edges = w[ns:]
+		for _, e := range r.dirtyEdge {
+			t.edges[e>>6] |= 1 << (e & 63)
+		}
 	}
 	return t
+}
+
+// wordsFor is the bitset length, in words, that holds every index of
+// ids: zero for none.
+func wordsFor(ids []uint32) int {
+	if len(ids) == 0 {
+		return 0
+	}
+	hi := ids[0]
+	for _, i := range ids[1:] {
+		hi = max(hi, i)
+	}
+	return int(hi>>6) + 1
 }
 
 // Trace is a tracefile tr_cl: the sets of statement and branch-edge
@@ -149,18 +177,6 @@ type Trace struct {
 
 // NewTrace returns an empty trace (the identity element of Merge).
 func NewTrace() *Trace { return &Trace{} }
-
-func setBit(w []uint64, i uint32) []uint64 {
-	word := int(i >> 6)
-	for word >= len(w) {
-		w = append(w, 0)
-	}
-	w[word] |= 1 << (i & 63)
-	return w
-}
-
-func (t *Trace) setStmt(id StmtID) { t.stmts = setBit(t.stmts, uint32(id)) }
-func (t *Trace) setEdge(e uint32)  { t.edges = setBit(t.edges, e) }
 
 // HasStmt reports whether the trace covers the statement probe.
 func (t *Trace) HasStmt(id StmtID) bool {

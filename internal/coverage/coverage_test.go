@@ -447,3 +447,93 @@ func TestParseCriterion(t *testing.T) {
 		}
 	}
 }
+
+// wordByWord is the reference construction Recorder.Trace replaced: it
+// sets one bit at a time, appending a zero word whenever an index lies
+// past the end.
+func wordByWord(stmts, edges []uint32) *Trace {
+	set := func(w []uint64, i uint32) []uint64 {
+		for int(i>>6) >= len(w) {
+			w = append(w, 0)
+		}
+		w[i>>6] |= 1 << (i & 63)
+		return w
+	}
+	t := &Trace{}
+	for _, i := range stmts {
+		t.stmts = set(t.stmts, i)
+	}
+	for _, e := range edges {
+		t.edges = set(t.edges, e)
+	}
+	return t
+}
+
+// TestSizedTraceMatchesWordByWord pins Recorder.Trace, which sizes both
+// bitsets up front and carves them from one array, against the
+// word-by-word construction: the same word lengths, key, stats,
+// membership and merges, for empty, stmt-only, edge-only and
+// high-index dirty sets.
+func TestSizedTraceMatchesWordByWord(t *testing.T) {
+	cases := []struct {
+		name         string
+		stmts, edges []uint32
+	}{
+		{"empty", nil, nil},
+		{"stmt-only", []uint32{3, 0, 63, 64}, nil},
+		{"edge-only", nil, []uint32{1, 127, 2}},
+		{"high-index", []uint32{5000, 7}, []uint32{9001, 64 * 40}},
+		{"word-boundaries", []uint32{63, 64, 127, 128}, []uint32{0, 191, 192}},
+	}
+	rng := rand.New(rand.NewSource(3))
+	for k := 0; k < 20; k++ {
+		var s, e []uint32
+		for i := rng.Intn(40); i > 0; i-- {
+			s = append(s, uint32(rng.Intn(3000)))
+		}
+		for i := rng.Intn(40); i > 0; i-- {
+			e = append(e, uint32(rng.Intn(3000)))
+		}
+		cases = append(cases, struct {
+			name         string
+			stmts, edges []uint32
+		}{fmt.Sprintf("random-%d", k), s, e})
+	}
+	var traces, refs []*Trace
+	for _, c := range cases {
+		r := NewRecorder(NewRegistry())
+		for _, i := range c.stmts {
+			r.Stmt(StmtID(i))
+		}
+		for _, e := range c.edges {
+			r.Branch(BranchID(e/2), e%2 == 0)
+		}
+		got, want := r.Trace(), wordByWord(c.stmts, c.edges)
+		if len(got.stmts) != len(want.stmts) || len(got.edges) != len(want.edges) {
+			t.Errorf("%s: word lengths %d/%d, want %d/%d", c.name, len(got.stmts), len(got.edges), len(want.stmts), len(want.edges))
+		}
+		if got.Key() != want.Key() || got.Stats() != want.Stats() {
+			t.Errorf("%s: key/stats %v %v, want %v %v", c.name, got.Key(), got.Stats(), want.Key(), want.Stats())
+		}
+		for i := uint32(0); i < 64*(uint32(len(want.stmts)+len(want.edges))+2); i++ {
+			if got.HasStmt(StmtID(i)) != want.HasStmt(StmtID(i)) {
+				t.Errorf("%s: HasStmt(%d) differs", c.name, i)
+			}
+			if got.HasEdge(BranchID(i/2), i%2 == 0) != want.HasEdge(BranchID(i/2), i%2 == 0) {
+				t.Errorf("%s: HasEdge(edge %d) differs", c.name, i)
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { r.Trace() }); n > 2 {
+			t.Errorf("%s: Trace allocates %.0f times, want at most 2 (trace and one word array)", c.name, n)
+		}
+		traces, refs = append(traces, got), append(refs, want)
+	}
+	for i := range traces {
+		for j := range traces {
+			got, want := Merge(traces[i], traces[j]), Merge(refs[i], refs[j])
+			if got.Key() != want.Key() || got.Stats() != want.Stats() || !got.EqualSets(want) {
+				t.Errorf("Merge(%s, %s) differs from the word-by-word merge", cases[i].name, cases[j].name)
+			}
+		}
+	}
+}

@@ -218,12 +218,18 @@ func ParseField(s string) (Type, error) {
 }
 
 // ParseMethod parses a method descriptor like (ILjava/lang/String;)V.
-func ParseMethod(s string) (Method, error) {
+func ParseMethod(s string) (Method, error) { return ParseMethodInto(s, nil) }
+
+// ParseMethodInto is ParseMethod appending the parameters to
+// params[:0]: the result's Params shares params' array when it has the
+// room, so a caller that hands back the last result's Params parses
+// without allocating.
+func ParseMethodInto(s string, params []Type) (Method, error) {
 	if len(s) == 0 || s[0] != '(' {
 		return Method{}, fmt.Errorf("descriptor: method descriptor %q must start with '('", s)
 	}
 	i := 1
-	var params []Type
+	params = params[:0]
 	for i < len(s) && s[i] != ')' {
 		t, next, err := parseOne(s, i)
 		if err != nil {
@@ -251,32 +257,38 @@ func ParseMethod(s string) (Method, error) {
 
 // validOne scans one type starting at s[i] without allocating,
 // accepting exactly what parseOne accepts. It returns the index just
-// past the type, whether it was void, and validity.
-func validOne(s string, i int) (next int, isVoid, ok bool) {
+// past the type, the slots the type occupies (Type.Slots: 0 only for
+// void), and validity.
+func validOne(s string, i int) (next, slots int, ok bool) {
 	dims := 0
 	for i < len(s) && s[i] == '[' {
 		dims++
 		i++
 		if dims > 255 {
-			return i, false, false
+			return i, 0, false
 		}
 	}
 	if i >= len(s) {
-		return i, false, false
+		return i, 0, false
 	}
 	switch s[i] {
-	case 'B', 'C', 'D', 'F', 'I', 'J', 'S', 'Z':
-		return i + 1, false, true
+	case 'B', 'C', 'F', 'I', 'S', 'Z':
+		return i + 1, 1, true
+	case 'D', 'J':
+		if dims > 0 {
+			return i + 1, 1, true
+		}
+		return i + 1, 2, true
 	case 'V':
-		return i + 1, true, dims == 0
+		return i + 1, 0, dims == 0
 	case 'L':
 		end := strings.IndexByte(s[i:], ';')
 		if end < 2 { // missing ';' or empty class name
-			return i, false, false
+			return i, 0, false
 		}
-		return i + end + 1, false, true
+		return i + end + 1, 1, true
 	default:
-		return i, false, false
+		return i, 0, false
 	}
 }
 
@@ -284,39 +296,41 @@ func validOne(s string, i int) (next int, isVoid, ok bool) {
 // descriptor. Equivalent to ParseField(s) == nil, but a pure scan —
 // no Type, no error values.
 func ValidField(s string) bool {
-	next, isVoid, ok := validOne(s, 0)
-	return ok && !isVoid && next == len(s)
+	next, slots, ok := validOne(s, 0)
+	return ok && slots > 0 && next == len(s)
 }
 
-// ScanMethod validates a method descriptor like (ILjava/lang/String;)V
-// without allocating, reporting validity and whether the return type
-// is void. Accepts exactly what ParseMethod accepts.
-func ScanMethod(s string) (voidReturn, valid bool) {
+// MethodSlots scans a method descriptor like (ILjava/lang/String;)V
+// without allocating and returns its parameter slots and return slots
+// — ParseMethod's ParamSlots and Return.Slots. It accepts exactly what
+// ParseMethod accepts.
+func MethodSlots(s string) (params, ret int, ok bool) {
 	if len(s) == 0 || s[0] != '(' {
-		return false, false
+		return 0, 0, false
 	}
 	i := 1
 	for i < len(s) && s[i] != ')' {
-		next, isVoid, ok := validOne(s, i)
-		if !ok || isVoid {
-			return false, false
+		next, slots, ok := validOne(s, i)
+		if !ok || slots == 0 {
+			return 0, 0, false
 		}
+		params += slots
 		i = next
 	}
 	if i >= len(s) {
-		return false, false
+		return 0, 0, false
 	}
 	i++ // consume ')'
-	next, isVoid, ok := validOne(s, i)
+	next, ret, ok := validOne(s, i)
 	if !ok || next != len(s) {
-		return false, false
+		return 0, 0, false
 	}
-	return isVoid, true
+	return params, ret, true
 }
 
 // ValidMethod reports whether s is a syntactically legal method descriptor.
 func ValidMethod(s string) bool {
-	_, ok := ScanMethod(s)
+	_, _, ok := MethodSlots(s)
 	return ok
 }
 

@@ -1,7 +1,9 @@
 package descriptor
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -204,7 +206,8 @@ func TestPropertyMethodRoundTrip(t *testing.T) {
 // TestValidScannersMatchParsers pins the allocation-free validity
 // scanners to the parsers: for a corpus of legal and garbage strings
 // (including randomly generated ones), ValidField/ValidMethod and the
-// void-return scan must agree exactly with ParseField/ParseMethod.
+// slot counter must agree exactly with ParseField/ParseMethod, and
+// ParseMethodInto over one reused parameter list with ParseMethod.
 func TestValidScannersMatchParsers(t *testing.T) {
 	corpus := []string{
 		"", "I", "V", "[I", "[[J", "Ljava/lang/String;", "[Ljava/lang/Object;",
@@ -227,6 +230,7 @@ func TestValidScannersMatchParsers(t *testing.T) {
 		}
 		corpus = append(corpus, string(b))
 	}
+	var buf []Type // ParseMethodInto's reused parameter list
 	for _, s := range corpus {
 		_, ferr := ParseField(s)
 		if got, want := ValidField(s), ferr == nil; got != want {
@@ -236,9 +240,38 @@ func TestValidScannersMatchParsers(t *testing.T) {
 		if got, want := ValidMethod(s), merr == nil; got != want {
 			t.Errorf("ValidMethod(%q) = %v, ParseMethod err = %v", s, got, merr)
 		}
-		wantVoid := merr == nil && md.Return.IsVoid()
-		if void, ok := ScanMethod(s); ok != (merr == nil) || (ok && void != wantVoid) {
-			t.Errorf("ScanMethod(%q) = %v, %v, want void %v", s, void, ok, wantVoid)
+		mi, ierr := ParseMethodInto(s, buf)
+		if fmt.Sprint(ierr) != fmt.Sprint(merr) || mi.Return != md.Return || !slices.Equal(mi.Params, md.Params) {
+			t.Errorf("ParseMethodInto(%q) = %v, %v; ParseMethod = %v, %v", s, mi, ierr, md, merr)
+		}
+		if ierr == nil {
+			buf = mi.Params
+		}
+		if params, ret, ok := MethodSlots(s); ok != (merr == nil) || (ok && (params != md.ParamSlots() || ret != md.Return.Slots())) {
+			t.Errorf("MethodSlots(%q) = %d, %d, %v; ParseMethod = %v, %v", s, params, ret, ok, md, merr)
 		}
 	}
+}
+
+// FuzzMethodSlots pins MethodSlots to ParseMethod: it accepts exactly
+// the strings ParseMethod accepts, and on those returns ParamSlots and
+// Return.Slots, without allocating. testdata/fuzz/FuzzMethodSlots holds
+// malformed strings, arrays, V in parameter position and wide types.
+func FuzzMethodSlots(f *testing.F) {
+	for _, s := range []string{"()V", "(IJ)D", "([J[[D)J", "(Ljava/lang/String;)V"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		params, ret, ok := MethodSlots(s)
+		md, err := ParseMethod(s)
+		if ok != (err == nil) {
+			t.Fatalf("MethodSlots(%q) ok = %v, ParseMethod err = %v", s, ok, err)
+		}
+		if ok && (params != md.ParamSlots() || ret != md.Return.Slots()) {
+			t.Fatalf("MethodSlots(%q) = %d, %d, want %d, %d", s, params, ret, md.ParamSlots(), md.Return.Slots())
+		}
+		if n := testing.AllocsPerRun(1, func() { MethodSlots(s) }); n != 0 {
+			t.Fatalf("MethodSlots(%q) allocates %.0f times", s, n)
+		}
+	})
 }

@@ -28,13 +28,26 @@ func (c *Class) AddDefaultInit() *Method {
 	return m
 }
 
-// AddStandardMain appends the fuzzing-harness main of §2.2.1: it prints
-// a completion message so that a mutant observably either runs or fails
-// earlier in the startup pipeline.
+// AddStandardMain appends a fresh StandardMain, the class's own to
+// write to.
 func (c *Class) AddStandardMain(message string) *Method {
-	m := c.AddMethod(classfile.AccPublic|classfile.AccStatic, "main",
-		[]descriptor.Type{descriptor.Array(descriptor.Object("java/lang/String"), 1)},
-		descriptor.Void)
+	m := StandardMain(message)
+	c.Methods = append(c.Methods, m)
+	return m
+}
+
+// StandardMain builds the fuzzing-harness main of §2.2.1: it prints a
+// completion message so that a mutant observably either runs or fails
+// earlier in the startup pipeline. The method names nothing of the
+// class that declares it, so one immutable StandardMain can be shared
+// by any number of copy-on-write classes.
+func StandardMain(message string) *Method {
+	m := &Method{
+		Name:      "main",
+		Params:    []descriptor.Type{descriptor.Array(descriptor.Object("java/lang/String"), 1)},
+		Return:    descriptor.Void,
+		Modifiers: classfile.AccPublic | classfile.AccStatic,
+	}
 	args := m.NewLocal("r0", descriptor.Array(descriptor.Object("java/lang/String"), 1))
 	out := m.NewLocal("$r1", descriptor.Object("java/io/PrintStream"))
 	m.Body = []Stmt{

@@ -212,8 +212,8 @@ func (l *lifter) segment() ([]int, bool) {
 	}
 	// Branch targets must be statement starts.
 	for _, in := range l.ins {
-		for _, t := range in.Targets() {
-			if !startSet[t] {
+		for k := range in.NumTargets() {
+			if !startSet[in.Target(k)] {
 				return nil, false
 			}
 		}

@@ -15,7 +15,8 @@ import (
 // recycled across methods and across Lower calls, and so does the
 // output: one classfile.File with its constant pool, constant arena and
 // member arena, plus arenas for the attribute lists, Code,
-// LineNumberTable and Exceptions attributes and their tables. A long-lived caller — one campaign
+// LineNumberTable and Exceptions attributes and their tables, and one
+// byte buffer the code arrays are assembled into. A long-lived caller — one campaign
 // worker, say — thus pays for the buffers once instead of per class. A
 // zero LowerCtx is ready to use; contexts are not safe for concurrent
 // use. Lowering through a reused context produces bytes identical to a
@@ -31,6 +32,10 @@ type LowerCtx struct {
 	lineEnts arena.Arena[classfile.LineNumberEntry]
 	excs     arena.Arena[classfile.ExceptionsAttr]
 	classes  arena.Arena[uint16]
+
+	// code holds the code arrays of the class being lowered, one after
+	// another (see assemble).
+	code []byte
 }
 
 // NewLowerCtx returns an empty reusable lowering context.
@@ -56,6 +61,7 @@ func Lower(c *Class) (*classfile.File, error) {
 // (FuzzLowerRoundTrip checks this).
 func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 	f := &ctx.f
+	ctx.rewindCode()
 	f.Reset()
 	ctx.attrs.Rewind()
 	ctx.codes.Rewind()
@@ -101,6 +107,40 @@ func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 		f.Attributes = append(f.Attributes, &classfile.SourceFileAttr{NameIndex: f.Pool.AddUtf8(c.SourceFile)})
 	}
 	return f, nil
+}
+
+// rewindCode empties the code buffer for the next class. When the
+// class the File still holds had more code than the buffer, the buffer
+// is first replaced with one that holds all of it (at least doubling,
+// so a growing class stream settles after a few replacements).
+func (ctx *LowerCtx) rewindCode() {
+	used := 0
+	for _, m := range ctx.f.Methods {
+		if code := m.Code(); code != nil {
+			used += len(code.Code)
+		}
+	}
+	if used > cap(ctx.code) {
+		ctx.code = make([]byte, 0, max(used, 2*cap(ctx.code)))
+	}
+	ctx.code = ctx.code[:0]
+}
+
+// assemble lays out ins and encodes its code array at the end of the
+// code buffer, capacity-limited so no Code attribute can grow into the
+// next. A code array that does not fit gets an array of its own, of
+// exactly its size — so a context that lowers one class allocates no
+// more than assembling each code array into a fresh one.
+func (ctx *LowerCtx) assemble(ins []*bytecode.Instruction) ([]byte, error) {
+	n := len(ctx.code)
+	code, err := bytecode.Assemble(ctx.code[n:n], ins, true)
+	if err != nil {
+		return nil, err
+	}
+	if len(code) <= cap(ctx.code)-n {
+		ctx.code = ctx.code[:n+len(code)]
+	}
+	return code[:len(code):len(code)], nil
 }
 
 // memberAttrs counts the attributes m's method_info carries: Exceptions
@@ -231,7 +271,7 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 		return ctx.codes.Put(classfile.CodeAttr{MaxStack: 0, MaxLocals: uint16(lw.next), Code: nil}), nil
 	}
 
-	code, err := bytecode.Assemble(lw.ins, true)
+	code, err := ctx.assemble(lw.ins)
 	if err != nil {
 		return nil, err
 	}
@@ -684,18 +724,20 @@ func (lw *lowerer) primConvert(from, to byte) {
 	if from == to {
 		return
 	}
-	type pair struct{ f, t byte }
-	ops := map[pair]bytecode.Opcode{
-		{'I', 'J'}: bytecode.I2l, {'I', 'F'}: bytecode.I2f, {'I', 'D'}: bytecode.I2d,
-		{'J', 'I'}: bytecode.L2i, {'J', 'F'}: bytecode.L2f, {'J', 'D'}: bytecode.L2d,
-		{'F', 'I'}: bytecode.F2i, {'F', 'J'}: bytecode.F2l, {'F', 'D'}: bytecode.F2d,
-		{'D', 'I'}: bytecode.D2i, {'D', 'J'}: bytecode.D2l, {'D', 'F'}: bytecode.D2f,
-	}
-	if op, ok := ops[pair{from, to}]; ok {
+	if op, ok := primConversions[[2]byte{from, to}]; ok {
 		lw.op(op)
 	}
 	// Conversions involving references have no opcode; the resulting
 	// type confusion is the mutation's point.
+}
+
+// primConversions maps a (from, to) pair of primitive kinds to its
+// conversion opcode.
+var primConversions = map[[2]byte]bytecode.Opcode{
+	{'I', 'J'}: bytecode.I2l, {'I', 'F'}: bytecode.I2f, {'I', 'D'}: bytecode.I2d,
+	{'J', 'I'}: bytecode.L2i, {'J', 'F'}: bytecode.L2f, {'J', 'D'}: bytecode.L2d,
+	{'F', 'I'}: bytecode.F2i, {'F', 'J'}: bytecode.F2l, {'F', 'D'}: bytecode.F2d,
+	{'D', 'I'}: bytecode.D2i, {'D', 'J'}: bytecode.D2l, {'D', 'F'}: bytecode.D2f,
 }
 
 func (lw *lowerer) invoke(x *Invoke) byte {
@@ -1177,8 +1219,8 @@ func computeMaxStack(ins []*bytecode.Instruction, cp *classfile.ConstPool, sc *m
 		if !in.Op.EndsBlock() {
 			propagate(i+1, nd)
 		}
-		for _, t := range in.Targets() {
-			if j, ok := pcIdx[t]; ok {
+		for k := range in.NumTargets() {
+			if j, ok := pcIdx[in.Target(k)]; ok {
 				propagate(j, nd)
 			} else {
 				return fallback
@@ -1236,15 +1278,14 @@ func stackEffect(in *bytecode.Instruction, cp *classfile.ConstPool) (pop, push i
 		if !okr {
 			return 0, 0, false
 		}
-		md, err := descriptor.ParseMethod(desc)
-		if err != nil {
+		pop, push, ok := descriptor.MethodSlots(desc)
+		if !ok {
 			return 0, 0, false
 		}
-		pop := md.ParamSlots()
 		if op != bytecode.Invokestatic {
 			pop++
 		}
-		return pop, md.Return.Slots(), true
+		return pop, push, true
 	case bytecode.Invokedynamic:
 		c := cp.Get(in.CPIndex)
 		if c == nil {
@@ -1254,11 +1295,7 @@ func stackEffect(in *bytecode.Instruction, cp *classfile.ConstPool) (pop, push i
 		if !okr {
 			return 0, 0, false
 		}
-		md, err := descriptor.ParseMethod(desc)
-		if err != nil {
-			return 0, 0, false
-		}
-		return md.ParamSlots(), md.Return.Slots(), true
+		return descriptor.MethodSlots(desc)
 	case bytecode.Multianewarray:
 		return int(in.Count), 1, true
 	}

@@ -16,7 +16,7 @@ func TestDecodeCacheRotation(t *testing.T) {
 	rotations := 0
 	for i := range codes {
 		codes[i] = []byte{0x10, byte(i), byte(i >> 8)}
-		if c.put(codes[i], &decodedCode{}) {
+		if c.put(codes[i], decodedCode{}) {
 			rotations++
 		}
 	}
@@ -38,11 +38,11 @@ func TestDecodeCacheRotation(t *testing.T) {
 func TestDecodeCacheSecondChance(t *testing.T) {
 	c := NewDecodeCache()
 	hot := []byte{0xb1}
-	c.put(hot, &decodedCode{})
+	c.put(hot, decodedCode{})
 
 	fill := func(gen byte) {
 		for i := 0; i < decodeCacheMax; i++ {
-			c.put([]byte{gen, byte(i), byte(i >> 8)}, &decodedCode{})
+			c.put([]byte{gen, byte(i), byte(i >> 8)}, decodedCode{})
 		}
 	}
 	fill(1) // rotates: hot moves to prev
@@ -56,7 +56,7 @@ func TestDecodeCacheSecondChance(t *testing.T) {
 	// An entry that was never re-used after its generation rotated away
 	// is gone after two more rotations.
 	cold := []byte{0x03}
-	c.put(cold, &decodedCode{})
+	c.put(cold, decodedCode{})
 	fill(3)
 	fill(4)
 	if _, ok := c.get(cold); ok {

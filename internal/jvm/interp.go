@@ -731,7 +731,7 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 					catch, _ = ex.f.Pool.ClassName(h.CatchType)
 				}
 				if catch == "" || ex.throwMatches(thrown.class, catch) {
-					hidx, ok := pcIndex[int(h.HandlerPC)]
+					hidx, ok := pcIndex.at(int(h.HandlerPC))
 					if !ok {
 						continue
 					}
@@ -750,7 +750,7 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 		}
 
 		if jumpTo >= 0 {
-			ni, ok := pcIndex[jumpTo]
+			ni, ok := pcIndex.at(jumpTo)
 			if !ok {
 				return value{}, throwf(dot2slash(ErrVerify), "branch to invalid pc %d", jumpTo)
 			}

@@ -96,7 +96,15 @@ type frame struct {
 }
 
 // copyFrom overwrites f with src's state, reusing f's slice capacity.
+// A frame without room for src's stack or locals gets one array for
+// both, with twice the room, so a pooled frame reused for larger
+// methods regrows a few times rather than at every size; each part is
+// capacity-limited so a push cannot reach the locals.
 func (f *frame) copyFrom(src *frame) *frame {
+	if ns, nl := len(src.stack), len(src.locals); cap(f.stack) < ns || cap(f.locals) < nl {
+		buf := make([]vt, 2*(ns+nl))
+		f.stack, f.locals = buf[:0:2*ns], buf[2*ns:2*ns]
+	}
 	f.stack = append(f.stack[:0], src.stack...)
 	f.locals = append(f.locals[:0], src.locals...)
 	return f
@@ -117,11 +125,9 @@ type verifier struct {
 	m    *classfile.Member
 	code *classfile.CodeAttr
 	ins  []*bytecode.Instruction
-	// pcIndex maps a byte PC to the instruction index; targets caches
-	// Targets() per instruction. Both are shared, read-only views from
-	// the VM's decode cache.
-	pcIndex map[int]int
-	targets [][]int
+	// pcIndex maps a byte PC to the instruction index: a shared,
+	// read-only view from the VM's decode cache.
+	pcIndex pcTable
 	// in holds the merged entry frame per instruction index.
 	in   []*frame
 	work []int
@@ -136,25 +142,39 @@ type verifier struct {
 // verifyScratch recycles the verifier's working storage across
 // runVerifier calls on one VM: the verifier value itself, a free list
 // of frames (whose stack/locals slices keep their capacity), the
-// per-instruction entry-frame slice, and the worklist. Nothing a run
-// produces retains these — Outcomes carry only formatted strings — so
-// the next run can overwrite them freely.
+// per-instruction entry-frame slice, the worklist, and the parameter
+// lists of the verified method's descriptor and of the descriptor of
+// the invoke being simulated. Nothing a run produces retains these —
+// Outcomes carry only formatted strings — so the next run can
+// overwrite them freely.
 type verifyScratch struct {
 	v      verifier
 	frames []*frame
-	in     []*frame
-	work   []int
+	// chunk is the size of the next block of frames getFrame allocates
+	// when the free list runs dry.
+	chunk        int
+	in           []*frame
+	work         []int
+	params       []descriptor.Type
+	invokeParams []descriptor.Type
 }
 
-// getFrame pops a pooled frame or allocates a fresh one. Callers must
-// overwrite stack and locals before reading them.
+// getFrame pops a pooled frame, refilling an empty pool with a block of
+// fresh frames that doubles each time, so a VM warming up to its
+// largest method allocates frames a few times rather than once each.
+// Callers must overwrite stack and locals before reading them.
 func (s *verifyScratch) getFrame() *frame {
-	if n := len(s.frames); n > 0 {
-		f := s.frames[n-1]
-		s.frames = s.frames[:n-1]
-		return f
+	if len(s.frames) == 0 {
+		s.chunk = max(8, 2*s.chunk)
+		block := make([]frame, s.chunk)
+		for i := range block {
+			s.frames = append(s.frames, &block[i])
+		}
 	}
-	return &frame{}
+	n := len(s.frames)
+	f := s.frames[n-1]
+	s.frames = s.frames[:n-1]
+	return f
 }
 
 func (s *verifyScratch) putFrame(f *frame) {
@@ -178,7 +198,7 @@ func (s *verifyScratch) release(v *verifier) {
 		s.work = v.work[:0]
 	}
 	v.ex, v.m, v.code = nil, nil, nil
-	v.ins, v.pcIndex, v.targets = nil, nil, nil
+	v.ins, v.pcIndex = nil, nil
 	v.in, v.work, v.err = nil, nil, nil
 	v.md = descriptor.Method{}
 }
@@ -217,11 +237,12 @@ func (v *verifier) run() *Outcome {
 			Message: fmt.Sprintf("method %s has an empty code array", mname)}
 	}
 
-	md, err := descriptor.ParseMethod(mdesc)
+	md, err := descriptor.ParseMethodInto(mdesc, vm.vscratch.params)
 	if vm.br(bVerifyDesc, err != nil) {
 		return &Outcome{Phase: PhaseLinking, Error: ErrClassFormat,
 			Message: fmt.Sprintf("method %s has malformed descriptor", mname)}
 	}
+	vm.vscratch.params = md.Params
 	v.md = md
 
 	dec := vm.decodeCode(v.code.Code)
@@ -232,12 +253,12 @@ func (v *verifier) run() *Outcome {
 	ins := dec.ins
 	v.ins = ins
 	v.pcIndex = dec.pcIndex
-	v.targets = dec.targets
 
 	// Branch targets must land on instruction boundaries.
-	for i, in := range ins {
-		for _, t := range v.targets[i] {
-			if _, ok := v.pcIndex[t]; vm.br(bVerifyBranchtarget, !ok) {
+	for _, in := range ins {
+		for k := range in.NumTargets() {
+			t := in.Target(k)
+			if _, ok := v.pcIndex.at(t); vm.br(bVerifyBranchtarget, !ok) {
 				return &Outcome{Phase: PhaseLinking, Error: ErrVerify,
 					Message: fmt.Sprintf("method %s: branch into the middle of an instruction (pc %d)", mname, t)}
 			}
@@ -254,9 +275,9 @@ func (v *verifier) run() *Outcome {
 	// Exception handler sanity.
 	for _, h := range v.code.Handlers {
 		vm.st(pVerifyHandler)
-		_, okS := v.pcIndex[int(h.StartPC)]
-		_, okH := v.pcIndex[int(h.HandlerPC)]
-		endOK := int(h.EndPC) == len(v.code.Code) || func() bool { _, ok := v.pcIndex[int(h.EndPC)]; return ok }()
+		_, okS := v.pcIndex.at(int(h.StartPC))
+		_, okH := v.pcIndex.at(int(h.HandlerPC))
+		endOK := int(h.EndPC) == len(v.code.Code) || func() bool { _, ok := v.pcIndex.at(int(h.EndPC)); return ok }()
 		if vm.br(bVerifyHandlerBounds, !okS || !okH || !endOK || h.StartPC >= h.EndPC) {
 			return &Outcome{Phase: PhaseLinking, Error: ErrClassFormat,
 				Message: fmt.Sprintf("method %s has an invalid exception handler range", mname)}
@@ -598,9 +619,27 @@ func (s *simFrame) popRef() vt {
 	return t
 }
 
+// popSite names the value popDesc pops. It is rendered only into a
+// failure message, so a pop that passes formats nothing.
+type popSite struct {
+	op        string // "putstatic", "putfield", "argument", or "" for an invokedynamic argument
+	arg       int    // the argument's index, for "argument"
+	cls, name string // the field or method
+}
+
+func (p popSite) String() string {
+	switch p.op {
+	case "":
+		return "invokedynamic argument"
+	case "argument":
+		return fmt.Sprintf("argument %d of %s.%s", p.arg, p.cls, p.name)
+	}
+	return fmt.Sprintf("%s %s.%s", p.op, p.cls, p.name)
+}
+
 // popDesc pops a value matching descriptor type dt, applying the
 // strict-assignability dialect when enabled.
-func (s *simFrame) popDesc(dt descriptor.Type, ctx string) {
+func (s *simFrame) popDesc(dt descriptor.Type, ctx popSite) {
 	if dt.IsWide() {
 		s.popWide(vtKind(dt.Kind))
 		return
@@ -1093,14 +1132,15 @@ func (v *verifier) step(idx int) {
 		}
 		v.mergeInto(next, fr)
 	}
-	for _, t := range v.targets[idx] {
-		v.mergeInto(v.pcIndex[t], fr)
+	for k := range in.NumTargets() {
+		j, _ := v.pcIndex.at(in.Target(k)) // every target was checked in run
+		v.mergeInto(j, fr)
 	}
 	// Exception edges: any instruction inside a protected range can
 	// transfer to the handler with a single throwable on the stack.
 	for _, h := range v.code.Handlers {
 		if in.PC >= int(h.StartPC) && in.PC < int(h.EndPC) {
-			hidx, ok := v.pcIndex[int(h.HandlerPC)]
+			hidx, ok := v.pcIndex.at(int(h.HandlerPC))
 			if !ok {
 				continue // already rejected above
 			}
@@ -1151,7 +1191,8 @@ func (v *verifier) checkReturn(in *bytecode.Instruction, kind byte) {
 	}
 	// A constructor must have initialized `this` before returning.
 	if kind == 'V' && v.m.Name(v.ex.f.Pool) == "<init>" {
-		fr := v.in[v.pcIndex[in.PC]]
+		i, _ := v.pcIndex.at(in.PC)
+		fr := v.in[i]
 		if len(fr.locals) > 0 && fr.locals[0].kind == vtUninit && fr.locals[0].pc == -1 {
 			if v.vm.br(bVerifyInitUninitreturn, true) {
 				v.fail(ErrVerify, "constructor returns without calling super constructor")
@@ -1235,7 +1276,7 @@ func (v *verifier) simField(s *simFrame, in *bytecode.Instruction) {
 			s.push(t)
 		}
 	case bytecode.Putstatic:
-		s.popDesc(ft, fmt.Sprintf("putstatic %s.%s", cls, name))
+		s.popDesc(ft, popSite{op: "putstatic", cls: cls, name: name})
 	case bytecode.Getfield:
 		s.popRef()
 		if t.isWideFirst() {
@@ -1244,7 +1285,7 @@ func (v *verifier) simField(s *simFrame, in *bytecode.Instruction) {
 			s.push(t)
 		}
 	case bytecode.Putfield:
-		s.popDesc(ft, fmt.Sprintf("putfield %s.%s", cls, name))
+		s.popDesc(ft, popSite{op: "putfield", cls: cls, name: name})
 		s.popRef()
 	}
 }
@@ -1255,14 +1296,15 @@ func (v *verifier) simInvoke(s *simFrame, in *bytecode.Instruction) {
 		v.fail(ErrClassFormat, "invoke references invalid constant #%d", in.CPIndex)
 		return
 	}
-	md, err := descriptor.ParseMethod(desc)
+	md, err := descriptor.ParseMethodInto(desc, v.vm.vscratch.invokeParams)
 	if v.vm.br(bVerifyInvokeDesc, err != nil) {
 		v.fail(ErrClassFormat, "invoked method %s.%s has malformed descriptor %q", cls, name, desc)
 		return
 	}
+	v.vm.vscratch.invokeParams = md.Params
 	// Args are popped right-to-left.
 	for i := len(md.Params) - 1; i >= 0; i-- {
-		s.popDesc(md.Params[i], fmt.Sprintf("argument %d of %s.%s", i, cls, name))
+		s.popDesc(md.Params[i], popSite{op: "argument", arg: i, cls: cls, name: name})
 	}
 	if in.Op != bytecode.Invokestatic {
 		recv := s.popRef()
@@ -1326,7 +1368,7 @@ func (v *verifier) simInvokeDynamic(s *simFrame, in *bytecode.Instruction) {
 		return
 	}
 	for i := len(md.Params) - 1; i >= 0; i-- {
-		s.popDesc(md.Params[i], "invokedynamic argument")
+		s.popDesc(md.Params[i], popSite{})
 	}
 	if !md.Return.IsVoid() {
 		t := typeOfDesc(md.Return)

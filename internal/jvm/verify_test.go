@@ -520,3 +520,21 @@ func TestVerifyMethodPresets(t *testing.T) {
 		})
 	}
 }
+
+// TestPopSiteMessages pins the text each kind of popSite renders into
+// a failed pop's message.
+func TestPopSiteMessages(t *testing.T) {
+	for _, c := range []struct {
+		site popSite
+		want string
+	}{
+		{popSite{op: "putstatic", cls: "p/C", name: "f"}, "putstatic p/C.f"},
+		{popSite{op: "putfield", cls: "", name: ""}, "putfield ."},
+		{popSite{op: "argument", arg: 2, cls: "java/io/PrintStream", name: "println"}, "argument 2 of java/io/PrintStream.println"},
+		{popSite{}, "invokedynamic argument"},
+	} {
+		if got := c.site.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.site, got, c.want)
+		}
+	}
+}

@@ -89,13 +89,24 @@ func (vm *VM) RejectStep() Step { return vm.rejectStep }
 type platformProbeKey struct{ cls, name string }
 
 // decodedCode is an immutable decode of one method body, shared across
-// runs and between the verifier and the interpreter. targets caches
-// Targets() per instruction (nil for non-branching ops).
+// runs and between the verifier and the interpreter.
 type decodedCode struct {
 	ins     []*bytecode.Instruction
-	pcIndex map[int]int
-	targets [][]int
+	pcIndex pcTable
 	err     error
+}
+
+// pcTable maps a byte PC of a code array to the index of the
+// instruction that starts there. Entry pc holds that index plus one,
+// so the zeroed table reads "no instruction starts here".
+type pcTable []int32
+
+// at returns the index of the instruction starting at byte pc.
+func (t pcTable) at(pc int) (int, bool) {
+	if pc < 0 || pc >= len(t) || t[pc] == 0 {
+		return 0, false
+	}
+	return int(t[pc]) - 1, true
 }
 
 // decodeCacheMax bounds the live generation; when full the cache
@@ -118,14 +129,14 @@ const decodeCacheMax = 4096
 // methods) therefore survive rotation indefinitely, instead of the old
 // wholesale reset cold-starting every decode on long daemon runs.
 type DecodeCache struct {
-	m    map[string]*decodedCode
-	prev map[string]*decodedCode
+	m    map[string]decodedCode
+	prev map[string]decodedCode
 }
 
 // NewDecodeCache returns an empty cache.
 func NewDecodeCache() *DecodeCache { return &DecodeCache{} }
 
-func (c *DecodeCache) get(code []byte) (*decodedCode, bool) {
+func (c *DecodeCache) get(code []byte) (decodedCode, bool) {
 	if d, ok := c.m[string(code)]; ok {
 		return d, true
 	}
@@ -133,22 +144,22 @@ func (c *DecodeCache) get(code []byte) (*decodedCode, bool) {
 		// Second chance: promote into the live generation so the entry
 		// survives the next rotation too.
 		if c.m == nil {
-			c.m = make(map[string]*decodedCode, 64)
+			c.m = make(map[string]decodedCode, 64)
 		}
 		c.m[string(code)] = d
 		return d, true
 	}
-	return nil, false
+	return decodedCode{}, false
 }
 
 // put inserts a decode, rotating generations when the live map is full.
 // rotated reports that a rotation happened (for the eviction counter).
-func (c *DecodeCache) put(code []byte, d *decodedCode) (rotated bool) {
+func (c *DecodeCache) put(code []byte, d decodedCode) (rotated bool) {
 	if c.m == nil {
-		c.m = make(map[string]*decodedCode, 64)
+		c.m = make(map[string]decodedCode, 64)
 	} else if len(c.m) >= decodeCacheMax {
 		c.prev = c.m
-		c.m = make(map[string]*decodedCode, 64)
+		c.m = make(map[string]decodedCode, 64)
 		rotated = true
 	}
 	c.m[string(code)] = d
@@ -170,23 +181,23 @@ func ShareDecodeCache(vms []*VM) *DecodeCache {
 	return c
 }
 
-func (vm *VM) decodeCode(code []byte) *decodedCode {
+// decodeCode returns the decode of code, from the VM's decode cache
+// when it holds one. Entries are values, so a miss allocates only the
+// decode (the instructions, their list and the PC table) and the
+// cache's copy of the key.
+func (vm *VM) decodeCode(code []byte) decodedCode {
 	if vm.decodeCache == nil {
 		vm.decodeCache = NewDecodeCache()
 	}
 	if d, ok := vm.decodeCache.get(code); ok {
 		return d
 	}
-	d := &decodedCode{}
+	var d decodedCode
 	d.ins, d.err = bytecode.Decode(code)
 	if d.err == nil {
-		d.pcIndex = make(map[int]int, len(d.ins))
+		d.pcIndex = make(pcTable, len(code))
 		for i, in := range d.ins {
-			d.pcIndex[in.PC] = i
-		}
-		d.targets = make([][]int, len(d.ins))
-		for i, in := range d.ins {
-			d.targets[i] = in.Targets()
+			d.pcIndex[in.PC] = int32(i) + 1
 		}
 	}
 	if vm.decodeCache.put(code, d) {

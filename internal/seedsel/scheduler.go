@@ -56,12 +56,13 @@ func RunSeeds(seeds []*jimple.Class, ref jvm.Spec, memo *jvm.VerifyMemo, reg *te
 			vm.SetVerifyMemo(memo)
 			vm.SetTelemetry(reg)
 			lctx := jimple.NewLowerCtx()
+			var buf []byte
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(seeds) {
 					return
 				}
-				runs[i] = runSeed(vm, rec, lctx, seeds[i])
+				runs[i], buf = runSeed(vm, rec, lctx, seeds[i], buf)
 			}
 		}()
 	}
@@ -70,21 +71,23 @@ func RunSeeds(seeds []*jimple.Class, ref jvm.Spec, memo *jvm.VerifyMemo, reg *te
 }
 
 // runSeed lowers one seed through lctx and runs it on vm. The File is
-// written first — that brings it in step with its bytes — and then
-// run in place of a parse of them.
-func runSeed(vm *jvm.VM, rec *coverage.Recorder, lctx *jimple.LowerCtx, c *jimple.Class) SeedRun {
+// written first, into buf — that brings it in step with its bytes — and
+// then run in place of a parse of them. The bytes themselves are not
+// needed, so runSeed returns buf for the goroutine's next seed.
+func runSeed(vm *jvm.VM, rec *coverage.Recorder, lctx *jimple.LowerCtx, c *jimple.Class, buf []byte) (SeedRun, []byte) {
 	f, err := lctx.Lower(c)
 	if err != nil {
-		return SeedRun{}
+		return SeedRun{}, buf
 	}
-	if _, err := f.Bytes(); err != nil {
-		return SeedRun{}
+	data, err := f.AppendBytes(buf[:0])
+	if err != nil {
+		return SeedRun{}, buf
 	}
 	rec.Reset()
 	vm.RunParsed(f)
 	tr := rec.Trace()
 	tr.Key() // cached now, so readers of the shared trace never write it
-	return SeedRun{Trace: tr, Fingerprint: analysis.Fingerprint(f)}
+	return SeedRun{Trace: tr, Fingerprint: analysis.Fingerprint(f)}, data
 }
 
 // cluster is one scheduling unit: a distilled representative coverage
