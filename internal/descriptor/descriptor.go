@@ -305,27 +305,44 @@ func ValidField(s string) bool {
 // — ParseMethod's ParamSlots and Return.Slots. It accepts exactly what
 // ParseMethod accepts.
 func MethodSlots(s string) (params, ret int, ok bool) {
+	_, params, _, ret, ok = scanMethod(s)
+	return params, ret, ok
+}
+
+// MethodArity scans a method descriptor without allocating and returns
+// its parameter count and its return type's descriptor — ParseMethod's
+// len(Params) and Return.String(). It accepts exactly what ParseMethod
+// accepts.
+func MethodArity(s string) (params int, ret string, ok bool) {
+	params, _, ret, _, ok = scanMethod(s)
+	return params, ret, ok
+}
+
+// scanMethod is MethodSlots and MethodArity: the parameter count and
+// slots, and the return type's descriptor and slots.
+func scanMethod(s string) (n, slots int, ret string, retSlots int, ok bool) {
 	if len(s) == 0 || s[0] != '(' {
-		return 0, 0, false
+		return 0, 0, "", 0, false
 	}
 	i := 1
 	for i < len(s) && s[i] != ')' {
-		next, slots, ok := validOne(s, i)
-		if !ok || slots == 0 {
-			return 0, 0, false
+		next, ps, ok := validOne(s, i)
+		if !ok || ps == 0 {
+			return 0, 0, "", 0, false
 		}
-		params += slots
+		n++
+		slots += ps
 		i = next
 	}
 	if i >= len(s) {
-		return 0, 0, false
+		return 0, 0, "", 0, false
 	}
 	i++ // consume ')'
-	next, ret, ok := validOne(s, i)
+	next, retSlots, ok := validOne(s, i)
 	if !ok || next != len(s) {
-		return 0, 0, false
+		return 0, 0, "", 0, false
 	}
-	return params, ret, true
+	return n, slots, s[i:], retSlots, true
 }
 
 // ValidMethod reports whether s is a syntactically legal method descriptor.

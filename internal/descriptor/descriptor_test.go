@@ -247,15 +247,19 @@ func TestValidScannersMatchParsers(t *testing.T) {
 		if ierr == nil {
 			buf = mi.Params
 		}
+		if n, ret, ok := MethodArity(s); ok != (merr == nil) || (ok && (n != len(md.Params) || ret != md.Return.String())) {
+			t.Errorf("MethodArity(%q) = %d, %q, %v; ParseMethod = %v, %v", s, n, ret, ok, md, merr)
+		}
 		if params, ret, ok := MethodSlots(s); ok != (merr == nil) || (ok && (params != md.ParamSlots() || ret != md.Return.Slots())) {
 			t.Errorf("MethodSlots(%q) = %d, %d, %v; ParseMethod = %v, %v", s, params, ret, ok, md, merr)
 		}
 	}
 }
 
-// FuzzMethodSlots pins MethodSlots to ParseMethod: it accepts exactly
-// the strings ParseMethod accepts, and on those returns ParamSlots and
-// Return.Slots, without allocating. testdata/fuzz/FuzzMethodSlots holds
+// FuzzMethodSlots pins MethodSlots and MethodArity to ParseMethod: they
+// accept exactly the strings ParseMethod accepts, and on those return
+// ParamSlots and Return.Slots, and len(Params) and Return.String(),
+// without allocating. testdata/fuzz/FuzzMethodSlots holds
 // malformed strings, arrays, V in parameter position and wide types.
 func FuzzMethodSlots(f *testing.F) {
 	for _, s := range []string{"()V", "(IJ)D", "([J[[D)J", "(Ljava/lang/String;)V"} {
@@ -270,8 +274,11 @@ func FuzzMethodSlots(f *testing.F) {
 		if ok && (params != md.ParamSlots() || ret != md.Return.Slots()) {
 			t.Fatalf("MethodSlots(%q) = %d, %d, want %d, %d", s, params, ret, md.ParamSlots(), md.Return.Slots())
 		}
-		if n := testing.AllocsPerRun(1, func() { MethodSlots(s) }); n != 0 {
-			t.Fatalf("MethodSlots(%q) allocates %.0f times", s, n)
+		if n, r, aok := MethodArity(s); aok != ok || (ok && (n != len(md.Params) || r != md.Return.String())) {
+			t.Fatalf("MethodArity(%q) = %d, %q, %v, want %d, %q", s, n, r, aok, len(md.Params), md.Return.String())
+		}
+		if n := testing.AllocsPerRun(1, func() { MethodSlots(s); MethodArity(s) }); n != 0 {
+			t.Fatalf("MethodSlots or MethodArity(%q) allocates %.0f times", s, n)
 		}
 	})
 }

@@ -635,8 +635,7 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 			stackPush(&stack, refVal(&object{class: cname, fields: map[string]value{}}))
 		case bytecode.Newarray:
 			n := pop().i
-			if n < 0 {
-				thrown = throwf("java/lang/NegativeArraySizeException", "%d", n)
+			if thrown = ex.allocArray(n); thrown != nil {
 				break
 			}
 			o := &object{class: "[" + in.ArrayTyp.Descriptor(), elem: in.ArrayTyp.Descriptor(), arr: make([]value, n)}
@@ -647,8 +646,7 @@ func (ex *execState) callMethod(m *classfile.Member, args []value) (value, *java
 		case bytecode.Anewarray:
 			cname, _ := ex.f.Pool.ClassName(in.CPIndex)
 			n := pop().i
-			if n < 0 {
-				thrown = throwf("java/lang/NegativeArraySizeException", "%d", n)
+			if thrown = ex.allocArray(n); thrown != nil {
 				break
 			}
 			o := &object{class: "[L" + cname + ";", elem: "L" + cname + ";", arr: make([]value, n)}
@@ -924,6 +922,19 @@ func stackPop(stack *[]value) value {
 // stackPush pushes onto the operand stack.
 func stackPush(stack *[]value, v value) { *stack = append(*stack, v) }
 
+// allocArray charges an n-element array to the run's HeapBudget, or
+// throws before anything is allocated.
+func (ex *execState) allocArray(n int64) *javaThrow {
+	if n < 0 {
+		return throwf("java/lang/NegativeArraySizeException", "%d", n)
+	}
+	if n > HeapBudget-ex.heap {
+		return throwf("java/lang/OutOfMemoryError", "Java heap space")
+	}
+	ex.heap += n
+	return nil
+}
+
 // interpInvoke executes the invoke opcodes: platform intrinsics get
 // hand-written semantics; methods of the class under test recurse into
 // the interpreter.
@@ -932,13 +943,13 @@ func (ex *execState) interpInvoke(op bytecode.Opcode, in *bytecode.Instruction, 
 	if !ok {
 		return throwf(dot2slash(ErrClassFormat), "invoke through invalid constant")
 	}
-	md, err := descriptor.ParseMethod(desc)
-	if err != nil {
+	nargs, ret, ok := descriptor.MethodArity(desc)
+	if !ok {
 		return throwf(dot2slash(ErrClassFormat), "invoked descriptor %q malformed", desc)
 	}
+	void := ret == "V"
 
 	s := *stack
-	nargs := len(md.Params)
 	static := op == bytecode.Invokestatic
 	total := nargs
 	if !static {
@@ -947,7 +958,9 @@ func (ex *execState) interpInvoke(op bytecode.Opcode, in *bytecode.Instruction, 
 	if len(s) < total {
 		return throwf(dot2slash(ErrVerify), "operand stack underflow at invoke")
 	}
-	args := append([]value(nil), s[len(s)-total:]...)
+	// args aliases the popped operands: callees copy them into their
+	// locals, and nothing reads args once the result is pushed.
+	args := s[len(s)-total : len(s) : len(s)]
 	*stack = s[:len(s)-total]
 
 	// Lazy resolution (GIJ): failures surface here, at runtime.
@@ -973,31 +986,31 @@ func (ex *execState) interpInvoke(op bytecode.Opcode, in *bytecode.Instruction, 
 		if m.AccessFlags.Has(classfile.AccNative) {
 			return throwf(dot2slash(ErrUnsatisfiedLink), "%s.%s", cls, name)
 		}
-		ret, jt := ex.callMethod(m, args)
+		v, jt := ex.callMethod(m, args)
 		if jt != nil {
 			return jt
 		}
-		if !md.Return.IsVoid() {
-			stackPush(stack, ret)
+		if !void {
+			stackPush(stack, v)
 		}
 		return nil
 	}
 
 	// Platform semantics.
-	ret, jt, handled := ex.platformInvoke(cls, name, desc, md, args)
+	v, jt, handled := ex.platformInvoke(cls, name, args)
 	if jt != nil {
 		return jt
 	}
 	if handled {
-		if !md.Return.IsVoid() {
-			stackPush(stack, ret)
+		if !void {
+			stackPush(stack, v)
 		}
 		return nil
 	}
 	// Known platform method without bespoke semantics: return the
 	// default value of the return type (a benign stub).
-	if !md.Return.IsVoid() {
-		stackPush(stack, zeroOf(md.Return.String()))
+	if !void {
+		stackPush(stack, zeroOf(ret))
 	}
 	return nil
 }
@@ -1005,7 +1018,7 @@ func (ex *execState) interpInvoke(op bytecode.Opcode, in *bytecode.Instruction, 
 // platformInvoke implements the platform intrinsics the generated
 // classes use. handled=false means the method resolved but has no
 // bespoke semantics.
-func (ex *execState) platformInvoke(cls, name, desc string, md descriptor.Method, args []value) (value, *javaThrow, bool) {
+func (ex *execState) platformInvoke(cls, name string, args []value) (value, *javaThrow, bool) {
 	ex.vm.stPlatform(cls, name)
 	recvStr := func() string {
 		if len(args) > 0 && args[0].ref != nil {

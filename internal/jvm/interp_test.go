@@ -1,6 +1,8 @@
 package jvm
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/bytecode"
@@ -167,6 +169,74 @@ func TestInterpNegativeArraySize(t *testing.T) {
 	}, 4, 2)
 	if o.Error != ExcNegativeArraySize {
 		t.Errorf("want NegativeArraySizeException, got %s", o)
+	}
+}
+
+// TestInterpHeapBudget: arrays draw on one per-run HeapBudget. An
+// array past it throws OutOfMemoryError before anything is allocated,
+// whether it asks for 2^31-1 elements at once or for the last element
+// after two arrays that together fill the budget.
+func TestInterpHeapBudget(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	o := runMain(t, func(cb *classfile.CodeBuilder) {
+		cb.LdcInt(math.MaxInt32).U1(bytecode.Newarray, byte(bytecode.TInt)).Op(bytecode.Pop).Op(bytecode.Return)
+	}, 4, 2)
+	runtime.ReadMemStats(&after)
+	if o.Error != "java.lang.OutOfMemoryError" {
+		t.Errorf("a 2^31-1-element array: want OutOfMemoryError, got %s", o)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+		t.Errorf("refusing a 2^31-1-element array allocated %d bytes", alloc)
+	}
+
+	fill := func(last int32) Outcome {
+		return runMain(t, func(cb *classfile.CodeBuilder) {
+			for _, n := range []int32{HeapBudget / 2, HeapBudget - HeapBudget/2 - 1, last} {
+				cb.LdcInt(n).U1(bytecode.Newarray, byte(bytecode.TInt)).Op(bytecode.Pop)
+			}
+			cb.Op(bytecode.Return)
+		}, 4, 2)
+	}
+	if o := fill(1); !o.OK() {
+		t.Errorf("arrays filling the budget exactly: %s", o)
+	}
+	if o := fill(2); o.Error != "java.lang.OutOfMemoryError" {
+		t.Errorf("an array one element past the budget: want OutOfMemoryError, got %s", o)
+	}
+}
+
+// TestInterpInvokeAllocationFree: an executed invoke allocates
+// nothing of its own. A main making 65 Math.abs calls allocates as
+// often per run as one making a single call.
+func TestInterpInvokeAllocationFree(t *testing.T) {
+	allocs := func(calls int) float64 {
+		f := classfile.New("IMain")
+		classfile.AttachDefaultInit(f)
+		m := f.AddMethod(classfile.AccPublic|classfile.AccStatic, "main", "([Ljava/lang/String;)V")
+		cb := classfile.NewCodeBuilder(f.Pool)
+		for range calls {
+			cb.LdcInt(-7).Invokestatic("java/lang/Math", "abs", "(I)I").Op(bytecode.Pop)
+		}
+		cb.Op(bytecode.Return)
+		cb.SetMaxStack(1).SetMaxLocals(1)
+		m.Attributes = append(m.Attributes, cb.Build())
+		data, err := f.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := classfile.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vm := New(HotSpot9())
+		if o := vm.RunParsed(cf); !o.OK() {
+			t.Fatalf("%d calls: %s", calls, o)
+		}
+		return testing.AllocsPerRun(20, func() { vm.RunParsed(cf) })
+	}
+	if one, many := allocs(1), allocs(65); many != one {
+		t.Fatalf("a run allocates %.0f times with 1 invoke, %.0f with 65", one, many)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // execState is the per-run mutable state: the class under test, its
-// static fields, captured output and the interpreter budget. A VM keeps
+// static fields, captured output and the interpreter budgets. A VM keeps
 // one and resets it per run (VM.execFor), so its maps are cleared, not
 // reallocated; nothing a run returns points into them.
 type execState struct {
@@ -17,6 +17,8 @@ type execState struct {
 	output  []string
 	steps   int
 	depth   int
+	// heap counts the array elements the run allocated (HeapBudget).
+	heap int64
 	// verified memoises per-method lazy verification results keyed by
 	// name and descriptor.
 	verified map[memberKey]*Outcome

@@ -8,6 +8,9 @@ const (
 	MinMajorVersion = 45
 	// StepBudget bounds interpreted bytecode steps per run.
 	StepBudget = 100000
+	// HeapBudget bounds the array elements one run allocates (32 MiB
+	// of slots); an array past it throws OutOfMemoryError.
+	HeapBudget = 1 << 20
 )
 
 // Policy is the set of checking-and-verification knobs that

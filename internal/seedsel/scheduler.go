@@ -98,12 +98,11 @@ type cluster struct {
 	// against.
 	fp    uint64
 	trace *coverage.Trace
-	// members are the pool indices currently assigned here: base seeds
-	// at construction, recycled mutants via Grew, submitted seeds via
-	// AddSeed.
+	// members are the pool indices assigned here, in the order they
+	// joined: corpus seeds via AddSeed, recycled mutants via Grew.
 	members []int
-	// seedCount is how many initial-corpus seeds landed here (members
-	// grows past it as the pool recycles mutants).
+	// seedCount is how many corpus seeds landed here (members grows
+	// past it as the pool recycles mutants).
 	seedCount int
 
 	draws     int64
@@ -119,9 +118,9 @@ type cluster struct {
 
 // Scheduler is the stateful SeedSource: it owns the corpus, the
 // cluster structure, and the per-cluster yield statistics the draw
-// policy feeds on. One Scheduler serves exactly one engine run (or, in
-// the daemon, one manager's intake index); construct a fresh one per
-// Resume so its replay can drive the campaign's prefix through it.
+// policy feeds on. One Scheduler serves exactly one engine run, or, in
+// the daemon, is the intake index that AddSeed grows and each epoch's
+// run gets a Fork of.
 type Scheduler struct {
 	strategy Strategy
 
@@ -153,56 +152,68 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("seedsel: empty seed corpus")
 	}
-	base := opts.Base
-	if base <= 0 || base > len(seeds) {
-		base = len(seeds)
-	}
-	s := &Scheduler{
-		strategy: opts.Strategy,
-		ref:      opts.RefSpec,
-		seeds:    seeds,
-	}
+	s := &Scheduler{strategy: opts.Strategy, ref: opts.RefSpec}
 	sp := telemetry.StartSpan(opts.Telemetry.Histogram("seedsel.baselines_ns"))
-	s.runs = RunSeeds(seeds, s.ref, nil, nil)
+	runs := RunSeeds(seeds, s.ref, nil, nil)
 	sp.End()
-	s.cluster(base)
-
-	if opts.Telemetry != nil {
-		reg := opts.Telemetry
-		s.telDraws = reg.Counter("campaign.seeds.draws")
-		s.telYield = reg.Counter("campaign.seeds.yield")
-		s.telDem = reg.Counter("campaign.seeds.demotions")
-		for i, c := range s.clusters {
-			pfx := fmt.Sprintf("campaign.seeds.cluster%d.", i)
-			c.telDraws = reg.Counter(pfx + "draws")
-			c.telYield = reg.Counter(pfx + "yield")
-			c.telDem = reg.Counter(pfx + "demotions")
-		}
+	s.cluster(runs)
+	for i, c := range seeds {
+		s.AddSeed(c, runs[i])
 	}
+	s.bind(opts.Telemetry)
 	return s, nil
 }
 
-// cluster distils seeds[:base] into representative coverage sets and
-// assigns every seed to one.
+// Fork returns a fresh scheduler for one engine run over the first n
+// corpus seeds: s's strategy, reference spec, cluster representatives
+// and baselines, each seed in the cluster AddSeed put it in, and no
+// draws, yield or demotions yet. It runs no seed. reg, when non-nil,
+// receives the counters New binds.
+func (s *Scheduler) Fork(n int, reg *telemetry.Registry) *Scheduler {
+	f := &Scheduler{strategy: s.strategy, ref: s.ref}
+	for _, c := range s.clusters {
+		f.clusters = append(f.clusters, &cluster{fp: c.fp, trace: c.trace})
+	}
+	for i, c := range s.seeds[:n] {
+		f.AddSeed(c, s.runs[i])
+	}
+	f.bind(reg)
+	return f
+}
+
+// bind points the scheduler's counters into reg (nil leaves them
+// detached).
+func (s *Scheduler) bind(reg *telemetry.Registry) {
+	if reg == nil {
+		return
+	}
+	s.telDraws = reg.Counter("campaign.seeds.draws")
+	s.telYield = reg.Counter("campaign.seeds.yield")
+	s.telDem = reg.Counter("campaign.seeds.demotions")
+	for i, c := range s.clusters {
+		c.telDraws = reg.Counter(ClusterMetric(i, "draws"))
+		c.telYield = reg.Counter(ClusterMetric(i, "yield"))
+		c.telDem = reg.Counter(ClusterMetric(i, "demotions"))
+	}
+}
+
+// cluster distils the corpus's seed runs into the clusters'
+// representative coverage sets.
 //
-// Groups form over the base prefix by structural fingerprint (first-
-// occurrence order); each group's trace is the word-OR of its members'
-// baselines. Greedy distillation then repeatedly picks the group with
-// the largest marginal coverage gain over the running union (ties to
-// the lowest group index) until no group adds anything — those picks,
-// in pick order, are the clusters. Every seed (base or later) joins
-// the cluster whose representative trace it overlaps most, ties to the
-// lowest cluster; a seed fingerprint-equal to a representative group
-// short-circuits to that cluster.
-func (s *Scheduler) cluster(base int) {
+// Groups form by structural fingerprint (first-occurrence order); each
+// group's trace is the word-OR of its members' baselines. Greedy
+// distillation then repeatedly picks the group with the largest
+// marginal coverage gain over the running union (ties to the lowest
+// group index) until no group adds anything — those picks, in pick
+// order, are the clusters.
+func (s *Scheduler) cluster(runs []SeedRun) {
 	type group struct {
 		fp    uint64
 		trace *coverage.Trace
 	}
 	var groups []group
 	groupIdx := map[uint64]int{}
-	for i := 0; i < base; i++ {
-		in := s.runs[i]
+	for _, in := range runs {
 		gi, ok := groupIdx[in.Fingerprint]
 		if !ok {
 			gi = len(groups)
@@ -238,19 +249,13 @@ func (s *Scheduler) cluster(base int) {
 		// cluster holding everything keeps the policy total.
 		s.clusters = append(s.clusters, &cluster{trace: coverage.NewTrace()})
 	}
-
-	s.assign = make([]int, 0, len(s.seeds))
-	for i := range s.seeds {
-		ci := s.classify(s.runs[i])
-		s.assign = append(s.assign, ci)
-		c := s.clusters[ci]
-		c.members = append(c.members, i)
-		c.seedCount++
-	}
 }
 
-// classify maps a seed's run to a cluster index. A seed that did not
-// lower overlaps nothing, so it joins the first cluster.
+// classify maps a seed's run to a cluster index: the cluster whose
+// representative trace it overlaps most, ties to the lowest cluster,
+// short-circuiting to a cluster whose representative group shares its
+// fingerprint. A seed that did not lower overlaps nothing, so it joins
+// the first cluster.
 func (s *Scheduler) classify(in SeedRun) int {
 	if in.Trace == nil {
 		return 0
@@ -271,10 +276,11 @@ func (s *Scheduler) classify(in SeedRun) int {
 func (s *Scheduler) Corpus() []*jimple.Class { return s.seeds }
 
 // Baselines implements campaign.SeedSource: the baseline trace of
-// every corpus entry as New (or AddSeed) recorded it, nil for a seed
-// that did not lower. It returns nil when ref is not the spec the
-// traces were recorded on. The traces are shared, not copied; traces
-// are immutable and their keys were computed by the seed pass.
+// every corpus entry as AddSeed was handed it, nil for a seed that did
+// not lower. It returns nil when ref is not the spec the traces were
+// recorded on. The traces are shared, not copied: forks of one index
+// hand the same ones to concurrent engine runs, and traces are
+// immutable, their keys computed by the seed pass.
 func (s *Scheduler) Baselines(ref jvm.Spec) []*coverage.Trace {
 	if ref != s.ref {
 		return nil
@@ -381,15 +387,16 @@ type SeedClass struct {
 	Cluster int `json:"cluster"`
 }
 
-// AddSeed classifies a new seed into the existing cluster structure
-// and appends it to the corpus — the daemon's intake path. Cluster
+// AddSeed appends c to the corpus with run, its RunSeeds record on the
+// scheduler's reference spec, and assigns it to a cluster: how New
+// places each of its seeds, and the daemon's intake path. Cluster
 // identities never change: the newcomer joins the best-overlapping
 // existing cluster. Not for use mid-engine-run (the engine's pool
 // indexes the corpus it started with).
-func (s *Scheduler) AddSeed(c *jimple.Class) SeedClass {
-	in, sc := s.place(c)
+func (s *Scheduler) AddSeed(c *jimple.Class, run SeedRun) SeedClass {
+	sc := s.Classify(run)
 	s.seeds = append(s.seeds, c)
-	s.runs = append(s.runs, in)
+	s.runs = append(s.runs, run)
 	s.assign = append(s.assign, sc.Cluster)
 	cl := s.clusters[sc.Cluster]
 	cl.members = append(cl.members, len(s.seeds)-1)
@@ -397,21 +404,14 @@ func (s *Scheduler) AddSeed(c *jimple.Class) SeedClass {
 	return sc
 }
 
-// Classify reports where AddSeed would place the class, without
-// mutating the scheduler.
-func (s *Scheduler) Classify(c *jimple.Class) SeedClass {
-	_, sc := s.place(c)
-	return sc
-}
-
-// place runs one class through the seed pass and picks its cluster.
-func (s *Scheduler) place(c *jimple.Class) (SeedRun, SeedClass) {
-	in := RunSeeds([]*jimple.Class{c}, s.ref, nil, nil)[0]
+// Classify reports where AddSeed would place the seed run records,
+// without mutating the scheduler.
+func (s *Scheduler) Classify(run SeedRun) SeedClass {
 	var key coverage.Key // zero for a seed that did not lower
-	if in.Trace != nil {
-		key = in.Trace.Key()
+	if run.Trace != nil {
+		key = run.Trace.Key()
 	}
-	return in, SeedClass{Fingerprint: in.Fingerprint, TraceKeyHi: key.Hi, TraceKeyLo: key.Lo, Cluster: s.classify(in)}
+	return SeedClass{Fingerprint: run.Fingerprint, TraceKeyHi: key.Hi, TraceKeyLo: key.Lo, Cluster: s.classify(run)}
 }
 
 // ClusterStat is one cluster's reporting row.

@@ -15,7 +15,8 @@
 // stream it is handed, cluster iteration follows slice order, and every
 // tie breaks toward the lowest index. Campaign results are therefore
 // bit-identical at any worker count, and a campaign run again on a
-// fresh scheduler (a restarted daemon epoch) reproduces it exactly.
+// fresh scheduler (a restarted daemon epoch, on a fresh Fork of the
+// daemon's intake index) reproduces it exactly.
 package seedsel
 
 import (
@@ -75,15 +76,16 @@ type Options struct {
 	// use the campaign's reference spec so cluster structure reflects
 	// the coverage domain the campaign accepts against.
 	RefSpec jvm.Spec
-	// Base restricts cluster representatives to the corpus prefix
-	// seeds[:Base] (0 means the whole corpus). The daemon pins Base to
-	// its generated corpus so cluster identities stay stable as
-	// submitted seeds join — newcomers are assigned to existing
-	// clusters by trace overlap, never founding their own.
-	Base int
 	// Telemetry, when non-nil, receives per-cluster draw/yield/demotion
-	// counters (campaign.seeds.cluster<i>.*) plus corpus-wide totals
+	// counters (ClusterMetric) plus corpus-wide totals
 	// (campaign.seeds.{draws,yield,demotions}), and times New's seed
 	// pass as seedsel.baselines_ns. Observe-only.
 	Telemetry *telemetry.Registry
+}
+
+// ClusterMetric names the counter a Scheduler keeps for cluster i's
+// stat ("draws", "yield" or "demotions") in its Telemetry registry:
+// campaign.seeds.cluster<i>.<stat>.
+func ClusterMetric(i int, stat string) string {
+	return fmt.Sprintf("campaign.seeds.cluster%d.%s", i, stat)
 }

@@ -1,6 +1,7 @@
 package seedsel
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -86,8 +87,8 @@ func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	if !reflect.DeepEqual(one.ClusterStats(), four.ClusterStats()) {
 		t.Fatalf("cluster stats differ:\n%+v\n%+v", one.ClusterStats(), four.ClusterStats())
 	}
-	for i, c := range seeds {
-		if a, b := one.Classify(c), four.Classify(c); a != b {
+	for i := range seeds {
+		if a, b := one.Classify(one.runs[i]), four.Classify(four.runs[i]); a != b {
 			t.Fatalf("seed %d: Classify %+v at GOMAXPROCS 1, %+v at 4", i, a, b)
 		}
 	}
@@ -119,8 +120,9 @@ func TestBaselinesFollowRefSpec(t *testing.T) {
 	if got := s.Baselines(jvm.HotSpot8()); got != nil {
 		t.Fatalf("Baselines(HotSpot8) of a HotSpot9 scheduler = %d traces, want nil", len(got))
 	}
-	s.AddSeed(seeds[8])
-	s.AddSeed(seeds[9])
+	for i, run := range RunSeeds(seeds[8:], jvm.HotSpot9(), nil, nil) {
+		s.AddSeed(seeds[8+i], run)
+	}
 	got := s.Baselines(jvm.HotSpot9())
 	if len(got) != len(s.Corpus()) {
 		t.Fatalf("%d baselines for a %d-seed corpus", len(got), len(s.Corpus()))
@@ -216,14 +218,15 @@ func TestDemotionAndRepromotion(t *testing.T) {
 // does, and AddSeed extends the corpus without founding new clusters.
 func TestAddSeedClassifyAgree(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 13))
-	s, err := New(seeds[:8], Options{Strategy: Clustered, RefSpec: jvm.HotSpot9(), Base: 8})
+	s, err := New(seeds[:8], Options{Strategy: Clustered, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := s.Clusters()
-	for _, c := range seeds[8:] {
-		want := s.Classify(c)
-		got := s.AddSeed(c)
+	runs := RunSeeds(seeds[8:], jvm.HotSpot9(), nil, nil)
+	for i, c := range seeds[8:] {
+		want := s.Classify(runs[i])
+		got := s.AddSeed(c, runs[i])
 		if got != want {
 			t.Fatalf("Classify %+v, AddSeed %+v", want, got)
 		}
@@ -237,7 +240,7 @@ func TestAddSeedClassifyAgree(t *testing.T) {
 	if len(s.Corpus()) != 10 {
 		t.Fatalf("corpus %d, want 10", len(s.Corpus()))
 	}
-	if s.ClusterOf(9) != s.Classify(seeds[9]).Cluster {
+	if s.ClusterOf(9) != s.Classify(runs[1]).Cluster {
 		t.Error("ClusterOf disagrees with the recorded assignment")
 	}
 }
@@ -278,5 +281,100 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 	if got := snap.Counter("campaign.seeds.demotions"); got != 1 {
 		t.Errorf("campaign.seeds.demotions = %d, want 1", got)
+	}
+}
+
+// schedView is a scheduler's whole state, with traces by key.
+type schedView struct {
+	Seeds    int
+	Runs     []SeedRun
+	Assign   []int
+	Clusters []clusterView
+}
+
+type clusterView struct {
+	FP                      uint64
+	Trace                   string
+	Members                 []int
+	SeedCount               int
+	Draws, Yield, Demotions int64
+	Since                   int
+	Demoted                 bool
+}
+
+func view(s *Scheduler) schedView {
+	v := schedView{Seeds: len(s.seeds), Runs: s.runs, Assign: s.assign}
+	for _, c := range s.clusters {
+		v.Clusters = append(v.Clusters, clusterView{
+			FP: c.fp, Trace: fmt.Sprint(c.trace.Key()), Members: c.members, SeedCount: c.seedCount,
+			Draws: c.draws, Yield: c.yield, Demotions: c.demotions, Since: c.since, Demoted: c.demoted,
+		})
+	}
+	return v
+}
+
+// drive runs a fixed Pick/Observe/Grew sequence through s and returns
+// its picks.
+func drive(s *Scheduler, n int) []int {
+	rng := rand.New(rand.NewSource(5))
+	var picks []int
+	for i := 0; i < 300; i++ {
+		idx := s.Pick(rng, n)
+		picks = append(picks, idx)
+		accepted := i%7 == 0
+		s.Observe(idx, true, accepted)
+		if accepted {
+			s.Grew(n, idx)
+			n++
+		}
+	}
+	return picks
+}
+
+// TestForkEqualsGrownIndex: a fork of n seeds from an index grown by
+// AddSeed is the index as it stood at n seeds, with fresh draw state,
+// and it draws exactly as that index would; driving a fork leaves the
+// index and later forks untouched. A fork binds New's counter names.
+func TestForkEqualsGrownIndex(t *testing.T) {
+	seeds := seedgen.Generate(seedgen.DefaultOptions(14, 21))
+	runs := RunSeeds(seeds[10:], jvm.HotSpot9(), nil, nil)
+	for _, strategy := range []Strategy{Clustered, Yield} {
+		grow := func(k int) *Scheduler {
+			s, err := New(seeds[:10], Options{Strategy: strategy, RefSpec: jvm.HotSpot9()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range k {
+				s.AddSeed(seeds[10+i], runs[i])
+			}
+			return s
+		}
+		idx := grow(4)
+		before := view(idx)
+		for k := 0; k <= 4; k++ {
+			want := grow(k)
+			reg := telemetry.New()
+			f := idx.Fork(10+k, reg)
+			if !reflect.DeepEqual(view(f), view(want)) {
+				t.Fatalf("%s: fork of %d seeds differs from the index grown to it:\n%+v\n%+v", strategy, 10+k, view(f), view(want))
+			}
+			if got, wantPicks := drive(f, 10+k), drive(want, 10+k); !reflect.DeepEqual(got, wantPicks) {
+				t.Fatalf("%s: fork of %d seeds draws differently from the grown index", strategy, 10+k)
+			}
+			if !reflect.DeepEqual(view(f), view(want)) {
+				t.Fatalf("%s: driven fork of %d seeds diverges from the driven index", strategy, 10+k)
+			}
+			snap := reg.Snapshot()
+			var sum int64
+			for i := range f.Clusters() {
+				sum += snap.Counter(ClusterMetric(i, "draws"))
+			}
+			if sum != 300 || snap.Counter("campaign.seeds.draws") != 300 {
+				t.Fatalf("%s: fork counted %d cluster draws, %d in total, want 300", strategy, sum, snap.Counter("campaign.seeds.draws"))
+			}
+		}
+		if !reflect.DeepEqual(view(idx), before) {
+			t.Fatalf("%s: driving forks changed the index", strategy)
+		}
 	}
 }

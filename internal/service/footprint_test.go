@@ -36,6 +36,23 @@ func wideLocalsClass(t *testing.T) []byte {
 	return data
 }
 
+// intakeManager is an unstarted manager under cfg's seed strategy
+// holding the intake index Start would build over the generated
+// corpus: its handler classifies and queues submissions, and no epoch
+// runs to blur an allocation measurement.
+func intakeManager(t testing.TB, cfg Config) *Manager {
+	t.Helper()
+	m := New(cfg)
+	m.strategy = seedsel.Strategy(cfg.SeedStrategy)
+	idx, err := seedsel.New(seedgen.Generate(seedgen.DefaultOptions(cfg.SeedCount, cfg.Seed)),
+		seedsel.Options{Strategy: m.strategy, RefSpec: jvm.HotSpot9()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.seedIndex = idx
+	return m
+}
+
 // TestSeedFootprintCap pins intake's footprint bound: a small class
 // whose verifier footprint exceeds jvm.MaxVerifyFootprint gets a 400 before
 // it is queued or classified, and the request allocates a small,
@@ -45,15 +62,7 @@ func wideLocalsClass(t *testing.T) []byte {
 func TestSeedFootprintCap(t *testing.T) {
 	cfg := testConfig(t, 1)
 	cfg.SeedStrategy = "clustered"
-	m := New(cfg)
-	// The intake index Start would build, without starting the epochs
-	// whose allocations would blur the measurement.
-	idx, err := seedsel.New(seedgen.Generate(seedgen.DefaultOptions(cfg.SeedCount, cfg.Seed)),
-		seedsel.Options{Strategy: seedsel.Clustered, RefSpec: jvm.HotSpot9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.seedIndex = idx
+	m := intakeManager(t, cfg)
 
 	data := wideLocalsClass(t)
 	f, err := classfile.Parse(data)
@@ -95,4 +104,45 @@ func TestSeedFootprintCap(t *testing.T) {
 	if rec.Code != http.StatusAccepted || !bytes.Contains(rec.Body.Bytes(), []byte(`"cluster"`)) {
 		t.Fatalf("corpus seed: got %d (%s), want 202 with a cluster", rec.Code, rec.Body)
 	}
+}
+
+// intakeAllocBound bounds what one POST /api/seeds of an n-byte body
+// may allocate (128 MiB plus 64 bytes per body byte): twice a run at
+// both of the reference VM's caps, jvm.MaxVerifyFootprint 32-byte
+// verifier slots and jvm.HeapBudget 32-byte array slots, plus the
+// parse and lift of the body. A corpus seed takes about 50 KiB.
+func intakeAllocBound(n int) uint64 {
+	return 2*32*(jvm.MaxVerifyFootprint+jvm.HeapBudget) + 64*uint64(n)
+}
+
+// FuzzSeedIntake: POST /api/seeds takes untrusted bytes, and under a
+// scheduling strategy runs every liftable one on the reference VM to
+// classify it. Whatever the body, the handler of a clustered manager
+// must not panic, must answer 202, 400, 413 or 429, and must allocate
+// within intakeAllocBound. testdata/fuzz/FuzzSeedIntake holds corpus
+// seeds (accepted), malformed and truncated classfiles, an empty body
+// and an over-footprint class.
+func FuzzSeedIntake(f *testing.F) {
+	cfg := testConfig(f, 1)
+	cfg.SeedStrategy = "clustered"
+	m := intakeManager(f, cfg)
+	h := m.handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/seeds", bytes.NewReader(body)))
+		runtime.ReadMemStats(&after)
+		for len(m.queue) > 0 {
+			<-m.queue // no intake worker runs: make room for the next 202
+		}
+		switch rec.Code {
+		case http.StatusAccepted, http.StatusBadRequest, http.StatusRequestEntityTooLarge, http.StatusTooManyRequests:
+		default:
+			t.Fatalf("%d-byte body: got %d (%s)", len(body), rec.Code, rec.Body)
+		}
+		if alloc, bound := after.TotalAlloc-before.TotalAlloc, intakeAllocBound(len(body)); alloc > bound {
+			t.Fatalf("%d-byte body (answered %d) allocated %d bytes, bound %d", len(body), rec.Code, alloc, bound)
+		}
+	})
 }

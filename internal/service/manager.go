@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,17 +90,14 @@ func (c *Config) withDefaults() Config {
 	return d
 }
 
-// submittedSeed is one adopted corpus submission.
-type submittedSeed struct {
-	name  string
-	class *jimple.Class
-}
-
 // submission is one validated intake request: its bytes, which intake
-// persists, and the class they lifted to, which epochs mutate.
+// persists, the class they lifted to, which epochs mutate, and, under a
+// scheduling strategy, the class's run on the reference VM, which the
+// intake index classifies it by.
 type submission struct {
 	data  []byte
 	class *jimple.Class
+	run   seedsel.SeedRun
 }
 
 // Manager is the daemon: N shards, the folding session, the corpus
@@ -111,15 +109,18 @@ type Manager struct {
 	baseSeeds []*jimple.Class
 	strategy  seedsel.Strategy
 
-	mu        sync.Mutex
-	submitted []submittedSeed
-	// seedIndex is the intake classification index (nil under the
-	// uniform strategy): the corpus's cluster structure, pinned to the
-	// generated base seeds so cluster identities stay stable as
-	// submissions join. clusterAgg accumulates per-cluster scheduling
-	// outcomes across folded epochs, indexed like seedIndex's clusters.
-	seedIndex  *seedsel.Scheduler
-	clusterAgg []clusterTallies
+	mu sync.Mutex
+	// submitted holds the adopted submissions in arrival order; the
+	// i-th is persisted as submittedName(i).
+	submitted []*jimple.Class
+	// seedIndex is the daemon's one seed classification (nil under the
+	// uniform strategy): clusters founded by the base seeds, with each
+	// submission added as it is adopted. Every epoch runs on a Fork of
+	// it. Per cluster, clusterDiscs counts the discrepancies credited
+	// to it and clusterDemoted is its last folded demotion flag.
+	seedIndex      *seedsel.Scheduler
+	clusterDiscs   []int64
+	clusterDemoted []bool
 	// discs is the discrepancy log; an entry's ID is its index.
 	discs []Discrepancy
 	// journal is discrepancies.jsonl, open from Start to Stop. Its
@@ -255,11 +256,12 @@ func (m *Manager) Start() error {
 		if err != nil {
 			return err
 		}
-		for _, s := range m.submitted {
-			idx.AddSeed(s.class)
+		for i, run := range seedsel.RunSeeds(m.submitted, jvm.HotSpot9(), nil, nil) {
+			idx.AddSeed(m.submitted[i], run)
 		}
 		m.seedIndex = idx
-		m.clusterAgg = make([]clusterTallies, idx.Clusters())
+		m.clusterDiscs = make([]int64, idx.Clusters())
+		m.clusterDemoted = make([]bool, idx.Clusters())
 	}
 	// Persist the initial state before anything runs, so a fresh data
 	// directory is stamped with the configuration it will forever
@@ -393,7 +395,7 @@ func (m *Manager) loadState() error {
 		if err != nil {
 			return fmt.Errorf("service: corpus file %s: %w", name, err)
 		}
-		m.submitted = append(m.submitted, submittedSeed{name: name, class: c})
+		m.submitted = append(m.submitted, c)
 	}
 	return m.loadJournal(st.NextDiscrepancy)
 }
@@ -429,28 +431,16 @@ func (m *Manager) acceptSeed(sub submission) {
 		m.logf("intake: persisting %s: %v", name, err)
 		return
 	}
-	m.submitted = append(m.submitted, submittedSeed{name: name, class: sub.class})
+	m.submitted = append(m.submitted, sub.class)
 	if err := m.persistLocked(); err != nil {
 		m.logf("intake: %v", err)
 	}
 	if m.seedIndex != nil {
-		sc := m.seedIndex.AddSeed(sub.class)
+		sc := m.seedIndex.AddSeed(sub.class, sub.run)
 		m.logf("intake: %s classified into cluster %d (fp %016x)", name, sc.Cluster, sc.Fingerprint)
 	}
 	m.tel.Counter(MetricSeedsAccepted).Inc()
 	m.logf("intake: adopted %s (%d submitted seeds)", name, len(m.submitted))
-}
-
-// classifySeed reports where intake would place c (ok=false under the
-// uniform strategy, which has no index). Classification runs on the
-// index's private VM, so it serialises under m.mu alongside adoption.
-func (m *Manager) classifySeed(c *jimple.Class) (seedsel.SeedClass, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.seedIndex == nil {
-		return seedsel.SeedClass{}, false
-	}
-	return m.seedIndex.Classify(c), true
 }
 
 // intake is the single consumer of the submission queue.
@@ -476,28 +466,6 @@ func (m *Manager) intake() {
 	}
 }
 
-// corpusFor assembles the epoch corpus: generated base seeds plus the
-// first `used` submitted seeds in arrival order.
-func (m *Manager) corpusFor(used int) []*jimple.Class {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if used > len(m.submitted) {
-		used = len(m.submitted)
-	}
-	seeds := make([]*jimple.Class, 0, len(m.baseSeeds)+used)
-	seeds = append(seeds, m.baseSeeds...)
-	for _, s := range m.submitted[:used] {
-		seeds = append(seeds, s.class)
-	}
-	return seeds
-}
-
-func (m *Manager) submittedCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.submitted)
-}
-
 // --- shard epochs -----------------------------------------------------------
 
 // shardKey names a fold.
@@ -509,19 +477,20 @@ func (m *Manager) epochSeed(shard, epoch int) int64 {
 	return prng.Mix(m.cfg.Seed, campaignStream, uint64(shard)<<32|uint64(uint32(epoch)))
 }
 
-// epochSource builds one epoch's SeedSource over the corpus prefix:
-// the flat-uniform adapter, or a fresh scheduler (stateful sources
-// serve exactly one engine run). The scheduler's cluster identities
-// match the intake
-// index's: representatives are restricted to the generated base
-// corpus, so submitted seeds join existing clusters.
-func (m *Manager) epochSource(used int, reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, error) {
-	return campaign.NewSeedSource(m.corpusFor(used), seedsel.Options{
-		Strategy:  m.strategy,
-		RefSpec:   jvm.HotSpot9(),
-		Base:      len(m.baseSeeds),
-		Telemetry: reg,
-	})
+// epochSource builds one epoch's SeedSource over the base seeds and
+// every submission adopted so far, and returns how many that is: the
+// flat-uniform adapter, or a Fork of the intake index (a stateful
+// source serves exactly one engine run). A fork carries its seeds'
+// baselines, so the epoch runs no seed pass.
+func (m *Manager) epochSource(reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	used := len(m.submitted)
+	if m.seedIndex != nil {
+		sched := m.seedIndex.Fork(len(m.baseSeeds)+used, reg)
+		return sched, sched, used
+	}
+	return campaign.FlatSeeds(append(slices.Clip(m.baseSeeds), m.submitted...)), nil, used
 }
 
 // campaignConfig shapes one epoch's engine run. Its Stop is the
@@ -554,14 +523,10 @@ func (m *Manager) runShard(sh *shard) {
 			return
 		}
 		reg := telemetry.New()
-		used := m.submittedCount()
-		src, sched, err := m.epochSource(used, reg)
-		var res *campaign.Result
-		if err == nil {
-			sh.beginEpoch(epoch, used, reg)
-			res, err = campaign.Run(m.campaignConfig(sh, epoch, src, reg))
-			sh.endEpoch()
-		}
+		src, sched, used := m.epochSource(reg)
+		sh.beginEpoch(epoch, used, reg)
+		res, err := campaign.Run(m.campaignConfig(sh, epoch, src, reg))
+		sh.endEpoch()
 		if err != nil {
 			m.logf("shard %d epoch %d: %v", sh.id, epoch, err)
 			sh.setState("failed")
@@ -581,8 +546,9 @@ func (m *Manager) runShard(sh *shard) {
 // foldEpoch absorbs one completed epoch: session fold, differential
 // testing of the accepted suite (one sequential Evaluate on a session
 // Runner), discrepancy log append (each discrepancy credited to the
-// seed cluster its lineage's root seed belongs to), per-cluster
-// scheduling tallies, state-frontier advance and persist.
+// seed cluster its lineage's root seed belongs to), the clusters'
+// demotion flags, state-frontier advance and persist. The session fold
+// merges the epoch's per-cluster draw, yield and demotion counters.
 func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched *seedsel.Scheduler) {
 	key := shardKey(sh.id, epoch)
 	m.session.foldReplacing(key, shardKey(sh.id, epoch-1), res, reg)
@@ -620,23 +586,12 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 	unlock := m.lockTimed()
 	if sched != nil {
 		for i, cs := range sched.ClusterStats() {
-			if i >= len(m.clusterAgg) {
-				break // epoch built under a different corpus shape; skip extras
-			}
-			agg := &m.clusterAgg[i]
-			agg.draws += cs.Draws
-			agg.yield += cs.Yield
-			agg.demotions += cs.Demotions
-			agg.demoted = cs.Demoted
+			m.clusterDemoted[i] = cs.Demoted
 		}
 		for i := range found {
-			if root := campaign.RootSeed(res.Draws, found[i].Iteration); root >= 0 {
-				if ci := sched.ClusterOf(root); ci >= 0 {
-					found[i].Cluster = ci
-					if ci < len(m.clusterAgg) {
-						m.clusterAgg[ci].discrepancies++
-					}
-				}
+			if ci := sched.ClusterOf(campaign.RootSeed(res.Draws, found[i].Iteration)); ci >= 0 {
+				found[i].Cluster = ci
+				m.clusterDiscs[ci]++
 			}
 		}
 	}
@@ -702,7 +657,7 @@ type Status struct {
 	Stopping      bool           `json:"stopping"`
 	// SeedClusters is the per-cluster seed table (clustered/yield
 	// strategies only): corpus membership from the intake index,
-	// scheduling outcomes accumulated across folded epochs.
+	// scheduling outcomes summed over folded epochs.
 	SeedClusters []ClusterStatus `json:"seed_clusters,omitempty"`
 }
 
@@ -715,13 +670,6 @@ type ClusterStatus struct {
 	Demotions     int64 `json:"demotions"`
 	Discrepancies int64 `json:"discrepancies"`
 	Demoted       bool  `json:"demoted"`
-}
-
-// clusterTallies accumulates one cluster's scheduling outcomes across
-// folded epochs (m.mu-guarded, parallel to the intake index clusters).
-type clusterTallies struct {
-	draws, yield, demotions, discrepancies int64
-	demoted                                bool
 }
 
 // Status snapshots the daemon for the API and dashboard.
@@ -744,15 +692,18 @@ func (m *Manager) Status() Status {
 	st.Submitted = len(m.submitted)
 	st.Discrepancies = len(m.discs)
 	if m.seedIndex != nil {
+		// A snapshot, not Registry.Counter: reading registers no name.
+		snap := m.tel.Snapshot()
 		for i, cs := range m.seedIndex.ClusterStats() {
-			row := ClusterStatus{Cluster: i, Seeds: cs.Seeds}
-			if i < len(m.clusterAgg) {
-				agg := m.clusterAgg[i]
-				row.Draws, row.Yield = agg.draws, agg.yield
-				row.Demotions, row.Discrepancies = agg.demotions, agg.discrepancies
-				row.Demoted = agg.demoted
-			}
-			st.SeedClusters = append(st.SeedClusters, row)
+			st.SeedClusters = append(st.SeedClusters, ClusterStatus{
+				Cluster:       i,
+				Seeds:         cs.Seeds,
+				Draws:         snap.Counter(seedsel.ClusterMetric(i, "draws")),
+				Yield:         snap.Counter(seedsel.ClusterMetric(i, "yield")),
+				Demotions:     snap.Counter(seedsel.ClusterMetric(i, "demotions")),
+				Discrepancies: m.clusterDiscs[i],
+				Demoted:       m.clusterDemoted[i],
+			})
 		}
 	}
 	m.mu.Unlock()

@@ -8,6 +8,9 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/jimple"
+	"repro/internal/jvm"
+	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
 
@@ -70,25 +73,33 @@ func (m *Manager) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		respondJSON(w, http.StatusBadRequest, map[string]string{"error": fmt.Sprintf("not a liftable classfile: %v", err)})
 		return
 	}
+	// Under a scheduling strategy the seed runs on the reference VM
+	// here, once and outside m.mu: intake classifies it by this run.
+	sub := submission{data: data, class: c}
+	if m.seedIndex != nil {
+		sub.run = seedsel.RunSeeds([]*jimple.Class{c}, jvm.HotSpot9(), nil, nil)[0]
+	}
 	select {
-	case m.queue <- submission{data: data, class: c}:
+	case m.queue <- sub:
 		depth := int64(len(m.queue))
 		m.tel.Gauge(MetricQueueDepth).Set(depth)
+		resp := map[string]any{"status": "queued", "depth": depth}
 		m.mu.Lock()
 		if depth > m.queueHWM {
 			m.queueHWM = depth
 			m.tel.Gauge(MetricQueueHighWater).Set(depth)
 		}
-		m.mu.Unlock()
-		resp := map[string]any{"status": "queued", "depth": depth}
 		// Under a scheduling strategy, tell the submitter where its
 		// seed lands: structural fingerprint, baseline trace key, and
-		// the cluster intake will assign it to.
-		if sc, ok := m.classifySeed(c); ok {
+		// the cluster intake assigns it to. Adoption grows the index
+		// under m.mu, so the lookup holds it; the run above did not.
+		if m.seedIndex != nil {
+			sc := m.seedIndex.Classify(sub.run)
 			resp["fingerprint"] = fmt.Sprintf("%016x", sc.Fingerprint)
 			resp["trace_key"] = fmt.Sprintf("%016x%016x", sc.TraceKeyHi, sc.TraceKeyLo)
 			resp["cluster"] = sc.Cluster
 		}
+		m.mu.Unlock()
 		respondJSON(w, http.StatusAccepted, resp)
 	default:
 		m.tel.Counter(MetricSeedsThrottled).Inc()

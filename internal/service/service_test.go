@@ -3,10 +3,14 @@ package service
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,13 +23,14 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
-	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
 )
 
+var update = flag.Bool("update", false, "rewrite the kill-resume golden")
+
 // testConfig is a small bounded daemon: 2 shards × 2 epochs.
-func testConfig(t *testing.T, workers int) Config {
+func testConfig(t testing.TB, workers int) Config {
 	t.Helper()
 	return Config{
 		DataDir:    t.TempDir(),
@@ -58,8 +63,9 @@ func runToCompletion(t *testing.T, cfg Config) (map[string]foldSummary, *Manager
 }
 
 // foldSummary reduces a folded epoch to comparable facts: the accepted
-// test names and bytes, the draw log length, the generated count and
-// whether the epoch ran its whole budget.
+// test names and bytes, the draw log length, the generated count,
+// whether the epoch ran its whole budget, and a digest of the whole
+// result.
 type foldSummary struct {
 	TestNames []string
 	TestBytes [][]byte
@@ -67,6 +73,7 @@ type foldSummary struct {
 	GenCount  int
 	Drawn     int
 	Stopped   bool
+	Digest    string
 }
 
 func summarize(res *campaign.Result) foldSummary {
@@ -75,7 +82,29 @@ func summarize(res *campaign.Result) foldSummary {
 		fs.TestNames = append(fs.TestNames, g.Name)
 		fs.TestBytes = append(fs.TestBytes, g.Data)
 	}
+	fs.Digest = resultDigest(res)
 	return fs
+}
+
+// resultDigest hashes every field of res the determinism contract
+// covers: each generated class (name, bytes, mutator, coverage stats,
+// acceptance), the draw log, the mutator and prefilter statistics and
+// the merged coverage. Elapsed and Workers are left out.
+func resultDigest(res *campaign.Result) string {
+	h := sha256.New()
+	enc := json.NewEncoder(h)
+	for _, g := range res.Gen {
+		enc.Encode(g)
+	}
+	var cov coverage.Stats
+	if res.Coverage != nil {
+		cov = res.Coverage.Stats()
+	}
+	enc.Encode([]any{len(res.Test), res.GenUniqueStats, res.Prefilter, res.MutatorStats, res.Draws, cov, res.Drawn, res.Stopped})
+	for _, g := range res.Test {
+		fmt.Fprintf(h, "%s\n", g.Name)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // foldLog records every epoch a manager folds, keyed like the session;
@@ -116,7 +145,7 @@ func (l *foldLog) get() map[string]foldSummary {
 func discSet(ds []Discrepancy) []string {
 	keys := make([]string, 0, len(ds))
 	for _, d := range ds {
-		keys = append(keys, fmt.Sprintf("s%d/e%d/%s/%s", d.Shard, d.Epoch, d.Class, d.Vector))
+		keys = append(keys, fmt.Sprintf("s%d/e%d/i%d/%s/%016x/%s/c%d", d.Shard, d.Epoch, d.Iteration, d.Class, d.Fingerprint, d.Vector, d.Cluster))
 	}
 	sort.Strings(keys)
 	return keys
@@ -144,63 +173,192 @@ func unionSummaries(t *testing.T, runs ...map[string]foldSummary) map[string]fol
 // without folding them) and restarted on the same data directory must
 // produce, across both lifetimes, the exact folds an uninterrupted
 // daemon produces — per-epoch accepted suites byte-identical,
-// discrepancy sets equal — at worker counts 1 and 4. Every epoch the
-// first lifetime did not fold, the second runs whole from iteration 0.
+// discrepancy sets equal — at worker counts 1 and 4, under every seed
+// strategy. Every epoch the first lifetime did not fold, the second
+// runs whole from iteration 0. The clustered and yield daemons start
+// on a data directory holding one submitted seed, so their epochs draw
+// from a corpus that outgrew the generated one. Each strategy's epoch
+// digests, discrepancy set, /api/status cluster table and intake
+// classification must match testdata/killresume_golden.json.
+// Regenerate with: go test ./internal/service -run KillResume -update
 func TestDaemonKillResumeDeterminism(t *testing.T) {
+	golden := map[string]strategyGolden{}
+	if !*update {
+		if err := readJSON(killResumeGolden, &golden); err != nil {
+			t.Fatalf("read golden (run with -update to create): %v", err)
+		}
+	}
+	var mu sync.Mutex
+	t.Cleanup(func() {
+		if *update && !t.Failed() {
+			if err := writeJSONAtomic(killResumeGolden, golden); err != nil {
+				t.Error(err)
+			}
+		}
+	})
 	for _, workers := range []int{1, 4} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			t.Parallel()
-			want, wm := runToCompletion(t, testConfig(t, workers))
+			for _, strategy := range []string{"uniform", "clustered", "yield"} {
+				t.Run(strategy, func(t *testing.T) {
+					t.Parallel()
+					newConfig := func() Config {
+						cfg := testConfig(t, workers)
+						cfg.SeedStrategy = strategy
+						if strategy != "uniform" {
+							seedDataDir(t, cfg, submittedSeedBytes(t))
+						}
+						return cfg
+					}
+					want, wm := runToCompletion(t, newConfig())
 
-			// Interrupted run: start, drain as the first epoch folds, then
-			// restart the same data directory and run to completion. The
-			// folding shard's next epoch cannot start before the drain,
-			// so the restart always has an epoch to run.
-			cfg := testConfig(t, workers)
-			m1 := New(cfg)
-			life1 := recordFolds(m1)
-			if err := m1.Start(); err != nil {
-				t.Fatalf("start: %v", err)
-			}
-			<-life1.first
-			if err := m1.Stop(context.Background()); err != nil {
-				t.Fatalf("drain: %v", err)
-			}
-			if _, err := os.Stat(filepath.Join(cfg.DataDir, "checkpoints")); !os.IsNotExist(err) {
-				t.Fatalf("the drain left a checkpoints/ directory (stat: %v)", err)
-			}
+					// Interrupted run: start, drain as the first epoch folds, then
+					// restart the same data directory and run to completion. Every
+					// fold of the first lifetime waits for the drain, so no shard
+					// starts its second epoch before it and the restart always has
+					// an epoch to run.
+					cfg := newConfig()
+					m1 := New(cfg)
+					life1 := recordFolds(m1)
+					record := m1.foldHook
+					m1.foldHook = func(key string, res *campaign.Result) {
+						record(key, res)
+						<-m1.stopCh
+					}
+					if err := m1.Start(); err != nil {
+						t.Fatalf("start: %v", err)
+					}
+					<-life1.first
+					if err := m1.Stop(context.Background()); err != nil {
+						t.Fatalf("drain: %v", err)
+					}
+					if _, err := os.Stat(filepath.Join(cfg.DataDir, "checkpoints")); !os.IsNotExist(err) {
+						t.Fatalf("the drain left a checkpoints/ directory (stat: %v)", err)
+					}
 
-			m2 := New(cfg)
-			life2 := recordFolds(m2)
-			if err := m2.Start(); err != nil {
-				t.Fatalf("restart: %v", err)
-			}
-			m2.Wait()
-			if err := m2.Stop(context.Background()); err != nil {
-				t.Fatalf("final stop: %v", err)
-			}
+					m2 := New(cfg)
+					life2 := recordFolds(m2)
+					if err := m2.Start(); err != nil {
+						t.Fatalf("restart: %v", err)
+					}
+					m2.Wait()
+					if err := m2.Stop(context.Background()); err != nil {
+						t.Fatalf("final stop: %v", err)
+					}
 
-			got := unionSummaries(t, life1.get(), life2.get())
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("interrupted+restarted folds diverge from the uninterrupted run")
-			}
-			// The discrepancy log persists in discrepancies.jsonl, so the
-			// final daemon's view covers both lifetimes.
-			if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
-				t.Fatal("restarted daemon discrepancy set diverges from uninterrupted run")
-			}
-			// Every epoch life 1 did not fold, life 2 ran whole.
-			if len(life2.get()) == 0 {
-				t.Fatal("the drain cut no epoch short")
-			}
-			for key, fs := range life2.get() {
-				if fs.Drawn != cfg.Iterations || fs.Stopped {
-					t.Errorf("%s folded after the restart with Drawn %d of %d, Stopped %v", key, fs.Drawn, cfg.Iterations, fs.Stopped)
-				}
+					got := unionSummaries(t, life1.get(), life2.get())
+					if !reflect.DeepEqual(got, want) {
+						t.Fatal("interrupted+restarted folds diverge from the uninterrupted run")
+					}
+					// The discrepancy log persists in discrepancies.jsonl, so the
+					// final daemon's view covers both lifetimes.
+					if !reflect.DeepEqual(discSet(m2.Discrepancies(0)), discSet(wm.Discrepancies(0))) {
+						t.Fatal("restarted daemon discrepancy set diverges from uninterrupted run")
+					}
+					// Every epoch life 1 did not fold, life 2 ran whole.
+					if len(life2.get()) == 0 {
+						t.Fatal("the drain cut no epoch short")
+					}
+					for key, fs := range life2.get() {
+						if fs.Drawn != cfg.Iterations || fs.Stopped {
+							t.Errorf("%s folded after the restart with Drawn %d of %d, Stopped %v", key, fs.Drawn, cfg.Iterations, fs.Stopped)
+						}
+					}
+
+					g := strategyGolden{
+						Epochs:        map[string]string{},
+						Discrepancies: discSet(wm.Discrepancies(0)),
+						SeedClusters:  wm.Status().SeedClusters,
+					}
+					for key, fs := range want {
+						g.Epochs[key] = fs.Digest
+					}
+					if strategy != "uniform" {
+						g.Intake = intakeClassification(t, newConfig())
+					}
+					mu.Lock()
+					defer mu.Unlock()
+					if *update {
+						golden[strategy] = g
+						return
+					}
+					if w := golden[strategy]; !reflect.DeepEqual(g, w) {
+						gb, _ := json.MarshalIndent(g, "", " ")
+						wb, _ := json.MarshalIndent(w, "", " ")
+						t.Fatalf("%s daemon diverges from the golden:\n got %s\nwant %s", strategy, gb, wb)
+					}
+				})
 			}
 		})
 	}
+}
+
+// killResumeGolden pins TestDaemonKillResumeDeterminism's daemons.
+const killResumeGolden = "testdata/killresume_golden.json"
+
+// strategyGolden is one seed strategy's pinned daemon output: each
+// folded epoch's result digest, the discrepancy set, the final
+// /api/status cluster table and the 202 answer to a submission.
+type strategyGolden struct {
+	Epochs        map[string]string `json:"epochs"`
+	Discrepancies []string          `json:"discrepancies"`
+	SeedClusters  []ClusterStatus   `json:"seed_clusters,omitempty"`
+	Intake        map[string]any    `json:"intake,omitempty"`
+}
+
+// submittedSeedBytes is the classfile the strategy tests submit.
+func submittedSeedBytes(t testing.TB) []byte {
+	t.Helper()
+	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(1, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files[0]
+}
+
+// seedDataDir leaves cfg.DataDir as a daemon that adopted data as its
+// only submission, and folded nothing, would leave it.
+func seedDataDir(t *testing.T, cfg Config, data []byte) {
+	t.Helper()
+	corpus := filepath.Join(cfg.DataDir, "corpus")
+	if err := os.MkdirAll(corpus, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(corpus, submittedName(0)), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := &State{
+		Version:      StateVersion,
+		Algorithm:    string(cfg.Algorithm),
+		Criterion:    int(cfg.Criterion),
+		Seed:         cfg.Seed,
+		SeedCount:    cfg.SeedCount,
+		Iterations:   cfg.Iterations,
+		Shards:       cfg.Shards,
+		SeedStrategy: cfg.SeedStrategy,
+		Submitted:    []string{submittedName(0)},
+		ShardEpochs:  make([]int, cfg.Shards),
+	}
+	if err := writeJSONAtomic(filepath.Join(cfg.DataDir, "state.json"), st); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// intakeClassification posts submittedSeedBytes to an unstarted
+// manager under cfg's strategy and returns the 202 body.
+func intakeClassification(t *testing.T, cfg Config) map[string]any {
+	t.Helper()
+	m := intakeManager(t, cfg)
+	rec := httptest.NewRecorder()
+	m.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/seeds", bytes.NewReader(submittedSeedBytes(t))))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submission: got %d (%s), want 202", rec.Code, rec.Body)
+	}
+	var body map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	return body
 }
 
 // TestSeedSubmissionAPI drives the corpus API end to end: a valid
@@ -254,7 +412,7 @@ func TestSeedSubmissionAPI(t *testing.T) {
 	close(gate) // release the intake worker
 
 	deadline := time.After(5 * time.Second)
-	for m.submittedCount() == 0 {
+	for m.Status().Submitted == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("released queue never drained into the corpus")
@@ -312,7 +470,7 @@ func TestSeedSubmissionAPI(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer m2.Stop(context.Background())
-	if got := m2.submittedCount(); got < 1 {
+	if got := m2.Status().Submitted; got < 1 {
 		t.Fatalf("restart lifted %d submitted seeds, want >= 1", got)
 	}
 	// Each shard runs the epoch at its state.json frontier.
@@ -455,21 +613,20 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 			t.Fatalf("%s: %d draws, want %d", key, n, cfg.Iterations)
 		}
 	}
-	if subs := m.submittedCount(); subs != 1 {
+	if subs := m.Status().Submitted; subs != 1 {
 		t.Fatalf("adopted %d seeds, want 1", subs)
 	}
 
-	// A restart on the same data dir lifts the submission, and an
-	// epoch pinning one submitted seed builds its corpus as
-	// base + submitted, in arrival order.
+	// A restart on the same data dir lifts the submission, and the
+	// next epoch's corpus is base + submitted, in arrival order.
 	m2 := New(cfg)
 	if err := m2.Start(); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	defer m2.Stop(context.Background())
-	var seeds []*jimple.Class = m2.corpusFor(1)
-	if want := cfg.SeedCount + 1; len(seeds) != want {
-		t.Fatalf("corpusFor(1) = %d seeds, want %d", len(seeds), want)
+	src, _, used := m2.epochSource(nil)
+	if seeds := src.Corpus(); used != 1 || len(seeds) != cfg.SeedCount+1 || seeds[cfg.SeedCount].Name != c.Name {
+		t.Fatalf("epoch corpus of %d seeds with %d submitted, want %d ending in %s", len(seeds), used, cfg.SeedCount+1, c.Name)
 	}
 }
 

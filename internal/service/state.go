@@ -153,8 +153,8 @@ func (m *Manager) stateLocked() *State {
 		ShardEpochs:     append([]int(nil), m.shardEpochs...),
 		NextDiscrepancy: len(m.discs),
 	}
-	for _, s := range m.submitted {
-		st.Submitted = append(st.Submitted, s.name)
+	for i := range m.submitted {
+		st.Submitted = append(st.Submitted, submittedName(i))
 	}
 	return st
 }
