@@ -62,10 +62,19 @@ type (
 	Outcome = jvm.Outcome
 	// Runner drives differential testing across a VM lineup.
 	Runner = difftest.Runner
-	// Summary aggregates a differential-testing session.
+	// Summary holds a differential-testing session's outcome vectors.
 	Summary = difftest.Summary
 	// Vector is one classfile's encoded five-VM outcome sequence.
 	Vector = difftest.Vector
+	// Category is a class's Table 6 column.
+	Category = difftest.Category
+)
+
+// Table 6's split of a differential-testing session (Summary.Count).
+const (
+	Invoked           = difftest.Invoked
+	RejectedSameStage = difftest.RejectedSameStage
+	Discrepancy       = difftest.Discrepancy
 )
 
 // Uniqueness criteria of §2.2.3.
@@ -140,18 +149,9 @@ func NewRunner() *Runner { return difftest.NewStandardRunner() }
 // from compatibility discrepancies. Release is one of "jre7", "jre8",
 // "jre9", "classpath".
 func NewSharedEnvRunner(release string) (*Runner, error) {
-	var r rtlib.Release
-	switch release {
-	case "jre7":
-		r = rtlib.JRE7
-	case "jre8":
-		r = rtlib.JRE8
-	case "jre9":
-		r = rtlib.JRE9
-	case "classpath":
-		r = rtlib.Classpath
-	default:
-		return nil, fmt.Errorf("classfuzz: unknown release %q", release)
+	r, err := rtlib.ParseRelease(release)
+	if err != nil {
+		return nil, fmt.Errorf("classfuzz: %w", err)
 	}
 	return difftest.NewSharedEnvRunner(r), nil
 }

@@ -23,10 +23,10 @@ func TestEndToEndWorkflow(t *testing.T) {
 		classes = append(classes, g.Data)
 	}
 	sum := DiffTest(classes)
-	if sum.Total != len(classes) {
-		t.Errorf("summary covers %d of %d", sum.Total, len(classes))
+	if len(sum.Vectors) != len(classes) {
+		t.Errorf("summary covers %d of %d", len(sum.Vectors), len(classes))
 	}
-	if sum.Discrepancies == 0 {
+	if sum.Count(Discrepancy) == 0 {
 		t.Error("no discrepancies found by the representative suite")
 	}
 }

@@ -132,8 +132,8 @@ func main() {
 		}
 		sum := difftest.NewStandardRunner().Evaluate(classes, difftest.Options{})
 		fmt.Printf("differential testing: %d classes, %d all-invoked, %d all-rejected-same-stage, %d discrepancies (%.1f%%), %d distinct\n",
-			sum.Total, sum.AllInvoked, sum.AllRejectedSameStage,
-			sum.Discrepancies, sum.DiffRate()*100, sum.DistinctCount())
+			len(sum.Vectors), sum.Count(difftest.Invoked), sum.Count(difftest.RejectedSameStage),
+			sum.Count(difftest.Discrepancy), sum.DiffRate()*100, sum.DistinctCount())
 		for _, v := range sum.SortedVectors() {
 			fmt.Printf("  vector %s: %d classfiles\n", v.Key, v.Count)
 		}

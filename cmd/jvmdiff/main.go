@@ -33,20 +33,15 @@ func main() {
 	}
 
 	var runner *difftest.Runner
-	switch *sharedEnv {
-	case "":
+	if *sharedEnv == "" {
 		runner = difftest.NewStandardRunner()
-	case "jre7":
-		runner = difftest.NewSharedEnvRunner(rtlib.JRE7)
-	case "jre8":
-		runner = difftest.NewSharedEnvRunner(rtlib.JRE8)
-	case "jre9":
-		runner = difftest.NewSharedEnvRunner(rtlib.JRE9)
-	case "classpath":
-		runner = difftest.NewSharedEnvRunner(rtlib.Classpath)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown release %q\n", *sharedEnv)
-		os.Exit(2)
+	} else {
+		rel, err := rtlib.ParseRelease(*sharedEnv)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		runner = difftest.NewSharedEnvRunner(rel)
 	}
 
 	classes := make([][]byte, flag.NArg())

@@ -26,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
@@ -212,25 +213,29 @@ func main() {
 	}
 	fmt.Printf("## Differential testing\n\n")
 	fmt.Printf("| metric | value |\n|---|---|\n")
-	fmt.Printf("| suite size | %d |\n", sum.Total)
-	fmt.Printf("| invoked by all five VMs | %d |\n", sum.AllInvoked)
+	fmt.Printf("| suite size | %d |\n", len(sum.Vectors))
+	fmt.Printf("| invoked by all five VMs | %d |\n", sum.Count(difftest.Invoked))
 	fmt.Printf("| of which the VMs print different output (discrepant; in the inventory) | %d |\n", outputDivergent)
-	fmt.Printf("| rejected by all at the same stage | %d |\n", sum.AllRejectedSameStage)
-	fmt.Printf("| discrepancy-triggering | %d (%.1f%%) |\n", sum.Discrepancies, sum.DiffRate()*100)
+	fmt.Printf("| rejected by all at the same stage | %d |\n", sum.Count(difftest.RejectedSameStage))
+	fmt.Printf("| discrepancy-triggering | %d (%.1f%%) |\n", sum.Count(difftest.Discrepancy), sum.DiffRate()*100)
 	fmt.Printf("| distinct discrepancies | %d |\n", sum.DistinctCount())
-	hard := sum.HardMismatches()
-	fmt.Printf("| static-oracle mismatches (sanitizer) | %d |\n\n", len(hard))
-	for _, m := range hard[:min(10, len(hard))] {
+	var mismatches []analysis.Mismatch
+	for _, mm := range sum.Mismatches {
+		mismatches = append(mismatches, mm...)
+	}
+	fmt.Printf("| static-oracle mismatches (sanitizer) | %d |\n\n", len(mismatches))
+	for _, m := range mismatches[:min(10, len(mismatches))] {
 		fmt.Printf("- oracle mismatch: %s\n", m)
 	}
 
 	fmt.Printf("### Per-VM phase histogram\n\n")
 	fmt.Printf("| phase | %s |\n", strings.Join(sum.VMNames, " | "))
 	fmt.Printf("|---|%s\n", strings.Repeat("---|", len(sum.VMNames)))
+	hist := sum.PhaseHistogram()
 	for _, ph := range jvm.AllPhases() {
 		row := make([]string, len(sum.VMNames))
 		for v := range sum.VMNames {
-			row[v] = fmt.Sprintf("%d", sum.PhaseHistogram[v][int(ph)])
+			row[v] = fmt.Sprintf("%d", hist[v][int(ph)])
 		}
 		fmt.Printf("| %s | %s |\n", ph, strings.Join(row, " | "))
 	}

@@ -48,7 +48,7 @@ func main() {
 		sum := classfuzz.DiffTest(classes)
 		fmt.Printf("%-18s %8d %8d %8d %6.1f%% | %8d %9d %6.1f%%\n",
 			r.label, res.Iterations, len(res.Gen), len(res.Test), res.Succ()*100,
-			sum.Discrepancies, sum.DistinctCount(), sum.DiffRate()*100)
+			sum.Count(classfuzz.Discrepancy), sum.DistinctCount(), sum.DiffRate()*100)
 	}
 
 	fmt.Println("\nexpected shape (Findings 1-4): randfuzz generates the most classfiles but few")

@@ -32,7 +32,7 @@ func main() {
 	}
 	sum := classfuzz.DiffTest(classes)
 	fmt.Printf("differential testing: %d discrepancy-triggering classfiles (%.1f%%), %d distinct discrepancies\n",
-		sum.Discrepancies, sum.DiffRate()*100, sum.DistinctCount())
+		sum.Count(classfuzz.Discrepancy), sum.DiffRate()*100, sum.DistinctCount())
 
 	// 4. The encoded outcome vectors (0 = invoked, 1..4 = rejection
 	//    phase per VM, ordered HotSpot7, HotSpot8, HotSpot9, J9, GIJ).

@@ -178,13 +178,3 @@ func DefaultAnalyzers() []*Analyzer {
 	return []*Analyzer{ConstPoolAnalyzer, MembersAnalyzer, StructureAnalyzer,
 		CodeAnalyzer, DeadCodeAnalyzer, StackMapAnalyzer}
 }
-
-// Lint is the convenience entry point: run the default passes over
-// parsed classfile bytes.
-func Lint(data []byte) ([]Diagnostic, error) {
-	f, err := classfile.Parse(data)
-	if err != nil {
-		return nil, err
-	}
-	return Run(f, DefaultAnalyzers()), nil
-}

@@ -162,12 +162,6 @@ func TestDiagnosticOrderingMirrorsLoader(t *testing.T) {
 	}
 }
 
-func TestLintRejectsUnparseable(t *testing.T) {
-	if _, err := analysis.Lint([]byte{0xCA, 0xFE}); err == nil {
-		t.Fatal("Lint accepted truncated bytes")
-	}
-}
-
 func TestDiagnosticStringCitesJVMS(t *testing.T) {
 	f := okClass("T")
 	f.AccessFlags |= classfile.AccFinal | classfile.AccAbstract

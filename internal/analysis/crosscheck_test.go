@@ -11,13 +11,13 @@ import (
 	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/mutation"
+	"repro/internal/rtlib"
 	"repro/internal/seedgen"
 )
 
 // TestCatalogCrossCheck runs every curated discrepancy entry (the 62
 // reported cases) through the static oracle on all five presets. Every
-// definite prediction must match the live VM, or be covered by an
-// explicit waiver citing the JVMS latitude.
+// definite prediction must match the live VM.
 func TestCatalogCrossCheck(t *testing.T) {
 	specs := jvm.StandardFive()
 	definite := 0
@@ -32,15 +32,13 @@ func TestCatalogCrossCheck(t *testing.T) {
 			t.Fatalf("%s: parse: %v", e.ID, err)
 		}
 		for _, sp := range specs {
-			if p := analysis.StaticVerdict(f, sp); p.Definite {
+			if p := analysis.StaticVerdict(f, sp, rtlib.Shared(sp.Release)); p.Definite {
 				definite++
 				phases[p.Outcome.Phase] = true
 			}
 		}
 		for _, m := range analysis.CrossCheck(f, specs) {
-			if m.Hard() {
-				t.Errorf("%s (%s): %s", e.ID, e.Title, m)
-			}
+			t.Errorf("%s (%s): %s", e.ID, e.Title, m)
 		}
 	}
 	// Guard against the check becoming vacuous: the oracle currently
@@ -57,7 +55,7 @@ func TestCatalogCrossCheck(t *testing.T) {
 // TestMutationFamilyCrossCheck pushes mutants from every Table 2
 // mutation family through the oracle on all five presets. Each family
 // must yield checkable mutants, and no definite prediction may
-// disagree with the live VM unless waived.
+// disagree with the live VM.
 func TestMutationFamilyCrossCheck(t *testing.T) {
 	specs := jvm.StandardFive()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 7))
@@ -82,9 +80,7 @@ func TestMutationFamilyCrossCheck(t *testing.T) {
 					continue
 				}
 				for _, m := range analysis.CrossCheck(f, specs) {
-					if m.Hard() {
-						t.Errorf("family %s, mutator %s: %s", fam, mu.Name, m)
-					}
+					t.Errorf("family %s, mutator %s: %s", fam, mu.Name, m)
 				}
 				checked++
 				break
@@ -103,8 +99,7 @@ func TestMutationFamilyCrossCheck(t *testing.T) {
 // type-checking verifier runs eagerly (HotSpot), the same error
 // surfacing at invocation under the lazy type-checker (J9), and a
 // clean run under GIJ's pre-stack-map inference verifier — with the
-// oracle's definite predictions agreeing with every live VM, waivers
-// unused.
+// oracle's definite predictions agreeing with every live VM.
 func TestStackMapCrossCheck(t *testing.T) {
 	f := classfile.New("SM")
 	classfile.AttachDefaultInit(f)
@@ -124,7 +119,7 @@ func TestStackMapCrossCheck(t *testing.T) {
 		"GIJ-5.1.0":     {Phase: jvm.PhaseInvoked},
 	}
 	for _, sp := range jvm.StandardFive() {
-		pred := analysis.StaticVerdict(f, sp)
+		pred := analysis.StaticVerdict(f, sp, rtlib.Shared(sp.Release))
 		if !pred.Definite {
 			t.Errorf("%s: oracle made no definite prediction", sp.Name)
 			continue
@@ -136,14 +131,5 @@ func TestStackMapCrossCheck(t *testing.T) {
 	}
 	for _, mm := range analysis.CrossCheck(f, jvm.StandardFive()) {
 		t.Errorf("oracle/VM disagreement: %s", mm)
-	}
-}
-
-// TestWaiversCited asserts every waiver entry documents its JVMS basis.
-func TestWaiversCited(t *testing.T) {
-	for _, w := range analysis.Waivers {
-		if w.Name == "" || w.JVMS == "" || w.Reason == "" || w.Applies == nil {
-			t.Errorf("waiver %+v lacks a name, citation, reason or predicate", w)
-		}
 	}
 }

@@ -17,14 +17,10 @@ type Prediction struct {
 }
 
 // StaticVerdict predicts how the VM described by spec treats f,
-// resolving platform references against spec's own library release.
-func StaticVerdict(f *classfile.File, spec jvm.Spec) Prediction {
-	return StaticVerdictEnv(f, spec, rtlib.Shared(spec.Release))
-}
-
-// StaticVerdictEnv is StaticVerdict against an explicit environment
-// (for shared-environment differential runs, Definition 2).
-func StaticVerdictEnv(f *classfile.File, spec jvm.Spec, env *rtlib.Env) Prediction {
+// resolving platform references against env — spec's own library
+// release for the standard lineup, one shared release under
+// Definition 2.
+func StaticVerdict(f *classfile.File, spec jvm.Spec, env *rtlib.Env) Prediction {
 	p := &spec.Policy
 	diags := Run(f, DefaultAnalyzers())
 

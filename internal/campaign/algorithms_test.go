@@ -165,14 +165,14 @@ func TestGeneratedSuiteTriggersDiscrepancies(t *testing.T) {
 	}
 	runner := difftest.NewStandardRunner()
 	sum := runner.Evaluate(classes, difftest.Options{})
-	if sum.Discrepancies == 0 {
+	if sum.Count(difftest.Discrepancy) == 0 {
 		t.Error("representative suite triggered no discrepancies")
 	}
 	if sum.DistinctCount() < 2 {
 		t.Errorf("only %d distinct discrepancies", sum.DistinctCount())
 	}
 	t.Logf("suite: %d classes, %d discrepancies (%.1f%%), %d distinct",
-		sum.Total, sum.Discrepancies, sum.DiffRate()*100, sum.DistinctCount())
+		len(sum.Vectors), sum.Count(difftest.Discrepancy), sum.DiffRate()*100, sum.DistinctCount())
 }
 
 func TestBytefuzzBlindMutation(t *testing.T) {

@@ -56,7 +56,7 @@ func TestSaveAndLoadCorpus(t *testing.T) {
 	}
 	s1 := runner.Evaluate(orig, difftest.Options{})
 	s2 := runner.Evaluate(classes, difftest.Options{})
-	if s1.Discrepancies != s2.Discrepancies || s1.DistinctCount() != s2.DistinctCount() {
+	if s1.Count(difftest.Discrepancy) != s2.Count(difftest.Discrepancy) || s1.DistinctCount() != s2.DistinctCount() {
 		t.Error("reloaded corpus behaves differently")
 	}
 }

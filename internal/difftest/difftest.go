@@ -149,10 +149,37 @@ func (v Vector) AllInvoked() bool {
 	return true
 }
 
+// Category is a class's Table 6 column (§2.3).
+type Category int
+
+// Table 6's three columns.
+const (
+	// Invoked: every VM ran the class normally.
+	Invoked Category = iota
+	// RejectedSameStage: every VM rejected the class in one phase.
+	RejectedSameStage
+	// Discrepancy: the class triggers a discrepancy.
+	Discrepancy
+)
+
+// Category files the vector under Table 6's split; it is the one place
+// the split is decided. An all-invoked vector whose VMs print different
+// output files as Invoked although Discrepant reports it, because the
+// recorded tables count it that way.
+func (v Vector) Category() Category {
+	switch {
+	case v.AllInvoked():
+		return Invoked
+	case v.Discrepant():
+		return Discrepancy
+	}
+	return RejectedSameStage
+}
+
 // Key renders the encoded sequence, e.g. "00012" for Figure 3's
-// example. It sits on the vector-bucketing hot path (every discrepancy
-// of every evaluation keys its map entry through it), so the common
-// single-digit case is a plain byte append with one allocation.
+// example. It sits on the vector-bucketing path (DistinctVectors keys
+// every discrepancy through it), so the common single-digit case is a
+// plain byte append with one allocation.
 func (v Vector) Key() string {
 	b := make([]byte, len(v.Codes))
 	for i, c := range v.Codes {
@@ -198,56 +225,52 @@ func (r *Runner) runSeparateParses(data []byte) Vector {
 	return v
 }
 
-// Summary aggregates a differential-testing session over a class set —
-// the rows of Tables 6 and 7.
+// Summary is a differential-testing session over a class set: each
+// class's outcome vector and, for a checked evaluation, its oracle
+// mismatches, in class order. The rows of Tables 6 and 7 derive from
+// the vectors.
 type Summary struct {
-	Total int
-	// AllInvoked counts classes every VM ran normally.
-	AllInvoked int
-	// AllRejectedSameStage counts classes every VM rejected in the same
-	// phase.
-	AllRejectedSameStage int
-	// Discrepancies counts discrepancy-triggering classes.
-	Discrepancies int
-	// DistinctVectors maps encoded vectors of discrepancy-triggering
-	// classes to their multiplicity.
-	DistinctVectors map[string]int
-	// PhaseHistogram[vm][phase] counts outcomes per VM per phase code —
-	// Table 7's layout.
-	PhaseHistogram [][]int
-	// VMNames labels the histogram rows.
+	// VMNames labels the lineup, in vector order.
 	VMNames []string
 	// Vectors holds each class's outcome vector, in class order.
 	Vectors []Vector
-	// Mismatches holds each class's oracle mismatches, waived ones
-	// included, in VM order; nil unless Options.Checked is set.
+	// Mismatches holds each class's oracle mismatches, in VM order; nil
+	// unless Options.Checked is set.
 	Mismatches [][]analysis.Mismatch
 }
 
-// HardMismatches returns the unwaived oracle mismatches of every class,
-// in class order then VM order (deterministic at any worker count).
-// Waived ones are tolerated by design and left out.
-func (s *Summary) HardMismatches() []analysis.Mismatch {
-	var hard []analysis.Mismatch
-	for _, mm := range s.Mismatches {
-		for _, m := range mm {
-			if m.Hard() {
-				hard = append(hard, m)
-			}
+// Count returns the number of classes whose vector files under c.
+func (s *Summary) Count(c Category) int {
+	n := 0
+	for _, v := range s.Vectors {
+		if v.Category() == c {
+			n++
 		}
 	}
-	return hard
+	return n
+}
+
+// DistinctVectors maps the encoded vectors of discrepancy-triggering
+// classes to their multiplicity.
+func (s *Summary) DistinctVectors() map[string]int {
+	m := map[string]int{}
+	for _, v := range s.Vectors {
+		if v.Category() == Discrepancy {
+			m[v.Key()]++
+		}
+	}
+	return m
 }
 
 // DistinctCount returns |Distinct_Discrepancies|.
-func (s *Summary) DistinctCount() int { return len(s.DistinctVectors) }
+func (s *Summary) DistinctCount() int { return len(s.DistinctVectors()) }
 
 // DiffRate returns diff = |Discrepancies| / |Classes| (0 on empty sets).
 func (s *Summary) DiffRate() float64 {
-	if s.Total == 0 {
+	if len(s.Vectors) == 0 {
 		return 0
 	}
-	return float64(s.Discrepancies) / float64(s.Total)
+	return float64(s.Count(Discrepancy)) / float64(len(s.Vectors))
 }
 
 // SortedVectors returns the distinct discrepancy vectors in
@@ -256,8 +279,9 @@ func (s *Summary) SortedVectors() []struct {
 	Key   string
 	Count int
 } {
-	keys := make([]string, 0, len(s.DistinctVectors))
-	for k := range s.DistinctVectors {
+	distinct := s.DistinctVectors()
+	keys := make([]string, 0, len(distinct))
+	for k := range distinct {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
@@ -269,9 +293,24 @@ func (s *Summary) SortedVectors() []struct {
 		out = append(out, struct {
 			Key   string
 			Count int
-		}{k, s.DistinctVectors[k]})
+		}{k, distinct[k]})
 	}
 	return out
+}
+
+// PhaseHistogram counts outcomes per VM per phase code —
+// PhaseHistogram()[vm][phase], Table 7's layout.
+func (s *Summary) PhaseHistogram() [][]int {
+	h := make([][]int, len(s.VMNames))
+	for i := range h {
+		h[i] = make([]int, jvm.PhaseCount)
+	}
+	for _, v := range s.Vectors {
+		for i, c := range v.Codes {
+			h[i][c]++
+		}
+	}
+	return h
 }
 
 // Options selects how Evaluate runs a class set. The zero value is a
@@ -286,33 +325,4 @@ type Options struct {
 	// reproduction, not a VM discrepancy); each class's mismatches are
 	// kept in the Summary.
 	Checked bool
-}
-
-func newSummary(r *Runner) *Summary {
-	s := &Summary{
-		DistinctVectors: map[string]int{},
-		VMNames:         r.Names(),
-		PhaseHistogram:  make([][]int, len(r.VMs)),
-	}
-	for i := range s.PhaseHistogram {
-		s.PhaseHistogram[i] = make([]int, jvm.PhaseCount)
-	}
-	return s
-}
-
-// absorb folds one vector into the summary.
-func (s *Summary) absorb(v Vector) {
-	s.Total++
-	for i, c := range v.Codes {
-		s.PhaseHistogram[i][c]++
-	}
-	switch {
-	case v.AllInvoked():
-		s.AllInvoked++
-	case v.Discrepant():
-		s.Discrepancies++
-		s.DistinctVectors[v.Key()]++
-	default:
-		s.AllRejectedSameStage++
-	}
 }

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/classfile"
@@ -88,23 +89,23 @@ func TestEvaluateAggregation(t *testing.T) {
 
 	r := NewStandardRunner()
 	sum := r.Evaluate([][]byte{valid, broken, discrepant, valid}, Options{})
-	if sum.Total != 4 {
-		t.Errorf("Total = %d", sum.Total)
+	if len(sum.Vectors) != 4 {
+		t.Errorf("%d vectors", len(sum.Vectors))
 	}
-	if sum.AllInvoked != 2 {
-		t.Errorf("AllInvoked = %d", sum.AllInvoked)
+	if n := sum.Count(Invoked); n != 2 {
+		t.Errorf("Count(Invoked) = %d", n)
 	}
-	if sum.AllRejectedSameStage != 1 {
-		t.Errorf("AllRejectedSameStage = %d", sum.AllRejectedSameStage)
+	if n := sum.Count(RejectedSameStage); n != 1 {
+		t.Errorf("Count(RejectedSameStage) = %d", n)
 	}
-	if sum.Discrepancies != 1 || sum.DistinctCount() != 1 {
-		t.Errorf("Discrepancies = %d distinct %d", sum.Discrepancies, sum.DistinctCount())
+	if n := sum.Count(Discrepancy); n != 1 || sum.DistinctCount() != 1 {
+		t.Errorf("Count(Discrepancy) = %d distinct %d", n, sum.DistinctCount())
 	}
 	if got := sum.DiffRate(); got != 0.25 {
 		t.Errorf("DiffRate = %g", got)
 	}
 	// Histogram: every VM saw 4 classes.
-	for i, row := range sum.PhaseHistogram {
+	for i, row := range sum.PhaseHistogram() {
 		n := 0
 		for _, c := range row {
 			n += c
@@ -158,8 +159,69 @@ func TestDistinctVectorTheoreticalSpace(t *testing.T) {
 func TestEmptySummary(t *testing.T) {
 	r := NewStandardRunner()
 	sum := r.Evaluate(nil, Options{})
-	if sum.DiffRate() != 0 || sum.Total != 0 || sum.DistinctCount() != 0 {
+	if sum.DiffRate() != 0 || len(sum.Vectors) != 0 || sum.DistinctCount() != 0 {
 		t.Error("empty evaluation should be all zeros")
+	}
+}
+
+// invoked builds an all-invoked outcome vector printing the given
+// lines, one per VM.
+func invoked(lines ...string) Vector {
+	v := Vector{Codes: make([]int, len(lines)), Outcomes: make([]jvm.Outcome, len(lines))}
+	for i, l := range lines {
+		v.Outcomes[i] = jvm.Outcome{Phase: jvm.PhaseInvoked, Output: []string{l}}
+	}
+	return v
+}
+
+// TestCategorySplit pins Table 6's split on hand-built vectors: an
+// all-invoked vector whose VMs print different output is Discrepant yet
+// files as Invoked and adds no distinct key; a constant rejection is
+// RejectedSameStage; a mixed-phase vector is a Discrepancy. Count,
+// DistinctVectors, DiffRate and PhaseHistogram all follow Category.
+func TestCategorySplit(t *testing.T) {
+	divergent := invoked("a", "a", "b", "a", "a")
+	sameStage := Vector{Codes: []int{2, 2, 2, 2, 2}}
+	for range sameStage.Codes {
+		sameStage.Outcomes = append(sameStage.Outcomes, jvm.Outcome{Phase: jvm.PhaseLinking, Error: jvm.ErrVerify})
+	}
+	mixed := Vector{Codes: []int{0, 0, 0, 1, 2}}
+	for _, c := range mixed.Codes {
+		mixed.Outcomes = append(mixed.Outcomes, jvm.Outcome{Phase: jvm.Phase(c)})
+	}
+	cases := []struct {
+		name       string
+		v          Vector
+		cat        Category
+		discrepant bool
+	}{
+		{"output-divergent", divergent, Invoked, true},
+		{"same-stage", sameStage, RejectedSameStage, false},
+		{"mixed-phase", mixed, Discrepancy, true},
+		{"agreeing", invoked("a", "a", "a", "a", "a"), Invoked, false},
+	}
+	sum := &Summary{VMNames: []string{"A", "B", "C", "D", "E"}}
+	for _, c := range cases {
+		if got := c.v.Category(); got != c.cat {
+			t.Errorf("%s: Category = %d, want %d", c.name, got, c.cat)
+		}
+		if got := c.v.Discrepant(); got != c.discrepant {
+			t.Errorf("%s: Discrepant = %v, want %v", c.name, got, c.discrepant)
+		}
+		sum.Vectors = append(sum.Vectors, c.v)
+	}
+	if a, b, d := sum.Count(Invoked), sum.Count(RejectedSameStage), sum.Count(Discrepancy); a != 2 || b != 1 || d != 1 {
+		t.Errorf("split = %d/%d/%d, want 2/1/1", a, b, d)
+	}
+	if got := sum.DistinctVectors(); !reflect.DeepEqual(got, map[string]int{"00012": 1}) {
+		t.Errorf("DistinctVectors = %v, want only 00012", got)
+	}
+	if got := sum.DiffRate(); got != 0.25 {
+		t.Errorf("DiffRate = %g, want 0.25", got)
+	}
+	want := [][]int{{3, 0, 1, 0, 0}, {3, 0, 1, 0, 0}, {3, 0, 1, 0, 0}, {2, 1, 1, 0, 0}, {2, 0, 2, 0, 0}}
+	if got := sum.PhaseHistogram(); !reflect.DeepEqual(got, want) {
+		t.Errorf("PhaseHistogram = %v, want %v", got, want)
 	}
 }
 
@@ -211,5 +273,3 @@ func TestOutputDivergenceIsADiscrepancy(t *testing.T) {
 		t.Error("differing line counts are divergent output")
 	}
 }
-
-var _ = jvm.PhaseInvoked // keep the import for documentation-linked constants

@@ -24,8 +24,8 @@ const (
 	// read 0. They stay only because the benchmark module reads them.
 	MetricMemoProbes = "difftest.memo.probes"
 	MetricMemoHits   = "difftest.memo.hits"
-	// MetricOracleMismatches counts unwaived static-oracle disagreements
-	// found by checked evaluations.
+	// MetricOracleMismatches counts static-oracle disagreements found by
+	// checked evaluations.
 	MetricOracleMismatches = "difftest.oracle.mismatches"
 	// MetricLineupSize gauges the number of VMs under test.
 	MetricLineupSize = "difftest.lineup_size"
@@ -137,12 +137,9 @@ func (r *Runner) runLineup(vms []*jvm.VM, data []byte, checked bool) (Vector, []
 
 // Evaluate runs every classfile through runLineup — on the Runner's
 // own lineup, or on a pool of opt.Workers private lineups pulling class
-// indices from a shared counter — and aggregates. Vectors park in an
-// index-addressed buffer and fold into the Summary afterwards in class
-// order (the same fixed-order commit discipline as the campaign
-// engine), so the Summary — per-class vectors and mismatches,
-// DistinctVectors and histogram included — is identical at any
-// worker count.
+// indices from a shared counter. Each vector lands at its class's
+// index (the same fixed-order commit discipline as the campaign
+// engine), so the Summary is identical at any worker count.
 func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 	sp := telemetry.StartSpan(r.tel.evaluateNs)
 	defer sp.End()
@@ -177,14 +174,14 @@ func (r *Runner) Evaluate(classes [][]byte, opt Options) *Summary {
 		wg.Wait()
 	}
 
-	s := newSummary(r)
-	s.Vectors = vecs
-	for _, v := range vecs {
-		s.absorb(v)
-	}
+	s := &Summary{VMNames: r.Names(), Vectors: vecs}
 	if opt.Checked {
 		s.Mismatches = mms
-		r.tel.oracleMM.Add(int64(len(s.HardMismatches())))
+		n := 0
+		for _, mm := range mms {
+			n += len(mm)
+		}
+		r.tel.oracleMM.Add(int64(n))
 	}
 	return s
 }

@@ -112,19 +112,17 @@ func withoutOracle(s *Summary) *Summary {
 // VM parses the class bytes itself.
 func perVMParseReference(classes [][]byte) *Summary {
 	ref := NewStandardRunner()
-	want := newSummary(ref)
-	want.Vectors = make([]Vector, len(classes))
+	want := &Summary{VMNames: ref.Names(), Vectors: make([]Vector, len(classes))}
 	for i, data := range classes {
 		want.Vectors[i] = ref.runSeparateParses(data)
-		want.absorb(want.Vectors[i])
 	}
 	return want
 }
 
 // TestEngineEquivalence asserts the engine's contract: sequential
 // Evaluate and Evaluate at every worker count (0 and 1 are sequential)
-// produce Summaries field-identical — DistinctVectors, histogram,
-// vector ordering included — to the retained pre-engine per-VM-parse
+// produce Summaries field-identical — vectors and their order — to the
+// retained pre-engine per-VM-parse
 // reference on a mixed corpus.
 func TestEngineEquivalence(t *testing.T) {
 	classes := mixedCorpus(t)
@@ -172,8 +170,10 @@ func TestEvaluateCheckedMatchesParallel(t *testing.T) {
 	r := NewStandardRunner()
 	plain := r.Evaluate(classes, Options{Workers: 4})
 	checked := r.Evaluate(classes, Options{Workers: 4, Checked: true})
-	if hard := checked.HardMismatches(); len(hard) != 0 {
-		t.Errorf("static oracle disagreed with the interpreter %d time(s): %v", len(hard), hard)
+	for i, mm := range checked.Mismatches {
+		if len(mm) != 0 {
+			t.Errorf("class %d: static oracle disagreed with the interpreter: %v", i, mm)
+		}
 	}
 	if !reflect.DeepEqual(plain, withoutOracle(checked)) {
 		t.Errorf("aggregates diverged:\nplain   %+v\nchecked %+v", plain, checked)
@@ -202,8 +202,8 @@ func TestEvaluateParallelMatchesSequential(t *testing.T) {
 			t.Errorf("workers=%d disagrees with sequential:\nseq %+v\npar %+v", w, seq, got)
 		}
 	}
-	if got := r.Evaluate(classes[:1], Options{Workers: 8}); got.Total != 1 {
-		t.Errorf("one class over 8 workers: Total = %d, want 1", got.Total)
+	if got := r.Evaluate(classes[:1], Options{Workers: 8}); len(got.Vectors) != 1 {
+		t.Errorf("one class over 8 workers: %d vectors, want 1", len(got.Vectors))
 	}
 }
 

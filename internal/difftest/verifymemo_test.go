@@ -9,8 +9,8 @@ import (
 )
 
 // TestVerifyMemoSummaryEquivalence pins the lineup-level contract of
-// the method-verification memo: Summaries — vectors, histogram,
-// distinct vectors, everything — are field-identical whether the
+// the method-verification memo: Summaries — vectors and every outcome
+// in them — are field-identical whether the
 // lineup runs with no memo, a cold one, or one warmed by an identical
 // prior pass, sequentially and at every worker count of the sweep.
 func TestVerifyMemoSummaryEquivalence(t *testing.T) {

@@ -317,53 +317,77 @@ type Table6Row struct {
 // suite — plus the library-corpus and seed baselines.
 type Table6 struct{ Rows []Table6Row }
 
+// table6Row derives one class set's row from its vectors.
+func table6Row(set string, sum *difftest.Summary) Table6Row {
+	return Table6Row{
+		Set:                  set,
+		Size:                 len(sum.Vectors),
+		AllInvoked:           sum.Count(difftest.Invoked),
+		AllRejectedSameStage: sum.Count(difftest.RejectedSameStage),
+		Discrepancies:        sum.Count(difftest.Discrepancy),
+		Distinct:             sum.DistinctCount(),
+		DiffRate:             sum.DiffRate(),
+	}
+}
+
 // Table6 evaluates the corpora, generated sets and suites on the five
-// VMs (in parallel; the sets are independent classfiles).
+// VMs (in parallel; the sets are independent classfiles). Each class
+// runs once: a coverage-directed campaign's TestClasses are a subset of
+// its GenClasses (the same *GenClass values, in iteration order), so its
+// Test row comes from the accepted subset of the Gen vectors.
 func (s *Session) Table6() *Table6 {
 	runner := s.Runner()
-	t := &Table6{}
-	add := func(name string, classes [][]byte) {
-		sum := runner.Evaluate(classes, difftest.Options{Workers: runtime.GOMAXPROCS(0)})
-		t.Rows = append(t.Rows, Table6Row{
-			Set:                  name,
-			Size:                 sum.Total,
-			AllInvoked:           sum.AllInvoked,
-			AllRejectedSameStage: sum.AllRejectedSameStage,
-			Discrepancies:        sum.Discrepancies,
-			Distinct:             sum.DistinctCount(),
-			DiffRate:             sum.DiffRate(),
-		})
+	eval := func(classes [][]byte) *difftest.Summary {
+		return runner.Evaluate(classes, difftest.Options{Workers: runtime.GOMAXPROCS(0)})
 	}
+	t := &Table6{}
 
 	// Library-corpus baseline (the JRE7 column).
 	corpus, err := seedgen.GenerateFiles(seedgen.DefaultOptions(s.Scale.CorpusCount, s.Scale.Seed+7))
 	if err == nil {
-		add("library-corpus", corpus)
+		t.Rows = append(t.Rows, table6Row("library-corpus", eval(corpus)))
 	}
-	add("seeds", s.SeedFiles)
+	t.Rows = append(t.Rows, table6Row("seeds", eval(s.SeedFiles)))
 	// GenClasses block. For randfuzz Gen == Test, so (like the paper's
 	// "-" cells) the row appears once, in the Test block.
+	testRows := map[string]Table6Row{}
 	for _, key := range CampaignOrder {
 		if key == KeyRandfuzz {
 			continue
 		}
 		r := s.Campaigns[key]
 		var classes [][]byte
+		var accepted []int // index into classes of each r.Test class
 		for _, g := range r.Gen {
-			if len(g.Data) > 0 {
-				classes = append(classes, g.Data)
+			if len(g.Data) == 0 {
+				continue
 			}
+			if len(accepted) < len(r.Test) && g == r.Test[len(accepted)] {
+				accepted = append(accepted, len(classes))
+			}
+			classes = append(classes, g.Data)
 		}
-		add("Gen:"+key, classes)
+		gen := eval(classes)
+		t.Rows = append(t.Rows, table6Row("Gen:"+key, gen))
+		if len(accepted) == len(r.Test) {
+			test := &difftest.Summary{VMNames: gen.VMNames, Vectors: make([]difftest.Vector, len(accepted))}
+			for j, i := range accepted {
+				test.Vectors[j] = gen.Vectors[i]
+			}
+			testRows[key] = table6Row("Test:"+key, test)
+		}
 	}
 	// TestClasses block.
 	for _, key := range CampaignOrder {
-		r := s.Campaigns[key]
-		var classes [][]byte
-		for _, g := range r.Test {
-			classes = append(classes, g.Data)
+		row, ok := testRows[key]
+		if !ok {
+			var classes [][]byte
+			for _, g := range s.Campaigns[key].Test {
+				classes = append(classes, g.Data)
+			}
+			row = table6Row("Test:"+key, eval(classes))
 		}
-		add("Test:"+key, classes)
+		t.Rows = append(t.Rows, row)
 	}
 	return t
 }
@@ -396,15 +420,15 @@ type Table7 struct {
 // Table7 evaluates the classfuzz[stbr] suite per VM.
 func (s *Session) Table7() *Table7 {
 	// The classfuzz[stbr] suite was already evaluated inside Table 6's
-	// Test block; it runs again here on a fresh lineup with a verify
-	// memo of its own.
+	// Gen set; it runs again here on a fresh lineup with a verify memo
+	// of its own.
 	runner := s.Runner()
 	var classes [][]byte
 	for _, g := range s.Campaigns[KeyClassfuzzSTBR].Test {
 		classes = append(classes, g.Data)
 	}
 	sum := runner.Evaluate(classes, difftest.Options{})
-	return &Table7{VMNames: sum.VMNames, Counts: sum.PhaseHistogram, Suite: sum.Total}
+	return &Table7{VMNames: sum.VMNames, Counts: sum.PhaseHistogram(), Suite: len(sum.Vectors)}
 }
 
 // String renders the table.
@@ -603,14 +627,7 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 			if v.Discrepant() {
 				discrepant++
 			}
-			allLoad := true
-			for _, c := range v.Codes {
-				if c != int(jvm.PhaseLoading) {
-					allLoad = false
-					break
-				}
-			}
-			if allLoad {
+			if v.Category() == difftest.RejectedSameStage && v.Codes[0] == int(jvm.PhaseLoading) {
 				loadRejected++
 			}
 		}
@@ -650,8 +667,8 @@ func RunPreliminary(corpusSize int, seed int64) (*Preliminary, error) {
 	}
 	sum := difftest.NewStandardRunner().Evaluate(files, difftest.Options{})
 	return &Preliminary{
-		Corpus:        sum.Total,
-		Discrepancies: sum.Discrepancies,
+		Corpus:        len(sum.Vectors),
+		Discrepancies: sum.Count(difftest.Discrepancy),
 		Distinct:      sum.DistinctCount(),
 		DiffRate:      sum.DiffRate(),
 	}, nil

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/difftest"
 )
 
 // The session is expensive; share one across the test functions.
@@ -132,6 +135,42 @@ func TestTable5TopMutators(t *testing.T) {
 	}
 	if !strings.Contains(tab.String(), "Top ten mutators") {
 		t.Error("rendering incomplete")
+	}
+}
+
+// TestTable6TestRowsReuseGenVectors: every Test:<campaign> row — the
+// directed campaigns' taken from the accepted subset of their Gen
+// vectors — equals a direct evaluation of that campaign's Test bytes,
+// and Table 6 runs each class of its sets once.
+func TestTable6TestRowsReuseGenVectors(t *testing.T) {
+	s := session(t)
+	before := s.Telemetry.Snapshot().Counter(difftest.MetricClasses)
+	tab := s.Table6()
+	evaluated := s.Telemetry.Snapshot().Counter(difftest.MetricClasses) - before
+
+	rows := map[string]Table6Row{}
+	for _, r := range tab.Rows {
+		rows[r.Set] = r
+	}
+	want := int64(rows["library-corpus"].Size + rows["seeds"].Size)
+	runner := difftest.NewStandardRunner()
+	for _, key := range CampaignOrder {
+		var classes [][]byte
+		for _, g := range s.Campaigns[key].Test {
+			classes = append(classes, g.Data)
+		}
+		direct := table6Row("Test:"+key, runner.Evaluate(classes, difftest.Options{}))
+		if got := rows["Test:"+key]; !reflect.DeepEqual(got, direct) {
+			t.Errorf("%s: Table 6 row %+v, direct evaluation %+v", key, got, direct)
+		}
+		if key == KeyRandfuzz {
+			want += int64(len(classes))
+		} else {
+			want += int64(rows["Gen:"+key].Size)
+		}
+	}
+	if evaluated != want {
+		t.Errorf("Table 6 evaluated %d classes, want %d (each class once)", evaluated, want)
 	}
 }
 

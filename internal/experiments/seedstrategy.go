@@ -87,7 +87,7 @@ func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 			classes = append(classes, g.Data)
 		}
 		sum := runner.Evaluate(classes, difftest.Options{})
-		row.Discrepancies = sum.Discrepancies
+		row.Discrepancies = sum.Count(difftest.Discrepancy)
 		row.Distinct = sum.DistinctCount()
 		row.DiffRate = sum.DiffRate()
 		study.Rows = append(study.Rows, row)

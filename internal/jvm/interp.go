@@ -928,6 +928,13 @@ func (ex *execState) allocArray(n int64) *javaThrow {
 	if n < 0 {
 		return throwf("java/lang/NegativeArraySizeException", "%d", n)
 	}
+	return ex.charge(n)
+}
+
+// charge draws n units — array elements or string bytes — from the
+// run's HeapBudget, or throws OutOfMemoryError so the caller allocates
+// nothing.
+func (ex *execState) charge(n int64) *javaThrow {
 	if n > HeapBudget-ex.heap {
 		return throwf("java/lang/OutOfMemoryError", "Java heap space")
 	}
@@ -1052,6 +1059,9 @@ func (ex *execState) platformInvoke(cls, name string, args []value) (value, *jav
 			if args[1].ref != nil {
 				other = args[1].ref.str
 			}
+			if jt := ex.charge(int64(len(recvStr()) + len(other))); jt != nil {
+				return value{}, jt, false
+			}
 			return refVal(stringObj(recvStr() + other)), nil, true
 		case "valueOf":
 			return refVal(stringObj(strconv.FormatInt(args[0].i, 10))), nil, true
@@ -1071,18 +1081,21 @@ func (ex *execState) platformInvoke(cls, name string, args []value) (value, *jav
 			return value{}, nil, true
 		case "append":
 			if args[0].ref != nil && args[0].ref.sb != nil {
-				if args[1].kind == 'A' {
-					if args[1].ref != nil {
-						args[0].ref.sb.WriteString(args[1].ref.str)
-					} else {
-						args[0].ref.sb.WriteString("null")
-					}
-				} else {
-					args[0].ref.sb.WriteString(strconv.FormatInt(args[1].i, 10))
+				s := "null"
+				if args[1].kind != 'A' {
+					s = strconv.FormatInt(args[1].i, 10)
+				} else if args[1].ref != nil {
+					s = args[1].ref.str
 				}
+				if jt := ex.charge(int64(len(s))); jt != nil {
+					return value{}, jt, false
+				}
+				args[0].ref.sb.WriteString(s)
 			}
 			return args[0], nil, true
 		case "toString":
+			// The result shares the builder's bytes, which append
+			// already charged.
 			if args[0].ref != nil && args[0].ref.sb != nil {
 				return refVal(stringObj(args[0].ref.sb.String())), nil, true
 			}

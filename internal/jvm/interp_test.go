@@ -206,6 +206,47 @@ func TestInterpHeapBudget(t *testing.T) {
 	}
 }
 
+// TestInterpStringBudget: string bytes draw on the same HeapBudget. A
+// main doubling a two-byte string 24 times, by String.concat or by
+// appending it twice to a fresh StringBuilder, would build 32 MiB; it
+// throws OutOfMemoryError once the doubled string passes the budget,
+// and the run allocates a small multiple of the budget, not the 64 MiB
+// the doublings ask for in total.
+func TestInterpStringBudget(t *testing.T) {
+	concat := func(cb *classfile.CodeBuilder) {
+		cb.Op(bytecode.Aload1).Op(bytecode.Aload1)
+		cb.Invokevirtual("java/lang/String", "concat", "(Ljava/lang/String;)Ljava/lang/String;")
+	}
+	builder := func(cb *classfile.CodeBuilder) {
+		cb.New("java/lang/StringBuilder").Op(bytecode.Dup)
+		cb.Invokespecial("java/lang/StringBuilder", "<init>", "()V")
+		for range 2 {
+			cb.Op(bytecode.Aload1)
+			cb.Invokevirtual("java/lang/StringBuilder", "append", "(Ljava/lang/String;)Ljava/lang/StringBuilder;")
+		}
+		cb.Invokevirtual("java/lang/StringBuilder", "toString", "()Ljava/lang/String;")
+	}
+	for name, double := range map[string]func(*classfile.CodeBuilder){"concat": concat, "StringBuilder": builder} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		o := runMain(t, func(cb *classfile.CodeBuilder) {
+			cb.Ldc("ab").Op(bytecode.Astore1)
+			for range 24 {
+				double(cb)
+				cb.Op(bytecode.Astore1)
+			}
+			cb.Op(bytecode.Return)
+		}, 4, 2)
+		runtime.ReadMemStats(&after)
+		if o.Error != "java.lang.OutOfMemoryError" {
+			t.Errorf("%s: doubling a string 24 times: want OutOfMemoryError, got %s", name, o)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8*HeapBudget {
+			t.Errorf("%s: doubling a string past the budget allocated %d bytes", name, alloc)
+		}
+	}
+}
+
 // TestInterpInvokeAllocationFree: an executed invoke allocates
 // nothing of its own. A main making 65 Math.abs calls allocates as
 // often per run as one making a single call.

@@ -17,7 +17,8 @@ type execState struct {
 	output  []string
 	steps   int
 	depth   int
-	// heap counts the array elements the run allocated (HeapBudget).
+	// heap counts the array elements and string bytes the run
+	// allocated (HeapBudget).
 	heap int64
 	// verified memoises per-method lazy verification results keyed by
 	// name and descriptor.

@@ -8,8 +8,10 @@ const (
 	MinMajorVersion = 45
 	// StepBudget bounds interpreted bytecode steps per run.
 	StepBudget = 100000
-	// HeapBudget bounds the array elements one run allocates (32 MiB
-	// of slots); an array past it throws OutOfMemoryError.
+	// HeapBudget bounds what one run allocates: array elements (32 MiB
+	// of slots) and the bytes of the strings String.concat and
+	// StringBuilder.append build, one unit each. An allocation past it
+	// throws OutOfMemoryError.
 	HeapBudget = 1 << 20
 )
 

@@ -243,7 +243,7 @@ type vmTel struct {
 	phases      [PhaseCount]*telemetry.Histogram
 }
 
-// SetTelemetry attaches a metrics registry: every Run/RunParsed/RunFile
+// SetTelemetry attaches a metrics registry: every Run/RunParsed
 // then records per-stage wall time into histograms named
 // "jvm.<spec>.phase.<phase>_ns" (plus "jvm.<spec>.parse_ns" and the
 // counter "jvm.<spec>.runs"). Telemetry is observe-only — outcomes and
@@ -326,7 +326,7 @@ func (vm *VM) Run(data []byte) Outcome {
 		vm.rejectStep = StepLoad
 		return ParseReject(err)
 	}
-	return vm.RunFile(f)
+	return vm.runFile(f)
 }
 
 // ParseReject is the outcome every VM reports for bytes classfile.Parse
@@ -346,13 +346,14 @@ func ParseReject(err error) Outcome {
 func (vm *VM) RunParsed(f *classfile.File) Outcome {
 	vm.st(pParseEnter)
 	vm.br(bParseWellformed, false)
-	return vm.RunFile(f)
+	return vm.runFile(f)
 }
 
-// RunFile executes an already-parsed classfile. The file is not
+// runFile executes an already-parsed classfile — the pipeline Run and
+// RunParsed share after their parse probes. The file is not
 // modified. Each pipeline stage runs under a span; with no telemetry
 // attached the spans' histograms are nil and no clock is read.
-func (vm *VM) RunFile(f *classfile.File) Outcome {
+func (vm *VM) runFile(f *classfile.File) Outcome {
 	vm.tel.runs.Inc()
 	sp := telemetry.StartSpan(vm.tel.phases[PhaseLoading])
 	out, bad := vm.load(f)

@@ -9,6 +9,7 @@
 package rtlib
 
 import (
+	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -38,6 +39,22 @@ func (r Release) String() string {
 		return "GNU-Classpath"
 	}
 	return "JRE?"
+}
+
+// ParseRelease maps a flag value — jre7, jre8, jre9 or classpath — to
+// its release.
+func ParseRelease(s string) (Release, error) {
+	switch s {
+	case "jre7":
+		return JRE7, nil
+	case "jre8":
+		return JRE8, nil
+	case "jre9":
+		return JRE9, nil
+	case "classpath":
+		return Classpath, nil
+	}
+	return 0, fmt.Errorf("rtlib: unknown release %q (want jre7|jre8|jre9|classpath)", s)
 }
 
 // MethodInfo is one platform method the simulator knows about.

@@ -182,6 +182,22 @@ func TestReleaseString(t *testing.T) {
 	}
 }
 
+// TestParseRelease: every release's flag value parses back to it;
+// anything else is an error.
+func TestParseRelease(t *testing.T) {
+	names := map[string]Release{"jre7": JRE7, "jre8": JRE8, "jre9": JRE9, "classpath": Classpath}
+	for name, want := range names {
+		if got, err := ParseRelease(name); err != nil || got != want {
+			t.Errorf("ParseRelease(%q) = %v, %v, want %v", name, got, err, want)
+		}
+	}
+	for _, bad := range []string{"", "JRE7", "jre99", "GNU-Classpath"} {
+		if _, err := ParseRelease(bad); err == nil {
+			t.Errorf("ParseRelease(%q) accepted", bad)
+		}
+	}
+}
+
 // TestPropertySuperChainsTerminate: every registered class reaches
 // java/lang/Object in finitely many super steps (no cycles), and every
 // named super/interface resolves.

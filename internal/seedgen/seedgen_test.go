@@ -131,7 +131,7 @@ func TestSkewedSeedsReproduceBaselineDiscrepancyRate(t *testing.T) {
 		t.Errorf("baseline discrepancy rate = %.2f%%, want ≈1.7%%", rate*100)
 	}
 	t.Logf("baseline: %d/%d (%.2f%%) discrepancy-triggering, %d distinct",
-		sum.Discrepancies, sum.Total, rate*100, sum.DistinctCount())
+		sum.Count(difftest.Discrepancy), len(sum.Vectors), rate*100, sum.DistinctCount())
 }
 
 func TestZeroSkewCorpusHasNoEarlyDiscrepancies(t *testing.T) {
@@ -141,8 +141,8 @@ func TestZeroSkewCorpusHasNoEarlyDiscrepancies(t *testing.T) {
 	}
 	runner := difftest.NewStandardRunner()
 	sum := runner.Evaluate(files, difftest.Options{})
-	if sum.Discrepancies != 0 {
-		t.Errorf("unskewed corpus triggered %d discrepancies", sum.Discrepancies)
+	if sum.Count(difftest.Discrepancy) != 0 {
+		t.Errorf("unskewed corpus triggered %d discrepancies", sum.Count(difftest.Discrepancy))
 	}
 }
 

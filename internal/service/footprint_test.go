@@ -109,8 +109,9 @@ func TestSeedFootprintCap(t *testing.T) {
 // intakeAllocBound bounds what one POST /api/seeds of an n-byte body
 // may allocate (128 MiB plus 64 bytes per body byte): twice a run at
 // both of the reference VM's caps, jvm.MaxVerifyFootprint 32-byte
-// verifier slots and jvm.HeapBudget 32-byte array slots, plus the
-// parse and lift of the body. A corpus seed takes about 50 KiB.
+// verifier slots and jvm.HeapBudget 32-byte array slots (a string byte
+// is one budget unit too), plus the parse and lift of the body. A
+// corpus seed takes about 50 KiB.
 func intakeAllocBound(n int) uint64 {
 	return 2*32*(jvm.MaxVerifyFootprint+jvm.HeapBudget) + 64*uint64(n)
 }
@@ -120,8 +121,8 @@ func intakeAllocBound(n int) uint64 {
 // classify it. Whatever the body, the handler of a clustered manager
 // must not panic, must answer 202, 400, 413 or 429, and must allocate
 // within intakeAllocBound. testdata/fuzz/FuzzSeedIntake holds corpus
-// seeds (accepted), malformed and truncated classfiles, an empty body
-// and an over-footprint class.
+// seeds (accepted), malformed and truncated classfiles, an empty body,
+// an over-footprint class and a main that doubles a string 26 times.
 func FuzzSeedIntake(f *testing.F) {
 	cfg := testConfig(f, 1)
 	cfg.SeedStrategy = "clustered"

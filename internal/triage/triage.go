@@ -50,9 +50,9 @@ type Report struct {
 	// Notes explains the decision, one line per signal.
 	Notes []string
 	// Oracle holds static-oracle disagreements with the standard-lineup
-	// outcomes (sanitizer: a non-empty unwaived list means this
-	// reproduction's oracle or a VM simulation is wrong, so the triage
-	// verdict itself is suspect).
+	// outcomes (sanitizer: a non-empty list means this reproduction's
+	// oracle or a VM simulation is wrong, so the triage verdict itself
+	// is suspect).
 	Oracle []analysis.Mismatch
 }
 
@@ -84,13 +84,7 @@ func New() *Triager {
 func (t *Triager) Triage(data []byte, std difftest.Vector, oracle []analysis.Mismatch) *Report {
 	rep := &Report{Standard: std, Oracle: oracle, Shared: map[string]difftest.Vector{}}
 	for _, m := range oracle {
-		if m.Hard() {
-			label := "oracle mismatch"
-			if m.VerifierSplit() {
-				label = "oracle verifier split"
-			}
-			rep.Notes = append(rep.Notes, label+": "+m.String())
-		}
+		rep.Notes = append(rep.Notes, "oracle mismatch: "+m.String())
 	}
 	if !rep.Standard.Discrepant() {
 		rep.Verdict = NotDiscrepant
