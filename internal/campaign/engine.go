@@ -751,8 +751,8 @@ func mutantName(iter int) string {
 
 // standardMain is the main every mutant lacking one receives. It is
 // never written: every mutant shares it under copy-on-write, so a
-// mutator that edits it in a later generation (through OwnMethod)
-// edits a private copy.
+// mutator that edits it in a later generation (through OwnMethod or
+// OwnBody) edits a private copy.
 var standardMain = jimple.StandardMain("Completed!")
 
 // finishMutant applies the deterministic post-mutation fixups: the

@@ -69,8 +69,8 @@ func (t Type) Slots() int {
 	return 1
 }
 
-// encodedLen is the byte length of t in descriptor syntax.
-func (t Type) encodedLen() int {
+// EncodedLen is the byte length of t in descriptor syntax.
+func (t Type) EncodedLen() int {
 	n := t.Dims + 1
 	if t.Kind == 'L' {
 		n += len(t.ClassName) + 1
@@ -96,7 +96,7 @@ func (t Type) AppendTo(b []byte) []byte {
 
 // String renders t back into descriptor syntax.
 func (t Type) String() string {
-	return string(t.AppendTo(make([]byte, 0, t.encodedLen())))
+	return string(t.AppendTo(make([]byte, 0, t.EncodedLen())))
 }
 
 // Java renders t in Java-source style ("java.lang.String[]", "int").
@@ -137,9 +137,9 @@ type Method struct {
 
 // String renders m back into descriptor syntax.
 func (m Method) String() string {
-	n := 2 + m.Return.encodedLen()
+	n := 2 + m.Return.EncodedLen()
 	for _, p := range m.Params {
-		n += p.encodedLen()
+		n += p.EncodedLen()
 	}
 	return string(m.AppendTo(make([]byte, 0, n)))
 }

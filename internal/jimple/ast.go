@@ -9,6 +9,7 @@ package jimple
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bytecode"
 	"repro/internal/classfile"
@@ -31,10 +32,20 @@ type Class struct {
 	// re-interns those constants into the fresh pool.
 	OrigPool *classfile.ConstPool
 
-	// owned lists the methods OwnMethod copied for this class; every
-	// other entry of Methods may be shared with the class it was cloned
+	// owned lists the methods whose header OwnMethod or OwnBody copied
+	// for this class, each marked when its body is private too;
+	// ownedFields lists the fields OwnField copied. Every other entry of
+	// Methods and Fields may be shared with the class it was cloned
 	// from or with its own clones.
-	owned []*Method
+	owned       []ownedMethod
+	ownedFields []*Field
+}
+
+// ownedMethod is one method a class owns: always its header, and its
+// Body, Locals and RawHandlers too when body is set.
+type ownedMethod struct {
+	m    *Method
+	body bool
 }
 
 // Field is one declared field.
@@ -360,19 +371,24 @@ func (c *Class) FindMethod(name string) *Method {
 // IsInterface reports whether the class is declared as an interface.
 func (c *Class) IsInterface() bool { return c.Modifiers.Has(classfile.AccInterface) }
 
-// Clone returns a copy-on-write copy: the class header, interface list
-// and fields are copied, and so is the method list, but the *Method
-// values are shared with c. A mutator changes at most one or two
-// methods, so deep-copying every method of every mutant would be
-// almost all waste.
+// Clone returns a copy-on-write copy: the class header and the
+// interface, field and method *lists* are the clone's own, but the
+// *Field and *Method values are shared with c. A mutator changes at
+// most one field or one or two methods, so deep-copying every member
+// of every mutant would be almost all waste.
 //
-// The rule that keeps sharing safe: write to a method of a clone only
-// through OwnMethod, which swaps in a private deep copy first, and
-// never write to a class once it has been cloned (a class in a seed
-// pool is frozen). Replacing, reordering or deleting entries of the
-// Methods slice itself needs no ownership — the slice is the clone's.
+// The rules that keep sharing safe: nothing writes to a class once it
+// has been cloned (a class in a seed pool is frozen), and a clone
+// writes to a member only after taking ownership of the part it
+// writes. OwnField makes a field private. OwnMethod makes a method's
+// header private (name, modifiers, params, return type, throws) and
+// lets the caller replace its Body, Locals and RawHandlers wholesale;
+// OwnBody also makes those slices' contents — statements, expressions
+// and locals — private, for writers that edit them. Replacing,
+// reordering or deleting entries of the lists themselves needs no
+// ownership.
 func (c *Class) Clone() *Class {
-	out := &Class{
+	return &Class{
 		Name:       c.Name,
 		Super:      c.Super,
 		Interfaces: append([]string(nil), c.Interfaces...),
@@ -381,66 +397,124 @@ func (c *Class) Clone() *Class {
 		Minor:      c.Minor,
 		SourceFile: c.SourceFile,
 		OrigPool:   c.OrigPool,
+		Fields:     append([]*Field(nil), c.Fields...),
 		Methods:    append([]*Method(nil), c.Methods...),
 	}
-	if len(c.Fields) > 0 {
-		fs := make([]Field, len(c.Fields))
-		out.Fields = make([]*Field, len(c.Fields))
-		for i, f := range c.Fields {
-			fs[i] = *f
-			out.Fields[i] = &fs[i]
-		}
-	}
-	return out
 }
 
-// OwnMethod makes c.Methods[i] private to c and returns it: a method c
-// still shares with the class it was cloned from is replaced by a deep
-// copy (Method.Clone); one c already owns is returned as is. Every
-// writer of an existing method — the mutators and the reducer's
-// candidate deletions — goes through OwnMethod.
+// OwnField makes c.Fields[i] private to c and returns it: a field c
+// may share with the class it was cloned from is replaced by a copy;
+// one c already owns is returned as is.
+func (c *Class) OwnField(i int) *Field {
+	f := c.Fields[i]
+	if slices.Contains(c.ownedFields, f) {
+		return f
+	}
+	cp := *f
+	f = &cp
+	c.Fields[i] = f
+	c.ownedFields = append(c.ownedFields, f)
+	return f
+}
+
+// OwnMethod makes c.Methods[i]'s header private to c and returns the
+// method: a method c may share is replaced by a header copy (see
+// Method.header), one c already owns is returned as is. The caller may
+// write the header — including Params and Throws in place — and may
+// replace or swap Body, Locals and RawHandlers wholesale, but must not
+// write into them: they may still be shared. Because the caller may
+// hand those slices to another method, a body c owned counts as shared
+// again afterwards, and the next OwnBody of this method copies it.
 func (c *Class) OwnMethod(i int) *Method {
-	m := c.Methods[i]
-	for _, o := range c.owned {
-		if o == m {
-			return m
-		}
-	}
-	m = m.Clone()
-	c.Methods[i] = m
-	c.owned = append(c.owned, m)
-	return m
+	o := c.own(i)
+	o.body = false
+	return o.m
 }
 
-// Clone deep-copies a method, remapping locals.
-func (m *Method) Clone() *Method {
-	out := &Method{
-		Name:         m.Name,
-		Params:       append([]descriptor.Type(nil), m.Params...),
-		Return:       m.Return,
-		Modifiers:    m.Modifiers,
-		Throws:       append([]string(nil), m.Throws...),
-		RawHandlers:  append([]classfile.ExceptionHandler(nil), m.RawHandlers...),
-		RawMaxStack:  m.RawMaxStack,
-		RawMaxLocals: m.RawMaxLocals,
+// OwnBody makes all of c.Methods[i] private to c — its header as
+// OwnMethod does, and a deep copy of its Body, Locals and RawHandlers
+// with locals remapped — and returns it. Every writer of a body's or a
+// locals list's contents goes through OwnBody. A method whose header c
+// already owns gets its body copied in place.
+func (c *Class) OwnBody(i int) *Method {
+	o := c.own(i)
+	if !o.body {
+		o.m.copyBody()
+		o.body = true
 	}
+	return o.m
+}
+
+// own makes c.Methods[i]'s header private to c, as OwnMethod
+// describes, and returns its entry in c.owned.
+func (c *Class) own(i int) *ownedMethod {
+	if k := c.ownedIndex(c.Methods[i]); k >= 0 {
+		return &c.owned[k]
+	}
+	m := c.Methods[i].header()
+	c.Methods[i] = m
+	c.owned = append(c.owned, ownedMethod{m: m})
+	return &c.owned[len(c.owned)-1]
+}
+
+// DuplicateMethod appends a header copy of c.Methods[i] that shares
+// the original's body. Since two methods now share that body, neither
+// counts as owning it: a later OwnBody of either copies.
+func (c *Class) DuplicateMethod(i int) {
+	src := c.Methods[i]
+	if k := c.ownedIndex(src); k >= 0 {
+		c.owned[k].body = false
+	}
+	c.Methods = append(c.Methods, src.header())
+}
+
+// ownedIndex returns m's index in c.owned, or -1.
+func (c *Class) ownedIndex(m *Method) int {
+	for k, o := range c.owned {
+		if o.m == m {
+			return k
+		}
+	}
+	return -1
+}
+
+// header returns a copy of m that owns its Params and Throws and
+// shares Body, Locals and RawHandlers with m. The shared slices are
+// capacity-clipped, so an append through the copy reallocates instead
+// of writing into m's arrays.
+func (m *Method) header() *Method {
+	out := *m
+	out.Params = append([]descriptor.Type(nil), m.Params...)
+	out.Throws = append([]string(nil), m.Throws...)
+	out.Locals = slices.Clip(m.Locals)
+	out.Body = slices.Clip(m.Body)
+	out.RawHandlers = slices.Clip(m.RawHandlers)
+	return &out
+}
+
+// copyBody replaces m's Body, Locals and RawHandlers with deep copies,
+// remapping every local the statements reference onto the copies.
+func (m *Method) copyBody() {
 	lm := &localMap{from: m.Locals}
+	var locals []*Local
 	if len(m.Locals) > 0 {
-		locals := make([]Local, len(m.Locals))
-		out.Locals = make([]*Local, len(m.Locals))
+		backing := make([]Local, len(m.Locals))
+		locals = make([]*Local, len(m.Locals))
 		for i, l := range m.Locals {
-			locals[i] = Local{Name: l.Name, Type: l.Type}
-			out.Locals[i] = &locals[i]
+			backing[i] = Local{Name: l.Name, Type: l.Type}
+			locals[i] = &backing[i]
 		}
-		lm.to = out.Locals
+		lm.to = locals
 	}
+	m.Locals = locals
+	m.RawHandlers = append([]classfile.ExceptionHandler(nil), m.RawHandlers...)
 	if m.Body != nil {
-		out.Body = make([]Stmt, len(m.Body))
+		body := make([]Stmt, len(m.Body))
 		for i, s := range m.Body {
-			out.Body[i] = cloneStmt(s, lm)
+			body[i] = cloneStmt(s, lm)
 		}
+		m.Body = body
 	}
-	return out
 }
 
 // localMap remaps a method's locals while it is cloned: declared locals

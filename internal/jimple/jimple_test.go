@@ -227,37 +227,104 @@ func TestLiftFallsBackToRawForHandlers(t *testing.T) {
 
 func TestCloneIndependence(t *testing.T) {
 	c := hello("JClone")
+	c.AddField(classfile.AccPublic, "f", descriptor.Int)
+	main := c.Methods[1]
+	main.Throws = []string{"java/lang/Exception"}
+	// Spare capacity, so an unclipped append through a clone would
+	// write into main's arrays instead of reallocating.
+	main.Body = append(make([]Stmt, 0, len(main.Body)+4), main.Body...)
+	main.Locals = append(make([]*Local, 0, len(main.Locals)+4), main.Locals...)
+	bodyLen, localsLen := len(main.Body), len(main.Locals)
+
 	d := c.Clone()
-	// Copy-on-write: until a method is owned, the clone shares it.
+	// Copy-on-write: until a member is owned, the clone shares it.
 	for i := range c.Methods {
 		if d.Methods[i] != c.Methods[i] {
 			t.Fatalf("method %d copied before any write", i)
 		}
 	}
-	d.Name = "Other"
-	d.OwnMethod(0).Modifiers |= classfile.AccStatic
-	d.OwnMethod(1).Body = append(d.Methods[1].Body, &Nop{})
-	if d.OwnMethod(0) != d.Methods[0] || d.Methods[0] == c.Methods[0] {
-		t.Error("OwnMethod must copy once and then return the owned copy")
+	if d.Fields[0] != c.Fields[0] {
+		t.Fatal("field copied before any write")
 	}
+	d.Name = "Other"
 	if c.Name != "JClone" {
 		t.Error("name shared")
 	}
-	if c.Methods[0].Modifiers.Has(classfile.AccStatic) {
-		t.Error("modifiers shared")
+
+	d.OwnField(0).Name = "g"
+	if d.OwnField(0) != d.Fields[0] || c.Fields[0].Name != "f" {
+		t.Error("OwnField must copy once and then return the owned copy")
 	}
-	if len(c.Methods[1].Body) == len(d.Methods[1].Body) {
+
+	// OwnMethod: a private header (Params and Throws included) over the
+	// parent's Body and Locals, capacity-clipped.
+	h := d.OwnMethod(1)
+	if h == main || d.OwnMethod(1) != h {
+		t.Fatal("OwnMethod must copy once and then return the owned copy")
+	}
+	h.Modifiers |= classfile.AccFinal
+	h.Params[0] = descriptor.Int
+	h.Throws[0] = "java/lang/Error"
+	if main.Modifiers.Has(classfile.AccFinal) || main.Params[0] == descriptor.Int || main.Throws[0] != "java/lang/Exception" {
+		t.Error("OwnMethod left the header shared")
+	}
+	if &h.Body[0] != &main.Body[0] || &h.Locals[0] != &main.Locals[0] {
+		t.Error("OwnMethod copied the body or locals")
+	}
+	h.Body = append(h.Body, &Nop{})
+	h.NewLocal("extra", descriptor.Int)
+	if main.Body[:bodyLen+1][bodyLen] != nil || main.Locals[:localsLen+1][localsLen] != nil {
+		t.Error("an append through OwnMethod's copy wrote into the parent's array")
+	}
+	if len(main.Body) != bodyLen || len(main.Locals) != localsLen {
 		t.Error("bodies shared")
 	}
-	// Locals must be remapped, not aliased.
+
+	// OwnBody: the statements and locals become private too, with every
+	// reference remapped onto the copies; the owned header is kept.
+	b := d.OwnBody(1)
+	if b != h || d.OwnBody(1) != b {
+		t.Error("OwnBody of an owned header must copy the body in place, once")
+	}
+	if b.Modifiers != h.Modifiers || len(b.Body) != bodyLen+1 || len(b.Locals) != localsLen+1 {
+		t.Error("OwnBody lost the header's edits")
+	}
+	init := d.OwnBody(0)
+	if init == c.Methods[0] {
+		t.Fatal("OwnBody of a shared method must copy it")
+	}
 	for _, m := range d.Methods {
 		for _, l := range m.Locals {
-			for _, ol := range c.Methods[0].Locals {
-				if l == ol {
-					t.Fatal("local aliased across clone")
+			for _, pm := range c.Methods {
+				for _, ol := range pm.Locals {
+					if l == ol {
+						t.Fatal("local aliased across clone")
+					}
 				}
 			}
 		}
+	}
+	for i, s := range b.Body[:bodyLen] {
+		if s == main.Body[i] {
+			t.Fatalf("statement %d shared after OwnBody", i)
+		}
+	}
+
+	// A body that may move to another method is shared again: after
+	// OwnMethod or DuplicateMethod, the next OwnBody copies it.
+	first := &init.Body[0]
+	d.OwnMethod(0)
+	if d.OwnBody(0) != init || &init.Body[0] == first {
+		t.Error("OwnBody after OwnMethod must copy the body again")
+	}
+	first = &init.Body[0]
+	d.DuplicateMethod(0)
+	dup := d.Methods[len(d.Methods)-1]
+	if dup == init || &dup.Body[0] != first {
+		t.Error("DuplicateMethod must append a header copy sharing the body")
+	}
+	if d.OwnBody(0); &init.Body[0] == first {
+		t.Error("OwnBody after DuplicateMethod must copy the body again")
 	}
 }
 

@@ -69,13 +69,15 @@ func refOf(cls string) vt { return vt{kind: vtRef, cls: cls} }
 
 // typeOfDesc maps a descriptor type to its verification slot value(s).
 // Plain class references carry their internal name; arrays keep the
-// bracketed descriptor form (matching anewarray/newarray results).
-func typeOfDesc(t descriptor.Type) vt {
+// bracketed descriptor form (matching anewarray/newarray results),
+// which is enc: t's own text within the descriptor it was parsed from,
+// so naming an array allocates nothing.
+func typeOfDesc(t descriptor.Type, enc string) vt {
 	if t.IsReference() {
 		if t.Dims == 0 && t.Kind == 'L' {
 			return refOf(t.ClassName)
 		}
-		return refOf(t.String())
+		return refOf(enc)
 	}
 	switch t.Kind {
 	case 'J':
@@ -87,6 +89,12 @@ func typeOfDesc(t descriptor.Type) vt {
 	default:
 		return vt{kind: vtInt}
 	}
+}
+
+// returnText is the return type's text in the method descriptor desc
+// that parsed to md: its suffix.
+func returnText(desc string, md descriptor.Method) string {
+	return desc[len(desc)-md.Return.EncodedLen():]
 }
 
 // frame is one abstract machine state.
@@ -342,8 +350,11 @@ func (v *verifier) run() *Outcome {
 		}
 		slot++
 	}
+	pos := 1 // each parameter's text follows the previous one's, past '('
 	for _, pt := range md.Params {
-		t := typeOfDesc(pt)
+		enc := mdesc[pos : pos+pt.EncodedLen()]
+		pos += len(enc)
+		t := typeOfDesc(pt, enc)
 		if slot+t.kindSlots() > len(init.locals) {
 			vm.st(pVerifyLocalsoverflow)
 			vm.vscratch.putFrame(init)
@@ -1267,7 +1278,7 @@ func (v *verifier) simField(s *simFrame, in *bytecode.Instruction) {
 		v.fail(ErrClassFormat, "field %s.%s has malformed descriptor %q", cls, name, desc)
 		return
 	}
-	t := typeOfDesc(ft)
+	t := typeOfDesc(ft, desc)
 	switch in.Op {
 	case bytecode.Getstatic:
 		if t.isWideFirst() {
@@ -1342,7 +1353,7 @@ func (v *verifier) simInvoke(s *simFrame, in *bytecode.Instruction) {
 		}
 	}
 	if !md.Return.IsVoid() {
-		t := typeOfDesc(md.Return)
+		t := typeOfDesc(md.Return, returnText(desc, md))
 		if t.isWideFirst() {
 			s.pushWide(t)
 		} else {
@@ -1371,7 +1382,7 @@ func (v *verifier) simInvokeDynamic(s *simFrame, in *bytecode.Instruction) {
 		s.popDesc(md.Params[i], popSite{})
 	}
 	if !md.Return.IsVoid() {
-		t := typeOfDesc(md.Return)
+		t := typeOfDesc(md.Return, returnText(desc, md))
 		if t.isWideFirst() {
 			s.pushWide(t)
 		} else {

@@ -538,3 +538,45 @@ func TestPopSiteMessages(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifierNamesArraysByDescriptorText pins the messages of
+// array-typed values, which the verifier names by their text within
+// the descriptor they were parsed from (a parameter's slice of the
+// method descriptor, a return type's suffix, a whole field
+// descriptor): each reads exactly as Type.String renders the type.
+func TestVerifierNamesArraysByDescriptorText(t *testing.T) {
+	const desc = "(I[[JLjava/util/Map;[Z)V"
+	cases := []struct {
+		name string
+		load func(cb *classfile.CodeBuilder)
+		want string
+	}{
+		{"second param", func(cb *classfile.CodeBuilder) { cb.Op(0x2b) }, "found ref([[J)"},                               // aload_1
+		{"class param", func(cb *classfile.CodeBuilder) { cb.Op(0x2c) }, "found ref(java/util/Map)"},                      // aload_2
+		{"last param", func(cb *classfile.CodeBuilder) { cb.Op(0x2d) }, "found ref([Z)"},                                  // aload_3
+		{"return", func(cb *classfile.CodeBuilder) { cb.Op(0x09).Invokestatic("VArr", "m", "(J)[[D") }, "found ref([[D)"}, // lconst_0
+		{"field", func(cb *classfile.CodeBuilder) { cb.Getstatic("VArr", "f", "[Ljava/lang/Object;") }, "found ref([Ljava/lang/Object;)"},
+	}
+	for _, c := range cases {
+		f := classfile.New("VArr")
+		classfile.AttachDefaultInit(f)
+		classfile.AttachStandardMain(f, "unreached")
+		f.AddField(classfile.AccPublic|classfile.AccStatic, "f", "[Ljava/lang/Object;")
+		f.AddMethod(classfile.AccPublic|classfile.AccStatic|classfile.AccNative, "m", "(J)[[D")
+		m := f.AddMethod(classfile.AccPublic|classfile.AccStatic, "probe", desc)
+		cb := classfile.NewCodeBuilder(f.Pool)
+		c.load(cb)
+		cb.Op(0x74).Op(0xb1) // ineg; return
+		cb.SetMaxStack(2).SetMaxLocals(5)
+		m.Attributes = append(m.Attributes, cb.Build())
+		data, err := f.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := New(HotSpot8()).Run(data)
+		want := "method probe" + desc + ": expected I on stack, " + c.want
+		if o.Phase != PhaseLinking || o.Error != ErrVerify || o.Message != want {
+			t.Errorf("%s: got %s %s %q, want a VerifyError %q", c.name, o.Phase, o.Error, o.Message, want)
+		}
+	}
+}

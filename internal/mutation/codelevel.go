@@ -244,7 +244,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.remove_one", "delete one local declaration (its uses become undefined-slot reads)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownWhere(c, rng, hasLocals)
+			m := ownBodyWhere(c, rng, hasLocals)
 			if m == nil {
 				return false
 			}
@@ -263,7 +263,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_string", "change a local's type to java.lang.String (Table 2's $i0 example)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(ownBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBody(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -272,7 +272,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_int", "change a local's type to int",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(ownBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBody(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -281,7 +281,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_map", "change a local's type to java.util.Map",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(ownBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBody(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -290,7 +290,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_random", "change a local's type to a pooled type (Table 5 row 9)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(ownBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBody(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -299,7 +299,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.retype_to_self", "change a local's type to the class under mutation",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(ownBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBody(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -308,7 +308,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.rename", "rename a local variable",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			l := pickLocal(ownBodiedMethod(c, rng), rng)
+			l := pickLocal(ownBody(c, rng), rng)
 			if l == nil {
 				return false
 			}
@@ -317,7 +317,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.swap_types", "swap the declared types of two locals",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownWhere(c, rng, hasTwoLocals)
+			m := ownBodyWhere(c, rng, hasTwoLocals)
 			if m == nil {
 				return false
 			}
@@ -327,7 +327,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.rebind_identity", "re-bind an identity statement to a different parameter index",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil {
 				return false
 			}
@@ -341,7 +341,7 @@ func registerLocalVarMutators() {
 		})
 	register(CatLocalVar, "local.drop_identity", "delete an identity statement (the parameter loses its binding)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil {
 				return false
 			}
@@ -368,7 +368,7 @@ func registerLocalVarMutators() {
 func registerJimpleMutators() {
 	register(CatJimple, "jimple.insert_stmt", "insert a program statement at a random position",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil {
 				return false
 			}
@@ -393,7 +393,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.delete_stmt", "delete a program statement",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil || len(m.Body) == 0 {
 				return false
 			}
@@ -404,7 +404,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.swap_stmts", "swap two adjacent statements (Table 2's def-use reorder)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil || len(m.Body) < 2 {
 				return false
 			}
@@ -414,7 +414,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.duplicate_stmt", "duplicate a program statement in place",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil || len(m.Body) == 0 {
 				return false
 			}
@@ -426,7 +426,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.replace_with_return", "replace a statement with a bare return",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil || len(m.Body) == 0 {
 				return false
 			}
@@ -435,7 +435,7 @@ func registerJimpleMutators() {
 		})
 	register(CatJimple, "jimple.move_to_end", "move a statement to the end of the body",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			m := ownBodiedMethod(c, rng)
+			m := ownBody(c, rng)
 			if m == nil || len(m.Body) < 2 {
 				return false
 			}

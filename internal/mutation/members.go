@@ -8,9 +8,14 @@ import (
 	"repro/internal/jimple"
 )
 
-// templateDonor builds the "another class" whose members the
-// replace-all mutators graft in (Table 5 rows 1 and 5). Its methods use
-// only platform calls every release resolves.
+// donor is the "another class" whose members the replace-all mutators
+// graft in (Table 5 rows 1 and 5). It is never written: mutants share
+// its fields and methods under copy-on-write, so a mutator that edits
+// one in a later generation edits a private copy.
+var donor = templateDonor()
+
+// templateDonor builds the donor class. Its methods use only platform
+// calls every release resolves.
 func templateDonor() *jimple.Class {
 	c := jimple.NewClass("fuzz/TemplateDonor")
 	c.AddField(classfile.AccPrivate, "size", descriptor.Int)
@@ -45,10 +50,11 @@ func templateDonor() *jimple.Class {
 
 func setFieldFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool {
 	return func(c *jimple.Class, rng *rand.Rand) bool {
-		f := pickField(c, rng)
-		if f == nil || f.Modifiers.Has(flag) {
+		i := pickField(c, rng)
+		if i < 0 || c.Fields[i].Modifiers.Has(flag) {
 			return false
 		}
+		f := c.OwnField(i)
 		f.Modifiers = f.Modifiers.With(flag)
 		return true
 	}
@@ -56,10 +62,11 @@ func setFieldFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool {
 
 func clearFieldFlag(flag classfile.Flags) func(*jimple.Class, *rand.Rand) bool {
 	return func(c *jimple.Class, rng *rand.Rand) bool {
-		f := pickField(c, rng)
-		if f == nil || !f.Modifiers.Has(flag) {
+		i := pickField(c, rng)
+		if i < 0 || !c.Fields[i].Modifiers.Has(flag) {
 			return false
 		}
+		f := c.OwnField(i)
 		f.Modifiers = f.Modifiers.Without(flag)
 		return true
 	}
@@ -74,20 +81,21 @@ func registerFieldMutators() {
 		})
 	register(CatField, "field.add_duplicate", "insert an exact duplicate of an existing field (the GIJ discrepancy)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			f := pickField(c, rng)
-			if f == nil {
+			i := pickField(c, rng)
+			if i < 0 {
 				return false
 			}
+			f := c.Fields[i]
 			c.AddField(f.Modifiers, f.Name, f.Type)
 			return true
 		})
 	register(CatField, "field.add_same_name_object", "add a same-named public Object field (Table 2's MAP example)",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			f := pickField(c, rng)
-			if f == nil {
+			i := pickField(c, rng)
+			if i < 0 {
 				return false
 			}
-			c.AddField(classfile.AccPublic, f.Name, descriptor.Object("java/lang/Object"))
+			c.AddField(classfile.AccPublic, c.Fields[i].Name, descriptor.Object("java/lang/Object"))
 			return true
 		})
 	register(CatField, "field.remove_one", "delete one field (references keep pointing at it)",
@@ -109,20 +117,20 @@ func registerFieldMutators() {
 		})
 	register(CatField, "field.rename", "rename a field declaration only",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			f := pickField(c, rng)
-			if f == nil {
+			i := pickField(c, rng)
+			if i < 0 {
 				return false
 			}
-			f.Name = freshName("f", rng)
+			c.OwnField(i).Name = freshName("f", rng)
 			return true
 		})
 	register(CatField, "field.change_type", "change a field's declared type",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			f := pickField(c, rng)
-			if f == nil {
+			i := pickField(c, rng)
+			if i < 0 {
 				return false
 			}
-			f.Type = fieldTypePool[rng.Intn(len(fieldTypePool))]
+			c.OwnField(i).Type = fieldTypePool[rng.Intn(len(fieldTypePool))]
 			return true
 		})
 	register(CatField, "field.set_public", "set ACC_PUBLIC on a field", setFieldFlag(classfile.AccPublic))
@@ -130,11 +138,12 @@ func registerFieldMutators() {
 	register(CatField, "field.set_protected", "set ACC_PROTECTED on a field", setFieldFlag(classfile.AccProtected))
 	register(CatField, "field.clear_visibility", "strip all visibility flags from a field",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			f := pickField(c, rng)
+			i := pickField(c, rng)
 			vis := classfile.AccPublic | classfile.AccPrivate | classfile.AccProtected
-			if f == nil || f.Modifiers&vis == 0 {
+			if i < 0 || c.Fields[i].Modifiers&vis == 0 {
 				return false
 			}
+			f := c.OwnField(i)
 			f.Modifiers = f.Modifiers.Without(vis)
 			return true
 		})
@@ -143,22 +152,18 @@ func registerFieldMutators() {
 	register(CatField, "field.set_final", "set ACC_FINAL on a field", setFieldFlag(classfile.AccFinal))
 	register(CatField, "field.set_final_volatile", "set the conflicting ACC_FINAL|ACC_VOLATILE pair",
 		func(c *jimple.Class, rng *rand.Rand) bool {
-			f := pickField(c, rng)
-			if f == nil {
+			i := pickField(c, rng)
+			if i < 0 {
 				return false
 			}
+			f := c.OwnField(i)
 			f.Modifiers = f.Modifiers.With(classfile.AccFinal | classfile.AccVolatile)
 			return true
 		})
 	register(CatField, "field.set_transient", "set ACC_TRANSIENT on a field", setFieldFlag(classfile.AccTransient))
 	register(CatField, "field.replace_all", "replace all fields with those of another class (Table 5 row 5)",
 		func(c *jimple.Class, _ *rand.Rand) bool {
-			donor := templateDonor()
-			c.Fields = nil
-			for _, f := range donor.Fields {
-				ff := *f
-				c.Fields = append(c.Fields, &ff)
-			}
+			c.Fields = append([]*jimple.Field(nil), donor.Fields...)
 			return true
 		})
 }
@@ -372,11 +377,7 @@ func registerMethodMutators() {
 		})
 	register(CatMethod, "method.replace_all", "replace all methods with those of another class (Table 5 row 1)",
 		func(c *jimple.Class, _ *rand.Rand) bool {
-			donor := templateDonor()
-			c.Methods = nil
-			for _, m := range donor.Methods {
-				c.Methods = append(c.Methods, m.Clone())
-			}
+			c.Methods = append([]*jimple.Method(nil), donor.Methods...)
 			return true
 		})
 	register(CatMethod, "method.duplicate", "insert an exact duplicate of a method",
@@ -385,7 +386,7 @@ func registerMethodMutators() {
 			if i < 0 {
 				return false
 			}
-			c.Methods = append(c.Methods, c.Methods[i].Clone())
+			c.DuplicateMethod(i)
 			return true
 		})
 	register(CatMethod, "method.swap_bodies", "swap the bodies (and locals) of two methods",

@@ -103,11 +103,15 @@ func init() {
 
 // --- shared random pick helpers ---------------------------------------------
 //
-// Mutants are copy-on-write clones (jimple.Class.Clone): their methods
-// are shared with the parent until OwnMethod swaps in a private copy.
-// The own* pickers return a method the caller may write to; the pick*
-// pickers return an index for callers that only read, or that check
-// applicability before writing and own the method only then.
+// Mutants are copy-on-write clones (jimple.Class.Clone): their fields
+// and methods are shared with the parent until the mutant owns them.
+// OwnField copies a field; OwnMethod copies a method's header, for
+// mutators that write the header or replace its body slices wholesale;
+// OwnBody also deep-copies the body and locals, for mutators that write
+// into them. The own* pickers return a method the caller may write to
+// at that level; the pick* pickers return an index for callers that
+// only read, or that check applicability before writing and own the
+// member only then.
 
 // pickWhere draws uniformly among the methods of c satisfying keep —
 // one rng.Intn over their count — and returns the winner's index, or -1
@@ -135,14 +139,24 @@ func pickWhere(c *jimple.Class, rng *rand.Rand, keep func(*jimple.Method) bool) 
 	panic("mutation: pickWhere lost its draw")
 }
 
-// ownWhere is pickWhere followed by OwnMethod: the returned method is
-// the caller's to write, or nil when none qualifies.
+// ownWhere is pickWhere followed by OwnMethod: the returned method's
+// header is the caller's to write, or nil when none qualifies.
 func ownWhere(c *jimple.Class, rng *rand.Rand, keep func(*jimple.Method) bool) *jimple.Method {
 	i := pickWhere(c, rng, keep)
 	if i < 0 {
 		return nil
 	}
 	return c.OwnMethod(i)
+}
+
+// ownBodyWhere is pickWhere followed by OwnBody: all of the returned
+// method is the caller's to write, or nil when none qualifies.
+func ownBodyWhere(c *jimple.Class, rng *rand.Rand, keep func(*jimple.Method) bool) *jimple.Method {
+	i := pickWhere(c, rng, keep)
+	if i < 0 {
+		return nil
+	}
+	return c.OwnBody(i)
 }
 
 func anyMethod(*jimple.Method) bool      { return true }
@@ -156,21 +170,27 @@ func hasTwoLocals(m *jimple.Method) bool { return len(m.Locals) >= 2 }
 // pickMethod draws any method's index (-1 when there is none).
 func pickMethod(c *jimple.Class, rng *rand.Rand) int { return pickWhere(c, rng, anyMethod) }
 
-// ownMethod draws any method and owns it.
+// ownMethod draws any method and owns its header.
 func ownMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
 	return ownWhere(c, rng, anyMethod)
 }
 
-// ownBodiedMethod draws a method that has a body and owns it.
+// ownBodiedMethod draws a method that has a body and owns its header.
 func ownBodiedMethod(c *jimple.Class, rng *rand.Rand) *jimple.Method {
 	return ownWhere(c, rng, hasBody)
 }
 
-func pickField(c *jimple.Class, rng *rand.Rand) *jimple.Field {
+// ownBody draws a method that has a body and owns all of it.
+func ownBody(c *jimple.Class, rng *rand.Rand) *jimple.Method {
+	return ownBodyWhere(c, rng, hasBody)
+}
+
+// pickField draws a field's index (-1 when there is none).
+func pickField(c *jimple.Class, rng *rand.Rand) int {
 	if len(c.Fields) == 0 {
-		return nil
+		return -1
 	}
-	return c.Fields[rng.Intn(len(c.Fields))]
+	return rng.Intn(len(c.Fields))
 }
 
 func pickLocal(m *jimple.Method, rng *rand.Rand) *jimple.Local {

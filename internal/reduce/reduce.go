@@ -45,10 +45,11 @@ func vectorOf(r *difftest.Runner, c *jimple.Class) (string, bool) {
 }
 
 // del is one candidate deletion. It mutates the clone it is handed —
-// writing to a method only through OwnMethod, since the clone shares
-// its methods with the current base — and reports whether it applied
-// (bounds may have shifted since the candidate was enumerated; a stale
-// candidate is a no-op).
+// a method's throws list only after OwnMethod, its statements and
+// locals only after OwnBody, since the clone shares its methods with
+// the current base — and reports whether it applied (bounds may have
+// shifted since the candidate was enumerated; a stale candidate is a
+// no-op).
 type del func(*jimple.Class) bool
 
 // shrinker carries one Reduce call's state through its stages.
@@ -193,7 +194,7 @@ var stages = []func(cur *jimple.Class) []del{
 					if mi >= len(c.Methods) || si >= len(c.Methods[mi].Body) {
 						return false
 					}
-					m := c.OwnMethod(mi)
+					m := c.OwnBody(mi)
 					m.Body = append(m.Body[:si], m.Body[si+1:]...)
 					jimple.RetargetAfterRemoval(m.Body, si)
 					return true
@@ -210,7 +211,7 @@ var stages = []func(cur *jimple.Class) []del{
 					if mi >= len(c.Methods) || li >= len(c.Methods[mi].Locals) {
 						return false
 					}
-					m := c.OwnMethod(mi)
+					m := c.OwnBody(mi)
 					m.Locals = append(m.Locals[:li], m.Locals[li+1:]...)
 					return true
 				})

@@ -149,8 +149,9 @@ func TestSizeMetric(t *testing.T) {
 
 // TestReduceCandidatesCopyOnWrite applies every candidate deletion of
 // every stage to a copy-on-write clone of the base and checks that the
-// base is left untouched and that the candidate lowers to the same bytes
-// as the deletion applied to a copy owning every method.
+// base is left untouched (its bytes and its Jimple text) and that the candidate lowers to the same bytes
+// as the deletion applied to a copy owning every field and all of every
+// method.
 func TestReduceCandidatesCopyOnWrite(t *testing.T) {
 	bases := []*jimple.Class{fig2Mutant()}
 	for _, e := range catalog.Entries() {
@@ -159,13 +160,16 @@ func TestReduceCandidatesCopyOnWrite(t *testing.T) {
 		}
 	}
 	for _, base := range bases {
-		before := lowered(t, base)
+		before, beforeText := lowered(t, base), jimple.Print(base)
 		for si, stage := range stages {
 			for ci, d := range stage(base) {
 				cand := base.Clone()
 				ref := base.Clone()
+				for i := range ref.Fields {
+					ref.OwnField(i)
+				}
 				for i := range ref.Methods {
-					ref.OwnMethod(i)
+					ref.OwnBody(i)
 				}
 				if d(cand) != d(ref) {
 					t.Fatalf("%s stage %d candidate %d: applicability differs from the owning reference", base.Name, si, ci)
@@ -173,7 +177,7 @@ func TestReduceCandidatesCopyOnWrite(t *testing.T) {
 				if !bytes.Equal(lowered(t, cand), lowered(t, ref)) {
 					t.Fatalf("%s stage %d candidate %d: bytes differ from the owning reference", base.Name, si, ci)
 				}
-				if !bytes.Equal(lowered(t, base), before) {
+				if !bytes.Equal(lowered(t, base), before) || jimple.Print(base) != beforeText {
 					t.Fatalf("%s stage %d candidate %d changed the base class", base.Name, si, ci)
 				}
 			}
