@@ -30,20 +30,6 @@ func benchScale() experiments.Scale {
 	return experiments.Scale{SeedCount: 30, Iterations: 200, RandfuzzFactor: 5, CorpusCount: 600, Seed: 1}
 }
 
-// BenchmarkPreliminaryStudy regenerates the §1 baseline: the fraction
-// of library-corpus classfiles triggering discrepancies across the five
-// JVMs (the paper's 1.7 %).
-func BenchmarkPreliminaryStudy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p, err := experiments.RunPreliminary(600, 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(p.DiffRate*100, "diff_%")
-		b.ReportMetric(float64(p.Distinct), "distinct")
-	}
-}
-
 // BenchmarkTable4 regenerates the classfile-generation comparison:
 // iterations, |GenClasses|, |TestClasses| and succ per algorithm.
 func BenchmarkTable4(b *testing.B) {
@@ -104,7 +90,10 @@ func BenchmarkTable6(b *testing.B) {
 
 // BenchmarkTable7 regenerates the per-VM phase histogram of the
 // classfuzz[stbr] suite and reports the leniency spread (GIJ invoked
-// most, per the paper).
+// most, per the paper). Table 7 reads Table 6's vectors, so each
+// iteration times the session, Table 6 and Table 7. The §1 preliminary
+// study is Table 6's library-corpus row, BenchmarkTable6's
+// baseline_diff_%.
 func BenchmarkTable7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sess, err := experiments.NewSession(benchScale())

@@ -83,7 +83,7 @@ var allExperiments = []string{"prelim", "table4", "table5", "table6", "table7", 
 
 func needsSession(run string) bool {
 	switch run {
-	case "all", "table4", "table5", "table6", "table7", "figure4":
+	case "all", "prelim", "table4", "table5", "table6", "table7", "figure4":
 		return true
 	}
 	return false
@@ -103,9 +103,9 @@ func write(w io.Writer, scale experiments.Scale, run string) error {
 	show := func(what string) error {
 		switch what {
 		case "prelim":
-			p, err := experiments.RunPreliminary(scale.CorpusCount, scale.Seed+7)
-			if err != nil {
-				return fmt.Errorf("preliminary study failed: %w", err)
+			p := sess.Preliminary()
+			if p == nil {
+				return errors.New("preliminary study failed: no library corpus")
 			}
 			fmt.Fprintln(w, p)
 		case "table4":

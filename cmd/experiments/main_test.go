@@ -66,3 +66,20 @@ func TestPaperScaleRecord(t *testing.T) {
 		t.Log("regenerate with: go run ./cmd/experiments -scale paper > experiments_paper_scale.txt")
 	}
 }
+
+// TestWriteSessionStudies runs the two experiments that read Table 6's
+// vectors on their own at the default scale.
+func TestWriteSessionStudies(t *testing.T) {
+	for run, header := range map[string]string{
+		"prelim": "Preliminary study: ",
+		"table7": "Table 7: Results on testing of JVMs using the ",
+	} {
+		var got bytes.Buffer
+		if err := write(&got, experiments.DefaultScale(), run); err != nil {
+			t.Fatalf("%s: %v", run, err)
+		}
+		if !strings.HasPrefix(got.String(), header) {
+			t.Errorf("-run %s printed %q, want a line starting %q", run, got.String(), header)
+		}
+	}
+}

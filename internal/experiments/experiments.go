@@ -6,7 +6,9 @@
 // library baseline). A Session runs the six campaigns once — classfuzz
 // under each uniqueness criterion, uniquefuzz, greedyfuzz, randfuzz —
 // and derives all tables from the shared results, exactly as the paper
-// derives its tables from the same three-day runs.
+// derives its tables from the same three-day runs. Likewise it runs the
+// five VMs once, for Table 6; Table 7 and the preliminary study read
+// Table 6's vectors.
 package experiments
 
 import (
@@ -96,6 +98,12 @@ type Session struct {
 	Seeds     []*jimple.Class
 	SeedFiles [][]byte
 	*service.Session
+
+	// table6 is evaluated once, on the first call of Table6, Table7 or
+	// Preliminary; stbrSuite holds its Test:classfuzz[stbr] vectors.
+	table6Once sync.Once
+	table6     *Table6
+	stbrSuite  *difftest.Summary
 }
 
 // NewSession generates seeds and runs all six campaigns.
@@ -331,11 +339,18 @@ func table6Row(set string, sum *difftest.Summary) Table6Row {
 }
 
 // Table6 evaluates the corpora, generated sets and suites on the five
-// VMs (in parallel; the sets are independent classfiles). Each class
-// runs once: a coverage-directed campaign's TestClasses are a subset of
-// its GenClasses (the same *GenClass values, in iteration order), so its
-// Test row comes from the accepted subset of the Gen vectors.
+// VMs (in parallel; the sets are independent classfiles). A session
+// evaluates them once: every call, concurrent ones included, returns
+// the same table. Each class runs once: a coverage-directed campaign's
+// TestClasses are a subset of its GenClasses (the same *GenClass
+// values, in iteration order), so its Test row comes from the accepted
+// subset of the Gen vectors; only randfuzz's suite runs on its own.
 func (s *Session) Table6() *Table6 {
+	s.table6Once.Do(s.evalTable6)
+	return s.table6
+}
+
+func (s *Session) evalTable6() {
 	runner := s.Runner()
 	eval := func(classes [][]byte) *difftest.Summary {
 		return runner.Evaluate(classes, difftest.Options{Workers: runtime.GOMAXPROCS(0)})
@@ -349,13 +364,19 @@ func (s *Session) Table6() *Table6 {
 	}
 	t.Rows = append(t.Rows, table6Row("seeds", eval(s.SeedFiles)))
 	// GenClasses block. For randfuzz Gen == Test, so (like the paper's
-	// "-" cells) the row appears once, in the Test block.
-	testRows := map[string]Table6Row{}
+	// "-" cells) the row appears once, in the Test block, from an
+	// evaluation of its own.
+	tests := map[string]*difftest.Summary{}
 	for _, key := range CampaignOrder {
+		r := s.Campaigns[key]
 		if key == KeyRandfuzz {
+			var classes [][]byte
+			for _, g := range r.Test {
+				classes = append(classes, g.Data)
+			}
+			tests[key] = eval(classes)
 			continue
 		}
-		r := s.Campaigns[key]
 		var classes [][]byte
 		var accepted []int // index into classes of each r.Test class
 		for _, g := range r.Gen {
@@ -369,27 +390,17 @@ func (s *Session) Table6() *Table6 {
 		}
 		gen := eval(classes)
 		t.Rows = append(t.Rows, table6Row("Gen:"+key, gen))
-		if len(accepted) == len(r.Test) {
-			test := &difftest.Summary{VMNames: gen.VMNames, Vectors: make([]difftest.Vector, len(accepted))}
-			for j, i := range accepted {
-				test.Vectors[j] = gen.Vectors[i]
-			}
-			testRows[key] = table6Row("Test:"+key, test)
+		test := &difftest.Summary{VMNames: gen.VMNames, Vectors: make([]difftest.Vector, len(accepted))}
+		for j, i := range accepted {
+			test.Vectors[j] = gen.Vectors[i]
 		}
+		tests[key] = test
 	}
 	// TestClasses block.
 	for _, key := range CampaignOrder {
-		row, ok := testRows[key]
-		if !ok {
-			var classes [][]byte
-			for _, g := range s.Campaigns[key].Test {
-				classes = append(classes, g.Data)
-			}
-			row = table6Row("Test:"+key, eval(classes))
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, table6Row("Test:"+key, tests[key]))
 	}
-	return t
+	s.table6, s.stbrSuite = t, tests[KeyClassfuzzSTBR]
 }
 
 // String renders the table.
@@ -417,17 +428,11 @@ type Table7 struct {
 	Suite  int
 }
 
-// Table7 evaluates the classfuzz[stbr] suite per VM.
+// Table7 is the phase histogram of Table 6's Test:classfuzz[stbr]
+// vectors; it runs no VM of its own.
 func (s *Session) Table7() *Table7 {
-	// The classfuzz[stbr] suite was already evaluated inside Table 6's
-	// Gen set; it runs again here on a fresh lineup with a verify memo
-	// of its own.
-	runner := s.Runner()
-	var classes [][]byte
-	for _, g := range s.Campaigns[KeyClassfuzzSTBR].Test {
-		classes = append(classes, g.Data)
-	}
-	sum := runner.Evaluate(classes, difftest.Options{})
+	s.Table6()
+	sum := s.stbrSuite
 	return &Table7{VMNames: sum.VMNames, Counts: sum.PhaseHistogram(), Suite: len(sum.Vectors)}
 }
 
@@ -651,33 +656,26 @@ func RunBlindBaseline(scale Scale) (*BlindBaseline, error) {
 
 // Preliminary reproduces the §1 baseline: the discrepancy rate of a
 // library-like corpus across the five JVMs (the paper's 1.7 %:
-// 364/21,736).
-type Preliminary struct {
-	Corpus        int
-	Discrepancies int
-	Distinct      int
-	DiffRate      float64
-}
+// 364/21,736). It is Table 6's library-corpus row, as the paper's study
+// is its Table 6's JRE column.
+type Preliminary Table6Row
 
-// RunPreliminary evaluates a fresh corpus.
-func RunPreliminary(corpusSize int, seed int64) (*Preliminary, error) {
-	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(corpusSize, seed))
-	if err != nil {
-		return nil, err
+// Preliminary returns Table 6's library-corpus row, or nil if the
+// corpus could not be generated.
+func (s *Session) Preliminary() *Preliminary {
+	for _, r := range s.Table6().Rows {
+		if r.Set == "library-corpus" {
+			p := Preliminary(r)
+			return &p
+		}
 	}
-	sum := difftest.NewStandardRunner().Evaluate(files, difftest.Options{})
-	return &Preliminary{
-		Corpus:        len(sum.Vectors),
-		Discrepancies: sum.Count(difftest.Discrepancy),
-		Distinct:      sum.DistinctCount(),
-		DiffRate:      sum.DiffRate(),
-	}, nil
+	return nil
 }
 
 // String renders the study.
 func (p *Preliminary) String() string {
 	return fmt.Sprintf("Preliminary study: %d/%d (%.1f%%) library classfiles trigger JVM discrepancies (%d distinct)",
-		p.Discrepancies, p.Corpus, p.DiffRate*100, p.Distinct)
+		p.Discrepancies, p.Size, p.DiffRate*100, p.Distinct)
 }
 
 // PEstimate reproduces the §2.2.2 parameter estimation.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/difftest"
+	"repro/internal/seedgen"
 )
 
 // The session is expensive; share one across the test functions.
@@ -138,15 +139,54 @@ func TestTable5TopMutators(t *testing.T) {
 	}
 }
 
+// newSession runs a session of its own, for tests that count what the
+// first Table6 call evaluates: on the shared session an earlier test
+// may already have made it.
+func newSession(t *testing.T) *Session {
+	t.Helper()
+	s, err := NewSession(DefaultScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// classesEvaluated reads the session's difftest.classes counter.
+func classesEvaluated(s *Session) int64 {
+	return s.Telemetry.Snapshot().Counter(difftest.MetricClasses)
+}
+
+// table6Classes is the number of classes one Table 6 evaluation runs:
+// each class of its sets once, the directed campaigns' Test classes
+// inside their Gen sets.
+func table6Classes(tab *Table6) int64 {
+	var n int64
+	for _, r := range tab.Rows {
+		if !strings.HasPrefix(r.Set, "Test:") || r.Set == "Test:"+KeyRandfuzz {
+			n += int64(r.Size)
+		}
+	}
+	return n
+}
+
+// testClasses returns the bytes of campaign key's TestClasses.
+func testClasses(s *Session, key string) [][]byte {
+	var classes [][]byte
+	for _, g := range s.Campaigns[key].Test {
+		classes = append(classes, g.Data)
+	}
+	return classes
+}
+
 // TestTable6TestRowsReuseGenVectors: every Test:<campaign> row — the
 // directed campaigns' taken from the accepted subset of their Gen
 // vectors — equals a direct evaluation of that campaign's Test bytes,
 // and Table 6 runs each class of its sets once.
 func TestTable6TestRowsReuseGenVectors(t *testing.T) {
-	s := session(t)
-	before := s.Telemetry.Snapshot().Counter(difftest.MetricClasses)
+	s := newSession(t)
+	before := classesEvaluated(s)
 	tab := s.Table6()
-	evaluated := s.Telemetry.Snapshot().Counter(difftest.MetricClasses) - before
+	evaluated := classesEvaluated(s) - before
 
 	rows := map[string]Table6Row{}
 	for _, r := range tab.Rows {
@@ -155,10 +195,7 @@ func TestTable6TestRowsReuseGenVectors(t *testing.T) {
 	want := int64(rows["library-corpus"].Size + rows["seeds"].Size)
 	runner := difftest.NewStandardRunner()
 	for _, key := range CampaignOrder {
-		var classes [][]byte
-		for _, g := range s.Campaigns[key].Test {
-			classes = append(classes, g.Data)
-		}
+		classes := testClasses(s, key)
 		direct := table6Row("Test:"+key, runner.Evaluate(classes, difftest.Options{}))
 		if got := rows["Test:"+key]; !reflect.DeepEqual(got, direct) {
 			t.Errorf("%s: Table 6 row %+v, direct evaluation %+v", key, got, direct)
@@ -171,6 +208,87 @@ func TestTable6TestRowsReuseGenVectors(t *testing.T) {
 	}
 	if evaluated != want {
 		t.Errorf("Table 6 evaluated %d classes, want %d (each class once)", evaluated, want)
+	}
+	if got := table6Classes(tab); got != want {
+		t.Errorf("table6Classes = %d, want %d", got, want)
+	}
+}
+
+// TestTable7AndPreliminaryReadTable6: after Table 6, Table 7 and the
+// preliminary study run no class, and each equals a direct evaluation
+// of its class set — the classfuzz[stbr] suite's phase histogram and
+// the library corpus's row.
+func TestTable7AndPreliminaryReadTable6(t *testing.T) {
+	s := session(t)
+	s.Table6()
+	before := classesEvaluated(s)
+	t7 := s.Table7()
+	p := s.Preliminary()
+	if n := classesEvaluated(s) - before; n != 0 {
+		t.Errorf("Table 7 and the preliminary study evaluated %d classes after Table 6, want 0", n)
+	}
+
+	runner := difftest.NewStandardRunner()
+	suite := runner.Evaluate(testClasses(s, KeyClassfuzzSTBR), difftest.Options{})
+	want7 := &Table7{VMNames: suite.VMNames, Counts: suite.PhaseHistogram(), Suite: len(suite.Vectors)}
+	if !reflect.DeepEqual(t7, want7) {
+		t.Errorf("Table 7 %+v, direct evaluation %+v", t7, want7)
+	}
+
+	corpus, err := seedgen.GenerateFiles(seedgen.DefaultOptions(s.Scale.CorpusCount, s.Scale.Seed+7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantP := Preliminary(table6Row("library-corpus", runner.Evaluate(corpus, difftest.Options{})))
+	if p == nil || *p != wantP {
+		t.Errorf("preliminary study %+v, direct evaluation %+v", p, wantP)
+	}
+}
+
+// TestSessionTablesConcurrent calls Table6, Table7 and Preliminary from
+// several goroutines on a fresh session (run it under -race): they
+// agree, share one Table 6, and the session evaluates Table 6's classes
+// once.
+func TestSessionTablesConcurrent(t *testing.T) {
+	s := newSession(t)
+	before := classesEvaluated(s)
+	type result struct {
+		t6 *Table6
+		t7 *Table7
+		p  *Preliminary
+	}
+	results := make([]result, 4)
+	var wg sync.WaitGroup
+	for i := range results {
+		wg.Add(1)
+		go func(r *result, first int) {
+			defer wg.Done()
+			calls := []func(){
+				func() { r.t6 = s.Table6() },
+				func() { r.t7 = s.Table7() },
+				func() { r.p = s.Preliminary() },
+			}
+			for k := range calls {
+				calls[(first+k)%len(calls)]()
+			}
+		}(&results[i], i)
+	}
+	wg.Wait()
+
+	r0 := results[0]
+	if r0.t6 == nil || r0.t7 == nil || r0.p == nil {
+		t.Fatalf("missing result: %+v", r0)
+	}
+	for i, r := range results[1:] {
+		if r.t6 != r0.t6 {
+			t.Errorf("goroutine %d got a Table 6 of its own", i+1)
+		}
+		if !reflect.DeepEqual(r.t7, r0.t7) || *r.p != *r0.p {
+			t.Errorf("goroutine %d: Table 7 %+v, preliminary %+v; goroutine 0: %+v, %+v", i+1, r.t7, r.p, r0.t7, r0.p)
+		}
+	}
+	if got, want := classesEvaluated(s)-before, table6Classes(r0.t6); got != want {
+		t.Errorf("concurrent callers evaluated %d classes, want %d (one Table 6)", got, want)
 	}
 }
 
@@ -328,9 +446,9 @@ func TestMCMCGainStudyPositiveOnAverage(t *testing.T) {
 }
 
 func TestPreliminaryStudy(t *testing.T) {
-	p, err := RunPreliminary(800, 3)
-	if err != nil {
-		t.Fatal(err)
+	p := session(t).Preliminary()
+	if p == nil {
+		t.Fatal("no library-corpus row")
 	}
 	if p.DiffRate < 0.003 || p.DiffRate > 0.06 {
 		t.Errorf("baseline diff rate %.2f%%, paper reports 1.7%%", p.DiffRate*100)
