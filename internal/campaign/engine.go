@@ -354,6 +354,7 @@ func (e *engine) run() (*Result, error) {
 				}
 				t.done <- struct{}{}
 			}
+			e.addLowerStats(ws.lctx.Stats())
 		}()
 	}
 
@@ -474,6 +475,19 @@ func (e *engine) newScratch() *workerScratch {
 		ws.vm.SetTelemetry(e.cfg.Telemetry)
 	}
 	return ws
+}
+
+// addLowerStats adds one worker's body-reuse counts to an attached
+// registry. They depend on which worker lowered which mutant, so they
+// are diagnostics, like the verify memo's hit counts: no result or
+// deterministic counter reads them.
+func (e *engine) addLowerStats(st jimple.LowerStats) {
+	if e.cfg.Telemetry == nil {
+		return
+	}
+	e.tel.reg.Counter("campaign.lower.body_reused").Add(st.BodiesReused)
+	e.tel.reg.Counter("campaign.lower.body_lowered").Add(st.BodiesLowered)
+	e.tel.reg.Counter("campaign.lower.width_fallback").Add(st.WidthFallbacks)
 }
 
 // scratchHook, when set (by tests only, never while a campaign runs),

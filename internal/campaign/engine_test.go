@@ -161,43 +161,29 @@ func TestGenBytesDroppedByDefault(t *testing.T) {
 
 // TestReplayRoundTrip: Replay re-derives a single iteration's mutant
 // and verifies it byte-for-byte against the campaign's own output —
-// including mutants whose parent is itself a recycled mutant.
+// including mutants whose parent is itself a recycled mutant. Rebuild
+// lowers each mutant with a one-shot jimple.Lower, so it is also the
+// oracle for the workers' body reuse: bytes a worker wrote by replaying
+// a recorded body must equal a fresh lowering's, for each algorithm
+// that keeps a model pool, on one worker and on several.
 func TestReplayRoundTrip(t *testing.T) {
-	cfg := detConfig(Classfuzz)
-	cfg.Workers = 4
-	cfg.KeepGenBytes = true
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Rebuild every generated iteration straight from the draw log.
-	byIter := map[int]*GenClass{}
-	for _, g := range res.Gen {
-		byIter[g.Iter] = g
-	}
-	recycledChecked := false
-	for _, d := range res.Draws {
-		if !d.Generated {
-			continue
+	var cfg Config
+	var res *Result
+	for _, alg := range []Algorithm{Uniquefuzz, Randfuzz, Classfuzz} {
+		for _, w := range []int{1, 4} {
+			cfg = detConfig(alg)
+			cfg.Workers = w
+			cfg.KeepGenBytes = true
+			cfg.Telemetry = telemetry.New()
+			var err error
+			if res, err = Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Telemetry.Snapshot().Counter("campaign.lower.body_reused") == 0 {
+				t.Errorf("%s workers=%d: no body was replayed, so nothing checks reuse", alg, w)
+			}
+			rebuildAll(t, cfg, res)
 		}
-		info, err := Rebuild(cfg, res.Draws, d.Iter)
-		if err != nil {
-			t.Fatalf("rebuild iteration %d: %v", d.Iter, err)
-		}
-		g := byIter[d.Iter]
-		if g == nil {
-			t.Fatalf("iteration %d marked generated but absent from Gen", d.Iter)
-		}
-		if !bytes.Equal(info.Data, g.Data) {
-			t.Errorf("iteration %d: rebuilt bytes differ from campaign bytes", d.Iter)
-		}
-		if d.Parent >= 0 {
-			recycledChecked = true
-		}
-	}
-	if !recycledChecked {
-		t.Log("no recycled-parent iterations in this campaign; lineage recursion untested here")
 	}
 
 	// The end-to-end replay entry point (what cmd/classfuzz -replay runs).
@@ -220,6 +206,39 @@ func TestReplayRoundTrip(t *testing.T) {
 
 	if _, err := Replay(Config{Algorithm: Bytefuzz, Source: cfg.Source, Iterations: 5, RefSpec: cfg.RefSpec}, 1); err == nil {
 		t.Error("expected bytefuzz replay to be rejected")
+	}
+}
+
+// rebuildAll rebuilds every generated iteration of res straight from
+// its draw log and checks the bytes against the campaign's.
+func rebuildAll(t *testing.T, cfg Config, res *Result) {
+	t.Helper()
+	byIter := map[int]*GenClass{}
+	for _, g := range res.Gen {
+		byIter[g.Iter] = g
+	}
+	recycledChecked := false
+	for _, d := range res.Draws {
+		if !d.Generated {
+			continue
+		}
+		info, err := Rebuild(cfg, res.Draws, d.Iter)
+		if err != nil {
+			t.Fatalf("rebuild iteration %d: %v", d.Iter, err)
+		}
+		g := byIter[d.Iter]
+		if g == nil {
+			t.Fatalf("iteration %d marked generated but absent from Gen", d.Iter)
+		}
+		if !bytes.Equal(info.Data, g.Data) {
+			t.Errorf("%s workers=%d iteration %d: rebuilt bytes differ from campaign bytes", cfg.Algorithm, cfg.Workers, d.Iter)
+		}
+		if d.Parent >= 0 {
+			recycledChecked = true
+		}
+	}
+	if !recycledChecked {
+		t.Log("no recycled-parent iterations in this campaign; lineage recursion untested here")
 	}
 }
 

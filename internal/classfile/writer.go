@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // writer is a growing big-endian buffer.
@@ -51,12 +52,13 @@ func (f *File) Bytes() ([]byte, error) {
 func (f *File) AppendBytes(buf []byte) ([]byte, error) {
 	// Intern every attribute name before the pool is serialised, so the
 	// name indices written later point into the written pool.
-	internAttrNames(f.Pool, f.Attributes)
+	names := attrNames{cp: f.Pool}
+	names.intern(f.Attributes)
 	for _, m := range f.Fields {
-		internAttrNames(f.Pool, m.Attributes)
+		names.intern(m.Attributes)
 	}
 	for _, m := range f.Methods {
-		internAttrNames(f.Pool, m.Attributes)
+		names.intern(m.Attributes)
 	}
 
 	w := &writer{buf: buf}
@@ -133,28 +135,57 @@ func (f *File) AppendBytes(buf []byte) ([]byte, error) {
 		w.u2(idx)
 	}
 
-	if err := writeMembers(w, f.Pool, f.Fields); err != nil {
+	if err := writeMembers(w, &names, f.Fields); err != nil {
 		return nil, err
 	}
-	if err := writeMembers(w, f.Pool, f.Methods); err != nil {
+	if err := writeMembers(w, &names, f.Methods); err != nil {
 		return nil, err
 	}
-	if err := writeAttributes(w, f.Pool, f.Attributes); err != nil {
+	if err := writeAttributes(w, &names, f.Attributes); err != nil {
 		return nil, err
 	}
 	return w.buf, nil
 }
 
-func internAttrNames(cp *ConstPool, attrs []Attribute) {
+// attrNames holds the pool index of each distinct attribute name one
+// write uses, so naming an attribute costs a scan of a few names rather
+// than of the pool. A class using more names than it holds has the rest
+// looked up in the pool, as every name once was.
+type attrNames struct {
+	cp    *ConstPool
+	names [8]string
+	idx   [8]uint16
+	n     int
+}
+
+// intern interns the names of attrs, and of the attributes of any Code
+// attribute among them, in order of first occurrence.
+func (t *attrNames) intern(attrs []Attribute) {
 	for _, a := range attrs {
-		cp.AddUtf8(a.AttrName())
+		if name := a.AttrName(); !t.holds(name) {
+			idx := t.cp.AddUtf8(name)
+			if t.n < len(t.names) {
+				t.names[t.n], t.idx[t.n] = name, idx
+				t.n++
+			}
+		}
 		if c, ok := a.(*CodeAttr); ok {
-			internAttrNames(cp, c.Attributes)
+			t.intern(c.Attributes)
 		}
 	}
 }
 
-func writeMembers(w *writer, cp *ConstPool, ms []*Member) error {
+func (t *attrNames) holds(name string) bool { return slices.Contains(t.names[:t.n], name) }
+
+// index returns the pool index of an interned attribute name.
+func (t *attrNames) index(name string) uint16 {
+	if i := slices.Index(t.names[:t.n], name); i >= 0 {
+		return t.idx[i]
+	}
+	return t.cp.AddUtf8(name)
+}
+
+func writeMembers(w *writer, names *attrNames, ms []*Member) error {
 	if err := w.count(len(ms), "members"); err != nil {
 		return err
 	}
@@ -162,28 +193,26 @@ func writeMembers(w *writer, cp *ConstPool, ms []*Member) error {
 		w.u2(uint16(m.AccessFlags))
 		w.u2(m.NameIndex)
 		w.u2(m.DescIndex)
-		if err := writeAttributes(w, cp, m.Attributes); err != nil {
+		if err := writeAttributes(w, names, m.Attributes); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeAttributes(w *writer, cp *ConstPool, attrs []Attribute) error {
+func writeAttributes(w *writer, names *attrNames, attrs []Attribute) error {
 	if err := w.count(len(attrs), "attributes"); err != nil {
 		return err
 	}
 	for _, a := range attrs {
-		// Names were pre-interned before the pool was written, so this
-		// lookup always hits an existing entry.
-		nameIdx := cp.AddUtf8(a.AttrName())
-		w.u2(nameIdx)
+		// Names were interned before the pool was written.
+		w.u2(names.index(a.AttrName()))
 		// Reserve the attribute_length slot, encode the body straight
 		// into the same buffer, then patch the length in place — no
 		// per-attribute scratch writer.
 		lenAt := len(w.buf)
 		w.u4(0)
-		if err := encodeAttribute(w, cp, a); err != nil {
+		if err := encodeAttribute(w, names, a); err != nil {
 			return err
 		}
 		binary.BigEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
@@ -191,7 +220,7 @@ func writeAttributes(w *writer, cp *ConstPool, attrs []Attribute) error {
 	return nil
 }
 
-func encodeAttribute(w *writer, cp *ConstPool, a Attribute) error {
+func encodeAttribute(w *writer, names *attrNames, a Attribute) error {
 	switch at := a.(type) {
 	case *CodeAttr:
 		w.u2(at.MaxStack)
@@ -207,7 +236,7 @@ func encodeAttribute(w *writer, cp *ConstPool, a Attribute) error {
 			w.u2(h.HandlerPC)
 			w.u2(h.CatchType)
 		}
-		if err := writeAttributes(w, cp, at.Attributes); err != nil {
+		if err := writeAttributes(w, names, at.Attributes); err != nil {
 			return err
 		}
 	case *ExceptionsAttr:

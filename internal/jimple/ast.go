@@ -39,6 +39,12 @@ type Class struct {
 	// from or with its own clones.
 	owned       []ownedMethod
 	ownedFields []*Field
+	// source is the method list of the class this one was cloned from
+	// (nil for a class that is not a clone). A LowerCtx reuses recorded
+	// lowerings only for clones, and records only the bodies a clone
+	// shares with its source. Holding the list, not the class, pins one
+	// generation: a lineage of clones does not keep its ancestors alive.
+	source []*Method
 }
 
 // ownedMethod is one method a class owns: always its header, and its
@@ -399,6 +405,7 @@ func (c *Class) Clone() *Class {
 		OrigPool:   c.OrigPool,
 		Fields:     append([]*Field(nil), c.Fields...),
 		Methods:    append([]*Method(nil), c.Methods...),
+		source:     c.Methods,
 	}
 }
 

@@ -2,6 +2,7 @@ package jimple
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/arena"
 	"repro/internal/bytecode"
@@ -17,10 +18,13 @@ import (
 // member arena, plus arenas for the attribute lists, Code,
 // LineNumberTable and Exceptions attributes and their tables, and one
 // byte buffer the code arrays are assembled into. A long-lived caller — one campaign
-// worker, say — thus pays for the buffers once instead of per class. A
-// zero LowerCtx is ready to use; contexts are not safe for concurrent
-// use. Lowering through a reused context produces bytes identical to a
-// fresh one: reuse changes where scratch lives, never what is emitted.
+// worker, say — thus pays for the buffers once instead of per class.
+// The context also keeps the lowerings of the method bodies that clones
+// share with their sources and replays them (see bodyCache). A zero
+// LowerCtx is ready to use; contexts are not safe for concurrent use.
+// Lowering through a reused context produces bytes identical to a fresh
+// one: reuse changes where scratch lives and what is recomputed, never
+// what is emitted.
 type LowerCtx struct {
 	lw lowerer
 	ms maxStackScratch
@@ -32,10 +36,14 @@ type LowerCtx struct {
 	lineEnts arena.Arena[classfile.LineNumberEntry]
 	excs     arena.Arena[classfile.ExceptionsAttr]
 	classes  arena.Arena[uint16]
+	handlers arena.Arena[classfile.ExceptionHandler]
 
 	// code holds the code arrays of the class being lowered, one after
 	// another (see assemble).
 	code []byte
+
+	bodies bodyCache
+	stats  LowerStats
 }
 
 // NewLowerCtx returns an empty reusable lowering context.
@@ -69,6 +77,7 @@ func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 	ctx.lineEnts.Rewind()
 	ctx.excs.Rewind()
 	ctx.classes.Rewind()
+	ctx.handlers.Rewind()
 	f.Minor = c.Minor
 	f.Major = c.Major
 	f.AccessFlags = c.Modifiers
@@ -97,7 +106,7 @@ func (ctx *LowerCtx) Lower(c *Class) (*classfile.File, error) {
 		if m.Body == nil {
 			continue
 		}
-		code, err := ctx.lowerBody(f, c, m)
+		code, err := ctx.body(f, c, m)
 		if err != nil {
 			return nil, fmt.Errorf("jimple: lowering %s.%s: %w", c.Name, m.Name, err)
 		}
@@ -143,6 +152,18 @@ func (ctx *LowerCtx) assemble(ins []*bytecode.Instruction) ([]byte, error) {
 	return code[:len(code):len(code)], nil
 }
 
+// codeBuf carves an n-byte code array from the end of the code buffer,
+// capacity-limited as assemble's are, or allocates one when it does not
+// fit.
+func (ctx *LowerCtx) codeBuf(n int) []byte {
+	k := len(ctx.code)
+	if n > cap(ctx.code)-k {
+		return make([]byte, n)
+	}
+	ctx.code = ctx.code[:k+n]
+	return ctx.code[k : k+n : k+n]
+}
+
 // memberAttrs counts the attributes m's method_info carries: Exceptions
 // when it declares throws, Code when it has a body.
 func memberAttrs(m *Method) int {
@@ -181,9 +202,15 @@ type lowerer struct {
 	// insArena chunk-allocates the emitted instructions, rewound per
 	// body: pointers in ins stay valid while the body is compiled.
 	insArena arena.Arena[bytecode.Instruction]
+	// While recording is set, ops logs the body's pool calls (see
+	// bodyCache), and unrelocatable is set by a pool operand that did not
+	// come from one of them.
+	recording, unrelocatable bool
+	ops                      []loggedOp
 }
 
 func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfile.CodeAttr, error) {
+	ctx.stats.BodiesLowered++
 	// Reset the reused lowerer. Truncating ins/reloc and rewinding the
 	// instruction arena keeps their capacity; nothing retains pointers into them once lowerBody
 	// returns (the CodeAttr holds assembled bytes and copied entries).
@@ -314,16 +341,23 @@ func (ctx *LowerCtx) lowerBody(f *classfile.File, c *Class, m *Method) (*classfi
 	if len(lnt.Entries) > 0 {
 		attr.Attributes = append(ctx.attrs.Run(1), lnt)
 	}
-	// Exception handlers of a raw-lifted body carry over; their catch
-	// types are re-interned into the fresh pool.
+	ctx.copyHandlers(attr, f, c, m)
+	return attr, nil
+}
+
+// copyHandlers carries a raw-lifted body's exception handlers over to
+// attr, re-interning their catch types into the fresh pool.
+func (ctx *LowerCtx) copyHandlers(attr *classfile.CodeAttr, f *classfile.File, c *Class, m *Method) {
+	if len(m.RawHandlers) > 0 {
+		attr.Handlers = ctx.handlers.Run(len(m.RawHandlers))
+	}
 	for _, h := range m.RawHandlers {
 		nh := h
 		if h.CatchType != 0 && c.OrigPool != nil {
-			nh.CatchType = internConst(f.Pool, c.OrigPool, h.CatchType)
+			nh.CatchType, _ = internConst(f.Pool, c.OrigPool, h.CatchType)
 		}
 		attr.Handlers = append(attr.Handlers, nh)
 	}
-	return attr, nil
 }
 
 // maxRawLocal scans emitted instructions for the highest local slot a
@@ -428,6 +462,25 @@ func (lw *lowerer) op(op bytecode.Opcode) { lw.emit(bytecode.Instruction{Op: op}
 
 func (lw *lowerer) cp(op bytecode.Opcode, idx uint16) {
 	lw.emit(bytecode.Instruction{Op: op, CPIndex: idx})
+}
+
+// constant makes one of the body's constant-pool calls and returns the
+// index; while the body is recorded, the call is logged.
+func (lw *lowerer) constant(op poolOp) uint16 {
+	idx, ok := op.apply(lw.f.Pool, lw.c.OrigPool)
+	if lw.recording {
+		if !ok {
+			lw.unrelocatable = true
+		}
+		lw.ops = append(lw.ops, loggedOp{op, idx})
+	}
+	return idx
+}
+
+func (lw *lowerer) class(name string) uint16 { return lw.constant(poolOp{kind: opClass, a: name}) }
+
+func (lw *lowerer) memberRef(kind poolOpKind, class, name, desc string) uint16 {
+	return lw.constant(poolOp{kind: kind, a: class, b: name, c: desc})
 }
 
 // kindOf computes the computational kind of an expression:
@@ -567,7 +620,7 @@ func (lw *lowerer) expr(e Expr) byte {
 			case 1:
 				lw.op(bytecode.Lconst1)
 			default:
-				lw.cp(bytecode.Ldc2W, lw.f.Pool.AddLong(x.V))
+				lw.cp(bytecode.Ldc2W, lw.constant(poolOp{kind: opLong, bits: uint64(x.V)}))
 			}
 			return 'J'
 		}
@@ -581,7 +634,7 @@ func (lw *lowerer) expr(e Expr) byte {
 			case 1:
 				lw.op(bytecode.Dconst1)
 			default:
-				lw.cp(bytecode.Ldc2W, lw.f.Pool.AddDouble(x.V))
+				lw.cp(bytecode.Ldc2W, lw.constant(poolOp{kind: opDouble, bits: math.Float64bits(x.V)}))
 			}
 			return 'D'
 		}
@@ -593,28 +646,28 @@ func (lw *lowerer) expr(e Expr) byte {
 		case 2:
 			lw.op(bytecode.Fconst2)
 		default:
-			lw.ldc(lw.f.Pool.AddFloat(float32(x.V)))
+			lw.ldc(lw.constant(poolOp{kind: opFloat, bits: uint64(math.Float32bits(float32(x.V)))}))
 		}
 		return 'F'
 	case *StringConst:
-		lw.ldc(lw.f.Pool.AddString(x.V))
+		lw.ldc(lw.constant(poolOp{kind: opString, a: x.V}))
 		return 'A'
 	case *NullConst:
 		lw.op(bytecode.AconstNull)
 		return 'A'
 	case *ClassConst:
-		lw.ldc(lw.f.Pool.AddClass(x.Name))
+		lw.ldc(lw.class(x.Name))
 		return 'A'
 	case *UseLocal:
 		k := typeKind(x.L.Type)
 		lw.loadLocal(lw.slot(x.L), k)
 		return k
 	case *StaticFieldRef:
-		lw.cp(bytecode.Getstatic, lw.f.Pool.AddFieldref(x.Class, x.Name, lw.typeDesc(x.Type)))
+		lw.cp(bytecode.Getstatic, lw.memberRef(opFieldref, x.Class, x.Name, lw.typeDesc(x.Type)))
 		return typeKind(x.Type)
 	case *InstanceFieldRef:
 		lw.loadLocal(lw.slot(x.Base), 'A')
-		lw.cp(bytecode.Getfield, lw.f.Pool.AddFieldref(x.Class, x.Name, lw.typeDesc(x.Type)))
+		lw.cp(bytecode.Getfield, lw.memberRef(opFieldref, x.Class, x.Name, lw.typeDesc(x.Type)))
 		return typeKind(x.Type)
 	case *ArrayRef:
 		lw.loadLocal(lw.slot(x.Base), 'A')
@@ -661,17 +714,17 @@ func (lw *lowerer) expr(e Expr) byte {
 			if x.To.Dims > 0 {
 				name = lw.typeDesc(x.To)
 			}
-			lw.cp(bytecode.Checkcast, lw.f.Pool.AddClass(name))
+			lw.cp(bytecode.Checkcast, lw.class(name))
 			return 'A'
 		}
 		lw.primConvert(from, typeKind(x.To))
 		return typeKind(x.To)
 	case *InstanceOf:
 		lw.expr(x.X)
-		lw.cp(bytecode.Instanceof, lw.f.Pool.AddClass(x.Of))
+		lw.cp(bytecode.Instanceof, lw.class(x.Of))
 		return 'I'
 	case *NewExpr:
-		lw.cp(bytecode.New, lw.f.Pool.AddClass(x.Class))
+		lw.cp(bytecode.New, lw.class(x.Class))
 		return 'A'
 	case *NewArrayExpr:
 		lw.expr(x.Size)
@@ -680,7 +733,7 @@ func (lw *lowerer) expr(e Expr) byte {
 			if x.Elem.Dims > 0 {
 				name = lw.typeDesc(x.Elem)
 			}
-			lw.cp(bytecode.Anewarray, lw.f.Pool.AddClass(name))
+			lw.cp(bytecode.Anewarray, lw.class(name))
 		} else {
 			lw.emit(bytecode.Instruction{Op: bytecode.Newarray, ArrayTyp: atypeOf(x.Elem)})
 		}
@@ -705,7 +758,7 @@ func (lw *lowerer) pushInt(v int32) {
 	case v >= -32768 && v <= 32767:
 		lw.emit(bytecode.Instruction{Op: bytecode.Sipush, Imm: v})
 	default:
-		lw.ldc(lw.f.Pool.AddInteger(v))
+		lw.ldc(lw.constant(poolOp{kind: opInteger, bits: uint64(uint32(v))}))
 	}
 }
 
@@ -750,16 +803,16 @@ func (lw *lowerer) invoke(x *Invoke) byte {
 	desc := lw.methodDesc(x.Sig)
 	switch x.Kind {
 	case InvokeStatic:
-		lw.cp(bytecode.Invokestatic, lw.f.Pool.AddMethodref(x.Class, x.Name, desc))
+		lw.cp(bytecode.Invokestatic, lw.memberRef(opMethodref, x.Class, x.Name, desc))
 	case InvokeVirtual:
-		lw.cp(bytecode.Invokevirtual, lw.f.Pool.AddMethodref(x.Class, x.Name, desc))
+		lw.cp(bytecode.Invokevirtual, lw.memberRef(opMethodref, x.Class, x.Name, desc))
 	case InvokeSpecial:
-		lw.cp(bytecode.Invokespecial, lw.f.Pool.AddMethodref(x.Class, x.Name, desc))
+		lw.cp(bytecode.Invokespecial, lw.memberRef(opMethodref, x.Class, x.Name, desc))
 	case InvokeInterface:
 		count := 1 + x.Sig.ParamSlots()
 		lw.emit(bytecode.Instruction{
 			Op:      bytecode.Invokeinterface,
-			CPIndex: lw.f.Pool.AddInterfaceMethodref(x.Class, x.Name, desc),
+			CPIndex: lw.memberRef(opInterfaceMethodref, x.Class, x.Name, desc),
 			Count:   byte(count),
 		})
 	}
@@ -789,11 +842,11 @@ func (lw *lowerer) stmt(s Stmt) {
 			}
 		case *StaticFieldRef:
 			lw.expr(x.RHS)
-			lw.cp(bytecode.Putstatic, lw.f.Pool.AddFieldref(lhs.Class, lhs.Name, lw.typeDesc(lhs.Type)))
+			lw.cp(bytecode.Putstatic, lw.memberRef(opFieldref, lhs.Class, lhs.Name, lw.typeDesc(lhs.Type)))
 		case *InstanceFieldRef:
 			lw.loadLocal(lw.slot(lhs.Base), 'A')
 			lw.expr(x.RHS)
-			lw.cp(bytecode.Putfield, lw.f.Pool.AddFieldref(lhs.Class, lhs.Name, lw.typeDesc(lhs.Type)))
+			lw.cp(bytecode.Putfield, lw.memberRef(opFieldref, lhs.Class, lhs.Name, lw.typeDesc(lhs.Type)))
 		case *ArrayRef:
 			lw.loadLocal(lw.slot(lhs.Base), 'A')
 			lw.expr(lhs.Index)
@@ -947,15 +1000,22 @@ func (lw *lowerer) lowerRaw(x *Raw) {
 		cp.SwitchKeys = append([]int32(nil), in.SwitchKeys...)
 		cp.SwitchOffsets = append([]int32(nil), in.SwitchOffsets...)
 		// Re-intern constants referenced by the raw instruction into the
-		// fresh pool.
-		if lw.c.OrigPool != nil && cp.CPIndex != 0 {
+		// fresh pool. An index kept as is reads whatever the fresh pool
+		// holds there, which no recorded lowering can reproduce.
+		if cp.CPIndex != 0 {
 			info, _ := bytecode.Lookup(cp.Op)
 			switch info.Kind {
 			case bytecode.OpCPByte, bytecode.OpCPShort, bytecode.OpInvokeInterface, bytecode.OpMultianewarray:
-				cp.CPIndex = internConst(lw.f.Pool, lw.c.OrigPool, cp.CPIndex)
+				if lw.c.OrigPool == nil {
+					lw.unrelocatable = true
+					break
+				}
+				cp.CPIndex = lw.constant(poolOp{kind: opOrig, bits: uint64(cp.CPIndex)})
 				if cp.Op == bytecode.Ldc && cp.CPIndex > 0xFF {
 					cp.Op = bytecode.LdcW
 				}
+			case bytecode.OpInvokeDynamic:
+				lw.unrelocatable = true
 			}
 		}
 		if cp.Op.IsBranch() {
@@ -988,49 +1048,49 @@ func (lw *lowerer) lowerRaw(x *Raw) {
 // internConst copies the constant at src[idx] into dst, returning its
 // new index. Constants lowering cannot re-intern (method handles,
 // invokedynamic) keep the original index, which may dangle — acceptable
-// fuzzing noise for raw passthrough.
-func internConst(dst, src *classfile.ConstPool, idx uint16) uint16 {
+// fuzzing noise for raw passthrough; ok is false for those.
+func internConst(dst, src *classfile.ConstPool, idx uint16) (_ uint16, ok bool) {
 	c := src.Get(idx)
 	if c == nil {
-		return idx
+		return idx, false
 	}
 	switch c.Tag {
 	case classfile.TagUtf8:
-		return dst.AddUtf8(c.Str)
+		return dst.AddUtf8(c.Str), true
 	case classfile.TagInteger:
-		return dst.AddInteger(c.Int)
+		return dst.AddInteger(c.Int), true
 	case classfile.TagFloat:
-		return dst.AddFloat(c.Float)
+		return dst.AddFloat(c.Float), true
 	case classfile.TagLong:
-		return dst.AddLong(c.Long)
+		return dst.AddLong(c.Long), true
 	case classfile.TagDouble:
-		return dst.AddDouble(c.Double)
+		return dst.AddDouble(c.Double), true
 	case classfile.TagClass:
 		if n, ok := src.ClassName(idx); ok {
-			return dst.AddClass(n)
+			return dst.AddClass(n), true
 		}
 	case classfile.TagString:
 		if s, ok := src.Utf8(c.Ref1); ok {
-			return dst.AddString(s)
+			return dst.AddString(s), true
 		}
 	case classfile.TagNameAndType:
 		if n, d, ok := src.NameAndType(idx); ok {
-			return dst.AddNameAndType(n, d)
+			return dst.AddNameAndType(n, d), true
 		}
 	case classfile.TagFieldref:
 		if cl, n, d, ok := src.MemberRef(idx); ok {
-			return dst.AddFieldref(cl, n, d)
+			return dst.AddFieldref(cl, n, d), true
 		}
 	case classfile.TagMethodref:
 		if cl, n, d, ok := src.MemberRef(idx); ok {
-			return dst.AddMethodref(cl, n, d)
+			return dst.AddMethodref(cl, n, d), true
 		}
 	case classfile.TagInterfaceMethodref:
 		if cl, n, d, ok := src.MemberRef(idx); ok {
-			return dst.AddInterfaceMethodref(cl, n, d)
+			return dst.AddInterfaceMethodref(cl, n, d), true
 		}
 	}
-	return idx
+	return idx, false
 }
 
 // binOpcode selects the arithmetic opcode for an operator and kind.
