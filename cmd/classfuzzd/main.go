@@ -22,7 +22,7 @@
 //	curl -s localhost:8317/metrics.json
 //
 // SIGTERM/SIGINT drain gracefully: intake answers 503, running epochs
-// stop at a coordinator boundary without folding (the restart runs
+// stop at a draw boundary without folding (the restart runs
 // them again), queued seeds persist.
 package main
 

@@ -317,12 +317,14 @@ func main() {
 	fmt.Printf("Session metrics snapshot (observe-only; results are identical with\n")
 	fmt.Printf("telemetry detached). Stage timings are per-iteration means over the\n")
 	fmt.Printf("campaign engine's pipeline spans; the seed pass is timed once per\n")
-	fmt.Printf("engine run and once per scheduler build.\n\n")
+	fmt.Printf("engine run and once per scheduler build. Idle is a worker waiting for\n")
+	fmt.Printf("a task while the rest of the pipeline window runs or waits behind its\n")
+	fmt.Printf("head, one sample per wait.\n\n")
 	fmt.Printf("| stage | samples | mean |\n|---|---|---|\n")
 	if h := final.Hist("seedsel.baselines_ns"); h.Count > 0 {
 		fmt.Printf("| seedsel baselines | %d | %s |\n", h.Count, h.MeanDuration())
 	}
-	for _, stage := range []string{"seeds", "draw", "mutate", "prefilter", "exec", "commit"} {
+	for _, stage := range []string{"seeds", "draw", "mutate", "prefilter", "exec", "commit", "idle"} {
 		h := final.Hist("campaign.stage." + stage + "_ns")
 		if h.Count == 0 {
 			continue

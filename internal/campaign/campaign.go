@@ -115,13 +115,14 @@ type Config struct {
 	// 0 or 1 means single-threaded. Results are identical at any value.
 	Workers int
 	// Observer receives engine events (may be nil). Events fire from the
-	// sequential draw/commit stages, so their order is deterministic.
+	// sequential draw/commit stages, so their order is deterministic;
+	// they fire on whichever worker holds the sequencer (see Event).
 	Observer Observer
-	// Stop, when closed, ends the campaign at the next coordinator
-	// boundary: no further iteration is drawn, the in-flight window
-	// commits, and Run returns a partial Result (Stopped, Drawn <
-	// Iterations) whose draw log and suite are a prefix of the
-	// uninterrupted run's. A nil or never-closed Stop changes nothing.
+	// Stop, when closed, ends the campaign before its next draw: the
+	// draw stage polls it before each iteration, nothing more is drawn
+	// once it has closed, the in-flight window still commits, and Run
+	// returns a partial Result (Stopped, Drawn < Iterations) whose draw
+	// log and suite are a prefix of the uninterrupted run's. A nil or never-closed Stop changes nothing.
 	// A stopped campaign cannot be continued; it is run again from
 	// iteration 0, which reproduces it exactly.
 	Stop <-chan struct{}

@@ -2,8 +2,10 @@ package campaign
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
@@ -25,23 +27,20 @@ type poolEntry struct {
 	iter  int
 }
 
-// task carries one iteration through the pipeline. The draw stage fills
-// the input fields on the coordinator; a worker fills the output fields;
-// the commit stage reads them back on the coordinator (the worker's send
-// on done and the coordinator's receive order the accesses). Ownership
-// alternates strictly — coordinator while drawing, one worker between
-// the dispatch send and its send on done, coordinator again at commit —
-// so no field needs a lock. Tasks are recycled through a
-// coordinator-owned free list together with their class-byte buffer and
-// their done channel.
+// task carries one iteration through the pipeline. Draw fills the input
+// fields; the one worker that receives the task fills the output
+// fields; commit reads both. Ownership passes along without overlap —
+// the drawing goroutine until its send on the dispatch channel, the
+// receiving worker until it marks the task's window slot finished,
+// the sequencer at commit — and the channel orders the first handoff,
+// the slot's atomic flag the second, so no field needs a lock. Each
+// task belongs to one slot of the window for the whole campaign: slot s
+// carries iterations s, s+D, s+2D…, keeping its class-byte buffer from
+// one to the next.
 type task struct {
 	iter   int
 	parent *jimple.Class
 	rec    DrawRecord
-	// done carries one signal per iteration the task serves: buffered,
-	// so the worker's send never waits, and empty again once commit has
-	// received it, ready for the task's next iteration.
-	done chan struct{}
 
 	// outputs of the mutate/filter/execute stages
 	applied  bool // mutator applicable
@@ -101,6 +100,7 @@ type engineTel struct {
 	exec      *telemetry.Histogram // campaign.stage.exec_ns
 	commit    *telemetry.Histogram // campaign.stage.commit_ns
 	seeds     *telemetry.Histogram // campaign.stage.seeds_ns
+	idle      *telemetry.Histogram // campaign.stage.idle_ns
 
 	// prefilter counter values at campaign start, so a reused external
 	// registry still yields this campaign's own PrefilterStats.
@@ -140,6 +140,7 @@ func newEngineTel(reg *telemetry.Registry, timing bool) engineTel {
 		t.exec = reg.Histogram("campaign.stage.exec_ns")
 		t.commit = reg.Histogram("campaign.stage.commit_ns")
 		t.seeds = reg.Histogram("campaign.stage.seeds_ns")
+		t.idle = reg.Histogram("campaign.stage.idle_ns")
 	}
 	t.pfBase = [5]int64{t.pfChecked.Load(), t.pfDoomed.Load(), t.pfSkipped.Load(), t.pfExecuted.Load(), t.pfVerify.Load()}
 	return t
@@ -179,18 +180,25 @@ type engine struct {
 
 	res *Result
 
-	// drawR is the coordinator's reused draw-stream generator: reseeded
+	// drawR is the draw stage's reused draw-stream generator: reseeded
 	// per iteration (prng.Reseed), byte-for-byte equivalent to a fresh
 	// drawRNG but without reallocating the ~5KB rand source each draw.
 	drawR *rand.Rand
-	// freeTasks recycles tasks (and their byte buffers) on the
-	// coordinator once they have committed.
-	freeTasks []*task
+
+	// The pipeline window (see run). ring holds the D tasks, one per
+	// slot; finished[s] is set by the worker that processed slot s's
+	// task and cleared at its commit; tasks dispatches drawn tasks to
+	// the workers; seq is the sequencer's lock.
+	ring     [DefaultLookahead]task
+	finished [DefaultLookahead]atomic.Bool
+	tasks    chan *task
+	seq      atomic.Bool
 
 	// drawn and committed count the iterations that entered the
-	// pipeline and those that committed; they advance only on the
-	// coordinator. mergedCov is the word-OR of the seed traces and every
-	// accepted trace (Result.Coverage).
+	// pipeline and those that committed; they change only in the first
+	// window's draws, before any worker starts, and under seq after.
+	// mergedCov is the word-OR of the seed traces and every accepted
+	// trace (Result.Coverage).
 	drawn     int
 	committed int
 	stopped   bool
@@ -248,7 +256,7 @@ func newEngine(cfg Config) *engine {
 	if sel, ok := e.selector.(*mcmc.Sampler); ok && e.timing {
 		// Live per-mutator gauges (same names finalize Sets for the
 		// non-MCMC selectors), maintained as the chain draws and
-		// records on the sequential coordinator.
+		// records in the sequential draw and commit stages.
 		selG := make([]*telemetry.Gauge, len(e.muts))
 		succG := make([]*telemetry.Gauge, len(e.muts))
 		for i, m := range e.muts {
@@ -317,70 +325,58 @@ func (e *engine) foldSeeds(traces []*coverage.Trace) {
 }
 
 func (e *engine) run() (*Result, error) {
-	cfg := &e.cfg
 	start := time.Now() //detlint:ok Result.Elapsed is reporting-only
 
 	e.initSeedState()
 	e.tel.poolSize.Set(int64(len(e.pool)))
 
-	// The pipeline. The coordinator (this goroutine) performs draws and
-	// commits in a fixed interleaving — draw(0..D-1), then
-	// commit(i−D); draw(i) for each subsequent i — so every draw
-	// observes exactly the commits of iterations ≤ i−D regardless of
-	// how the worker pool schedules the stages in between. At most D
-	// tasks are in flight, hence the ring and the channel bound. Each
-	// drawn task is sent to the pool at once; a worker runs
-	// mutate/filter/execute against its long-lived scratch and signals
-	// the task's done channel, which commit receives from.
+	// The pipeline. Draws and commits follow one fixed interleaving —
+	// draw(0..D-1), then commit(i−D); draw(i) for each subsequent i,
+	// then the trailing commits — so every draw observes exactly the
+	// commits of iterations ≤ i−D however the workers are scheduled. At
+	// most D tasks are in flight, hence the window's D slots and the
+	// channel's bound. This goroutine draws the first window before any
+	// worker starts and then only waits; the workers run
+	// mutate/filter/execute, and the one that finds the window's head
+	// finished commits it (advance).
 	//
-	// A closed Config.Stop ends the drawing at the next coordinator
-	// boundary; the drawn window still commits, so a stopped run's draw
-	// log and suite are a prefix of the uninterrupted run's.
-	D := DefaultLookahead
-	N := cfg.Iterations
-	tasks := make(chan *task, D)
-	ring := make([]*task, D)
-
+	// A closed Config.Stop ends the drawing before the next draw; the
+	// drawn window still commits, so a stopped run's draw log and suite
+	// are a prefix of the uninterrupted run's.
+	e.tasks = make(chan *task, DefaultLookahead)
+	for e.drawn < DefaultLookahead && e.drawing() {
+		e.dispatch()
+	}
+	if e.drawn == 0 {
+		close(e.tasks)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < cfg.workers(); w++ {
+	for range e.cfg.workers() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ws := e.newScratch()
-			for t := range tasks {
-				f := e.process(t, ws)
-				if scratchHook != nil {
-					scratchHook(ws, f)
-				}
-				t.done <- struct{}{}
-			}
-			e.addLowerStats(ws.lctx.Stats())
+			e.work()
 		}()
-	}
-
-	for i := 0; i < N; i++ {
-		if stopRequested(cfg.Stop) {
-			e.stopped = true
-			break
-		}
-		if i >= D {
-			e.commitTask(ring[(i-D)%D])
-		}
-		t := e.getTask()
-		e.draw(i, t)
-		ring[i%D] = t
-		tasks <- t
-	}
-	// Drain the in-flight window (all of it, after a stop).
-	close(tasks)
-	for e.committed < e.drawn {
-		e.commitTask(ring[e.committed%D])
 	}
 	wg.Wait()
 
 	e.finalize()
 	e.res.Elapsed = time.Since(start) //detlint:ok Result.Elapsed is reporting-only
 	return e.res, nil
+}
+
+// drawing reports whether the next iteration is drawn: the budget has
+// room and Config.Stop has not closed. A stop latches, so the draws end
+// for good at the first boundary that sees it.
+func (e *engine) drawing() bool {
+	if e.stopped || e.drawn == e.cfg.Iterations {
+		return false
+	}
+	if stopRequested(e.cfg.Stop) {
+		e.stopped = true
+		return false
+	}
+	return true
 }
 
 // stopRequested reports whether stop has closed (never, for nil).
@@ -393,28 +389,106 @@ func stopRequested(stop <-chan struct{}) bool {
 	}
 }
 
-// getTask pops a recycled task or allocates a fresh one with its done
-// channel. Coordinator-goroutine only.
-func (e *engine) getTask() *task {
-	if n := len(e.freeTasks); n > 0 {
-		t := e.freeTasks[n-1]
-		e.freeTasks = e.freeTasks[:n-1]
-		return t
-	}
-	return &task{done: make(chan struct{}, 1)}
+// dispatch draws the next iteration into its window slot and sends the
+// task to the workers. The send never blocks: the channel holds only
+// drawn, unreceived tasks, and with at most D tasks in flight and the
+// slot's previous task committed, fewer than D of them are queued.
+func (e *engine) dispatch() {
+	t := &e.ring[e.drawn%DefaultLookahead]
+	e.draw(e.drawn, t)
+	e.tasks <- t
 }
 
-// recycle returns a committed task to the free list, keeping its done
-// channel and its class-byte buffer when the bytes did not escape into
-// the result, and dropping every other field so a parked task pins
-// nothing. Coordinator-goroutine only.
+// work is one worker: it runs mutate/filter/execute for each task it
+// receives against its long-lived scratch, marks the task's slot
+// finished and offers to commit. The worker that finishes the last
+// iteration of each window yields the processor: nothing else parks a
+// CPU-bound worker, and without the yield another goroutine (a daemon's
+// HTTP handler) could wait out the scheduler's whole time slice.
+func (e *engine) work() {
+	ws := e.newScratch()
+	for {
+		t, ok := e.receive()
+		if !ok {
+			break
+		}
+		f := e.process(t, ws)
+		if scratchHook != nil {
+			scratchHook(ws, f)
+		}
+		slot := t.iter % DefaultLookahead
+		e.finished[slot].Store(true) // t belongs to the sequencer from here
+		e.advance()
+		if slot == DefaultLookahead-1 {
+			runtime.Gosched()
+		}
+	}
+	e.addLowerStats(ws.lctx.Stats())
+}
+
+// receive takes the next task off the dispatch channel. With a registry
+// attached, a wait on an empty channel that ends in a task — every task
+// of the window is running, or finished behind an unfinished head — is
+// recorded as campaign.stage.idle_ns; the wait for the close at the end
+// is not.
+func (e *engine) receive() (*task, bool) {
+	select {
+	case t, ok := <-e.tasks:
+		return t, ok
+	default:
+	}
+	sp := telemetry.StartSpan(e.tel.idle)
+	t, ok := <-e.tasks
+	if ok {
+		sp.End()
+	}
+	return t, ok
+}
+
+// advance is the sequencer: whichever goroutine takes its lock commits
+// every finished task at the head of the window, in iteration order,
+// and after each commit draws the next iteration into the freed slot.
+// The last commit closes the dispatch channel. A goroutine that finds
+// the lock taken leaves at once; the holder, after unlocking, looks at
+// the head again, so a task finished while the lock was held is not
+// left uncommitted. That argument needs the finished flag's store and
+// the lock attempt to be sequentially consistent, which Go's atomics
+// are and Mutex.TryLock's unsynchronised first read is not, hence an
+// atomic flag for the lock. Everything the draw and commit stages
+// touch — pool, selector, suite, seed source, draw log, observer — is
+// touched only here, or in the first window's draws before any worker
+// starts.
+func (e *engine) advance() {
+	for e.seq.CompareAndSwap(false, true) {
+		for e.committed < e.drawn && e.finished[e.committed%DefaultLookahead].Load() {
+			slot := e.committed % DefaultLookahead
+			e.finished[slot].Store(false)
+			t := &e.ring[slot]
+			e.commit(t)
+			e.recycle(t)
+			if e.drawing() {
+				e.dispatch()
+			} else if e.committed == e.drawn {
+				close(e.tasks)
+			}
+		}
+		head, pending := e.committed%DefaultLookahead, e.committed < e.drawn
+		e.seq.Store(false)
+		if !pending || !e.finished[head].Load() {
+			return
+		}
+	}
+}
+
+// recycle clears a committed task for its slot's next iteration,
+// keeping its class-byte buffer when the bytes did not escape into the
+// result and dropping every other field, so an idle slot pins nothing.
 func (e *engine) recycle(t *task) {
 	buf := t.buf
 	if t.data != nil && !t.dataRetained {
 		buf = t.data[:0]
 	}
-	*t = task{buf: buf, done: t.done}
-	e.freeTasks = append(e.freeTasks, t)
+	*t = task{buf: buf}
 }
 
 // draw runs the sequential draw stage for iteration i: pick a seed from
@@ -596,14 +670,6 @@ func (e *engine) prefilterLookup(t *task, f *classfile.File) (lfp, vfp uint64, h
 		return lfp, vfp, true
 	}
 	return lfp, vfp, false
-}
-
-// commitTask waits for a worker to finish the task, commits it and
-// recycles it.
-func (e *engine) commitTask(t *task) {
-	<-t.done
-	e.commit(t)
-	e.recycle(t)
 }
 
 // commit runs the sequential commit stage for one task, in iteration

@@ -3,9 +3,13 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/coverage"
 	"repro/internal/jimple"
@@ -383,13 +387,44 @@ func runStopped(t *testing.T, cfg Config, iter int) *Result {
 	return res
 }
 
-// TestStopAtBoundary pins Config.Stop: a campaign stopped at a
-// coordinator boundary returns Stopped with Drawn < Iterations, every
+// checkPrefix requires res, a run of full's configuration that drew
+// res.Drawn iterations, to be a prefix of the uninterrupted run full:
+// its draw log, generated classes and accepted suite are those of
+// full's first res.Drawn iterations.
+func checkPrefix(t *testing.T, label string, full, res *Result) {
+	t.Helper()
+	drawn := res.Drawn
+	want := *full
+	want.Draws = full.Draws[:drawn]
+	want.Gen, want.Test = nil, nil
+	for _, g := range full.Gen {
+		if g.Iter < drawn {
+			want.Gen = append(want.Gen, g)
+		}
+	}
+	for _, g := range full.Test {
+		if g.Iter < drawn {
+			want.Test = append(want.Test, g)
+		}
+	}
+	got := suiteSummarize(res)
+	got.GenUnique, got.MutatorStats = 0, nil
+	exp := suiteSummarize(&want)
+	exp.GenUnique, exp.MutatorStats = 0, nil
+	if !reflect.DeepEqual(got, exp) {
+		t.Errorf("%s: the stopped run is no prefix of the uninterrupted one", label)
+	}
+}
+
+// TestStopAtBoundary pins Config.Stop: a campaign whose Stop closes
+// between two draws returns Stopped with Drawn < Iterations, every
 // drawn iteration commits, and its draw log, generated classes and
 // accepted suite are a prefix of the uninterrupted run's — at one and
-// four workers, for the flat draw and both schedulers. Running the
-// configuration again from iteration 0, as a restarted daemon epoch
-// does, reproduces the uninterrupted run.
+// four workers, for the flat draw and both schedulers. The observer
+// closes Stop at a chosen draw, so the stop point is exact; TestStopAsync
+// closes it from outside. Running the configuration again from
+// iteration 0, as a restarted daemon epoch does, reproduces the
+// uninterrupted run.
 func TestStopAtBoundary(t *testing.T) {
 	sources := map[string]func() Config{
 		"uniform":   func() Config { return detConfig(Classfuzz) },
@@ -415,26 +450,7 @@ func TestStopAtBoundary(t *testing.T) {
 						name, workers, iter, res.Stopped, res.Drawn, len(res.Draws), drawn)
 					continue
 				}
-				want := *full
-				want.Draws = full.Draws[:drawn]
-				want.Gen, want.Test = nil, nil
-				for _, g := range full.Gen {
-					if g.Iter < drawn {
-						want.Gen = append(want.Gen, g)
-					}
-				}
-				for _, g := range full.Test {
-					if g.Iter < drawn {
-						want.Test = append(want.Test, g)
-					}
-				}
-				got := suiteSummarize(res)
-				got.GenUnique, got.MutatorStats = 0, nil
-				exp := suiteSummarize(&want)
-				exp.GenUnique, exp.MutatorStats = 0, nil
-				if !reflect.DeepEqual(got, exp) {
-					t.Errorf("%s workers=%d stop after %d: the stopped run is no prefix of the uninterrupted one", name, workers, iter)
-				}
+				checkPrefix(t, fmt.Sprintf("%s workers=%d stop after %d", name, workers, iter), full, res)
 			}
 			cfg := mk()
 			cfg.Workers = workers
@@ -445,6 +461,142 @@ func TestStopAtBoundary(t *testing.T) {
 			if !reflect.DeepEqual(suiteSummarize(again), suiteSummarize(full)) {
 				t.Errorf("%s workers=%d: the run from iteration 0 diverges from the uninterrupted run", name, workers)
 			}
+		}
+	}
+}
+
+// goroutinesAtMost polls runtime.NumGoroutine for up to a second until
+// it reads at most n, and returns the last reading: a goroutine that
+// has signalled its WaitGroup takes a moment to exit.
+func goroutinesAtMost(n int) int {
+	deadline := time.Now().Add(time.Second)
+	for {
+		got := runtime.NumGoroutine()
+		if got <= n || time.Now().After(deadline) {
+			return got
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// goroutinePeak is an Observer recording the largest goroutine count
+// seen at any event. Events fire one at a time under the sequencer, so
+// the field needs no lock.
+type goroutinePeak struct{ peak int }
+
+func (g *goroutinePeak) Event(Event) { g.peak = max(g.peak, runtime.NumGoroutine()) }
+
+// TestStopAsync closes Config.Stop from another goroutine after a
+// random delay, at one, two and eight workers. Run must return, and its
+// result must be a prefix of the uninterrupted run, stopped at whichever
+// draw the close reached (or complete, if the close came late). The
+// campaign runs on exactly Workers goroutines besides its caller:
+// sampled at every event, the goroutine count never exceeds the count
+// before Run plus Workers, and after Run returns it is back there.
+func TestStopAsync(t *testing.T) {
+	mk := func() Config {
+		cfg := schedConfig(t, seedsel.Clustered) // baselines recorded: Run starts no seed pass
+		cfg.Iterations = 2000
+		return cfg
+	}
+	full, err := Run(mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	seed := time.Now().UnixNano()
+	rng := rand.New(rand.NewSource(seed))
+	t.Logf("delay seed %d; uninterrupted run %v", seed, full.Elapsed)
+	for _, workers := range []int{1, 2, 8} {
+		for trial := 0; trial < 3; trial++ {
+			cfg := mk()
+			goroutinesAtMost(base) // the scheduler's seed pass has exited
+			stop := make(chan struct{})
+			peak := &goroutinePeak{}
+			cfg.Workers, cfg.Stop, cfg.Observer = workers, stop, peak
+			type outcome struct {
+				res       *Result
+				err       error
+				pre, post int
+			}
+			out := make(chan outcome, 1)
+			go func() {
+				var o outcome
+				o.pre = runtime.NumGoroutine()
+				o.res, o.err = Run(cfg)
+				o.post = goroutinesAtMost(o.pre)
+				out <- o
+			}()
+			delay := time.Duration(rng.Int63n(int64(full.Elapsed) + 1))
+			time.Sleep(delay)
+			close(stop)
+			o := <-out
+			label := fmt.Sprintf("workers=%d stop after %v", workers, delay)
+			if o.err != nil {
+				t.Fatalf("%s: %v", label, o.err)
+			}
+			res := o.res
+			t.Logf("%s: drew %d of %d; goroutines %d before, peak %d, %d after", label, res.Drawn, res.Iterations, o.pre, peak.peak, o.post)
+			if res.Stopped != (res.Drawn < res.Iterations) || len(res.Draws) != res.Drawn {
+				t.Errorf("%s: Stopped=%v with Drawn=%d of %d and %d draws", label, res.Stopped, res.Drawn, res.Iterations, len(res.Draws))
+				continue
+			}
+			checkPrefix(t, label, full, res)
+			if peak.peak > o.pre+workers {
+				t.Errorf("%s: %d goroutines during the run, more than %d before it plus %d workers", label, peak.peak, o.pre, workers)
+			}
+			if o.post > o.pre {
+				t.Errorf("%s: %d goroutines after the run, %d before it", label, o.post, o.pre)
+			}
+		}
+	}
+}
+
+// TestStageSpansWithinWallClock: at one worker the stage spans never
+// overlap — the first window is drawn before the worker starts, and the
+// worker then draws and commits between its own tasks — so the
+// campaign.stage.*_ns sums add up to at most Result.Elapsed. At paper
+// breadth they also add up to at least 0.8 of it, so no stage goes
+// untimed: on 2 vCPUs ten idle runs read 0.93–0.95 and 24 beside a
+// parallel go test 0.89–0.97 (0.89 at GOMAXPROCS 1, 0.96–0.97 under
+// -race). The 60-seed campaign takes about 10 ms, so the worker's
+// start-up and a GC cycle outside the spans weigh more: beside a
+// parallel go test it read as low as 0.69, and it has no lower bound.
+func TestStageSpansWithinWallClock(t *testing.T) {
+	for _, c := range []struct {
+		seeds, iters int
+		min          float64
+	}{{60, 400, 0}, {1216, 20000, 0.8}} {
+		if testing.Short() && c.seeds > 60 {
+			continue
+		}
+		reg := telemetry.New()
+		res, err := Run(Config{
+			Algorithm:       Classfuzz,
+			Criterion:       coverage.STBR,
+			Source:          FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(c.seeds, 1))),
+			Iterations:      c.iters,
+			Rand:            1,
+			RefSpec:         jvm.HotSpot9(),
+			StaticPrefilter: true,
+			Workers:         1,
+			Telemetry:       reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		for name, h := range reg.Snapshot().Histograms {
+			if strings.HasPrefix(name, "campaign.stage.") {
+				sum += h.Sum
+			}
+		}
+		ratio := float64(sum) / float64(res.Elapsed)
+		t.Logf("%d seeds x %d iterations: stage sum %v of %v elapsed (%.3f)",
+			c.seeds, c.iters, time.Duration(sum), res.Elapsed, ratio)
+		if ratio > 1 || ratio < c.min {
+			t.Errorf("%d seeds x %d iterations: stage spans sum to %v, %.3f of the %v the campaign took; want %.1f to 1",
+				c.seeds, c.iters, time.Duration(sum), ratio, res.Elapsed, c.min)
 		}
 	}
 }

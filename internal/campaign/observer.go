@@ -8,11 +8,16 @@ import (
 )
 
 // Event is one engine occurrence, delivered to the Observer as a typed
-// struct. All events fire from the sequential draw/commit stages —
-// never from workers — so for a fixed campaign configuration the event
-// sequence is identical at any worker count. Observers driven by a
-// single engine therefore need no locking; an observer shared across
-// concurrent campaigns must synchronise itself.
+// struct. All events fire from the sequential draw/commit stages, so
+// for a fixed campaign configuration the event sequence is identical at
+// any worker count. Those stages run under the engine's sequencer, on
+// whichever goroutine holds it: the caller of Run for the first
+// window's draws, then whichever worker found the window's head
+// finished. Events therefore arrive one at a time, each ordered after
+// the last, and observers driven by a single engine need no locking;
+// an observer shared across concurrent campaigns must synchronise
+// itself. An observer that blocks stalls the worker holding the
+// sequencer, and with it every draw and commit of the campaign.
 //
 // The concrete event types are IterationStarted, Mutated, Executed,
 // Accepted and SelectorUpdated. Counts of them live in the engine's

@@ -50,7 +50,7 @@ const (
 // The cache is *versioned* so its behaviour is deterministic under the
 // worker pool: an entry inserted by iteration j's commit is visible
 // only to iterations i with j ≤ i−Lookahead. Those commits happen
-// before draw(i) on the sequential coordinator, so visibility depends
+// before draw(i) in the sequential draw/commit order, so visibility depends
 // only on iteration numbers — never on which worker ran what when. A
 // doomed mutant whose fingerprint was seeded inside the window executes
 // redundantly (exactly as it would at workers=1), which costs a little

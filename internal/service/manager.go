@@ -152,8 +152,8 @@ type Manager struct {
 	wg     sync.WaitGroup // shard loops
 	bgWG   sync.WaitGroup // intake + http serve
 	// stopCh closes when Stop begins; it is every epoch's
-	// campaign.Config.Stop, so running epochs end at their next
-	// coordinator boundary.
+	// campaign.Config.Stop, so running epochs end before their next
+	// draw.
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
@@ -315,8 +315,8 @@ func (m *Manager) Addr() string {
 func (m *Manager) Wait() { m.wg.Wait() }
 
 // Stop drains the daemon: intake answers 503, the HTTP listener shuts
-// down, every running shard epoch stops at a coordinator boundary
-// without folding, queued-but-unprocessed seeds are adopted into the
+// down, every running shard epoch stops at a draw boundary without
+// folding, queued-but-unprocessed seeds are adopted into the
 // corpus, and state.json persists. A subsequent Start on the same data
 // directory runs the stopped epochs again from iteration 0, so the
 // folds across both lifetimes are byte-identical to an uninterrupted
@@ -494,8 +494,7 @@ func (m *Manager) epochSource(reg *telemetry.Registry) (campaign.SeedSource, *se
 }
 
 // campaignConfig shapes one epoch's engine run. Its Stop is the
-// manager's stopCh, so a drain ends the epoch at a coordinator
-// boundary.
+// manager's stopCh, so a drain ends the epoch at a draw boundary.
 func (m *Manager) campaignConfig(sh *shard, epoch int, src campaign.SeedSource, reg *telemetry.Registry) campaign.Config {
 	return campaign.Config{
 		Algorithm:       m.cfg.Algorithm,
