@@ -316,8 +316,8 @@ func main() {
 	fmt.Printf("\n## Telemetry\n\n")
 	fmt.Printf("Session metrics snapshot (observe-only; results are identical with\n")
 	fmt.Printf("telemetry detached). Stage timings are per-iteration means over the\n")
-	fmt.Printf("campaign engine's pipeline spans; the seed pass is timed once per\n")
-	fmt.Printf("engine run and once per scheduler build. Idle is a worker waiting for\n")
+	fmt.Printf("campaign engine's pipeline spans, the seed step (with the source's seed\n")
+	fmt.Printf("pass if it runs then) once per engine run. Idle is a worker waiting for\n")
 	fmt.Printf("a task while the rest of the pipeline window runs or waits behind its\n")
 	fmt.Printf("head, one sample per wait.\n\n")
 	fmt.Printf("| stage | samples | mean |\n|---|---|---|\n")

@@ -2,6 +2,8 @@ package campaign
 
 import (
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/classfile"
@@ -15,14 +17,20 @@ import (
 )
 
 // fixedBaselines hands the engine the given traces as a source's
-// baselines. With none it hides the source's recorded traces, so the
-// engine runs the seed pass itself: the oracle for the reused one.
+// baselines. Given an explicit seed pass (explicitPass) it is the oracle
+// for the traces a source keeps and shares.
 type fixedBaselines struct {
 	SeedSource
 	traces []*coverage.Trace
 }
 
 func (f fixedBaselines) Baselines(jvm.Spec) []*coverage.Trace { return f.traces }
+
+// explicitPass is an explicit seed pass of src's corpus on ref: the
+// oracle a source's baselines are held to.
+func explicitPass(src SeedSource, ref jvm.Spec) fixedBaselines {
+	return fixedBaselines{SeedSource: src, traces: seedsel.Traces(seedsel.RunSeeds(src.Corpus(), ref))}
+}
 
 // unlowerableSeed does not lower: its goto spans more than a 16-bit
 // branch offset.
@@ -65,12 +73,10 @@ func sameTraces(a, b []*coverage.Trace) int {
 	return -1
 }
 
-// TestSchedulerBaselinesMatchSeedPass: the seed pass records the same
-// traces and fingerprints, seed by seed, with no memo, a cold memo and
-// a warm one, each with and without a registry, and the scheduler's
-// baselines (the pass with neither) are those traces. The corpora are
-// the default ones of seeds 1-3 plus a seed that does not lower (nil
-// everywhere) and one the verifier rejects.
+// TestSchedulerBaselinesMatchSeedPass: the scheduler's baselines are
+// the seed pass's traces, seed by seed. The corpora are the default
+// ones of seeds 1-3 plus a seed that does not lower (nil everywhere)
+// and one the verifier rejects.
 func TestSchedulerBaselinesMatchSeedPass(t *testing.T) {
 	ref := jvm.HotSpot9()
 	for k := int64(1); k <= 3; k++ {
@@ -83,47 +89,19 @@ func TestSchedulerBaselinesMatchSeedPass(t *testing.T) {
 		if n := len(seeds); got[n-2] != nil || got[n-1] == nil {
 			t.Fatalf("corpus %d: unlowerable baseline %v, verify-reject baseline %v", k, got[n-2], got[n-1])
 		}
-		want := seedsel.RunSeeds(seeds, ref, nil, nil)
-		for _, withReg := range []bool{false, true} {
-			memo := jvm.NewVerifyMemo()
-			for _, pass := range []struct {
-				name string
-				memo *jvm.VerifyMemo
-			}{{"no memo", nil}, {"cold memo", memo}, {"warm memo", memo}} {
-				var reg *telemetry.Registry
-				if withReg {
-					reg = telemetry.New()
-				}
-				runs := seedsel.RunSeeds(seeds, ref, pass.memo, reg)
-				if i := sameTraces(got, seedsel.Traces(runs)); i >= 0 {
-					t.Fatalf("corpus %d, %s, registry %v: seed %d trace differs from the scheduler's baseline", k, pass.name, withReg, i)
-				}
-				for i := range runs {
-					if runs[i].Fingerprint != want[i].Fingerprint {
-						t.Fatalf("corpus %d, %s, registry %v: seed %d fingerprint differs", k, pass.name, withReg, i)
-					}
-				}
-				if !withReg {
-					continue
-				}
-				if got := reg.Snapshot().Counter("jvm." + ref.Name + ".runs"); got != int64(len(seeds)-1) {
-					t.Fatalf("corpus %d, %s: the registry counted %d seed runs, want %d", k, pass.name, got, len(seeds)-1)
-				}
-			}
-			if memo.Len() == 0 {
-				t.Fatalf("corpus %d: the memo stayed empty, so the warm pass hit nothing", k)
-			}
+		if i := sameTraces(got, seedsel.Traces(seedsel.RunSeeds(seeds, ref))); i >= 0 {
+			t.Fatalf("corpus %d: seed %d trace differs from the scheduler's baseline", k, i)
 		}
 	}
 }
 
 // TestEngineFoldsSourceBaselines: the engine folds whatever a source
-// hands it for each seed, and runs its own pass only when the slice
-// does not cover the corpus.
+// hands it for each seed, and Run fails when the slice does not cover
+// the corpus: the engine runs no seed pass of its own.
 func TestEngineFoldsSourceBaselines(t *testing.T) {
 	cfg := schedConfig(t, seedsel.Clustered)
 	seeds := cfg.Source.Corpus()
-	own := seedsel.Traces(seedsel.RunSeeds(seeds, cfg.RefSpec, nil, nil))
+	own := explicitPass(cfg.Source, cfg.RefSpec).traces
 	for _, tc := range []struct {
 		name   string
 		traces []*coverage.Trace
@@ -131,14 +109,13 @@ func TestEngineFoldsSourceBaselines(t *testing.T) {
 	}{
 		{"all nil", make([]*coverage.Trace, len(seeds)), nil},
 		{"recorded", cfg.Source.Baselines(cfg.RefSpec), own},
-		{"one short", make([]*coverage.Trace, len(seeds)-1), own},
-		{"one long", make([]*coverage.Trace, len(seeds)+1), own},
-		{"none", nil, own},
 	} {
 		c := cfg
 		c.Source = fixedBaselines{cfg.Source, tc.traces}
 		e := newEngine(c)
-		e.initSeedState()
+		if err := e.initSeedState(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		want := coverage.NewTrace()
 		for _, tr := range tc.folded {
 			if tr != nil {
@@ -150,6 +127,20 @@ func TestEngineFoldsSourceBaselines(t *testing.T) {
 		}
 		if tc.folded == nil && e.suite.Size() != 0 {
 			t.Errorf("%s: %d seed traces in the suite, want none", tc.name, e.suite.Size())
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		traces []*coverage.Trace
+	}{
+		{"one short", own[:len(own)-1]},
+		{"one long", append(slices.Clip(own), nil)},
+		{"none", nil},
+	} {
+		c := cfg
+		c.Source = fixedBaselines{cfg.Source, tc.traces}
+		if _, err := Run(c); err == nil {
+			t.Errorf("%s: Run accepted %d baselines for %d seeds", tc.name, len(tc.traces), len(seeds))
 		}
 	}
 }
@@ -168,7 +159,7 @@ func summarizeFull(r *Result) fullSummary {
 }
 
 // TestBaselinesReuseEquivalence: a campaign that takes its seed traces
-// from the scheduler equals one that runs its own seed pass — same
+// from the scheduler equals one handed an explicit seed pass — same
 // Result, draw log and test bytes — for both strategies at 1 and 4
 // workers, and when both are stopped at the same boundary.
 func TestBaselinesReuseEquivalence(t *testing.T) {
@@ -176,12 +167,12 @@ func TestBaselinesReuseEquivalence(t *testing.T) {
 		strategy := strategy
 		t.Run(string(strategy), func(t *testing.T) {
 			t.Parallel()
-			mk := func(workers int, hide bool) func() Config {
+			mk := func(workers int, explicit bool) func() Config {
 				return func() Config {
 					cfg := schedConfig(t, strategy)
 					cfg.Workers = workers
-					if hide {
-						cfg.Source = fixedBaselines{SeedSource: cfg.Source}
+					if explicit {
+						cfg.Source = explicitPass(cfg.Source, cfg.RefSpec)
 					}
 					return cfg
 				}
@@ -201,7 +192,7 @@ func TestBaselinesReuseEquivalence(t *testing.T) {
 				stopped := runStopped(t, mk(w, false)(), 60)
 				stoppedOwn := runStopped(t, mk(w, true)(), 60)
 				if !reflect.DeepEqual(summarizeFull(stopped), summarizeFull(stoppedOwn)) {
-					t.Errorf("workers=%d: a stopped run reusing the baselines diverges from one running its own seed pass", w)
+					t.Errorf("workers=%d: a stopped run reusing the baselines diverges from one handed its own seed pass", w)
 				}
 			}
 		})
@@ -209,30 +200,26 @@ func TestBaselinesReuseEquivalence(t *testing.T) {
 }
 
 // TestBaselinesOtherRefSpecNotReused: a scheduler recorded on HotSpot 9
-// serves a GIJ-referenced campaign no baselines, so the campaign runs
-// its own seed pass on GIJ, whose traces differ from HotSpot 9's.
+// serves a GIJ-referenced campaign GIJ's seed pass, never its own
+// traces, so the campaign equals one handed an explicit GIJ pass.
 func TestBaselinesOtherRefSpecNotReused(t *testing.T) {
-	mk := func(hide bool) Config {
-		cfg := schedConfig(t, seedsel.Yield)
-		cfg.RefSpec = jvm.GIJ()
-		if hide {
-			cfg.Source = fixedBaselines{SeedSource: cfg.Source}
-		}
-		return cfg
+	cfg := schedConfig(t, seedsel.Yield)
+	cfg.RefSpec = jvm.GIJ()
+	gij := explicitPass(cfg.Source, jvm.GIJ())
+	if i := sameTraces(cfg.Source.Baselines(jvm.GIJ()), gij.traces); i >= 0 {
+		t.Fatalf("seed %d: Baselines(GIJ) of a HotSpot9 scheduler is not GIJ's seed pass", i)
 	}
-	cfg := mk(false)
-	if got := cfg.Source.Baselines(jvm.GIJ()); got != nil {
-		t.Fatalf("a HotSpot9 scheduler handed out %d baselines for GIJ", len(got))
-	}
-	seeds := cfg.Source.Corpus()
-	if sameTraces(cfg.Source.Baselines(jvm.HotSpot9()), seedsel.Traces(seedsel.RunSeeds(seeds, jvm.GIJ(), nil, nil))) < 0 {
+	if sameTraces(cfg.Source.Baselines(jvm.HotSpot9()), gij.traces) < 0 {
 		t.Fatal("GIJ and HotSpot 9 record the same seed traces; the test cannot tell reuse from a seed pass")
 	}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(mk(true))
+	explicit := schedConfig(t, seedsel.Yield)
+	explicit.RefSpec = jvm.GIJ()
+	explicit.Source = explicitPass(explicit.Source, jvm.GIJ())
+	b, err := Run(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,9 +228,96 @@ func TestBaselinesOtherRefSpecNotReused(t *testing.T) {
 	}
 }
 
+// recordingSource logs every slice its source's Baselines hands out.
+type recordingSource struct {
+	SeedSource
+	mu     sync.Mutex
+	handed [][]*coverage.Trace
+}
+
+func (r *recordingSource) Baselines(ref jvm.Spec) []*coverage.Trace {
+	traces := r.SeedSource.Baselines(ref)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.handed = append(r.handed, traces)
+	return traces
+}
+
+// TestFlatSeedsOnePass: one FlatSeeds value serves a campaign and then
+// four concurrent ones (1 and 4 workers, distinct Rand) with one seed
+// pass: every Baselines(HotSpot9) call hands out the same traces, the
+// pass's own, and every campaign equals the same campaign on a fresh
+// source. A request for another spec gets that spec's pass.
+func TestFlatSeedsOnePass(t *testing.T) {
+	seeds := seedgen.Generate(seedgen.DefaultOptions(20, 5))
+	shared := &recordingSource{SeedSource: FlatSeeds(seeds)}
+	type job struct {
+		alg     Algorithm
+		workers int
+		rand    int64
+	}
+	campaigns := []job{{Classfuzz, 1, 17}, {Classfuzz, 4, 18}, {Uniquefuzz, 1, 19}, {Greedyfuzz, 4, 20}, {Classfuzz, 1, 21}}
+	mk := func(c job, src SeedSource) Config {
+		cfg := detConfig(c.alg)
+		cfg.Source, cfg.Workers, cfg.Rand = src, c.workers, c.rand
+		return cfg
+	}
+	results := make([]*Result, len(campaigns))
+	errs := make([]error, len(campaigns))
+	results[0], errs[0] = Run(mk(campaigns[0], shared))
+	var wg sync.WaitGroup
+	for i := 1; i < len(campaigns); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Run(mk(campaigns[i], shared))
+		}()
+	}
+	wg.Wait()
+	for i, c := range campaigns {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		fresh, err := Run(mk(c, FlatSeeds(seeds)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(summarizeFull(results[i]), summarizeFull(fresh)) {
+			t.Errorf("campaign %d (%s, %d workers): the shared source's run differs from a fresh source's", i, c.alg, c.workers)
+		}
+	}
+
+	if len(shared.handed) != len(campaigns) {
+		t.Fatalf("%d Baselines calls for %d campaigns", len(shared.handed), len(campaigns))
+	}
+	first := shared.handed[0]
+	if i := sameTraces(first, explicitPass(shared, jvm.HotSpot9()).traces); i >= 0 {
+		t.Fatalf("seed %d: the shared baselines are not the seed pass's", i)
+	}
+	for k, traces := range append(shared.handed[1:], shared.SeedSource.Baselines(jvm.HotSpot9())) {
+		for i := range first {
+			if traces[i] != first[i] {
+				t.Fatalf("call %d, seed %d: Baselines handed out another trace than the first call's", k+1, i)
+			}
+		}
+	}
+
+	gij := shared.SeedSource.Baselines(jvm.GIJ())
+	if i := sameTraces(gij, explicitPass(shared, jvm.GIJ()).traces); i >= 0 {
+		t.Fatalf("seed %d: Baselines(GIJ) is not GIJ's seed pass", i)
+	}
+	if sameTraces(gij, first) < 0 {
+		t.Fatal("Baselines(GIJ) handed out HotSpot 9's traces")
+	}
+	if again := shared.SeedSource.Baselines(jvm.GIJ()); len(again) != len(gij) || (len(gij) > 0 && again[0] != gij[0]) {
+		t.Error("a second Baselines(GIJ) call ran another pass")
+	}
+}
+
 // TestSeedStageTelemetry: campaign.stage.seeds_ns takes one sample per
-// engine run, stopped or not, whether the seed traces were reused or
-// run; seedsel.baselines_ns one per scheduler built with a registry.
+// engine run, stopped or not, whether the source kept its seed traces
+// or ran them for this run; seedsel.baselines_ns one per scheduler
+// built with a registry.
 func TestSeedStageTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(20, 5))

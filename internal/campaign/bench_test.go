@@ -27,13 +27,19 @@ func benchConfig(workers int) Config {
 }
 
 func benchCampaign(b *testing.B, workers int) {
-	benchCampaignCfg(b, benchConfig(workers))
+	benchCampaignCfg(b, benchConfig(workers), true)
 }
 
-func benchCampaignCfg(b *testing.B, cfg Config) {
+// benchCampaignCfg runs cfg b.N times. fresh gives every op a new
+// FlatSeeds over cfg's corpus, so each op includes its seed pass;
+// without it the ops share the source's one pass.
+func benchCampaignCfg(b *testing.B, cfg Config, fresh bool) {
 	b.ResetTimer()
 	var last *Result
 	for i := 0; i < b.N; i++ {
+		if fresh {
+			cfg.Source = FlatSeeds(cfg.Source.Corpus())
+		}
 		res, err := Run(cfg)
 		if err != nil {
 			b.Fatal(err)
@@ -58,17 +64,20 @@ func BenchmarkCampaign8Workers(b *testing.B) { benchCampaign(b, 8) }
 // memo targets: the same campaign re-run with a memo carried across
 // runs (a daemon shard re-fuzzing a lineage epoch after epoch), so
 // every untouched method of every mutant generation hits the memo.
+// Its one cfg keeps one source across ops, so the ops also share its
+// seed pass, as a uniform daemon shard's epochs on one corpus do.
 // Results stay bit-identical to the cold run — the memo is
 // observe-equivalent — only the wall clock moves. The bench-compare CI
 // gate watches this next to the cold benchmarks.
 func BenchmarkCampaignWarmLineage(b *testing.B) {
 	cfg := benchConfig(1)
 	cfg.VerifyMemo = jvm.NewVerifyMemo()
-	// Warm the memo with one full campaign before timing.
+	// Warm the memo, and run the seed pass, with one full campaign
+	// before timing.
 	if _, err := Run(cfg); err != nil {
 		b.Fatal(err)
 	}
-	benchCampaignCfg(b, cfg)
+	benchCampaignCfg(b, cfg, false)
 }
 
 // BenchmarkCampaignYieldSched is the scheduler hot path: the same
@@ -102,7 +111,7 @@ func BenchmarkCampaignYieldSched(b *testing.B) {
 func BenchmarkCampaign1WorkerTelemetry(b *testing.B) {
 	cfg := benchConfig(1)
 	cfg.Telemetry = telemetry.New()
-	benchCampaignCfg(b, cfg)
+	benchCampaignCfg(b, cfg, true)
 }
 
 // BenchmarkLineageEpoch is one epoch of a daemon shard's lineage (the

@@ -102,10 +102,10 @@ type Config struct {
 	StaticPrefilter bool
 	// VerifyMemo optionally injects a method-verification memo the
 	// caller carries warm across campaigns (a lineage of epochs reusing
-	// its parents' per-method verdicts). The worker VMs and the seed
-	// pass's VMs (seedsel.RunSeeds, run only when the Source has no
-	// Baselines) share it concurrently; it holds runtime-verifier
-	// verdicts only, since the prefilter runs no verifier of its own.
+	// its parents' per-method verdicts). The worker VMs share it
+	// concurrently; the seed pass is the Source's and runs without it.
+	// It holds runtime-verifier verdicts only, since the prefilter runs
+	// no verifier of its own.
 	// Nil runs verification unmemoised: a memo created cold for one
 	// campaign costs more memory than it saves. The memo is
 	// observe-equivalent: verdicts are content-addressed and pure, so

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strconv"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/mutation"
 	"repro/internal/prng"
-	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
 
@@ -271,8 +271,7 @@ func newEngine(cfg Config) *engine {
 	// caller's campaigns: a mutant's untouched methods (the generated
 	// main, <init>, unmutated seed methods) reuse lineage verdicts
 	// instead of re-running the verifier on every generation. Every
-	// worker VM, and every seed-pass VM when the engine runs the pass,
-	// shares it.
+	// worker VM shares it.
 	if cfg.VerifyMemo != nil && cfg.Telemetry != nil {
 		cfg.VerifyMemo.UseTelemetry(cfg.Telemetry)
 	}
@@ -282,9 +281,10 @@ func newEngine(cfg Config) *engine {
 // initSeedState builds the seed pool and folds the seed traces into
 // the acceptance state (Algorithm 1 line 1 initialises TestClasses
 // with the seeds, so seed traces participate in uniqueness checks).
-// The traces are the source's baselines when it recorded them on the
-// reference spec, else the seed pass's (seedsel.RunSeeds).
-func (e *engine) initSeedState() {
+// The traces are the source's baselines on the reference spec: the
+// source owns the seed pass, and a slice that does not cover the
+// corpus is an error.
+func (e *engine) initSeedState() error {
 	sp := telemetry.StartSpan(e.tel.seeds)
 	defer sp.End()
 	e.pool = make([]poolEntry, 0, len(e.seeds))
@@ -292,15 +292,14 @@ func (e *engine) initSeedState() {
 		e.pool = append(e.pool, poolEntry{class: s, iter: -1})
 	}
 	if !e.coverageDirected {
-		return
+		return nil
 	}
 	traces := e.src.Baselines(e.cfg.RefSpec)
 	if len(traces) != len(e.seeds) {
-		// The injected verify memo serves the seed runs like any
-		// worker's, and the registry counts them in the per-VM tables.
-		traces = seedsel.Traces(seedsel.RunSeeds(e.seeds, e.cfg.RefSpec, e.cfg.VerifyMemo, e.cfg.Telemetry))
+		return fmt.Errorf("campaign: the seed source has %d baselines for %d seeds", len(traces), len(e.seeds))
 	}
 	e.foldSeeds(traces)
+	return nil
 }
 
 // foldSeeds folds the seed traces, in seed order, into the merged
@@ -327,7 +326,9 @@ func (e *engine) foldSeeds(traces []*coverage.Trace) {
 func (e *engine) run() (*Result, error) {
 	start := time.Now() //detlint:ok Result.Elapsed is reporting-only
 
-	e.initSeedState()
+	if err := e.initSeedState(); err != nil {
+		return nil, err
+	}
 	e.tel.poolSize.Set(int64(len(e.pool)))
 
 	// The pipeline. Draws and commits follow one fixed interleaving —

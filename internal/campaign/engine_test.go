@@ -619,7 +619,7 @@ func TestResultCoverageMerged(t *testing.T) {
 		t.Fatal("merged coverage is empty")
 	}
 	want := coverage.NewTrace()
-	for _, tr := range seedsel.Traces(seedsel.RunSeeds(cfg.Source.Corpus(), cfg.RefSpec, nil, nil)) {
+	for _, tr := range seedsel.Traces(seedsel.RunSeeds(cfg.Source.Corpus(), cfg.RefSpec)) {
 		if tr != nil {
 			want = coverage.Merge(want, tr)
 		}

@@ -2,12 +2,9 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
-
-	"repro/internal/coverage"
 )
 
 // Manifest is the on-disk description of a saved campaign: the corpus
@@ -93,31 +90,4 @@ func (r *Result) Save(dir string) error {
 		return err
 	}
 	return os.WriteFile(filepath.Join(dir, "manifest.json"), blob, 0o644)
-}
-
-// LoadCorpus reads a saved suite back: the manifest plus every
-// classfile's bytes, in manifest order.
-func LoadCorpus(dir string) (*Manifest, [][]byte, error) {
-	blob, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	var man Manifest
-	if err := json.Unmarshal(blob, &man); err != nil {
-		return nil, nil, fmt.Errorf("campaign: corrupt manifest: %w", err)
-	}
-	classes := make([][]byte, 0, len(man.Classes))
-	for _, mc := range man.Classes {
-		data, err := os.ReadFile(filepath.Join(dir, mc.File))
-		if err != nil {
-			return nil, nil, err
-		}
-		classes = append(classes, data)
-	}
-	return &man, classes, nil
-}
-
-// Stats rebuilds the coverage statistics pair of a saved class.
-func (mc ManifestClass) Stats() coverage.Stats {
-	return coverage.Stats{Stmts: mc.Stmts, Branches: mc.Branches}
 }

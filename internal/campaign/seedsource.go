@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/coverage"
 	"repro/internal/jimple"
@@ -18,11 +19,11 @@ import (
 // implementation). NewSeedSource picks between the two by strategy.
 //
 // Seed pass. Algorithm 1 runs each seed once on the reference VM to
-// seed the test suite; seedsel.RunSeeds is that pass. A source that
-// already ran it on that VM (seedsel clusters by those runs) hands the
-// engine its traces through Baselines, so each engine run makes
-// exactly one seed pass; a source that ran nothing returns nil, and
-// the engine runs the pass itself.
+// seed the test suite; seedsel.RunSeeds is that pass, and the source
+// owns it: the engine takes the traces from Baselines and runs no seed
+// itself. A source that keeps its traces (FlatSeeds after the first
+// request, a seedsel index and its forks) hands the same pass to every
+// campaign on its corpus.
 //
 // Determinism contract. Pick runs on the sequential draw stage with
 // iteration i's private draw stream; Observe and Grew run on the
@@ -30,8 +31,10 @@ import (
 // be a pure function of its construction inputs and the exact sequence
 // of Pick/Observe/Grew calls — no clocks, no shared RNGs, no
 // goroutines — so campaign results stay bit-identical at any worker
-// count. A stateful source serves exactly one engine run: a campaign
-// run again (a daemon epoch restarted after a kill) gets a fresh one.
+// count. A source with draw state serves exactly one engine run: a
+// campaign run again (a daemon epoch restarted after a kill) gets a
+// fresh one. FlatSeeds has no draw state, so campaigns may share one;
+// its Baselines is safe for concurrent use.
 type SeedSource interface {
 	// Corpus returns the initial seed corpus. The engine clones entries
 	// before mutation; the slice must not change after construction.
@@ -52,19 +55,23 @@ type SeedSource interface {
 	Grew(poolIndex, parent int)
 	// Baselines returns the coverage trace of every Corpus entry run
 	// once on the instrumented ref VM, index for index, with nil for a
-	// seed that does not lower or write. It returns nil when the
-	// source has not recorded on ref. The engine only reads the
-	// traces; they must be exactly what its own seed pass would record.
+	// seed that does not lower or write: seedsel.RunSeeds' traces, on
+	// whatever ref is asked for. The engine only reads the traces, and
+	// Run fails when the slice does not cover the corpus.
 	Baselines(ref jvm.Spec) []*coverage.Trace
 }
 
 // FlatSeeds adapts a flat seed slice to SeedSource with the engine's
-// historical policy: one uniform Intn(n) per draw, no feedback, no
-// state. Campaigns run through FlatSeeds are byte-for-byte identical
-// to campaigns run before the SeedSource redesign (the determinism
+// historical policy: one uniform Intn(n) per draw, no feedback.
+// Campaigns run through FlatSeeds are byte-for-byte identical to
+// campaigns run before the SeedSource redesign (the determinism
 // goldens and the straight-line reference implementation pin this).
+// Its only state is the seed pass: the first Baselines request for a
+// ref runs seedsel.RunSeeds and every later one gets the same
+// immutable, already-keyed traces, so one FlatSeeds serves any number
+// of sequential or concurrent campaigns on its corpus.
 func FlatSeeds(seeds []*jimple.Class) SeedSource {
-	return flatUniform{seeds: seeds}
+	return &flatUniform{seeds: seeds, passes: map[jvm.Spec][]*coverage.Trace{}}
 }
 
 // NewSeedSource builds one engine run's SeedSource from opts: FlatSeeds
@@ -84,13 +91,27 @@ func NewSeedSource(seeds []*jimple.Class, opts seedsel.Options) (SeedSource, *se
 
 type flatUniform struct {
 	seeds []*jimple.Class
+	// mu guards passes, one per reference spec, and is held across a
+	// pass so that concurrent first requests wait for it.
+	mu     sync.Mutex
+	passes map[jvm.Spec][]*coverage.Trace
 }
 
-func (f flatUniform) Corpus() []*jimple.Class              { return f.seeds }
-func (f flatUniform) Pick(rng *rand.Rand, n int) int       { return rng.Intn(n) }
-func (f flatUniform) Observe(int, bool, bool)              {}
-func (f flatUniform) Grew(int, int)                        {}
-func (f flatUniform) Baselines(jvm.Spec) []*coverage.Trace { return nil }
+func (f *flatUniform) Corpus() []*jimple.Class        { return f.seeds }
+func (f *flatUniform) Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
+func (f *flatUniform) Observe(int, bool, bool)        {}
+func (f *flatUniform) Grew(int, int)                  {}
+
+func (f *flatUniform) Baselines(ref jvm.Spec) []*coverage.Trace {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	traces, ok := f.passes[ref]
+	if !ok {
+		traces = seedsel.Traces(seedsel.RunSeeds(f.seeds, ref))
+		f.passes[ref] = traces
+	}
+	return traces
+}
 
 // seedCorpus returns the configured initial corpus (nil-safe).
 func (c *Config) seedCorpus() []*jimple.Class {

@@ -126,13 +126,21 @@ func NewSession(s Scale) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
+	// One seed pass serves the six campaigns: they share one FlatSeeds,
+	// or each gets a Fork of one scheduler index (a scheduler's draw
+	// state serves one run).
+	flat := campaign.FlatSeeds(seeds)
+	var idx *seedsel.Scheduler
+	if strategy != seedsel.Uniform {
+		if idx, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9()}); err != nil {
+			return nil, err
+		}
+	}
 	mk := func(alg campaign.Algorithm, crit coverage.Criterion, iters int) (*campaign.Result, *telemetry.Registry, error) {
 		reg := telemetry.New()
-		// Sources are stateful under the scheduling strategies, so each
-		// campaign gets a fresh one.
-		src, _, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
-		if err != nil {
-			return nil, nil, err
+		src := flat
+		if idx != nil {
+			src = idx.Fork(len(seeds), reg)
 		}
 		res, err := campaign.Run(campaign.Config{
 			Algorithm:  alg,
@@ -169,9 +177,9 @@ func NewSession(s Scale) (*Session, error) {
 		{KeyGreedyfuzz, campaign.Greedyfuzz, coverage.STBR, s.Iterations},
 		{KeyRandfuzz, campaign.Randfuzz, coverage.STBR, s.Iterations * s.RandfuzzFactor},
 	}
-	// The six campaigns share nothing but the (read-only) seed corpus,
-	// so the session fans them out concurrently; each campaign's own
-	// worker pool handles intra-campaign parallelism.
+	// The six campaigns share nothing but the read-only seed corpus and
+	// its seed pass, so the session fans them out concurrently; each
+	// campaign's own worker pool handles intra-campaign parallelism.
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error
@@ -557,10 +565,11 @@ func (s *MCMCGainStudy) String() string {
 func RunMCMCGainStudy(scale Scale, repeats int) (*MCMCGainStudy, error) {
 	study := &MCMCGainStudy{Repeats: repeats, Iterations: scale.Iterations}
 	for r := 0; r < repeats; r++ {
-		seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed+int64(r)))
+		// The repeat's two campaigns share one source and its seed pass.
+		src := campaign.FlatSeeds(seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed+int64(r))))
 		run := func(alg campaign.Algorithm) (int, error) {
 			res, err := campaign.Run(campaign.Config{
-				Algorithm: alg, Criterion: coverage.STBR, Source: campaign.FlatSeeds(seeds),
+				Algorithm: alg, Criterion: coverage.STBR, Source: src,
 				Iterations: scale.Iterations, Rand: scale.Seed + int64(r)*31,
 				RefSpec: jvm.HotSpot9(),
 			})

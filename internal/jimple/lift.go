@@ -111,7 +111,6 @@ type lifter struct {
 	ins    []*bytecode.Instruction
 	locals []*Local
 	bySlot map[int]*Local
-	tmpN   int
 }
 
 // localForSlot finds or creates the local bound to a slot.
@@ -121,13 +120,6 @@ func (l *lifter) localForSlot(slot int, t descriptor.Type) *Local {
 	}
 	lo := &Local{Name: fmt.Sprintf("r%d", slot), Type: t}
 	l.bySlot[slot] = lo
-	l.locals = append(l.locals, lo)
-	return lo
-}
-
-func (l *lifter) newTemp(t descriptor.Type) *Local {
-	l.tmpN++
-	lo := &Local{Name: fmt.Sprintf("$t%d", l.tmpN), Type: t}
 	l.locals = append(l.locals, lo)
 	return lo
 }

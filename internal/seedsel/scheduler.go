@@ -39,10 +39,9 @@ func Traces(runs []SeedRun) []*coverage.Trace {
 // slot i. The runs are spread over GOMAXPROCS goroutines, each with
 // its own VM, recorder and lowering context; every slot depends only
 // on its seed, so the result is the serial one at any GOMAXPROCS.
-// memo, when non-nil, serves every VM's verification: a memo hit
-// replays the verifier's probes, so the traces are the same with or
-// without it. reg, when non-nil, receives every VM's phase timing.
-func RunSeeds(seeds []*jimple.Class, ref jvm.Spec, memo *jvm.VerifyMemo, reg *telemetry.Registry) []SeedRun {
+// Seed sources run it (campaign.FlatSeeds once per reference spec, New
+// once per index); the engine never does.
+func RunSeeds(seeds []*jimple.Class, ref jvm.Spec) []SeedRun {
 	runs := make([]SeedRun, len(seeds))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -53,8 +52,6 @@ func RunSeeds(seeds []*jimple.Class, ref jvm.Spec, memo *jvm.VerifyMemo, reg *te
 			vm := jvm.New(ref)
 			rec := coverage.NewRecorder(jvm.ProbeRegistry())
 			vm.SetRecorder(rec)
-			vm.SetVerifyMemo(memo)
-			vm.SetTelemetry(reg)
 			lctx := jimple.NewLowerCtx()
 			var buf []byte
 			for {
@@ -142,9 +139,10 @@ type Scheduler struct {
 // every seed once on opts.RefSpec to record fingerprints and baseline
 // traces, distils the corpus into clusters, and readies the draw
 // policy. The seed runs are RunSeeds, the campaign's seed pass: the
-// engine takes their traces through Baselines instead of running the
-// seeds again. Construction is deterministic — same corpus and options,
-// same clustering, at any GOMAXPROCS.
+// engine takes their traces through Baselines, and every Fork shares
+// them, so one index serves any number of campaigns with one pass.
+// Construction is deterministic — same corpus and options, same
+// clustering, at any GOMAXPROCS.
 func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	if opts.Strategy != Clustered && opts.Strategy != Yield {
 		return nil, fmt.Errorf("seedsel: strategy %q has no scheduler (uniform is campaign.FlatSeeds)", opts.Strategy)
@@ -154,7 +152,7 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	}
 	s := &Scheduler{strategy: opts.Strategy, ref: opts.RefSpec}
 	sp := telemetry.StartSpan(opts.Telemetry.Histogram("seedsel.baselines_ns"))
-	runs := RunSeeds(seeds, s.ref, nil, nil)
+	runs := RunSeeds(seeds, s.ref)
 	sp.End()
 	s.cluster(runs)
 	for i, c := range seeds {
@@ -277,13 +275,13 @@ func (s *Scheduler) Corpus() []*jimple.Class { return s.seeds }
 
 // Baselines implements campaign.SeedSource: the baseline trace of
 // every corpus entry as AddSeed was handed it, nil for a seed that did
-// not lower. It returns nil when ref is not the spec the traces were
-// recorded on. The traces are shared, not copied: forks of one index
+// not lower. The traces are shared, not copied: forks of one index
 // hand the same ones to concurrent engine runs, and traces are
-// immutable, their keys computed by the seed pass.
+// immutable, their keys computed by the seed pass. For a ref other
+// than the one the scheduler recorded on, it runs the corpus on ref.
 func (s *Scheduler) Baselines(ref jvm.Spec) []*coverage.Trace {
 	if ref != s.ref {
-		return nil
+		return Traces(RunSeeds(s.seeds, ref))
 	}
 	return Traces(s.runs)
 }

@@ -6,8 +6,9 @@
 // weighted by observed mutant yield with stagnant clusters demoted
 // ("yield"), always with an epsilon exploration floor so no seed
 // starves. Scheduler satisfies campaign.SeedSource structurally: this
-// package does not import campaign, whose engine runs its own seed
-// pass through RunSeeds and whose NewSeedSource builds a Scheduler.
+// package does not import campaign, whose NewSeedSource builds a
+// Scheduler. RunSeeds is Algorithm 1's seed pass, which seed sources
+// own (New here, campaign.FlatSeeds there); the engine runs none.
 //
 // Determinism. A Scheduler is a pure function of (seed corpus, options)
 // and the sequence of Pick/Observe/Grew calls the engine's sequential
@@ -30,8 +31,8 @@ import (
 type Strategy string
 
 const (
-	// Uniform is the paper's flat draw (campaign.FlatSeeds implements
-	// it; New refuses it — there is no scheduler to build).
+	// Uniform is the paper's flat draw (campaign.FlatSeeds, which runs
+	// its own seed pass; New refuses it — there is no scheduler to build).
 	Uniform Strategy = "uniform"
 	// Clustered draws a cluster uniformly, then a member uniformly:
 	// structurally/behaviourally distinct seed groups get equal draw

@@ -65,25 +65,20 @@ func TestConstructionDeterministic(t *testing.T) {
 // GOMAXPROCS goroutines, but each lands in its own slot and clustering
 // runs after all of them, so a scheduler built on one core equals one
 // built on four: the cluster table, the classification
-// of every seed, and the recorded baselines. The seed pass with an
-// injected memo (cold on one core, warm on four) and a registry
-// records those baselines too.
+// of every seed, and the recorded baselines. A seed pass of its own at
+// each GOMAXPROCS records those baselines too.
 func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(60, 2))
-	memo := jvm.NewVerifyMemo()
 	build := func(procs int) (*Scheduler, []SeedRun) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		s, err := New(seeds, Options{Strategy: Yield, RefSpec: jvm.HotSpot9()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, RunSeeds(seeds, jvm.HotSpot9(), memo, telemetry.New())
+		return s, RunSeeds(seeds, jvm.HotSpot9())
 	}
 	one, runsOne := build(1)
 	four, runsFour := build(4)
-	if memo.Len() == 0 {
-		t.Fatal("the injected memo stayed empty")
-	}
 	if !reflect.DeepEqual(one.ClusterStats(), four.ClusterStats()) {
 		t.Fatalf("cluster stats differ:\n%+v\n%+v", one.ClusterStats(), four.ClusterStats())
 	}
@@ -103,24 +98,37 @@ func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 		for _, r := range []SeedRun{runsOne[i], runsFour[i]} {
 			if r.Fingerprint != one.runs[i].Fingerprint || (r.Trace == nil) != (ba[i] == nil) ||
 				(r.Trace != nil && (r.Trace.Key() != ba[i].Key() || !r.Trace.EqualSets(ba[i]))) {
-				t.Fatalf("seed %d: the memoised seed pass differs from the baseline", i)
+				t.Fatalf("seed %d: a seed pass differs from the baseline", i)
 			}
 		}
 	}
 }
 
-// TestBaselinesFollowRefSpec: baselines are handed out only for the
-// spec they were recorded on, and AddSeed extends them with the corpus.
+// TestBaselinesFollowRefSpec: a request for another spec gets that
+// spec's seed pass, never the recorded traces, and AddSeed extends the
+// recorded ones with the corpus.
 func TestBaselinesFollowRefSpec(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 3))
 	s, err := New(seeds[:8], Options{Strategy: Clustered, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Baselines(jvm.HotSpot8()); got != nil {
-		t.Fatalf("Baselines(HotSpot8) of a HotSpot9 scheduler = %d traces, want nil", len(got))
+	foreign := s.Baselines(jvm.GIJ())
+	want := Traces(RunSeeds(seeds[:8], jvm.GIJ()))
+	differs := false
+	for i, tr := range foreign {
+		if tr == s.runs[i].Trace && tr != nil {
+			t.Fatalf("seed %d: Baselines(GIJ) handed out the HotSpot 9 trace", i)
+		}
+		if (tr == nil) != (want[i] == nil) || (tr != nil && (tr.Key() != want[i].Key() || !tr.EqualSets(want[i]))) {
+			t.Fatalf("seed %d: Baselines(GIJ) is not GIJ's seed pass", i)
+		}
+		differs = differs || (tr != nil && !tr.EqualSets(s.runs[i].Trace))
 	}
-	for i, run := range RunSeeds(seeds[8:], jvm.HotSpot9(), nil, nil) {
+	if len(foreign) != 8 || !differs {
+		t.Fatalf("Baselines(GIJ) = %d traces, none differing from HotSpot 9's: the test cannot tell them apart", len(foreign))
+	}
+	for i, run := range RunSeeds(seeds[8:], jvm.HotSpot9()) {
 		s.AddSeed(seeds[8+i], run)
 	}
 	got := s.Baselines(jvm.HotSpot9())
@@ -223,7 +231,7 @@ func TestAddSeedClassifyAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := s.Clusters()
-	runs := RunSeeds(seeds[8:], jvm.HotSpot9(), nil, nil)
+	runs := RunSeeds(seeds[8:], jvm.HotSpot9())
 	for i, c := range seeds[8:] {
 		want := s.Classify(runs[i])
 		got := s.AddSeed(c, runs[i])
@@ -337,7 +345,7 @@ func drive(s *Scheduler, n int) []int {
 // index and later forks untouched. A fork binds New's counter names.
 func TestForkEqualsGrownIndex(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(14, 21))
-	runs := RunSeeds(seeds[10:], jvm.HotSpot9(), nil, nil)
+	runs := RunSeeds(seeds[10:], jvm.HotSpot9())
 	for _, strategy := range []Strategy{Clustered, Yield} {
 		grow := func(k int) *Scheduler {
 			s, err := New(seeds[:10], Options{Strategy: strategy, RefSpec: jvm.HotSpot9()})

@@ -121,6 +121,10 @@ type Manager struct {
 	seedIndex      *seedsel.Scheduler
 	clusterDiscs   []int64
 	clusterDemoted []bool
+	// flat is the uniform strategy's source over the current corpus:
+	// the first epoch builds it and intake drops it on adopting a seed,
+	// so the epochs on one corpus version share its seed pass.
+	flat campaign.SeedSource
 	// discs is the discrepancy log; an entry's ID is its index.
 	discs []Discrepancy
 	// journal is discrepancies.jsonl, open from Start to Stop. Its
@@ -256,7 +260,7 @@ func (m *Manager) Start() error {
 		if err != nil {
 			return err
 		}
-		for i, run := range seedsel.RunSeeds(m.submitted, jvm.HotSpot9(), nil, nil) {
+		for i, run := range seedsel.RunSeeds(m.submitted, jvm.HotSpot9()) {
 			idx.AddSeed(m.submitted[i], run)
 		}
 		m.seedIndex = idx
@@ -432,6 +436,7 @@ func (m *Manager) acceptSeed(sub submission) {
 		return
 	}
 	m.submitted = append(m.submitted, sub.class)
+	m.flat = nil
 	if err := m.persistLocked(); err != nil {
 		m.logf("intake: %v", err)
 	}
@@ -477,11 +482,11 @@ func (m *Manager) epochSeed(shard, epoch int) int64 {
 	return prng.Mix(m.cfg.Seed, campaignStream, uint64(shard)<<32|uint64(uint32(epoch)))
 }
 
-// epochSource builds one epoch's SeedSource over the base seeds and
-// every submission adopted so far, and returns how many that is: the
-// flat-uniform adapter, or a Fork of the intake index (a stateful
-// source serves exactly one engine run). A fork carries its seeds'
-// baselines, so the epoch runs no seed pass.
+// epochSource returns one epoch's SeedSource over the base seeds and
+// every submission adopted so far, and how many that is: a Fork of the
+// intake index (a scheduler serves exactly one engine run), or the
+// flat-uniform adapter every epoch on this corpus version shares.
+// Either carries its seeds' baselines: the epoch runs no seed pass.
 func (m *Manager) epochSource(reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -490,7 +495,10 @@ func (m *Manager) epochSource(reg *telemetry.Registry) (campaign.SeedSource, *se
 		sched := m.seedIndex.Fork(len(m.baseSeeds)+used, reg)
 		return sched, sched, used
 	}
-	return campaign.FlatSeeds(append(slices.Clip(m.baseSeeds), m.submitted...)), nil, used
+	if m.flat == nil {
+		m.flat = campaign.FlatSeeds(append(slices.Clip(m.baseSeeds), m.submitted...))
+	}
+	return m.flat, nil, used
 }
 
 // campaignConfig shapes one epoch's engine run. Its Stop is the

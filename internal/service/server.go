@@ -77,7 +77,7 @@ func (m *Manager) handleSeeds(w http.ResponseWriter, r *http.Request) {
 	// here, once and outside m.mu: intake classifies it by this run.
 	sub := submission{data: data, class: c}
 	if m.seedIndex != nil {
-		sub.run = seedsel.RunSeeds([]*jimple.Class{c}, jvm.HotSpot9(), nil, nil)[0]
+		sub.run = seedsel.RunSeeds([]*jimple.Class{c}, jvm.HotSpot9())[0]
 	}
 	select {
 	case m.queue <- sub:

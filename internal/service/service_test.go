@@ -630,6 +630,48 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 	}
 }
 
+// TestUniformEpochsShareSeedPass: under the uniform strategy every
+// epoch on one corpus version gets the same source, so its seed pass
+// runs once, and adopting a seed replaces it with one over the grown
+// corpus.
+func TestUniformEpochsShareSeedPass(t *testing.T) {
+	cfg := testConfig(t, 1)
+	cfg.Iterations = 40
+	m := New(cfg)
+	if err := m.Start(); err != nil {
+		t.Fatalf("start: %v", err)
+	}
+	defer m.Stop(context.Background())
+	m.Wait()
+	first, sched, _ := m.epochSource(nil)
+	if sched != nil {
+		t.Fatal("a uniform daemon handed out a scheduler")
+	}
+	if again, _, _ := m.epochSource(nil); again != first {
+		t.Fatal("two epochs on one corpus got different sources")
+	}
+	if n := m.tel.Counter(MetricEpochsCompleted).Load(); n != int64(cfg.Shards*cfg.Epochs) {
+		t.Fatalf("%d epochs completed, want %d", n, cfg.Shards*cfg.Epochs)
+	}
+
+	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(1, 42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := liftSeed(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.acceptSeed(submission{data: files[0], class: c})
+	grown, _, used := m.epochSource(nil)
+	if grown == first || used != 1 || len(grown.Corpus()) != cfg.SeedCount+1 {
+		t.Fatalf("after an adoption: same source %v, %d submitted, %d seeds", grown == first, used, len(grown.Corpus()))
+	}
+	if again, _, _ := m.epochSource(nil); again != grown {
+		t.Fatal("two epochs on the grown corpus got different sources")
+	}
+}
+
 // TestStateValidation: a data directory refuses a mismatched config.
 func TestStateValidation(t *testing.T) {
 	cfg := testConfig(t, 1)
