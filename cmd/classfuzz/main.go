@@ -68,11 +68,7 @@ func main() {
 	}
 
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
-	source, _, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seed scheduler: %v\n", err)
-		os.Exit(1)
-	}
+	source := seedsel.NewPass(seeds, jvm.HotSpot9(), reg).Source(strategy, len(seeds), reg)
 
 	cfg := campaign.Config{
 		Algorithm:  campaign.Algorithm(*alg),

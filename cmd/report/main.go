@@ -61,15 +61,11 @@ func main() {
 	// Telemetry section at the end renders from its snapshot.
 	treg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(*seedCount, *seed))
-	source, sched, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: treg})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "seed scheduler: %v\n", err)
-		os.Exit(1)
-	}
+	sched := seedsel.NewPass(seeds, jvm.HotSpot9(), treg).Source(strategy, len(seeds), treg)
 	cfg := campaign.Config{
 		Algorithm:       campaign.Classfuzz,
 		Criterion:       coverage.STBR,
-		Source:          source,
+		Source:          sched,
 		Iterations:      *iters,
 		Rand:            *seed,
 		RefSpec:         jvm.HotSpot9(),
@@ -108,7 +104,7 @@ func main() {
 	fmt.Printf("| seed strategy | %s |\n", strategy)
 	fmt.Printf("| wall clock | %s |\n\n", res.Elapsed.Round(1000000))
 
-	if sched != nil {
+	if strategy != seedsel.Uniform {
 		fmt.Printf("## Seed scheduling\n\n")
 		fmt.Printf("Corpus clustered by structural fingerprint and baseline coverage\n")
 		fmt.Printf("trace; draws scheduled per cluster under the %s policy (counters\n", strategy)

@@ -200,31 +200,46 @@ func TestBaselinesReuseEquivalence(t *testing.T) {
 }
 
 // TestBaselinesOtherRefSpecNotReused: a scheduler recorded on HotSpot 9
-// serves a GIJ-referenced campaign GIJ's seed pass, never its own
-// traces, so the campaign equals one handed an explicit GIJ pass.
+// never serves a GIJ-referenced campaign its own traces: Baselines(GIJ)
+// is nil and Run refuses the campaign. A scheduler recorded on GIJ
+// serves GIJ's seed pass, so its campaign equals one handed an explicit
+// GIJ pass.
 func TestBaselinesOtherRefSpecNotReused(t *testing.T) {
 	cfg := schedConfig(t, seedsel.Yield)
 	cfg.RefSpec = jvm.GIJ()
-	gij := explicitPass(cfg.Source, jvm.GIJ())
-	if i := sameTraces(cfg.Source.Baselines(jvm.GIJ()), gij.traces); i >= 0 {
-		t.Fatalf("seed %d: Baselines(GIJ) of a HotSpot9 scheduler is not GIJ's seed pass", i)
+	if got := cfg.Source.Baselines(jvm.GIJ()); got != nil {
+		t.Fatalf("Baselines(GIJ) of a HotSpot 9 scheduler handed out %d traces", len(got))
 	}
-	if sameTraces(cfg.Source.Baselines(jvm.HotSpot9()), gij.traces) < 0 {
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("Run accepted a GIJ campaign on a HotSpot 9 scheduler")
+	}
+	onGIJ := func() SeedSource {
+		sched, err := seedsel.New(cfg.Source.Corpus(), seedsel.Options{Strategy: seedsel.Yield, RefSpec: jvm.GIJ()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sched
+	}
+	cfg.Source = onGIJ()
+	gij := explicitPass(onGIJ(), jvm.GIJ())
+	if i := sameTraces(cfg.Source.Baselines(jvm.GIJ()), gij.traces); i >= 0 {
+		t.Fatalf("seed %d: a GIJ scheduler's baselines are not GIJ's seed pass", i)
+	}
+	if sameTraces(schedConfig(t, seedsel.Yield).Source.Baselines(jvm.HotSpot9()), gij.traces) < 0 {
 		t.Fatal("GIJ and HotSpot 9 record the same seed traces; the test cannot tell reuse from a seed pass")
 	}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit := schedConfig(t, seedsel.Yield)
-	explicit.RefSpec = jvm.GIJ()
-	explicit.Source = explicitPass(explicit.Source, jvm.GIJ())
+	explicit := cfg
+	explicit.Source = gij
 	b, err := Run(explicit)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(summarizeFull(a), summarizeFull(b)) {
-		t.Error("a campaign on another reference spec took the scheduler's baselines")
+		t.Error("a GIJ scheduler's campaign differs from one handed an explicit GIJ pass")
 	}
 }
 
@@ -247,7 +262,7 @@ func (r *recordingSource) Baselines(ref jvm.Spec) []*coverage.Trace {
 // four concurrent ones (1 and 4 workers, distinct Rand) with one seed
 // pass: every Baselines(HotSpot9) call hands out the same traces, the
 // pass's own, and every campaign equals the same campaign on a fresh
-// source. A request for another spec gets that spec's pass.
+// source. A request for another spec gets nil, never HotSpot 9's traces.
 func TestFlatSeedsOnePass(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(20, 5))
 	shared := &recordingSource{SeedSource: FlatSeeds(seeds)}
@@ -302,22 +317,15 @@ func TestFlatSeedsOnePass(t *testing.T) {
 		}
 	}
 
-	gij := shared.SeedSource.Baselines(jvm.GIJ())
-	if i := sameTraces(gij, explicitPass(shared, jvm.GIJ()).traces); i >= 0 {
-		t.Fatalf("seed %d: Baselines(GIJ) is not GIJ's seed pass", i)
-	}
-	if sameTraces(gij, first) < 0 {
-		t.Fatal("Baselines(GIJ) handed out HotSpot 9's traces")
-	}
-	if again := shared.SeedSource.Baselines(jvm.GIJ()); len(again) != len(gij) || (len(gij) > 0 && again[0] != gij[0]) {
-		t.Error("a second Baselines(GIJ) call ran another pass")
+	if gij := shared.SeedSource.Baselines(jvm.GIJ()); gij != nil {
+		t.Fatalf("Baselines(GIJ) of a source recorded on HotSpot 9 handed out %d traces", len(gij))
 	}
 }
 
 // TestSeedStageTelemetry: campaign.stage.seeds_ns takes one sample per
 // engine run, stopped or not, whether the source kept its seed traces
-// or ran them for this run; seedsel.baselines_ns one per scheduler
-// built with a registry.
+// or ran them for this run; seedsel.baselines_ns one per run of seeds
+// on a pass given a registry (here one per scheduler's fresh pass).
 func TestSeedStageTelemetry(t *testing.T) {
 	reg := telemetry.New()
 	seeds := seedgen.Generate(seedgen.DefaultOptions(20, 5))
@@ -342,7 +350,7 @@ func TestSeedStageTelemetry(t *testing.T) {
 	}
 	s := reg.Snapshot()
 	if got := s.Hist("seedsel.baselines_ns").Count; got != 2 {
-		t.Errorf("seedsel.baselines_ns has %d samples, want 2 (one per scheduler)", got)
+		t.Errorf("seedsel.baselines_ns has %d samples, want 2 (one per scheduler's pass)", got)
 	}
 	if got := s.Hist("campaign.stage.seeds_ns").Count; got != 3 {
 		t.Errorf("campaign.stage.seeds_ns has %d samples, want 3 (one per engine run)", got)

@@ -296,7 +296,7 @@ func (e *engine) initSeedState() error {
 	}
 	traces := e.src.Baselines(e.cfg.RefSpec)
 	if len(traces) != len(e.seeds) {
-		return fmt.Errorf("campaign: the seed source has %d baselines for %d seeds", len(traces), len(e.seeds))
+		return fmt.Errorf("campaign: the seed source has %d baselines on %s for %d seeds", len(traces), e.cfg.RefSpec.Name, len(e.seeds))
 	}
 	e.foldSeeds(traces)
 	return nil

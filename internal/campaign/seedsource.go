@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"math/rand"
-	"sync"
 
 	"repro/internal/coverage"
 	"repro/internal/jimple"
@@ -16,14 +15,8 @@ import (
 // uniformly — is FlatSeeds; richer policies (clustering, yield-aware
 // scheduling, exploration floors) implement the same methods and plug
 // into the draw stage unchanged (internal/seedsel provides the second
-// implementation). NewSeedSource picks between the two by strategy.
-//
-// Seed pass. Algorithm 1 runs each seed once on the reference VM to
-// seed the test suite; seedsel.RunSeeds is that pass, and the source
-// owns it: the engine takes the traces from Baselines and runs no seed
-// itself. A source that keeps its traces (FlatSeeds after the first
-// request, a seedsel index and its forks) hands the same pass to every
-// campaign on its corpus.
+// implementation). seedsel.Pass.Source picks between the two by
+// strategy.
 //
 // Determinism contract. Pick runs on the sequential draw stage with
 // iteration i's private draw stream; Observe and Grew run on the
@@ -55,9 +48,9 @@ type SeedSource interface {
 	Grew(poolIndex, parent int)
 	// Baselines returns the coverage trace of every Corpus entry run
 	// once on the instrumented ref VM, index for index, with nil for a
-	// seed that does not lower or write: seedsel.RunSeeds' traces, on
-	// whatever ref is asked for. The engine only reads the traces, and
-	// Run fails when the slice does not cover the corpus.
+	// seed that does not lower or write: its seedsel.Pass's traces, nil
+	// for a ref the pass does not record on. The engine only reads the
+	// traces, and Run fails when the slice does not cover the corpus.
 	Baselines(ref jvm.Spec) []*coverage.Trace
 }
 
@@ -66,51 +59,11 @@ type SeedSource interface {
 // Campaigns run through FlatSeeds are byte-for-byte identical to
 // campaigns run before the SeedSource redesign (the determinism
 // goldens and the straight-line reference implementation pin this).
-// Its only state is the seed pass: the first Baselines request for a
-// ref runs seedsel.RunSeeds and every later one gets the same
-// immutable, already-keyed traces, so one FlatSeeds serves any number
-// of sequential or concurrent campaigns on its corpus.
+// It is the uniform view of a fresh seedsel.Pass on HotSpot 9, the
+// paper's reference VM, so one FlatSeeds serves any number of
+// sequential or concurrent campaigns on its corpus with one pass.
 func FlatSeeds(seeds []*jimple.Class) SeedSource {
-	return &flatUniform{seeds: seeds, passes: map[jvm.Spec][]*coverage.Trace{}}
-}
-
-// NewSeedSource builds one engine run's SeedSource from opts: FlatSeeds
-// and a nil scheduler under the uniform strategy, else a fresh
-// seedsel scheduler, returned twice so the caller can read its cluster
-// table after the run. A scheduler is stateful: build one per run.
-func NewSeedSource(seeds []*jimple.Class, opts seedsel.Options) (SeedSource, *seedsel.Scheduler, error) {
-	if opts.Strategy == seedsel.Uniform {
-		return FlatSeeds(seeds), nil, nil
-	}
-	sched, err := seedsel.New(seeds, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sched, sched, nil
-}
-
-type flatUniform struct {
-	seeds []*jimple.Class
-	// mu guards passes, one per reference spec, and is held across a
-	// pass so that concurrent first requests wait for it.
-	mu     sync.Mutex
-	passes map[jvm.Spec][]*coverage.Trace
-}
-
-func (f *flatUniform) Corpus() []*jimple.Class        { return f.seeds }
-func (f *flatUniform) Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
-func (f *flatUniform) Observe(int, bool, bool)        {}
-func (f *flatUniform) Grew(int, int)                  {}
-
-func (f *flatUniform) Baselines(ref jvm.Spec) []*coverage.Trace {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	traces, ok := f.passes[ref]
-	if !ok {
-		traces = seedsel.Traces(seedsel.RunSeeds(f.seeds, ref))
-		f.passes[ref] = traces
-	}
-	return traces
+	return seedsel.NewPass(seeds, jvm.HotSpot9(), nil).Source(seedsel.Uniform, len(seeds), nil)
 }
 
 // seedCorpus returns the configured initial corpus (nil-safe).

@@ -57,9 +57,10 @@ type Scale struct {
 	// and "yield" route through seedsel). Unknown values fail NewSession.
 	SeedStrategy string
 	// Telemetry, when non-nil, becomes the session's roll-up registry
-	// (Session.Telemetry) instead of a fresh one — attach it before
-	// NewSession so a live /metrics.json endpoint watches the campaigns
-	// as they run. Observe-only: tables are identical either way.
+	// (Session.Telemetry) instead of a fresh one, which also times the
+	// session's and the seed-strategy study's seed passes — attach it
+	// before NewSession so a live /metrics.json endpoint watches the
+	// campaigns as they run. Observe-only: tables are identical either way.
 	Telemetry *telemetry.Registry
 }
 
@@ -126,26 +127,15 @@ func NewSession(s Scale) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	// One seed pass serves the six campaigns: they share one FlatSeeds,
-	// or each gets a Fork of one scheduler index (a scheduler's draw
-	// state serves one run).
-	flat := campaign.FlatSeeds(seeds)
-	var idx *seedsel.Scheduler
-	if strategy != seedsel.Uniform {
-		if idx, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9()}); err != nil {
-			return nil, err
-		}
-	}
+	// One seed pass serves the six campaigns: each views it through its
+	// own source (a scheduler's draw state serves one run).
+	pass := seedsel.NewPass(seeds, jvm.HotSpot9(), s.Telemetry)
 	mk := func(alg campaign.Algorithm, crit coverage.Criterion, iters int) (*campaign.Result, *telemetry.Registry, error) {
 		reg := telemetry.New()
-		src := flat
-		if idx != nil {
-			src = idx.Fork(len(seeds), reg)
-		}
 		res, err := campaign.Run(campaign.Config{
 			Algorithm:  alg,
 			Criterion:  crit,
-			Source:     src,
+			Source:     pass.Source(strategy, len(seeds), reg),
 			Iterations: iters,
 			Rand:       s.Seed + 100,
 			RefSpec:    jvm.HotSpot9(),

@@ -6,8 +6,13 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/campaign"
+	"repro/internal/coverage"
 	"repro/internal/difftest"
+	"repro/internal/jvm"
 	"repro/internal/seedgen"
+	"repro/internal/seedsel"
+	"repro/internal/telemetry"
 )
 
 // The session is expensive; share one across the test functions.
@@ -494,5 +499,49 @@ func TestPEstimate(t *testing.T) {
 	}
 	if !strings.Contains(p.String(), "3/129") {
 		t.Error("rendering incomplete")
+	}
+}
+
+// TestSeedStrategyStudySharesPass: the strategy study's three rows read
+// one seed pass, which runs each seed once, so every row's source hands
+// out the same traces; and each row equals a campaign on a fresh
+// per-strategy source, its suite differentially tested alike.
+func TestSeedStrategyStudySharesPass(t *testing.T) {
+	reg := telemetry.New()
+	scale := Scale{SeedCount: 20, Iterations: 150, Seed: 3, Telemetry: reg}
+	study, err := RunSeedStrategyStudy(scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counter("seedsel.seeds_run"); n != int64(scale.SeedCount) {
+		t.Errorf("three rows ran %d seeds of a %d-seed corpus", n, scale.SeedCount)
+	}
+	seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed))
+	runner := difftest.NewStandardRunner()
+	for i, strategy := range []seedsel.Strategy{seedsel.Uniform, seedsel.Clustered, seedsel.Yield} {
+		sched, row := campaign.FlatSeeds(seeds).(*seedsel.Scheduler), study.Rows[i]
+		if strategy != seedsel.Uniform {
+			if sched, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9()}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := campaign.Run(campaign.Config{
+			Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: sched,
+			Iterations: scale.Iterations, Rand: scale.Seed + 100, RefSpec: jvm.HotSpot9(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var classes [][]byte
+		for _, g := range res.Test {
+			classes = append(classes, g.Data)
+		}
+		sum := runner.Evaluate(classes, difftest.Options{})
+		clusters := sched.ClusterStats()
+		if row.Strategy != string(strategy) || row.GenClasses != len(res.Gen) || row.TestClasses != len(res.Test) ||
+			row.Discrepancies != sum.Count(difftest.Discrepancy) || !reflect.DeepEqual(row.PerCluster, clusters) {
+			t.Errorf("%s: the study's row differs from a campaign on a fresh source:\n%+v\ngen %d, test %d, discrepancies %d, clusters %+v",
+				strategy, row, len(res.Gen), len(res.Test), sum.Count(difftest.Discrepancy), clusters)
+		}
 	}
 }

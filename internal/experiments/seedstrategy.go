@@ -46,20 +46,19 @@ type SeedStrategyStudy struct {
 }
 
 // RunSeedStrategyStudy runs classfuzz[stbr] once per strategy at an
-// equal budget and differentially tests each suite.
+// equal budget and differentially tests each suite. The three campaigns
+// share one seed pass, timed into scale.Telemetry.
 func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed))
+	pass := seedsel.NewPass(seeds, jvm.HotSpot9(), scale.Telemetry)
 	runner := difftest.NewStandardRunner()
 	study := &SeedStrategyStudy{SeedCount: scale.SeedCount, Iterations: scale.Iterations}
 
 	for _, strategy := range []seedsel.Strategy{seedsel.Uniform, seedsel.Clustered, seedsel.Yield} {
 		reg := telemetry.New()
-		src, sched, err := campaign.NewSeedSource(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9(), Telemetry: reg})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: seed-strategy %s: %w", strategy, err)
-		}
+		sched := pass.Source(strategy, len(seeds), reg)
 		res, err := campaign.Run(campaign.Config{
-			Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: src,
+			Algorithm: campaign.Classfuzz, Criterion: coverage.STBR, Source: sched,
 			Iterations: scale.Iterations, Rand: scale.Seed + 100,
 			RefSpec: jvm.HotSpot9(), Workers: scale.Workers, Telemetry: reg,
 		})
@@ -73,14 +72,12 @@ func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 			TestClasses: len(res.Test),
 			Succ:        res.Succ(),
 		}
-		if sched != nil {
-			row.Clusters = sched.Clusters()
-			row.PerCluster = sched.ClusterStats()
-			for _, cs := range row.PerCluster {
-				row.Draws += cs.Draws
-				row.Yield += cs.Yield
-				row.Demotions += cs.Demotions
-			}
+		row.Clusters = sched.Clusters()
+		row.PerCluster = sched.ClusterStats()
+		for _, cs := range row.PerCluster {
+			row.Draws += cs.Draws
+			row.Yield += cs.Yield
+			row.Demotions += cs.Demotions
 		}
 		var classes [][]byte
 		for _, g := range res.Test {

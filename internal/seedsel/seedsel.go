@@ -1,14 +1,15 @@
-// Package seedsel is the seed-corpus intelligence layer: it clusters a
-// seed corpus by structural fingerprint and baseline coverage trace
-// (greedy coverage-set distillation over the interned bitset traces),
-// and schedules draws across the clusters — uniformly per cluster
-// ("clustered", a diversity rebalance of the paper's flat draw) or
-// weighted by observed mutant yield with stagnant clusters demoted
-// ("yield"), always with an epsilon exploration floor so no seed
-// starves. Scheduler satisfies campaign.SeedSource structurally: this
-// package does not import campaign, whose NewSeedSource builds a
-// Scheduler. RunSeeds is Algorithm 1's seed pass, which seed sources
-// own (New here, campaign.FlatSeeds there); the engine runs none.
+// Package seedsel is the seed-corpus intelligence layer. Pass is
+// Algorithm 1's seed pass over a corpus that only grows: every seed run
+// once on the reference VM, shared by every campaign on the corpus.
+// Over it, a Scheduler clusters the corpus by structural fingerprint
+// and baseline coverage trace (greedy coverage-set distillation over
+// the interned bitset traces) and schedules draws across the clusters —
+// uniformly per cluster ("clustered", a diversity rebalance of the
+// paper's flat draw) or weighted by observed mutant yield with stagnant
+// clusters demoted ("yield"), always with an epsilon exploration floor
+// so no seed starves. Pass.Source makes every engine run's source, a
+// Scheduler, which satisfies campaign.SeedSource structurally: this
+// package does not import campaign.
 //
 // Determinism. A Scheduler is a pure function of (seed corpus, options)
 // and the sequence of Pick/Observe/Grew calls the engine's sequential
@@ -16,7 +17,7 @@
 // stream it is handed, cluster iteration follows slice order, and every
 // tie breaks toward the lowest index. Campaign results are therefore
 // bit-identical at any worker count, and a campaign run again on a
-// fresh scheduler (a restarted daemon epoch, on a fresh Fork of the
+// fresh scheduler (a restarted daemon epoch, on a fresh fork of the
 // daemon's intake index) reproduces it exactly.
 package seedsel
 
@@ -31,8 +32,8 @@ import (
 type Strategy string
 
 const (
-	// Uniform is the paper's flat draw (campaign.FlatSeeds, which runs
-	// its own seed pass; New refuses it — there is no scheduler to build).
+	// Uniform is the paper's flat draw: one uniform pick per draw, no
+	// clusters.
 	Uniform Strategy = "uniform"
 	// Clustered draws a cluster uniformly, then a member uniformly:
 	// structurally/behaviourally distinct seed groups get equal draw
@@ -71,7 +72,7 @@ const (
 
 // Options parameterises scheduler construction.
 type Options struct {
-	// Strategy is Clustered or Yield (Uniform has no scheduler).
+	// Strategy is Clustered or Yield (FlatSeeds is the uniform source).
 	Strategy Strategy
 	// RefSpec is the instrumented VM baseline traces are recorded on —
 	// use the campaign's reference spec so cluster structure reflects
@@ -79,8 +80,8 @@ type Options struct {
 	RefSpec jvm.Spec
 	// Telemetry, when non-nil, receives per-cluster draw/yield/demotion
 	// counters (ClusterMetric) plus corpus-wide totals
-	// (campaign.seeds.{draws,yield,demotions}), and times New's seed
-	// pass as seedsel.baselines_ns. Observe-only.
+	// (campaign.seeds.{draws,yield,demotions}), and the pass's telemetry
+	// (NewPass). Observe-only.
 	Telemetry *telemetry.Registry
 }
 

@@ -5,8 +5,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"repro/internal/coverage"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
 	"repro/internal/telemetry"
@@ -31,7 +33,7 @@ func TestParseStrategy(t *testing.T) {
 func TestNewRejectsUniformAndEmpty(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(4, 1))
 	if _, err := New(seeds, Options{Strategy: Uniform, RefSpec: jvm.HotSpot9()}); err == nil {
-		t.Error("New accepted the uniform strategy (FlatSeeds owns it)")
+		t.Error("New accepted the uniform strategy (it has no scheduler)")
 	}
 	if _, err := New(nil, Options{Strategy: Clustered, RefSpec: jvm.HotSpot9()}); err == nil {
 		t.Error("New accepted an empty corpus")
@@ -82,9 +84,10 @@ func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	if !reflect.DeepEqual(one.ClusterStats(), four.ClusterStats()) {
 		t.Fatalf("cluster stats differ:\n%+v\n%+v", one.ClusterStats(), four.ClusterStats())
 	}
+	recOne, recFour := one.pass.prefix(len(seeds)), four.pass.prefix(len(seeds))
 	for i := range seeds {
-		if a, b := one.Classify(one.runs[i]), four.Classify(four.runs[i]); a != b {
-			t.Fatalf("seed %d: Classify %+v at GOMAXPROCS 1, %+v at 4", i, a, b)
+		if a, b := one.pass.Cluster(recOne[i]), four.pass.Cluster(recFour[i]); a != b {
+			t.Fatalf("seed %d: cluster %d at GOMAXPROCS 1, %d at 4", i, a, b)
 		}
 	}
 	ba, bb := one.Baselines(jvm.HotSpot9()), four.Baselines(jvm.HotSpot9())
@@ -96,7 +99,7 @@ func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 			t.Fatalf("seed %d: baseline differs between GOMAXPROCS 1 and 4", i)
 		}
 		for _, r := range []SeedRun{runsOne[i], runsFour[i]} {
-			if r.Fingerprint != one.runs[i].Fingerprint || (r.Trace == nil) != (ba[i] == nil) ||
+			if r.Fingerprint != recOne[i].Fingerprint || (r.Trace == nil) != (ba[i] == nil) ||
 				(r.Trace != nil && (r.Trace.Key() != ba[i].Key() || !r.Trace.EqualSets(ba[i]))) {
 				t.Fatalf("seed %d: a seed pass differs from the baseline", i)
 			}
@@ -104,40 +107,43 @@ func TestNewIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestBaselinesFollowRefSpec: a request for another spec gets that
-// spec's seed pass, never the recorded traces, and AddSeed extends the
-// recorded ones with the corpus.
+// TestBaselinesFollowRefSpec: a pass records on its own spec only — a
+// GIJ pass hands out GIJ's traces, a HotSpot 9 pass refuses a GIJ
+// request rather than hand out its own — and Add extends the recorded
+// traces with the corpus, running only the newcomers.
 func TestBaselinesFollowRefSpec(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 3))
 	s, err := New(seeds[:8], Options{Strategy: Clustered, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	foreign := s.Baselines(jvm.GIJ())
+	if foreign := s.Baselines(jvm.GIJ()); foreign != nil {
+		t.Fatalf("Baselines(GIJ) of a HotSpot 9 pass handed out %d traces", len(foreign))
+	}
+	gij := NewPass(seeds[:8], jvm.GIJ(), nil).Baselines(8, jvm.GIJ())
 	want := Traces(RunSeeds(seeds[:8], jvm.GIJ()))
+	own := s.Baselines(jvm.HotSpot9())
 	differs := false
-	for i, tr := range foreign {
-		if tr == s.runs[i].Trace && tr != nil {
-			t.Fatalf("seed %d: Baselines(GIJ) handed out the HotSpot 9 trace", i)
-		}
+	for i, tr := range gij {
 		if (tr == nil) != (want[i] == nil) || (tr != nil && (tr.Key() != want[i].Key() || !tr.EqualSets(want[i]))) {
-			t.Fatalf("seed %d: Baselines(GIJ) is not GIJ's seed pass", i)
+			t.Fatalf("seed %d: a GIJ pass's baseline is not GIJ's seed run", i)
 		}
-		differs = differs || (tr != nil && !tr.EqualSets(s.runs[i].Trace))
+		differs = differs || (tr != nil && !tr.EqualSets(own[i]))
 	}
-	if len(foreign) != 8 || !differs {
-		t.Fatalf("Baselines(GIJ) = %d traces, none differing from HotSpot 9's: the test cannot tell them apart", len(foreign))
+	if len(gij) != 8 || !differs {
+		t.Fatalf("GIJ pass = %d traces, none differing from HotSpot 9's: the test cannot tell them apart", len(gij))
 	}
-	for i, run := range RunSeeds(seeds[8:], jvm.HotSpot9()) {
-		s.AddSeed(seeds[8+i], run)
+	for _, c := range seeds[8:] {
+		s.pass.Add(c, nil)
 	}
-	got := s.Baselines(jvm.HotSpot9())
-	if len(got) != len(s.Corpus()) {
-		t.Fatalf("%d baselines for a %d-seed corpus", len(got), len(s.Corpus()))
-	}
+	got := s.pass.Baselines(10, jvm.HotSpot9())
+	fresh := Traces(RunSeeds(seeds[8:], jvm.HotSpot9()))
 	for i, tr := range got {
-		if tr == nil || tr != s.runs[i].Trace {
+		if i < 8 && tr != own[i] {
 			t.Fatalf("seed %d: baseline is not the recorded trace", i)
+		}
+		if i >= 8 && (tr == nil || tr.Key() != fresh[i-8].Key()) {
+			t.Fatalf("seed %d: the added seed's baseline is not its seed run", i)
 		}
 	}
 }
@@ -222,34 +228,35 @@ func TestDemotionAndRepromotion(t *testing.T) {
 	}
 }
 
-// TestAddSeedClassifyAgree: Classify predicts exactly what AddSeed
-// does, and AddSeed extends the corpus without founding new clusters.
+// TestAddSeedClassifyAgree: Cluster predicts exactly where the index
+// puts a seed Add appends, and added seeds found no new clusters.
 func TestAddSeedClassifyAgree(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(10, 13))
 	s, err := New(seeds[:8], Options{Strategy: Clustered, RefSpec: jvm.HotSpot9()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := s.Clusters()
+	p, before := s.pass, s.Clusters()
 	runs := RunSeeds(seeds[8:], jvm.HotSpot9())
+	var want []int
 	for i, c := range seeds[8:] {
-		want := s.Classify(runs[i])
-		got := s.AddSeed(c, runs[i])
-		if got != want {
-			t.Fatalf("Classify %+v, AddSeed %+v", want, got)
+		want = append(want, p.Cluster(runs[i]))
+		p.Add(c, &runs[i])
+	}
+	grown := p.Source(Clustered, 10, nil)
+	if grown.Clusters() != before || len(p.ClusterStats()) != before {
+		t.Fatalf("cluster count changed: %d -> %d", before, grown.Clusters())
+	}
+	if len(grown.Corpus()) != 10 {
+		t.Fatalf("corpus %d, want 10", len(grown.Corpus()))
+	}
+	for i, ci := range want {
+		if ci < 0 || ci >= before {
+			t.Fatalf("Cluster founded cluster %d (had %d)", ci, before)
 		}
-		if got.Cluster < 0 || got.Cluster >= before {
-			t.Fatalf("AddSeed founded cluster %d (had %d)", got.Cluster, before)
+		if got := grown.ClusterOf(8 + i); got != ci {
+			t.Fatalf("seed %d: Cluster predicted %d, the index put it in cluster %d", 8+i, ci, got)
 		}
-	}
-	if s.Clusters() != before {
-		t.Fatalf("cluster count changed: %d -> %d", before, s.Clusters())
-	}
-	if len(s.Corpus()) != 10 {
-		t.Fatalf("corpus %d, want 10", len(s.Corpus()))
-	}
-	if s.ClusterOf(9) != s.Classify(runs[1]).Cluster {
-		t.Error("ClusterOf disagrees with the recorded assignment")
 	}
 }
 
@@ -311,7 +318,7 @@ type clusterView struct {
 }
 
 func view(s *Scheduler) schedView {
-	v := schedView{Seeds: len(s.seeds), Runs: s.runs, Assign: s.assign}
+	v := schedView{Seeds: len(s.corpus), Runs: s.pass.prefix(len(s.corpus)), Assign: s.assign}
 	for _, c := range s.clusters {
 		v.Clusters = append(v.Clusters, clusterView{
 			FP: c.fp, Trace: fmt.Sprint(c.trace.Key()), Members: c.members, SeedCount: c.seedCount,
@@ -339,38 +346,37 @@ func drive(s *Scheduler, n int) []int {
 	return picks
 }
 
-// TestForkEqualsGrownIndex: a fork of n seeds from an index grown by
-// AddSeed is the index as it stood at n seeds, with fresh draw state,
-// and it draws exactly as that index would; driving a fork leaves the
-// index and later forks untouched. A fork binds New's counter names.
+// TestForkEqualsGrownIndex: a fork of n seeds from a pass grown by Add
+// is the scheduler of a pass grown to just n seeds, with fresh draw
+// state, and it draws exactly as that one would; driving a fork leaves
+// the index and later forks untouched. A fork binds New's counter
+// names.
 func TestForkEqualsGrownIndex(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(14, 21))
 	runs := RunSeeds(seeds[10:], jvm.HotSpot9())
 	for _, strategy := range []Strategy{Clustered, Yield} {
-		grow := func(k int) *Scheduler {
-			s, err := New(seeds[:10], Options{Strategy: strategy, RefSpec: jvm.HotSpot9()})
-			if err != nil {
-				t.Fatal(err)
-			}
+		grow := func(k int) *Pass {
+			p := NewPass(seeds[:10], jvm.HotSpot9(), nil)
 			for i := range k {
-				s.AddSeed(seeds[10+i], runs[i])
+				p.Add(seeds[10+i], &runs[i])
 			}
-			return s
+			return p
 		}
-		idx := grow(4)
-		before := view(idx)
+		p := grow(4)
+		p.ClusterStats()
+		before := view(p.idx)
 		for k := 0; k <= 4; k++ {
-			want := grow(k)
+			want := grow(k).Source(strategy, 10+k, nil)
 			reg := telemetry.New()
-			f := idx.Fork(10+k, reg)
+			f := p.Source(strategy, 10+k, reg)
 			if !reflect.DeepEqual(view(f), view(want)) {
-				t.Fatalf("%s: fork of %d seeds differs from the index grown to it:\n%+v\n%+v", strategy, 10+k, view(f), view(want))
+				t.Fatalf("%s: fork of %d seeds differs from the pass grown to it:\n%+v\n%+v", strategy, 10+k, view(f), view(want))
 			}
 			if got, wantPicks := drive(f, 10+k), drive(want, 10+k); !reflect.DeepEqual(got, wantPicks) {
-				t.Fatalf("%s: fork of %d seeds draws differently from the grown index", strategy, 10+k)
+				t.Fatalf("%s: fork of %d seeds draws differently from the grown pass's", strategy, 10+k)
 			}
 			if !reflect.DeepEqual(view(f), view(want)) {
-				t.Fatalf("%s: driven fork of %d seeds diverges from the driven index", strategy, 10+k)
+				t.Fatalf("%s: driven fork of %d seeds diverges from the driven one", strategy, 10+k)
 			}
 			snap := reg.Snapshot()
 			var sum int64
@@ -381,8 +387,57 @@ func TestForkEqualsGrownIndex(t *testing.T) {
 				t.Fatalf("%s: fork counted %d cluster draws, %d in total, want 300", strategy, sum, snap.Counter("campaign.seeds.draws"))
 			}
 		}
-		if !reflect.DeepEqual(view(idx), before) {
+		if !reflect.DeepEqual(view(p.idx), before) {
 			t.Fatalf("%s: driving forks changed the index", strategy)
 		}
+	}
+}
+
+// TestPassConcurrentViews: engines on views of one pass, some of them
+// covering seeds no request has run yet, read it concurrently while
+// Add grows it. Every view of n seeds hands out the same traces as
+// every other view that covers them, each equal to an explicit seed
+// run, and the pass runs each seed once.
+func TestPassConcurrentViews(t *testing.T) {
+	seeds := seedgen.Generate(seedgen.DefaultOptions(24, 4))
+	want := Traces(RunSeeds(seeds, jvm.HotSpot9()))
+	reg := telemetry.New()
+	p := NewPass(seeds[:12], jvm.HotSpot9(), reg)
+	const readers = 8
+	got := make([][]*coverage.Trace, readers)
+	var wg sync.WaitGroup
+	for r := range readers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			n := 6 + r%7
+			if r%2 == 1 {
+				n = len(p.Seeds())
+			}
+			got[r] = p.Baselines(n, jvm.HotSpot9())
+			if r%3 == 0 {
+				p.Source(Yield, n, nil)
+			}
+		}()
+	}
+	for _, c := range seeds[12:] {
+		p.Add(c, nil)
+	}
+	wg.Wait()
+	all := p.Baselines(len(seeds), jvm.HotSpot9())
+	for i, tr := range all {
+		if (tr == nil) != (want[i] == nil) || (tr != nil && (tr.Key() != want[i].Key() || !tr.EqualSets(want[i]))) {
+			t.Fatalf("seed %d: the pass's baseline is not its seed run", i)
+		}
+	}
+	for r, traces := range got {
+		for i, tr := range traces {
+			if tr != all[i] {
+				t.Fatalf("reader %d, seed %d: a view handed out another trace than the pass's", r, i)
+			}
+		}
+	}
+	if n := reg.Snapshot().Counter("seedsel.seeds_run"); n != int64(len(seeds)) {
+		t.Fatalf("the pass ran %d seeds for a %d-seed corpus", n, len(seeds))
 	}
 }

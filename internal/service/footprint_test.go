@@ -37,19 +37,15 @@ func wideLocalsClass(t *testing.T) []byte {
 }
 
 // intakeManager is an unstarted manager under cfg's seed strategy
-// holding the intake index Start would build over the generated
-// corpus: its handler classifies and queues submissions, and no epoch
-// runs to blur an allocation measurement.
+// holding the seed pass and intake index Start would build over the
+// generated corpus: its handler classifies and queues submissions, and
+// no epoch runs to blur an allocation measurement.
 func intakeManager(t testing.TB, cfg Config) *Manager {
 	t.Helper()
 	m := New(cfg)
 	m.strategy = seedsel.Strategy(cfg.SeedStrategy)
-	idx, err := seedsel.New(seedgen.Generate(seedgen.DefaultOptions(cfg.SeedCount, cfg.Seed)),
-		seedsel.Options{Strategy: m.strategy, RefSpec: jvm.HotSpot9()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.seedIndex = idx
+	m.pass = seedsel.NewPass(seedgen.Generate(seedgen.DefaultOptions(cfg.SeedCount, cfg.Seed)), jvm.HotSpot9(), nil)
+	m.pass.ClusterStats() // Start builds the intake index up front
 	return m
 }
 

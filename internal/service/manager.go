@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -93,38 +92,33 @@ func (c *Config) withDefaults() Config {
 // submission is one validated intake request: its bytes, which intake
 // persists, the class they lifted to, which epochs mutate, and, under a
 // scheduling strategy, the class's run on the reference VM, which the
-// intake index classifies it by.
+// intake index classifies it by and the seed pass keeps.
 type submission struct {
 	data  []byte
 	class *jimple.Class
-	run   seedsel.SeedRun
+	run   *seedsel.SeedRun
 }
 
 // Manager is the daemon: N shards, the folding session, the corpus
 // intake, the persisted state and the HTTP API.
 type Manager struct {
-	cfg       Config
-	session   *Session
-	tel       *telemetry.Registry
-	baseSeeds []*jimple.Class
-	strategy  seedsel.Strategy
+	cfg      Config
+	session  *Session
+	tel      *telemetry.Registry
+	strategy seedsel.Strategy
 
 	mu sync.Mutex
-	// submitted holds the adopted submissions in arrival order; the
-	// i-th is persisted as submittedName(i).
-	submitted []*jimple.Class
-	// seedIndex is the daemon's one seed classification (nil under the
-	// uniform strategy): clusters founded by the base seeds, with each
-	// submission added as it is adopted. Every epoch runs on a Fork of
-	// it. Per cluster, clusterDiscs counts the discrepancies credited
-	// to it and clusterDemoted is its last folded demotion flag.
-	seedIndex      *seedsel.Scheduler
+	// submitted counts the adopted submissions; the i-th is persisted
+	// as submittedName(i).
+	submitted int
+	// pass is the daemon's one seed pass: the base seeds, then each
+	// submission as it is adopted; every epoch's source views it. Per
+	// cluster of its index, clusterDiscs counts the discrepancies
+	// credited to it and clusterDemoted is its last folded demotion
+	// flag.
+	pass           *seedsel.Pass
 	clusterDiscs   []int64
 	clusterDemoted []bool
-	// flat is the uniform strategy's source over the current corpus:
-	// the first epoch builds it and intake drops it on adopting a seed,
-	// so the epochs on one corpus version share its seed pass.
-	flat campaign.SeedSource
 	// discs is the discrepancy log; an entry's ID is its index.
 	discs []Discrepancy
 	// journal is discrepancies.jsonl, open from Start to Stop. Its
@@ -247,25 +241,18 @@ func (m *Manager) Start() error {
 	}
 	m.strategy = strategy
 
+	// The seed pass holds the base corpus, then each reloaded
+	// submission in arrival order. Under a scheduling strategy the
+	// intake index runs them all here, the base seeds founding the
+	// clusters and each submission classified back as when first
+	// accepted; under uniform each seed runs in its first epoch.
+	m.pass = seedsel.NewPass(seedgen.Generate(seedgen.DefaultOptions(m.cfg.SeedCount, m.cfg.Seed)), jvm.HotSpot9(), m.tel)
 	if err := m.loadState(); err != nil {
 		return err
 	}
-	m.baseSeeds = seedgen.Generate(seedgen.DefaultOptions(m.cfg.SeedCount, m.cfg.Seed))
 	if m.strategy != seedsel.Uniform {
-		// The intake index: cluster structure over the generated base
-		// corpus, with every reloaded submission classified back into
-		// it in arrival order (identical to how it was classified when
-		// first accepted — classification is deterministic).
-		idx, err := seedsel.New(m.baseSeeds, seedsel.Options{Strategy: m.strategy, RefSpec: jvm.HotSpot9()})
-		if err != nil {
-			return err
-		}
-		for i, run := range seedsel.RunSeeds(m.submitted, jvm.HotSpot9()) {
-			idx.AddSeed(m.submitted[i], run)
-		}
-		m.seedIndex = idx
-		m.clusterDiscs = make([]int64, idx.Clusters())
-		m.clusterDemoted = make([]bool, idx.Clusters())
+		n := len(m.pass.ClusterStats())
+		m.clusterDiscs, m.clusterDemoted = make([]int64, n), make([]bool, n)
 	}
 	// Persist the initial state before anything runs, so a fresh data
 	// directory is stamped with the configuration it will forever
@@ -399,7 +386,8 @@ func (m *Manager) loadState() error {
 		if err != nil {
 			return fmt.Errorf("service: corpus file %s: %w", name, err)
 		}
-		m.submitted = append(m.submitted, c)
+		m.pass.Add(c, nil)
+		m.submitted++
 	}
 	return m.loadJournal(st.NextDiscrepancy)
 }
@@ -422,30 +410,29 @@ func liftSeed(data []byte) (*jimple.Class, error) {
 }
 
 // acceptSeed persists one queued submission, which handleSeeds has
-// already lifted, and makes it visible to future epochs.
+// already lifted, and makes it visible to future epochs by appending it
+// to the seed pass, with its run when handleSeeds made one.
 // Persist-before-visibility: the corpus file and the state.json naming
 // it hit disk inside the same critical section that appends to the
-// in-memory corpus, so no epoch can start on a seed a restart would not
-// reload.
+// pass, so no epoch can start on a seed a restart would not reload.
 func (m *Manager) acceptSeed(sub submission) {
 	unlock := m.lockTimed()
 	defer unlock()
-	name := submittedName(len(m.submitted))
+	name := submittedName(m.submitted)
 	if err := os.WriteFile(filepath.Join(m.corpusDir(), name), sub.data, 0o644); err != nil {
 		m.logf("intake: persisting %s: %v", name, err)
 		return
 	}
-	m.submitted = append(m.submitted, sub.class)
-	m.flat = nil
+	m.submitted++
+	m.pass.Add(sub.class, sub.run)
 	if err := m.persistLocked(); err != nil {
 		m.logf("intake: %v", err)
 	}
-	if m.seedIndex != nil {
-		sc := m.seedIndex.AddSeed(sub.class, sub.run)
-		m.logf("intake: %s classified into cluster %d (fp %016x)", name, sc.Cluster, sc.Fingerprint)
+	if sub.run != nil {
+		m.logf("intake: %s classified into cluster %d (fp %016x)", name, m.pass.Cluster(*sub.run), sub.run.Fingerprint)
 	}
 	m.tel.Counter(MetricSeedsAccepted).Inc()
-	m.logf("intake: adopted %s (%d submitted seeds)", name, len(m.submitted))
+	m.logf("intake: adopted %s (%d submitted seeds)", name, m.submitted)
 }
 
 // intake is the single consumer of the submission queue.
@@ -483,22 +470,13 @@ func (m *Manager) epochSeed(shard, epoch int) int64 {
 }
 
 // epochSource returns one epoch's SeedSource over the base seeds and
-// every submission adopted so far, and how many that is: a Fork of the
-// intake index (a scheduler serves exactly one engine run), or the
-// flat-uniform adapter every epoch on this corpus version shares.
-// Either carries its seeds' baselines: the epoch runs no seed pass.
-func (m *Manager) epochSource(reg *telemetry.Registry) (campaign.SeedSource, *seedsel.Scheduler, int) {
+// every submission adopted so far, and how many that is. It views the
+// daemon's seed pass, so the epoch runs only the seeds no earlier
+// epoch or intake has run.
+func (m *Manager) epochSource(reg *telemetry.Registry) (*seedsel.Scheduler, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	used := len(m.submitted)
-	if m.seedIndex != nil {
-		sched := m.seedIndex.Fork(len(m.baseSeeds)+used, reg)
-		return sched, sched, used
-	}
-	if m.flat == nil {
-		m.flat = campaign.FlatSeeds(append(slices.Clip(m.baseSeeds), m.submitted...))
-	}
-	return m.flat, nil, used
+	return m.pass.Source(m.strategy, m.cfg.SeedCount+m.submitted, reg), m.submitted
 }
 
 // campaignConfig shapes one epoch's engine run. Its Stop is the
@@ -530,7 +508,7 @@ func (m *Manager) runShard(sh *shard) {
 			return
 		}
 		reg := telemetry.New()
-		src, sched, used := m.epochSource(reg)
+		src, used := m.epochSource(reg)
 		sh.beginEpoch(epoch, used, reg)
 		res, err := campaign.Run(m.campaignConfig(sh, epoch, src, reg))
 		sh.endEpoch()
@@ -544,7 +522,7 @@ func (m *Manager) runShard(sh *shard) {
 			sh.setState("stopped")
 			return
 		}
-		m.foldEpoch(sh, epoch, res, reg, sched)
+		m.foldEpoch(sh, epoch, res, reg, src)
 		sh.advance()
 	}
 	sh.setState("done")
@@ -591,15 +569,13 @@ func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *tel
 	}
 
 	unlock := m.lockTimed()
-	if sched != nil {
-		for i, cs := range sched.ClusterStats() {
-			m.clusterDemoted[i] = cs.Demoted
-		}
-		for i := range found {
-			if ci := sched.ClusterOf(campaign.RootSeed(res.Draws, found[i].Iteration)); ci >= 0 {
-				found[i].Cluster = ci
-				m.clusterDiscs[ci]++
-			}
+	for i, cs := range sched.ClusterStats() {
+		m.clusterDemoted[i] = cs.Demoted
+	}
+	for i := range found {
+		if ci := sched.ClusterOf(campaign.RootSeed(res.Draws, found[i].Iteration)); ci >= 0 {
+			found[i].Cluster = ci
+			m.clusterDiscs[ci]++
 		}
 	}
 	m.commitLocked(found)
@@ -685,7 +661,7 @@ func (m *Manager) Status() Status {
 		Algorithm:    string(m.cfg.Algorithm),
 		Criterion:    m.cfg.Criterion.String(),
 		SeedStrategy: string(m.strategy),
-		BaseSeeds:    len(m.baseSeeds),
+		BaseSeeds:    m.cfg.SeedCount,
 		QueueDepth:   len(m.queue),
 		QueueCap:     m.cfg.QueueCap,
 		Merges:       int(m.tel.Counter(MetricEpochsCompleted).Load()),
@@ -696,12 +672,12 @@ func (m *Manager) Status() Status {
 		st.Shards = append(st.Shards, sh.status())
 	}
 	m.mu.Lock()
-	st.Submitted = len(m.submitted)
+	st.Submitted = m.submitted
 	st.Discrepancies = len(m.discs)
-	if m.seedIndex != nil {
+	if m.strategy != seedsel.Uniform {
 		// A snapshot, not Registry.Counter: reading registers no name.
 		snap := m.tel.Snapshot()
-		for i, cs := range m.seedIndex.ClusterStats() {
+		for i, cs := range m.pass.ClusterStats() {
 			st.SeedClusters = append(st.SeedClusters, ClusterStatus{
 				Cluster:       i,
 				Seeds:         cs.Seeds,

@@ -8,8 +8,7 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/jimple"
-	"repro/internal/jvm"
+	"repro/internal/coverage"
 	"repro/internal/seedsel"
 	"repro/internal/telemetry"
 )
@@ -74,30 +73,35 @@ func (m *Manager) handleSeeds(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Under a scheduling strategy the seed runs on the reference VM
-	// here, once and outside m.mu: intake classifies it by this run.
+	// here, once and outside m.mu: intake classifies it by this run and
+	// the seed pass keeps it. Under uniform an epoch runs it.
 	sub := submission{data: data, class: c}
-	if m.seedIndex != nil {
-		sub.run = seedsel.RunSeeds([]*jimple.Class{c}, jvm.HotSpot9())[0]
+	if m.strategy != seedsel.Uniform {
+		run := m.pass.Run(c)
+		sub.run = &run
 	}
 	select {
 	case m.queue <- sub:
 		depth := int64(len(m.queue))
 		m.tel.Gauge(MetricQueueDepth).Set(depth)
 		resp := map[string]any{"status": "queued", "depth": depth}
+		// Under a scheduling strategy, tell the submitter where its
+		// seed lands: structural fingerprint, baseline trace key, and
+		// the cluster intake assigns it to. The pass guards its index
+		// itself, so the lookup does not hold m.mu.
+		if sub.run != nil {
+			var key coverage.Key // zero for a seed that did not lower
+			if sub.run.Trace != nil {
+				key = sub.run.Trace.Key()
+			}
+			resp["fingerprint"] = fmt.Sprintf("%016x", sub.run.Fingerprint)
+			resp["trace_key"] = fmt.Sprintf("%016x%016x", key.Hi, key.Lo)
+			resp["cluster"] = m.pass.Cluster(*sub.run)
+		}
 		m.mu.Lock()
 		if depth > m.queueHWM {
 			m.queueHWM = depth
 			m.tel.Gauge(MetricQueueHighWater).Set(depth)
-		}
-		// Under a scheduling strategy, tell the submitter where its
-		// seed lands: structural fingerprint, baseline trace key, and
-		// the cluster intake assigns it to. Adoption grows the index
-		// under m.mu, so the lookup holds it; the run above did not.
-		if m.seedIndex != nil {
-			sc := m.seedIndex.Classify(sub.run)
-			resp["fingerprint"] = fmt.Sprintf("%016x", sc.Fingerprint)
-			resp["trace_key"] = fmt.Sprintf("%016x%016x", sc.TraceKeyHi, sc.TraceKeyLo)
-			resp["cluster"] = sc.Cluster
 		}
 		m.mu.Unlock()
 		respondJSON(w, http.StatusAccepted, resp)

@@ -23,8 +23,10 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/coverage"
 	"repro/internal/difftest"
+	"repro/internal/jimple"
 	"repro/internal/jvm"
 	"repro/internal/seedgen"
+	"repro/internal/seedsel"
 )
 
 var update = flag.Bool("update", false, "rewrite the kill-resume golden")
@@ -624,51 +626,119 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 		t.Fatalf("restart: %v", err)
 	}
 	defer m2.Stop(context.Background())
-	src, _, used := m2.epochSource(nil)
+	src, used := m2.epochSource(nil)
 	if seeds := src.Corpus(); used != 1 || len(seeds) != cfg.SeedCount+1 || seeds[cfg.SeedCount].Name != c.Name {
 		t.Fatalf("epoch corpus of %d seeds with %d submitted, want %d ending in %s", len(seeds), used, cfg.SeedCount+1, c.Name)
 	}
 }
 
-// TestUniformEpochsShareSeedPass: under the uniform strategy every
-// epoch on one corpus version gets the same source, so its seed pass
-// runs once, and adopting a seed replaces it with one over the grown
-// corpus.
+// TestUniformEpochsShareSeedPass: under every strategy the daemon keeps
+// one seed pass for its lifetime. Adoption appends a seed to it, so
+// the grown corpus's source hands out the very traces the first
+// epochs' source did for the base seeds, and the newcomer's trace is
+// its own seed run. Each seed runs once: under uniform none runs in
+// Start, in the HTTP handler or at adoption, only in the first epoch
+// that covers it; under a scheduling strategy the handler's run is the
+// one the pass keeps. A restart runs base plus submitted seeds once.
 func TestUniformEpochsShareSeedPass(t *testing.T) {
-	cfg := testConfig(t, 1)
-	cfg.Iterations = 40
-	m := New(cfg)
-	if err := m.Start(); err != nil {
-		t.Fatalf("start: %v", err)
+	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(2, 42))
+	if err != nil {
+		t.Fatal(err)
 	}
-	defer m.Stop(context.Background())
-	m.Wait()
-	first, sched, _ := m.epochSource(nil)
-	if sched != nil {
-		t.Fatal("a uniform daemon handed out a scheduler")
+	var subs []*jimple.Class
+	for _, data := range files {
+		c, err := liftSeed(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subs = append(subs, c)
 	}
-	if again, _, _ := m.epochSource(nil); again != first {
-		t.Fatal("two epochs on one corpus got different sources")
-	}
-	if n := m.tel.Counter(MetricEpochsCompleted).Load(); n != int64(cfg.Shards*cfg.Epochs) {
-		t.Fatalf("%d epochs completed, want %d", n, cfg.Shards*cfg.Epochs)
-	}
+	want := seedsel.Traces(seedsel.RunSeeds(subs, jvm.HotSpot9()))
+	for _, strategy := range []seedsel.Strategy{seedsel.Uniform, seedsel.Clustered, seedsel.Yield} {
+		t.Run(string(strategy), func(t *testing.T) {
+			cfg := testConfig(t, 1)
+			cfg.Iterations = 40
+			cfg.SeedStrategy = string(strategy)
+			base, k := cfg.SeedCount, len(subs)
+			// /metrics.json shows where the seed pass went.
+			checkRuns := func(m *Manager, want int, when string) {
+				t.Helper()
+				snap := m.liveSnapshot()
+				if n := snap.Counter("seedsel.seeds_run"); n != int64(want) {
+					t.Fatalf("%s: %d seed runs, want %d", when, n, want)
+				}
+				if want > 0 && snap.Hist("seedsel.baselines_ns").Count == 0 {
+					t.Fatalf("%s: %d seed runs, none timed", when, want)
+				}
+			}
+			// A scheduling strategy runs each seed as Start or the
+			// handler classifies it; uniform runs none there.
+			atIntake, atRestart := base, 0
+			if strategy != seedsel.Uniform {
+				atIntake, atRestart = base+k, base+k
+			}
 
-	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(1, 42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := liftSeed(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.acceptSeed(submission{data: files[0], class: c})
-	grown, _, used := m.epochSource(nil)
-	if grown == first || used != 1 || len(grown.Corpus()) != cfg.SeedCount+1 {
-		t.Fatalf("after an adoption: same source %v, %d submitted, %d seeds", grown == first, used, len(grown.Corpus()))
-	}
-	if again, _, _ := m.epochSource(nil); again != grown {
-		t.Fatal("two epochs on the grown corpus got different sources")
+			m := New(cfg)
+			if err := m.Start(); err != nil {
+				t.Fatalf("start: %v", err)
+			}
+			defer m.Stop(context.Background())
+			m.Wait()
+			first, _ := m.epochSource(nil)
+			if (first.Clusters() == 0) != (strategy == seedsel.Uniform) {
+				t.Fatalf("epoch source with %d clusters under %s", first.Clusters(), strategy)
+			}
+			own := first.Baselines(jvm.HotSpot9())
+			checkRuns(m, base, "after the first epochs")
+			h := m.handler()
+			for _, data := range files {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/seeds", bytes.NewReader(data)))
+				if rec.Code != http.StatusAccepted {
+					t.Fatalf("seed submission: %d %s", rec.Code, rec.Body)
+				}
+			}
+			checkRuns(m, atIntake, "after intake")
+			deadline := time.After(5 * time.Second)
+			for m.Status().Submitted < k {
+				select {
+				case <-deadline:
+					t.Fatal("the submissions were never adopted")
+				case <-time.After(5 * time.Millisecond):
+				}
+			}
+			checkRuns(m, atIntake, "after adoption")
+			grown, used := m.epochSource(nil)
+			traces := grown.Baselines(jvm.HotSpot9())
+			if used != k || len(traces) != base+k {
+				t.Fatalf("after adoption: %d submitted, %d baselines", used, len(traces))
+			}
+			for i := range own {
+				if traces[i] != own[i] {
+					t.Fatalf("base seed %d: the grown corpus's source ran it again", i)
+				}
+			}
+			for j, tr := range traces[base:] {
+				if tr == nil || tr.Key() != want[j].Key() || !tr.EqualSets(want[j]) {
+					t.Fatalf("submission %d: its baseline is not its seed run", j)
+				}
+			}
+			checkRuns(m, base+k, "after the grown corpus's baselines")
+			if err := m.Stop(context.Background()); err != nil {
+				t.Fatalf("stop: %v", err)
+			}
+
+			m2 := New(cfg)
+			if err := m2.Start(); err != nil {
+				t.Fatalf("restart: %v", err)
+			}
+			defer m2.Stop(context.Background())
+			m2.Wait()
+			checkRuns(m2, atRestart, "after the restart")
+			src, _ := m2.epochSource(nil)
+			src.Baselines(jvm.HotSpot9())
+			checkRuns(m2, base+k, "after the restart's baselines")
+		})
 	}
 }
 
