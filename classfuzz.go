@@ -111,7 +111,9 @@ func Mutators() []*Mutator { return mutation.Registry() }
 
 // DefaultCampaign returns a ready-to-run classfuzz[stbr] configuration
 // over the given seeds, using HotSpot 9 as the instrumented reference
-// VM — the paper's standard setup.
+// VM — the paper's standard setup. A caller may set another RefSpec:
+// the source runs its seeds on the RefSpec of the first campaign it
+// serves, once, and refuses a later campaign on a different one.
 func DefaultCampaign(seeds []*Class, iterations int) CampaignConfig {
 	return CampaignConfig{
 		Algorithm:  Classfuzz,

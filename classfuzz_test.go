@@ -1,9 +1,43 @@
 package classfuzz
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/jvm"
 )
+
+// TestDefaultCampaignOnOtherRefSpec: DefaultCampaign's source records
+// its seed pass on the reference spec of the first campaign it serves.
+// A campaign on GIJ runs and equals one on a fresh source, and the same
+// source then refuses a campaign on HotSpot 9.
+func TestDefaultCampaignOnOtherRefSpec(t *testing.T) {
+	seeds := GenerateSeeds(12, 4)
+	onGIJ := func() CampaignConfig {
+		cfg := DefaultCampaign(seeds, 100)
+		cfg.RefSpec = jvm.GIJ()
+		return cfg
+	}
+	cfg := onGIJ()
+	var names [2][]string
+	for i, c := range []CampaignConfig{cfg, onGIJ()} {
+		res, err := RunCampaign(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, g := range res.Test {
+			names[i] = append(names[i], g.Name)
+		}
+	}
+	if !reflect.DeepEqual(names[0], names[1]) {
+		t.Errorf("two GIJ campaigns on fresh sources accepted different suites:\n%v\n%v", names[0], names[1])
+	}
+	cfg.RefSpec = jvm.HotSpot9()
+	if _, err := RunCampaign(cfg); err == nil {
+		t.Error("a source recorded on GIJ served a HotSpot 9 campaign")
+	}
+}
 
 func TestEndToEndWorkflow(t *testing.T) {
 	// The Figure 1 pipeline through the public API only.

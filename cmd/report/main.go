@@ -104,13 +104,13 @@ func main() {
 	fmt.Printf("| seed strategy | %s |\n", strategy)
 	fmt.Printf("| wall clock | %s |\n\n", res.Elapsed.Round(1000000))
 
-	if strategy != seedsel.Uniform {
+	if stats := sched.ClusterStats(); stats != nil {
 		fmt.Printf("## Seed scheduling\n\n")
 		fmt.Printf("Corpus clustered by structural fingerprint and baseline coverage\n")
 		fmt.Printf("trace; draws scheduled per cluster under the %s policy (counters\n", strategy)
 		fmt.Printf("are the campaign.seeds.* telemetry series).\n\n")
 		fmt.Printf("| cluster | seeds | pool | draws | yield | demotions | demoted |\n|---|---|---|---|---|---|---|\n")
-		for _, cs := range sched.ClusterStats() {
+		for _, cs := range stats {
 			fmt.Printf("| %d | %d | %d | %d | %d | %d | %v |\n",
 				cs.Cluster, cs.Seeds, cs.Pool, cs.Draws, cs.Yield, cs.Demotions, cs.Demoted)
 		}

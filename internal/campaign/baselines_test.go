@@ -262,7 +262,8 @@ func (r *recordingSource) Baselines(ref jvm.Spec) []*coverage.Trace {
 // four concurrent ones (1 and 4 workers, distinct Rand) with one seed
 // pass: every Baselines(HotSpot9) call hands out the same traces, the
 // pass's own, and every campaign equals the same campaign on a fresh
-// source. A request for another spec gets nil, never HotSpot 9's traces.
+// source. A request for another spec gets nil, never HotSpot 9's
+// traces, and a fresh source's first request on GIJ gets GIJ's pass.
 func TestFlatSeedsOnePass(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(20, 5))
 	shared := &recordingSource{SeedSource: FlatSeeds(seeds)}
@@ -319,6 +320,17 @@ func TestFlatSeedsOnePass(t *testing.T) {
 
 	if gij := shared.SeedSource.Baselines(jvm.GIJ()); gij != nil {
 		t.Fatalf("Baselines(GIJ) of a source recorded on HotSpot 9 handed out %d traces", len(gij))
+	}
+	onGIJ := FlatSeeds(seeds)
+	gij := onGIJ.Baselines(jvm.GIJ())
+	if i := sameTraces(gij, explicitPass(onGIJ, jvm.GIJ()).traces); i >= 0 {
+		t.Fatalf("seed %d: a fresh source's Baselines(GIJ) is not GIJ's seed pass", i)
+	}
+	if sameTraces(gij, first) < 0 {
+		t.Fatal("GIJ and HotSpot 9 record the same seed traces; the test cannot tell the passes apart")
+	}
+	if hs := onGIJ.Baselines(jvm.HotSpot9()); hs != nil {
+		t.Fatalf("Baselines(HotSpot9) of a source recorded on GIJ handed out %d traces", len(hs))
 	}
 }
 

@@ -59,11 +59,12 @@ type SeedSource interface {
 // Campaigns run through FlatSeeds are byte-for-byte identical to
 // campaigns run before the SeedSource redesign (the determinism
 // goldens and the straight-line reference implementation pin this).
-// It is the uniform view of a fresh seedsel.Pass on HotSpot 9, the
-// paper's reference VM, so one FlatSeeds serves any number of
-// sequential or concurrent campaigns on its corpus with one pass.
+// It is the uniform view of a fresh seedsel.Pass, which records on the
+// reference spec of the first campaign it serves, so one FlatSeeds
+// serves any number of sequential or concurrent campaigns on that spec
+// with one pass; Run refuses a campaign on another.
 func FlatSeeds(seeds []*jimple.Class) SeedSource {
-	return seedsel.NewPass(seeds, jvm.HotSpot9(), nil).Source(seedsel.Uniform, len(seeds), nil)
+	return seedsel.NewPass(seeds, jvm.Spec{}, nil).Source(seedsel.Uniform, len(seeds), nil)
 }
 
 // seedCorpus returns the configured initial corpus (nil-safe).

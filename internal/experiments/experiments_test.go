@@ -519,7 +519,7 @@ func TestSeedStrategyStudySharesPass(t *testing.T) {
 	seeds := seedgen.Generate(seedgen.DefaultOptions(scale.SeedCount, scale.Seed))
 	runner := difftest.NewStandardRunner()
 	for i, strategy := range []seedsel.Strategy{seedsel.Uniform, seedsel.Clustered, seedsel.Yield} {
-		sched, row := campaign.FlatSeeds(seeds).(*seedsel.Scheduler), study.Rows[i]
+		sched, row := campaign.FlatSeeds(seeds).(seedsel.Source), study.Rows[i]
 		if strategy != seedsel.Uniform {
 			if sched, err = seedsel.New(seeds, seedsel.Options{Strategy: strategy, RefSpec: jvm.HotSpot9()}); err != nil {
 				t.Fatal(err)

@@ -20,20 +20,13 @@ type SeedStrategyRow struct {
 	GenClasses  int
 	TestClasses int
 	Succ        float64
-	// Clusters is the scheduler's cluster count (1 means the corpus
-	// collapsed to one representative; 0 under uniform, which has no
-	// clustering).
-	Clusters int
-	// Draws/Yield/Demotions total the scheduler's per-cluster counters
-	// (the campaign.seeds.* telemetry); zero under uniform.
-	Draws     int64
-	Yield     int64
-	Demotions int64
 	// Differential-testing outcome of the strategy's TestClasses suite.
 	Discrepancies int
 	Distinct      int
 	DiffRate      float64
-	// PerCluster is the strategy's final cluster table.
+	// PerCluster is the strategy's final cluster table, nil under
+	// uniform, which has no clustering. Its draws, yield and demotions
+	// are the campaign.seeds.* telemetry.
 	PerCluster []seedsel.ClusterStat
 }
 
@@ -71,13 +64,7 @@ func RunSeedStrategyStudy(scale Scale) (*SeedStrategyStudy, error) {
 			GenClasses:  len(res.Gen),
 			TestClasses: len(res.Test),
 			Succ:        res.Succ(),
-		}
-		row.Clusters = sched.Clusters()
-		row.PerCluster = sched.ClusterStats()
-		for _, cs := range row.PerCluster {
-			row.Draws += cs.Draws
-			row.Yield += cs.Yield
-			row.Demotions += cs.Demotions
+			PerCluster:  sched.ClusterStats(),
 		}
 		var classes [][]byte
 		for _, g := range res.Test {
@@ -101,9 +88,13 @@ func (s *SeedStrategyStudy) String() string {
 		"strategy", "#iterations", "|GenClasses|", "|TestClasses|", "succ",
 		"clusters", "draws", "yield", "demotions", "discr", "distinct", "diff")
 	for _, r := range s.Rows {
+		var draws, yield, demotions int64
+		for _, cs := range r.PerCluster {
+			draws, yield, demotions = draws+cs.Draws, yield+cs.Yield, demotions+cs.Demotions
+		}
 		fmt.Fprintf(&b, "%-10s %11d %12d %13d %6.1f%% %9d %7d %7d %10d %6d %9d %6.1f%%\n",
 			r.Strategy, r.Iterations, r.GenClasses, r.TestClasses, r.Succ*100,
-			r.Clusters, r.Draws, r.Yield, r.Demotions,
+			len(r.PerCluster), draws, yield, demotions,
 			r.Discrepancies, r.Distinct, r.DiffRate*100)
 	}
 	for _, r := range s.Rows {

@@ -1,6 +1,7 @@
 package seedsel
 
 import (
+	"math/rand"
 	"runtime"
 	"slices"
 	"sort"
@@ -41,7 +42,6 @@ func Traces(runs []SeedRun) []*coverage.Trace {
 // keeps the scheduling index: the clusters its construction seeds
 // found, and each seed's cluster.
 type Pass struct {
-	ref     jvm.Spec
 	found   int // construction seeds, which alone found clusters
 	elapsed *telemetry.Histogram
 	ran     *telemetry.Counter
@@ -50,14 +50,17 @@ type Pass struct {
 	// mu guards the rest. seeds and runs only grow; runs[i] is
 	// seeds[i]'s run.
 	mu    sync.Mutex
+	ref   jvm.Spec // set once: at construction or by the first Baselines
 	seeds []*jimple.Class
 	runs  []SeedRun
 	idx   *Scheduler // built on first use, kept up to every seed run
 }
 
-// NewPass returns the pass over seeds on ref, none run yet. reg, when
-// non-nil, times each run of seeds as seedsel.baselines_ns and counts
-// the seeds in seedsel.seeds_run. Observe-only.
+// NewPass returns the pass over seeds on ref, none run yet; on the zero
+// Spec it takes the spec of its first Baselines request. reg, when
+// non-nil, times each run of seeds the pass makes as
+// seedsel.baselines_ns and counts the runs it keeps in
+// seedsel.seeds_run. Observe-only.
 func NewPass(seeds []*jimple.Class, ref jvm.Spec, reg *telemetry.Registry) *Pass {
 	return &Pass{found: len(seeds), elapsed: reg.Histogram("seedsel.baselines_ns"),
 		ran: reg.Counter("seedsel.seeds_run"), ref: ref, seeds: slices.Clip(seeds)}
@@ -77,18 +80,18 @@ func (p *Pass) Add(c *jimple.Class, run *SeedRun) {
 	defer p.mu.Unlock()
 	if run != nil && len(p.runs) == len(p.seeds) {
 		p.runs = append(p.runs, *run)
+		p.ran.Inc()
 	}
 	p.seeds = append(p.seeds, c)
 }
 
-// Run runs c on the pass's spec without adding it.
-func (p *Pass) Run(c *jimple.Class) SeedRun { return p.run([]*jimple.Class{c})[0] }
-
-func (p *Pass) run(seeds []*jimple.Class) []SeedRun {
-	sp := telemetry.StartSpan(p.elapsed)
-	defer sp.End()
-	p.ran.Add(int64(len(seeds)))
-	return RunSeeds(seeds, p.ref)
+// Run runs c on the pass's spec without adding it; only a run that Add
+// keeps counts.
+func (p *Pass) Run(c *jimple.Class) SeedRun {
+	p.mu.Lock()
+	ref := p.ref
+	p.mu.Unlock()
+	return RunSeeds([]*jimple.Class{c}, ref)[0]
 }
 
 // prefix returns the first n seeds' runs, running those not run yet.
@@ -96,10 +99,13 @@ func (p *Pass) prefix(n int) []SeedRun {
 	p.running.Lock()
 	defer p.running.Unlock()
 	p.mu.Lock()
-	todo := p.seeds[min(len(p.runs), n):n]
+	todo, ref := p.seeds[min(len(p.runs), n):n], p.ref
 	p.mu.Unlock()
 	if len(todo) > 0 {
-		runs := p.run(todo)
+		sp := telemetry.StartSpan(p.elapsed)
+		runs := RunSeeds(todo, ref)
+		sp.End()
+		p.ran.Add(int64(len(runs)))
 		p.mu.Lock()
 		p.runs = append(p.runs, runs...)
 		p.mu.Unlock()
@@ -113,62 +119,104 @@ func (p *Pass) prefix(n int) []SeedRun {
 // that does not lower: shared, immutable and already keyed. A request
 // for a spec other than the pass's gets nil, which the engine refuses.
 func (p *Pass) Baselines(n int, ref jvm.Spec) []*coverage.Trace {
-	if ref != p.ref {
+	p.mu.Lock()
+	if p.ref == (jvm.Spec{}) {
+		p.ref = ref
+	}
+	other := ref != p.ref
+	p.mu.Unlock()
+	if other {
 		return nil
 	}
 	return Traces(p.prefix(n))
 }
 
-// index calls fn under p.mu on the index, brought up to every seed.
+// index calls fn under p.mu on the index, brought up to every seed run
+// so far: at least this call's prefix, more if another call added some.
 func (p *Pass) index(fn func(idx *Scheduler)) {
-	runs := p.prefix(len(p.Seeds()))
+	p.prefix(len(p.Seeds()))
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.idx == nil {
-		p.idx = &Scheduler{pass: p}
-		p.idx.cluster(runs[:p.found])
+		p.idx = &Scheduler{}
+		p.idx.cluster(p.runs[:p.found])
 	}
-	for _, run := range runs[len(p.idx.assign):] {
+	for _, run := range p.runs[len(p.idx.assign):] {
 		p.idx.join(p.idx.classify(run), true)
 	}
 	fn(p.idx)
 }
 
-// Source returns one engine run's seed source over the first n seeds.
-// Under Uniform it is the flat view, which keeps no draw state, so any
-// number of campaigns may share it. Else it is a fork of the index: its
-// clusters and assignment, no draws yet, and New's counters bound into
-// reg. It is the one place that chooses between the two.
-func (p *Pass) Source(strategy Strategy, n int, reg *telemetry.Registry) *Scheduler {
-	f := &Scheduler{strategy: strategy, pass: p}
+// Source is one engine run's seed source over a pass's first seeds (a
+// campaign.SeedSource) with the run's cluster table.
+type Source interface {
+	Corpus() []*jimple.Class
+	Pick(rng *rand.Rand, n int) int
+	Observe(poolIndex int, generated, accepted bool)
+	Grew(poolIndex, parent int)
+	Baselines(ref jvm.Spec) []*coverage.Trace
+	ClusterStats() []ClusterStat // nil for a flat draw
+	ClusterOf(poolIndex int) int
+}
+
+// Source returns one engine run's seed source over the first n seeds,
+// and is the one place that chooses between a flat draw and a
+// scheduler. Under Uniform it is the flat view, which keeps no draw
+// state, so any number of campaigns may share it. Else it is a fork of
+// the index with New's counters bound into reg (nil leaves them
+// detached): it shares the index's slices, clipped so that its Grew
+// copies them (a cluster's members below n are a prefix).
+func (p *Pass) Source(strategy Strategy, n int, reg *telemetry.Registry) Source {
+	v := view{p, p.Seeds()[:n:n]}
 	if strategy == Uniform {
-		f.corpus = p.Seeds()[:n:n]
-		return f
+		return flat{v}
 	}
-	// The fork shares the index's slices, clipped so that its Grew
-	// copies them; a cluster's members below n are a prefix.
+	f := &Scheduler{strategy: strategy, view: v}
 	p.index(func(idx *Scheduler) {
-		f.corpus, f.assign = p.seeds[:n:n], slices.Clip(idx.assign[:n])
+		f.assign = slices.Clip(idx.assign[:n])
 		for _, c := range idx.clusters {
 			k := sort.SearchInts(c.members, n)
 			f.clusters = append(f.clusters, &cluster{fp: c.fp, trace: c.trace, members: slices.Clip(c.members[:k]), seedCount: k})
 		}
 	})
-	f.bind(reg)
+	f.telDraws = reg.Counter("campaign.seeds.draws")
+	f.telYield = reg.Counter("campaign.seeds.yield")
+	f.telDem = reg.Counter("campaign.seeds.demotions")
+	for i, c := range f.clusters {
+		c.telDraws = reg.Counter(ClusterMetric(i, "draws"))
+		c.telYield = reg.Counter(ClusterMetric(i, "yield"))
+		c.telDem = reg.Counter(ClusterMetric(i, "demotions"))
+	}
 	return f
 }
+
+// view is a pass's first seeds, the corpus of a Source.
+type view struct {
+	pass   *Pass
+	corpus []*jimple.Class
+}
+
+// Corpus implements campaign.SeedSource.
+func (v view) Corpus() []*jimple.Class { return v.corpus }
+
+// Baselines implements campaign.SeedSource: the pass's traces of the
+// corpus, shared with every other view of the pass.
+func (v view) Baselines(ref jvm.Spec) []*coverage.Trace { return v.pass.Baselines(len(v.corpus), ref) }
+
+// flat is the paper's draw: one Intn(n) per pick, no feedback, no
+// clusters.
+type flat struct{ view }
+
+func (flat) Pick(rng *rand.Rand, n int) int { return rng.Intn(n) }
+func (flat) Observe(int, bool, bool)        {}
+func (flat) Grew(int, int)                  {}
+func (flat) ClusterStats() []ClusterStat    { return nil }
+func (flat) ClusterOf(int) int              { return -1 }
 
 // Cluster reports the cluster the index puts a seed with run in.
 func (p *Pass) Cluster(run SeedRun) (ci int) {
 	p.index(func(idx *Scheduler) { ci = idx.classify(run) })
 	return ci
-}
-
-// ClusterStats is the index's cluster table (seeds; each Source draws).
-func (p *Pass) ClusterStats() []ClusterStat {
-	var stats []ClusterStat
-	p.index(func(idx *Scheduler) { stats = idx.ClusterStats() })
-	return stats
 }
 
 // RunSeeds lowers, writes and runs every seed once on an instrumented

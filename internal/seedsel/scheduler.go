@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/coverage"
 	"repro/internal/jimple"
-	"repro/internal/jvm"
 	"repro/internal/telemetry"
 )
 
@@ -36,15 +35,13 @@ type cluster struct {
 	telDem   *telemetry.Counter
 }
 
-// Scheduler is a SeedSource over the first seeds of a Pass. Under
-// Uniform it draws flat; else it keeps their clusters and the
-// per-cluster yield statistics the draw policy feeds on, and serves
-// exactly one engine run. The pass's index is one no run draws from.
+// Scheduler is a SeedSource over the first seeds of a Pass: their
+// clusters and the per-cluster yield statistics the clustered or yield
+// draw policy feeds on. It serves exactly one engine run; the pass's
+// index is one no run draws from.
 type Scheduler struct {
 	strategy Strategy
-
-	pass     *Pass
-	corpus   []*jimple.Class // the pass's first seeds
+	view
 	clusters []*cluster
 	// assign maps every pool index (initial seed or recycled mutant) to
 	// its cluster. Grew extends it in commit order.
@@ -66,23 +63,7 @@ func New(seeds []*jimple.Class, opts Options) (*Scheduler, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("seedsel: empty seed corpus")
 	}
-	return NewPass(seeds, opts.RefSpec, opts.Telemetry).Source(opts.Strategy, len(seeds), opts.Telemetry), nil
-}
-
-// bind points the scheduler's counters into reg (nil leaves them
-// detached).
-func (s *Scheduler) bind(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	s.telDraws = reg.Counter("campaign.seeds.draws")
-	s.telYield = reg.Counter("campaign.seeds.yield")
-	s.telDem = reg.Counter("campaign.seeds.demotions")
-	for i, c := range s.clusters {
-		c.telDraws = reg.Counter(ClusterMetric(i, "draws"))
-		c.telYield = reg.Counter(ClusterMetric(i, "yield"))
-		c.telDem = reg.Counter(ClusterMetric(i, "demotions"))
-	}
+	return NewPass(seeds, opts.RefSpec, opts.Telemetry).Source(opts.Strategy, len(seeds), opts.Telemetry).(*Scheduler), nil
 }
 
 // cluster distils the corpus's seed runs into the clusters'
@@ -160,15 +141,6 @@ func (s *Scheduler) classify(in SeedRun) int {
 	return best
 }
 
-// Corpus implements campaign.SeedSource.
-func (s *Scheduler) Corpus() []*jimple.Class { return s.corpus }
-
-// Baselines implements campaign.SeedSource: the pass's traces of the
-// corpus, shared with every other view of the pass.
-func (s *Scheduler) Baselines(ref jvm.Spec) []*coverage.Trace {
-	return s.pass.Baselines(len(s.corpus), ref)
-}
-
 // weight is a cluster's unnormalised draw mass.
 func (s *Scheduler) weight(c *cluster) float64 {
 	if len(c.members) == 0 {
@@ -187,13 +159,10 @@ func (s *Scheduler) weight(c *cluster) float64 {
 	return w
 }
 
-// Pick implements campaign.SeedSource: under Uniform one Intn(n), else
-// an epsilon-floor uniform draw or a yield/diversity-weighted cluster
-// pick followed by a uniform member pick. Consumes only rng.
+// Pick implements campaign.SeedSource: an epsilon-floor uniform draw
+// or a yield/diversity-weighted cluster pick followed by a uniform
+// member pick. Consumes only rng.
 func (s *Scheduler) Pick(rng *rand.Rand, n int) int {
-	if s.strategy == Uniform {
-		return rng.Intn(n)
-	}
 	if n != len(s.assign) {
 		panic(fmt.Sprintf("seedsel: pool size %d, scheduler tracks %d (Grew not mirrored?)", n, len(s.assign)))
 	}
@@ -225,11 +194,8 @@ func (s *Scheduler) Pick(rng *rand.Rand, n int) int {
 }
 
 // Observe implements campaign.SeedSource: commit-order outcome
-// feedback for the drawn pool entry's cluster (none under Uniform).
+// feedback for the drawn pool entry's cluster.
 func (s *Scheduler) Observe(poolIndex int, generated, accepted bool) {
-	if s.strategy == Uniform {
-		return
-	}
 	c := s.clusters[s.assign[poolIndex]]
 	c.draws++
 	c.telDraws.Inc()
@@ -252,11 +218,8 @@ func (s *Scheduler) Observe(poolIndex int, generated, accepted bool) {
 }
 
 // Grew implements campaign.SeedSource: a recycled mutant joins its
-// parent's cluster (none under Uniform).
+// parent's cluster.
 func (s *Scheduler) Grew(poolIndex, parent int) {
-	if s.strategy == Uniform {
-		return
-	}
 	if poolIndex != len(s.assign) {
 		panic(fmt.Sprintf("seedsel: pool grew to index %d, scheduler tracks %d", poolIndex, len(s.assign)))
 	}
@@ -302,9 +265,6 @@ func (s *Scheduler) ClusterStats() []ClusterStat {
 	}
 	return out
 }
-
-// Clusters returns the cluster count.
-func (s *Scheduler) Clusters() int { return len(s.clusters) }
 
 // ClusterOf reports the cluster a pool index is assigned to (-1 if the
 // index is outside the tracked pool).

@@ -7,9 +7,9 @@
 // uniformly per cluster ("clustered", a diversity rebalance of the
 // paper's flat draw) or weighted by observed mutant yield with stagnant
 // clusters demoted ("yield"), always with an epsilon exploration floor
-// so no seed starves. Pass.Source makes every engine run's source, a
-// Scheduler, which satisfies campaign.SeedSource structurally: this
-// package does not import campaign.
+// so no seed starves. Pass.Source makes every engine run's source, the
+// flat draw or a Scheduler, which satisfy campaign.SeedSource
+// structurally: this package does not import campaign.
 //
 // Determinism. A Scheduler is a pure function of (seed corpus, options)
 // and the sequence of Pick/Observe/Grew calls the engine's sequential
@@ -72,7 +72,7 @@ const (
 
 // Options parameterises scheduler construction.
 type Options struct {
-	// Strategy is Clustered or Yield (FlatSeeds is the uniform source).
+	// Strategy is Clustered or Yield (Pass.Source makes the flat draw).
 	Strategy Strategy
 	// RefSpec is the instrumented VM baseline traces are recorded on —
 	// use the campaign's reference spec so cluster structure reflects

@@ -52,13 +52,13 @@ func TestConstructionDeterministic(t *testing.T) {
 		return s
 	}
 	a, b := mk(), mk()
-	if a.Clusters() != b.Clusters() {
-		t.Fatalf("cluster counts differ: %d vs %d", a.Clusters(), b.Clusters())
+	if len(a.clusters) != len(b.clusters) {
+		t.Fatalf("cluster counts differ: %d vs %d", len(a.clusters), len(b.clusters))
 	}
 	if !reflect.DeepEqual(a.ClusterStats(), b.ClusterStats()) {
 		t.Fatalf("cluster tables differ:\n%+v\n%+v", a.ClusterStats(), b.ClusterStats())
 	}
-	if a.Clusters() < 1 {
+	if len(a.clusters) < 1 {
 		t.Fatal("no clusters")
 	}
 }
@@ -236,16 +236,16 @@ func TestAddSeedClassifyAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, before := s.pass, s.Clusters()
+	p, before := s.pass, len(s.clusters)
 	runs := RunSeeds(seeds[8:], jvm.HotSpot9())
 	var want []int
 	for i, c := range seeds[8:] {
 		want = append(want, p.Cluster(runs[i]))
 		p.Add(c, &runs[i])
 	}
-	grown := p.Source(Clustered, 10, nil)
-	if grown.Clusters() != before || len(p.ClusterStats()) != before {
-		t.Fatalf("cluster count changed: %d -> %d", before, grown.Clusters())
+	grown := p.Source(Clustered, 10, nil).(*Scheduler)
+	if len(grown.clusters) != before || len(p.idx.clusters) != before {
+		t.Fatalf("cluster count changed: %d -> %d", before, len(grown.clusters))
 	}
 	if len(grown.Corpus()) != 10 {
 		t.Fatalf("corpus %d, want 10", len(grown.Corpus()))
@@ -317,8 +317,11 @@ type clusterView struct {
 	Demoted                 bool
 }
 
-func view(s *Scheduler) schedView {
-	v := schedView{Seeds: len(s.corpus), Runs: s.pass.prefix(len(s.corpus)), Assign: s.assign}
+func schedOf(s *Scheduler) schedView {
+	v := schedView{Seeds: len(s.corpus), Assign: s.assign}
+	if s.pass != nil { // the index serves no corpus
+		v.Runs = s.pass.prefix(len(s.corpus))
+	}
 	for _, c := range s.clusters {
 		v.Clusters = append(v.Clusters, clusterView{
 			FP: c.fp, Trace: fmt.Sprint(c.trace.Key()), Members: c.members, SeedCount: c.seedCount,
@@ -363,31 +366,31 @@ func TestForkEqualsGrownIndex(t *testing.T) {
 			return p
 		}
 		p := grow(4)
-		p.ClusterStats()
-		before := view(p.idx)
+		p.Source(strategy, 10, nil)
+		before := schedOf(p.idx)
 		for k := 0; k <= 4; k++ {
-			want := grow(k).Source(strategy, 10+k, nil)
+			want := grow(k).Source(strategy, 10+k, nil).(*Scheduler)
 			reg := telemetry.New()
-			f := p.Source(strategy, 10+k, reg)
-			if !reflect.DeepEqual(view(f), view(want)) {
-				t.Fatalf("%s: fork of %d seeds differs from the pass grown to it:\n%+v\n%+v", strategy, 10+k, view(f), view(want))
+			f := p.Source(strategy, 10+k, reg).(*Scheduler)
+			if !reflect.DeepEqual(schedOf(f), schedOf(want)) {
+				t.Fatalf("%s: fork of %d seeds differs from the pass grown to it:\n%+v\n%+v", strategy, 10+k, schedOf(f), schedOf(want))
 			}
 			if got, wantPicks := drive(f, 10+k), drive(want, 10+k); !reflect.DeepEqual(got, wantPicks) {
 				t.Fatalf("%s: fork of %d seeds draws differently from the grown pass's", strategy, 10+k)
 			}
-			if !reflect.DeepEqual(view(f), view(want)) {
+			if !reflect.DeepEqual(schedOf(f), schedOf(want)) {
 				t.Fatalf("%s: driven fork of %d seeds diverges from the driven one", strategy, 10+k)
 			}
 			snap := reg.Snapshot()
 			var sum int64
-			for i := range f.Clusters() {
+			for i := range f.clusters {
 				sum += snap.Counter(ClusterMetric(i, "draws"))
 			}
 			if sum != 300 || snap.Counter("campaign.seeds.draws") != 300 {
 				t.Fatalf("%s: fork counted %d cluster draws, %d in total, want 300", strategy, sum, snap.Counter("campaign.seeds.draws"))
 			}
 		}
-		if !reflect.DeepEqual(view(p.idx), before) {
+		if !reflect.DeepEqual(schedOf(p.idx), before) {
 			t.Fatalf("%s: driving forks changed the index", strategy)
 		}
 	}
@@ -439,5 +442,52 @@ func TestPassConcurrentViews(t *testing.T) {
 	}
 	if n := reg.Snapshot().Counter("seedsel.seeds_run"); n != int64(len(seeds)) {
 		t.Fatalf("the pass ran %d seeds for a %d-seed corpus", n, len(seeds))
+	}
+}
+
+// TestPassConcurrentCluster: Cluster lookups run while another
+// goroutine appends seeds with their runs and classifies each, as the
+// daemon's intake handler and intake worker do. A lookup whose prefix
+// an adoption overtook must not fail, and the index ends as a pass
+// grown alone would have it.
+func TestPassConcurrentCluster(t *testing.T) {
+	seeds := seedgen.Generate(seedgen.DefaultOptions(18, 9))
+	runs := RunSeeds(seeds[10:], jvm.HotSpot9())
+	alone := NewPass(seeds[:10], jvm.HotSpot9(), nil)
+	for i, c := range seeds[10:] {
+		alone.Add(c, &runs[i])
+	}
+	want := alone.Source(Clustered, len(seeds), nil).(*Scheduler)
+
+	p := NewPass(seeds[:10], jvm.HotSpot9(), nil)
+	p.Source(Clustered, 10, nil)
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if ci := p.Cluster(runs[i%len(runs)]); ci < 0 || ci >= len(want.clusters) {
+					t.Errorf("Cluster = %d, outside the %d clusters", ci, len(want.clusters))
+					return
+				}
+			}
+		}()
+	}
+	for i, c := range seeds[10:] {
+		p.Add(c, &runs[i])
+		p.Cluster(runs[i])
+	}
+	close(done)
+	wg.Wait()
+	got := p.Source(Clustered, len(seeds), nil).(*Scheduler)
+	if !reflect.DeepEqual(got.assign, want.assign) || !reflect.DeepEqual(p.idx.ClusterStats(), alone.idx.ClusterStats()) {
+		t.Fatalf("concurrent lookups changed the index:\n%v\n%v", got.assign, want.assign)
 	}
 }

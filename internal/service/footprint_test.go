@@ -45,7 +45,7 @@ func intakeManager(t testing.TB, cfg Config) *Manager {
 	m := New(cfg)
 	m.strategy = seedsel.Strategy(cfg.SeedStrategy)
 	m.pass = seedsel.NewPass(seedgen.Generate(seedgen.DefaultOptions(cfg.SeedCount, cfg.Seed)), jvm.HotSpot9(), nil)
-	m.pass.ClusterStats() // Start builds the intake index up front
+	m.pass.Source(m.strategy, cfg.SeedCount, nil) // Start builds the intake index up front
 	return m
 }
 

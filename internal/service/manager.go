@@ -250,10 +250,9 @@ func (m *Manager) Start() error {
 	if err := m.loadState(); err != nil {
 		return err
 	}
-	if m.strategy != seedsel.Uniform {
-		n := len(m.pass.ClusterStats())
-		m.clusterDiscs, m.clusterDemoted = make([]int64, n), make([]bool, n)
-	}
+	src, _ := m.epochSource(nil)
+	n := len(src.ClusterStats())
+	m.clusterDiscs, m.clusterDemoted = make([]int64, n), make([]bool, n)
 	// Persist the initial state before anything runs, so a fresh data
 	// directory is stamped with the configuration it will forever
 	// require.
@@ -473,7 +472,7 @@ func (m *Manager) epochSeed(shard, epoch int) int64 {
 // every submission adopted so far, and how many that is. It views the
 // daemon's seed pass, so the epoch runs only the seeds no earlier
 // epoch or intake has run.
-func (m *Manager) epochSource(reg *telemetry.Registry) (*seedsel.Scheduler, int) {
+func (m *Manager) epochSource(reg *telemetry.Registry) (seedsel.Source, int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.pass.Source(m.strategy, m.cfg.SeedCount+m.submitted, reg), m.submitted
@@ -534,7 +533,7 @@ func (m *Manager) runShard(sh *shard) {
 // seed cluster its lineage's root seed belongs to), the clusters'
 // demotion flags, state-frontier advance and persist. The session fold
 // merges the epoch's per-cluster draw, yield and demotion counters.
-func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched *seedsel.Scheduler) {
+func (m *Manager) foldEpoch(sh *shard, epoch int, res *campaign.Result, reg *telemetry.Registry, sched seedsel.Source) {
 	key := shardKey(sh.id, epoch)
 	m.session.foldReplacing(key, shardKey(sh.id, epoch-1), res, reg)
 	if m.foldHook != nil {
@@ -674,10 +673,10 @@ func (m *Manager) Status() Status {
 	m.mu.Lock()
 	st.Submitted = m.submitted
 	st.Discrepancies = len(m.discs)
-	if m.strategy != seedsel.Uniform {
+	if stats := m.pass.Source(m.strategy, m.cfg.SeedCount+m.submitted, nil).ClusterStats(); stats != nil {
 		// A snapshot, not Registry.Counter: reading registers no name.
 		snap := m.tel.Snapshot()
-		for i, cs := range m.pass.ClusterStats() {
+		for i, cs := range stats {
 			st.SeedClusters = append(st.SeedClusters, ClusterStatus{
 				Cluster:       i,
 				Seeds:         cs.Seeds,

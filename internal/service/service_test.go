@@ -639,7 +639,8 @@ func TestSubmittedSeedsEnterEpochs(t *testing.T) {
 // its own seed run. Each seed runs once: under uniform none runs in
 // Start, in the HTTP handler or at adoption, only in the first epoch
 // that covers it; under a scheduling strategy the handler's run is the
-// one the pass keeps. A restart runs base plus submitted seeds once.
+// one the pass keeps, and counts once adoption keeps it. A restart runs
+// base plus submitted seeds once.
 func TestUniformEpochsShareSeedPass(t *testing.T) {
 	files, err := seedgen.GenerateFiles(seedgen.DefaultOptions(2, 42))
 	if err != nil {
@@ -673,20 +674,22 @@ func TestUniformEpochsShareSeedPass(t *testing.T) {
 			}
 			// A scheduling strategy runs each seed as Start or the
 			// handler classifies it; uniform runs none there.
-			atIntake, atRestart := base, 0
+			atAdoption, atRestart := base, 0
 			if strategy != seedsel.Uniform {
-				atIntake, atRestart = base+k, base+k
+				atAdoption, atRestart = base+k, base+k
 			}
 
 			m := New(cfg)
+			gate := make(chan struct{})
+			m.intakeGate = gate
 			if err := m.Start(); err != nil {
 				t.Fatalf("start: %v", err)
 			}
 			defer m.Stop(context.Background())
 			m.Wait()
 			first, _ := m.epochSource(nil)
-			if (first.Clusters() == 0) != (strategy == seedsel.Uniform) {
-				t.Fatalf("epoch source with %d clusters under %s", first.Clusters(), strategy)
+			if n := len(first.ClusterStats()); (n == 0) != (strategy == seedsel.Uniform) {
+				t.Fatalf("epoch source with %d clusters under %s", n, strategy)
 			}
 			own := first.Baselines(jvm.HotSpot9())
 			checkRuns(m, base, "after the first epochs")
@@ -698,7 +701,8 @@ func TestUniformEpochsShareSeedPass(t *testing.T) {
 					t.Fatalf("seed submission: %d %s", rec.Code, rec.Body)
 				}
 			}
-			checkRuns(m, atIntake, "after intake")
+			checkRuns(m, base, "after intake, before adoption")
+			close(gate)
 			deadline := time.After(5 * time.Second)
 			for m.Status().Submitted < k {
 				select {
@@ -707,7 +711,7 @@ func TestUniformEpochsShareSeedPass(t *testing.T) {
 				case <-time.After(5 * time.Millisecond):
 				}
 			}
-			checkRuns(m, atIntake, "after adoption")
+			checkRuns(m, atAdoption, "after adoption")
 			grown, used := m.epochSource(nil)
 			traces := grown.Baselines(jvm.HotSpot9())
 			if used != k || len(traces) != base+k {
